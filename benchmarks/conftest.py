@@ -72,28 +72,47 @@ def _audit_fig_benchmarks(request, monkeypatch):
         monkeypatch.setenv(AUDIT_ENV, "1")
 
 
-def _merge_results(tables: Dict[str, str]) -> str:
-    """Merge new tables into ``results.txt``, keyed by title line.
+def _is_rule(line: str) -> bool:
+    return bool(line) and not line.strip("-")
 
-    Sections already on disk keep their position (refreshed in place
-    when regenerated); new sections are appended.  This lets a single
-    re-run of one figure update its table without wiping the rest.
+
+def _split_tables(text: str) -> List[str]:
+    """Split ``results.txt`` text into one section per table.
+
+    A :func:`format_table` table is a title, a rule, a header, a rule,
+    its rows and a closing rule; the line after the closing rule starts
+    the next table even when no blank line separates them.  Text that is
+    not a table stays one section per blank-line-separated chunk.
+    """
+    sections = []
+    for chunk in text.split("\n\n"):
+        lines: List[str] = []
+        rules = 0
+        for line in chunk.strip("\n").splitlines():
+            lines.append(line)
+            rules += _is_rule(line)
+            if rules == 3:
+                sections.append("\n".join(lines))
+                lines, rules = [], 0
+        if lines:
+            sections.append("\n".join(lines))
+    return sections
+
+
+def _merge_results(existing: str, tables: Dict[str, str]) -> str:
+    """Merge new tables into the ``results.txt`` text ``existing``.
+
+    Sections are keyed by title line.  Sections already on disk keep
+    their position (refreshed in place when regenerated); new sections
+    are appended.  This lets a single re-run of one figure update its
+    table without wiping the rest.  A title that appears twice collapses
+    into one section at the first position, holding the later text.
     """
     sections: List[str] = []
     titles: Dict[str, int] = {}
-    try:
-        with open(RESULTS_PATH) as fh:
-            existing = fh.read()
-    except OSError:
-        existing = ""
-    for chunk in existing.split("\n\n"):
-        chunk = chunk.strip("\n")
-        if not chunk:
-            continue
-        titles[chunk.splitlines()[0]] = len(sections)
-        sections.append(chunk)
-    for title, text in tables.items():
-        text = text.strip("\n")
+    new = [text.strip("\n") for text in tables.values()]
+    for text in _split_tables(existing) + new:
+        title = text.splitlines()[0]
         if title in titles:
             sections[titles[title]] = text
         else:
@@ -143,6 +162,11 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line("")
         for line in text.splitlines():
             terminalreporter.write_line(line)
-    merged = _merge_results(_TABLES)
+    try:
+        with open(RESULTS_PATH) as fh:
+            existing = fh.read()
+    except OSError:
+        existing = ""
+    merged = _merge_results(existing, _TABLES)
     with open(RESULTS_PATH, "w") as fh:
         fh.write(merged)

@@ -52,15 +52,16 @@ def _env_truthy(name: str) -> bool:
         "", "0", "false", "no", "off")
 
 
-def resolved_fidelity_mode(default: str = "packet") -> str:
+def resolved_fidelity_mode() -> str:
     """The fidelity mode a default-config run would resolve to.
 
     Used by scorecard/bench stamping so run artifacts record which
     transport model produced them even when the experiment never touched
-    the config objects directly (the ``REPRO_FIDELITY`` path).
+    the config objects directly (the ``REPRO_FIDELITY`` path).  Resolves
+    through :meth:`FidelityConfig.resolved`, so an unknown value raises
+    here exactly as it does when the run builds its fabric.
     """
-    raw = os.environ.get(FIDELITY_ENV, "").strip().lower()
-    return raw if raw in FIDELITY_MODES else default
+    return FidelityConfig().resolved().mode
 
 
 def _require(cond: bool, msg: str) -> None:

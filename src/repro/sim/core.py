@@ -213,6 +213,9 @@ class Process(Event):
         self._throw = gen.throw
         #: The resume callback, bound once — attaching ``self._resume``
         #: directly would allocate a fresh bound method on every yield.
+        #: It references ``self``, so ``_resume`` clears it on every
+        #: terminal path: a finished process is then acyclic and freed by
+        #: refcount instead of waiting for the cyclic garbage collector.
         self._cb = self._resume
         # Kick-start at the current time.
         init = Event(sim)
@@ -253,16 +256,19 @@ class Process(Event):
             else:
                 target = self._throw(event._exc)
         except StopIteration as stop:
+            self._cb = None
             self.succeed(stop.value)
             return
         except Interrupt:
             # Interrupt escaped the generator: unhandled interruption is a
             # cancellation, not a crash.
+            self._cb = None
             self.succeed(None)
             return
         except BaseException as exc:
             if self.sim.strict:
                 raise
+            self._cb = None
             self.fail(exc)
             return
         # Fast-path dispatch: every legitimate yield target is an Event;

@@ -83,6 +83,9 @@ class TestModeResolution:
         monkeypatch.setenv(FIDELITY_ENV, "quantum")
         with pytest.raises(ValueError):
             FidelityConfig().resolved()
+        # The scorecard stamp resolves the same way: no silent "packet".
+        with pytest.raises(ValueError):
+            resolved_fidelity_mode()
 
     def test_unknown_mode_rejected_at_construction(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """DES kernel: events, timeouts, processes, conditions, determinism."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -394,3 +396,81 @@ class TestFastPathRegressions:
         sim.spawn(other())
         sim.run()
         assert order == ["peer", "rounded"]
+
+
+class TestGarbageDiscipline:
+    """Pins for the kernel's acyclic per-event objects: the cached
+    ``Process._cb`` refers back to its process, so it must be dropped when
+    the process finishes, or every finished process is left for the
+    cyclic garbage collector."""
+
+    def test_finished_processes_leave_no_cyclic_garbage(self):
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim = Simulator()
+
+            def short():
+                yield sim.timeout(1)
+                return "done"
+
+            for _ in range(10_000):
+                sim.spawn(short())
+            sim.run()
+            del sim
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("ending", ["return", "interrupt", "fail"])
+    def test_terminal_paths_drop_the_resume_callback(self, ending):
+        sim = Simulator(strict=False)
+
+        def proc():
+            yield sim.timeout(10)
+            if ending == "fail":
+                raise RuntimeError("kaboom")
+
+        p = sim.spawn(proc())
+        if ending == "interrupt":
+            sim.run(until=5)
+            p.interrupt()
+        sim.run()
+        assert p.triggered and p._cb is None
+        value_ok = p.ok
+        p.interrupt()  # still a no-op: schedules nothing, raises nothing
+        assert not sim._ready and not sim._heap
+        sim.run()
+        assert p.ok == value_ok and p._cb is None
+
+    def test_flock_run_collects_nothing_inside_the_loop(self, monkeypatch):
+        from repro.harness.microbench import MicrobenchConfig, run_flock
+
+        in_run = [False]
+        stats = {"collections": 0, "collected": 0}
+        plain_run = Simulator.run
+
+        def run(self, *args, **kwargs):
+            in_run[0] = True
+            try:
+                return plain_run(self, *args, **kwargs)
+            finally:
+                in_run[0] = False
+
+        def hook(phase, info):
+            if phase == "stop" and in_run[0]:
+                stats["collections"] += 1
+                stats["collected"] += info["collected"]
+
+        monkeypatch.setattr(Simulator, "run", run)
+        gc.callbacks.append(hook)
+        try:
+            run_flock(MicrobenchConfig(n_clients=2, threads_per_client=4,
+                                       outstanding=2, warmup_ns=20_000.0,
+                                       measure_ns=20_000.0))
+        finally:
+            gc.callbacks.remove(hook)
+        assert stats["collections"] > 0
+        assert stats["collected"] == 0
