@@ -32,7 +32,6 @@ from typing import Dict, List, Sequence
 
 import pytest
 
-from repro.config import resolved_fidelity_mode
 from repro.harness import bench_scale, format_table
 from repro.obs.audit import AUDIT_ENV
 from repro.obs.runstore import RunStore
@@ -56,7 +55,6 @@ def record_table(title: str, columns: Sequence[str], rows) -> str:
 def record_scorecard(scorecard) -> None:
     """Register a figure's ``BENCH_*.json`` scorecard for writing."""
     scorecard.meta.setdefault("bench_scale", bench_scale())
-    scorecard.meta.setdefault("fidelity", resolved_fidelity_mode())
     _SCORECARDS.append(scorecard)
 
 

@@ -2,15 +2,12 @@
 FLockTX distributed transactions, and a HydraList-like ordered index."""
 
 from .hydralist import HydraList
-from .hydralist_numa import NumaHydraList, SearchLayerReplica
 from .kvstore import KvEntry, KvPartition, partition_of, replicas_of
 
 __all__ = [
     "HydraList",
     "KvEntry",
     "KvPartition",
-    "NumaHydraList",
-    "SearchLayerReplica",
     "partition_of",
     "replicas_of",
 ]

@@ -19,12 +19,9 @@ __all__ = [
     "NicConfig",
     "CpuConfig",
     "CongestionConfig",
-    "FidelityConfig",
     "NetConfig",
     "FlockConfig",
     "ClusterConfig",
-    "FIDELITY_MODES",
-    "resolved_fidelity_mode",
 ]
 
 GBPS = 1.0 / 8.0  # bytes per ns per Gbps
@@ -35,33 +32,10 @@ GBPS = 1.0 / 8.0  # bytes per ns per Gbps
 CONGESTION_ENV = "REPRO_CONGESTION"
 PFC_ENV = "REPRO_PFC"
 
-#: Environment variable selecting the fabric transport-model fidelity
-#: (the CLI's ``--fidelity`` flag sets it); resolved by
-#: :meth:`FidelityConfig.resolved`.
-FIDELITY_ENV = "REPRO_FIDELITY"
-
-#: Valid transport-model fidelity modes, in increasing abstraction:
-#: ``packet`` steps every pipeline stage as events (the calibrated
-#: default), ``fluid`` advances whole transfers analytically, ``hybrid``
-#: runs fluid with automatic per-port demotion to packet at hotspots.
-FIDELITY_MODES = ("packet", "fluid", "hybrid")
-
 
 def _env_truthy(name: str) -> bool:
     return os.environ.get(name, "").strip().lower() not in (
         "", "0", "false", "no", "off")
-
-
-def resolved_fidelity_mode() -> str:
-    """The fidelity mode a default-config run would resolve to.
-
-    Used by scorecard/bench stamping so run artifacts record which
-    transport model produced them even when the experiment never touched
-    the config objects directly (the ``REPRO_FIDELITY`` path).  Resolves
-    through :meth:`FidelityConfig.resolved`, so an unknown value raises
-    here exactly as it does when the run builds its fabric.
-    """
-    return FidelityConfig().resolved().mode
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -259,69 +233,6 @@ class CongestionConfig:
 
 
 @dataclass
-class FidelityConfig:
-    """Transport-model fidelity for the fabric message path.
-
-    ``packet`` (the default) steps every transfer through the full
-    event pipeline — tx_process, loss gauntlet, switch traversal,
-    propagation, rx_process — exactly as every committed baseline was
-    calibrated.  ``fluid`` completes an uncontended transfer in O(1)
-    events using analytic NIC/wire/propagation time with identical
-    byte/packet/message ledgers.  ``hybrid`` runs fluid by default and
-    demotes individual egress ports to the packet model while they are
-    *hot* (queue depth, fresh ECN marks / PFC pauses / tail drops, or a
-    saturated state-fetch pipeline at the destination NIC), promoting
-    them back after a hysteresis quiet period.
-    """
-
-    mode: str = "packet"
-    #: Hybrid demotion: a port is hot when its egress backlog reaches
-    #: this fraction of the ECN Kmin threshold (marking — the first
-    #: nonlinearity — starts at Kmin, so 1.0 demotes exactly when the
-    #: fluid model would otherwise have to approximate marking).
-    demote_depth_frac: float = 1.0
-    #: Hybrid demotion: the destination NIC's state-fetch pipeline is
-    #: thrashing when PCIe outstanding reads (or the equivalent analytic
-    #: backlog) reach this fraction of the NIC's miss slots.  The
-    #: default is 2× the slot count so a one-off burst of compulsory
-    #: cold-cache misses does not read as thrash — sustained thrashing
-    #: keeps the fetch pipeline persistently oversubscribed and clears
-    #: the bar regardless.
-    thrash_outstanding_frac: float = 2.0
-    #: Hysteresis: a demoted port must stay quiet (no hot signal) this
-    #: long before it is promoted back to the fluid model.
-    promote_quiet_ns: float = 100_000.0
-    #: When False, the ``REPRO_FIDELITY`` environment override is
-    #: ignored — A/B runners that sweep fidelity inside one process set
-    #: this so CLI flags cannot leak into their legs.
-    honor_env: bool = True
-
-    def __post_init__(self):
-        _require(self.mode in FIDELITY_MODES,
-                 "mode must be one of %s" % (FIDELITY_MODES,))
-        _require(self.demote_depth_frac > 0,
-                 "demote_depth_frac must be > 0")
-        _require(self.thrash_outstanding_frac > 0,
-                 "thrash_outstanding_frac must be > 0")
-        _require(self.promote_quiet_ns >= 0,
-                 "promote_quiet_ns must be >= 0")
-
-    def resolved(self) -> "FidelityConfig":
-        """Apply the ``REPRO_FIDELITY`` environment override (unless
-        ``honor_env`` is False).  Unknown values raise rather than
-        silently running the wrong model."""
-        if not self.honor_env:
-            return self
-        raw = os.environ.get(FIDELITY_ENV, "").strip().lower()
-        if not raw or raw == self.mode:
-            return self
-        _require(raw in FIDELITY_MODES,
-                 "%s=%r is not one of %s" % (FIDELITY_ENV, raw,
-                                             FIDELITY_MODES))
-        return replace(self, mode=raw)
-
-
-@dataclass
 class NetConfig:
     """Fabric model: 100 Gbps links through a single switch."""
 
@@ -335,8 +246,6 @@ class NetConfig:
     ud_jitter_ns: float = 120.0
     #: Switched-fabric congestion model (default off: point-to-point).
     congestion: CongestionConfig = field(default_factory=CongestionConfig)
-    #: Transport-model fidelity (default: the calibrated packet model).
-    fidelity: FidelityConfig = field(default_factory=FidelityConfig)
 
     def __post_init__(self):
         _require(self.bandwidth_bytes_per_ns > 0,

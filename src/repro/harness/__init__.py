@@ -22,7 +22,6 @@ from .microbench import (
 )
 from .parallel import SweepPoint, default_jobs, run_sweep
 from .scorecards import (
-    scorecard_fidelity_ab,
     scorecard_fig2a,
     scorecard_fig9,
     scorecard_fig10,
@@ -68,7 +67,6 @@ __all__ = [
     "run_rc",
     "run_sweep",
     "run_ud_rpc",
-    "scorecard_fidelity_ab",
     "scorecard_fig2a",
     "scorecard_fig9",
     "scorecard_fig10",

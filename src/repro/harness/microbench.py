@@ -38,8 +38,7 @@ from ..obs import (
 from ..obs.anomaly import detect_run_anomalies
 from ..obs.occupancy import OccupancyTracker, occupancy_enabled
 from ..obs.simprof import SimProfile, profile_enabled
-from ..obs.windows import (attach_fidelity_sources, attach_switch_sources,
-                           slo_timeline)
+from ..obs.windows import attach_switch_sources, slo_timeline
 from ..sim import Simulator
 from ..workloads import FixedSize
 from .metrics import Recorder, RunResult, host_block
@@ -217,7 +216,6 @@ def _run_window(sim: Simulator, recorder: Recorder, warmup: float,
     timeline = slo_timeline(warmup, warmup + measure)
     if fabric is not None:
         attach_switch_sources(timeline, fabric)
-        attach_fidelity_sources(timeline, fabric)
     recorder.attach_slo(timeline)
     if profile is not None:
         sim.run_profiled(profile, until=warmup + measure)
@@ -440,9 +438,8 @@ def run_raw_reads(total_qps: int, *, n_clients: int = 22, read_size: int = 16,
     servers, clients, fabric = build_cluster(sim, cluster)
     region = servers[0].memory.register(1 << 20)
 
-    timeline = attach_fidelity_sources(
-        attach_switch_sources(slo_timeline(warmup, warmup + measure), fabric),
-        fabric)
+    timeline = attach_switch_sources(slo_timeline(warmup, warmup + measure),
+                                     fabric)
 
     per_client = max(1, total_qps // n_clients)
     read_clients: List[ReadClient] = []

@@ -34,7 +34,6 @@ __all__ = [
     "scorecard_fig12",
     "scorecard_fig14",
     "scorecard_fig15",
-    "scorecard_fidelity_ab",
     "scorecard_incast",
     "scorecard_search",
 ]
@@ -239,10 +238,8 @@ def _fig2a_attribution_check(sc: Scorecard, qps_points: List[int],
 
 
 #: Buckets that make up the wire data path — fabric-side event machinery
-#: as opposed to timers, the kernel, or the application.  ``flow`` is
-#: the fluid transport model's analytic fast path (net/flow.py,
-#: net/fidelity.py).
-_FABRIC_SIDE = ("fabric", "switch", "verbs", "rnic", "pcie", "cq", "flow")
+#: as opposed to timers, the kernel, or the application.
+_FABRIC_SIDE = ("fabric", "switch", "verbs", "rnic", "pcie", "cq")
 
 
 def _fig2a_profile_check(sc: Scorecard, results: Dict[int, object]) -> None:
@@ -632,15 +629,6 @@ def scorecard_incast(results: Dict[str, object]) -> Scorecard:
         not results["flock_base"].extras.get("congested", True)
         and not results["ud_base"].extras.get("congested", True),
         "baseline legs ran on the contention-free fabric")
-    # Hybrid-fidelity runs export their demotion/promotion transitions
-    # so CI can assert that demotion stayed confined to the hot port.
-    fid = {leg: {k: results[leg].extras[k]
-                 for k in ("fidelity_demotions", "fidelity_promotions",
-                           "fidelity_demoted_ports")
-                 if k in results[leg].extras}
-           for leg in ("flock_base", "flock_cong", "ud_base", "ud_cong")}
-    if any(fid.values()):
-        sc.meta["fidelity_transitions"] = fid
     attach_slo(sc, results)
     attach_anomalies(sc, results)
     attach_attribution(sc, (results["flock_base"], results["flock_cong"],
@@ -753,76 +741,4 @@ def scorecard_search(name: str, evaluation: Dict, *, objective: str = "",
         sc.meta["explanations"] = evaluation["explanations"]
     if evaluation.get("attribution"):
         sc.meta["attribution"] = evaluation["attribution"]
-    return sc
-
-
-def scorecard_fidelity_ab(packet, fluid, rtol: float = 0.25) -> Scorecard:
-    """A/B agreement scorecard: a figure run under the fluid transport
-    model against the same figure under the packet model.
-
-    Accepts :class:`Scorecard` instances or their ``to_dict()`` /
-    ``BENCH_*.json`` dict forms (the CI smoke job loads both legs from
-    disk).  The contract is *shape agreement*, not byte equality: every
-    shape check present in both legs must resolve the same way, and
-    every gated metric must agree within ``max(rtol, metric rtol)`` —
-    the fluid model is an approximation, so it gets at least the
-    baseline-comparison tolerance, never a tighter one.
-    """
-    if not isinstance(packet, Scorecard):
-        packet = Scorecard.from_dict(packet)
-    if not isinstance(fluid, Scorecard):
-        fluid = Scorecard.from_dict(fluid)
-    if packet.figure != fluid.figure:
-        raise ValueError("A/B legs are different figures: %s vs %s"
-                         % (packet.figure, fluid.figure))
-    sc = Scorecard(packet.figure + "-fidelity-ab",
-                   "fluid vs packet agreement: " + packet.figure)
-    sc.meta["figure"] = packet.figure
-    sc.meta["packet_fidelity"] = packet.meta.get("fidelity", "packet")
-    sc.meta["fluid_fidelity"] = fluid.meta.get("fidelity", "fluid")
-
-    p_checks = {c.name: c.passed for c in packet.checks}
-    f_checks = {c.name: c.passed for c in fluid.checks}
-    common = sorted(set(p_checks) & set(f_checks))
-    disagreements = [name for name in common
-                     if p_checks[name] != f_checks[name]]
-    sc.add_check(
-        "shape_checks_agree",
-        not disagreements,
-        ("all %d common shape checks resolve identically" % len(common))
-        if not disagreements else
-        "legs disagree on: " + ", ".join(disagreements))
-    failed_packet = sorted(n for n, ok in p_checks.items() if not ok)
-    sc.add_check(
-        "packet_leg_passes", not failed_packet,
-        "packet-model leg fails: " + ", ".join(failed_packet)
-        if failed_packet else "the calibrated leg holds its own shape")
-
-    diffs: Dict[str, dict] = {}
-    over = []
-    worst_name, worst_rel = "", 0.0
-    for m in packet.metrics:
-        if m.better == "info":
-            continue
-        fm = fluid.metric(m.name)
-        if fm is None:
-            continue
-        denom = max(abs(m.value), m.atol, 1e-9)
-        rel = abs(fm.value - m.value) / denom
-        tol = max(rtol, m.rtol)
-        diffs[m.name] = {"packet": m.value, "fluid": fm.value,
-                         "rel_diff": round(rel, 6), "tol": tol}
-        if rel > tol:
-            over.append("%s (%.1f%% > %.0f%%)" % (m.name, 100 * rel,
-                                                  100 * tol))
-        if rel > worst_rel:
-            worst_name, worst_rel = m.name, rel
-    sc.add_check(
-        "gated_metrics_within_tolerance", not over,
-        ("all %d gated metrics agree (worst: %s at %.1f%%)"
-         % (len(diffs), worst_name or "n/a", 100 * worst_rel))
-        if not over else "out of tolerance: " + ", ".join(over))
-    sc.add_metric("compared_metrics", len(diffs), better="info")
-    sc.add_metric("max_rel_diff", worst_rel, better="info")
-    sc.meta["metric_diffs"] = diffs
     return sc

@@ -35,19 +35,6 @@ class PcieLink:
         self._slots = Resource(sim, capacity=max(1, slots), name="pcie_slots")
         self.reads_issued = 0
         self.busy_ns = 0.0
-        #: Fluid-model backlog clock: the virtual time the link's
-        #: aggregate service capacity is booked through.  Each analytic
-        #: read books ``latency / slots`` of capacity, so the steady
-        #: drain rate matches the stepped model's ``slots`` concurrent
-        #: fetches of ``latency`` each.
-        self._fluid_busy_until = 0.0
-        #: Queue delay observed by the most recent analytic read — real
-        #: contention (work booked ahead of it), which the fidelity
-        #: controller reads as its thrash signal.  ``_fluid_busy_until``
-        #: itself is useless for that: receive-side bookings are dated at
-        #: message *arrival*, so a cold link can look "busy until" a
-        #: future instant without any queueing at all.
-        self._fluid_queue_ns = 0.0
         self._obs = sim.instrumented
         #: Occupancy tracker (cost observatory); cached like ``_obs``.
         self._occ = sim.occupancy
@@ -101,41 +88,3 @@ class PcieLink:
                 occ.add(self.name + ".inflight", self.sim.now, -1.0)
         if span is not None:
             span.wait_end("pcie_stall", self.sim.now)
-
-    def read_time_ns(self, span=None, at=None, n=1) -> float:
-        """Analytic twin of :meth:`read` for the fluid transport model.
-
-        Keeps the same ledgers (``reads_issued``, ``busy_ns``) and
-        counters (``pcie.reads`` / ``pcie.stall_ns`` / ``pcie.queue_ns``)
-        so the qp-cache and byte-conservation auditors balance, but
-        charges queueing against a fluid backlog clock instead of the
-        slot resource: a backlogged link delays the fetch by the booked
-        capacity ahead of it, at the stepped model's aggregate drain
-        rate.  Returns the total stall (queue + fetch) in ns; dispatches
-        no events.
-
-        ``at`` dates the fetch at a (future) reference time — the fluid
-        receive path issues its state fetch when the message *arrives*,
-        not when the sender computes the transfer.  ``n`` batches one
-        lookup's serial misses (QP then MTT) into a single booking:
-        they queue once behind *other* messages' backlog, never behind
-        each other's capacity share.
-        """
-        self.reads_issued += n
-        if self._obs:
-            self._m_reads.inc(n)
-        now = self.sim.now if at is None else at
-        start = self._fluid_busy_until if self._fluid_busy_until > now else now
-        queue_ns = start - now
-        self._fluid_queue_ns = queue_ns
-        self._fluid_busy_until = start + (n * self.read_latency_ns
-                                          / self._slots.capacity)
-        self.busy_ns += n * self.read_latency_ns
-        if self._obs:
-            self._m_queue_ns.inc(queue_ns)
-            self._m_stall_ns.inc(n * self.read_latency_ns)
-        total = queue_ns + n * self.read_latency_ns
-        if span is not None:
-            span.add_phase("pcie_stall", now, now + total)
-            span.wait("pcie_stall", now, now + total)
-        return total

@@ -49,11 +49,6 @@ class Rnic:
         self.tx_gate = None
         self._tx_bucket = TokenBucket(sim, cfg.message_rate, cfg.message_burst)
         self._rx_bucket = TokenBucket(sim, cfg.message_rate, cfg.message_burst)
-        #: Fluid-model FIFO clock for the wire TX port: the virtual time
-        #: the serializer is booked through.  The analytic twin of
-        #: ``_tx_port`` — same one-message-at-a-time semantics, no
-        #: resource events.
-        self._fluid_tx_free = 0.0
         # Statistics.
         self.messages_tx = 0
         self.messages_rx = 0
@@ -218,115 +213,6 @@ class Rnic:
             self._m_rx.inc()
         if span is not None:
             span.add_phase("nic_rx", t0, self.sim.now)
-
-    # -- analytic (fluid-model) twins --------------------------------------
-    #
-    # The fluid transport model (repro.net.flow) advances a whole
-    # transfer in one event, so the per-stage costs above must also be
-    # computable synchronously.  These twins share the exact formulas and
-    # ledgers with the stepped pipeline — same cache mutations, same
-    # token buckets, same counters — and return nanoseconds instead of
-    # yielding events.
-
-    def lookup_time_ns(
-        self, qpn: int, rkeys: Iterable[int] = (),
-        span: Optional[Span] = None, at: Optional[float] = None,
-    ) -> float:
-        """Analytic twin of :meth:`_lookup`: touch the QP/MTT caches and
-        return the total PCIe stall for any misses (see
-        :meth:`repro.hw.pcie.PcieLink.read_time_ns`).  One lookup's
-        misses (QP then MTT) are serial fetches, batched into a single
-        backlog booking so they pay ``n * latency`` plus one queueing
-        delay behind other messages' reads."""
-        misses = 0
-        if self.qp_cache.access(("qp", qpn)):
-            if self._obs:
-                self._m_qp_hits.inc()
-                if faults.ACTIVE and "rnic.double_count_hit" in faults.ACTIVE:
-                    self._m_qp_hits.inc()
-            if span is not None:
-                span.bump("qp_hits")
-        else:
-            misses += 1
-            if self._obs:
-                self._m_qp_misses.inc()
-            if span is not None:
-                span.bump("qp_misses")
-        for rkey in rkeys:
-            if self.mtt_cache.access(("mr", rkey)):
-                if self._obs:
-                    self._m_mtt_hits.inc()
-            else:
-                misses += 1
-                if self._obs:
-                    self._m_mtt_misses.inc()
-                if span is not None:
-                    span.bump("mtt_misses")
-        if misses == 0:
-            return 0.0
-        return self.pcie.read_time_ns(span, at=at, n=misses)
-
-    def tx_time_ns(
-        self, nbytes: int, qpn: int, rkeys: Iterable[int] = (),
-        span: Optional[Span] = None,
-    ) -> float:
-        """Analytic twin of :meth:`tx_process`: state lookup, rate limit,
-        and wire serialization against the fluid FIFO clock.  Returns the
-        ns until the last byte is on the wire; bumps the same structural
-        ledgers and counters as the stepped pipeline."""
-        now = self.sim.now
-        t = now + self.lookup_time_ns(qpn, rkeys, span)
-        delay = self._tx_bucket.delay_for()
-        if delay > 0:
-            if span is not None:
-                span.wait("nic_throttle", t, t + delay)
-            t += delay
-        wire = self.wire_time_ns(nbytes)
-        start = self._fluid_tx_free if self._fluid_tx_free > t else t
-        self._fluid_tx_free = start + wire
-        if self._occ is not None:
-            self._occ.busy("rnic.tx." + self.name, start, start + wire)
-        if span is not None:
-            if start > t:
-                span.add_phase("tx_queue", t, start)
-            span.add_phase("wire", start, start + wire)
-            span.wait("wire", start, start + wire)
-        t = start + wire
-        self.messages_tx += 1
-        self.bytes_tx += nbytes
-        self.packets_tx += self.packets_for(nbytes)
-        if self._obs:
-            self._m_tx.inc()
-            self._m_tx_bytes.inc(nbytes)
-        if span is not None:
-            span.add_phase("nic_tx", now, t)
-        return t - now
-
-    def rx_time_ns(
-        self, nbytes: int, qpn: int, rkeys: Iterable[int] = (),
-        span: Optional[Span] = None, at: Optional[float] = None,
-    ) -> float:
-        """Analytic twin of :meth:`rx_process`.  ``at`` is the virtual
-        arrival time used to date span annotations (the fluid caller
-        computes it without advancing the clock)."""
-        t0 = self.sim.now if at is None else at
-        total = self._rx_bucket.delay_for(at=t0)
-        if total > 0 and span is not None:
-            span.wait("nic_throttle", t0, t0 + total)
-        total += self.lookup_time_ns(qpn, rkeys, span, at=t0 + total)
-        if span is not None:
-            span.add_phase("nic_rx", t0, t0 + total)
-        return total
-
-    def commit_rx(self) -> None:
-        """Book one received message.  The stepped pipeline counts rx in
-        the same event that counts the fabric delivery, so a windowed
-        run cut off mid-flight still satisfies the delivered==rx audit;
-        the fluid caller computes :meth:`rx_time_ns` up front and calls
-        this only when the consolidated timeout actually lands."""
-        self.messages_rx += 1
-        if self._obs:
-            self._m_rx.inc()
 
     def cqe_dma(self) -> Generator[Event, None, None]:
         """DMA one completion entry to the host CQ (skipped when the work

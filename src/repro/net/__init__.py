@@ -2,23 +2,15 @@
 
 from .congestion import DcqcnState, Switch, SwitchPort
 from .fabric import Fabric, Node, build_cluster
-from .fidelity import FidelityController, PortFidelity
-from .flow import FluidModel
 from .packet import Reassembler, segment
-from .transport import PacketModel, TransportModel
 
 __all__ = [
     "DcqcnState",
     "Fabric",
-    "FidelityController",
-    "FluidModel",
     "Node",
-    "PacketModel",
-    "PortFidelity",
     "Reassembler",
     "Switch",
     "SwitchPort",
-    "TransportModel",
     "build_cluster",
     "segment",
 ]

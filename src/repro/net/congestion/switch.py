@@ -55,7 +55,6 @@ class SwitchPort:
         "offered_msgs", "offered_bytes", "accepted_msgs", "accepted_bytes",
         "dropped_msgs", "dropped_bytes", "ecn_marks", "pause_events",
         "peak_depth_bytes", "queue_wait_ns", "paused", "resume_ev",
-        "mark_debt",
     )
 
     def __init__(self, name: str, rate: float):
@@ -77,11 +76,6 @@ class SwitchPort:
         self.queue_wait_ns = 0.0
         self.paused = False
         self.resume_ev: Optional[Event] = None
-        #: Fluid-model ECN accumulator: RED mark probabilities add up
-        #: here and emit a deterministic mark each time the debt crosses
-        #: 1, so fluid mark *rates* match the stepped expectation with
-        #: no RNG draws.
-        self.mark_debt = 0.0
 
     def depth_bytes(self, now: float) -> float:
         """Instantaneous output-queue occupancy.
@@ -302,63 +296,6 @@ class Switch:
                 span.wait("switch_queue", now, now + wait)
             yield self.sim.timeout(wait)
         return True, marked
-
-    def offer(self, src_name: str, dst_name: str, wire_bytes: int,
-              span: Optional[Span] = None) -> Tuple[bool, bool, float]:
-        """Analytic twin of :meth:`traverse` for the fluid transport
-        model: same per-port ledgers and counters, no events.
-
-        Returns ``(accepted, ecn_marked, queue_wait_ns)``; the caller
-        folds the queueing delay into its one analytic timeout.  Tail
-        drop stays deterministic (depth past the buffer), ECN marking is
-        expected-value accounting via ``mark_debt``, and PFC pause
-        assertion stays with the stepped path — the hybrid controller
-        demotes a port long before it pauses, and accepted bytes still
-        stretch the buffer exactly like stepped messages past their
-        pause check.
-        """
-        now = self.sim.now
-        port = self.port_for(dst_name)
-        depth = port.depth_bytes(now)
-        port.offered_msgs += 1
-        port.offered_bytes += wire_bytes
-        if not self.cfg.pfc and depth + wire_bytes > self.cfg.buffer_bytes:
-            port.dropped_msgs += 1
-            port.dropped_bytes += wire_bytes
-            self._m_drops.inc()
-            return False, False, 0.0
-        marked = False
-        p = self._mark_probability(depth)
-        if p > 0.0:
-            port.mark_debt += p
-            if port.mark_debt >= 1.0:
-                port.mark_debt -= 1.0
-                marked = True
-                port.ecn_marks += 1
-                self._m_marks.inc()
-        wait = port.busy_until - now
-        if wait < 0.0:
-            wait = 0.0
-        port.busy_until = now + wait + wire_bytes / self.rate
-        port.accepted_msgs += 1
-        port.accepted_bytes += wire_bytes
-        self._m_msgs.inc()
-        self._m_bytes.inc(wire_bytes)
-        depth_after = depth + wire_bytes
-        if depth_after > port.peak_depth_bytes:
-            port.peak_depth_bytes = depth_after
-        if self._occ is not None:
-            self._occ.busy("switch.port.%s" % dst_name, now + wait,
-                           port.busy_until)
-            self._occ.sample("switch.depth.%s" % dst_name, now,
-                             depth_after, capacity=self.cfg.buffer_bytes)
-        if wait > 0:
-            port.queue_wait_ns += wait
-            self._m_queue_ns.inc(wait)
-            if span is not None:
-                span.add_phase("switch_queue", now, now + wait)
-                span.wait("switch_queue", now, now + wait)
-        return True, marked, wait
 
     # -- reporting ---------------------------------------------------------
 

@@ -29,9 +29,6 @@ from ..hw import CpuMeter, HostMemory, Rnic
 from ..obs.span import Span
 from ..sim import Event, Simulator
 from .congestion import DcqcnState, Switch
-from .fidelity import FidelityController
-from .flow import FluidModel
-from .transport import PacketModel
 
 __all__ = ["Node", "Fabric", "build_cluster"]
 
@@ -64,7 +61,6 @@ class Fabric:
     def __init__(self, sim: Simulator, cfg: NetConfig, seed: int = 0):
         self.sim = sim
         self.cfg = cfg
-        self.seed = seed
         self.rng = random.Random(seed)
         #: Probability an individual *packet* is "lost" on the wire.
         self.loss_prob = 0.0
@@ -80,19 +76,6 @@ class Fabric:
         self.switch: Optional[Switch] = (
             Switch(sim, cfg, self.congestion, seed=seed)
             if self.congestion.enabled else None)
-        #: Resolved transport fidelity (env overrides applied here, once).
-        self.fidelity = cfg.fidelity.resolved()
-        self._packet_model = PacketModel(self)
-        #: The static model every transfer uses, or None in hybrid mode
-        #: where the controller arbitrates per destination port.
-        self._model = self._packet_model
-        self.fidelity_controller: Optional[FidelityController] = None
-        if self.fidelity.mode == "fluid":
-            self._model = FluidModel(self)
-        elif self.fidelity.mode == "hybrid":
-            self._model = None
-            self.fidelity_controller = FidelityController(
-                self, self.fidelity, self._packet_model, FluidModel(self))
         #: DCQCN limiter per (src node, QP); only populated when the
         #: switch model and DCQCN are both on.
         self._dcqcn: Dict[Tuple[str, int], DcqcnState] = {}
@@ -165,12 +148,6 @@ class Fabric:
         always deliver but pay a retransmission delay per lost packet and
         per switch drop.  A carried ``span`` records ``nic_tx`` /
         ``switch_queue`` / ``propagation`` / ``nic_rx`` phases.
-
-        The time evolution itself is delegated to the configured
-        :class:`~repro.net.transport.TransportModel` (packet, fluid, or
-        — in hybrid mode — whichever the fidelity controller picks for
-        ``dst``'s egress port); this wrapper owns only the
-        model-independent bookkeeping.
         """
         occ = self._occ
         if occ is not None:
@@ -186,13 +163,55 @@ class Fabric:
                 self._m_wire_bytes.inc(wire_bytes)
                 self._m_header_bytes.inc(wire_bytes - nbytes)
                 self._m_packets.inc(n_packets)
-            model = self._model
-            if model is None:
-                model = self.fidelity_controller.model_for(dst)
-            result = yield from model.pipeline(
-                src, dst, nbytes, wire_bytes, n_packets, src_qpn, dst_qpn,
-                rkeys, reliable, jitter_ns, span)
-            return result
+            yield from src.rnic.tx_process(nbytes, src_qpn, rkeys, span=span)
+            delay = self.cfg.propagation_ns + src.rnic.cfg.base_latency_ns
+            if jitter_ns > 0:
+                delay += self.rng.random() * jitter_ns
+            if self.loss_prob > 0:
+                # Loss is per packet: a multi-MTU message runs the gauntlet
+                # once per MTU, so large transfers are proportionally more
+                # exposed.  Any lost packet kills an unreliable message; RC
+                # retransmits each lost packet individually.
+                lost = sum(1 for _ in range(n_packets)
+                           if self.rng.random() < self.loss_prob)
+                if lost:
+                    if not reliable:
+                        self.messages_dropped += 1
+                        if self._obs:
+                            self._m_drops.inc()
+                        return False
+                    # RNIC-level retransmissions: invisible to software.
+                    delay += self.retransmit_ns * lost
+                    if self._obs:
+                        self._m_retransmits.inc(lost)
+            marked = False
+            if self.switch is not None:
+                while True:
+                    accepted, marked = yield from self.switch.traverse(
+                        src.name, dst.name, wire_bytes, span=span)
+                    if accepted:
+                        break
+                    if not reliable:
+                        self.messages_dropped += 1
+                        if self._obs:
+                            self._m_drops.inc()
+                        return False
+                    # Tail drop on RC: hardware go-back-N resubmits the
+                    # message after the retransmission timeout.
+                    if self._obs:
+                        self._m_retransmits.inc()
+                    yield self.sim.timeout(self.retransmit_ns)
+            if span is not None:
+                span.add_phase("propagation", self.sim.now, self.sim.now + delay)
+                span.wait("propagation", self.sim.now, self.sim.now + delay)
+            yield self.sim.timeout(delay)
+            yield from dst.rnic.rx_process(nbytes, dst_qpn, rkeys, span=span)
+            self.messages_delivered += 1
+            if marked and reliable and self.dcqcn_active:
+                # The receiver's CNP generator notifies the marked flow.
+                self.sim.spawn(self._deliver_cnp(src.name, src_qpn),
+                               name="cnp")
+            return True
         finally:
             if occ is not None:
                 occ.add("fabric.inflight", self.sim.now, -1.0)
@@ -200,14 +219,6 @@ class Fabric:
     def transfer_async(self, *args, **kwargs):
         """Spawn :meth:`transfer` as a background process; returns it."""
         return self.sim.spawn(self.transfer(*args, **kwargs), name="xfer")
-
-    def fidelity_snapshot(self) -> dict:
-        """Transport-fidelity state for reporting: the resolved mode
-        plus, in hybrid mode, the controller's transition ledger."""
-        snap = {"mode": self.fidelity.mode}
-        if self.fidelity_controller is not None:
-            snap.update(self.fidelity_controller.snapshot())
-        return snap
 
     def congestion_snapshot(self) -> dict:
         """Switch + DCQCN state for reporting (empty when disabled)."""

@@ -34,10 +34,8 @@ __all__ = [
 ]
 
 #: Meta keys that must match between baseline and current run for the
-#: comparison to be meaningful.  ``fidelity`` keeps a fluid/hybrid run
-#: from being gated against a packet-model baseline (committed
-#: baselines predating the key compare as before).
-_GATING_META = ("bench_scale", "fidelity")
+#: comparison to be meaningful.
+_GATING_META = ("bench_scale",)
 
 
 @dataclass

@@ -94,12 +94,9 @@ def git_context(cwd: Optional[str] = None) -> Dict[str, Any]:
 
 def config_fingerprint(scorecards: List[Scorecard]) -> str:
     """Stable short hash of the run's shape: which figures ran and under
-    what gating meta (``bench_scale``, transport fidelity).  Two runs
-    with equal fingerprints are meaningfully diffable — in particular,
-    ``runs diff`` never silently compares a fluid run against a packet
-    baseline."""
-    shape = sorted((sc.figure, sc.meta.get("bench_scale"),
-                    sc.meta.get("fidelity"))
+    what gating meta (``bench_scale``).  Two runs with equal
+    fingerprints are meaningfully diffable."""
+    shape = sorted((sc.figure, sc.meta.get("bench_scale"))
                    for sc in scorecards)
     digest = hashlib.sha256(
         json.dumps(shape, sort_keys=True).encode()).hexdigest()

@@ -1,9 +1,8 @@
 """Simulation cost observatory: event census + host-time profiler.
 
-The ROADMAP's scaling items (hybrid-fidelity fabric above all) rest on a
-claim about the *simulator's own* cost structure: that packet-level
-fabric events dominate both event volume and host wall-clock.  This
-module measures that claim instead of assuming it.
+Deciding where to spend optimisation effort rests on the *simulator's
+own* cost structure: which layer's events dominate event volume and
+host wall-clock.  This module measures that instead of assuming it.
 
 Two instruments share one bucketing scheme:
 
@@ -85,11 +84,7 @@ def component_bucket(filename: str) -> str:
     head = sub[0]
     leaf = sub[-1]
     if head == "net":
-        if len(sub) > 1 and sub[1] == "congestion":
-            return "switch"
-        if leaf.startswith("flow") or leaf.startswith("fidelity"):
-            return "flow"
-        return "fabric"
+        return "switch" if len(sub) > 1 and sub[1] == "congestion" else "fabric"
     if head == "hw":
         return "pcie" if leaf.startswith("pcie") else "rnic"
     if head == "verbs":
@@ -153,8 +148,7 @@ class SimProfile:
         A process resume walks the generator's ``yield from`` chain to
         the *innermost* active frame: an app-spawned RPC blocked inside
         ``switch.traverse`` is switch cost, not app cost.  That is what
-        makes "fabric-owned events" measurable — the datum the
-        fluid-vs-packet bench gate compares.
+        makes per-layer event counts measurable.
         """
         if not callbacks:
             if type(event).__name__ == "Timeout":
@@ -230,10 +224,9 @@ class SimProfile:
         return sum(self.dispatched.values())
 
     def dominant_component(self) -> Tuple[str, float]:
-        """``(component, share)`` of the measurement-window census —
-        the datum the hybrid-fidelity decision reads.  Falls back to
-        whole-run dispatch counts when the measurement window saw no
-        events."""
+        """``(component, share)`` of the measurement-window census.
+        Falls back to whole-run dispatch counts when the measurement
+        window saw no events."""
         by_comp: Dict[str, int] = {}
         for win in self._census.values():
             for key, n in win.items():

@@ -300,17 +300,3 @@ def attach_switch_sources(timeline: SloTimeline, fabric) -> SloTimeline:
         timeline.add_source("pfc_pauses", lambda: switch.total_pause_events)
         timeline.add_source("switch_drops", lambda: switch.total_drops)
     return timeline
-
-
-def attach_fidelity_sources(timeline: SloTimeline, fabric) -> SloTimeline:
-    """Wire the hybrid fidelity controller's transition counters as
-    per-window sources, so demotion storms show up on the same timeline
-    (and in anomaly changepoints) as the congestion signals that caused
-    them; a no-op in pure packet/fluid modes.  Returns the timeline for
-    chaining."""
-    controller = getattr(fabric, "fidelity_controller", None)
-    if controller is not None:
-        timeline.add_source("fidelity_demotions", lambda: controller.demotions)
-        timeline.add_source("fidelity_promotions",
-                            lambda: controller.promotions)
-    return timeline

@@ -324,16 +324,9 @@ class TokenBucket:
         self._tokens = self.burst
         self._last = 0.0
 
-    def delay_for(self, tokens: float = 1.0, at: Optional[float] = None) -> float:
-        """Consume ``tokens`` and return the ns to wait before proceeding.
-
-        ``at`` refills as of a (future) reference time instead of the
-        clock — used by the fluid transport model, which charges
-        receive-side costs at the computed arrival time without
-        advancing the simulation.  Out-of-order reference times never
-        rewind the refill clock.
-        """
-        now = self.sim.now if at is None else at
+    def delay_for(self, tokens: float = 1.0) -> float:
+        """Consume ``tokens`` and return the ns to wait before proceeding."""
+        now = self.sim.now
         if now > self._last:
             self._tokens = min(self.burst,
                                self._tokens + (now - self._last) * self.rate)

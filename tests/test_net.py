@@ -100,6 +100,31 @@ class TestFabric:
         min_time = cfg.propagation_ns + client.rnic.cfg.base_latency_ns
         assert elapsed >= min_time
 
+    def test_transfer_timing_exact_cold_then_warm(self):
+        """Uncontended 64 B transfers land on the pipeline's clock
+        exactly: the cold one pays a PCIe state fetch on each NIC (QP 1
+        at the sender, QP 2 at the receiver), the warm one only wire
+        serialization, propagation and NIC base latency."""
+        sim = Simulator()
+        cfg = ClusterConfig(n_clients=1)
+        servers, clients, fabric = build_cluster(sim, cfg)
+        durations = []
+
+        def proc():
+            for _ in range(2):
+                t0 = sim.now
+                assert (yield from fabric.transfer(
+                    clients[0], servers[0], 64, 1, 2))
+                durations.append(sim.now - t0)
+
+        run_gen(sim, proc())
+        net, nic = cfg.net, cfg.nic
+        wire = (64 + net.per_packet_header_bytes) / net.bandwidth_bytes_per_ns
+        warm = wire + net.propagation_ns + nic.base_latency_ns
+        cold = 2 * nic.cache_miss_ns + warm
+        assert durations[0] == pytest.approx(cold, rel=1e-12)
+        assert durations[1] == pytest.approx(warm, rel=1e-12)
+
     def test_bigger_messages_take_longer(self, small_cluster):
         sim, server, clients, fabric = small_cluster
         times = []

@@ -46,8 +46,6 @@ class TestComponentBucket:
     CASES = [
         ("/x/src/repro/net/fabric.py", "fabric"),
         ("/x/src/repro/net/transport.py", "fabric"),
-        ("/x/src/repro/net/flow.py", "flow"),
-        ("/x/src/repro/net/fidelity.py", "flow"),
         ("/x/src/repro/net/congestion/switch.py", "switch"),
         ("/x/src/repro/hw/rnic.py", "rnic"),
         ("/x/src/repro/hw/pcie.py", "pcie"),
