@@ -7,13 +7,16 @@ throughput peaking around 40 Mops in the 176-704 QP window and collapsing
 beyond it, and UD RPC saturating near 30 Mops on server CPU.
 
 Every experiment builds its own config objects, so benchmarks can ablate a
-single constant without touching global state.
+single constant without touching global state.  The few run knobs read
+from the environment (``docs/observability.md``, "Run knobs") are
+instruments, not model constants; :func:`env_flag` parses the boolean
+ones.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 __all__ = [
     "NicConfig",
@@ -22,20 +25,32 @@ __all__ = [
     "NetConfig",
     "FlockConfig",
     "ClusterConfig",
+    "env_flag",
 ]
 
 GBPS = 1.0 / 8.0  # bytes per ns per Gbps
 
-#: Environment variables that opt harness runs into the switched-fabric
-#: congestion model (the CLI's ``--congestion`` / ``--pfc`` flags set
-#: them); resolved by :meth:`CongestionConfig.resolved`.
-CONGESTION_ENV = "REPRO_CONGESTION"
-PFC_ENV = "REPRO_PFC"
+_FLAG_ON = ("1", "true", "yes", "on")
+_FLAG_OFF = ("0", "false", "no", "off", "")
 
 
-def _env_truthy(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in (
-        "", "0", "false", "no", "off")
+def env_flag(name: str, default: bool = False) -> bool:
+    """Parse the boolean run knob ``name`` from the environment.
+
+    ``1/true/yes/on`` is True, ``0/false/no/off`` or empty is False, and
+    an unset variable yields ``default``.  Anything else raises
+    ValueError: a typo must not silently switch an instrument on or off.
+    """
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    value = raw.strip().lower()
+    if value in _FLAG_ON:
+        return True
+    if value in _FLAG_OFF:
+        return False
+    raise ValueError("%s=%r is not a boolean (use 1/0, true/false, "
+                     "yes/no or on/off)" % (name, raw))
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -188,11 +203,6 @@ class CongestionConfig:
     dcqcn_rate_hai_bytes_per_ns: float = 25 * GBPS
     #: Floor for the per-QP sending rate.
     dcqcn_min_rate_bytes_per_ns: float = 1 * GBPS
-    #: When False, the ``REPRO_CONGESTION``/``REPRO_PFC`` environment
-    #: overrides are ignored — experiment runners that sweep congestion
-    #: on/off inside one process set this so CLI flags cannot leak into
-    #: their baseline legs.
-    honor_env: bool = True
 
     def __post_init__(self):
         _require(self.buffer_bytes >= 1, "buffer_bytes must be >= 1")
@@ -216,20 +226,6 @@ class CongestionConfig:
                  "dcqcn_rate_hai_bytes_per_ns must be > 0")
         _require(self.dcqcn_min_rate_bytes_per_ns > 0,
                  "dcqcn_min_rate_bytes_per_ns must be > 0")
-
-    def resolved(self) -> "CongestionConfig":
-        """Apply the CLI environment overrides (unless ``honor_env`` is
-        False): ``REPRO_CONGESTION=1`` enables the switch model,
-        ``REPRO_PFC=1`` additionally selects lossless PAUSE mode."""
-        if not self.honor_env:
-            return self
-        enabled = self.enabled or _env_truthy(CONGESTION_ENV)
-        pfc = self.pfc or _env_truthy(PFC_ENV)
-        if pfc:
-            enabled = True
-        if enabled == self.enabled and pfc == self.pfc:
-            return self
-        return replace(self, enabled=enabled, pfc=pfc)
 
 
 @dataclass

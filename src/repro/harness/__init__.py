@@ -7,10 +7,9 @@ from .indexbench import (
     run_flock_index,
     sweep_index,
 )
-from .metrics import Recorder, RunResult
+from .metrics import Recorder, Run, RunResult, bench_scale
 from .microbench import (
     MicrobenchConfig,
-    bench_scale,
     run_erpc,
     run_flock,
     run_raw_reads,
@@ -46,6 +45,7 @@ __all__ = [
     "IndexBenchConfig",
     "MicrobenchConfig",
     "Recorder",
+    "Run",
     "RunResult",
     "SweepPoint",
     "TxnBenchConfig",

@@ -83,15 +83,12 @@ run also records wall-clock seconds and events/sec (profiler-free), so
 
 Fabric congestion (``docs/network.md``)::
 
-    python -m repro.harness.cli --congestion fig6 --threads 8
-    python -m repro.harness.cli --congestion --pfc fig6 --threads 8
     python -m repro.harness.cli --audit incast --senders 12
 
-``--congestion`` routes every transfer through the switched-fabric
-model (finite per-port egress buffers, ECN marking, DCQCN rate control
-on RC QPs); ``--pfc`` selects lossless PAUSE mode instead of tail drop.
-The ``incast`` experiment runs its own congestion sweep internally and
-ignores both flags for its baseline legs.
+``incast`` runs FLock and UD RPC each on the contention-free fabric and
+on the switched-fabric model (finite per-port egress buffers, ECN
+marking, DCQCN rate control on RC QPs); ``--pfc-incast`` runs the
+congested legs in lossless PAUSE mode instead of tail drop.
 """
 
 from __future__ import annotations
@@ -126,15 +123,14 @@ from ..obs import (
     what_if_all,
     write_chrome_trace,
 )
-from ..config import CONGESTION_ENV, PFC_ENV
 from ..obs.audit import AUDIT_ENV
 from ..obs.occupancy import OCCUPANCY_ENV
 from ..obs.simprof import PROFILE_ENV
 from .incastbench import IncastConfig, run_incast
 from .indexbench import IndexBenchConfig, sweep_index
+from .metrics import bench_scale
 from .microbench import (
     MicrobenchConfig,
-    bench_scale,
     run_erpc,
     run_flock,
     run_raw_reads,
@@ -173,11 +169,19 @@ DEFAULT_BASELINE_DIR = os.path.join(
     "benchmarks", "baselines")
 
 
+def _stamp_meta(sc) -> None:
+    """Record the run's scale and, when any are active, the injected
+    faults (informational: neither a gating key nor fingerprinted)."""
+    sc.meta["bench_scale"] = bench_scale()
+    if faults.ACTIVE:
+        sc.meta["faults"] = sorted(faults.ACTIVE)
+
+
 def _emit_scorecard(args, sc) -> None:
     """Write a figure's scorecard when ``--scorecard DIR`` was given."""
     if not getattr(args, "scorecard", None):
         return
-    sc.meta["bench_scale"] = bench_scale()
+    _stamp_meta(sc)
     path = sc.write(args.scorecard)
     print("wrote scorecard: %s (%s)" % (path,
                                         "PASS" if sc.passed else "FAIL"))
@@ -544,7 +548,7 @@ def cmd_search(args) -> int:
             detail = explain_entry(result.leaderboard[rank - 1],
                                    seed=cfg.seed)
         sc = scorecard_search(name, detail, objective=result.objective)
-        sc.meta["bench_scale"] = bench_scale()
+        _stamp_meta(sc)
         path = sc.write(args.scorecard or ".")
         print("wrote scenario scorecard: %s (%s)"
               % (path, "PASS" if sc.passed else "FAIL"))
@@ -903,22 +907,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--audit", action="store_true",
                         help="run the end-of-run invariant auditors after "
                              "every experiment (fails on any violation)")
-    parser.add_argument("--congestion", action="store_true",
-                        help="run experiments on the switched-fabric "
-                             "congestion model (finite egress buffers, "
-                             "ECN/DCQCN) instead of the contention-free "
-                             "fabric — see docs/network.md")
-    parser.add_argument("--pfc", action="store_true",
-                        help="with the congestion model, use lossless "
-                             "PFC PAUSE instead of tail drop (implies "
-                             "--congestion)")
     parser.add_argument("--scorecard", metavar="DIR", default=None,
                         help="write BENCH_<figure>.json paper-fidelity "
                              "scorecards into DIR")
     parser.add_argument("--slo-timeline", metavar="FILE", default=None,
                         help="write every run's windowed SLO timeline "
                              "(per-window p50/p99/p999, goodput, counter "
-                             "deltas, threshold violations) as JSON")
+                             "deltas) as JSON")
     parser.add_argument("--profile", action="store_true",
                         help="run the cost observatory: host-time "
                              "profiler + event census (and resource "
@@ -1134,10 +1129,6 @@ def main(argv: List[str] = None) -> int:
         os.environ["REPRO_BENCH_SCALE"] = str(args.scale)
     if args.audit:
         os.environ[AUDIT_ENV] = "1"
-    if args.congestion:
-        os.environ[CONGESTION_ENV] = "1"
-    if args.pfc:
-        os.environ[PFC_ENV] = "1"
     if args.profile or args.flame or args.profile_json:
         os.environ[PROFILE_ENV] = "1"
         # Profiling brings occupancy along unless explicitly disabled.

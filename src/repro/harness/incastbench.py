@@ -28,19 +28,8 @@ from ..baselines import UdEndpoint, UdRpcServer
 from ..config import ClusterConfig, CongestionConfig, FlockConfig, NetConfig
 from ..flock import FlockNode
 from ..net import build_cluster
-from ..sim import Simulator
-from .metrics import Recorder, RunResult
-from .microbench import (
-    ECHO_RPC,
-    _attach_profile,
-    _echo_handler,
-    _finish_audit,
-    _install_observatory,
-    _install_telemetry,
-    _prepare_audit,
-    _run_window,
-    bench_scale,
-)
+from .metrics import Recorder, Run, RunResult
+from .microbench import ECHO_RPC, _echo_handler
 
 __all__ = ["IncastConfig", "run_incast", "run_incast_flock", "run_incast_ud"]
 
@@ -76,27 +65,21 @@ class IncastConfig:
     #: victims sit out the rest of the window while the port idles.
     ud_timeout_ns: float = 5_000_000.0
     #: Template for the *congested* legs; the baseline legs force it off.
-    #: ``honor_env`` is stripped either way so CLI env flags cannot turn
-    #: the baseline legs congested mid-comparison.  The buffer is shallow
-    #: (32 KB per port, Collie's anomaly regime) — the closed-loop
-    #: inventory of this workload must exceed it, or nothing ever drops
-    #: and the DCQCN-vs-no-congestion-control comparison has no teeth.
+    #: The buffer is shallow (32 KB per port, Collie's anomaly regime) —
+    #: the closed-loop inventory of this workload must exceed it, or
+    #: nothing ever drops and the DCQCN-vs-no-congestion-control
+    #: comparison has no teeth.
     congestion: CongestionConfig = field(
         default_factory=lambda: CongestionConfig(
             enabled=True, buffer_bytes=10_240,
             ecn_kmin_bytes=2_560, ecn_kmax_bytes=7_680,
             pfc_xoff_bytes=7_680, pfc_xon_bytes=2_560))
 
-    def durations(self) -> tuple:
-        scale = bench_scale()
-        return self.warmup_ns * scale, self.measure_ns * scale
-
     def cluster(self, congested: bool) -> ClusterConfig:
         if congested:
-            cong = replace(self.congestion, enabled=True, honor_env=False)
+            cong = replace(self.congestion, enabled=True)
         else:
-            cong = replace(self.congestion, enabled=False, pfc=False,
-                           honor_env=False)
+            cong = replace(self.congestion, enabled=False, pfc=False)
         return ClusterConfig(
             n_clients=self.n_senders, seed=self.seed,
             net=replace(NetConfig(), congestion=cong))
@@ -128,19 +111,16 @@ def run_incast_flock(cfg: IncastConfig, *, congested: bool,
                      telemetry=None, audit: Optional[bool] = None
                      ) -> RunResult:
     """One FLock incast leg (all senders → one FLock server)."""
-    sim = Simulator()
-    label = "flock-incast %s" % ("cong" if congested else "base")
-    tel = _install_telemetry(sim, telemetry, label)
-    audited, audit_reg = _prepare_audit(sim, tel, audit)
-    warmup, measure = cfg.durations()
-    prof = _install_observatory(sim, warmup, measure)
+    run = Run("flock-incast %s" % ("cong" if congested else "base"),
+              cfg.warmup_ns, cfg.measure_ns, telemetry=telemetry, audit=audit)
+    sim = run.sim
     servers, clients, fabric = build_cluster(sim, cfg.cluster(congested))
     if flock_cfg is None:
         flock_cfg = FlockConfig(sched_interval_ns=150_000.0,
                                 thread_sched_interval_ns=150_000.0)
     server = FlockNode(sim, servers[0], fabric, flock_cfg)
     server.fl_reg_handler(ECHO_RPC, _echo_handler(
-        cfg.resp_size, cfg.handler_ns, sim, warmup + measure / 2))
+        cfg.resp_size, cfg.handler_ns, sim, run.warmup + run.measure / 2))
 
     recorder = Recorder(sim)
     jitter_rng = random.Random(cfg.seed ^ 0x7EA)
@@ -166,38 +146,32 @@ def run_incast_flock(cfg: IncastConfig, *, congested: bool,
                 sim.spawn(worker(fnode, handle, t_idx, rng),
                           name="incast-worker")
 
-    _run_window(sim, recorder, warmup, measure, fabric, profile=prof)
+    run.window([recorder], fabric)
     degree = (sum(h.mean_coalescing_degree() for h in handles)
               / len(handles) if handles else 1.0)
     extras = _switch_extras(fabric)
     extras["throttled_qps"] = sum(
         1 for h in handles
         for st in h.congestion_stats(fabric).values() if st["cnps"] > 0)
-    result = recorder.result(
+    return run.finish(recorder.result(
         system="flock",
         mean_coalescing_degree=round(degree, 3),
         server_cpu=round(servers[0].cpu.utilization(), 3),
         events=sim.events_processed,
         **extras,
-    )
-    result.telemetry = tel
-    _attach_profile(result, sim, prof)
-    return _finish_audit(audited, sim, audit_reg, result)
+    ))
 
 
 def run_incast_ud(cfg: IncastConfig, *, congested: bool,
                   telemetry=None, audit: Optional[bool] = None) -> RunResult:
     """One UD-RPC incast leg (the HERD/eRPC design point)."""
-    sim = Simulator()
-    label = "ud-incast %s" % ("cong" if congested else "base")
-    tel = _install_telemetry(sim, telemetry, label)
-    audited, audit_reg = _prepare_audit(sim, tel, audit)
-    warmup, measure = cfg.durations()
-    prof = _install_observatory(sim, warmup, measure)
+    run = Run("ud-incast %s" % ("cong" if congested else "base"),
+              cfg.warmup_ns, cfg.measure_ns, telemetry=telemetry, audit=audit)
+    sim = run.sim
     servers, clients, fabric = build_cluster(sim, cfg.cluster(congested))
     server = UdRpcServer(sim, servers[0], fabric)
     server.register_handler(ECHO_RPC, _echo_handler(
-        cfg.resp_size, cfg.handler_ns, sim, warmup + measure / 2))
+        cfg.resp_size, cfg.handler_ns, sim, run.warmup + run.measure / 2))
 
     recorder = Recorder(sim)
     jitter_rng = random.Random(cfg.seed ^ 0x7EA)
@@ -226,9 +200,9 @@ def run_incast_ud(cfg: IncastConfig, *, congested: bool,
                 sim.spawn(worker(endpoint, server_qp, rng),
                           name="incast-worker")
 
-    _run_window(sim, recorder, warmup, measure, fabric, profile=prof)
+    run.window([recorder], fabric)
     extras = _switch_extras(fabric)
-    result = recorder.result(
+    return run.finish(recorder.result(
         system="ud-rpc",
         lost_requests=sum(e.lost_requests for e in endpoints),
         pending_reassembly_bytes=sum(e.reassembler.pending_bytes
@@ -236,10 +210,7 @@ def run_incast_ud(cfg: IncastConfig, *, congested: bool,
         server_cpu=round(servers[0].cpu.utilization(), 3),
         events=sim.events_processed,
         **extras,
-    )
-    result.telemetry = tel
-    _attach_profile(result, sim, prof)
-    return _finish_audit(audited, sim, audit_reg, result)
+    ))
 
 
 def run_incast(cfg: Optional[IncastConfig] = None, *, telemetry=None,

@@ -22,17 +22,8 @@ from ..baselines import ErpcEndpoint, ErpcServer
 from ..config import ClusterConfig, FlockConfig
 from ..flock import FlockNode
 from ..net import build_cluster
-from ..obs.windows import attach_switch_sources, slo_timeline
-from ..sim import Simulator, Streams
-from .metrics import Recorder, RunResult
-from .microbench import (
-    _attach_profile,
-    _finish_audit,
-    _install_observatory,
-    _install_telemetry,
-    _prepare_audit,
-    bench_scale,
-)
+from ..sim import Streams
+from .metrics import Recorder, Run, RunResult
 
 __all__ = ["IndexBenchConfig", "run_flock_index", "run_erpc_index",
            "sweep_index"]
@@ -60,10 +51,6 @@ class IndexBenchConfig:
     seed: int = 11
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
 
-    def durations(self) -> tuple:
-        scale = bench_scale()
-        return self.warmup_ns * scale, self.measure_ns * scale
-
 
 def build_index(cfg: IndexBenchConfig) -> HydraList:
     """Bulk-load the experiment's HydraList population."""
@@ -86,34 +73,22 @@ def _handlers(index: HydraList, cfg: IndexBenchConfig):
     return get_handler, scan_handler
 
 
-def _run(sim: Simulator, cfg: IndexBenchConfig, recorders: Dict[str, Recorder],
-         fabric=None, profile=None):
-    warmup, measure = cfg.durations()
-    for recorder in recorders.values():
-        recorder.open_window(warmup, warmup + measure)
-        timeline = slo_timeline(warmup, warmup + measure)
-        if fabric is not None:
-            attach_switch_sources(timeline, fabric)
-        recorder.attach_slo(timeline)
-    if profile is not None:
-        sim.run_profiled(profile, until=warmup + measure)
-    else:
-        sim.run(until=warmup + measure)
-
-
-def _results(recorders: Dict[str, Recorder], sim: Simulator,
-             system: str, telemetry=None, **extras) -> Dict[str, RunResult]:
+def _results(run: Run, recorders: Dict[str, Recorder], system: str,
+             **extras) -> Dict[str, RunResult]:
+    """Per-recorder results plus combined throughput; the run's profile
+    and audit report ride on the ``get`` result."""
     out = {}
     total_ops = 0
     duration = None
     for name, recorder in recorders.items():
         result = recorder.result(system=system, **extras)
-        result.telemetry = telemetry
+        result.telemetry = run.telemetry
         out[name] = result
         total_ops += result.ops
         duration = result.duration_ns
     out["total_mops"] = total_ops / duration * 1e3 if duration else 0.0
-    out["events"] = sim.events_processed
+    out["events"] = run.sim.events_processed
+    run.finish(out["get"])
     return out
 
 
@@ -122,11 +97,9 @@ def run_flock_index(cfg: IndexBenchConfig,
                     telemetry=None,
                     audit: Optional[bool] = None) -> Dict[str, RunResult]:
     """90 % get / 10 % scan over FLock RPC."""
-    sim = Simulator()
-    tel = _install_telemetry(sim, telemetry, "flock-index")
-    audited, audit_reg = _prepare_audit(sim, tel, audit)
-    warmup, measure = cfg.durations()
-    prof = _install_observatory(sim, warmup, measure)
+    run = Run("flock-index", cfg.warmup_ns, cfg.measure_ns,
+              telemetry=telemetry, audit=audit)
+    sim = run.sim
     cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
     servers, clients, fabric = build_cluster(sim, cluster)
     if flock_cfg is None:
@@ -163,22 +136,17 @@ def run_flock_index(cfg: IndexBenchConfig,
                 sim.spawn(worker(fnode, handle, t_idx, rng),
                           name="hydra-worker")
 
-    _run(sim, cfg, recorders, fabric, profile=prof)
-    out = _results(recorders, sim, "flock", telemetry=tel,
-                   server_cpu=round(servers[0].cpu.utilization(), 3))
-    _attach_profile(out["get"], sim, prof)
-    _finish_audit(audited, sim, audit_reg, out["get"])
-    return out
+    run.window(recorders.values(), fabric)
+    return _results(run, recorders, "flock",
+                    server_cpu=round(servers[0].cpu.utilization(), 3))
 
 
 def run_erpc_index(cfg: IndexBenchConfig, *, telemetry=None,
                    audit: Optional[bool] = None) -> Dict[str, RunResult]:
     """90 % get / 10 % scan over eRPC."""
-    sim = Simulator()
-    tel = _install_telemetry(sim, telemetry, "erpc-index")
-    audited, audit_reg = _prepare_audit(sim, tel, audit)
-    warmup, measure = cfg.durations()
-    prof = _install_observatory(sim, warmup, measure)
+    run = Run("erpc-index", cfg.warmup_ns, cfg.measure_ns,
+              telemetry=telemetry, audit=audit)
+    sim = run.sim
     cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
     servers, clients, fabric = build_cluster(sim, cluster)
     index = build_index(cfg)
@@ -218,12 +186,9 @@ def run_erpc_index(cfg: IndexBenchConfig, *, telemetry=None,
                 sim.spawn(worker(endpoint, server_qp, rng),
                           name="hydra-worker")
 
-    _run(sim, cfg, recorders, fabric, profile=prof)
-    out = _results(recorders, sim, "erpc", telemetry=tel,
-                   server_cpu=round(servers[0].cpu.utilization(), 3))
-    _attach_profile(out["get"], sim, prof)
-    _finish_audit(audited, sim, audit_reg, out["get"])
-    return out
+    run.window(recorders.values(), fabric)
+    return _results(run, recorders, "erpc",
+                    server_cpu=round(servers[0].cpu.utilization(), 3))
 
 
 def sweep_index(threads_list, *, n_clients: int = 22, outstanding: int = 8,

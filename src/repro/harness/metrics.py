@@ -1,21 +1,45 @@
 """Measurement utilities shared by every experiment.
 
-Closed-loop workers record per-op latency into a :class:`Recorder` that
-only counts completions inside the measurement window (after warmup);
-throughput is completed ops per virtual second.  Everything reports in
-the paper's units: **Mops** and **µs**.
+Every runner drives one :class:`Run`: it creates the simulator, installs
+the run's instruments, measures a warmup-then-measure virtual-time
+window and finishes the result.  Closed-loop workers record per-op
+latency into a :class:`Recorder` that only counts completions inside the
+measurement window (after warmup); throughput is completed ops per
+virtual second.  Everything reports in the paper's units: **Mops** and
+**µs**.
+
+``REPRO_BENCH_SCALE`` (env var, default 1.0, floor 0.1) multiplies the
+warmup and measurement windows for longer, lower-variance runs.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
+from ..obs import AuditError, Registry, audit_enabled, current_telemetry, run_audit
 from ..obs.anomaly import detect_run_anomalies
+from ..obs.occupancy import OccupancyTracker, occupancy_enabled
+from ..obs.simprof import SimProfile, profile_enabled
+from ..obs.windows import SloTimeline, attach_switch_sources
 from ..sim import Simulator, percentile, summarize_latencies
 
-__all__ = ["Recorder", "RunResult", "host_block"]
+__all__ = ["Recorder", "Run", "RunResult", "bench_scale", "host_block"]
+
+
+def bench_scale() -> float:
+    """Duration multiplier from the ``REPRO_BENCH_SCALE`` environment
+    variable (unset or empty means 1; values below 0.1 clamp to 0.1).
+    An unparsable value raises ValueError rather than silently running
+    at full scale."""
+    raw = os.environ.get("REPRO_BENCH_SCALE") or "1"
+    try:
+        return max(0.1, float(raw))
+    except ValueError:
+        raise ValueError("REPRO_BENCH_SCALE=%r is not a number"
+                         % raw) from None
 
 
 def host_block(sim: Simulator) -> Dict[str, float]:
@@ -36,6 +60,98 @@ def host_block(sim: Simulator) -> Dict[str, float]:
         "events": events,
         "events_per_sec": round(events / wall_s, 1),
     }
+
+
+class Run:
+    """One simulation run's lifecycle, shared by every figure runner.
+
+    Construction creates the :class:`Simulator` (so ``host_block`` times
+    from here) and installs the run's instruments on it, in order: the
+    telemetry, the audit registry, then the occupancy tracker and the
+    host-time profiler.  Components cache all three at construction, so
+    the runner builds its cluster on :attr:`sim` only afterwards.
+
+    ``telemetry``, ``audit`` and ``profile`` override the process-wide
+    defaults (:func:`repro.obs.enable`, ``REPRO_AUDIT``,
+    ``REPRO_PROFILE``); occupancy tracking follows ``REPRO_OCCUPANCY``.
+    None of the instruments schedules events or draws randomness, so
+    they never change simulation results.
+    """
+
+    def __init__(self, label: str, warmup_ns: float, measure_ns: float, *,
+                 telemetry=None, audit: Optional[bool] = None,
+                 profile: Optional[bool] = None):
+        self.sim = sim = Simulator()
+        tel = telemetry if telemetry is not None else current_telemetry()
+        if tel is not None:
+            tel.install(sim, label=label)
+        self.telemetry = tel
+        # The audit registry must be the one safe to cross-check against
+        # this sim's structural counters: None when the installed
+        # registry accumulated earlier runs (its counters are cumulative
+        # per registry).  Auditing without telemetry installs a bare
+        # Registry so counter cross-checks still run (no span overhead).
+        self.audited = audit if audit is not None else audit_enabled()
+        self._audit_registry = None
+        if self.audited:
+            if sim.metrics.enabled:
+                if tel is None or len(tel.runs) <= 1:
+                    self._audit_registry = sim.metrics
+            else:
+                self._audit_registry = sim.metrics = Registry()
+        scale = bench_scale()
+        self.warmup = warmup_ns * scale
+        self.measure = measure_ns * scale
+        end = self.warmup + self.measure
+        if occupancy_enabled():
+            sim.occupancy = OccupancyTracker(self.warmup, end)
+        want = profile if profile is not None else profile_enabled()
+        self.profile = SimProfile(self.warmup, end) if want else None
+
+    def timeline(self, fabric) -> SloTimeline:
+        """A fresh SLO timeline over the measurement window, with the
+        fabric's switch counters as sources when it has a switch."""
+        return attach_switch_sources(
+            SloTimeline(self.warmup, self.warmup + self.measure), fabric)
+
+    def run(self, until: float) -> None:
+        """Advance the simulation to ``until``: the profiled loop when
+        profiling, the fast path otherwise (same results either way)."""
+        if self.profile is not None:
+            self.sim.run_profiled(self.profile, until=until)
+        else:
+            self.sim.run(until=until)
+
+    def window(self, recorders: Iterable["Recorder"], fabric) -> None:
+        """Open every recorder's measurement window with its own SLO
+        timeline, then run to the end of the window."""
+        end = self.warmup + self.measure
+        for recorder in recorders:
+            recorder.open_window(self.warmup, end)
+            recorder.attach_slo(self.timeline(fabric))
+        self.run(end)
+
+    def finish(self, result: "RunResult") -> "RunResult":
+        """Hang the run's telemetry, profile and occupancy reports on
+        ``result`` and run the auditors; raises
+        :class:`repro.obs.AuditError` on any violation."""
+        sim = self.sim
+        result.telemetry = self.telemetry
+        occ = sim.occupancy
+        if occ is not None:
+            occ.finish(sim.now)
+        if self.profile is not None:
+            self.profile.finish(sim)
+            result.profile = self.profile.report()
+            if occ is not None:
+                result.profile["occupancy"] = occ.report()
+        elif occ is not None:
+            result.profile = {"occupancy": occ.report()}
+        if self.audited:
+            result.audit_report = run_audit(sim, self._audit_registry)
+            if not result.audit_report.ok:
+                raise AuditError(result.audit_report)
+        return result
 
 
 class Recorder:

@@ -3,14 +3,12 @@
 Each function builds a fresh cluster, spawns closed-loop client workers,
 runs a warmup long enough for FLock's schedulers to converge, measures a
 virtual-time window, and returns a :class:`RunResult` in paper units.
-
-``REPRO_BENCH_SCALE`` (env var, default 1.0) multiplies the warmup and
-measurement windows for longer, lower-variance runs.
+The run lifecycle (simulator, instruments, windows scaled by
+``REPRO_BENCH_SCALE``) is :class:`repro.harness.metrics.Run`.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
@@ -27,25 +25,13 @@ from ..baselines import (
 from ..config import ClusterConfig, FlockConfig
 from ..flock import FlockNode
 from ..net import build_cluster
-from ..obs import (
-    AuditError,
-    Registry,
-    audit_enabled,
-    current_telemetry,
-    faults,
-    run_audit,
-)
+from ..obs import faults
 from ..obs.anomaly import detect_run_anomalies
-from ..obs.occupancy import OccupancyTracker, occupancy_enabled
-from ..obs.simprof import SimProfile, profile_enabled
-from ..obs.windows import attach_switch_sources, slo_timeline
-from ..sim import Simulator
 from ..workloads import FixedSize
-from .metrics import Recorder, RunResult, host_block
+from .metrics import Recorder, Run, RunResult, host_block
 
 __all__ = [
     "MicrobenchConfig",
-    "bench_scale",
     "run_flock",
     "run_erpc",
     "run_rc",
@@ -57,14 +43,6 @@ __all__ = [
 ]
 
 ECHO_RPC = 1
-
-
-def bench_scale() -> float:
-    """Duration multiplier from the REPRO_BENCH_SCALE environment var."""
-    try:
-        return max(0.1, float(os.environ.get("REPRO_BENCH_SCALE", "1")))
-    except ValueError:
-        return 1.0
 
 
 @dataclass
@@ -91,58 +69,8 @@ class MicrobenchConfig:
     sizegen: Optional[object] = None
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
 
-    def durations(self) -> tuple:
-        scale = bench_scale()
-        return self.warmup_ns * scale, self.measure_ns * scale
-
     def make_sizegen(self):
         return self.sizegen if self.sizegen is not None else FixedSize(self.req_size)
-
-
-def _install_telemetry(sim: Simulator, telemetry, label: str):
-    """Install the run's telemetry on ``sim`` before any component is
-    built (components cache their instruments at construction time).
-
-    An explicit ``telemetry=`` argument wins; otherwise the process-wide
-    telemetry enabled via :func:`repro.obs.enable` (e.g. by CLI flags)
-    is used.  Returns the installed :class:`repro.obs.Telemetry` or None.
-    """
-    tel = telemetry if telemetry is not None else current_telemetry()
-    if tel is not None:
-        tel.install(sim, label=label)
-    return tel
-
-
-def _prepare_audit(sim: Simulator, tel, audit: Optional[bool]):
-    """Decide whether to audit this run, *before* the cluster is built.
-
-    Returns ``(audited, registry)``.  The registry handed back is the one
-    safe to cross-check against this sim's structural counters — None
-    when the installed registry accumulated earlier runs (its counters
-    are cumulative per registry, so only a fresh one is comparable).
-    When auditing without telemetry, a bare :class:`repro.obs.Registry`
-    is installed so counter cross-checks still run (no span overhead).
-    """
-    audited = audit if audit is not None else audit_enabled()
-    if not audited:
-        return False, None
-    if getattr(sim.metrics, "enabled", False):
-        fresh = tel is None or len(getattr(tel, "runs", ())) <= 1
-        return True, (sim.metrics if fresh else None)
-    registry = Registry()
-    sim.metrics = registry
-    return True, registry
-
-
-def _finish_audit(audited: bool, sim: Simulator, registry,
-                  result: RunResult) -> RunResult:
-    """Run the end-of-run auditors and attach the report; raises
-    :class:`repro.obs.AuditError` on any violation."""
-    if audited:
-        result.audit_report = run_audit(sim, registry)
-        if not result.audit_report.ok:
-            raise AuditError(result.audit_report)
-    return result
 
 
 #: ``bench.step_handler_cost`` multiplies the server handler cost by
@@ -167,62 +95,6 @@ def _echo_handler(resp_size: int, handler_ns: float, sim=None,
     return handler
 
 
-def _install_observatory(sim: Simulator, warmup: float, measure: float,
-                         profile: Optional[bool] = None):
-    """Arm the cost observatory for one run, *before* the cluster is
-    built (components cache ``sim.occupancy`` at construction, exactly
-    like telemetry).
-
-    Occupancy tracking is governed by ``REPRO_OCCUPANCY``; profiling by
-    the ``profile`` override or ``REPRO_PROFILE``.  Returns the run's
-    :class:`repro.obs.simprof.SimProfile` or None.  Neither instrument
-    schedules events or draws randomness, so arming them never changes
-    simulation results.
-    """
-    if occupancy_enabled():
-        sim.occupancy = OccupancyTracker(warmup, warmup + measure)
-    want = profile if profile is not None else profile_enabled()
-    return SimProfile(warmup, warmup + measure) if want else None
-
-
-def _attach_profile(result: RunResult, sim: Simulator, prof) -> RunResult:
-    """Finish the observatory instruments and hang their reports (plain
-    JSON-safe dicts) on ``result.profile``."""
-    occ = sim.occupancy
-    if occ is not None:
-        occ.finish(sim.now)
-    if prof is not None:
-        prof.finish(sim)
-        report = prof.report()
-        if occ is not None:
-            report["occupancy"] = occ.report()
-        result.profile = report
-    elif occ is not None:
-        result.profile = {"occupancy": occ.report()}
-    return result
-
-
-def _run_window(sim: Simulator, recorder: Recorder, warmup: float,
-                measure: float, fabric=None, profile=None) -> None:
-    """Open the measurement window, attach the run's SLO timeline (with
-    switch counter sources when the fabric has a congestion switch), and
-    drive the sim to the window's end.  The timeline is purely passive:
-    it observes the recorder's completions without scheduling events or
-    drawing randomness, so results are unchanged by its presence.  With
-    a ``profile``, the instrumented :meth:`Simulator.run_profiled` loop
-    is used instead of the fast path — same results, host-cost
-    attribution on the side."""
-    recorder.open_window(warmup, warmup + measure)
-    timeline = slo_timeline(warmup, warmup + measure)
-    if fabric is not None:
-        attach_switch_sources(timeline, fabric)
-    recorder.attach_slo(timeline)
-    if profile is not None:
-        sim.run_profiled(profile, until=warmup + measure)
-    else:
-        sim.run(until=warmup + measure)
-
-
 # ---------------------------------------------------------------------------
 # FLock (Figs. 6-12)
 # ---------------------------------------------------------------------------
@@ -233,11 +105,9 @@ def run_flock(cfg: MicrobenchConfig, *, qps_per_process: Optional[int] = None,
               telemetry=None, audit: Optional[bool] = None,
               profile: Optional[bool] = None) -> RunResult:
     """Closed-loop echo RPCs over FLock."""
-    sim = Simulator()
-    tel = _install_telemetry(sim, telemetry, "flock")
-    audited, audit_reg = _prepare_audit(sim, tel, audit)
-    warmup, measure = cfg.durations()
-    prof = _install_observatory(sim, warmup, measure, profile)
+    run = Run("flock", cfg.warmup_ns, cfg.measure_ns, telemetry=telemetry,
+              audit=audit, profile=profile)
+    sim = run.sim
     cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
     servers, clients, fabric = build_cluster(sim, cluster)
     if flock_cfg is None:
@@ -246,7 +116,7 @@ def run_flock(cfg: MicrobenchConfig, *, qps_per_process: Optional[int] = None,
                                 thread_sched_interval_ns=150_000.0)
     server = FlockNode(sim, servers[0], fabric, flock_cfg)
     server.fl_reg_handler(ECHO_RPC, _echo_handler(
-        cfg.resp_size, cfg.handler_ns, sim, warmup + measure / 2))
+        cfg.resp_size, cfg.handler_ns, sim, run.warmup + run.measure / 2))
 
     recorder = Recorder(sim)
     sizegen = cfg.make_sizegen()
@@ -279,10 +149,10 @@ def run_flock(cfg: MicrobenchConfig, *, qps_per_process: Optional[int] = None,
                     sim.spawn(worker(fnode, handle, t_idx, rng),
                               name="bench-worker")
 
-    _run_window(sim, recorder, warmup, measure, fabric, profile=prof)
+    run.window([recorder], fabric)
     degree = (sum(h.mean_coalescing_degree() for h in handles) / len(handles)
               if handles else 1.0)
-    result = recorder.result(
+    return run.finish(recorder.result(
         system="flock",
         mean_coalescing_degree=round(degree, 3),
         active_qps=server.server.total_active_qps,
@@ -290,10 +160,7 @@ def run_flock(cfg: MicrobenchConfig, *, qps_per_process: Optional[int] = None,
         server_net_frac=round(servers[0].cpu.network_fraction(), 3),
         qp_cache_miss=round(servers[0].rnic.qp_cache.stats.miss_ratio, 4),
         events=sim.events_processed,
-    )
-    result.telemetry = tel
-    _attach_profile(result, sim, prof)
-    return _finish_audit(audited, sim, audit_reg, result)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +171,14 @@ def run_erpc(cfg: MicrobenchConfig, *, telemetry=None,
              audit: Optional[bool] = None,
              profile: Optional[bool] = None) -> RunResult:
     """Closed-loop echo RPCs over the eRPC-like UD baseline."""
-    sim = Simulator()
-    tel = _install_telemetry(sim, telemetry, "erpc")
-    audited, audit_reg = _prepare_audit(sim, tel, audit)
-    warmup, measure = cfg.durations()
-    prof = _install_observatory(sim, warmup, measure, profile)
+    run = Run("erpc", cfg.warmup_ns, cfg.measure_ns, telemetry=telemetry,
+              audit=audit, profile=profile)
+    sim = run.sim
     cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
     servers, clients, fabric = build_cluster(sim, cluster)
     server = ErpcServer(sim, servers[0], fabric)
     server.register_handler(ECHO_RPC, _echo_handler(
-        cfg.resp_size, cfg.handler_ns, sim, warmup + measure / 2))
+        cfg.resp_size, cfg.handler_ns, sim, run.warmup + run.measure / 2))
 
     recorder = Recorder(sim)
     sizegen = cfg.make_sizegen()
@@ -342,17 +207,14 @@ def run_erpc(cfg: MicrobenchConfig, *, telemetry=None,
                     sim.spawn(worker(endpoint, server_qp, t_idx, rng),
                               name="erpc-worker")
 
-    _run_window(sim, recorder, warmup, measure, fabric, profile=prof)
-    result = recorder.result(
+    run.window([recorder], fabric)
+    return run.finish(recorder.result(
         system="erpc",
         server_cpu=round(servers[0].cpu.utilization(), 3),
         server_net_frac=round(servers[0].cpu.network_fraction(), 3),
         recv_drops=server.recv_drops,
         events=sim.events_processed,
-    )
-    result.telemetry = tel
-    _attach_profile(result, sim, prof)
-    return _finish_audit(audited, sim, audit_reg, result)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +229,14 @@ def run_rc(cfg: MicrobenchConfig, *, threads_per_qp: int = 1,
     ``threads_per_qp=1`` is the dedicated-QP (no sharing) config;
     2 or 4 is FaRM-like spinlock sharing.
     """
-    sim = Simulator()
-    tel = _install_telemetry(sim, telemetry, "rc-%dtpq" % threads_per_qp)
-    audited, audit_reg = _prepare_audit(sim, tel, audit)
-    warmup, measure = cfg.durations()
-    prof = _install_observatory(sim, warmup, measure, profile)
+    run = Run("rc-%dtpq" % threads_per_qp, cfg.warmup_ns, cfg.measure_ns,
+              telemetry=telemetry, audit=audit, profile=profile)
+    sim = run.sim
     cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
     servers, clients, fabric = build_cluster(sim, cluster)
     server = RcRpcServer(sim, servers[0], fabric)
     server.register_handler(ECHO_RPC, _echo_handler(
-        cfg.resp_size, cfg.handler_ns, sim, warmup + measure / 2))
+        cfg.resp_size, cfg.handler_ns, sim, run.warmup + run.measure / 2))
 
     recorder = Recorder(sim)
     sizegen = cfg.make_sizegen()
@@ -404,16 +264,13 @@ def run_rc(cfg: MicrobenchConfig, *, threads_per_qp: int = 1,
                 sim.spawn(worker(rc_client, handle, t_idx, rng),
                           name="rc-worker")
 
-    _run_window(sim, recorder, warmup, measure, fabric, profile=prof)
-    result = recorder.result(
+    run.window([recorder], fabric)
+    return run.finish(recorder.result(
         system="rc-%dtpq" % threads_per_qp,
         server_cpu=round(servers[0].cpu.utilization(), 3),
         qp_cache_miss=round(servers[0].rnic.qp_cache.stats.miss_ratio, 4),
         events=sim.events_processed,
-    )
-    result.telemetry = tel
-    _attach_profile(result, sim, prof)
-    return _finish_audit(audited, sim, audit_reg, result)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +285,14 @@ def run_raw_reads(total_qps: int, *, n_clients: int = 22, read_size: int = 16,
                   telemetry=None, audit: Optional[bool] = None,
                   profile: Optional[bool] = None) -> RunResult:
     """16-byte RDMA reads over an increasing number of QPs."""
-    sim = Simulator()
-    tel = _install_telemetry(sim, telemetry, "rc-read qps=%d" % total_qps)
-    audited, audit_reg = _prepare_audit(sim, tel, audit)
-    scale = bench_scale()
-    warmup, measure = warmup_ns * scale, measure_ns * scale
-    prof = _install_observatory(sim, warmup, measure, profile)
+    run = Run("rc-read qps=%d" % total_qps, warmup_ns, measure_ns,
+              telemetry=telemetry, audit=audit, profile=profile)
+    sim = run.sim
     cluster = replace(cluster or ClusterConfig(), n_clients=n_clients)
     servers, clients, fabric = build_cluster(sim, cluster)
     region = servers[0].memory.register(1 << 20)
 
-    timeline = attach_switch_sources(slo_timeline(warmup, warmup + measure),
-                                     fabric)
+    timeline = run.timeline(fabric)
 
     per_client = max(1, total_qps // n_clients)
     read_clients: List[ReadClient] = []
@@ -454,35 +307,25 @@ def run_raw_reads(total_qps: int, *, n_clients: int = 22, read_size: int = 16,
         rc.start()
         read_clients.append(rc)
 
-    if prof is not None:
-        sim.run_profiled(prof, until=warmup)
-    else:
-        sim.run(until=warmup)
+    run.run(run.warmup)
     before = sum(rc.completed for rc in read_clients)
-    if prof is not None:
-        sim.run_profiled(prof, until=warmup + measure)
-    else:
-        sim.run(until=warmup + measure)
+    run.run(run.warmup + run.measure)
     after = sum(rc.completed for rc in read_clients)
-    ops = after - before
     slo = timeline.report()
-    result = RunResult(ops=ops, duration_ns=measure,
-                       latency={"count": 0, "median": 0.0, "p99": 0.0,
-                                "p999": 0.0, "mean": 0.0, "min": 0.0,
-                                "max": 0.0},
-                       extras={
-                           "system": "rc-read",
-                           "total_qps": per_client * n_clients,
-                           "qp_cache_miss": round(
-                               servers[0].rnic.qp_cache.stats.miss_ratio, 4),
-                           "pcie_reads": servers[0].rnic.pcie.reads_issued,
-                       },
-                       telemetry=tel,
-                       slo=slo,
-                       anomalies=detect_run_anomalies(slo, label="rc-read"),
-                       host=host_block(sim))
-    _attach_profile(result, sim, prof)
-    return _finish_audit(audited, sim, audit_reg, result)
+    return run.finish(RunResult(
+        ops=after - before, duration_ns=run.measure,
+        latency={"count": 0, "median": 0.0, "p99": 0.0, "p999": 0.0,
+                 "mean": 0.0, "min": 0.0, "max": 0.0},
+        extras={
+            "system": "rc-read",
+            "total_qps": per_client * n_clients,
+            "qp_cache_miss": round(
+                servers[0].rnic.qp_cache.stats.miss_ratio, 4),
+            "pcie_reads": servers[0].rnic.pcie.reads_issued,
+        },
+        slo=slo,
+        anomalies=detect_run_anomalies(slo, label="rc-read"),
+        host=host_block(sim)))
 
 
 def run_ud_rpc(n_senders: int, *, n_clients: int = 22, req_size: int = 64,
@@ -493,17 +336,14 @@ def run_ud_rpc(n_senders: int, *, n_clients: int = 22, req_size: int = 64,
                telemetry=None, audit: Optional[bool] = None,
                profile: Optional[bool] = None) -> RunResult:
     """UD-based RPC with an increasing number of senders."""
-    sim = Simulator()
-    tel = _install_telemetry(sim, telemetry, "ud-rpc n=%d" % n_senders)
-    audited, audit_reg = _prepare_audit(sim, tel, audit)
-    scale = bench_scale()
-    warmup, measure = warmup_ns * scale, measure_ns * scale
-    prof = _install_observatory(sim, warmup, measure, profile)
+    run = Run("ud-rpc n=%d" % n_senders, warmup_ns, measure_ns,
+              telemetry=telemetry, audit=audit, profile=profile)
+    sim = run.sim
     cluster = replace(cluster or ClusterConfig(), n_clients=n_clients)
     servers, clients, fabric = build_cluster(sim, cluster)
     server = UdRpcServer(sim, servers[0], fabric)
     server.register_handler(ECHO_RPC, _echo_handler(
-        resp_size, handler_ns, sim, warmup + measure / 2))
+        resp_size, handler_ns, sim, run.warmup + run.measure / 2))
 
     recorder = Recorder(sim)
 
@@ -525,17 +365,14 @@ def run_ud_rpc(n_senders: int, *, n_clients: int = 22, req_size: int = 64,
             for _ in range(outstanding):
                 sim.spawn(worker(endpoint, server_qp), name="ud-worker")
 
-    _run_window(sim, recorder, warmup, measure, fabric, profile=prof)
-    result = recorder.result(
+    run.window([recorder], fabric)
+    return run.finish(recorder.result(
         system="ud-rpc",
         n_senders=per_client * n_clients,
         server_cpu=round(servers[0].cpu.utilization(), 3),
         server_net_frac=round(servers[0].cpu.network_fraction(), 3),
         events=sim.events_processed,
-    )
-    result.telemetry = tel
-    _attach_profile(result, sim, prof)
-    return _finish_audit(audited, sim, audit_reg, result)
+    ))
 
 
 # ---------------------------------------------------------------------------

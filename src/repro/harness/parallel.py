@@ -80,16 +80,18 @@ class SweepPoint:
 
 
 def default_jobs(requested: int = None) -> int:
-    """Resolve the worker count: explicit flag > env > serial."""
+    """Resolve the worker count: explicit flag > env > serial.  An
+    unparsable ``REPRO_JOBS`` raises ValueError rather than silently
+    running serially."""
     if requested is not None:
         return max(1, requested)
     env = os.environ.get(JOBS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError("%s=%r is not an integer" % (JOBS_ENV, env)) from None
 
 
 def _scrub(result: Any) -> Any:

@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Optional
 from ..obs import Scorecard
 from ..obs.anomaly import detect_sweep_anomalies
 from ..obs.explain import attribution_blocks
+from .metrics import bench_scale
 
 __all__ = [
     "attach_anomalies",
@@ -210,8 +211,6 @@ def _fig2a_attribution_check(sc: Scorecard, qps_points: List[int],
     """When traced at full scale, assert the attribution narrative: the
     QP-cache PCIe stall is negligible before the cliff and the dominant
     critical-path resource after it."""
-    from .microbench import bench_scale  # no cycle: microbench != scorecards
-
     blocks = sc.meta.get("attribution")
     if not blocks or bench_scale() != 1.0:
         return
@@ -248,8 +247,6 @@ def _fig2a_profile_check(sc: Scorecard, results: Dict[int, object]) -> None:
     fabric-side machinery — RC reads are wire transfers, so the verbs
     read pipeline and its transfer/completion plumbing own the event
     stream, not timers or the application."""
-    from .microbench import bench_scale  # no cycle: microbench != scorecards
-
     if bench_scale() != 1.0:
         return
     profiled = {q: r.profile for q, r in results.items()

@@ -31,18 +31,9 @@ from ..baselines import FasstEndpoint, FasstServer
 from ..config import ClusterConfig, FlockConfig
 from ..flock import FlockNode
 from ..net import build_cluster
-from ..sim import Simulator, Streams
+from ..sim import Streams
 from ..workloads import SmallbankWorkload, TatpWorkload
-from .metrics import Recorder, RunResult
-from .microbench import (
-    _attach_profile,
-    _finish_audit,
-    _install_observatory,
-    _install_telemetry,
-    _prepare_audit,
-    _run_window,
-    bench_scale,
-)
+from .metrics import Recorder, Run, RunResult
 
 __all__ = ["TxnBenchConfig", "run_flocktx", "run_fasst_txn",
            "build_txn_servers", "sweep_txn"]
@@ -65,10 +56,6 @@ class TxnBenchConfig:
     measure_ns: float = 800_000.0
     seed: int = 7
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
-
-    def durations(self) -> tuple:
-        scale = bench_scale()
-        return self.warmup_ns * scale, self.measure_ns * scale
 
     def n_keys(self) -> int:
         if self.workload == "tatp":
@@ -140,30 +127,28 @@ def _spawn_coordinators(sim, cfg: TxnBenchConfig, recorder: Recorder,
                           name="txn-coroutine")
 
 
-def _result(recorder: Recorder, coordinators: List[Coordinator],
-            sim: Simulator, **extras) -> RunResult:
+def _result(run: Run, recorder: Recorder, coordinators: List[Coordinator],
+            **extras) -> RunResult:
     committed = sum(c.committed for c in coordinators)
     aborted = sum(c.aborted for c in coordinators)
     lost = sum(c.lost for c in coordinators)
     total = max(1, committed + aborted + lost)
-    return recorder.result(
+    return run.finish(recorder.result(
         committed=committed, aborted=aborted, lost=lost,
         abort_rate=round(aborted / total, 4),
         loss_rate=round(lost / total, 6),
-        events=sim.events_processed,
+        events=run.sim.events_processed,
         **extras,
-    )
+    ))
 
 
 def run_flocktx(cfg: TxnBenchConfig,
                 flock_cfg: Optional[FlockConfig] = None,
                 telemetry=None, audit: Optional[bool] = None) -> RunResult:
     """FLockTX: the transaction protocol over FLock RPC + fl_read."""
-    sim = Simulator()
-    tel = _install_telemetry(sim, telemetry, "flocktx")
-    audited, audit_reg = _prepare_audit(sim, tel, audit)
-    warmup, measure = cfg.durations()
-    prof = _install_observatory(sim, warmup, measure)
+    run = Run("flocktx", cfg.warmup_ns, cfg.measure_ns, telemetry=telemetry,
+              audit=audit)
+    sim = run.sim
     cluster = replace(cfg.cluster, n_clients=cfg.n_clients,
                       n_servers=cfg.n_servers, seed=cfg.seed)
     server_hw, client_hw, fabric = build_cluster(sim, cluster)
@@ -201,22 +186,17 @@ def run_flocktx(cfg: TxnBenchConfig,
 
     _spawn_coordinators(sim, cfg, recorder, make_transport, streams,
                         coordinators)
-    _run_window(sim, recorder, warmup, measure, fabric, profile=prof)
-    result = _result(recorder, coordinators, sim, system="flocktx",
-                     server_cpu=round(server_hw[0].cpu.utilization(), 3))
-    result.telemetry = tel
-    _attach_profile(result, sim, prof)
-    return _finish_audit(audited, sim, audit_reg, result)
+    run.window([recorder], fabric)
+    return _result(run, recorder, coordinators, system="flocktx",
+                   server_cpu=round(server_hw[0].cpu.utilization(), 3))
 
 
 def run_fasst_txn(cfg: TxnBenchConfig, *, telemetry=None,
                   audit: Optional[bool] = None) -> RunResult:
     """The same protocol over FaSST-style UD RPCs (two-sided only)."""
-    sim = Simulator()
-    tel = _install_telemetry(sim, telemetry, "fasst")
-    audited, audit_reg = _prepare_audit(sim, tel, audit)
-    warmup, measure = cfg.durations()
-    prof = _install_observatory(sim, warmup, measure)
+    run = Run("fasst", cfg.warmup_ns, cfg.measure_ns, telemetry=telemetry,
+              audit=audit)
+    sim = run.sim
     cluster = replace(cfg.cluster, n_clients=cfg.n_clients,
                       n_servers=cfg.n_servers, seed=cfg.seed)
     server_hw, client_hw, fabric = build_cluster(sim, cluster)
@@ -244,13 +224,10 @@ def run_fasst_txn(cfg: TxnBenchConfig, *, telemetry=None,
 
     _spawn_coordinators(sim, cfg, recorder, make_transport, streams,
                         coordinators)
-    _run_window(sim, recorder, warmup, measure, fabric, profile=prof)
-    result = _result(recorder, coordinators, sim, system="fasst",
-                     server_cpu=round(server_hw[0].cpu.utilization(), 3),
-                     recv_drops=sum(f.recv_drops for f in fasst_servers))
-    result.telemetry = tel
-    _attach_profile(result, sim, prof)
-    return _finish_audit(audited, sim, audit_reg, result)
+    run.window([recorder], fabric)
+    return _result(run, recorder, coordinators, system="fasst",
+                   server_cpu=round(server_hw[0].cpu.utilization(), 3),
+                   recv_drops=sum(f.recv_drops for f in fasst_servers))
 
 
 def sweep_txn(threads_list, *, workload: str = "tatp", jobs: int = 1) -> dict:

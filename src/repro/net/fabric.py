@@ -10,9 +10,9 @@ retransmission delay, unreliable ones surface it as a drop.
 By default the switch is contention-free — concurrent transfers to the
 same destination overlap for free, which is the regime every committed
 figure baseline was calibrated against.  With
-``NetConfig.congestion.enabled`` (or ``REPRO_CONGESTION=1``) each
-transfer additionally crosses a per-destination egress port with a
-finite output queue (:mod:`repro.net.congestion`): queue buildup charges
+``NetConfig.congestion.enabled`` each transfer additionally crosses a
+per-destination egress port with a finite output queue
+(:mod:`repro.net.congestion`): queue buildup charges
 ``switch_queue`` wait time, triggers ECN marks that come back to the
 sender as CNPs for DCQCN rate control, tail-drops past the buffer (RC
 retransmits, UD loses the message), or — in PFC mode — pauses the
@@ -71,8 +71,7 @@ class Fabric:
         #: Links in the fabric; set by :func:`build_cluster` to the node
         #: count so the aggregate utilization gauge normalises correctly.
         self.n_ports = 1
-        #: Resolved congestion model (env overrides applied here, once).
-        self.congestion = cfg.congestion.resolved()
+        self.congestion = cfg.congestion
         self.switch: Optional[Switch] = (
             Switch(sim, cfg, self.congestion, seed=seed)
             if self.congestion.enabled else None)

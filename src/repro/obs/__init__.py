@@ -91,7 +91,7 @@ from .simprof import SimProfile, component_bucket, profile_enabled
 from .sketch import QuantileSketch
 from .span import PHASES, NullSpanLog, Span, SpanLog, null_span_log
 from .telemetry import Telemetry, current_telemetry, disable, enable
-from .windows import SloThresholds, SloTimeline
+from .windows import SloTimeline
 
 __all__ = [
     "Anomaly",
@@ -155,7 +155,6 @@ __all__ = [
     "RunRecord",
     "RunStore",
     "SimProfile",
-    "SloThresholds",
     "SloTimeline",
     "Span",
     "SpanLog",

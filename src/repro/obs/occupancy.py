@@ -34,10 +34,10 @@ construction, like telemetry).
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional
 
-from .windows import windows_per_run
+from ..config import env_flag
+from .windows import DEFAULT_WINDOWS
 
 __all__ = [
     "OCCUPANCY_ENV",
@@ -48,15 +48,11 @@ __all__ = [
 #: Environment switch (``--occupancy`` and ``--profile`` set it).
 OCCUPANCY_ENV = "REPRO_OCCUPANCY"
 
-_TRUTHY = ("1", "true", "yes", "on")
-
 
 def occupancy_enabled(default: bool = False) -> bool:
-    """True when ``REPRO_OCCUPANCY`` is set truthy."""
-    raw = os.environ.get(OCCUPANCY_ENV)
-    if raw is None:
-        return default
-    return raw.strip().lower() in _TRUTHY
+    """True when ``REPRO_OCCUPANCY`` is set truthy (see
+    :func:`repro.config.env_flag`)."""
+    return env_flag(OCCUPANCY_ENV, default)
 
 
 class _Series:
@@ -88,12 +84,12 @@ class OccupancyTracker:
     """
 
     def __init__(self, t0: float, t1: float,
-                 n_windows: Optional[int] = None):
+                 n_windows: int = DEFAULT_WINDOWS):
         if t1 <= t0:
             raise ValueError("empty occupancy span")
         self.t0 = t0
         self.t1 = t1
-        self.n_windows = n_windows if n_windows else windows_per_run()
+        self.n_windows = n_windows
         self.window_ns = (t1 - t0) / self.n_windows
         self._series: Dict[str, _Series] = {}
         self._finished = False

@@ -13,9 +13,9 @@ Two instruments share one bucketing scheme:
   resumes, ``callback`` for plain event callbacks, ``timer`` for bare
   timeouts, ``idle`` for events that fire with no listeners).  Counts
   are kept per virtual-time window over the measurement span, riding
-  the same windowing math as :class:`repro.obs.windows.SloTimeline`
-  (including the ``REPRO_SLO_WINDOWS`` knob), so census heatmaps line
-  up column-for-column with SLO timelines and occupancy heatmaps.
+  the same windowing math as :class:`repro.obs.windows.SloTimeline`,
+  so census heatmaps line up column-for-column with SLO timelines and
+  occupancy heatmaps.
 * **Host-time profiler** — :meth:`repro.sim.core.Simulator.run_profiled`
   brackets every callback batch with ``perf_counter_ns`` and feeds the
   elapsed host nanoseconds into the same buckets, split by run phase
@@ -37,10 +37,10 @@ same simulation results as a plain one, just slower on the host.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Tuple
 
-from .windows import windows_per_run
+from ..config import env_flag
+from .windows import DEFAULT_WINDOWS
 
 __all__ = [
     "PROFILE_ENV",
@@ -52,15 +52,11 @@ __all__ = [
 #: Environment switch for the host-time profiler (``--profile`` sets it).
 PROFILE_ENV = "REPRO_PROFILE"
 
-_TRUTHY = ("1", "true", "yes", "on")
-
 
 def profile_enabled(default: bool = False) -> bool:
-    """True when ``REPRO_PROFILE`` is set truthy."""
-    raw = os.environ.get(PROFILE_ENV)
-    if raw is None:
-        return default
-    return raw.strip().lower() in _TRUTHY
+    """True when ``REPRO_PROFILE`` is set truthy (see
+    :func:`repro.config.env_flag`)."""
+    return env_flag(PROFILE_ENV, default)
 
 
 def component_bucket(filename: str) -> str:
@@ -105,12 +101,12 @@ class SimProfile:
     """
 
     def __init__(self, t0: float, t1: float,
-                 n_windows: Optional[int] = None):
+                 n_windows: int = DEFAULT_WINDOWS):
         if t1 <= t0:
             raise ValueError("empty profile measurement span")
         self.t0 = t0
         self.t1 = t1
-        self.n_windows = n_windows if n_windows else windows_per_run()
+        self.n_windows = n_windows
         self.window_ns = (t1 - t0) / self.n_windows
         #: host ns per ``component;kind`` bucket.
         self.host_ns: Dict[str, int] = {}

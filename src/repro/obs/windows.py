@@ -21,18 +21,6 @@ delta spanning several silent windows is attributed to the last closed
 window, which is exact whenever ops complete every window and
 conservative otherwise.
 
-Thresholds turn timelines into *SLO violation events*: every window
-whose p50/p99/p999 exceeds its bound — or whose goodput falls below the
-floor — emits an event carrying the window's virtual timestamps.  The
-default thresholds come from the environment so CI and long soak runs
-can arm them without threading parameters::
-
-    REPRO_SLO_WINDOWS=12        # windows per measurement window (default 8)
-    REPRO_SLO_P50_US=5          # optional per-window latency bounds
-    REPRO_SLO_P99_US=50
-    REPRO_SLO_P999_US=200
-    REPRO_SLO_MIN_MOPS=0.5      # optional per-window goodput floor
-
 Every figure runner attaches a timeline to its
 :class:`repro.harness.metrics.Recorder`; the report rides on
 :class:`repro.harness.metrics.RunResult` as plain JSON-safe data, lands
@@ -42,81 +30,19 @@ in scorecard ``meta["slo"]`` blocks, and exports via the CLI's
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from .sketch import QuantileSketch
 
 __all__ = [
-    "SloThresholds",
+    "DEFAULT_WINDOWS",
     "SloTimeline",
     "attach_switch_sources",
-    "slo_timeline",
-    "windows_per_run",
 ]
 
-#: Environment knobs (see module docstring).
-WINDOWS_ENV = "REPRO_SLO_WINDOWS"
-P50_ENV = "REPRO_SLO_P50_US"
-P99_ENV = "REPRO_SLO_P99_US"
-P999_ENV = "REPRO_SLO_P999_US"
-MIN_MOPS_ENV = "REPRO_SLO_MIN_MOPS"
-
-#: Default number of windows a measurement window is split into.
+#: Number of windows a measurement window is split into; the profiler's
+#: census and the occupancy heatmap use the same grid.
 DEFAULT_WINDOWS = 8
-
-
-def _env_float(name: str) -> Optional[float]:
-    """Parse an optional float env var; unset or invalid means None."""
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        return None
-
-
-def windows_per_run(default: int = DEFAULT_WINDOWS) -> int:
-    """The configured window count per measurement window (>= 1)."""
-    raw = os.environ.get(WINDOWS_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return max(1, default)
-
-
-@dataclass
-class SloThresholds:
-    """Per-window SLO bounds; ``None`` disarms a bound."""
-
-    p50_us: Optional[float] = None
-    p99_us: Optional[float] = None
-    p999_us: Optional[float] = None
-    #: Per-window goodput floor in Mops; windows below it violate.
-    min_goodput_mops: Optional[float] = None
-
-    @classmethod
-    def from_env(cls) -> "SloThresholds":
-        """Thresholds armed via the ``REPRO_SLO_*`` environment vars."""
-        return cls(p50_us=_env_float(P50_ENV), p99_us=_env_float(P99_ENV),
-                   p999_us=_env_float(P999_ENV),
-                   min_goodput_mops=_env_float(MIN_MOPS_ENV))
-
-    @property
-    def armed(self) -> bool:
-        """True when at least one bound is set."""
-        return any(v is not None for v in (
-            self.p50_us, self.p99_us, self.p999_us, self.min_goodput_mops))
-
-    def to_dict(self) -> Dict[str, Optional[float]]:
-        """JSON-safe form (only used when armed)."""
-        return {"p50_us": self.p50_us, "p99_us": self.p99_us,
-                "p999_us": self.p999_us,
-                "min_goodput_mops": self.min_goodput_mops}
 
 
 class _Window:
@@ -134,17 +60,14 @@ class SloTimeline:
     """Windowed latency/goodput/counter tracking over [t0, t1)."""
 
     def __init__(self, t0: float, t1: float,
-                 n_windows: Optional[int] = None,
-                 thresholds: Optional[SloThresholds] = None,
+                 n_windows: int = DEFAULT_WINDOWS,
                  relative_accuracy: float = 0.01):
         if t1 <= t0:
             raise ValueError("empty SLO window span")
         self.t0 = t0
         self.t1 = t1
-        self.n_windows = n_windows if n_windows else windows_per_run()
+        self.n_windows = n_windows
         self.window_ns = (t1 - t0) / self.n_windows
-        self.thresholds = (thresholds if thresholds is not None
-                           else SloThresholds.from_env())
         self.relative_accuracy = relative_accuracy
         self._windows: Dict[int, _Window] = {}
         self._sources: Dict[str, Callable[[], float]] = {}
@@ -212,39 +135,11 @@ class SloTimeline:
 
     # -- reporting ------------------------------------------------------
 
-    def _violations(self, rows: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Threshold sweep over the computed window rows."""
-        th = self.thresholds
-        if not th.armed:
-            return []
-        events: List[Dict[str, Any]] = []
-
-        def emit(row, metric, value, bound):
-            events.append({
-                "window": row["window"], "t0_ns": row["t0_ns"],
-                "t1_ns": row["t1_ns"], "metric": metric,
-                "value": value, "threshold": bound,
-            })
-
-        for row in rows:
-            for metric, bound in (("p50_us", th.p50_us),
-                                  ("p99_us", th.p99_us),
-                                  ("p999_us", th.p999_us)):
-                value = row[metric]
-                if bound is not None and value is not None and value > bound:
-                    emit(row, metric, value, bound)
-            if (th.min_goodput_mops is not None
-                    and row["goodput_mops"] < th.min_goodput_mops):
-                emit(row, "goodput_mops", row["goodput_mops"],
-                     th.min_goodput_mops)
-        return events
-
     def report(self) -> Dict[str, Any]:
         """The timeline as plain JSON-safe data (finishes first).
 
         Returns ``{"window_ns", "t0_ns", "t1_ns", "windows": [...],
-        "violations": [...]}`` (+ ``"thresholds"`` when armed); one row
-        per window with ops, goodput_mops, p50/p99/p999_us (None when
+        "violations": []}``; one row per window with ops, goodput_mops, p50/p99/p999_us (None when
         the window saw no completions) and per-window counter deltas.
         """
         self.finish()
@@ -268,25 +163,14 @@ class SloTimeline:
                 row["counters"] = {k: win.counters[k]
                                    for k in sorted(win.counters)}
             rows.append(row)
-        out: Dict[str, Any] = {
+        return {
             "window_ns": self.window_ns,
             "t0_ns": self.t0,
             "t1_ns": self.t1,
             "windows": rows,
-            "violations": self._violations(rows),
+            # Kept empty: committed scorecards and perf digests hash it.
+            "violations": [],
         }
-        if self.thresholds.armed:
-            out["thresholds"] = self.thresholds.to_dict()
-        return out
-
-
-def slo_timeline(window_start: float, window_end: float,
-                 n_windows: Optional[int] = None,
-                 thresholds: Optional[SloThresholds] = None) -> SloTimeline:
-    """The timeline every figure runner attaches over its measurement
-    window, honoring the ``REPRO_SLO_*`` environment configuration."""
-    return SloTimeline(window_start, window_end, n_windows=n_windows,
-                       thresholds=thresholds)
 
 
 def attach_switch_sources(timeline: SloTimeline, fabric) -> SloTimeline:

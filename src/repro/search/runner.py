@@ -34,20 +34,10 @@ from ..flock import FlockNode
 from ..net import build_cluster
 from ..obs import Telemetry
 from ..obs.explain import attribution_blocks, shift_table, top_shift
-from ..sim import Simulator, Streams
+from ..sim import Streams
 from ..workloads import BimodalSize, FixedSize
-from ..harness.metrics import Recorder, RunResult
-from ..harness.microbench import (
-    ECHO_RPC,
-    _attach_profile,
-    _echo_handler,
-    _finish_audit,
-    _install_observatory,
-    _install_telemetry,
-    _prepare_audit,
-    _run_window,
-    bench_scale,
-)
+from ..harness.metrics import Recorder, Run, RunResult
+from ..harness.microbench import ECHO_RPC, _echo_handler
 from .space import default_space
 
 __all__ = ["ScenarioConfig", "run_scenario_leg", "evaluate_point",
@@ -87,18 +77,13 @@ class ScenarioConfig:
     def from_point(cls, point: dict, seed: int = 1) -> "ScenarioConfig":
         return cls(seed=seed, **point)
 
-    def durations(self) -> tuple:
-        scale = bench_scale()
-        return self.warmup_ns * scale, self.measure_ns * scale
-
     def congestion(self, enabled: bool) -> CongestionConfig:
         """ECN/PFC thresholds derive from the buffer depth (the usual
         shallow-ToR provisioning rule: mark/pause at 3/4, resume at
-        1/4); ``honor_env`` is stripped so CLI env flags cannot turn the
-        baseline leg congested mid-comparison."""
+        1/4)."""
         quarter = max(1, self.buffer_bytes // 4)
         return CongestionConfig(
-            enabled=enabled, honor_env=False,
+            enabled=enabled,
             buffer_bytes=self.buffer_bytes,
             ecn_kmin_bytes=quarter, ecn_kmax_bytes=3 * quarter,
             pfc=self.pfc if enabled else False,
@@ -143,17 +128,14 @@ def run_scenario_leg(cfg: ScenarioConfig, *, congested: bool,
                      telemetry=None, audit: Optional[bool] = None
                      ) -> RunResult:
     """One leg of a candidate: all senders -> one FLock server."""
-    sim = Simulator()
-    label = CONG_LABEL if congested else BASE_LABEL
-    tel = _install_telemetry(sim, telemetry, label)
-    audited, audit_reg = _prepare_audit(sim, tel, audit)
-    warmup, measure = cfg.durations()
-    prof = _install_observatory(sim, warmup, measure)
+    run = Run(CONG_LABEL if congested else BASE_LABEL, cfg.warmup_ns,
+              cfg.measure_ns, telemetry=telemetry, audit=audit)
+    sim = run.sim
     servers, clients, fabric = build_cluster(sim, cfg.cluster(congested))
     flock_cfg = cfg.flock()
     server = FlockNode(sim, servers[0], fabric, flock_cfg)
     server.fl_reg_handler(ECHO_RPC, _echo_handler(
-        cfg.resp_size, cfg.handler_ns, sim, warmup + measure / 2))
+        cfg.resp_size, cfg.handler_ns, sim, run.warmup + run.measure / 2))
 
     recorder = Recorder(sim)
     jitter_rng = random.Random(cfg.seed ^ 0x7EA)
@@ -181,7 +163,7 @@ def run_scenario_leg(cfg: ScenarioConfig, *, congested: bool,
                 sim.spawn(worker(fnode, handle, t_idx, size, think_ns, rng),
                           name="search-worker")
 
-    _run_window(sim, recorder, warmup, measure, fabric, profile=prof)
+    run.window([recorder], fabric)
     degree = (sum(h.mean_coalescing_degree() for h in handles)
               / len(handles) if handles else 1.0)
     sw = fabric.switch
@@ -200,10 +182,7 @@ def run_scenario_leg(cfg: ScenarioConfig, *, congested: bool,
             ecn_marks=sw.total_ecn_marks,
             pfc_pauses=sw.total_pause_events,
             cnps=fabric.cnps_delivered)
-    result = recorder.result(**extras)
-    result.telemetry = tel
-    _attach_profile(result, sim, prof)
-    return _finish_audit(audited, sim, audit_reg, result)
+    return run.finish(recorder.result(**extras))
 
 
 def _leg_summary(res: RunResult) -> dict:

@@ -12,7 +12,6 @@ from .core import (
 )
 from .rand import HotColdGenerator, Streams, ZipfGenerator, percentile, summarize_latencies
 from .resources import Resource, SpinLock, Store, TokenBucket, TrackedStore
-from .trace import NullTracer, TimeSeries, Tracer, null_tracer
 
 __all__ = [
     "AllOf",
@@ -20,7 +19,6 @@ __all__ = [
     "Event",
     "HotColdGenerator",
     "Interrupt",
-    "NullTracer",
     "Process",
     "Resource",
     "SimulationError",
@@ -28,13 +26,10 @@ __all__ = [
     "SpinLock",
     "Store",
     "Streams",
-    "TimeSeries",
     "Timeout",
     "TokenBucket",
     "TrackedStore",
-    "Tracer",
     "ZipfGenerator",
-    "null_tracer",
     "percentile",
     "summarize_latencies",
 ]

@@ -90,3 +90,92 @@ class TestProfileCommand:
     def test_plain_run_has_no_observatory_output(self, capsys):
         main(["--scale", "0.05", "fig2a", "--qps", "8", "--clients", "2"])
         assert "Cost observatory" not in capsys.readouterr().out
+
+
+class TestRunKnobs:
+    """The boolean knobs share one parser; malformed values of any run
+    knob fail loudly instead of silently picking a default."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_env(self, monkeypatch):
+        for var in ("REPRO_AUDIT", "REPRO_PROFILE", "REPRO_OCCUPANCY",
+                    "REPRO_BENCH_SCALE"):
+            monkeypatch.setenv(var, "pending-delete")
+            monkeypatch.delenv(var)
+
+    @staticmethod
+    def _flags():
+        from repro.obs.audit import AUDIT_ENV, audit_enabled
+        from repro.obs.occupancy import OCCUPANCY_ENV, occupancy_enabled
+        from repro.obs.simprof import PROFILE_ENV, profile_enabled
+        return [(AUDIT_ENV, audit_enabled), (PROFILE_ENV, profile_enabled),
+                (OCCUPANCY_ENV, occupancy_enabled)]
+
+    @pytest.mark.parametrize("raw,want", [
+        ("1", True), ("true", True), ("Yes", True), ("on", True),
+        ("0", False), ("false", False), ("NO", False), ("off", False),
+        ("", False),
+    ])
+    def test_boolean_knobs_agree(self, monkeypatch, raw, want):
+        for var, enabled in self._flags():
+            monkeypatch.setenv(var, raw)
+            assert enabled() is want, var
+
+    @pytest.mark.parametrize("raw", ["2", "enable", "y"])
+    def test_malformed_boolean_knob_raises(self, monkeypatch, raw):
+        for var, enabled in self._flags():
+            monkeypatch.setenv(var, raw)
+            with pytest.raises(ValueError, match=var):
+                enabled()
+
+    def test_malformed_knob_fails_the_command(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_AUDIT", "2")
+        with pytest.raises(ValueError, match="REPRO_AUDIT"):
+            main(["--scale", "0.1", "fig2a", "--qps", "8", "--clients", "2"])
+
+    def test_bench_scale_parsing(self, monkeypatch):
+        from repro.harness import bench_scale
+        assert bench_scale() == 1.0
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "")
+        assert bench_scale() == 1.0
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.25")
+        assert bench_scale() == 0.25
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.01")
+        assert bench_scale() == 0.1  # the floor stays
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "fast")
+        with pytest.raises(ValueError, match="REPRO_BENCH_SCALE"):
+            bench_scale()
+
+
+class TestFaultStamp:
+    """Scorecards record which faults ``REPRO_FAULTS`` injected, without
+    touching the run-store fingerprint."""
+
+    def _scorecard(self, tmp_path, monkeypatch, faults_env):
+        import json
+        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
+        if faults_env:
+            monkeypatch.setenv("REPRO_FAULTS", faults_env)
+        else:
+            monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        out = tmp_path / ("faulty" if faults_env else "clean")
+        assert not main(["--scale", "0.1", "--scorecard", str(out),
+                         "fig2a", "--qps", "8", "--clients", "2"])
+        return json.loads((out / "BENCH_fig2a.json").read_text())
+
+    def test_injected_faults_are_stamped(self, tmp_path, monkeypatch,
+                                         capsys):
+        from repro.obs import faults, load_scorecard
+        from repro.obs.runstore import config_fingerprint
+        faulty = self._scorecard(tmp_path, monkeypatch,
+                                 "rnic.double_count_hit,"
+                                 "bench.step_handler_cost")
+        assert faulty["meta"]["faults"] == ["bench.step_handler_cost",
+                                            "rnic.double_count_hit"]
+        assert not faults.ACTIVE  # cleared after the command
+        clean = self._scorecard(tmp_path, monkeypatch, None)
+        assert "faults" not in clean["meta"]
+        assert (config_fingerprint([load_scorecard(
+                    str(tmp_path / "faulty" / "BENCH_fig2a.json"))])
+                == config_fingerprint([load_scorecard(
+                    str(tmp_path / "clean" / "BENCH_fig2a.json"))]))

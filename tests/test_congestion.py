@@ -18,7 +18,6 @@ LINE_RATE = 100 * GBPS  # 12.5 bytes/ns
 def congested_cluster(n_clients=4, **congestion_kwargs):
     """(sim, server, clients, fabric) on the switched-fabric model."""
     congestion_kwargs.setdefault("enabled", True)
-    congestion_kwargs.setdefault("honor_env", False)
     cfg = ClusterConfig(
         n_clients=n_clients,
         net=replace(NetConfig(),

@@ -25,7 +25,7 @@ from repro.obs.simprof import (
     component_bucket,
     profile_enabled,
 )
-from repro.obs.windows import SloThresholds, SloTimeline
+from repro.obs.windows import SloTimeline
 from repro.sim.core import Simulator
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -294,13 +294,12 @@ class TestSloTimelineEdges:
 
     def test_zero_width_span_rejected(self):
         with pytest.raises(ValueError, match="empty SLO window span"):
-            SloTimeline(7.0, 7.0, thresholds=SloThresholds())
+            SloTimeline(7.0, 7.0)
         with pytest.raises(ValueError, match="empty SLO window span"):
-            SloTimeline(7.0, 3.0, thresholds=SloThresholds())
+            SloTimeline(7.0, 3.0)
 
     def test_run_ending_mid_window(self):
-        tl = SloTimeline(0.0, 80.0, n_windows=8,
-                         thresholds=SloThresholds())
+        tl = SloTimeline(0.0, 80.0, n_windows=8)
         for t in (5.0, 15.0, 25.0):  # run dies a third of the way in
             tl.observe(t, 1000.0)
         report = tl.report()
@@ -311,8 +310,7 @@ class TestSloTimelineEdges:
             assert w["goodput_mops"] == 0.0
 
     def test_windows_with_no_samples_have_none_percentiles(self):
-        tl = SloTimeline(0.0, 40.0, n_windows=4,
-                         thresholds=SloThresholds())
+        tl = SloTimeline(0.0, 40.0, n_windows=4)
         tl.observe(25.0, 2000.0)
         report = tl.report()
         rows = report["windows"]

@@ -124,8 +124,13 @@ class TestDefaultJobs:
         monkeypatch.setenv(JOBS_ENV, "6")
         assert default_jobs(None) == 6
 
-    def test_bad_env_is_serial(self, monkeypatch):
+    def test_bad_env_raises(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV, "many")
+        with pytest.raises(ValueError, match=JOBS_ENV):
+            default_jobs(None)
+
+    def test_empty_env_is_serial(self, monkeypatch):
+        monkeypatch.setenv(JOBS_ENV, "")
         assert default_jobs(None) == 1
 
     def test_default_is_serial(self, monkeypatch):
