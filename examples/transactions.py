@@ -88,7 +88,7 @@ def main():
         print("server %d: execs=%d commits=%d replica-logs=%d"
               % (s, txn_server.execs, txn_server.commits, txn_server.logs))
     # Replication check: every committed write is on all three copies.
-    sample_key = next(iter(txn_servers[0].primary.entries))
+    sample_key = next(iter(txn_servers[0].primary.keys()))
     versions = [txn_servers[sid].replicas[0].get(sample_key).version
                 for sid in range(3)]
     print("key %r version on primary+replicas: %s" % (sample_key, versions))

@@ -169,6 +169,9 @@ class ConnectionHandle:
         Falls back to striping across active QPs for unmapped threads and
         repairs stale assignments pointing at deactivated QPs.
         """
+        idx = self.thread_qp_map.get(thread_id)
+        if idx is not None and self.channels[idx].active:
+            return self.channels[idx]
         active = self.active_indices
         if not active:
             # Every QP deactivated: the scheduler guarantees at least one
@@ -177,10 +180,8 @@ class ConnectionHandle:
             self.channels[0].active = True
             self.channels[0].credits.active = True
             self.holds.release(0, self.sim.now)
-        idx = self.thread_qp_map.get(thread_id)
-        if idx is None or not self.channels[idx].active:
-            idx = active[thread_id % len(active)]
-            self.thread_qp_map[thread_id] = idx
+        idx = active[thread_id % len(active)]
+        self.thread_qp_map[thread_id] = idx
         return self.channels[idx]
 
     def apply_assignment(self, mapping: Dict[int, int]) -> None:
@@ -216,7 +217,7 @@ class ConnectionHandle:
     # -- completion plumbing ---------------------------------------------------------
 
     def register_pending(self, thread_id: int, seq_id: int, qp_index: int) -> Event:
-        ev = Event(self.sim)
+        ev = self.sim.event()
         self.pending[(thread_id, seq_id)] = (ev, qp_index)
         self.thread(thread_id).inc_outstanding(qp_index)
         return ev

@@ -622,8 +622,9 @@ class FlockClient:
         yield state.submit_lock.acquire()
         try:
             channel = handle.qp_for_thread(thread_id)
-            yield from self._drain_for_migration(state, channel)
-            channel = handle.qp_for_thread(thread_id)
+            if state.assigned_qp != channel.index:
+                yield from self._drain_for_migration(state, channel)
+                channel = handle.qp_for_thread(thread_id)
             seq = state.allocate_seq()
             request = RpcRequest(thread_id=thread_id, seq_id=seq,
                                  rpc_id=rpc_id, size=size, payload=payload,
@@ -644,7 +645,7 @@ class FlockClient:
             yield self.sim.timeout(self.cpu.marshal_ns
                                    + self.cpu.copy_ns_per_byte * size)
             slot = PendingSend(request, self.sim.now)
-            slot.sent_event = Event(self.sim)
+            slot.sent_event = self.sim.event()
             if channel.tcq.enqueue(slot):
                 # This thread is the leader: it is busy combining until
                 # its coalesced message posts.

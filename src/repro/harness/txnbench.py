@@ -86,11 +86,13 @@ def build_txn_servers(cfg: TxnBenchConfig, server_nodes) -> List[TxnServer]:
                 region = server_nodes[s].memory.register(
                     (cfg.n_keys() + 1024) * 8)
             copies[(p, s)] = KvPartition(p, region=region)
-    # Populate every copy identically.
+    # Populate every copy identically, in one bulk load per copy; keys go
+    # in increasing order, which fixes each primary's version-word layout.
+    keys_of: List[Dict[int, int]] = [{} for _ in range(n)]
     for key in range(cfg.n_keys()):
-        p = partition_of(key, n)
-        for s in replicas_of(p, n):
-            copies[(p, s)].load([(key, 0)])
+        keys_of[partition_of(key, n)][key] = 0
+    for (p, _s), partition in copies.items():
+        partition.load(keys_of[p])
     servers = []
     for s in range(n):
         primary = copies[(s, s)]

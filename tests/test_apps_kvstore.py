@@ -102,11 +102,52 @@ class TestPartition:
     def test_lock_creates_missing_entry(self):
         part, _region = make_partition()
         assert part.try_lock(42, owner=1)
-        assert part.get(42).locked
+        assert part.get(42) == KvEntry(None, 0, 1)
+
+    def test_replica_update_creates_missing_entry(self):
+        part, _region = make_partition()
+        part.apply_replica_update(42, "v", 0)
+        assert part.get(42) == KvEntry("v", 0, None)
 
     def test_version_of_missing_key(self):
         part, _region = make_partition()
         assert part.version_of(123) == 0
+
+    def test_snapshot_does_not_write_through(self):
+        part, region = make_partition()
+        part.load([(1, "a")])
+        entry = part.get(1)
+        entry.value = "z"
+        entry.version = 9
+        entry.lock_owner = 4
+        assert part.get(1) == KvEntry("a", 1, None)
+        assert part.version_of(1) == 2
+        assert region.words[part.addr_of(1)] == 2
+
+    def test_keys_in_insertion_order(self):
+        part, _region = make_partition()
+        part.load({5: "a", 2: "b"})
+        part.try_lock(9, owner=1)
+        part.apply_replica_update(3, "c", 1)
+        assert list(part.keys()) == [5, 2, 9, 3]
+
+    def test_reload_resets_record_keeps_address(self):
+        part, region = make_partition()
+        part.load([(1, "a")])
+        addr = part.addr_of(1)
+        part.try_lock(1, owner=7)
+        part.load([(1, "b"), (2, "c")])
+        assert part.get(1) == KvEntry("b", 1, None)
+        assert part.addr_of(1) == addr
+        assert part.addr_of(2) == addr + 8
+        assert region.words[addr] == 2
+
+    def test_region_exhaustion(self):
+        mem = HostMemory()
+        part = KvPartition(0, region=mem.register(16))
+        part.load([(1, 0), (2, 0)])
+        with pytest.raises(RuntimeError):
+            part.addr_of(3)
 
     def test_no_region_rejects_addr(self):
         part = KvPartition(0)

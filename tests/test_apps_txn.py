@@ -134,9 +134,9 @@ class TestAbortPath:
 
         def tampering_exec(request):
             result = original(request)
-            entry = servers[0].primary.entries[k_read]
-            entry.version += 1
-            servers[0].primary._publish(k_read, entry)
+            primary = servers[0].primary
+            primary.versions[k_read] += 1
+            primary._publish(k_read)
             return result
 
         flock_servers[0].server.handlers[RPC_EXEC] = tampering_exec

@@ -114,15 +114,16 @@ def test_concurrent_storm_preserves_invariants(seed):
 
     # No stuck locks anywhere.
     for server in servers:
-        for key, entry in server.primary.entries.items():
-            assert not entry.locked, key
+        for key in server.primary.keys():
+            assert not server.primary.get(key).locked, key
 
     # Replication: every backup equals its primary.
     for p in range(3):
         primary = servers[p].primary
         for replica_id in replicas_of(p, 3)[1:]:
             backup = servers[replica_id].replicas[p]
-            for key, entry in primary.entries.items():
+            for key in primary.keys():
+                entry = primary.get(key)
                 copy = backup.get(key)
                 assert copy is not None, key
                 assert copy.version == entry.version, key

@@ -1,8 +1,10 @@
 """Transaction-bench topology: partitioning, replication, regions."""
 
+import gc
+
 import pytest
 
-from repro.apps.kvstore import partition_of, replicas_of
+from repro.apps.kvstore import KvEntry, partition_of, replicas_of
 from repro.config import ClusterConfig
 from repro.harness.txnbench import TxnBenchConfig, build_txn_servers
 from repro.net import build_cluster
@@ -58,6 +60,61 @@ class TestTopology:
         for key in keys:
             addr = primary.addr_of(key)
             assert primary.region.contains(addr, 8)
+
+
+class TestBulkPopulation:
+    def test_version_words_laid_out_in_key_order(self):
+        cfg, txn_servers, _hw = build(n_keys_per_server=50)
+        for s, server in enumerate(txn_servers):
+            primary = server.primary
+            keys = [k for k in range(cfg.n_keys()) if partition_of(k, 3) == s]
+            for rank, key in enumerate(keys):
+                addr = primary.addr_of(key)
+                assert addr == primary.region.addr + 8 * rank
+                assert primary.region.words[addr] == 2  # version 1, unlocked
+            assert len(primary.region.words) == len(keys)
+
+    def test_every_copy_holds_the_loaded_record(self):
+        cfg, txn_servers, _hw = build(n_keys_per_server=50)
+        for key in range(cfg.n_keys()):
+            p = partition_of(key, 3)
+            for s in replicas_of(p, 3):
+                assert txn_servers[s].replicas[p].get(key) == KvEntry(0, 1, None)
+
+    def test_copies_iterate_keys_in_increasing_order(self):
+        _cfg, txn_servers, _hw = build(n_keys_per_server=50)
+        for server in txn_servers:
+            for copy in server.replicas.values():
+                keys = list(copy.keys())
+                assert keys == sorted(keys)
+
+
+def _tracked_delta(n_keys_per_server):
+    """Live GC-tracked objects added by one build, kept alive."""
+    gc.collect()
+    before = len(gc.get_objects())
+    built = build(n_keys_per_server)
+    gc.collect()
+    delta = len(gc.get_objects()) - before
+    del built
+    return delta
+
+
+class TestGcInvisibility:
+    def test_population_columns_are_untracked(self):
+        _cfg, txn_servers, _hw = build()
+        for server in txn_servers:
+            for copy in server.replicas.values():
+                for column in (copy.values, copy.versions, copy.owners,
+                               copy._addrs):
+                    assert not gc.is_tracked(column)
+            assert not gc.is_tracked(server.primary.region.words)
+
+    def test_tracked_objects_do_not_grow_with_population(self):
+        _tracked_delta(200)  # warm caches and lazy imports
+        small = _tracked_delta(200)
+        large = _tracked_delta(20_000)
+        assert abs(large - small) < 100, (small, large)
 
 
 class TestConfigHelpers:
