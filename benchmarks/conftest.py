@@ -60,11 +60,8 @@ def record_scorecard(scorecard) -> None:
 
 @pytest.fixture(autouse=True)
 def _audit_fig_benchmarks(request, monkeypatch):
-    """Force the end-of-run auditors on for every figure benchmark.
-
-    Only ``test_fig*`` modules opt in: the perf-guard benchmark measures
-    null-instrumentation overhead and must not pay for auditing.
-    """
+    """Force the end-of-run auditors on for every figure benchmark
+    (``test_fig*`` modules)."""
     module_name = getattr(request.module, "__name__", "")
     if module_name.rpartition(".")[2].startswith("test_fig"):
         monkeypatch.setenv(AUDIT_ENV, "1")

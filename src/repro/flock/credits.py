@@ -69,11 +69,6 @@ class CreditState:
         #: Cached ``sim.instrumented``: the wait-time accounting closure
         #: is only allocated when someone (auditor/telemetry) can see it.
         self._obs = sim.instrumented
-        #: Occupancy tracker (cost observatory); cached like ``_obs``.
-        #: All QPs' pools feed one aggregate available-credits level.
-        self._occ = sim.occupancy
-        if self._occ is not None:
-            self._occ.add("flock.credits.available", sim.now, float(batch))
         sim.register_component(self)
 
     # -- consumption --------------------------------------------------------
@@ -83,9 +78,6 @@ class CreditState:
         if self.credits >= n:
             self.credits -= n
             self.consumed_total += n
-            if self._occ is not None:
-                self._occ.add("flock.credits.available", self.sim.now,
-                              -float(n))
             return True
         return False
 
@@ -128,9 +120,6 @@ class CreditState:
             self.issued_total += grant.credits
             if not (faults.ACTIVE and "credits.drop_refill" in faults.ACTIVE):
                 self.credits += grant.credits
-                if self._occ is not None:
-                    self._occ.add("flock.credits.available", self.sim.now,
-                                  float(grant.credits))
         self._wake()
 
     def reactivate(self, credits: int) -> None:
@@ -138,9 +127,6 @@ class CreditState:
         self.active = True
         if credits > self.credits:
             self.issued_total += credits - self.credits
-            if self._occ is not None:
-                self._occ.add("flock.credits.available", self.sim.now,
-                              float(credits - self.credits))
             self.credits = credits
         self.renew_outstanding = False
         self._wake()

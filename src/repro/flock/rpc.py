@@ -164,10 +164,6 @@ class FlockServer:
             metrics.gauge("flock.active_qps",
                           fn=lambda: self.total_active_qps,
                           server=node.name)
-        #: Occupancy tracker (cost observatory); cached like the metric
-        #: instruments.  Active-QP budget occupancy is set at both
-        #: mutation sites (registration, redistribution).
-        self._occ = sim.occupancy
         #: Optional :class:`repro.flock.tenancy.TenantManager` — when set,
         #: the QP budget is split hierarchically across tenants first
         #: (the §9 multi-application extension).
@@ -224,10 +220,6 @@ class FlockServer:
         initial = min(n_qps, max(1, self.cfg.max_aqp // (n_existing + 1)))
         shandle.active_set = list(range(initial))
         self.clients[client_id] = shandle
-        if self._occ is not None:
-            self._occ.set_level("flock.active_qps", self.sim.now,
-                                self.total_active_qps,
-                                capacity=self.cfg.max_aqp)
         self.util.ensure_client(client_id)
         return client_id, shandle
 
@@ -490,10 +482,6 @@ class FlockServer:
                     self._send_control(ctrl, update, ACTIVE_SET_BYTES),
                     name="active-set",
                 )
-        if self._occ is not None:
-            self._occ.set_level("flock.active_qps", self.sim.now,
-                                self.total_active_qps,
-                                capacity=self.cfg.max_aqp)
         self.util.reset()
 
     # -- introspection ---------------------------------------------------------------

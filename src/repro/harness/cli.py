@@ -62,25 +62,6 @@ for the prime suspect.  ``explain run:N`` (or ``run:-1`` /
 scorecards carry; ``runs diff A B`` additionally reports anomaly-set
 drift (new / vanished / moved) between two runs.
 
-Simulation cost observatory (``docs/observability.md``)::
-
-    python -m repro.harness.cli --profile fig2a
-    python -m repro.harness.cli profile --flame fig2a.folded fig2a
-    python -m repro.harness.cli profile --census fig6.json fig6 --threads 8
-
-``--profile`` (or the ``profile`` subcommand, which wraps any figure)
-runs every simulation through the instrumented loop: wall-clock ns are
-attributed to the owning component (fabric, switch, rnic, pcie, cq,
-credits, timers, ...), scheduled/dispatched/cancelled events are
-censused per virtual-time window, and resource occupancy (DMA engines,
-PCIe slots, switch ports, credit pools, QP-scheduler slots) is tracked
-as heatmap-ready per-window series.  Virtual-time results are
-byte-identical to an unprofiled run.  ``--flame`` writes the host time
-as folded stacks; ``--profile-json`` / ``--census`` write the full
-report; ``--occupancy`` tracks occupancy without the profiler.  Every
-run also records wall-clock seconds and events/sec (profiler-free), so
-``runs query 'fig2a.events_per_sec < 2e6'`` can hunt host-cost drift.
-
 Fabric congestion (``docs/network.md``)::
 
     python -m repro.harness.cli --audit incast --senders 12
@@ -114,7 +95,6 @@ from ..obs import (
     explain_changepoint,
     explain_sweep_anomalies,
     faults,
-    folded_lines,
     folded_stacks,
     format_attribution,
     format_breakdown,
@@ -124,8 +104,6 @@ from ..obs import (
     write_chrome_trace,
 )
 from ..obs.audit import AUDIT_ENV
-from ..obs.occupancy import OCCUPANCY_ENV
-from ..obs.simprof import PROFILE_ENV
 from .incastbench import IncastConfig, run_incast
 from .indexbench import IndexBenchConfig, sweep_index
 from .metrics import bench_scale
@@ -215,37 +193,6 @@ def _collect_slo(args, results) -> None:
                 nslo = getattr(nested, "slo", None)
                 if nslo is not None:
                     blocks[_slo_label(key) + "/" + str(sub)] = nslo
-    _collect_profile(args, results)
-
-
-def _collect_profile(args, results) -> None:
-    """Gather each run's cost-observatory and host blocks.
-
-    Piggybacks on :func:`_collect_slo` (every figure command calls it),
-    so ``--profile`` / ``--flame`` / ``--profile-json`` work on all ten
-    figure runners without per-command wiring.  Profile blocks only
-    exist when profiling was enabled; host blocks always do.
-    """
-    pblocks = getattr(args, "_profile_blocks", None)
-    if pblocks is None:
-        pblocks = args._profile_blocks = {}
-    hblocks = getattr(args, "_host_blocks", None)
-    if hblocks is None:
-        hblocks = args._host_blocks = {}
-
-    def take(label, value):
-        prof = getattr(value, "profile", None)
-        if prof is not None:
-            pblocks[label] = prof
-        host = getattr(value, "host", None)
-        if host is not None:
-            hblocks[label] = host
-
-    for key, value in results.items():
-        take(_slo_label(key), value)
-        if isinstance(value, dict):
-            for sub, nested in value.items():
-                take(_slo_label(key) + "/" + str(sub), nested)
 
 
 def cmd_fig2a(args) -> None:
@@ -724,73 +671,6 @@ def cmd_explain(args) -> int:
     return _explain_live_fig2a(args)
 
 
-def _emit_profile(args) -> None:
-    """Print the cost-observatory summary and write ``--flame`` /
-    ``--profile-json`` exports from the collected profile blocks."""
-    blocks = getattr(args, "_profile_blocks", {})
-    hosts = getattr(args, "_host_blocks", {})
-    rows = []
-    for label in sorted(blocks):
-        rep = blocks[label]
-        host = rep.get("host") or {}
-        census = rep.get("census") or {}
-        buckets = host.get("buckets") or []
-        measure = (rep.get("phases") or {}).get("measure") or {}
-        top = ("%s %.0f%%" % (buckets[0]["component"],
-                              buckets[0]["share"] * 100.0)
-               if buckets else "-")
-        rows.append([label,
-                     round(host.get("total_ns", 0) / 1e6, 2),
-                     census.get("dispatched", "-"),
-                     int(measure.get("events_per_sec") or 0) or "-",
-                     census.get("dominant_component", "-"),
-                     top])
-    if rows:
-        print()
-        print_table("Cost observatory",
-                    ["run", "host ms", "dispatched", "ev/s (measure)",
-                     "top events", "top host time"], rows)
-    if getattr(args, "flame", None):
-        weights = {}
-        for label, rep in blocks.items():
-            for b in (rep.get("host") or {}).get("buckets", ()):
-                key = "%s;%s;%s" % (label, b["component"], b["kind"])
-                weights[key] = weights.get(key, 0.0) + b["ns"]
-        with open(args.flame, "w") as fh:
-            fh.write(folded_lines(weights))
-        print("wrote host-time flamegraph: %s (%d frames)"
-              % (args.flame, len(weights)))
-    if getattr(args, "profile_json", None):
-        with open(args.profile_json, "w") as fh:
-            json.dump({"runs": blocks, "host": hosts}, fh,
-                      indent=2, sort_keys=True)
-            fh.write("\n")
-        print("wrote cost-observatory report: %s (%d runs)"
-              % (args.profile_json, len(blocks)))
-
-
-def cmd_profile(args) -> int:
-    """Re-dispatch a figure run with the cost observatory on.
-
-    ``repro profile --flame f.folded fig2a --qps 22 704`` is exactly
-    ``repro --profile --flame f.folded fig2a --qps 22 704``; the
-    subcommand exists so profiling any figure is one word, with the
-    figure's own flags passed through verbatim.
-    """
-    rest = [a for a in args.rest if a != "--"]
-    if not rest:
-        print("profile: name a figure to profile (profile fig2a ...)")
-        return 2
-    os.environ[PROFILE_ENV] = "1"
-    os.environ[OCCUPANCY_ENV] = "0" if args.no_occupancy else "1"
-    argv = []
-    if args.flame:
-        argv += ["--flame", args.flame]
-    if args.census:
-        argv += ["--profile-json", args.census]
-    return main(argv + rest)
-
-
 def cmd_bench_compare(args) -> int:
     """Gate current scorecards against committed baselines."""
     report = compare_dirs(args.baseline, args.current, figures=args.figures)
@@ -914,23 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write every run's windowed SLO timeline "
                              "(per-window p50/p99/p999, goodput, counter "
                              "deltas) as JSON")
-    parser.add_argument("--profile", action="store_true",
-                        help="run the cost observatory: host-time "
-                             "profiler + event census (and resource "
-                             "occupancy unless REPRO_OCCUPANCY=0) — "
-                             "virtual-time results are unchanged")
-    parser.add_argument("--occupancy", action="store_true",
-                        help="track resource occupancy timelines "
-                             "(RNIC/PCIe/switch/credits/CQ) without the "
-                             "host-time profiler")
-    parser.add_argument("--flame", metavar="FILE", default=None,
-                        help="write the profiled host time as folded "
-                             "stacks for flamegraph.pl/speedscope "
-                             "(implies --profile)")
-    parser.add_argument("--profile-json", metavar="FILE", default=None,
-                        help="write every run's cost-observatory report "
-                             "(census, host buckets, occupancy heatmap) "
-                             "as JSON (implies --profile)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fig2a", help="RC read scaling (Fig 2a)")
@@ -992,21 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pfc-incast", action="store_true",
                    help="run the congested legs in lossless PFC mode")
     p.set_defaults(fn=cmd_incast)
-
-    p = sub.add_parser(
-        "profile",
-        help="run any figure with the cost observatory on "
-             "(profile --flame f.folded fig2a --qps 22 704)")
-    p.add_argument("--flame", metavar="FILE", default=None,
-                   help="write the host-time flamegraph (folded stacks)")
-    p.add_argument("--census", metavar="FILE", default=None,
-                   help="write the full cost-observatory JSON report")
-    p.add_argument("--no-occupancy", action="store_true",
-                   help="skip the resource-occupancy tracker")
-    p.add_argument("rest", nargs=argparse.REMAINDER, metavar="FIGURE ...",
-                   help="figure subcommand plus its own arguments, "
-                        "passed through verbatim (fig2a --qps 22 704)")
-    p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser(
         "explain",
@@ -1129,12 +977,6 @@ def main(argv: List[str] = None) -> int:
         os.environ["REPRO_BENCH_SCALE"] = str(args.scale)
     if args.audit:
         os.environ[AUDIT_ENV] = "1"
-    if args.profile or args.flame or args.profile_json:
-        os.environ[PROFILE_ENV] = "1"
-        # Profiling brings occupancy along unless explicitly disabled.
-        os.environ.setdefault(OCCUPANCY_ENV, "1")
-    if args.occupancy:
-        os.environ[OCCUPANCY_ENV] = "1"
     # Spans must accumulate in-process (forces sweeps serial); a
     # metrics-only run can keep --jobs parallelism because sketches and
     # counters merge exactly across workers.
@@ -1159,8 +1001,6 @@ def main(argv: List[str] = None) -> int:
             fh.write("\n")
         print("wrote SLO timelines: %s (%d runs)"
               % (args.slo_timeline, len(blocks)))
-    if getattr(args, "_profile_blocks", None):
-        _emit_profile(args)
     if telemetry is not None:
         if args.breakdown:
             print()

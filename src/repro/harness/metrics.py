@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, Iterable, List, Optional
 
 from ..obs import AuditError, Registry, audit_enabled, current_telemetry, run_audit
 from ..obs.anomaly import detect_run_anomalies
-from ..obs.occupancy import OccupancyTracker, occupancy_enabled
 from ..obs.simprof import SimProfile, profile_enabled
 from ..obs.windows import SloTimeline, attach_switch_sources
 from ..sim import Simulator, percentile, summarize_latencies
@@ -42,40 +40,25 @@ def bench_scale() -> float:
                          % raw) from None
 
 
-def host_block(sim: Simulator) -> Dict[str, float]:
-    """Host-cost summary of a finished run: wall-clock seconds, events
-    fired, and events per host second.
-
-    Profiler-independent and cheap (two clock reads per run), so every
-    :class:`RunResult` carries it and the runstore can query
-    ``fig2a.events_per_sec`` drift across commits.  Kept out of
-    ``extras`` on purpose: host timings differ between a serial and a
-    parallel run of the same figure, and ``extras`` is part of the
-    jobs-invariance fingerprint.
-    """
-    wall_s = max(perf_counter() - sim.wall_start, 1e-9)
-    events = sim.events_processed
-    return {
-        "wall_s": round(wall_s, 4),
-        "events": events,
-        "events_per_sec": round(events / wall_s, 1),
-    }
+def host_block(sim: Simulator) -> Dict[str, int]:
+    """Host-cost summary of a finished run: the events it dispatched
+    (``python -m perf`` reports it as ``events``)."""
+    return {"events": sim.events_processed}
 
 
 class Run:
     """One simulation run's lifecycle, shared by every figure runner.
 
-    Construction creates the :class:`Simulator` (so ``host_block`` times
-    from here) and installs the run's instruments on it, in order: the
-    telemetry, the audit registry, then the occupancy tracker and the
-    host-time profiler.  Components cache all three at construction, so
-    the runner builds its cluster on :attr:`sim` only afterwards.
+    Construction creates the :class:`Simulator` and installs the run's
+    instruments on it, in order: the telemetry, the audit registry, then
+    the host-time profiler.  Components cache the telemetry and the
+    registry at construction, so the runner builds its cluster on
+    :attr:`sim` only afterwards.
 
     ``telemetry``, ``audit`` and ``profile`` override the process-wide
     defaults (:func:`repro.obs.enable`, ``REPRO_AUDIT``,
-    ``REPRO_PROFILE``); occupancy tracking follows ``REPRO_OCCUPANCY``.
-    None of the instruments schedules events or draws randomness, so
-    they never change simulation results.
+    ``REPRO_PROFILE``).  None of the instruments schedules events or
+    draws randomness, so they never change simulation results.
     """
 
     def __init__(self, label: str, warmup_ns: float, measure_ns: float, *,
@@ -102,11 +85,9 @@ class Run:
         scale = bench_scale()
         self.warmup = warmup_ns * scale
         self.measure = measure_ns * scale
-        end = self.warmup + self.measure
-        if occupancy_enabled():
-            sim.occupancy = OccupancyTracker(self.warmup, end)
         want = profile if profile is not None else profile_enabled()
-        self.profile = SimProfile(self.warmup, end) if want else None
+        self.profile = (SimProfile(self.warmup, self.warmup + self.measure)
+                        if want else None)
 
     def timeline(self, fabric) -> SloTimeline:
         """A fresh SLO timeline over the measurement window, with the
@@ -132,23 +113,14 @@ class Run:
         self.run(end)
 
     def finish(self, result: "RunResult") -> "RunResult":
-        """Hang the run's telemetry, profile and occupancy reports on
-        ``result`` and run the auditors; raises
-        :class:`repro.obs.AuditError` on any violation."""
-        sim = self.sim
+        """Hang the run's telemetry and profile report on ``result`` and
+        run the auditors; raises :class:`repro.obs.AuditError` on any
+        violation."""
         result.telemetry = self.telemetry
-        occ = sim.occupancy
-        if occ is not None:
-            occ.finish(sim.now)
         if self.profile is not None:
-            self.profile.finish(sim)
             result.profile = self.profile.report()
-            if occ is not None:
-                result.profile["occupancy"] = occ.report()
-        elif occ is not None:
-            result.profile = {"occupancy": occ.report()}
         if self.audited:
-            result.audit_report = run_audit(sim, self._audit_registry)
+            result.audit_report = run_audit(self.sim, self._audit_registry)
             if not result.audit_report.ok:
                 raise AuditError(result.audit_report)
         return result
@@ -242,15 +214,13 @@ class RunResult:
     #: executor's pickle boundary untouched, so the detected set is
     #: byte-identical for any ``--jobs`` count.
     anomalies: List[dict] = field(default_factory=list, repr=False)
-    #: Host-cost block from :func:`host_block` — wall-clock seconds,
-    #: events fired, events/sec.  Deliberately **not** part of the
-    #: jobs-invariance fingerprint (host timings are machine- and
-    #: scheduling-dependent); None only for hand-built results.
-    host: Optional[Dict[str, float]] = field(default=None, repr=False)
-    #: Cost-observatory report (plain dict from
-    #: :meth:`repro.obs.simprof.SimProfile.report`, with the occupancy
-    #: heatmap under ``"occupancy"`` when tracked); None unless the run
-    #: was profiled via ``--profile`` / ``REPRO_PROFILE``.
+    #: Host-cost block from :func:`host_block` — events fired.  Not part
+    #: of the jobs-invariance fingerprint; None only for hand-built
+    #: results.
+    host: Optional[Dict[str, int]] = field(default=None, repr=False)
+    #: Host-time census (plain dict from
+    #: :meth:`repro.obs.simprof.SimProfile.report`); None unless the run
+    #: was profiled via ``REPRO_PROFILE`` or ``Run(profile=True)``.
     profile: Optional[Dict[str, object]] = field(default=None, repr=False)
 
     @property

@@ -24,8 +24,6 @@ from .metrics import bench_scale
 __all__ = [
     "attach_anomalies",
     "attach_attribution",
-    "attach_host",
-    "attach_profile",
     "attach_slo",
     "scorecard_fig2a",
     "scorecards_fig6_7_8",
@@ -89,54 +87,6 @@ def attach_slo(sc: Scorecard, results: Dict) -> None:
             blocks[_slo_label(key)] = slo
     if blocks:
         sc.meta["slo"] = blocks
-
-
-def attach_host(sc: Scorecard, results: Dict) -> None:
-    """Attach host-cost blocks to ``sc.meta["host"]``.
-
-    Aggregates every sweep point's :attr:`RunResult.host` block
-    (wall-clock seconds, events fired, events/sec) into figure totals
-    plus a per-point ``"runs"`` map.  The top-level ``events_per_sec``
-    is what ``runs query 'figX.events_per_sec < ...'`` resolves against
-    (the runstore falls back to ``meta["host"]`` for names that are not
-    gated metrics).  Host timings are machine-dependent, so this lives
-    in ``meta`` — never as a gated metric — and the block is omitted
-    entirely when no point carries one, keeping hand-built and legacy
-    results byte-identical.
-    """
-    runs: Dict[str, dict] = {}
-    for key, result in results.items():
-        host = getattr(result, "host", None)
-        if host is not None:
-            runs[_slo_label(key)] = host
-    if not runs:
-        return
-    wall = sum(block["wall_s"] for block in runs.values())
-    events = sum(block["events"] for block in runs.values())
-    sc.meta["host"] = {
-        "wall_s": round(wall, 4),
-        "events": events,
-        "events_per_sec": round(events / max(wall, 1e-9), 1),
-        "runs": runs,
-    }
-
-
-def attach_profile(sc: Scorecard, results: Dict) -> None:
-    """Attach cost-observatory reports to ``sc.meta["profile"]``.
-
-    Every sweep point whose result carries a
-    :attr:`RunResult.profile` block (event census, host-time buckets,
-    occupancy heatmap — see :mod:`repro.obs.simprof`) contributes
-    ``sc.meta["profile"][label]``.  Omitted entirely when the run was
-    not profiled, so default scorecards stay byte-identical.
-    """
-    blocks: Dict[str, dict] = {}
-    for key, result in results.items():
-        prof = getattr(result, "profile", None)
-        if prof is not None:
-            blocks[_slo_label(key)] = prof
-    if blocks:
-        sc.meta["profile"] = blocks
 
 
 def attach_anomalies(sc: Scorecard, results: Dict,
@@ -236,35 +186,6 @@ def _fig2a_attribution_check(sc: Scorecard, qps_points: List[int],
         "(>35%%) at %d QPs" % (max(pre_pts), max(post_pts)))
 
 
-#: Buckets that make up the wire data path — fabric-side event machinery
-#: as opposed to timers, the kernel, or the application.
-_FABRIC_SIDE = ("fabric", "switch", "verbs", "rnic", "pcie", "cq")
-
-
-def _fig2a_profile_check(sc: Scorecard, results: Dict[int, object]) -> None:
-    """When profiled at full scale, assert the cost-observatory
-    narrative: the event census of the highest-QP point is led by the
-    fabric-side machinery — RC reads are wire transfers, so the verbs
-    read pipeline and its transfer/completion plumbing own the event
-    stream, not timers or the application."""
-    if bench_scale() != 1.0:
-        return
-    profiled = {q: r.profile for q, r in results.items()
-                if getattr(r, "profile", None)
-                and "census" in getattr(r, "profile")}
-    if not profiled:
-        return
-    q_hi = max(profiled)
-    census = profiled[q_hi]["census"]
-    comp = census.get("dominant_component", "none")
-    share = census.get("dominant_share", 0.0)
-    sc.add_check(
-        "fabric_events_dominate",
-        comp in _FABRIC_SIDE and share > 0.25,
-        "event census at %d QPs: %s owns %.0f%% of measure-window "
-        "dispatches" % (q_hi, comp, share * 100))
-
-
 def scorecard_fig2a(results: Dict[int, object],
                     qp_cache_entries: int = 560) -> Scorecard:
     """Fig. 2(a): RC read throughput rises, plateaus around the QP-cache
@@ -311,9 +232,6 @@ def scorecard_fig2a(results: Dict[int, object],
     _fig2a_slo_check(sc, results, qp_cache_entries)
     attach_attribution(sc, results.values())
     _fig2a_attribution_check(sc, xs, qp_cache_entries)
-    attach_host(sc, results)
-    attach_profile(sc, results)
-    _fig2a_profile_check(sc, results)
     attach_anomalies(sc, results, sweep=sweep,
                      labels={str(q): "rc-read qps=%d" % q for q in xs})
     return sc
@@ -383,8 +301,6 @@ def scorecards_fig6_7_8(results: Dict[tuple, object]) -> List[Scorecard]:
     attach_slo(fig6, results)
     attach_anomalies(fig6, results)
     attach_attribution(fig6, results.values())
-    attach_host(fig6, results)
-    attach_profile(fig6, results)
     return [fig6, fig7, fig8]
 
 
@@ -429,8 +345,6 @@ def scorecard_fig9(results: Dict[tuple, object]) -> Scorecard:
     attach_slo(sc, results)
     attach_anomalies(sc, results)
     attach_attribution(sc, results.values())
-    attach_host(sc, results)
-    attach_profile(sc, results)
     return sc
 
 
@@ -472,8 +386,6 @@ def scorecard_fig10(results: Dict[tuple, object]) -> Scorecard:
     attach_slo(sc, results)
     attach_anomalies(sc, results)
     attach_attribution(sc, results.values())
-    attach_host(sc, results)
-    attach_profile(sc, results)
     return sc
 
 
@@ -537,8 +449,6 @@ def scorecard_fig12(results: Dict[tuple, object]) -> Scorecard:
     attach_slo(sc, results)
     attach_anomalies(sc, results)
     attach_attribution(sc, results.values())
-    attach_host(sc, results)
-    attach_profile(sc, results)
     return sc
 
 
@@ -577,8 +487,6 @@ def _txn_scorecard(figure: str, title: str, results: Dict[tuple, object],
     attach_slo(sc, results)
     attach_anomalies(sc, results)
     attach_attribution(sc, results.values())
-    attach_host(sc, results)
-    attach_profile(sc, results)
     return sc
 
 
@@ -630,8 +538,6 @@ def scorecard_incast(results: Dict[str, object]) -> Scorecard:
     attach_anomalies(sc, results)
     attach_attribution(sc, (results["flock_base"], results["flock_cong"],
                             results["ud_base"], results["ud_cong"]))
-    attach_host(sc, results)
-    attach_profile(sc, results)
     return sc
 
 

@@ -36,8 +36,6 @@ class PcieLink:
         self.reads_issued = 0
         self.busy_ns = 0.0
         self._obs = sim.instrumented
-        #: Occupancy tracker (cost observatory); cached like ``_obs``.
-        self._occ = sim.occupancy
         metrics = sim.metrics
         self._m_reads = metrics.counter("pcie.reads")
         self._m_stall_ns = metrics.counter("pcie.stall_ns")
@@ -66,16 +64,9 @@ class PcieLink:
         if self._obs:
             self._m_reads.inc()
         queued_at = self.sim.now
-        occ = self._occ
-        if occ is not None:
-            occ.sample(self.name + ".queued", queued_at,
-                       self._slots.queue_len)
         if span is not None:
             span.wait_begin("pcie_stall", queued_at)
         yield self._slots.acquire()
-        if occ is not None:
-            occ.add(self.name + ".inflight", self.sim.now, 1.0,
-                    capacity=self._slots.capacity)
         try:
             if self._obs:
                 self._m_queue_ns.inc(self.sim.now - queued_at)
@@ -84,7 +75,5 @@ class PcieLink:
             yield self.sim.timeout(self.read_latency_ns)
         finally:
             self._slots.release()
-            if occ is not None:
-                occ.add(self.name + ".inflight", self.sim.now, -1.0)
         if span is not None:
             span.wait_end("pcie_stall", self.sim.now)

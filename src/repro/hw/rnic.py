@@ -65,8 +65,6 @@ class Rnic:
         # single bool test instead of null-object calls (see
         # docs/performance.md).
         self._obs = sim.instrumented
-        #: Occupancy tracker (cost observatory); cached like ``_obs``.
-        self._occ = sim.occupancy
         metrics = sim.metrics
         self._m_qp_hits = metrics.counter("rnic.qp_cache.hits")
         self._m_qp_misses = metrics.counter("rnic.qp_cache.misses")
@@ -173,11 +171,6 @@ class Rnic:
         port_t0 = self.sim.now
         yield self._tx_port.acquire(span)
         try:
-            if self._occ is not None:
-                # The TX engine serializes this message starting the
-                # instant the port was granted.
-                self._occ.busy("rnic.tx." + self.name, self.sim.now,
-                               self.sim.now + wire)
             if span is not None:
                 port_t1 = self.sim.now
                 if port_t1 > port_t0:

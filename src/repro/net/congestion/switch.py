@@ -118,9 +118,6 @@ class Switch:
         self._m_resumes = metrics.counter("switch.pfc_resumes")
         self._m_queue_ns = metrics.counter("switch.queue_ns")
         self._metrics = metrics
-        #: Occupancy tracker (cost observatory); cached like the
-        #: components' ``_obs`` so the off path is one ``is None`` test.
-        self._occ = sim.occupancy
         sim.register_component(self)
 
     # -- ports -----------------------------------------------------------
@@ -281,13 +278,6 @@ class Switch:
         depth_after = depth + wire_bytes
         if depth_after > port.peak_depth_bytes:
             port.peak_depth_bytes = depth_after
-        if self._occ is not None:
-            # The message's own serialization occupies the port from the
-            # moment the backlog clears until its last byte is out.
-            self._occ.busy("switch.port.%s" % dst_name, now + wait,
-                           port.busy_until)
-            self._occ.sample("switch.depth.%s" % dst_name, now,
-                             depth_after, capacity=self.cfg.buffer_bytes)
         if wait > 0:
             port.queue_wait_ns += wait
             self._m_queue_ns.inc(wait)

@@ -80,9 +80,6 @@ class Fabric:
         self._dcqcn: Dict[Tuple[str, int], DcqcnState] = {}
         self.cnps_delivered = 0
         self._obs = sim.instrumented
-        #: Occupancy tracker (cost observatory); cached like ``_obs`` so
-        #: the off path is one ``is None`` test per transfer.
-        self._occ = sim.occupancy
         metrics = sim.metrics
         self._m_messages = metrics.counter("net.messages")
         self._m_payload_bytes = metrics.counter("net.payload_bytes")
@@ -148,72 +145,63 @@ class Fabric:
         per switch drop.  A carried ``span`` records ``nic_tx`` /
         ``switch_queue`` / ``propagation`` / ``nic_rx`` phases.
         """
-        occ = self._occ
-        if occ is not None:
-            # try/finally (not per-exit decrements) so abandoned or
-            # interrupted transfers release their in-flight slot too.
-            occ.add("fabric.inflight", self.sim.now, 1.0)
-        try:
-            n_packets = src.rnic.packets_for(nbytes)
-            wire_bytes = src.rnic.wire_bytes(nbytes)
-            if self._obs:
-                self._m_messages.inc()
-                self._m_payload_bytes.inc(nbytes)
-                self._m_wire_bytes.inc(wire_bytes)
-                self._m_header_bytes.inc(wire_bytes - nbytes)
-                self._m_packets.inc(n_packets)
-            yield from src.rnic.tx_process(nbytes, src_qpn, rkeys, span=span)
-            delay = self.cfg.propagation_ns + src.rnic.cfg.base_latency_ns
-            if jitter_ns > 0:
-                delay += self.rng.random() * jitter_ns
-            if self.loss_prob > 0:
-                # Loss is per packet: a multi-MTU message runs the gauntlet
-                # once per MTU, so large transfers are proportionally more
-                # exposed.  Any lost packet kills an unreliable message; RC
-                # retransmits each lost packet individually.
-                lost = sum(1 for _ in range(n_packets)
-                           if self.rng.random() < self.loss_prob)
-                if lost:
-                    if not reliable:
-                        self.messages_dropped += 1
-                        if self._obs:
-                            self._m_drops.inc()
-                        return False
-                    # RNIC-level retransmissions: invisible to software.
-                    delay += self.retransmit_ns * lost
+        n_packets = src.rnic.packets_for(nbytes)
+        wire_bytes = src.rnic.wire_bytes(nbytes)
+        if self._obs:
+            self._m_messages.inc()
+            self._m_payload_bytes.inc(nbytes)
+            self._m_wire_bytes.inc(wire_bytes)
+            self._m_header_bytes.inc(wire_bytes - nbytes)
+            self._m_packets.inc(n_packets)
+        yield from src.rnic.tx_process(nbytes, src_qpn, rkeys, span=span)
+        delay = self.cfg.propagation_ns + src.rnic.cfg.base_latency_ns
+        if jitter_ns > 0:
+            delay += self.rng.random() * jitter_ns
+        if self.loss_prob > 0:
+            # Loss is per packet: a multi-MTU message runs the gauntlet
+            # once per MTU, so large transfers are proportionally more
+            # exposed.  Any lost packet kills an unreliable message; RC
+            # retransmits each lost packet individually.
+            lost = sum(1 for _ in range(n_packets)
+                       if self.rng.random() < self.loss_prob)
+            if lost:
+                if not reliable:
+                    self.messages_dropped += 1
                     if self._obs:
-                        self._m_retransmits.inc(lost)
-            marked = False
-            if self.switch is not None:
-                while True:
-                    accepted, marked = yield from self.switch.traverse(
-                        src.name, dst.name, wire_bytes, span=span)
-                    if accepted:
-                        break
-                    if not reliable:
-                        self.messages_dropped += 1
-                        if self._obs:
-                            self._m_drops.inc()
-                        return False
-                    # Tail drop on RC: hardware go-back-N resubmits the
-                    # message after the retransmission timeout.
+                        self._m_drops.inc()
+                    return False
+                # RNIC-level retransmissions: invisible to software.
+                delay += self.retransmit_ns * lost
+                if self._obs:
+                    self._m_retransmits.inc(lost)
+        marked = False
+        if self.switch is not None:
+            while True:
+                accepted, marked = yield from self.switch.traverse(
+                    src.name, dst.name, wire_bytes, span=span)
+                if accepted:
+                    break
+                if not reliable:
+                    self.messages_dropped += 1
                     if self._obs:
-                        self._m_retransmits.inc()
-                    yield self.sim.timeout(self.retransmit_ns)
-            if span is not None:
-                span.add_phase("propagation", self.sim.now, self.sim.now + delay)
-                span.wait("propagation", self.sim.now, self.sim.now + delay)
-            yield self.sim.timeout(delay)
-            yield from dst.rnic.rx_process(nbytes, dst_qpn, rkeys, span=span)
-            self.messages_delivered += 1
-            if marked and reliable and self.dcqcn_active:
-                # The receiver's CNP generator notifies the marked flow.
-                self.sim.spawn(self._deliver_cnp(src.name, src_qpn),
-                               name="cnp")
-            return True
-        finally:
-            if occ is not None:
-                occ.add("fabric.inflight", self.sim.now, -1.0)
+                        self._m_drops.inc()
+                    return False
+                # Tail drop on RC: hardware go-back-N resubmits the
+                # message after the retransmission timeout.
+                if self._obs:
+                    self._m_retransmits.inc()
+                yield self.sim.timeout(self.retransmit_ns)
+        if span is not None:
+            span.add_phase("propagation", self.sim.now, self.sim.now + delay)
+            span.wait("propagation", self.sim.now, self.sim.now + delay)
+        yield self.sim.timeout(delay)
+        yield from dst.rnic.rx_process(nbytes, dst_qpn, rkeys, span=span)
+        self.messages_delivered += 1
+        if marked and reliable and self.dcqcn_active:
+            # The receiver's CNP generator notifies the marked flow.
+            self.sim.spawn(self._deliver_cnp(src.name, src_qpn),
+                           name="cnp")
+        return True
 
     def transfer_async(self, *args, **kwargs):
         """Spawn :meth:`transfer` as a background process; returns it."""

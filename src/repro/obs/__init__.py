@@ -59,7 +59,6 @@ from .causal import (
     attribution_report,
     critical_path,
     critical_paths,
-    folded_lines,
     folded_stacks,
     format_attribution,
     what_if,
@@ -76,7 +75,6 @@ from .explain import (
     top_shift,
 )
 from .export import chrome_trace, format_breakdown, write_chrome_trace
-from .occupancy import OccupancyTracker, occupancy_enabled
 from .registry import (
     Counter,
     Gauge,
@@ -134,12 +132,10 @@ __all__ = [
     "severity_label",
     "shift_table",
     "top_shift",
-    "folded_lines",
     "folded_stacks",
     "format_attribution",
     "load_scorecard",
     "component_bucket",
-    "occupancy_enabled",
     "profile_enabled",
     "run_audit",
     "what_if",
@@ -148,7 +144,6 @@ __all__ = [
     "Histogram",
     "NullRegistry",
     "NullSpanLog",
-    "OccupancyTracker",
     "PHASES",
     "QuantileSketch",
     "Registry",

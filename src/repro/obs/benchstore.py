@@ -72,12 +72,6 @@ class CompareReport:
     #: metrics and held checks are the contract, the anomaly diff is the
     #: explanation of *where* a regression bit.
     anomaly_flags: List[str] = field(default_factory=list)
-    #: Host-cost drift (wall-clock, events/sec) between the runs'
-    #: ``meta["host"]`` blocks.  Informational only — host timings are
-    #: machine-dependent, so drift surfaces in :meth:`format` but never
-    #: flips :attr:`ok`; committed baselines may not even carry the
-    #: block (it is omitted for unprofiled legacy runs).
-    host_flags: List[str] = field(default_factory=list)
 
     @property
     def regressions(self) -> List[MetricDelta]:
@@ -99,8 +93,6 @@ class CompareReport:
             lines.append("  REGRESSION check %s now fails" % name)
         for flag in self.anomaly_flags:
             lines.append("  anomaly %s" % flag)
-        for flag in self.host_flags:
-            lines.append("  host %s" % flag)
         for s in self.skipped:
             lines.append("  skip %s" % s)
         if self.ok:
@@ -158,26 +150,7 @@ def compare_scorecards(baseline: Scorecard,
         for entry in diff[verb]:
             report.anomaly_flags.append(
                 "%s %s: %s" % (baseline.figure, verb, entry))
-    report.host_flags.extend(_host_drift(baseline, current))
     return report
-
-
-def _host_drift(baseline: Scorecard, current: Scorecard) -> List[str]:
-    """Informational host-cost drift between two runs' ``meta["host"]``
-    blocks; empty unless both runs carry one."""
-    base = baseline.meta.get("host")
-    cur = current.meta.get("host")
-    if not base or not cur:
-        return []
-    flags = []
-    for name, fmt in (("wall_s", "%.2fs"), ("events_per_sec", "%.0f/s")):
-        b, c = base.get(name), cur.get(name)
-        if not b or c is None:
-            continue
-        flags.append("%s %s: %s -> %s (%+.0f%%)"
-                     % (baseline.figure, name, fmt % b, fmt % c,
-                        (c - b) / b * 100.0))
-    return flags
 
 
 def _merge(into: CompareReport, part: CompareReport) -> None:
@@ -185,7 +158,6 @@ def _merge(into: CompareReport, part: CompareReport) -> None:
     into.skipped.extend(part.skipped)
     into.failed_checks.extend(part.failed_checks)
     into.anomaly_flags.extend(part.anomaly_flags)
-    into.host_flags.extend(part.host_flags)
 
 
 def compare_dirs(baseline_dir: str, current_dir: str,

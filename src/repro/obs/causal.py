@@ -50,7 +50,6 @@ __all__ = [
     "critical_path",
     "critical_paths",
     "attribute",
-    "folded_lines",
     "folded_stacks",
     "what_if",
     "what_if_all",
@@ -248,19 +247,6 @@ def attribute(paths: Iterable[CriticalPath]) -> Dict[str, Dict[str, float]]:
     return out
 
 
-def folded_lines(weights: Dict[str, float]) -> str:
-    """Render a ``frames -> weight`` mapping in collapsed-stack format.
-
-    Keys are ``;``-joined frame stacks, weights are rounded to integer
-    nanoseconds; lines come out sorted so identical inputs produce
-    byte-identical output.  Shared by the critical-path exporter below
-    and the host-time profiler (:mod:`repro.obs.simprof`).
-    """
-    lines = ["%s %d" % (key, int(round(weights[key])))
-             for key in sorted(weights)]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def folded_stacks(paths: Iterable[CriticalPath]) -> str:
     """Collapsed-stack export: ``<span name>;<resource> <ns>`` lines.
 
@@ -275,7 +261,9 @@ def folded_stacks(paths: Iterable[CriticalPath]) -> str:
         for seg in path.segments:
             key = "%s;%s" % (prefix, seg.resource)
             weights[key] = weights.get(key, 0.0) + seg.duration
-    return folded_lines(weights)
+    lines = ["%s %d" % (key, int(round(weights[key])))
+             for key in sorted(weights)]
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def what_if(paths: Sequence[CriticalPath], resource: str) -> Dict[str, float]:

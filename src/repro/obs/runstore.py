@@ -136,21 +136,13 @@ class RunRecord:
         return Scorecard.from_dict(data) if data is not None else None
 
     def metric(self, figure: str, name: str) -> Optional[float]:
-        """A metric value by figure and name (None when absent).
-
-        Falls back to the scorecard's ``meta["host"]`` block, so host
-        cost is queryable (``fig2a.events_per_sec < 2e6``) without ever
-        being a gated metric.
-        """
+        """A metric value by figure and name (None when absent)."""
         sc = self.scorecards.get(figure)
         if sc is None:
             return None
         for m in sc.get("metrics", ()):
             if m.get("name") == name:
                 return m.get("value")
-        host = sc.get("meta", {}).get("host")
-        if isinstance(host, dict) and isinstance(host.get(name), (int, float)):
-            return host[name]
         return None
 
     def to_dict(self) -> dict:
@@ -285,7 +277,6 @@ class RunStore:
             report.skipped.extend(part.skipped)
             report.failed_checks.extend(part.failed_checks)
             report.anomaly_flags.extend(part.anomaly_flags)
-            report.host_flags.extend(part.host_flags)
         return report
 
     # -- querying -------------------------------------------------------

@@ -1,27 +1,18 @@
-"""Simulation cost observatory: event census + host-time profiler.
+"""Simulation cost census: host time and dispatched events per layer.
 
 Deciding where to spend optimisation effort rests on the *simulator's
 own* cost structure: which layer's events dominate event volume and
 host wall-clock.  This module measures that instead of assuming it.
 
-Two instruments share one bucketing scheme:
-
-* **Event census** — every dispatched event is attributed to the
-  component that owns its callback (``fabric``, ``switch``, ``rnic``,
-  ``pcie``, ``cq``, ``credits``, ``flock``, ``verbs``, ``kernel``,
-  ``app``, ``timers``) and a callback *kind* (``process`` for generator
-  resumes, ``callback`` for plain event callbacks, ``timer`` for bare
-  timeouts, ``idle`` for events that fire with no listeners).  Counts
-  are kept per virtual-time window over the measurement span, riding
-  the same windowing math as :class:`repro.obs.windows.SloTimeline`,
-  so census heatmaps line up column-for-column with SLO timelines and
-  occupancy heatmaps.
-* **Host-time profiler** — :meth:`repro.sim.core.Simulator.run_profiled`
-  brackets every callback batch with ``perf_counter_ns`` and feeds the
-  elapsed host nanoseconds into the same buckets, split by run phase
-  (``warmup`` / ``measure`` / ``drain``).  Shares sum to 1 by
-  construction; the folded-stack export feeds ``flamegraph.pl`` or
-  speedscope directly.
+:meth:`repro.sim.core.Simulator.run_profiled` brackets every callback
+batch with ``perf_counter_ns`` and charges the elapsed host nanoseconds
+to the component that owns the callback (``fabric``, ``switch``,
+``rnic``, ``pcie``, ``cq``, ``credits``, ``flock``, ``verbs``,
+``kernel``, ``app``, ``timers``) and a callback *kind* (``process`` for
+generator resumes, ``callback`` for plain event callbacks, ``timer`` for
+bare timeouts, ``idle`` for events that fire with no listeners).  The
+per-layer ``events`` and ``host_pct`` metrics of ``python -m perf
+--trace`` are sums over these buckets.
 
 Classification must not slow the loop down: a callback's owning
 component is derived from its code object's filename and **memoized by
@@ -30,17 +21,17 @@ resumes are special-cased — the interesting owner of a
 :class:`~repro.sim.core.Process` resume is the *generator* being
 resumed, not the kernel's ``_resume`` trampoline.
 
-Everything here is opt-in (``REPRO_PROFILE=1`` or ``--profile``) and
-touches neither virtual time nor RNG: a profiled run produces the exact
-same simulation results as a plain one, just slower on the host.
+Everything here is opt-in (``REPRO_PROFILE=1``, which ``python -m perf
+--trace`` sets) and touches neither virtual time nor RNG: a profiled run
+produces the exact same simulation results as a plain one, just slower
+on the host.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..config import env_flag
-from .windows import DEFAULT_WINDOWS
 
 __all__ = [
     "PROFILE_ENV",
@@ -49,7 +40,7 @@ __all__ = [
     "profile_enabled",
 ]
 
-#: Environment switch for the host-time profiler (``--profile`` sets it).
+#: Environment switch for the host-time profiler.
 PROFILE_ENV = "REPRO_PROFILE"
 
 
@@ -95,33 +86,22 @@ def component_bucket(filename: str) -> str:
 class SimProfile:
     """Accumulator fed by :meth:`Simulator.run_profiled`.
 
-    One instance spans a whole run (warmup + measure + drain); the
-    census windows cover the measurement span ``[t0, t1)`` only, while
-    host-time and phase totals cover everything dispatched.
+    One instance spans a whole run (warmup + measure + drain) and counts
+    every dispatched event; ``[t0, t1)`` records the run's measurement
+    span.
     """
 
-    def __init__(self, t0: float, t1: float,
-                 n_windows: int = DEFAULT_WINDOWS):
+    def __init__(self, t0: float, t1: float):
         if t1 <= t0:
             raise ValueError("empty profile measurement span")
         self.t0 = t0
         self.t1 = t1
-        self.n_windows = n_windows
-        self.window_ns = (t1 - t0) / self.n_windows
         #: host ns per ``component;kind`` bucket.
         self.host_ns: Dict[str, int] = {}
         #: dispatched-event count per bucket (whole run).
         self.dispatched: Dict[str, int] = {}
-        #: events left on the schedule at :meth:`finish` — scheduled but
-        #: never dispatched (the run ended first).
-        self.cancelled: Dict[str, int] = {}
-        #: census: per measurement window, dispatch counts per bucket.
-        self._census: Dict[int, Dict[str, int]] = {}
-        self._phase_ns = {"warmup": 0, "measure": 0, "drain": 0}
-        self._phase_events = {"warmup": 0, "measure": 0, "drain": 0}
         #: code object -> component bucket memo (the hot-path cache).
         self._code_bucket: Dict[Any, str] = {}
-        self._finished = False
 
     # -- classification -------------------------------------------------
 
@@ -133,7 +113,7 @@ class SimProfile:
         return bucket
 
     def classify(self, event: Any, callbacks: Optional[List[Any]]) -> str:
-        """``component;kind`` bucket for one fired (or pending) event.
+        """``component;kind`` bucket for one fired event.
 
         Attribution follows the first callback — overwhelmingly the only
         one — because that is who the event wakes: a process resume is
@@ -171,43 +151,12 @@ class SimProfile:
     # -- accounting (called from the instrumented loop) -----------------
 
     def account(self, event: Any, callbacks: Optional[List[Any]],
-                dt_ns: int, now: float) -> None:
+                dt_ns: int) -> None:
         """Charge one dispatched event: ``dt_ns`` host nanoseconds spent
-        firing it at virtual time ``now``."""
+        firing it."""
         key = self.classify(event, callbacks)
         self.host_ns[key] = self.host_ns.get(key, 0) + dt_ns
         self.dispatched[key] = self.dispatched.get(key, 0) + 1
-        if now < self.t0:
-            phase = "warmup"
-        elif now < self.t1:
-            phase = "measure"
-            idx = int((now - self.t0) / self.window_ns)
-            if idx >= self.n_windows:  # float edge at t1
-                idx = self.n_windows - 1
-            win = self._census.get(idx)
-            if win is None:
-                win = self._census[idx] = {}
-            win[key] = win.get(key, 0) + 1
-        else:
-            phase = "drain"
-        self._phase_ns[phase] += dt_ns
-        self._phase_events[phase] += 1
-
-    def finish(self, sim: Any) -> None:
-        """Census the schedule's leftovers as *cancelled* events.
-
-        Called once after the profiled run: anything still sitting on
-        the heap or the ready deque was scheduled but never dispatched.
-        Idempotent.
-        """
-        if self._finished:
-            return
-        self._finished = True
-        leftovers = [entry[2] for entry in sim._heap]
-        leftovers.extend(sim._ready)
-        for event in leftovers:
-            key = self.classify(event, event.callbacks)
-            self.cancelled[key] = self.cancelled.get(key, 0) + 1
 
     # -- reporting ------------------------------------------------------
 
@@ -215,97 +164,23 @@ class SimProfile:
     def total_host_ns(self) -> int:
         return sum(self.host_ns.values())
 
-    @property
-    def total_dispatched(self) -> int:
-        return sum(self.dispatched.values())
-
-    def dominant_component(self) -> Tuple[str, float]:
-        """``(component, share)`` of the measurement-window census.
-        Falls back to whole-run dispatch counts when the measurement
-        window saw no events."""
-        by_comp: Dict[str, int] = {}
-        for win in self._census.values():
-            for key, n in win.items():
-                comp = key.split(";", 1)[0]
-                by_comp[comp] = by_comp.get(comp, 0) + n
-        if not by_comp:
-            for key, n in self.dispatched.items():
-                comp = key.split(";", 1)[0]
-                by_comp[comp] = by_comp.get(comp, 0) + n
-        if not by_comp:
-            return ("none", 0.0)
-        total = sum(by_comp.values())
-        comp = max(by_comp, key=lambda c: (by_comp[c], c))
-        return (comp, by_comp[comp] / total)
-
-    def folded(self) -> str:
-        """Folded-stack export: ``sim;<component>;<kind> <host ns>``
-        lines, via the same collapsed-stack renderer as
-        :func:`repro.obs.causal.folded_stacks`."""
-        from .causal import folded_lines
-        weights = {"sim;" + key: float(ns)
-                   for key, ns in self.host_ns.items()}
-        return folded_lines(weights)
-
     def report(self) -> Dict[str, Any]:
-        """The whole observatory as plain JSON-safe data.
+        """The census as plain JSON-safe data.
 
-        ``host.buckets[*].share`` sums to 1 (±1e-6) whenever any host
-        time was recorded; census windows line up with the SLO
-        timeline's."""
+        ``host.buckets`` lists every ``component;kind`` bucket, costliest
+        first; ``share`` sums to 1 (±1e-6) whenever any host time was
+        recorded."""
         total_ns = self.total_host_ns
         buckets = []
         for key in sorted(self.host_ns,
                           key=lambda k: (-self.host_ns[k], k)):
             ns = self.host_ns[key]
             comp, kind = key.split(";", 1)
-            events = self.dispatched.get(key, 0)
             buckets.append({
                 "component": comp,
                 "kind": kind,
                 "ns": ns,
                 "share": (ns / total_ns) if total_ns else 0.0,
-                "events": events,
-                "ns_per_event": round(ns / events, 3) if events else 0.0,
+                "events": self.dispatched.get(key, 0),
             })
-        phases = {}
-        for name in ("warmup", "measure", "drain"):
-            ns = self._phase_ns[name]
-            events = self._phase_events[name]
-            phases[name] = {
-                "host_ns": ns,
-                "events": events,
-                "events_per_sec": round(events / (ns * 1e-9), 1) if ns else 0.0,
-            }
-        windows = []
-        for idx in range(self.n_windows):
-            win = self._census.get(idx, {})
-            windows.append({
-                "window": idx,
-                "t0_ns": self.t0 + idx * self.window_ns,
-                "t1_ns": self.t0 + (idx + 1) * self.window_ns,
-                "events": sum(win.values()),
-                "counts": {k: win[k] for k in sorted(win)},
-            })
-        scheduled = {}
-        for key in set(self.dispatched) | set(self.cancelled):
-            scheduled[key] = (self.dispatched.get(key, 0)
-                              + self.cancelled.get(key, 0))
-        dominant, dom_share = self.dominant_component()
-        return {
-            "t0_ns": self.t0,
-            "t1_ns": self.t1,
-            "window_ns": self.window_ns,
-            "n_windows": self.n_windows,
-            "host": {"total_ns": total_ns, "buckets": buckets},
-            "phases": phases,
-            "census": {
-                "dispatched": self.total_dispatched,
-                "cancelled": sum(self.cancelled.values()),
-                "scheduled": sum(scheduled.values()),
-                "by_bucket": {k: scheduled[k] for k in sorted(scheduled)},
-                "dominant_component": dominant,
-                "dominant_share": round(dom_share, 6),
-                "windows": windows,
-            },
-        }
+        return {"host": {"total_ns": total_ns, "buckets": buckets}}

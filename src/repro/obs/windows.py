@@ -40,8 +40,7 @@ __all__ = [
     "attach_switch_sources",
 ]
 
-#: Number of windows a measurement window is split into; the profiler's
-#: census and the occupancy heatmap use the same grid.
+#: Number of windows a measurement window is split into.
 DEFAULT_WINDOWS = 8
 
 

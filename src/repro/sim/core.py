@@ -40,7 +40,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from itertools import count
-from time import perf_counter, perf_counter_ns
+from time import perf_counter_ns
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from ..obs.registry import null_registry
@@ -413,13 +413,6 @@ class Simulator:
         #: Heap pops that would move the clock backwards (always 0 with a
         #: correct heap; the monotone-time auditor asserts it).
         self.time_regressions = 0
-        #: Optional :class:`repro.obs.occupancy.OccupancyTracker`; like
-        #: telemetry it must be installed *before* the cluster is built
-        #: (components cache the reference at construction).  ``None``
-        #: keeps every hook site to a single cached ``is None`` test.
-        self.occupancy: Optional[Any] = None
-        #: Host wall-clock at construction, for events/sec reporting.
-        self.wall_start = perf_counter()
 
     # -- scheduling ----------------------------------------------------
 
@@ -608,13 +601,13 @@ class Simulator:
 
     def run_profiled(self, profile: Any,
                      until: Optional[float] = None) -> None:
-        """Instrumented twin of :meth:`run` for the cost observatory.
+        """Instrumented twin of :meth:`run` for the host-time census.
 
         Identical event-selection semantics (same order, same clock
         behaviour, same ``until`` handling — a profiled run produces
         byte-identical simulation results), but every callback batch is
         bracketed with ``perf_counter_ns`` and charged to ``profile``
-        via ``profile.account(event, callbacks, dt_ns, now)``.
+        via ``profile.account(event, callbacks, dt_ns)``.
 
         Kept as a **separate** loop so :meth:`run` — the PR 5 fast path —
         stays untouched and pays nothing when profiling is off.
@@ -650,7 +643,7 @@ class Simulator:
                 if callbacks:
                     for fn in callbacks:
                         fn(event)
-                account(event, callbacks, clock() - t_fire, self.now)
+                account(event, callbacks, clock() - t_fire)
         finally:
             self._n_events = n
         if until is not None:

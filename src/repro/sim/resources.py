@@ -208,7 +208,7 @@ class TrackedStore(Store):
     Items handed directly to a blocked getter never occupy the queue:
     they count as accepted and reaped with zero wait.  Tracking is off by
     default and the untracked paths delegate straight to :class:`Store`,
-    so the perf-guard's null-telemetry contract is unaffected.
+    so telemetry-off runs pay nothing for it.
     """
 
     __slots__ = ("track", "name", "accepted", "reaped", "wait_ns", "area",

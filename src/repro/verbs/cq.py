@@ -26,9 +26,6 @@ class CompletionQueue:
         self.name = name
         self._obs = sim.instrumented
         self._trace = sim.spans.enabled
-        #: Occupancy tracker (cost observatory); cached like ``_obs``.
-        #: CQ residency feeds one aggregate ``cq.depth`` level series.
-        self._occ = sim.occupancy
         metrics = sim.metrics
         # Queueing-theory accounting (arrival times, depth-time integral)
         # only when telemetry is live: the Little's-law auditor consumes
@@ -50,8 +47,6 @@ class CompletionQueue:
         """RNIC side: append a completion (drops + counts on overflow)."""
         if self._store.try_put(wc):
             self.pushed += 1
-            if self._occ is not None:
-                self._occ.add("cq.depth", self.sim.now, 1.0)
             if self._obs:
                 self._m_pushed.inc()
                 self._m_depth.observe(len(self._store))
@@ -78,10 +73,6 @@ class CompletionQueue:
         if ev.ok and isinstance(ev.value, Completion):
             self._note_reap(ev.value)
 
-    def _occ_reap_cb(self, ev: Event) -> None:
-        if ev.ok and isinstance(ev.value, Completion):
-            self._occ.add("cq.depth", self.sim.now, -1.0)
-
     def poll(self, max_entries: int = 16) -> List[Completion]:
         """Non-blocking reap of up to ``max_entries`` completions."""
         out: List[Completion] = []
@@ -91,8 +82,6 @@ class CompletionQueue:
                 break
             out.append(wc)
         if out:
-            if self._occ is not None:
-                self._occ.add("cq.depth", self.sim.now, -float(len(out)))
             # Completion batching: how many CQEs each successful poll reaps.
             if self._obs:
                 self._m_poll_batch.observe(len(out))
@@ -106,8 +95,6 @@ class CompletionQueue:
         ev = self._store.get()
         if self._trace:
             ev.add_callback(self._reap_cb)
-        if self._occ is not None:
-            ev.add_callback(self._occ_reap_cb)
         return ev
 
     # -- audit accounting (populated when telemetry is live) -------------

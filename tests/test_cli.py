@@ -52,64 +52,21 @@ class TestSmallRuns:
         assert "FLock" in out and "eRPC" in out
 
 
-class TestProfileCommand:
-    @pytest.fixture(autouse=True)
-    def _clean_env(self, monkeypatch):
-        # delenv(raising=False) on an *absent* var records nothing to
-        # restore, so env set by the command under test would leak into
-        # later tests.  setenv first registers the original (absent)
-        # state; the delenv then leaves the var unset for the test.
-        for var in ("REPRO_BENCH_SCALE", "REPRO_PROFILE",
-                    "REPRO_OCCUPANCY"):
-            monkeypatch.setenv(var, "pending-delete")
-            monkeypatch.delenv(var)
-
-    def test_profile_subcommand_exports(self, capsys, tmp_path):
-        flame = tmp_path / "fig2a.folded"
-        census = tmp_path / "fig2a.json"
-        rc = main(["--scale", "0.05", "profile",
-                   "--flame", str(flame), "--census", str(census),
-                   "fig2a", "--qps", "8", "--clients", "2"])
-        assert not rc
-        out = capsys.readouterr().out
-        assert "Cost observatory" in out
-        import json
-        doc = json.loads(census.read_text())
-        for prof in doc["runs"].values():
-            shares = [b["share"] for b in prof["host"]["buckets"]]
-            assert abs(sum(shares) - 1.0) < 1e-6
-            assert "occupancy" in prof
-        for line in flame.read_text().splitlines():
-            frame, ns = line.rsplit(" ", 1)
-            # label;component;kind frames, flamegraph.pl-ready
-            assert frame.count(";") == 2 and int(ns) >= 0
-
-    def test_profile_requires_a_figure(self, capsys):
-        assert main(["profile"]) == 2
-
-    def test_plain_run_has_no_observatory_output(self, capsys):
-        main(["--scale", "0.05", "fig2a", "--qps", "8", "--clients", "2"])
-        assert "Cost observatory" not in capsys.readouterr().out
-
-
 class TestRunKnobs:
     """The boolean knobs share one parser; malformed values of any run
     knob fail loudly instead of silently picking a default."""
 
     @pytest.fixture(autouse=True)
     def _clean_env(self, monkeypatch):
-        for var in ("REPRO_AUDIT", "REPRO_PROFILE", "REPRO_OCCUPANCY",
-                    "REPRO_BENCH_SCALE"):
+        for var in ("REPRO_AUDIT", "REPRO_PROFILE", "REPRO_BENCH_SCALE"):
             monkeypatch.setenv(var, "pending-delete")
             monkeypatch.delenv(var)
 
     @staticmethod
     def _flags():
         from repro.obs.audit import AUDIT_ENV, audit_enabled
-        from repro.obs.occupancy import OCCUPANCY_ENV, occupancy_enabled
         from repro.obs.simprof import PROFILE_ENV, profile_enabled
-        return [(AUDIT_ENV, audit_enabled), (PROFILE_ENV, profile_enabled),
-                (OCCUPANCY_ENV, occupancy_enabled)]
+        return [(AUDIT_ENV, audit_enabled), (PROFILE_ENV, profile_enabled)]
 
     @pytest.mark.parametrize("raw,want", [
         ("1", True), ("true", True), ("Yes", True), ("on", True),

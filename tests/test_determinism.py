@@ -80,10 +80,6 @@ def test_scorecards_byte_identical_across_runs(tmp_path):
         results = {q: run_raw_reads(q, n_clients=3) for q in (12, 24)}
         sc = scorecard_fig2a(results)
         sc.meta["bench_scale"] = 1.0
-        # Host wall-clock (meta["host"]) is machine-dependent by
-        # design; everything else must be byte-identical.
-        host = sc.meta.pop("host")
-        assert host["events"] > 0
         return sc.write(str(directory))
 
     p1 = build(tmp_path / "a")

@@ -69,7 +69,6 @@ RUN_KNOBS = {
     "REPRO_JOBS",
     "REPRO_AUDIT",
     "REPRO_PROFILE",
-    "REPRO_OCCUPANCY",
     "REPRO_FAULTS",
     "REPRO_RUNSTORE_DIR",
 }

@@ -355,6 +355,9 @@ class TestTracedRuns:
         # Observability must not perturb virtual time: identical results.
         assert traced.ops == base.ops
         assert traced.latency == base.latency
+        assert traced.extras["events"] == base.extras["events"]
+        assert traced.extras["mean_coalescing_degree"] == \
+            base.extras["mean_coalescing_degree"]
         assert base.telemetry is None
 
     def test_fig2a_breakdown_shows_qp_cache_cliff(self):

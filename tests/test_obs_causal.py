@@ -399,7 +399,8 @@ class TestFig2aAcceptance:
         assert abs(bound - actual) / actual <= 0.25
 
     def test_attribution_is_deterministic(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "1")
+        # Determinism does not depend on scale: the shortest window will do.
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.1")
         outputs = []
         for _ in range(2):
             _, tel = _attribution_for(176)

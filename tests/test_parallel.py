@@ -178,12 +178,7 @@ class TestSweepDeterminism:
             assert _result_fingerprint(serial[q]) == \
                 _result_fingerprint(parallel[q])
         def dump(res):
-            d = scorecard_fig2a(res).to_dict()
-            # Host timings are machine- and scheduling-dependent by
-            # design; everything else must match bit-for-bit.
-            host = d["meta"].pop("host")
-            assert host["events"] > 0 and host["wall_s"] > 0
-            return json.dumps(d, sort_keys=True)
+            return json.dumps(scorecard_fig2a(res).to_dict(), sort_keys=True)
         assert dump(serial) == dump(parallel)
 
     def test_incast_legs_and_retention(self):
