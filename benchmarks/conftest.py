@@ -7,16 +7,18 @@ and merged into ``benchmarks/results.txt`` for EXPERIMENTS.md.  Sections
 are keyed by table title, so re-running a single figure refreshes its
 section without discarding the others.
 
-Figure benchmarks additionally emit paper-fidelity scorecards via
-:func:`record_scorecard`; those land as ``BENCH_<figure>.json`` files in
-``benchmarks/scorecards`` (override with ``REPRO_SCORECARD_DIR``) and
-can be diffed against the committed ``benchmarks/baselines`` with
-``python -m repro.harness.cli bench-compare``.
+Figure benchmarks run a registered :class:`repro.harness.FigureSpec`
+through the :func:`run_figure` fixture, which records the spec's tables
+and its paper-fidelity scorecards (:func:`record_scorecard`); those land
+as ``BENCH_<figure>.json`` files in ``benchmarks/scorecards`` (override
+with ``REPRO_SCORECARD_DIR``) and can be diffed against the committed
+``benchmarks/baselines`` with ``python -m repro.harness.cli
+bench-compare``.  ``REPRO_JOBS`` fans a figure's sweep points across
+worker processes with byte-identical results.
 
-The invariant auditors run on every ``test_fig*`` benchmark (the
-``REPRO_AUDIT`` environment variable is forced on for those modules), so
-a figure whose bookkeeping drifts fails even when its headline numbers
-still look plausible.
+The invariant auditors run on every figure benchmark (the fixture forces
+``REPRO_AUDIT`` on), so a figure whose bookkeeping drifts fails even
+when its headline numbers still look plausible.
 
 Every bench session that produced scorecards is also appended to the
 run-history store (``repro.obs.runstore``) with its git context, so
@@ -32,7 +34,7 @@ from typing import Dict, List, Sequence
 
 import pytest
 
-from repro.harness import bench_scale, format_table
+from repro.harness import FIGURES, bench_scale, format_table
 from repro.obs.audit import AUDIT_ENV
 from repro.obs.runstore import RunStore
 
@@ -58,13 +60,24 @@ def record_scorecard(scorecard) -> None:
     _SCORECARDS.append(scorecard)
 
 
-@pytest.fixture(autouse=True)
-def _audit_fig_benchmarks(request, monkeypatch):
-    """Force the end-of-run auditors on for every figure benchmark
-    (``test_fig*`` modules)."""
-    module_name = getattr(request.module, "__name__", "")
-    if module_name.rpartition(".")[2].startswith("test_fig"):
-        monkeypatch.setenv(AUDIT_ENV, "1")
+@pytest.fixture
+def run_figure(monkeypatch):
+    """Run a registered figure's full sweep with the auditors on, record
+    its tables and scorecards, and assert every scorecard passed."""
+    monkeypatch.setenv(AUDIT_ENV, "1")
+
+    def run(name: str) -> None:
+        spec = FIGURES[name]
+        results = spec.run(**spec.defaults)
+        for table in spec.tables(results, **spec.defaults):
+            record_table(*table)
+        scorecards = spec.scorecards(results, **spec.defaults)
+        for scorecard in scorecards:
+            record_scorecard(scorecard)
+        failed = [sc.format() for sc in scorecards if not sc.passed]
+        assert not failed, "\n\n".join(failed)
+
+    return run
 
 
 def _is_rule(line: str) -> bool:

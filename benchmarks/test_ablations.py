@@ -6,8 +6,6 @@ credit batch size C (32).  Each documents why the paper's choice sits
 where it does.
 """
 
-import pytest
-
 from repro.config import FlockConfig
 from repro.harness import MicrobenchConfig, run_flock
 
@@ -25,20 +23,15 @@ HIGH_FANIN = MicrobenchConfig(n_clients=23, threads_per_client=32,
                               outstanding=4)
 
 
-def test_ablation_max_aqp(benchmark):
+def test_ablation_max_aqp():
     """MAX_AQP trades throughput for latency: fewer active QPs mean more
     sharing and deeper coalescing (throughput up — the same effect the
     paper's Fig. 12 shows for 2thr/1QP vs 2thr/2QP) at the cost of
     combining-queue latency; far above the NIC cache it reintroduces the
     Fig. 2a thrashing.  The paper's 256 sits at the latency-friendly end
     of the throughput plateau."""
-    sweep = [32, 128, 256, 736]
-
-    def run():
-        return {aqp: run_flock(HIGH_FANIN, flock_cfg=flock_cfg(max_aqp=aqp))
-                for aqp in sweep}
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = {aqp: run_flock(HIGH_FANIN, flock_cfg=flock_cfg(max_aqp=aqp))
+               for aqp in (32, 128, 256, 736)}
     rows = [[aqp, round(r.mops, 2), round(r.p99_us, 1),
              r.extras["active_qps"], r.extras["qp_cache_miss"],
              r.extras["mean_coalescing_degree"]]
@@ -81,20 +74,14 @@ def test_ablation_max_aqp(benchmark):
     assert light_256.median_us < 1.5 * light_32.median_us
 
 
-def test_ablation_combine_bound(benchmark):
+def test_ablation_combine_bound():
     """The leader's bounded combining, measured in a high-sharing regime
     (MAX_AQP=64, ~11 threads per active QP): 1 disables coalescing,
     very large bounds stop helping once batches exceed concurrent
     arrivals."""
-    sweep = [1, 4, 16, 64]
-
-    def run():
-        return {bound: run_flock(
-            HIGH_FANIN,
-            flock_cfg=flock_cfg(max_combine=bound, max_aqp=64))
-            for bound in sweep}
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = {bound: run_flock(
+        HIGH_FANIN, flock_cfg=flock_cfg(max_combine=bound, max_aqp=64))
+        for bound in (1, 4, 16, 64)}
     rows = [[bound, round(r.mops, 2),
              r.extras["mean_coalescing_degree"]]
             for bound, r in results.items()]
@@ -108,20 +95,12 @@ def test_ablation_combine_bound(benchmark):
     assert results[64].mops < 1.3 * results[16].mops
 
 
-def test_ablation_credit_batch(benchmark):
+def test_ablation_credit_batch():
     """Credit batch C: too small starves QPs on renewal latency; the
     paper's 32 captures most of the benefit of larger batches."""
-    sweep = [4, 32, 128]
-
-    def run():
-        out = {}
-        for batch in sweep:
-            cfg = flock_cfg(credit_batch=batch,
-                            credit_renew_threshold=batch // 2)
-            out[batch] = run_flock(HIGH_FANIN, flock_cfg=cfg)
-        return out
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = {batch: run_flock(HIGH_FANIN, flock_cfg=flock_cfg(
+        credit_batch=batch, credit_renew_threshold=batch // 2))
+        for batch in (4, 32, 128)}
     rows = [[batch, round(r.mops, 2), round(r.p99_us, 1)]
             for batch, r in results.items()]
     record_table("Ablation: credit batch size C",

@@ -8,8 +8,6 @@ checks that (a) active QPs follow the weights, (b) throughput follows
 the QPs, and (c) the light tenant is never starved.
 """
 
-import pytest
-
 from repro.config import ClusterConfig, FlockConfig
 from repro.flock import FlockNode, TenantManager
 from repro.net import build_cluster
@@ -61,9 +59,8 @@ def run(weights):
     return ops, {"gold": active("gold"), "bronze": active("bronze")}
 
 
-def test_multitenancy_isolation(benchmark):
-    ops, qps = benchmark.pedantic(lambda: run((3.0, 1.0)), rounds=1,
-                                  iterations=1)
+def test_multitenancy_isolation():
+    ops, qps = run((3.0, 1.0))
     record_table(
         "Extension (§9): two tenants, weights 3:1, MAX_AQP=%d" % MAX_AQP,
         ["tenant", "active QPs", "ops completed"],

@@ -20,12 +20,10 @@ from conftest import record_scorecard, record_table
 
 
 @pytest.mark.parametrize("name", sorted(CURATED_SCENARIOS))
-def test_ext_search_scenario(benchmark, name):
+def test_ext_search_scenario(name):
     scenario = CURATED_SCENARIOS[name]
-    detail = benchmark.pedantic(
-        lambda: explain_entry({"point": scenario.point, "score": 0.0},
-                              seed=scenario.seed),
-        rounds=1, iterations=1)
+    detail = explain_entry({"point": scenario.point, "score": 0.0},
+                           seed=scenario.seed)
 
     base, cong = detail["baseline"], detail["scenario"]
     record_table(

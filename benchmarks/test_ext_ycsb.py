@@ -7,8 +7,6 @@ parity at low fan-in is uninteresting, so this runs the high-fan-in
 regime where coalescing matters.
 """
 
-import pytest
-
 from repro.baselines import ErpcEndpoint, ErpcServer
 from repro.config import ClusterConfig, FlockConfig
 from repro.flock import FlockNode
@@ -110,14 +108,9 @@ def run_erpc_ycsb(mix):
     return ops[0] / MEASURE * 1e3
 
 
-def test_ycsb_mixes(benchmark):
-    def run():
-        out = {}
-        for mix in ("A", "B", "C"):
-            out[mix] = (run_flock_ycsb(mix), run_erpc_ycsb(mix))
-        return out
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ycsb_mixes():
+    results = {mix: (run_flock_ycsb(mix), run_erpc_ycsb(mix))
+               for mix in ("A", "B", "C")}
     rows = [[mix, round(flock, 2), round(erpc, 2),
              round(flock / max(erpc, 1e-9), 2)]
             for mix, (flock, erpc) in results.items()]

@@ -6,80 +6,6 @@ outstanding request, ~1.7x at 4/8; the coalescing degree grows with
 outstanding requests (paper: 1.56 -> ~1.7 -> ~2 requests per message).
 """
 
-import pytest
 
-from repro.harness import MicrobenchConfig, run_flock, scorecard_fig10
-
-from conftest import record_scorecard, record_table
-
-OUTSTANDING = [1, 4, 8]
-
-
-def sweep():
-    results = {}
-    for outstanding in OUTSTANDING:
-        cfg = MicrobenchConfig(n_clients=23, threads_per_client=32,
-                               outstanding=outstanding)
-        results[(True, outstanding)] = run_flock(cfg)
-        results[(False, outstanding)] = run_flock(cfg, coalescing=False)
-    return results
-
-
-@pytest.fixture(scope="module")
-def results():
-    return sweep()
-
-
-def test_fig10_table(benchmark, results):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    rows = []
-    for outstanding in OUTSTANDING:
-        with_c = results[(True, outstanding)]
-        without_c = results[(False, outstanding)]
-        rows.append([
-            outstanding,
-            round(without_c.mops, 2), round(with_c.mops, 2),
-            round(with_c.mops / max(without_c.mops, 1e-9), 2),
-            with_c.extras["mean_coalescing_degree"],
-        ])
-    record_table(
-        "Fig 10: coalescing impact (32 thr/client, 23 clients)",
-        ["outstanding", "no-coalesce Mops", "coalesce Mops", "speedup",
-         "reqs/message"],
-        rows,
-    )
-    record_scorecard(scorecard_fig10(results))
-
-
-def test_coalescing_always_wins_here(benchmark, results):
-    """Coalescing never loses, and the win is substantial once threads
-    keep several requests outstanding (paper: 1.4x-1.7x; we see a
-    smaller effect at 1 outstanding and the paper's ~1.7x at 8)."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for outstanding in OUTSTANDING:
-        with_c = results[(True, outstanding)].mops
-        without_c = results[(False, outstanding)].mops
-        assert with_c > 1.02 * without_c, outstanding
-    assert (results[(True, 8)].mops
-            > 1.4 * results[(False, 8)].mops)
-
-
-def test_speedup_grows_with_outstanding(benchmark, results):
-    """Paper: 1.4x at 1 outstanding, 1.7x at 4 and 8."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    def speedup(outstanding):
-        return (results[(True, outstanding)].mops
-                / results[(False, outstanding)].mops)
-
-    assert speedup(8) > speedup(1)
-
-
-def test_degree_grows_with_outstanding(benchmark, results):
-    """Paper: ~1.56, ~1.7, ~2 requests per coalesced message; we see
-    the same growth from a slightly lower base."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    degrees = [results[(True, o)].extras["mean_coalescing_degree"]
-               for o in OUTSTANDING]
-    assert degrees[0] > 1.1
-    assert degrees[2] > degrees[0]
-    assert degrees[2] > 1.5
+def test_fig10(run_figure):
+    run_figure("fig10")

@@ -13,94 +13,6 @@ Claims: the shared-QP config beats dedicated QPs by 10-30% between 46
 and 368 clients while using half the QPs.
 """
 
-import pytest
 
-from repro.harness import MicrobenchConfig, run_flock, run_rc, scorecard_fig12
-
-from conftest import record_scorecard, record_table
-
-CLIENT_COUNTS = [23, 46, 92, 184, 368]
-N_NODES = 23
-
-
-def config(total_clients, threads):
-    return MicrobenchConfig(
-        n_clients=N_NODES,
-        processes_per_client=max(1, total_clients // N_NODES),
-        threads_per_client=threads,
-        outstanding=8,
-    )
-
-
-def sweep():
-    results = {}
-    for total in CLIENT_COUNTS:
-        results[("1t1q", total)] = run_flock(config(total, 1),
-                                             qps_per_process=1)
-        results[("2t1q", total)] = run_flock(config(total, 2),
-                                             qps_per_process=1)
-        cfg = config(total, 2)
-        # Native RC: one dedicated QP per thread across all processes.
-        cfg.threads_per_client = 2 * cfg.processes_per_client
-        cfg.processes_per_client = 1
-        results[("2t2q", total)] = run_rc(cfg, threads_per_qp=1)
-    return results
-
-
-@pytest.fixture(scope="module")
-def results():
-    return sweep()
-
-
-def test_fig12_table(benchmark, results):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    rows = []
-    for total in CLIENT_COUNTS:
-        one = results[("1t1q", total)]
-        shared = results[("2t1q", total)]
-        dedicated = results[("2t2q", total)]
-        rows.append([
-            total,
-            round(one.mops, 2), round(shared.mops, 2),
-            round(dedicated.mops, 2),
-            round(shared.median_us, 1), round(dedicated.median_us, 1),
-            round(shared.p99_us, 1), round(dedicated.p99_us, 1),
-        ])
-    record_table(
-        "Fig 12: node scalability (64B RPC, 8 outstanding)",
-        ["#clients", "1t/1QP Mops", "2t/1QP Mops", "2t/2QP Mops",
-         "2t/1QP med us", "2t/2QP med us", "2t/1QP p99 us",
-         "2t/2QP p99 us"],
-        rows,
-    )
-    record_scorecard(scorecard_fig12(results))
-
-
-def test_single_thread_saturates(benchmark, results):
-    """Paper: 1 thrd/1 QP throughput saturates by mid client counts —
-    no coalescing means no further scaling."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    mid = results[("1t1q", 92)].mops
-    top = results[("1t1q", 368)].mops
-    assert top < 1.35 * mid
-
-
-def test_shared_qp_beats_dedicated_qps(benchmark, results):
-    """Paper: 2t/1QP beats 2t/2QP by 10-30% between 46 and 368 clients
-    while using half the QPs."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    wins = 0
-    for total in (92, 184, 368):
-        shared = results[("2t1q", total)].mops
-        dedicated = results[("2t2q", total)].mops
-        if shared > 1.05 * dedicated:
-            wins += 1
-    assert wins >= 2
-
-
-def test_shared_qp_latency_no_worse(benchmark, results):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for total in (184, 368):
-        shared = results[("2t1q", total)]
-        dedicated = results[("2t2q", total)]
-        assert shared.p99_us < 1.3 * dedicated.p99_us
+def test_fig12(run_figure):
+    run_figure("fig12")

@@ -7,87 +7,6 @@ and commit.  Claims: similar throughput up to 2 threads; FLockTX up to
 (paper: 178 vs 126 us).
 """
 
-import pytest
 
-from repro.harness import TxnBenchConfig, run_fasst_txn, run_flocktx, scorecard_fig15
-
-from conftest import record_scorecard, record_table
-
-THREADS = [1, 2, 4, 8, 16]
-
-
-def config(threads):
-    return TxnBenchConfig(workload="smallbank", n_clients=20, n_servers=3,
-                          threads_per_client=threads,
-                          coroutines_per_thread=19,
-                          accounts_per_thread=10_000)
-
-
-def sweep():
-    results = {}
-    for threads in THREADS:
-        cfg = config(threads)
-        results[("flocktx", threads)] = run_flocktx(cfg)
-        results[("fasst", threads)] = run_fasst_txn(cfg)
-    return results
-
-
-@pytest.fixture(scope="module")
-def results():
-    return sweep()
-
-
-def test_fig15_table(benchmark, results):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    rows = []
-    for threads in THREADS:
-        flock = results[("flocktx", threads)]
-        fasst = results[("fasst", threads)]
-        rows.append([
-            threads,
-            round(flock.mops, 3), round(fasst.mops, 3),
-            round(flock.median_us, 1), round(fasst.median_us, 1),
-            round(flock.p99_us, 1), round(fasst.p99_us, 1),
-            flock.extras["abort_rate"],
-        ])
-    record_table(
-        "Fig 15: Smallbank (Mtxn/s), FLockTX vs FaSST",
-        ["thr/client", "FLockTX Mtxn/s", "FaSST Mtxn/s", "FLockTX med us",
-         "FaSST med us", "FLockTX p99 us", "FaSST p99 us",
-         "FLockTX abort rate"],
-        rows,
-    )
-    record_scorecard(scorecard_fig15(results))
-
-
-def test_flocktx_wins_at_high_threads(benchmark, results):
-    """Paper: up to +24% at 4 threads, +88% at 8 (we assert >= +15%)."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for threads in (4, 8):
-        flock = results[("flocktx", threads)].mops
-        fasst = results[("fasst", threads)].mops
-        assert flock > 1.15 * fasst, threads
-
-
-def test_fasst_tail_worse_even_at_one_thread(benchmark, results):
-    """Paper: 178 us vs 126 us p99 at a single thread."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    flock = results[("flocktx", 1)]
-    fasst = results[("fasst", 1)]
-    assert fasst.p99_us > flock.p99_us
-
-
-def test_write_intensity_costs_throughput(benchmark, results):
-    """Smallbank commits replicate 3-way: per-thread throughput should
-    be well below TATP's read-mostly numbers at same scale."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    flock8 = results[("flocktx", 8)]
-    assert flock8.extras["committed"] > 0
-    # A committed write transaction needed >= 4 RPC round trips.
-    assert flock8.median_us > 4.0
-
-
-def test_both_systems_commit_under_contention(benchmark, results):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for key, result in results.items():
-        assert result.extras["committed"] > 0, key
+def test_fig15(run_figure):
+    run_figure("fig15")

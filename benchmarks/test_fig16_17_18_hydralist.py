@@ -6,95 +6,6 @@ edge) at low thread counts, FLock ~1.4x at 32 threads with lower median
 and 99p latency for both gets and scans.
 """
 
-import pytest
 
-from repro.harness import IndexBenchConfig, run_erpc_index, run_flock_index
-
-from conftest import record_table
-
-THREADS = [1, 8, 16, 32]
-OUTSTANDING = [1, 8]
-
-
-def config(threads, outstanding):
-    return IndexBenchConfig(n_clients=22, threads_per_client=threads,
-                            outstanding=outstanding, n_keys=200_000)
-
-
-def sweep():
-    results = {}
-    for outstanding in OUTSTANDING:
-        for threads in THREADS:
-            cfg = config(threads, outstanding)
-            results[("flock", outstanding, threads)] = run_flock_index(cfg)
-            results[("erpc", outstanding, threads)] = run_erpc_index(cfg)
-    return results
-
-
-@pytest.fixture(scope="module")
-def results():
-    return sweep()
-
-
-def test_fig16_17_18_tables(benchmark, results):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for outstanding in OUTSTANDING:
-        rows = []
-        for threads in THREADS:
-            flock = results[("flock", outstanding, threads)]
-            erpc = results[("erpc", outstanding, threads)]
-            rows.append([
-                threads,
-                round(flock["total_mops"], 2), round(erpc["total_mops"], 2),
-                round(flock["get"].median_us, 1),
-                round(erpc["get"].median_us, 1),
-                round(flock["scan"].p99_us, 1),
-                round(erpc["scan"].p99_us, 1),
-            ])
-        record_table(
-            "Figs 16/17/18: HydraList 90%% get / 10%% scan, outstanding=%d"
-            % outstanding,
-            ["thr/client", "FLock Mops", "eRPC Mops", "FLock get med us",
-             "eRPC get med us", "FLock scan p99 us", "eRPC scan p99 us"],
-            rows,
-        )
-
-
-def test_low_thread_parity(benchmark, results):
-    """Paper: eRPC similar or slightly better up to 8 threads."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for threads in (1, 8):
-        flock = results[("flock", 1, threads)]["total_mops"]
-        erpc = results[("erpc", 1, threads)]["total_mops"]
-        assert flock < 2.5 * erpc and erpc < 2.5 * flock
-
-
-def test_flock_wins_at_32_threads(benchmark, results):
-    """Paper: ~1.4x at 32 threads with multiple outstanding requests."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    flock = results[("flock", 8, 32)]["total_mops"]
-    erpc = results[("erpc", 8, 32)]["total_mops"]
-    assert flock > 1.2 * erpc
-
-
-def test_latency_lower_at_32_threads(benchmark, results):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    flock = results[("flock", 8, 32)]
-    erpc = results[("erpc", 8, 32)]
-    assert flock["get"].median_us < erpc["get"].median_us
-    assert flock["get"].p99_us < 1.4 * erpc["get"].p99_us
-
-
-def test_scans_cost_more_than_gets(benchmark, results):
-    """Variable service times: a scan of 64 keys is slower than a get."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for system in ("flock", "erpc"):
-        point = results[(system, 1, 8)]
-        assert point["scan"].median_us > point["get"].median_us
-
-
-def test_mix_is_90_10(benchmark, results):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    point = results[("flock", 1, 16)]
-    gets, scans = point["get"].ops, point["scan"].ops
-    assert gets / (gets + scans) == pytest.approx(0.9, abs=0.03)
+def test_fig16_17_18(run_figure):
+    run_figure("fig16")

@@ -8,66 +8,10 @@
     read peak.
 """
 
-import pytest
 
-from repro.harness import run_raw_reads, run_ud_rpc, scorecard_fig2a
-
-from conftest import record_scorecard, record_table
-
-QP_SWEEP = [22, 44, 88, 176, 352, 704, 1408, 2816]
-SENDER_SWEEP = [22, 88, 352, 1408, 2816]
+def test_fig2a_rc_read_scaling(run_figure):
+    run_figure("fig2a")
 
 
-def sweep_reads():
-    # 2 outstanding reads per QP: few QPs cannot saturate the RNIC, so
-    # the curve rises, peaks, and collapses exactly as in the paper.
-    return {qps: run_raw_reads(qps, n_clients=22, outstanding_per_qp=2)
-            for qps in QP_SWEEP}
-
-
-def sweep_ud():
-    return {n: run_ud_rpc(n, n_clients=22) for n in SENDER_SWEEP}
-
-
-def test_fig2a_rc_read_scaling(benchmark):
-    results = benchmark.pedantic(sweep_reads, rounds=1, iterations=1)
-    rows = [[qps, round(r.mops, 2), r.extras["qp_cache_miss"]]
-            for qps, r in results.items()]
-    record_table("Fig 2(a): RDMA read (RC) throughput vs #QPs",
-                 ["#QPs", "Mops", "QP cache miss ratio"], rows)
-    record_scorecard(scorecard_fig2a(results))
-
-    mops = {qps: r.mops for qps, r in results.items()}
-    best = max(mops.values())
-    plateau = [qps for qps, m in mops.items() if m >= 0.95 * best]
-    # Paper: performance peaks between 176 and 704 QPs — the plateau
-    # must cover that window and end by 704.
-    assert 176 in plateau and 704 in plateau
-    assert max(plateau) <= 704
-    # ...rising from the low-QP end...
-    assert best > 1.3 * mops[22]
-    # ...followed by a sharp drop as the QP count increases further.
-    assert mops[2816] < 0.55 * best
-    # The drop is driven by cache thrashing.
-    assert results[2816].extras["qp_cache_miss"] > results[176].extras["qp_cache_miss"]
-
-
-def test_fig2b_ud_rpc_scaling(benchmark):
-    results = benchmark.pedantic(sweep_ud, rounds=1, iterations=1)
-    rows = [[n, round(r.mops, 2), r.extras["server_cpu"],
-             r.extras["server_net_frac"]]
-            for n, r in results.items()]
-    record_table("Fig 2(b): UD RPC throughput vs #senders",
-                 ["#senders", "Mops", "server CPU", "net-stack frac"], rows)
-
-    mops = {n: r.mops for n, r in results.items()}
-    # Saturates rather than scaling with senders.
-    assert mops[2816] < 1.25 * mops[352]
-    # Server CPU is the bottleneck, mostly inside the network stack
-    # (paper: >90% of cycles in the Mellanox userspace libraries).
-    saturated = results[352]
-    assert saturated.extras["server_cpu"] > 0.95
-    assert saturated.extras["server_net_frac"] > 0.8
-    # The UD ceiling sits well below the RC read peak (paper: ~2x gap).
-    read_peak = run_raw_reads(176, n_clients=22).mops
-    assert max(mops.values()) < read_peak
+def test_fig2b_ud_rpc_scaling(run_figure):
+    run_figure("fig2b")

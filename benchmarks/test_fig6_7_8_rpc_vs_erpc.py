@@ -10,106 +10,6 @@ thread.  Headline claims reproduced:
 * FLock's tail stays lower at high fan-in.
 """
 
-import pytest
 
-from repro.harness import MicrobenchConfig, run_erpc, run_flock, scorecards_fig6_7_8
-
-from conftest import record_scorecard, record_table
-
-THREADS = [1, 4, 8, 16, 32, 48]
-OUTSTANDING = [1, 4, 8]
-
-
-def sweep():
-    results = {}
-    for outstanding in OUTSTANDING:
-        for threads in THREADS:
-            cfg = MicrobenchConfig(n_clients=23, threads_per_client=threads,
-                                   outstanding=outstanding)
-            results[("flock", outstanding, threads)] = run_flock(cfg)
-            results[("erpc", outstanding, threads)] = run_erpc(cfg)
-    return results
-
-
-@pytest.fixture(scope="module")
-def results():
-    return sweep()
-
-
-def test_fig6_7_8_tables(benchmark, results):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for outstanding in OUTSTANDING:
-        rows = []
-        for threads in THREADS:
-            flock = results[("flock", outstanding, threads)]
-            erpc = results[("erpc", outstanding, threads)]
-            rows.append([
-                threads,
-                round(flock.mops, 2), round(erpc.mops, 2),
-                round(flock.median_us, 1), round(erpc.median_us, 1),
-                round(flock.p99_us, 1), round(erpc.p99_us, 1),
-                flock.extras["mean_coalescing_degree"],
-            ])
-        record_table(
-            "Figs 6/7/8: FLock vs eRPC, outstanding=%d (64B RPCs, 23 clients)"
-            % outstanding,
-            ["thr/client", "FLock Mops", "eRPC Mops", "FLock med us",
-             "eRPC med us", "FLock p99 us", "eRPC p99 us", "coalesce deg"],
-            rows,
-        )
-    for scorecard in scorecards_fig6_7_8(results):
-        record_scorecard(scorecard)
-
-
-def test_fig6_throughput_claims(benchmark, results):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    # eRPC saturates: its 48-thread throughput is barely above 16-thread.
-    for outstanding in OUTSTANDING:
-        erpc16 = results[("erpc", outstanding, 16)].mops
-        erpc48 = results[("erpc", outstanding, 48)].mops
-        assert erpc48 < 1.2 * erpc16
-    # FLock keeps scaling 16 -> 48 threads (paper: +25% and +47% steps).
-    flock16 = results[("flock", 1, 16)].mops
-    flock48 = results[("flock", 1, 48)].mops
-    assert flock48 > 1.3 * flock16
-    # Overall win in the paper's 1.25x-3.4x band (we accept >= 1.2x).
-    for outstanding in OUTSTANDING:
-        for threads in (16, 32, 48):
-            flock = results[("flock", outstanding, threads)].mops
-            erpc = results[("erpc", outstanding, threads)].mops
-            assert flock > 1.2 * erpc, (outstanding, threads)
-
-
-def test_fig6_low_thread_parity(benchmark, results):
-    """Paper: comparable performance up to four threads (1 outstanding)."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for threads in (1, 4):
-        flock = results[("flock", 1, threads)].mops
-        erpc = results[("erpc", 1, threads)].mops
-        assert flock < 2.5 * erpc  # same ballpark, no blowout either way
-
-
-def test_fig7_median_latency_claims(benchmark, results):
-    """Paper: ~2x worse eRPC median at 32 threads."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    flock = results[("flock", 1, 32)]
-    erpc = results[("erpc", 1, 32)]
-    assert erpc.median_us > 1.6 * flock.median_us
-
-
-def test_fig8_tail_latency_claims(benchmark, results):
-    """Paper: ~1.5x worse eRPC 99th percentile at 32 threads."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    flock = results[("flock", 1, 32)]
-    erpc = results[("erpc", 1, 32)]
-    assert erpc.p99_us > 1.2 * flock.p99_us
-
-
-def test_outstanding_requests_tradeoff(benchmark, results):
-    """Paper §8.2: more outstanding requests raise FLock throughput at
-    low thread counts at the cost of latency."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    low1 = results[("flock", 1, 4)]
-    low8 = results[("flock", 8, 4)]
-    assert low8.mops > low1.mops
-    assert low8.median_us > low1.median_us
+def test_fig6_7_8(run_figure):
+    run_figure("fig6")

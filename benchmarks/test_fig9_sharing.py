@@ -8,93 +8,6 @@ spinlock sharing performing like no-sharing (serialized posting gains
 nothing from sharing).
 """
 
-import pytest
 
-from repro.harness import MicrobenchConfig, run_flock, run_rc, scorecard_fig9
-
-from conftest import record_scorecard, record_table
-
-THREADS = [1, 8, 16, 32, 48]
-
-
-def config(threads):
-    return MicrobenchConfig(n_clients=23, threads_per_client=threads,
-                            outstanding=8)
-
-
-def sweep():
-    results = {}
-    for threads in THREADS:
-        cfg = config(threads)
-        results[("flock", threads)] = run_flock(cfg)
-        results[("nosharing", threads)] = run_rc(cfg, threads_per_qp=1)
-        results[("farm2", threads)] = run_rc(cfg, threads_per_qp=2)
-        results[("farm4", threads)] = run_rc(cfg, threads_per_qp=4)
-    return results
-
-
-@pytest.fixture(scope="module")
-def results():
-    return sweep()
-
-
-def test_fig9_table(benchmark, results):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    rows = []
-    for threads in THREADS:
-        rows.append([
-            threads,
-            round(results[("flock", threads)].mops, 2),
-            round(results[("nosharing", threads)].mops, 2),
-            round(results[("farm2", threads)].mops, 2),
-            round(results[("farm4", threads)].mops, 2),
-            round(results[("flock", threads)].p99_us, 1),
-            round(results[("nosharing", threads)].p99_us, 1),
-        ])
-    record_table(
-        "Fig 9: QP sharing approaches (64B RPC, 8 outstanding, 23 clients)",
-        ["thr/client", "FLock Mops", "no-share Mops", "FaRM-2 Mops",
-         "FaRM-4 Mops", "FLock p99 us", "no-share p99 us"],
-        rows,
-    )
-    record_scorecard(scorecard_fig9(results))
-
-
-def test_parity_at_low_threads(benchmark, results):
-    """Paper: up to 8 threads FLock matches no sharing despite its extra
-    scheduling machinery (no coalescing happens below MAX_AQP)."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for threads in (1, 8):
-        flock = results[("flock", threads)].mops
-        nosharing = results[("nosharing", threads)].mops
-        assert flock > 0.8 * nosharing
-
-
-def test_flock_wins_at_high_threads(benchmark, results):
-    """Paper: +62% at 32 threads, +133% at 48 (we assert >= +30%/+50%)."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    assert results[("flock", 32)].mops > 1.30 * results[("nosharing", 32)].mops
-    assert results[("flock", 48)].mops > 1.50 * results[("nosharing", 48)].mops
-
-
-def test_flock_tail_lower_at_high_threads(benchmark, results):
-    """Paper: 27%/49% lower 99p latency at 32/48 threads."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    assert (results[("flock", 32)].p99_us
-            < results[("nosharing", 32)].p99_us)
-    assert (results[("flock", 48)].p99_us
-            < results[("nosharing", 48)].p99_us)
-
-
-def test_spinlock_sharing_is_no_better_than_dedicated(benchmark, results):
-    """Paper: FaRM-like sharing performs similarly to no sharing —
-    serialized posting cannot exploit sharing."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for threads in (32, 48):
-        farm2 = results[("farm2", threads)].mops
-        farm4 = results[("farm4", threads)].mops
-        nosharing = results[("nosharing", threads)].mops
-        assert farm2 < 1.25 * nosharing
-        assert farm4 < 1.25 * nosharing
-        # And both lose clearly to FLock's combining.
-        assert results[("flock", threads)].mops > 1.3 * max(farm2, farm4)
+def test_fig9(run_figure):
+    run_figure("fig9")

@@ -8,8 +8,6 @@ threads fan out across 3 servers round-robin and compares DCT (connect
 handshake per switch) against FLock's persistent handle pool.
 """
 
-import pytest
-
 from repro.baselines import DctEndpoint, RcRpcServer
 from repro.config import ClusterConfig, FlockConfig
 from repro.flock import FlockNode
@@ -82,14 +80,9 @@ def run_flock():
     return latencies
 
 
-def test_dct_switching_penalty(benchmark):
-    def run():
-        dct_lat, switches = run_dct()
-        flock_lat = run_flock()
-        return dct_lat, switches, flock_lat
-
-    dct_lat, switches, flock_lat = benchmark.pedantic(run, rounds=1,
-                                                      iterations=1)
+def test_dct_switching_penalty():
+    dct_lat, switches = run_dct()
+    flock_lat = run_flock()
     dct_mean = sum(dct_lat) / len(dct_lat)
     flock_mean = sum(flock_lat) / len(flock_lat)
     record_table(

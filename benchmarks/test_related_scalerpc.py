@@ -6,8 +6,6 @@ increasing tail latency".  Same offered load, same RC write-based data
 path: FLock's always-on scheduled QPs vs 4-group time sharing.
 """
 
-import pytest
-
 from repro.baselines import ScaleRpcClient, ScaleRpcServer
 from repro.config import ClusterConfig, FlockConfig
 from repro.flock import FlockNode
@@ -71,11 +69,8 @@ def run_flock():
     return latencies
 
 
-def test_scalerpc_tail_penalty(benchmark):
-    def run():
-        return run_scalerpc(), run_flock()
-
-    scalerpc_lat, flock_lat = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_scalerpc_tail_penalty():
+    scalerpc_lat, flock_lat = run_scalerpc(), run_flock()
     s = summarize_latencies(scalerpc_lat)
     f = summarize_latencies(flock_lat)
     record_table(

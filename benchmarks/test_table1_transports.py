@@ -9,8 +9,8 @@ from repro.verbs import capability_table
 from conftest import record_table
 
 
-def test_table1(benchmark):
-    table = benchmark.pedantic(capability_table, rounds=1, iterations=1)
+def test_table1():
+    table = capability_table()
 
     rows = []
     for transport in ("RC", "UC", "UD"):

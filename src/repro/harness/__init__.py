@@ -1,12 +1,8 @@
 """Experiment harness: per-figure runners, metrics, table formatting."""
 
-from .incastbench import IncastConfig, run_incast, run_incast_flock, run_incast_ud
-from .indexbench import (
-    IndexBenchConfig,
-    run_erpc_index,
-    run_flock_index,
-    sweep_index,
-)
+from .figures import FIGURES, FigureSpec
+from .incastbench import IncastConfig, run_incast_flock, run_incast_ud
+from .indexbench import IndexBenchConfig, run_erpc_index, run_flock_index
 from .metrics import Recorder, Run, RunResult, bench_scale
 from .microbench import (
     MicrobenchConfig,
@@ -14,20 +10,20 @@ from .microbench import (
     run_flock,
     run_raw_reads,
     run_rc,
+    run_thread_sched,
     run_ud_rpc,
-    sweep_flock_vs_erpc,
-    sweep_raw_reads,
-    sweep_ud_rpc,
 )
 from .parallel import SweepPoint, default_jobs, run_sweep
 from .scorecards import (
     scorecard_fig2a,
+    scorecard_fig2b,
     scorecard_fig9,
     scorecard_fig10,
     scorecard_fig11,
     scorecard_fig12,
     scorecard_fig14,
     scorecard_fig15,
+    scorecard_fig16,
     scorecard_incast,
     scorecards_fig6_7_8,
 )
@@ -37,10 +33,11 @@ from .txnbench import (
     build_txn_servers,
     run_fasst_txn,
     run_flocktx,
-    sweep_txn,
 )
 
 __all__ = [
+    "FIGURES",
+    "FigureSpec",
     "IncastConfig",
     "IndexBenchConfig",
     "MicrobenchConfig",
@@ -60,25 +57,22 @@ __all__ = [
     "run_flock",
     "run_flock_index",
     "run_flocktx",
-    "run_incast",
     "run_incast_flock",
     "run_incast_ud",
     "run_raw_reads",
     "run_rc",
     "run_sweep",
+    "run_thread_sched",
     "run_ud_rpc",
     "scorecard_fig2a",
+    "scorecard_fig2b",
     "scorecard_fig9",
     "scorecard_fig10",
     "scorecard_fig11",
     "scorecard_fig12",
     "scorecard_fig14",
     "scorecard_fig15",
+    "scorecard_fig16",
     "scorecard_incast",
     "scorecards_fig6_7_8",
-    "sweep_flock_vs_erpc",
-    "sweep_index",
-    "sweep_raw_reads",
-    "sweep_txn",
-    "sweep_ud_rpc",
 ]

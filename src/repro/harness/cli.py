@@ -7,8 +7,11 @@ Regenerates any paper figure without pytest::
     python -m repro.harness.cli fig14 --threads 4
     python -m repro.harness.cli list
 
-Each command prints the same paper-style table the benchmark suite
-produces.  Use ``--scale`` to lengthen measurement windows.
+Each figure subcommand is generated from its
+:class:`repro.harness.figures.FigureSpec`: its options default to the
+figure's full sweep, and it prints the same paper-style tables the
+benchmark suite produces.  Use ``--scale`` to lengthen measurement
+windows.
 
 Observability flags (see ``docs/observability.md``)::
 
@@ -68,8 +71,7 @@ Fabric congestion (``docs/network.md``)::
 
 ``incast`` runs FLock and UD RPC each on the contention-free fabric and
 on the switched-fabric model (finite per-port egress buffers, ECN
-marking, DCQCN rate control on RC QPs); ``--pfc-incast`` runs the
-congested legs in lossless PAUSE mode instead of tail drop.
+marking, DCQCN rate control on RC QPs).
 """
 
 from __future__ import annotations
@@ -104,20 +106,6 @@ from ..obs import (
     write_chrome_trace,
 )
 from ..obs.audit import AUDIT_ENV
-from .incastbench import IncastConfig, run_incast
-from .indexbench import IndexBenchConfig, sweep_index
-from .metrics import bench_scale
-from .microbench import (
-    MicrobenchConfig,
-    run_erpc,
-    run_flock,
-    run_raw_reads,
-    run_rc,
-    run_ud_rpc,
-    sweep_flock_vs_erpc,
-    sweep_raw_reads,
-    sweep_ud_rpc,
-)
 from ..search import (
     SearchConfig,
     explain_entry,
@@ -126,19 +114,11 @@ from ..search import (
     run_search,
 )
 from ..search.objectives import OBJECTIVES
-from .parallel import SweepPoint, default_jobs, run_sweep
-from .scorecards import (
-    scorecard_fig2a,
-    scorecard_fig9,
-    scorecard_fig10,
-    scorecard_fig12,
-    scorecard_fig14,
-    scorecard_incast,
-    scorecard_search,
-    scorecards_fig6_7_8,
-)
-from .tables import latency_cells, latency_columns, print_table
-from .txnbench import TxnBenchConfig, run_fasst_txn, run_flocktx, sweep_txn
+from .figures import FIGURES
+from .metrics import bench_scale
+from .parallel import default_jobs
+from .scorecards import scorecard_search
+from .tables import print_table
 
 #: Default committed-baseline directory for ``bench-compare``.
 DEFAULT_BASELINE_DIR = os.path.join(
@@ -195,240 +175,31 @@ def _collect_slo(args, results) -> None:
                     blocks[_slo_label(key) + "/" + str(sub)] = nslo
 
 
-def cmd_fig2a(args) -> None:
-    """Fig 2(a): RC read scaling sweep."""
-    results = sweep_raw_reads(args.qps, n_clients=args.clients,
-                              outstanding_per_qp=2,
-                              jobs=default_jobs(args.jobs))
-    rows = [[qps, round(result.mops, 2), result.extras["qp_cache_miss"]]
-            for qps, result in results.items()]
-    print_table("Fig 2(a): RC read throughput vs #QPs",
-                ["#QPs", "Mops", "cache miss"], rows)
+def _figure_opts(spec, args) -> dict:
+    """The spec's options as parsed from the command line."""
+    return {name: getattr(args, name) for name in spec.defaults}
+
+
+def _add_figure_options(parser, spec) -> None:
+    """One ``--<option>`` per spec default; list defaults take 1+ ints."""
+    for name, default in spec.defaults.items():
+        if isinstance(default, list):
+            parser.add_argument("--" + name, type=int, nargs="+",
+                                default=list(default))
+        else:
+            parser.add_argument("--" + name, type=int, default=default)
+
+
+def cmd_figure(args) -> None:
+    """Run a registered figure: its sweep, tables and scorecards."""
+    spec = FIGURES[args.figure]
+    opts = _figure_opts(spec, args)
+    results = spec.run(args.jobs, **opts)
+    for title, columns, rows in spec.tables(results, **opts):
+        print_table(title, columns, rows)
     _collect_slo(args, results)
-    _emit_scorecard(args, scorecard_fig2a(results))
-
-
-def cmd_fig2b(args) -> None:
-    """Fig 2(b): UD RPC sender sweep."""
-    results = sweep_ud_rpc(args.senders, n_clients=args.clients,
-                           jobs=default_jobs(args.jobs))
-    rows = [[senders, round(result.mops, 2), result.extras["server_cpu"]]
-            for senders, result in results.items()]
-    print_table("Fig 2(b): UD RPC throughput vs #senders",
-                ["#senders", "Mops", "server CPU"], rows)
-    _collect_slo(args, results)
-
-
-def cmd_fig6(args) -> None:
-    """Figs 6-8: FLock vs eRPC thread sweep."""
-    results = sweep_flock_vs_erpc(args.threads, n_clients=args.clients,
-                                  outstanding=args.outstanding,
-                                  jobs=default_jobs(args.jobs))
-    rows = []
-    for threads in args.threads:
-        flock = results[("flock", args.outstanding, threads)]
-        erpc = results[("erpc", args.outstanding, threads)]
-        rows.append([threads, round(flock.mops, 2), round(erpc.mops, 2)]
-                    + latency_cells(flock) + latency_cells(erpc))
-    print_table("Figs 6/7/8: FLock vs eRPC (outstanding=%d)"
-                % args.outstanding,
-                ["threads", "FLock Mops", "eRPC Mops"]
-                + latency_columns("FLock") + latency_columns("eRPC"), rows)
-    _collect_slo(args, results)
-    for sc in scorecards_fig6_7_8(results):
+    for sc in spec.scorecards(results, **opts):
         _emit_scorecard(args, sc)
-
-
-def cmd_fig9(args) -> None:
-    """Fig 9: QP sharing approaches."""
-    points = []
-    for threads in args.threads:
-        cfg = MicrobenchConfig(n_clients=args.clients,
-                               threads_per_client=threads, outstanding=8)
-        points.append(SweepPoint("fig9/flock/t=%d" % threads,
-                                 run_flock, (cfg,)))
-        for tpq in (1, 2, 4):
-            points.append(SweepPoint(
-                "fig9/rc%d/t=%d" % (tpq, threads), run_rc, (cfg,),
-                {"threads_per_qp": tpq}))
-    merged = iter(run_sweep(points, default_jobs(args.jobs)))
-    results = {}
-    rows = []
-    for threads in args.threads:
-        results[("flock", threads)] = next(merged)[1]
-        results[("nosharing", threads)] = next(merged)[1]
-        results[("farm2", threads)] = next(merged)[1]
-        results[("farm4", threads)] = next(merged)[1]
-        rows.append([threads,
-                     round(results[("flock", threads)].mops, 2),
-                     round(results[("nosharing", threads)].mops, 2),
-                     round(results[("farm2", threads)].mops, 2),
-                     round(results[("farm4", threads)].mops, 2)])
-    print_table("Fig 9: sharing approaches",
-                ["threads", "FLock", "no-share", "FaRM-2", "FaRM-4"], rows)
-    _collect_slo(args, results)
-    _emit_scorecard(args, scorecard_fig9(results))
-
-
-def cmd_fig10(args) -> None:
-    """Fig 10: coalescing on/off."""
-    points = []
-    for outstanding in args.outstanding_list:
-        cfg = MicrobenchConfig(n_clients=args.clients,
-                               threads_per_client=32,
-                               outstanding=outstanding)
-        points.append(SweepPoint("fig10/on/o=%d" % outstanding,
-                                 run_flock, (cfg,)))
-        points.append(SweepPoint("fig10/off/o=%d" % outstanding,
-                                 run_flock, (cfg,),
-                                 {"coalescing": False}))
-    merged = iter(run_sweep(points, default_jobs(args.jobs)))
-    results = {}
-    rows = []
-    for outstanding in args.outstanding_list:
-        with_c = results[(True, outstanding)] = next(merged)[1]
-        without_c = results[(False, outstanding)] = next(merged)[1]
-        rows.append([outstanding, round(without_c.mops, 2),
-                     round(with_c.mops, 2),
-                     round(with_c.mops / max(without_c.mops, 1e-9), 2),
-                     with_c.extras["mean_coalescing_degree"]])
-    print_table("Fig 10: coalescing impact",
-                ["outstanding", "off Mops", "on Mops", "speedup",
-                 "reqs/msg"], rows)
-    _collect_slo(args, results)
-    _emit_scorecard(args, scorecard_fig10(results))
-
-
-def cmd_fig14(args) -> None:
-    """Figs 14/15: FLockTX vs FaSST transactions."""
-    results = sweep_txn(args.threads, workload=args.workload,
-                        jobs=default_jobs(args.jobs))
-    rows = []
-    for threads in args.threads:
-        flock = results[("flocktx", threads)]
-        fasst = results[("fasst", threads)]
-        rows.append([threads, round(flock.mops, 3), round(fasst.mops, 3),
-                     round(flock.p99_us, 1), round(flock.p999_us, 1),
-                     round(fasst.p99_us, 1), round(fasst.p999_us, 1)])
-    print_table("Figs 14/15: %s — FLockTX vs FaSST" % args.workload,
-                ["threads", "FLockTX Mtxn/s", "FaSST Mtxn/s",
-                 "FLockTX p99", "FLockTX p999", "FaSST p99", "FaSST p999"],
-                rows)
-    _collect_slo(args, results)
-    builder = scorecard_fig14 if args.workload == "tatp" else None
-    if builder is None:
-        from .scorecards import scorecard_fig15
-        builder = scorecard_fig15
-    _emit_scorecard(args, builder(results))
-
-
-def cmd_fig11(args) -> None:
-    """Fig 11: sender-side thread scheduling under mixed payloads."""
-    from ..config import FlockConfig
-    from ..workloads import BimodalSize
-
-    static_cfg = FlockConfig(max_aqp=100_000)
-    points = []
-    for size in args.sizes:
-        cfg = MicrobenchConfig(
-            n_clients=args.clients, threads_per_client=32, outstanding=8,
-            sizegen=BimodalSize(n_threads=32, large_size=size))
-        points.append(SweepPoint(
-            "fig11/nosched/s=%d" % size, run_flock, (cfg,),
-            {"qps_per_process": 16, "thread_scheduling": False,
-             "flock_cfg": static_cfg}))
-        points.append(SweepPoint(
-            "fig11/sched/s=%d" % size, run_flock, (cfg,),
-            {"qps_per_process": 16}))
-    merged = iter(run_sweep(points, default_jobs(args.jobs)))
-    rows = []
-    results = {}
-    for size in args.sizes:
-        without = results[("nosched", size)] = next(merged)[1]
-        with_sched = results[("sched", size)] = next(merged)[1]
-        rows.append([size, round(without.mops, 2), round(with_sched.mops, 2),
-                     round(with_sched.mops / max(without.mops, 1e-9), 2)])
-    print_table("Fig 11: thread scheduling (90% 64B + 10% large)",
-                ["large B", "no-sched Mops", "sched Mops", "speedup"], rows)
-    _collect_slo(args, results)
-
-
-def cmd_fig12(args) -> None:
-    """Fig 12: node scalability with increasing client processes."""
-    points = []
-    for total in args.clients_list:
-        procs = max(1, total // args.nodes)
-        points.append(SweepPoint(
-            "fig12/2t1q/c=%d" % total, run_flock,
-            (MicrobenchConfig(n_clients=args.nodes,
-                              processes_per_client=procs,
-                              threads_per_client=2, outstanding=8),),
-            {"qps_per_process": 1}))
-        points.append(SweepPoint(
-            "fig12/1t1q/c=%d" % total, run_flock,
-            (MicrobenchConfig(n_clients=args.nodes,
-                              processes_per_client=procs,
-                              threads_per_client=1, outstanding=8),),
-            {"qps_per_process": 1}))
-    merged = iter(run_sweep(points, default_jobs(args.jobs)))
-    results = {}
-    rows = []
-    for total in args.clients_list:
-        shared = results[("2t1q", total)] = next(merged)[1]
-        one = results[("1t1q", total)] = next(merged)[1]
-        rows.append([total, round(one.mops, 2), round(shared.mops, 2),
-                     round(shared.p99_us, 1), round(shared.p999_us, 1)])
-    print_table("Fig 12: node scalability",
-                ["#clients", "1t/1QP Mops", "2t/1QP Mops", "2t/1QP p99 us",
-                 "2t/1QP p999 us"],
-                rows)
-    _collect_slo(args, results)
-    _emit_scorecard(args, scorecard_fig12(results))
-
-
-def cmd_fig16(args) -> None:
-    """Figs 16-18: HydraList over FLock vs eRPC."""
-    results = sweep_index(args.threads, n_clients=args.clients,
-                          outstanding=args.outstanding,
-                          jobs=default_jobs(args.jobs))
-    rows = []
-    for threads in args.threads:
-        flock = results[("flock", threads)]
-        erpc = results[("erpc", threads)]
-        rows.append([threads, round(flock["total_mops"], 2),
-                     round(erpc["total_mops"], 2),
-                     round(flock["get"].median_us, 1),
-                     round(erpc["get"].median_us, 1)])
-    print_table("Figs 16-18: HydraList — FLock vs eRPC",
-                ["threads", "FLock Mops", "eRPC Mops", "FLock get med",
-                 "eRPC get med"], rows)
-    _collect_slo(args, results)
-
-
-def cmd_incast(args) -> None:
-    """Extension: N→1 incast degradation under the congestion model."""
-    cfg = IncastConfig(n_senders=args.senders,
-                       threads_per_client=args.threads,
-                       outstanding=args.outstanding)
-    if args.pfc_incast:
-        from dataclasses import replace
-        cfg.congestion = replace(cfg.congestion, pfc=True)
-    results = run_incast(cfg, jobs=default_jobs(args.jobs))
-    rows = []
-    for key in ("flock", "ud"):
-        base = results["%s_base" % key]
-        cong = results["%s_cong" % key]
-        rows.append([key, round(base.mops, 2), round(cong.mops, 2),
-                     round(results["%s_retention" % key], 3),
-                     cong.extras.get("switch_drops", 0),
-                     cong.extras.get("ecn_marks", 0),
-                     cong.extras.get("pfc_pauses", 0)])
-    print_table("Incast: %d senders x %d threads -> 1 server"
-                % (args.senders, args.threads),
-                ["system", "base Mops", "cong Mops", "retention",
-                 "drops", "marks", "pauses"], rows)
-    _collect_slo(args, results)
-    _emit_scorecard(args, scorecard_incast(results))
 
 
 def _search_summary_scorecard(result) -> Scorecard:
@@ -613,10 +384,10 @@ def _explain_live_fig2a(args) -> int:
     try:
         # A spans-wanting telemetry forces run_sweep serial, so the
         # detected anomaly set is byte-identical for any --jobs count.
-        results = sweep_raw_reads(args.qps, n_clients=args.clients,
-                                  outstanding_per_qp=2,
-                                  jobs=default_jobs(args.jobs))
-        sc = scorecard_fig2a(results)
+        spec = FIGURES["fig2a"]
+        opts = _figure_opts(spec, args)
+        results = spec.run(args.jobs, **opts)
+        [sc] = spec.scorecards(results, **opts)
     finally:
         if own:
             if prev is not None:
@@ -796,65 +567,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "deltas) as JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fig2a", help="RC read scaling (Fig 2a)")
-    p.add_argument("--qps", type=int, nargs="+",
-                   default=[22, 176, 704, 2816])
-    p.add_argument("--clients", type=int, default=22)
-    p.set_defaults(fn=cmd_fig2a)
-
-    p = sub.add_parser("fig2b", help="UD RPC scaling (Fig 2b)")
-    p.add_argument("--senders", type=int, nargs="+", default=[22, 352, 1408])
-    p.add_argument("--clients", type=int, default=22)
-    p.set_defaults(fn=cmd_fig2b)
-
-    p = sub.add_parser("fig6", help="FLock vs eRPC (Figs 6-8)")
-    p.add_argument("--threads", type=int, nargs="+", default=[1, 8, 16, 32])
-    p.add_argument("--outstanding", type=int, default=1)
-    p.add_argument("--clients", type=int, default=23)
-    p.set_defaults(fn=cmd_fig6)
-
-    p = sub.add_parser("fig9", help="sharing approaches (Fig 9)")
-    p.add_argument("--threads", type=int, nargs="+", default=[8, 32])
-    p.add_argument("--clients", type=int, default=23)
-    p.set_defaults(fn=cmd_fig9)
-
-    p = sub.add_parser("fig10", help="coalescing ablation (Fig 10)")
-    p.add_argument("--outstanding-list", type=int, nargs="+",
-                   default=[1, 4, 8])
-    p.add_argument("--clients", type=int, default=23)
-    p.set_defaults(fn=cmd_fig10)
-
-    p = sub.add_parser("fig11", help="thread scheduling (Fig 11)")
-    p.add_argument("--sizes", type=int, nargs="+", default=[512, 1024])
-    p.add_argument("--clients", type=int, default=23)
-    p.set_defaults(fn=cmd_fig11)
-
-    p = sub.add_parser("fig12", help="node scalability (Fig 12)")
-    p.add_argument("--clients-list", type=int, nargs="+",
-                   default=[46, 184, 368])
-    p.add_argument("--nodes", type=int, default=23)
-    p.set_defaults(fn=cmd_fig12)
-
-    p = sub.add_parser("fig14", help="transactions (Figs 14-15)")
-    p.add_argument("--workload", choices=["tatp", "smallbank"],
-                   default="tatp")
-    p.add_argument("--threads", type=int, nargs="+", default=[2, 8])
-    p.set_defaults(fn=cmd_fig14)
-
-    p = sub.add_parser("fig16", help="HydraList (Figs 16-18)")
-    p.add_argument("--threads", type=int, nargs="+", default=[8, 32])
-    p.add_argument("--outstanding", type=int, default=8)
-    p.add_argument("--clients", type=int, default=22)
-    p.set_defaults(fn=cmd_fig16)
-
-    p = sub.add_parser("incast", help="N->1 incast degradation: FLock "
-                                      "vs UD under fabric congestion")
-    p.add_argument("--senders", type=int, default=12)
-    p.add_argument("--threads", type=int, default=6)
-    p.add_argument("--outstanding", type=int, default=2)
-    p.add_argument("--pfc-incast", action="store_true",
-                   help="run the congested legs in lossless PFC mode")
-    p.set_defaults(fn=cmd_incast)
+    for spec in FIGURES.values():
+        p = sub.add_parser(spec.name, help=spec.help)
+        _add_figure_options(p, spec)
+        p.set_defaults(fn=cmd_figure, figure=spec.name)
 
     p = sub.add_parser(
         "explain",
@@ -863,10 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target",
                    help="a live figure (fig2a) or a stored run reference "
                         "(run:N, run:-N, run:latest)")
-    p.add_argument("--qps", type=int, nargs="+",
-                   default=[22, 176, 704, 2816],
-                   help="fig2a sweep points for the live mode")
-    p.add_argument("--clients", type=int, default=22)
+    _add_figure_options(p, FIGURES["fig2a"])
     p.add_argument("--json", dest="explain_json", metavar="FILE",
                    default=None,
                    help="also write the anomaly + explanation report "

@@ -31,7 +31,7 @@ from ..net import build_cluster
 from .metrics import Recorder, Run, RunResult
 from .microbench import ECHO_RPC, _echo_handler
 
-__all__ = ["IncastConfig", "run_incast", "run_incast_flock", "run_incast_ud"]
+__all__ = ["IncastConfig", "run_incast_flock", "run_incast_ud"]
 
 
 @dataclass
@@ -212,36 +212,3 @@ def run_incast_ud(cfg: IncastConfig, *, congested: bool,
         **extras,
     ))
 
-
-def run_incast(cfg: Optional[IncastConfig] = None, *, telemetry=None,
-               audit: Optional[bool] = None, jobs: int = 1) -> dict:
-    """The full four-leg comparison; returns results plus retentions.
-
-    ``retention`` is congested throughput over the same system's
-    uncongested throughput — the degradation measure the acceptance
-    check ranks FLock vs UD on.  The four legs are independent
-    simulations; ``jobs > 1`` fans them across worker processes with
-    identical results (an explicit ``telemetry`` pins the run serial —
-    spans must accumulate in this process).
-    """
-    from .parallel import SweepPoint, run_sweep
-    cfg = cfg or IncastConfig()
-    legs = [
-        ("flock_base", run_incast_flock, False),
-        ("flock_cong", run_incast_flock, True),
-        ("ud_base", run_incast_ud, False),
-        ("ud_cong", run_incast_ud, True),
-    ]
-    points = [
-        SweepPoint("incast/%s" % name, fn, (cfg,),
-                   {"congested": congested, "telemetry": telemetry,
-                    "audit": audit})
-        for name, fn, congested in legs]
-    merged = run_sweep(points, jobs if telemetry is None else 1)
-    results = {name: result
-               for (name, _fn, _c), (_key, result) in zip(legs, merged)}
-    results["flock_retention"] = (
-        results["flock_cong"].mops / max(results["flock_base"].mops, 1e-9))
-    results["ud_retention"] = (
-        results["ud_cong"].mops / max(results["ud_base"].mops, 1e-9))
-    return results

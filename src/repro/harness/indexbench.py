@@ -25,8 +25,7 @@ from ..net import build_cluster
 from ..sim import Streams
 from .metrics import Recorder, Run, RunResult
 
-__all__ = ["IndexBenchConfig", "run_flock_index", "run_erpc_index",
-           "sweep_index"]
+__all__ = ["IndexBenchConfig", "run_flock_index", "run_erpc_index"]
 
 RPC_GET = 21
 RPC_SCAN = 22
@@ -190,27 +189,3 @@ def run_erpc_index(cfg: IndexBenchConfig, *, telemetry=None,
     return _results(run, recorders, "erpc",
                     server_cpu=round(servers[0].cpu.utilization(), 3))
 
-
-def sweep_index(threads_list, *, n_clients: int = 22, outstanding: int = 8,
-                jobs: int = 1) -> dict:
-    """Figs. 16-18: HydraList over FLock vs eRPC across a thread ramp.
-
-    Returns ``{(system, threads): result-dict}``; each result dict is
-    exactly what :func:`run_flock_index` / :func:`run_erpc_index` return.
-    """
-    from .parallel import SweepPoint, run_sweep
-    points = []
-    for threads in threads_list:
-        cfg = IndexBenchConfig(n_clients=n_clients,
-                               threads_per_client=threads,
-                               outstanding=outstanding)
-        points.append(SweepPoint(
-            "fig16/flock/t=%d" % threads, run_flock_index, (cfg,)))
-        points.append(SweepPoint(
-            "fig16/erpc/t=%d" % threads, run_erpc_index, (cfg,)))
-    merged = iter(run_sweep(points, jobs))
-    results = {}
-    for threads in threads_list:
-        results[("flock", threads)] = next(merged)[1]
-        results[("erpc", threads)] = next(merged)[1]
-    return results

@@ -9,7 +9,8 @@ virtual second.  Everything reports in the paper's units: **Mops** and
 **µs**.
 
 ``REPRO_BENCH_SCALE`` (env var, default 1.0, floor 0.1) multiplies the
-warmup and measurement windows for longer, lower-variance runs.
+warmup and measurement windows for longer, lower-variance runs (every
+runner's but Fig. 11's, see :class:`Run`).
 """
 
 from __future__ import annotations
@@ -59,10 +60,15 @@ class Run:
     defaults (:func:`repro.obs.enable`, ``REPRO_AUDIT``,
     ``REPRO_PROFILE``).  None of the instruments schedules events or
     draws randomness, so they never change simulation results.
+
+    ``scaled=False`` keeps the windows as given instead of multiplying
+    them by :func:`bench_scale`, for a runner whose claims need a warmup
+    spanning fixed-period scheduler passes.
     """
 
     def __init__(self, label: str, warmup_ns: float, measure_ns: float, *,
-                 telemetry=None, audit: Optional[bool] = None,
+                 scaled: bool = True, telemetry=None,
+                 audit: Optional[bool] = None,
                  profile: Optional[bool] = None):
         self.sim = sim = Simulator()
         tel = telemetry if telemetry is not None else current_telemetry()
@@ -82,7 +88,7 @@ class Run:
                     self._audit_registry = sim.metrics
             else:
                 self._audit_registry = sim.metrics = Registry()
-        scale = bench_scale()
+        scale = bench_scale() if scaled else 1.0
         self.warmup = warmup_ns * scale
         self.measure = measure_ns * scale
         want = profile if profile is not None else profile_enabled()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..baselines import (
     ErpcEndpoint,
@@ -35,11 +35,9 @@ __all__ = [
     "run_flock",
     "run_erpc",
     "run_rc",
+    "run_thread_sched",
     "run_raw_reads",
     "run_ud_rpc",
-    "sweep_raw_reads",
-    "sweep_ud_rpc",
-    "sweep_flock_vs_erpc",
 ]
 
 ECHO_RPC = 1
@@ -274,6 +272,80 @@ def run_rc(cfg: MicrobenchConfig, *, threads_per_qp: int = 1,
 
 
 # ---------------------------------------------------------------------------
+# Sender-side thread scheduling under mixed payloads (Fig. 11)
+# ---------------------------------------------------------------------------
+
+def run_thread_sched(cfg: MicrobenchConfig, *, scheduling: bool,
+                     telemetry=None, audit: Optional[bool] = None,
+                     profile: Optional[bool] = None) -> Dict[str, object]:
+    """FLock echo RPCs over a mixed-size workload (``cfg.sizegen``, a
+    :class:`BimodalSize`), with thread scheduling on or off.  Each client
+    connects half as many QPs as it has threads.
+
+    The windows are ``cfg``'s, unscaled by ``REPRO_BENCH_SCALE``: the
+    scheduler acts every 150 µs, and the measurement must start several
+    passes after the first (at scale 0.3 it starts one pass in, and
+    scheduling still costs 40% of throughput).
+
+    Returns per-class results (``"small"``, ``"large"``; the run's
+    profile and audit report ride on ``"small"``), the combined ``"mops"``
+    and ``"mixed_qps"``: the QPs that carry both size classes at the end
+    of the run.
+    """
+    sizegen = cfg.sizegen
+    run = Run("thread-sched %dB %s" % (sizegen.large_size,
+                                       "on" if scheduling else "off"),
+              cfg.warmup_ns, cfg.measure_ns, scaled=False,
+              telemetry=telemetry, audit=audit, profile=profile)
+    sim = run.sim
+    cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
+    servers, clients, fabric = build_cluster(sim, cluster)
+    flock_cfg = FlockConfig(sched_interval_ns=150_000.0,
+                            thread_sched_interval_ns=150_000.0)
+    server = FlockNode(sim, servers[0], fabric, flock_cfg)
+    server.fl_reg_handler(ECHO_RPC, _echo_handler(
+        cfg.resp_size, cfg.handler_ns, sim, run.warmup + run.measure / 2))
+    recorders = {"small": Recorder(sim), "large": Recorder(sim)}
+    jitter_rng = random.Random(99)
+    handles = []
+
+    def worker(fnode, handle, thread_id, rng):
+        recorder = recorders["large" if thread_id in sizegen.large_threads
+                             else "small"]
+        while True:
+            yield sim.timeout(rng.random() * cfg.think_jitter_ns)
+            started = sim.now
+            yield from fnode.fl_call(handle, thread_id, ECHO_RPC,
+                                     sizegen.next(thread_id))
+            recorder.record(started)
+
+    for c_idx, node in enumerate(clients):
+        fnode = FlockNode(sim, node, fabric, flock_cfg, seed=c_idx)
+        fnode.client.thread_scheduling_enabled = scheduling
+        handle = fnode.fl_connect(server, n_qps=cfg.threads_per_client // 2)
+        handles.append(handle)
+        for t_idx in range(cfg.threads_per_client):
+            for _ in range(cfg.outstanding):
+                rng = random.Random(jitter_rng.getrandbits(48))
+                sim.spawn(worker(fnode, handle, t_idx, rng),
+                          name="sched-worker")
+
+    run.window(recorders.values(), fabric)
+    mixed_qps = 0
+    for handle in handles:
+        classes = {}
+        for tid, qp in handle.thread_qp_map.items():
+            classes.setdefault(qp, set()).add(tid in sizegen.large_threads)
+        mixed_qps += sum(1 for found in classes.values() if len(found) == 2)
+    out = {name: recorder.result(system="flock")
+           for name, recorder in recorders.items()}
+    out["mops"] = (out["small"].ops + out["large"].ops) / run.measure * 1e3
+    out["mixed_qps"] = mixed_qps
+    run.finish(out["small"])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Motivation: raw RC reads (Fig. 2a) and UD RPC (Fig. 2b)
 # ---------------------------------------------------------------------------
 
@@ -373,58 +445,3 @@ def run_ud_rpc(n_senders: int, *, n_clients: int = 22, req_size: int = 64,
         server_net_frac=round(servers[0].cpu.network_fraction(), 3),
         events=sim.events_processed,
     ))
-
-
-# ---------------------------------------------------------------------------
-# Sweeps: the figure-level fan-outs (parallelizable via --jobs)
-# ---------------------------------------------------------------------------
-
-def sweep_raw_reads(qps_list, *, n_clients: int = 22,
-                    outstanding_per_qp: int = 4, jobs: int = 1) -> dict:
-    """Fig. 2a's QP ramp as an ordered ``{qps: RunResult}`` sweep."""
-    from .parallel import SweepPoint, run_sweep
-    points = [
-        SweepPoint("fig2a/qps=%d" % qps, run_raw_reads, (qps,),
-                   {"n_clients": n_clients,
-                    "outstanding_per_qp": outstanding_per_qp})
-        for qps in qps_list]
-    merged = run_sweep(points, jobs)
-    return {qps: result for qps, (_key, result) in zip(qps_list, merged)}
-
-
-def sweep_ud_rpc(senders_list, *, n_clients: int = 22, jobs: int = 1) -> dict:
-    """Fig. 2b's sender ramp as an ordered ``{senders: RunResult}``."""
-    from .parallel import SweepPoint, run_sweep
-    points = [
-        SweepPoint("fig2b/senders=%d" % n, run_ud_rpc, (n,),
-                   {"n_clients": n_clients})
-        for n in senders_list]
-    merged = run_sweep(points, jobs)
-    return {n: result for n, (_key, result) in zip(senders_list, merged)}
-
-
-def sweep_flock_vs_erpc(threads_list, *, n_clients: int = 23,
-                        outstanding: int = 1, jobs: int = 1) -> dict:
-    """Figs. 6-8: both systems across a thread ramp.
-
-    Returns ``{(system, outstanding, threads): RunResult}`` — the exact
-    key shape :func:`repro.harness.scorecards.scorecards_fig6_7_8`
-    consumes — with results identical to calling :func:`run_flock` /
-    :func:`run_erpc` in a serial loop.
-    """
-    from .parallel import SweepPoint, run_sweep
-    points = []
-    for threads in threads_list:
-        cfg = MicrobenchConfig(n_clients=n_clients,
-                               threads_per_client=threads,
-                               outstanding=outstanding)
-        points.append(SweepPoint(
-            "fig6/flock/t=%d" % threads, run_flock, (cfg,)))
-        points.append(SweepPoint(
-            "fig6/erpc/t=%d" % threads, run_erpc, (cfg,)))
-    merged = iter(run_sweep(points, jobs))
-    results = {}
-    for threads in threads_list:
-        results[("flock", outstanding, threads)] = next(merged)[1]
-        results[("erpc", outstanding, threads)] = next(merged)[1]
-    return results

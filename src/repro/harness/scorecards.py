@@ -1,15 +1,17 @@
 """Scorecard builders: one per reproduced paper figure.
 
-Each builder condenses a figure's sweep (the same result dictionaries
-the benchmark suite produces) into a :class:`repro.obs.Scorecard` —
-headline metrics with regression tolerances plus the figure's
-qualitative *shape checks* (Fig. 2a's cliff past the QP-cache size,
-Fig. 10's coalescing speedup growing with outstanding requests, ...).
+Each builder condenses a figure's sweep (the results of its
+:class:`repro.harness.figures.FigureSpec`) into a
+:class:`repro.obs.Scorecard` — headline metrics with regression
+tolerances plus the figure's qualitative *shape checks* (Fig. 2a's cliff
+past the QP-cache size, Fig. 10's coalescing speedup growing with
+outstanding requests, ...).  The checks are the figure's only claim
+thresholds: a benchmark asserts just that its scorecards passed.
 
 Builders degrade gracefully: metrics and checks are only emitted for
-sweep points actually present, so the CLI's reduced sweeps and the
-benchmark suite's full sweeps both produce valid scorecards.  Only the
-full-sweep scorecards are meant to be committed as baselines.
+sweep points actually present, so reduced CLI sweeps and the full
+default sweeps both produce valid scorecards.  Only the full-sweep
+scorecards are meant to be committed as baselines.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ __all__ = [
     "attach_anomalies",
     "attach_attribution",
     "attach_slo",
+    "retention",
     "scorecard_fig2a",
+    "scorecard_fig2b",
     "scorecards_fig6_7_8",
     "scorecard_fig9",
     "scorecard_fig10",
@@ -33,6 +37,7 @@ __all__ = [
     "scorecard_fig12",
     "scorecard_fig14",
     "scorecard_fig15",
+    "scorecard_fig16",
     "scorecard_incast",
     "scorecard_search",
 ]
@@ -237,6 +242,34 @@ def scorecard_fig2a(results: Dict[int, object],
     return sc
 
 
+def scorecard_fig2b(results: Dict[object, object]) -> Scorecard:
+    """Fig. 2(b): UD RPC throughput saturates on server CPU, mostly in
+    the network stack, below the RC read peak.  Keyed by sender count,
+    plus the ``"rc_read"`` reference point (RC reads at 176 QPs)."""
+    sc = Scorecard("fig2b", "UD RPC throughput vs #senders")
+    mops = {n: r.mops for n, r in results.items() if n != "rc_read"}
+    best = max(mops.values())
+    n_hi = max(mops)
+    sc.add_metric("peak_mops", best, better="higher", unit="Mops")
+    if 352 in mops and n_hi > 352:
+        sc.add_check("saturates", mops[n_hi] < 1.25 * mops[352],
+                     "throughput stops scaling past 352 senders")
+    if 352 in mops:
+        saturated = results[352].extras
+        sc.add_check("server_cpu_bound",
+                     saturated["server_cpu"] > 0.95
+                     and saturated["server_net_frac"] > 0.8,
+                     "paper: >90% of server cycles in the network stack")
+    if "rc_read" in results:
+        sc.add_check("below_rc_read_peak",
+                     best < results["rc_read"].mops,
+                     "paper: the UD ceiling sits ~2x below RC reads")
+    attach_slo(sc, results)
+    attach_anomalies(sc, results)
+    attach_attribution(sc, results.values())
+    return sc
+
+
 def scorecards_fig6_7_8(results: Dict[tuple, object]) -> List[Scorecard]:
     """Figs. 6/7/8: FLock vs eRPC throughput / median / tail latency.
 
@@ -276,6 +309,20 @@ def scorecards_fig6_7_8(results: Dict[tuple, object]) -> List[Scorecard]:
                     > 1.2 * results[("erpc", o, t)].mops
                     for t in (16, 32, 48) if t in threads),
                 "paper's 1.25-3.4x band at high thread counts")
+    if 1 in outs:
+        low = [t for t in (1, 4) if t in threads]
+        fig6.add_check(
+            "parity_at_low_threads",
+            all(results[("flock", 1, t)].mops
+                < 2.5 * results[("erpc", 1, t)].mops for t in low),
+            "paper: comparable throughput up to four threads")
+    if 1 in outs and 8 in outs and 4 in threads:
+        one, eight = results[("flock", 1, 4)], results[("flock", 8, 4)]
+        fig6.add_check(
+            "outstanding_trades_latency",
+            eight.mops > one.mops and eight.median_us > one.median_us,
+            "more outstanding requests raise FLock throughput at 4 "
+            "threads at the cost of median latency")
 
     fig7 = Scorecard("fig7", "FLock vs eRPC median latency")
     fig8 = Scorecard("fig8", "FLock vs eRPC tail latency")
@@ -342,6 +389,19 @@ def scorecard_fig9(results: Dict[tuple, object]) -> Scorecard:
                 and results[("farm4", t)].mops
                 < 1.25 * results[("nosharing", t)].mops,
                 "FaRM-like sharing performs like no sharing")
+            sc.add_check(
+                "flock_beats_spinlock_t%d" % t,
+                results[("flock", t)].mops
+                > 1.3 * max(results[("farm2", t)].mops,
+                            results[("farm4", t)].mops),
+                "combining beats serialized spinlock posting")
+    for t in (32, 48):
+        if ("flock", t) in results:
+            sc.add_check(
+                "flock_tail_lower_t%d" % t,
+                results[("flock", t)].p99_us
+                < results[("nosharing", t)].p99_us,
+                "paper: 27%/49% lower p99 at 32/48 threads")
     attach_slo(sc, results)
     attach_anomalies(sc, results)
     attach_attribution(sc, results.values())
@@ -389,15 +449,20 @@ def scorecard_fig10(results: Dict[tuple, object]) -> Scorecard:
     return sc
 
 
-def scorecard_fig11(results: Dict[tuple, object]) -> Scorecard:
+def scorecard_fig11(results: Dict[tuple, object],
+                    n_clients: int) -> Scorecard:
     """Fig. 11: thread scheduling, keyed ``(large_size, scheduling)``
-    with per-class summary dicts (the benchmark's ``run_point`` shape)."""
+    with :func:`repro.harness.microbench.run_thread_sched` results."""
     sc = Scorecard("fig11", "Sender-side thread scheduling")
     sizes = sorted({k[0] for k in results})
     s_hi = sizes[-1]
     off, on = results[(s_hi, False)], results[(s_hi, True)]
+
+    def large_median(point):
+        return point["large"].latency["median"]
+
     sc.add_metric("large_median_ratio_%dB" % s_hi,
-                  on["large"]["median"] / max(off["large"]["median"], 1e-9),
+                  large_median(on) / max(large_median(off), 1e-9),
                   better="lower", rtol=0.15)
     sc.add_metric("mops_ratio_%dB" % s_hi,
                   on["mops"] / max(off["mops"], 1e-9),
@@ -409,14 +474,18 @@ def scorecard_fig11(results: Dict[tuple, object]) -> Scorecard:
                      < results[(s, False)]["mixed_qps"] / 2 for s in sizes),
                  "Algorithm 1 packs size classes onto disjoint QPs")
     sc.add_check("large_escapes_head_of_line",
-                 all(results[(s, True)]["large"]["median"]
-                     < 0.7 * results[(s, False)]["large"]["median"]
+                 all(large_median(results[(s, True)])
+                     < 0.7 * large_median(results[(s, False)])
                      for s in sizes),
                  "large requests stop queueing behind combining pipelines")
     sc.add_check("throughput_not_sacrificed",
                  all(results[(s, True)]["mops"]
                      > 0.85 * results[(s, False)]["mops"] for s in sizes),
                  "scheduling costs at most a modest slice of throughput")
+    sc.add_check("one_boundary_qp_per_client",
+                 all(results[(s, True)]["mixed_qps"] <= n_clients
+                     for s in sizes),
+                 "at most about one QP per client carries both classes")
     return sc
 
 
@@ -446,6 +515,12 @@ def scorecard_fig12(results: Dict[tuple, object]) -> Scorecard:
                    > 1.05 * results[("2t2q", t)].mops)
         sc.add_check("shared_qp_beats_dedicated", wins >= len(compare) - 1,
                      "paper: +10-30% with half the QPs")
+    tails = [t for t in (184, 368) if ("2t2q", t) in results]
+    if tails:
+        sc.add_check("shared_qp_tail_no_worse",
+                     all(results[("2t1q", t)].p99_us
+                         < 1.3 * results[("2t2q", t)].p99_us for t in tails),
+                     "sharing a QP costs no tail latency at high counts")
     attach_slo(sc, results)
     attach_anomalies(sc, results)
     attach_attribution(sc, results.values())
@@ -490,16 +565,21 @@ def _txn_scorecard(figure: str, title: str, results: Dict[tuple, object],
     return sc
 
 
+def retention(results: Dict[str, object], system: str) -> float:
+    """An incast system's congested over uncongested throughput."""
+    return (results["%s_cong" % system].mops
+            / max(results["%s_base" % system].mops, 1e-9))
+
+
 def scorecard_incast(results: Dict[str, object]) -> Scorecard:
     """Extension figure: N→1 incast degradation, FLock vs UD RPC.
 
-    ``results`` is :func:`repro.harness.incastbench.run_incast`'s dict —
-    four run results keyed ``{flock,ud}_{base,cong}`` plus the derived
-    per-system retentions (congested / uncongested throughput).
+    ``results`` holds the four legs keyed ``{flock,ud}_{base,cong}``;
+    the headline is each system's :func:`retention`.
     """
     sc = Scorecard("ext_incast", "N→1 incast under fabric congestion")
-    flock_ret = results["flock_retention"]
-    ud_ret = results["ud_retention"]
+    flock_ret = retention(results, "flock")
+    ud_ret = retention(results, "ud")
     sc.add_metric("flock_retention", flock_ret, better="higher", rtol=0.10)
     sc.add_metric("ud_retention", ud_ret, better="info")
     sc.add_metric("flock_over_ud_retention",
@@ -534,25 +614,100 @@ def scorecard_incast(results: Dict[str, object]) -> Scorecard:
         not results["flock_base"].extras.get("congested", True)
         and not results["ud_base"].extras.get("congested", True),
         "baseline legs ran on the contention-free fabric")
+    sc.add_check(
+        "congested_legs_drop",
+        all(leg.extras.get("congested")
+            and leg.extras.get("switch_drops", 0) > 0
+            for leg in (results["flock_cong"], results["ud_cong"])),
+        "both congested legs tail-drop at the shared egress port")
+    sc.add_check(
+        "dcqcn_throttles_rc_only",
+        cong.get("throttled_qps", 0) > 0
+        and results["ud_cong"].extras.get("cnps", 0) == 0,
+        "CNPs throttle FLock's RC QPs; UD has no reliable flows to pace")
     attach_slo(sc, results)
     attach_anomalies(sc, results)
-    attach_attribution(sc, (results["flock_base"], results["flock_cong"],
-                            results["ud_base"], results["ud_cong"]))
+    attach_attribution(sc, results.values())
     return sc
 
 
 def scorecard_fig14(results: Dict[tuple, object]) -> Scorecard:
     """Fig. 14: TATP — FLockTX vs FaSST, keyed ``(system, threads)``."""
-    return _txn_scorecard("fig14", "TATP transactions", results,
-                          win_threads=(8, 16), win_ratio=1.4,
-                          tail_thread=16)
+    sc = _txn_scorecard("fig14", "TATP transactions", results,
+                        win_threads=(8, 16), win_ratio=1.4,
+                        tail_thread=16)
+    if ("flocktx", 2) in results and ("flocktx", 16) in results:
+        flock16 = results[("flocktx", 16)].mops
+        sc.add_check("flocktx_keeps_scaling",
+                     flock16 > 1.5 * results[("flocktx", 2)].mops
+                     and flock16 > results[("fasst", 16)].mops,
+                     "FLockTX gains >1.5x from 2 to 16 threads and stays "
+                     "ahead of FaSST")
+    sc.add_check("aborts_rare",
+                 all(r.extras.get("abort_rate", 1.0) < 0.2
+                     for r in results.values()),
+                 "read-mostly TATP aborts under 20% of transactions")
+    return sc
 
 
 def scorecard_fig15(results: Dict[tuple, object]) -> Scorecard:
     """Fig. 15: Smallbank — FLockTX vs FaSST, keyed ``(system, threads)``."""
-    return _txn_scorecard("fig15", "Smallbank transactions", results,
-                          win_threads=(4, 8), win_ratio=1.15,
-                          tail_thread=1)
+    sc = _txn_scorecard("fig15", "Smallbank transactions", results,
+                        win_threads=(4, 8), win_ratio=1.15,
+                        tail_thread=1)
+    if ("flocktx", 8) in results:
+        sc.add_check("writes_cost_round_trips",
+                     results[("flocktx", 8)].median_us > 4.0,
+                     "a replicated write commit needs >= 4 RPC round trips")
+    return sc
+
+
+def scorecard_fig16(results: Dict[tuple, Dict[str, object]]) -> Scorecard:
+    """Figs. 16-18: HydraList over FLock vs eRPC, keyed ``(system,
+    outstanding, threads)`` with :func:`repro.harness.indexbench`
+    per-class result dicts."""
+    sc = Scorecard("fig16", "HydraList: FLock vs eRPC")
+    outs = sorted({k[1] for k in results})
+    threads = sorted({k[2] for k in results})
+    o_hi, t_hi = outs[-1], threads[-1]
+    flock, erpc = results[("flock", o_hi, t_hi)], results[("erpc", o_hi, t_hi)]
+    sc.add_metric("flock_mops_o%d_t%d" % (o_hi, t_hi), flock["total_mops"],
+                  better="higher", unit="Mops")
+    sc.add_metric("flock_over_erpc_o%d_t%d" % (o_hi, t_hi),
+                  flock["total_mops"] / max(erpc["total_mops"], 1e-9),
+                  better="higher", rtol=0.10)
+    sc.add_metric("flock_get_median_us_o%d_t%d" % (o_hi, t_hi),
+                  flock["get"].median_us, better="lower", unit="us")
+    if 1 in outs:
+        pairs = [(results[("flock", 1, t)]["total_mops"],
+                  results[("erpc", 1, t)]["total_mops"])
+                 for t in (1, 8) if t in threads]
+        sc.add_check(
+            "parity_at_low_threads",
+            all(f < 2.5 * e and e < 2.5 * f for f, e in pairs),
+            "paper: eRPC similar or slightly better up to 8 threads")
+    if 8 in outs and 32 in threads:
+        flock32, erpc32 = results[("flock", 8, 32)], results[("erpc", 8, 32)]
+        sc.add_check("flock_wins_at_32",
+                     flock32["total_mops"] > 1.2 * erpc32["total_mops"],
+                     "paper: ~1.4x at 32 threads")
+        sc.add_check("get_latency_lower_at_32",
+                     flock32["get"].median_us < erpc32["get"].median_us
+                     and flock32["get"].p99_us < 1.4 * erpc32["get"].p99_us,
+                     "lower get median, comparable get p99 at 32 threads")
+    if 1 in outs and 8 in threads:
+        sc.add_check("scans_cost_more",
+                     all(results[(s, 1, 8)]["scan"].median_us
+                         > results[(s, 1, 8)]["get"].median_us
+                         for s in ("flock", "erpc")),
+                     "a 64-key scan is slower than a get")
+    if ("flock", 1, 16) in results:
+        point = results[("flock", 1, 16)]
+        gets, scans = point["get"].ops, point["scan"].ops
+        sc.add_check("mix_is_90_10",
+                     abs(gets / max(gets + scans, 1) - 0.9) <= 0.03,
+                     "90% gets / 10% scans")
+    return sc
 
 
 def scorecard_search(name: str, evaluation: Dict, *, objective: str = "",

@@ -1,35 +1,15 @@
 """Paper-style table formatting for benchmark output.
 
-Each benchmark prints the rows/series the corresponding paper figure
-plots, so ``pytest benchmarks/ --benchmark-only -s`` regenerates the
-evaluation section as text tables.
+Each figure's tables hold the rows/series the corresponding paper figure
+plots; ``pytest benchmarks/`` and the CLI print the same ones, so either
+regenerates the evaluation section as text tables.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
-__all__ = ["format_table", "latency_cells", "latency_columns",
-           "print_table"]
-
-
-def latency_columns(prefix: str = "") -> List[str]:
-    """Column headers matching :func:`latency_cells` (med/p99/p999),
-    optionally prefixed with a system name (``"FLock med"``, ...)."""
-    pre = (prefix + " ") if prefix else ""
-    return [pre + "med", pre + "p99", pre + "p999"]
-
-
-def latency_cells(result, digits: int = 1) -> List[float]:
-    """The median/p99/p999 (µs) cells of one run, rounded for tables.
-
-    The tail column exists because the paper's headline claims are
-    median/p99 but SLO regressions usually surface in the p999 first —
-    every latency table carries all three.
-    """
-    return [round(result.median_us, digits),
-            round(result.p99_us, digits),
-            round(result.p999_us, digits)]
+__all__ = ["format_table", "print_table"]
 
 
 def format_table(title: str, columns: Sequence[str],

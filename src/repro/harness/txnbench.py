@@ -36,7 +36,7 @@ from ..workloads import SmallbankWorkload, TatpWorkload
 from .metrics import Recorder, Run, RunResult
 
 __all__ = ["TxnBenchConfig", "run_flocktx", "run_fasst_txn",
-           "build_txn_servers", "sweep_txn"]
+           "build_txn_servers"]
 
 
 @dataclass
@@ -50,8 +50,8 @@ class TxnBenchConfig:
     #: Concurrent transactions per thread (paper: 19 submit coroutines).
     coroutines_per_thread: int = 19
     #: Scaled-down population (paper: 1M subscribers / 100k accounts).
-    subscribers_per_server: int = 60_000
-    accounts_per_thread: int = 2_000
+    subscribers_per_server: int = 30_000
+    accounts_per_thread: int = 10_000
     warmup_ns: float = 800_000.0
     measure_ns: float = 800_000.0
     seed: int = 7
@@ -231,27 +231,3 @@ def run_fasst_txn(cfg: TxnBenchConfig, *, telemetry=None,
                    server_cpu=round(server_hw[0].cpu.utilization(), 3),
                    recv_drops=sum(f.recv_drops for f in fasst_servers))
 
-
-def sweep_txn(threads_list, *, workload: str = "tatp", jobs: int = 1) -> dict:
-    """Figs. 14/15: FLockTX vs FaSST across a thread ramp.
-
-    Returns ``{(system, threads): RunResult}`` with the key shape the
-    fig14/fig15 scorecards consume; ``jobs > 1`` fans the independent
-    points across workers with identical results.
-    """
-    from .parallel import SweepPoint, run_sweep
-    points = []
-    for threads in threads_list:
-        cfg = TxnBenchConfig(workload=workload, threads_per_client=threads)
-        points.append(SweepPoint(
-            "fig14/flocktx/%s/t=%d" % (workload, threads),
-            run_flocktx, (cfg,)))
-        points.append(SweepPoint(
-            "fig14/fasst/%s/t=%d" % (workload, threads),
-            run_fasst_txn, (cfg,)))
-    merged = iter(run_sweep(points, jobs))
-    results = {}
-    for threads in threads_list:
-        results[("flocktx", threads)] = next(merged)[1]
-        results[("fasst", threads)] = next(merged)[1]
-    return results

@@ -43,6 +43,9 @@ class BimodalSize:
         #: Deterministic: the first ceil(10%) thread ids are the large ones.
         self.large_threads = set(range(n_large))
 
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
+
     def next(self, thread_id: int) -> int:
         if thread_id in self.large_threads:
             return self.large_size

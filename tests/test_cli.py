@@ -2,31 +2,42 @@
 
 import pytest
 
+from repro.harness import FIGURES
 from repro.harness.cli import build_parser, main
 
 
 class TestParser:
     def test_all_experiments_listed(self, capsys):
         main(["list"])
-        out = capsys.readouterr().out
-        for name in ("fig2a", "fig2b", "fig6", "fig9", "fig10", "fig14",
-                     "fig16"):
-            assert name in out
+        listed = set(capsys.readouterr().out.split())
+        assert set(FIGURES) <= listed
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
     def test_defaults(self):
+        """A figure's options default to its full benchmark sweep."""
         args = build_parser().parse_args(["fig6"])
-        assert args.outstanding == 1
+        assert args.threads == [1, 4, 8, 16, 32, 48]
+        assert args.outstanding == [1, 4, 8]
         assert args.clients == 23
 
     def test_fig11_and_fig12_parsers(self):
         args = build_parser().parse_args(["fig11", "--sizes", "512"])
         assert args.sizes == [512]
-        args = build_parser().parse_args(["fig12", "--clients-list", "46"])
-        assert args.clients_list == [46]
+        args = build_parser().parse_args(["fig12", "--clients", "46"])
+        assert args.clients == [46]
+
+    @pytest.mark.parametrize("argv", [
+        ["fig14", "--workload", "smallbank"],
+        ["incast", "--pfc-incast"],
+        ["fig10", "--outstanding-list", "1"],
+        ["fig12", "--clients-list", "46"],
+    ])
+    def test_deleted_flags_are_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
     def test_scale_flag_sets_env(self, monkeypatch, capsys):
         import os
@@ -47,7 +58,7 @@ class TestSmallRuns:
     def test_fig6_prints_table(self, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
         main(["--scale", "0.3", "fig6", "--threads", "2",
-              "--clients", "2"])
+              "--outstanding", "1", "--clients", "2"])
         out = capsys.readouterr().out
         assert "FLock" in out and "eRPC" in out
 

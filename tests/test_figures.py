@@ -1,0 +1,148 @@
+"""The figure registry's wiring: every CLI figure subcommand and every
+figure benchmark reaches its :class:`repro.harness.FigureSpec`.
+
+``run_sweep`` is patched with a recorder that returns canned results, so
+these tests pin which points each entry point evaluates and which tables
+and scorecards it emits without simulating anything.
+"""
+
+import ast
+import collections
+import pathlib
+import re
+from unittest.mock import patch
+
+import pytest
+
+from repro.harness import (
+    FIGURES,
+    RunResult,
+    format_table,
+    run_erpc_index,
+    run_flock_index,
+    run_thread_sched,
+)
+from repro.harness.cli import main
+
+BENCHMARKS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _canned(point, i):
+    """A made-up result shaped like what ``point.fn`` returns."""
+    run = RunResult(
+        ops=100 + i, duration_ns=1000.0,
+        latency={"count": 1, "median": 1000.0 + i, "p99": 2000.0 + i,
+                 "p999": 3000.0 + i, "mean": 1000.0, "min": 1.0,
+                 "max": 4000.0},
+        extras=collections.defaultdict(lambda: 1))
+    if point.fn in (run_flock_index, run_erpc_index):
+        return {"get": run, "scan": run, "total_mops": 100.0 + i}
+    if point.fn is run_thread_sched:
+        return {"small": run, "large": run, "mops": 100.0 + i,
+                "mixed_qps": i}
+    return run
+
+
+class SweepRecorder:
+    """Stands in for ``run_sweep``: records each call's points and
+    returns canned results in input order."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, points, jobs=1):
+        points = list(points)
+        self.calls.append(points)
+        return [(p.key, _canned(p, i)) for i, p in enumerate(points)]
+
+
+def _canned_results(points):
+    return {key: _canned(p, i) for i, (key, p) in enumerate(points.items())}
+
+
+def _first_values(spec):
+    """The spec's options with every list cut to its first value."""
+    return {name: value[:1] if isinstance(value, list) else value
+            for name, value in spec.defaults.items()}
+
+
+def _argv(opts):
+    argv = []
+    for name, value in opts.items():
+        values = value if isinstance(value, list) else [value]
+        argv += ["--" + name] + [str(v) for v in values]
+    return argv
+
+
+class TestCliFigures:
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_subcommand_runs_its_spec(self, name, capsys, tmp_path):
+        """With no options, a subcommand evaluates exactly
+        ``spec.points(**defaults)``, prints ``spec.tables`` and writes
+        one file per ``spec.scorecards``."""
+        spec = FIGURES[name]
+        recorder = SweepRecorder()
+        with patch("repro.harness.figures.run_sweep", recorder):
+            assert main(["--scorecard", str(tmp_path), name]) == 0
+        out = capsys.readouterr().out
+        points = spec.points(**spec.defaults)
+        assert recorder.calls == [list(points.values())]
+        results = _canned_results(points)
+        tables = spec.tables(results, **spec.defaults)
+        assert tables
+        for table in tables:
+            assert format_table(*table) in out
+        scorecards = spec.scorecards(results, **spec.defaults)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            "BENCH_%s.json" % sc.figure for sc in scorecards)
+
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_options_reach_the_points(self, name, capsys):
+        spec = FIGURES[name]
+        opts = _first_values(spec)
+        recorder = SweepRecorder()
+        with patch("repro.harness.figures.run_sweep", recorder):
+            main([name] + _argv(opts))
+        capsys.readouterr()
+        assert recorder.calls == [list(spec.points(**opts).values())]
+
+    def test_explain_runs_the_fig2a_spec(self, capsys):
+        spec = FIGURES["fig2a"]
+        recorder = SweepRecorder()
+        with patch("repro.harness.figures.run_sweep", recorder):
+            assert main(["explain", "fig2a"]) == 0
+        assert "=== fig2a" in capsys.readouterr().out
+        assert recorder.calls == [
+            list(spec.points(**spec.defaults).values())]
+
+
+def _bench_modules():
+    """``{module file name: [figures it runs]}`` for every bench module."""
+    return {path.name: re.findall(r'run_figure\("(\w+)"\)', path.read_text())
+            for path in sorted(BENCHMARKS.glob("test_*.py"))}
+
+
+class TestBenchFigures:
+    def test_every_spec_runs_in_one_bench_module(self):
+        ran = sorted(name for names in _bench_modules().values()
+                     for name in names)
+        assert ran == sorted(FIGURES)
+
+    def test_every_figure_bench_module_runs_a_spec(self):
+        modules = _bench_modules()
+        figure_modules = [m for m in modules if m.startswith("test_fig")]
+        assert figure_modules
+        for module in figure_modules:
+            assert modules[module], "%s runs no FigureSpec" % module
+
+    def test_spec_modules_hold_no_thresholds(self):
+        """Claims live in the scorecard builders: a module that runs a
+        spec contains no numeric literal."""
+        for module, figures in _bench_modules().items():
+            if not figures:
+                continue
+            tree = ast.parse((BENCHMARKS / module).read_text())
+            numbers = [node.value for node in ast.walk(tree)
+                       if isinstance(node, ast.Constant)
+                       and isinstance(node.value, (int, float))]
+            assert not numbers, (module, numbers)

@@ -15,16 +15,15 @@ import os
 
 import pytest
 
-from repro.harness import MicrobenchConfig, run_flock, sweep_raw_reads
+from repro.harness import FIGURES, MicrobenchConfig, run_flock
 from repro.harness.cli import main
-from repro.harness.incastbench import IncastConfig, run_incast
 from repro.harness.parallel import (
     JOBS_ENV,
     SweepPoint,
     default_jobs,
     run_sweep,
 )
-from repro.harness.scorecards import scorecard_fig2a
+from repro.harness.scorecards import retention, scorecard_fig2a
 from repro.obs import Telemetry, current_telemetry, disable, enable
 from repro.sim.rand import Streams
 
@@ -171,8 +170,9 @@ class TestSweepDeterminism:
 
     def test_fig2a_metrics_and_scorecard(self):
         qps = [8, 16]
-        serial = sweep_raw_reads(qps, n_clients=2, jobs=1)
-        parallel = sweep_raw_reads(qps, n_clients=2, jobs=4)
+        spec = FIGURES["fig2a"]
+        serial = spec.run(1, qps=qps, clients=2)
+        parallel = spec.run(4, qps=qps, clients=2)
         assert list(serial) == list(parallel) == qps
         for q in qps:
             assert _result_fingerprint(serial[q]) == \
@@ -182,15 +182,17 @@ class TestSweepDeterminism:
         assert dump(serial) == dump(parallel)
 
     def test_incast_legs_and_retention(self):
-        cfg = IncastConfig(n_senders=3, threads_per_client=2)
-        serial = run_incast(cfg, jobs=1)
-        parallel = run_incast(cfg, jobs=4)
-        assert serial.keys() == parallel.keys()
-        for leg in ("flock_base", "flock_cong", "ud_base", "ud_cong"):
+        spec = FIGURES["incast"]
+        opts = dict(spec.defaults, senders=3, threads=2)
+        serial = spec.run(1, **opts)
+        parallel = spec.run(4, **opts)
+        assert list(serial) == list(parallel) == [
+            "flock_base", "flock_cong", "ud_base", "ud_cong"]
+        for leg in serial:
             assert _result_fingerprint(serial[leg]) == \
                 _result_fingerprint(parallel[leg])
-        assert serial["flock_retention"] == parallel["flock_retention"]
-        assert serial["ud_retention"] == parallel["ud_retention"]
+        for system in ("flock", "ud"):
+            assert retention(serial, system) == retention(parallel, system)
 
     def test_cli_metrics_file_identical_across_jobs(self, tmp_path,
                                                     capsys):

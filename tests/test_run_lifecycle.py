@@ -2,7 +2,7 @@
 
 Every figure runner drives one ``Run``: simulator first, then telemetry,
 audit registry and host-time profiler, all before the cluster is built.
-Each of the twelve runners is driven here at a tiny config with the
+Each of the thirteen runners is driven here at a tiny config with the
 auditors and the profiler on, so a runner that skips part of the
 lifecycle fails loudly.  A structural pin keeps simulator construction
 and loop selection in the one module that defines ``Run``.
@@ -27,10 +27,13 @@ from repro.harness import (
     run_incast_ud,
     run_raw_reads,
     run_rc,
+    run_thread_sched,
     run_ud_rpc,
 )
+from repro.harness.metrics import Run
 from repro.obs.simprof import PROFILE_ENV
 from repro.search.runner import ScenarioConfig, run_scenario_leg
+from repro.workloads import BimodalSize
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -60,6 +63,11 @@ RUNNERS = {
     "run_flock": lambda: run_flock(_micro(), audit=True, profile=True),
     "run_erpc": lambda: run_erpc(_micro(), audit=True, profile=True),
     "run_rc": lambda: run_rc(_micro(), audit=True, profile=True),
+    "run_thread_sched": lambda: run_thread_sched(
+        MicrobenchConfig(n_clients=2, threads_per_client=10,
+                         warmup_ns=60_000.0, measure_ns=50_000.0,
+                         sizegen=BimodalSize(n_threads=10, large_size=512)),
+        scheduling=True, audit=True, profile=True)["small"],
     "run_raw_reads": lambda: run_raw_reads(8, n_clients=2, audit=True,
                                            profile=True),
     "run_ud_rpc": lambda: run_ud_rpc(4, n_clients=2, audit=True,
@@ -89,6 +97,14 @@ def test_runner_is_audited_and_profiled(name, monkeypatch):
     buckets = result.profile["host"]["buckets"]
     assert sum(b["events"] for b in buckets) == result.host["events"]
     assert result.slo is not None
+
+
+def test_unscaled_run_keeps_its_windows(monkeypatch):
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "0.1")
+    scaled = Run("scaled", 600.0, 500.0)
+    assert (scaled.warmup, scaled.measure) == pytest.approx((60.0, 50.0))
+    unscaled = Run("unscaled", 600.0, 500.0, scaled=False)
+    assert (unscaled.warmup, unscaled.measure) == (600.0, 500.0)
 
 
 def test_only_run_builds_simulators_and_picks_loops():
