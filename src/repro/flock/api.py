@@ -69,9 +69,11 @@ class FlockNode:
     def fl_send_rpc(self, handle: ConnectionHandle, thread_id: int,
                     rpc_id: int, size: int, payload: Any = None
                     ) -> Generator[Event, None, Event]:
-        """Send an RPC request; returns the event ``fl_recv_res`` waits on."""
-        return (yield from self.client.send_rpc(handle, thread_id, rpc_id,
-                                                size, payload))
+        """Send an RPC request; returns the event ``fl_recv_res`` waits on.
+
+        Hands back the client's generator itself rather than wrapping it
+        in another ``yield from`` frame: one frame less per RPC."""
+        return self.client.send_rpc(handle, thread_id, rpc_id, size, payload)
 
     def fl_recv_res(self, response_ev: Event) -> Generator[Event, None, RpcResponse]:
         """Wait for the response to a previously sent RPC."""
@@ -81,9 +83,9 @@ class FlockNode:
     def fl_call(self, handle: ConnectionHandle, thread_id: int, rpc_id: int,
                 size: int, payload: Any = None
                 ) -> Generator[Event, None, RpcResponse]:
-        """Convenience: ``fl_send_rpc`` + ``fl_recv_res``."""
-        return (yield from self.client.call(handle, thread_id, rpc_id, size,
-                                            payload))
+        """Convenience: ``fl_send_rpc`` + ``fl_recv_res`` (the client's
+        generator, as for ``fl_send_rpc``)."""
+        return self.client.call(handle, thread_id, rpc_id, size, payload)
 
     # -- RPC receiver ---------------------------------------------------------------
 

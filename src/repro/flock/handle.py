@@ -121,6 +121,9 @@ class QpChannel:
         self.active = True
         #: Counter driving selective signaling (§7).
         self.posted_writes = 0
+        #: The event this QP's parked leader process waits on between
+        #: tenures; None until the first tenure spawns the process.
+        self.leader_wake: Optional[Event] = None
 
     def next_signaled(self, signal_every: int) -> bool:
         """Selective signaling: 1 signaled WR out of every N."""

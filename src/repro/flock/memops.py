@@ -86,12 +86,11 @@ class MemoryOps:
             # "each application thread prepares its work individually").
             yield client.sim.timeout(client.cpu.marshal_ns)
             slot = PendingSend(op, client.sim.now)
-            slot.sent_event = Event(client.sim)
             slot.response_event = Event(client.sim)
             if channel.tcq.enqueue(slot):
-                client.sim.spawn(client._leader_cycles(handle, channel),
-                                 name="flock-leader")
-                yield slot.sent_event
+                slot.sent_event = sent = Event(client.sim)
+                client.start_tenure(handle, channel)
+                yield sent
         finally:
             state.submit_lock.release()
         completion = yield slot.response_event

@@ -99,6 +99,12 @@ class CoalescedMessage:
     span: Any = None
     #: Virtual time the message landed in the receiver's ring.
     arrived_ns: float = 0.0
+    #: Exact wire size, computed once: ``entries`` is fixed at
+    #: construction.
+    total_bytes: int = field(init=False, default=0)
+
+    def __post_init__(self):
+        self.total_bytes = coalesced_size(entry.size for entry in self.entries)
 
     @property
     def n_entries(self) -> int:
@@ -108,10 +114,6 @@ class CoalescedMessage:
     def coalescing_degree(self) -> int:
         """Paper's QP-contention metric: requests per message (>= 1)."""
         return max(1, len(self.entries))
-
-    @property
-    def total_bytes(self) -> int:
-        return coalesced_size(entry.size for entry in self.entries)
 
     def is_intact(self, observed_trailer: int) -> bool:
         """Canary check the dispatcher performs before decoding."""

@@ -146,8 +146,11 @@ class FlockServer:
         self.redistributions = 0
         #: Requests awaiting application-driven dispatch (fl_recv_rpc).
         self.manual_inbox: Store = Store(sim)
-        # Typed instruments (no-op unless telemetry installed on sim).
+        # Typed instruments (no-op unless telemetry installed on sim);
+        # the per-message ones are only touched when ``_obs`` is set.
         metrics = sim.metrics
+        self._obs = metrics.enabled
+        self._trace = sim.spans.enabled
         self._m_requests = metrics.counter("flock.server.requests")
         self._m_messages = metrics.counter("flock.server.messages")
         self._m_renewals = metrics.counter("flock.server.renewals")
@@ -160,7 +163,7 @@ class FlockServer:
         #: qp) pair spent deactivated between redistributions.
         self.hold_ledger = HoldLedger()
         self._m_hold_ns = metrics.counter("flock.qp_hold_ns")
-        if metrics.enabled:
+        if self._obs:
             metrics.gauge("flock.active_qps",
                           fn=lambda: self.total_active_qps,
                           server=node.name)
@@ -262,7 +265,8 @@ class FlockServer:
             schannel.processing = True
             shandle.requests_in_interval += len(msg.entries)
             self.messages_handled += 1
-            self._m_messages.inc()
+            if self._obs:
+                self._m_messages.inc()
             schannel.request_ring.consume(msg.total_bytes)
             n = len(msg.entries)
             # Network-stack CPU: detect the message (ring poll amortized
@@ -295,7 +299,8 @@ class FlockServer:
                     span=span,
                 ))
                 self.requests_handled += 1
-                self._m_requests.inc()
+                if self._obs:
+                    self._m_requests.inc()
             if app_ns > 0:
                 yield core.charge(app_ns, "app")
             t_handled = self.sim.now
@@ -326,9 +331,10 @@ class FlockServer:
             rmsg.piggyback_credits = schannel.pending_grant
             schannel.pending_grant = 0
         yield core.charge(self.cpu.header_build_ns + self.cpu.mmio_ns, "net-send")
-        self._m_resp_degree.observe(len(responses))
+        if self._obs:
+            self._m_resp_degree.observe(len(responses))
         t_post = self.sim.now
-        if self.sim.spans.enabled:
+        if self._trace:
             # Hardware-facing span for the response write; member RPC
             # spans adopt its phases/waits at client-side dispatch so
             # the response leg is attributable too.
@@ -374,15 +380,12 @@ class FlockServer:
                     # piggyback the grant on one of them (§5.1).
                     self._m_grants_piggybacked.inc()
                     schannel.pending_grant += self.cfg.credit_batch
-                    self.sim.spawn(
-                        self._grant_watchdog(shandle, schannel),
-                        name="grant-watchdog",
-                    )
+                    _soon(self.sim, self._grant_watchdog, schannel)
                 else:
                     # Nothing to piggyback on: the sender is about to run
                     # dry, push a dedicated grant immediately.
                     self._m_grants_dedicated.inc()
-                    yield from self._send_control(
+                    self._send_control(
                         schannel,
                         CreditGrant(qp_index=schannel.index,
                                     credits=self.cfg.credit_batch),
@@ -391,31 +394,30 @@ class FlockServer:
             else:
                 # Declined: deactivates the QP at the sender (§5.1).
                 self._m_grants_declined.inc()
-                yield from self._send_control(
+                self._send_control(
                     schannel, CreditGrant(qp_index=schannel.index, credits=0),
                     GRANT_BYTES,
                 )
 
-    def _grant_watchdog(self, shandle: _ServerHandle,
-                        schannel: _ServerChannel) -> Generator[Event, None, None]:
+    def _grant_watchdog(self, schannel: _ServerChannel) -> None:
         """Piggyback grants on responses (§5.1); if the QP goes quiet
-        before a response flushes, push a dedicated grant message."""
-        yield self.sim.timeout(1_000.0)
+        for 1 µs before a response flushes, push a dedicated grant."""
+        _later(self.sim, 1_000.0, self._flush_pending_grant, schannel)
+
+    def _flush_pending_grant(self, schannel: _ServerChannel) -> None:
         if schannel.pending_grant:
             credits, schannel.pending_grant = schannel.pending_grant, 0
-            yield from self._send_control(
+            self._send_control(
                 schannel, CreditGrant(qp_index=schannel.index, credits=credits),
                 GRANT_BYTES,
             )
 
     def _send_control(self, schannel: _ServerChannel, payload,
-                      nbytes: int) -> Generator[Event, None, None]:
+                      nbytes: int) -> None:
         schannel.server_qp.post_send(WorkRequest(
             verb=Verb.WRITE, length=nbytes, remote_addr=schannel.resp_addr,
             rkey=schannel.resp_rkey, payload=payload, signaled=False,
         ))
-        return
-        yield  # pragma: no cover — generator marker
 
     # -- QP scheduler: periodic redistribution (§5.1) ---------------------------------
 
@@ -477,11 +479,8 @@ class FlockServer:
                             self._m_hold_ns.inc(held)
                 update = ActiveSetUpdate(active_indices=new_set,
                                          credit_batch=self.cfg.credit_batch)
-                ctrl = shandle.channels[new_set[0]]
-                self.sim.spawn(
-                    self._send_control(ctrl, update, ACTIVE_SET_BYTES),
-                    name="active-set",
-                )
+                _soon(self.sim, self._send_control,
+                      shandle.channels[new_set[0]], update, ACTIVE_SET_BYTES)
         self.util.reset()
 
     # -- introspection ---------------------------------------------------------------
@@ -504,8 +503,12 @@ class FlockClient:
         self.cpu = cpu or node.cpu_cfg
         self.rng = random.Random(seed)
         self.handles: List[ConnectionHandle] = []
-        # Typed instruments (no-op unless telemetry installed on sim).
+        # Typed instruments (no-op unless telemetry installed on sim);
+        # the per-RPC and per-message ones are only touched when ``_obs``
+        # is set.
         metrics = sim.metrics
+        self._obs = metrics.enabled
+        self._trace = sim.spans.enabled
         self._m_rpcs = metrics.counter("flock.client.rpcs")
         self._m_messages = metrics.counter("flock.client.messages")
         self._m_rpcs_coalesced = metrics.counter("flock.client.rpcs_coalesced")
@@ -617,8 +620,9 @@ class FlockClient:
             request = RpcRequest(thread_id=thread_id, seq_id=seq,
                                  rpc_id=rpc_id, size=size, payload=payload,
                                  created_ns=self.sim.now)
-            self._m_rpcs.inc()
-            if self.sim.spans.enabled:
+            if self._obs:
+                self._m_rpcs.inc()
+            if self._trace:
                 request.span = self.sim.spans.begin(
                     "rpc", track="%s/t%d" % (self.node.name, thread_id),
                     t=self.sim.now, rpc_id=rpc_id, size=size)
@@ -633,13 +637,12 @@ class FlockClient:
             yield self.sim.timeout(self.cpu.marshal_ns
                                    + self.cpu.copy_ns_per_byte * size)
             slot = PendingSend(request, self.sim.now)
-            slot.sent_event = self.sim.event()
             if channel.tcq.enqueue(slot):
                 # This thread is the leader: it is busy combining until
                 # its coalesced message posts.
-                self.sim.spawn(self._leader_cycles(handle, channel),
-                               name="flock-leader")
-                yield slot.sent_event
+                slot.sent_event = sent = self.sim.event()
+                self.start_tenure(handle, channel)
+                yield sent
         finally:
             state.submit_lock.release()
         return response_ev
@@ -658,16 +661,25 @@ class FlockClient:
         state.assigned_qp = channel.index
 
     def _enqueue(self, handle: ConnectionHandle, channel, slot: PendingSend) -> None:
-        if slot.sent_event is None:
-            slot.sent_event = Event(self.sim)
         if channel.tcq.enqueue(slot):
-            self.sim.spawn(self._leader_cycles(handle, channel), name="flock-leader")
+            self.start_tenure(handle, channel)
+
+    def start_tenure(self, handle: ConnectionHandle, channel) -> None:
+        """Start a leader tenure on ``channel`` (its TCQ just elected a
+        leader).  The channel's leader process is spawned on first use
+        and parks between tenures; waking it takes exactly the
+        ready-deque slot a fresh process's kick-start would."""
+        wake = channel.leader_wake
+        if wake is None:
+            self.sim.spawn(self._leader(handle, channel), name="flock-leader")
+        else:
+            wake.succeed()
 
     def _note_blocked(self, tcq, resource: str, t0: float) -> None:
         """Record a leader-level stall (out of credits, no ring space) as
         a wait edge on every request queued behind the leader.  Each
         request is only charged from the moment it enqueued."""
-        if not self.sim.spans.enabled:
+        if not self._trace:
             return
         t1 = self.sim.now
         if t1 <= t0:
@@ -678,6 +690,15 @@ class FlockClient:
                 span.wait(resource, max(t0, slot.enqueued_ns), t1)
 
     # -- FLock synchronization: the leader (§4.2) ------------------------------------
+
+    def _leader(self, handle: ConnectionHandle,
+                channel) -> Generator[Event, None, None]:
+        """The channel's leader process: one tenure per wake-up, parked
+        on ``channel.leader_wake`` in between (see :meth:`start_tenure`)."""
+        while True:
+            yield from self._leader_cycles(handle, channel)
+            channel.leader_wake = wake = Event(self.sim)
+            yield wake
 
     def _leader_cycles(self, handle: ConnectionHandle,
                        channel) -> Generator[Event, None, None]:
@@ -775,14 +796,15 @@ class FlockClient:
             assert consumed, "leader batched more RPCs than credits"
             msg = CoalescedMessage(entries=[s.request for s in rpc_slots])
             msg.msg_id = channel.sender_view.allocate(msg.total_bytes)
-            self._m_messages.inc()
-            self._m_degree.observe(len(rpc_slots))
-            self._m_rpcs_coalesced.inc(len(rpc_slots))
-            self._m_rpc_bytes_coalesced.inc(
-                sum(s.request.size for s in rpc_slots))
-            self._m_msg_bytes.observe(msg.total_bytes)
+            if self._obs:
+                self._m_messages.inc()
+                self._m_degree.observe(len(rpc_slots))
+                self._m_rpcs_coalesced.inc(len(rpc_slots))
+                self._m_rpc_bytes_coalesced.inc(
+                    sum(s.request.size for s in rpc_slots))
+                self._m_msg_bytes.observe(msg.total_bytes)
             t_post = self.sim.now
-            if self.sim.spans.enabled:
+            if self._trace:
                 # One hardware-facing span per coalesced message; member
                 # RPC spans adopt its phases at the server.
                 doorbell_t0 = window_t0 if window_t0 is not None else t_post
@@ -817,23 +839,24 @@ class FlockClient:
             channel.tcq.record_message(len(mem_slots))
         self._maybe_renew(handle, channel)
         for slot in batch:
-            if not slot.sent_event.triggered:
+            if slot.sent_event is not None:
                 slot.sent_event.succeed()
 
     def _maybe_renew(self, handle: ConnectionHandle, channel) -> None:
         if channel.credits.needs_renewal():
             channel.credits.mark_renewal_sent()
             self._m_renewals_sent.inc()
-            self.sim.spawn(self._send_renewal(handle, channel), name="flock-renew")
+            _soon(self.sim, self._send_renewal, handle, channel)
 
-    def _send_renewal(self, handle: ConnectionHandle,
-                      channel) -> Generator[Event, None, None]:
+    def _send_renewal(self, handle: ConnectionHandle, channel) -> None:
         """Write-with-imm credit request carrying the median coalescing
-        degree since the last renewal (§5.1, §7)."""
+        degree since the last renewal (§5.1, §7), posted after one MMIO."""
         request = RenewRequest(client_id=handle.client_id,
                                qp_index=channel.index,
                                median_degree=channel.tcq.median_degree())
-        yield self.sim.timeout(self.cpu.mmio_ns)
+        _later(self.sim, self.cpu.mmio_ns, self._post_renewal, channel, request)
+
+    def _post_renewal(self, channel, request: RenewRequest) -> None:
         channel.client_qp.post_send(WorkRequest(
             verb=Verb.WRITE_IMM, length=RENEW_BYTES,
             remote_addr=channel.ctrl_addr, rkey=channel.ctrl_rkey,
@@ -848,7 +871,7 @@ class FlockClient:
         if stranded:
             self._m_migrations.inc()
             self._m_stranded.inc(len(stranded))
-            if self.sim.spans.enabled:
+            if self._trace:
                 # The time between the scheduler deactivating this QP and
                 # the migration is a scheduler-imposed hold on every
                 # stranded request.
@@ -950,6 +973,23 @@ class FlockClient:
         mapping = assign_threads(snapshots, active, rng=self.rng,
                                  current=handle.thread_qp_map)
         handle.apply_assignment(mapping)
+
+
+def _soon(sim: Simulator, fn: Callable, *args) -> None:
+    """Call ``fn(*args)`` from a fresh zero-delay event.
+
+    Runs ``fn`` where a spawned one-shot process that never yields would
+    run it: the event takes the ready-deque slot of that process's
+    kick-start.  Unlike the process, it fires no completion event, which
+    nothing would wait on."""
+    ev = Event(sim)
+    ev.callbacks.append(lambda _ev: fn(*args))
+    ev.succeed()
+
+
+def _later(sim: Simulator, delay: float, fn: Callable, *args) -> None:
+    """Call ``fn(*args)`` when a ``delay`` ns timeout, pushed now, fires."""
+    sim.timeout(delay).callbacks.append(lambda _ev: fn(*args))
 
 
 def slot_completion(slot: PendingSend):

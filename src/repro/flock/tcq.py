@@ -32,8 +32,10 @@ class PendingSend:
     def __init__(self, request, enqueued_ns: float):
         self.request = request
         self.copied = False
-        #: Fired by the leader once the coalesced message containing this
-        #: request has been posted (the follower resumes then).
+        #: Set only on the slot whose enqueue made its thread leader:
+        #: fired once the message carrying it posts, ending the tenure
+        #: that blocks that thread.  Followers never wait, so they get
+        #: none.
         self.sent_event = None
         #: Memory operations only: fired with the verbs completion.
         self.response_event = None

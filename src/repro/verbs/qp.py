@@ -24,7 +24,7 @@ from typing import Generator, Optional
 from ..hw.memory import AccessError, MemoryRegion
 from ..net.fabric import Fabric, Node
 from ..obs import faults
-from ..sim import Event, Resource, Simulator, Store
+from ..sim import Event, Process, Resource, Simulator, Store
 from .cq import CompletionQueue
 from .transport import Transport, Verb, max_message_size, supports
 from .wr import Completion, WcStatus, WorkRequest
@@ -127,14 +127,14 @@ class QueuePair:
 
     # -- send path ----------------------------------------------------------
 
-    def post_send(self, wr: WorkRequest, remote: Optional["QueuePair"] = None) -> Event:
+    def post_send(self, wr: WorkRequest, remote: Optional["QueuePair"] = None) -> Process:
         """Submit a work request; returns the initiator-completion event.
 
-        The event fires when the operation completes *at the initiator*
-        (TX done for UD, ACK/data returned for RC) with the
-        :class:`Completion`.  A CQE is additionally pushed to ``send_cq``
-        iff ``wr.signaled`` — callers model selective signaling by
-        clearing the flag.
+        The event is the verb's own process: it fires when the operation
+        completes *at the initiator* (TX done for UD, ACK/data returned
+        for RC) with the :class:`Completion`.  A CQE is additionally
+        pushed to ``send_cq`` iff ``wr.signaled`` — callers model
+        selective signaling by clearing the flag.
 
         ``remote`` addresses the target for UD sends; RC/UC use the
         connected peer.
@@ -170,9 +170,7 @@ class QueuePair:
             wr.span = self.sim.spans.begin(
                 "wr.%s" % wr.verb.value, track="hw:%s" % self.node.name,
                 t=self.sim.now, bytes=wr.length, qpn=self.qpn)
-        done = self.sim.event()
-        self.sim.spawn(self._execute(wr, target, done), name="verb")
-        return done
+        return self.sim.spawn(self._execute(wr, target), name="verb")
 
     # -- verb execution -------------------------------------------------------
 
@@ -213,18 +211,18 @@ class QueuePair:
             yield self.sim.timeout(delay)
 
     def _execute(
-        self, wr: WorkRequest, target: "QueuePair", done: Event
-    ) -> Generator[Event, None, None]:
+        self, wr: WorkRequest, target: "QueuePair"
+    ) -> Generator[Event, None, Completion]:
         yield from self._congestion_gate(wr)
         verb = wr.verb
         if verb is Verb.SEND:
-            yield from self._do_send(wr, target, done)
+            wc = yield from self._do_send(wr, target)
         elif verb in (Verb.WRITE, Verb.WRITE_IMM):
-            yield from self._do_write(wr, target, done)
+            wc = yield from self._do_write(wr, target)
         elif verb is Verb.READ:
-            yield from self._do_read(wr, target, done)
+            wc = yield from self._do_read(wr, target)
         elif verb in (Verb.FETCH_ADD, Verb.CMP_SWAP):
-            yield from self._do_atomic(wr, target, done)
+            wc = yield from self._do_atomic(wr, target)
         else:
             raise VerbError("cannot post %s" % verb)
         self.sends_completed += 1
@@ -232,10 +230,13 @@ class QueuePair:
             # Covers auto-created WR spans and FLock message spans alike:
             # the span ends when the verb completes at the initiator.
             wr.span.finish(self.sim.now)
+        # The process itself is the initiator completion: returning
+        # fires it with ``wc`` at the instant the verb completes.
+        return wc
 
     def _do_send(
-        self, wr: WorkRequest, target: "QueuePair", done: Event
-    ) -> Generator[Event, None, None]:
+        self, wr: WorkRequest, target: "QueuePair"
+    ) -> Generator[Event, None, Completion]:
         jitter = self.fabric.cfg.ud_jitter_ns if self.transport is Transport.UD else 0.0
         delivered = yield from self.fabric.transfer(
             self.node, target.node, wr.length, self.qpn, target.qpn,
@@ -265,7 +266,7 @@ class QueuePair:
         if self.transport.reliable:
             yield self.sim.timeout(self.fabric.cfg.propagation_ns)
         self._push_send_cqe(wr, wc)
-        done.succeed(wc)
+        return wc
 
     def _locate(self, target: "QueuePair", wr: WorkRequest, op: str) -> MemoryRegion:
         region = target.node.memory.lookup(wr.rkey)
@@ -273,16 +274,15 @@ class QueuePair:
         return region
 
     def _do_write(
-        self, wr: WorkRequest, target: "QueuePair", done: Event
-    ) -> Generator[Event, None, None]:
+        self, wr: WorkRequest, target: "QueuePair"
+    ) -> Generator[Event, None, Completion]:
         try:
             region = self._locate(target, wr, "write")
         except AccessError as exc:
             wc = Completion(wr_id=wr.wr_id, verb=wr.verb,
                             status=WcStatus.REM_ACCESS_ERR, payload=exc)
             self._push_send_cqe(wr, wc)
-            done.succeed(wc)
-            return
+            return wc
         delivered = yield from self.fabric.transfer(
             self.node, target.node, wr.length, self.qpn, target.qpn,
             rkeys=(wr.rkey,), reliable=self.transport.reliable,
@@ -308,19 +308,18 @@ class QueuePair:
         if self.transport.reliable:
             yield self.sim.timeout(self.fabric.cfg.propagation_ns)
         self._push_send_cqe(wr, wc)
-        done.succeed(wc)
+        return wc
 
     def _do_read(
-        self, wr: WorkRequest, target: "QueuePair", done: Event
-    ) -> Generator[Event, None, None]:
+        self, wr: WorkRequest, target: "QueuePair"
+    ) -> Generator[Event, None, Completion]:
         try:
             region = self._locate(target, wr, "read")
         except AccessError as exc:
             wc = Completion(wr_id=wr.wr_id, verb=wr.verb,
                             status=WcStatus.REM_ACCESS_ERR, payload=exc)
             self._push_send_cqe(wr, wc)
-            done.succeed(wc)
-            return
+            return wc
         # Request: header-only frame to the responder.
         yield from self.fabric.transfer(
             self.node, target.node, _REQUEST_HEADER_BYTES, self.qpn, target.qpn,
@@ -336,19 +335,18 @@ class QueuePair:
         wc = Completion(wr_id=wr.wr_id, verb=Verb.READ, byte_len=wr.length,
                         payload=value, qpn=self.qpn)
         self._push_send_cqe(wr, wc)
-        done.succeed(wc)
+        return wc
 
     def _do_atomic(
-        self, wr: WorkRequest, target: "QueuePair", done: Event
-    ) -> Generator[Event, None, None]:
+        self, wr: WorkRequest, target: "QueuePair"
+    ) -> Generator[Event, None, Completion]:
         try:
             region = self._locate(target, wr, "atomic")
         except AccessError as exc:
             wc = Completion(wr_id=wr.wr_id, verb=wr.verb,
                             status=WcStatus.REM_ACCESS_ERR, payload=exc)
             self._push_send_cqe(wr, wc)
-            done.succeed(wc)
-            return
+            return wc
         yield from self.fabric.transfer(
             self.node, target.node, _REQUEST_HEADER_BYTES, self.qpn, target.qpn,
             rkeys=(wr.rkey,), reliable=True, span=wr.span,
@@ -371,4 +369,4 @@ class QueuePair:
         wc = Completion(wr_id=wr.wr_id, verb=wr.verb, byte_len=8,
                         payload=old, qpn=self.qpn)
         self._push_send_cqe(wr, wc)
-        done.succeed(wc)
+        return wc

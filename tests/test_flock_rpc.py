@@ -1,9 +1,12 @@
 """FLock end-to-end behaviour: RPC, coalescing, credits, scheduling."""
 
+import collections
+
 import pytest
 
 from repro.config import ClusterConfig, FlockConfig
 from repro.flock import FlockNode
+from repro.flock.rpc import FlockClient
 from repro.net import build_cluster
 from repro.sim import Simulator
 
@@ -332,3 +335,49 @@ class TestPlumbing:
         region = clients[0].fl_attach_mreg(handles[0], 1 << 16)
         assert region.rkey in handles[0].attached_mrs
         assert server.node.memory.lookup(region.rkey) is region
+
+
+class TestNoProcessPerOccurrence:
+    """Leader tenures wake one parked process per QP; renewals, grant
+    watchdogs and control writes run as plain event callbacks."""
+
+    def test_spawns_per_run(self, monkeypatch):
+        spawned = collections.Counter()
+        tenures = [0]
+        spawn, start_tenure = Simulator.spawn, FlockClient.start_tenure
+
+        def counting_spawn(sim, gen, name=""):
+            spawned[name] += 1
+            return spawn(sim, gen, name)
+
+        def counting_start_tenure(client, handle, channel):
+            tenures[0] += 1
+            return start_tenure(client, handle, channel)
+
+        monkeypatch.setattr(Simulator, "spawn", counting_spawn)
+        monkeypatch.setattr(FlockClient, "start_tenure",
+                            counting_start_tenure)
+        # Few active QPs and a small credit batch: the run renews
+        # credits, defers grants and redistributes the active set.
+        cfg = FlockConfig(qps_per_handle=8, max_aqp=4, credit_batch=8,
+                          credit_renew_threshold=4,
+                          sched_interval_ns=80_000.0,
+                          thread_sched_interval_ns=80_000.0)
+        sim, server, clients, handles = make_pair(n_clients=2, n_qps=8,
+                                                  flock_cfg=cfg)
+
+        def worker(cidx, tid):
+            for _ in range(20):
+                yield from clients[cidx].fl_call(handles[cidx], tid, 1, 64)
+
+        for cidx in range(2):
+            for tid in range(8):
+                sim.spawn(worker(cidx, tid))
+        sim.run(until=30_000_000)
+        assert server.server.renewals_handled > 0
+        assert server.server.redistributions >= 1
+        n_channels = sum(len(h.channels) for h in handles)
+        assert 0 < spawned["flock-leader"] <= n_channels
+        assert tenures[0] > spawned["flock-leader"]
+        for name in ("flock-renew", "grant-watchdog", "active-set"):
+            assert spawned[name] == 0

@@ -10,7 +10,7 @@ import pathlib
 
 import pytest
 
-from repro.harness import MicrobenchConfig, run_flock
+from repro.harness import MicrobenchConfig, run_flock, run_raw_reads
 from repro.obs.simprof import (
     PROFILE_ENV,
     SimProfile,
@@ -19,6 +19,7 @@ from repro.obs.simprof import (
 )
 from repro.obs.windows import SloTimeline
 from repro.sim.core import Simulator
+from repro.verbs import QueuePair
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -238,3 +239,33 @@ class TestHarnessIntegration:
         monkeypatch.delenv(PROFILE_ENV, raising=False)
         result = run_flock(MicrobenchConfig(**self.CFG))
         assert result.host == {"events": result.extras["events"]}
+
+
+def _idle_events(report):
+    return sum(b["events"] for b in report["host"]["buckets"]
+               if (b["component"], b["kind"]) == ("kernel", "idle"))
+
+
+class TestEveryEventWakesSomeone:
+    """A verb's process is its own completion, so only a completion no
+    one waits on fires idle (``kernel;idle``)."""
+
+    def test_waited_reads_fire_no_idle_event(self):
+        result = run_raw_reads(24, n_clients=3, profile=True)
+        assert result.ops > 0
+        assert _idle_events(result.profile) == 0
+
+    def test_flock_idle_events_bounded_by_posted_wrs(self, monkeypatch):
+        posted = [0]
+        post_send = QueuePair.post_send
+
+        def counting_post_send(qp, wr, remote=None):
+            posted[0] += 1
+            return post_send(qp, wr, remote)
+
+        monkeypatch.setattr(QueuePair, "post_send", counting_post_send)
+        result = run_flock(MicrobenchConfig(
+            n_clients=3, threads_per_client=4, outstanding=2,
+            warmup_ns=150_000, measure_ns=150_000), profile=True)
+        assert posted[0] > 0
+        assert _idle_events(result.profile) <= posted[0]
