@@ -5,7 +5,8 @@ Every benchmark registers the paper-style table it regenerated via
 they survive pytest's output capture and land in ``bench_output.txt``)
 and merged into ``benchmarks/results.txt`` for EXPERIMENTS.md.  Sections
 are keyed by table title, so re-running a single figure refreshes its
-section without discarding the others.
+section without discarding the others.  No run ever drops a section:
+deleting a bench module means deleting its sections by hand.
 
 Figure benchmarks run a registered :class:`repro.harness.FigureSpec`
 through the :func:`run_figure` fixture, which records the spec's tables

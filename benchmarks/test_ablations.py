@@ -3,108 +3,14 @@
 Not figures from the paper, but sweeps over the design constants the
 paper fixes: MAX_AQP (256), the leader's combining bound, and the
 credit batch size C (32).  Each documents why the paper's choice sits
-where it does.
+where it does.  MAX_AQP trades throughput for latency: fewer active QPs
+mean deeper coalescing at the cost of combining-queue latency, and far
+above the NIC cache it brings back the Fig. 2a thrashing.  A combining
+bound of 1 disables coalescing, and very large bounds stop helping once
+batches exceed concurrent arrivals.  Too small a credit batch starves
+QPs on renewal latency.
 """
 
-from repro.config import FlockConfig
-from repro.harness import MicrobenchConfig, run_flock
 
-from conftest import record_table
-
-
-def flock_cfg(**overrides):
-    base = dict(sched_interval_ns=150_000.0,
-                thread_sched_interval_ns=150_000.0)
-    base.update(overrides)
-    return FlockConfig(**base)
-
-
-HIGH_FANIN = MicrobenchConfig(n_clients=23, threads_per_client=32,
-                              outstanding=4)
-
-
-def test_ablation_max_aqp():
-    """MAX_AQP trades throughput for latency: fewer active QPs mean more
-    sharing and deeper coalescing (throughput up — the same effect the
-    paper's Fig. 12 shows for 2thr/1QP vs 2thr/2QP) at the cost of
-    combining-queue latency; far above the NIC cache it reintroduces the
-    Fig. 2a thrashing.  The paper's 256 sits at the latency-friendly end
-    of the throughput plateau."""
-    results = {aqp: run_flock(HIGH_FANIN, flock_cfg=flock_cfg(max_aqp=aqp))
-               for aqp in (32, 128, 256, 736)}
-    rows = [[aqp, round(r.mops, 2), round(r.p99_us, 1),
-             r.extras["active_qps"], r.extras["qp_cache_miss"],
-             r.extras["mean_coalescing_degree"]]
-            for aqp, r in results.items()]
-    record_table("Ablation: MAX_AQP (32 thr/client, 23 clients)",
-                 ["MAX_AQP", "Mops", "p99 us", "active QPs", "cache miss",
-                  "coalesce deg"], rows)
-
-    # Fewer active QPs -> more sharing -> higher coalescing degree.
-    assert (results[32].extras["mean_coalescing_degree"]
-            > results[736].extras["mean_coalescing_degree"])
-    # Under heavy fan-in, deep sharing buys throughput via coalescing —
-    # the Fig. 12 effect (2thr/1QP beating 2thr/2QP), writ large.
-    assert results[32].mops >= results[736].mops
-    # Exceeding the NIC cache is strictly worse: no throughput, and the
-    # Fig. 2a thrashing explodes the tail.
-    assert results[736].mops < 1.15 * results[256].mops
-    assert results[736].p99_us > 2 * results[256].p99_us
-    assert (results[736].extras["qp_cache_miss"]
-            >= results[256].extras["qp_cache_miss"])
-
-    # Reproduction finding, recorded deliberately: in this cost model,
-    # deeper sharing never loses — the simulator has no per-QP NIC
-    # parallelism penalty, so the message-rate savings of coalescing
-    # dominate at every load.  What MAX_AQP buys here is purely the
-    # cache-thrash guard (asserted above); the paper's additional
-    # "dedicated QPs enable more parallelism within the RNIC" effect is
-    # outside the model (see docs/simulation.md).
-    light = MicrobenchConfig(n_clients=23, threads_per_client=8,
-                             outstanding=1)
-    light_256 = run_flock(light, flock_cfg=flock_cfg(max_aqp=256))
-    light_32 = run_flock(light, flock_cfg=flock_cfg(max_aqp=32))
-    record_table("Ablation: MAX_AQP at light load (8 thr/client, 1 out)",
-                 ["MAX_AQP", "Mops", "median us"],
-                 [[32, round(light_32.mops, 2), round(light_32.median_us, 2)],
-                  [256, round(light_256.mops, 2),
-                   round(light_256.median_us, 2)]])
-    # Both configurations stay healthy at light load.
-    assert light_256.mops > 0.8 * light_32.mops
-    assert light_256.median_us < 1.5 * light_32.median_us
-
-
-def test_ablation_combine_bound():
-    """The leader's bounded combining, measured in a high-sharing regime
-    (MAX_AQP=64, ~11 threads per active QP): 1 disables coalescing,
-    very large bounds stop helping once batches exceed concurrent
-    arrivals."""
-    results = {bound: run_flock(
-        HIGH_FANIN, flock_cfg=flock_cfg(max_combine=bound, max_aqp=64))
-        for bound in (1, 4, 16, 64)}
-    rows = [[bound, round(r.mops, 2),
-             r.extras["mean_coalescing_degree"]]
-            for bound, r in results.items()]
-    record_table("Ablation: leader combining bound (MAX_AQP=64)",
-                 ["max_combine", "Mops", "coalesce deg"], rows)
-
-    assert results[16].mops > 1.1 * results[1].mops
-    assert (results[16].extras["mean_coalescing_degree"]
-            > results[1].extras["mean_coalescing_degree"])
-    # Diminishing returns beyond the paper's regime.
-    assert results[64].mops < 1.3 * results[16].mops
-
-
-def test_ablation_credit_batch():
-    """Credit batch C: too small starves QPs on renewal latency; the
-    paper's 32 captures most of the benefit of larger batches."""
-    results = {batch: run_flock(HIGH_FANIN, flock_cfg=flock_cfg(
-        credit_batch=batch, credit_renew_threshold=batch // 2))
-        for batch in (4, 32, 128)}
-    rows = [[batch, round(r.mops, 2), round(r.p99_us, 1)]
-            for batch, r in results.items()]
-    record_table("Ablation: credit batch size C",
-                 ["C", "Mops", "p99 us"], rows)
-
-    assert results[32].mops > results[4].mops
-    assert results[128].mops < 1.25 * results[32].mops
+def test_ablations(run_figure):
+    run_figure("ablations")

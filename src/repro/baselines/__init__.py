@@ -8,17 +8,13 @@
   per-thread QPs (Fig. 9)
 """
 
-from .dct import DCT_CONNECT_NS, DctEndpoint
 from .erpc import ERPC_SESSION_CREDITS, ErpcEndpoint, ErpcServer
 from .farm import RcHandle, RcRpcClient, RcRpcServer
 from .fasst import FASST_TIMEOUT_NS, FasstEndpoint, FasstServer
 from .raw_read import ReadClient
-from .scalerpc import ScaleRpcClient, ScaleRpcServer
 from .ud_rpc import UdChunk, UdEndpoint, UdRequest, UdResponse, UdRpcServer
 
 __all__ = [
-    "DCT_CONNECT_NS",
-    "DctEndpoint",
     "ERPC_SESSION_CREDITS",
     "ErpcEndpoint",
     "ErpcServer",
@@ -29,8 +25,6 @@ __all__ = [
     "RcRpcClient",
     "RcRpcServer",
     "ReadClient",
-    "ScaleRpcClient",
-    "ScaleRpcServer",
     "UdChunk",
     "UdEndpoint",
     "UdRequest",

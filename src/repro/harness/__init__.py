@@ -8,6 +8,7 @@ from .microbench import (
     MicrobenchConfig,
     run_erpc,
     run_flock,
+    run_multitenancy,
     run_raw_reads,
     run_rc,
     run_thread_sched,
@@ -15,6 +16,7 @@ from .microbench import (
 )
 from .parallel import SweepPoint, default_jobs, run_sweep
 from .scorecards import (
+    scorecard_ablations,
     scorecard_fig2a,
     scorecard_fig2b,
     scorecard_fig9,
@@ -25,6 +27,7 @@ from .scorecards import (
     scorecard_fig15,
     scorecard_fig16,
     scorecard_incast,
+    scorecard_multitenancy,
     scorecards_fig6_7_8,
 )
 from .tables import format_table, print_table
@@ -59,11 +62,13 @@ __all__ = [
     "run_flocktx",
     "run_incast_flock",
     "run_incast_ud",
+    "run_multitenancy",
     "run_raw_reads",
     "run_rc",
     "run_sweep",
     "run_thread_sched",
     "run_ud_rpc",
+    "scorecard_ablations",
     "scorecard_fig2a",
     "scorecard_fig2b",
     "scorecard_fig9",
@@ -74,5 +79,6 @@ __all__ = [
     "scorecard_fig15",
     "scorecard_fig16",
     "scorecard_incast",
+    "scorecard_multitenancy",
     "scorecards_fig6_7_8",
 ]

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..config import FlockConfig
 from ..obs import Scorecard
 from ..workloads import BimodalSize
 from .incastbench import IncastConfig, run_incast_flock, run_incast_ud
@@ -31,6 +32,7 @@ from .microbench import (
     MicrobenchConfig,
     run_erpc,
     run_flock,
+    run_multitenancy,
     run_raw_reads,
     run_rc,
     run_thread_sched,
@@ -39,6 +41,7 @@ from .microbench import (
 from .parallel import SweepPoint, run_sweep
 from .scorecards import (
     retention,
+    scorecard_ablations,
     scorecard_fig2a,
     scorecard_fig2b,
     scorecard_fig9,
@@ -49,6 +52,7 @@ from .scorecards import (
     scorecard_fig15,
     scorecard_fig16,
     scorecard_incast,
+    scorecard_multitenancy,
     scorecards_fig6_7_8,
 )
 from .txnbench import TxnBenchConfig, run_fasst_txn, run_flocktx
@@ -353,6 +357,118 @@ def _incast_tables(results, senders, **_):
               "marks", "pauses"], rows)]
 
 
+# -- Ablations: FLock's design constants (DESIGN.md §5) ----------------------
+
+#: Enough fan-in (23 clients x 32 threads x 4 outstanding) that the
+#: design constants matter, and a light load where sharing could hurt.
+_LOADS = {
+    "high": MicrobenchConfig(n_clients=23, threads_per_client=32,
+                             outstanding=4),
+    "light": MicrobenchConfig(n_clients=23, threads_per_client=8,
+                              outstanding=1),
+}
+
+#: Table name -> (load, swept knob, values).
+_ABLATIONS = {
+    "max_aqp": ("high", "max_aqp", (32, 128, 256, 736)),
+    "light": ("light", "max_aqp", (32, 256)),
+    "max_combine": ("high", "max_combine", (1, 4, 16, 64)),
+    "credit_batch": ("high", "credit_batch", (4, 32, 128)),
+}
+
+
+def _ablation_overrides(knob, value):
+    """The ``FlockConfig`` fields one ablation row sets.  The combining
+    bound is swept at MAX_AQP=64 (~11 threads per active QP), and credits
+    renew at half the batch."""
+    if knob == "max_combine":
+        return {"max_combine": value, "max_aqp": 64}
+    if knob == "credit_batch":
+        return {"credit_batch": value, "credit_renew_threshold": value // 2}
+    return {knob: value}
+
+
+def _ablation_key(load, knob, value):
+    """A row's point: its load and the ``FlockConfig`` fields it changes
+    from the paper's.  MAX_AQP=256 and C=32 change none, so the MAX_AQP
+    and credit-batch tables share that point."""
+    paper = FlockConfig()
+    return (load,) + tuple(sorted(
+        (name, v) for name, v in _ablation_overrides(knob, value).items()
+        if getattr(paper, name) != v))
+
+
+def _ablations_points():
+    points = {}
+    for load, knob, values in _ABLATIONS.values():
+        for value in values:
+            key = _ablation_key(load, knob, value)
+            flock_cfg = FlockConfig(sched_interval_ns=150_000.0,
+                                    thread_sched_interval_ns=150_000.0,
+                                    **_ablation_overrides(knob, value))
+            points[key] = SweepPoint(
+                "/".join(["ablations", load] + ["%s=%d" % kv
+                                                for kv in key[1:]]),
+                run_flock, (_LOADS[load],), {"flock_cfg": flock_cfg})
+    return points
+
+
+def _ablation_rows(results):
+    """``{(table, value): result}`` for every row of every table."""
+    return {(table, value): results[_ablation_key(load, knob, value)]
+            for table, (load, knob, values) in _ABLATIONS.items()
+            for value in values}
+
+
+def _ablations_tables(results):
+    rows = _ablation_rows(results)
+
+    def table(name, cells):
+        return [[value] + cells(rows[(name, value)])
+                for value in _ABLATIONS[name][2]]
+
+    return [
+        ("Ablation: MAX_AQP (32 thr/client, 23 clients)",
+         ["MAX_AQP", "Mops", "p99 us", "active QPs", "cache miss",
+          "coalesce deg"],
+         table("max_aqp", lambda r: [round(r.mops, 2), round(r.p99_us, 1),
+                                     r.extras["active_qps"],
+                                     r.extras["qp_cache_miss"],
+                                     r.extras["mean_coalescing_degree"]])),
+        ("Ablation: MAX_AQP at light load (8 thr/client, 1 out)",
+         ["MAX_AQP", "Mops", "median us"],
+         table("light", lambda r: [round(r.mops, 2), round(r.median_us, 2)])),
+        ("Ablation: leader combining bound (MAX_AQP=64)",
+         ["max_combine", "Mops", "coalesce deg"],
+         table("max_combine", lambda r: [
+             round(r.mops, 2), r.extras["mean_coalescing_degree"]])),
+        ("Ablation: credit batch size C", ["C", "Mops", "p99 us"],
+         table("credit_batch", lambda r: [round(r.mops, 2),
+                                          round(r.p99_us, 1)])),
+    ]
+
+
+# -- Extension: multi-tenant QP allocation (§9) ------------------------------
+
+#: Two equally aggressive tenants, weighted 3:1.
+_TENANTS = {"gold": 3.0, "bronze": 1.0}
+
+
+def _multitenancy_points():
+    return {"tenants": SweepPoint("multitenancy", run_multitenancy,
+                                  (_TENANTS,))}
+
+
+def _multitenancy_tables(results):
+    extras = results["tenants"].extras
+    return [("Extension (§9): two tenants, weights 3:1, MAX_AQP=%d"
+             % extras["max_aqp"],
+             ["tenant", "active QPs", "ops completed"],
+             [["%s (w=%g)" % (tenant, weight), extras["active_qps_" + tenant],
+               extras["ops_" + tenant]]
+              for tenant, weight in _TENANTS.items()])]
+
+
 FIGURES: Dict[str, FigureSpec] = {spec.name: spec for spec in (
     FigureSpec(
         "fig2a", "RC read scaling (Fig 2a)",
@@ -418,4 +534,15 @@ FIGURES: Dict[str, FigureSpec] = {spec.name: spec for spec in (
         {"senders": 12, "threads": 6, "outstanding": 2},
         _incast_points, _incast_tables,
         lambda results, **_: [scorecard_incast(results)]),
+    FigureSpec(
+        "ablations", "FLock design constants: MAX_AQP, combining bound, "
+                     "credit batch (DESIGN.md §5)",
+        {}, _ablations_points, _ablations_tables,
+        lambda results: [scorecard_ablations(_ablation_rows(results))]),
+    FigureSpec(
+        "multitenancy", "two weighted tenants share one server's MAX_AQP "
+                        "budget (§9)",
+        {}, _multitenancy_points, _multitenancy_tables,
+        lambda results: [scorecard_multitenancy(results["tenants"],
+                                                list(_TENANTS))]),
 )}

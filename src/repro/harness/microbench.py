@@ -23,7 +23,7 @@ from ..baselines import (
     UdRpcServer,
 )
 from ..config import ClusterConfig, FlockConfig
-from ..flock import FlockNode
+from ..flock import FlockNode, TenantManager
 from ..net import build_cluster
 from ..obs import faults
 from ..obs.anomaly import detect_run_anomalies
@@ -34,6 +34,7 @@ __all__ = [
     "MicrobenchConfig",
     "run_flock",
     "run_erpc",
+    "run_multitenancy",
     "run_rc",
     "run_thread_sched",
     "run_raw_reads",
@@ -343,6 +344,75 @@ def run_thread_sched(cfg: MicrobenchConfig, *, scheduling: bool,
     out["mixed_qps"] = mixed_qps
     run.finish(out["small"])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Multi-tenant QP allocation (paper §9 extension)
+# ---------------------------------------------------------------------------
+
+def run_multitenancy(weights: Dict[str, float], *, clients_per_tenant: int = 4,
+                     threads: int = 16, duration_ns: float = 1_500_000.0,
+                     telemetry=None, audit: Optional[bool] = None,
+                     profile: Optional[bool] = None) -> RunResult:
+    """Equally aggressive tenants share one FLock server whose
+    :class:`repro.flock.TenantManager` splits a MAX_AQP=32 budget by
+    ``weights`` (tenant name -> weight; each tenant gets
+    ``clients_per_tenant`` clients, in the mapping's order).  32 is far
+    below the tenants' demand, so they contend for it.
+
+    One window from time zero over a fixed ``duration_ns``, unscaled by
+    ``REPRO_BENCH_SCALE``: the QP scheduler acts every 150 µs, so the
+    split needs several passes.  The extras carry ``max_aqp``, the
+    number of ``clients``, and each tenant's active QPs at the end of the
+    run (``active_qps_<tenant>``) and completed ops (``ops_<tenant>``).
+    """
+    run = Run("multitenancy", 0.0, duration_ns, scaled=False,
+              telemetry=telemetry, audit=audit, profile=profile)
+    sim = run.sim
+    servers, clients, fabric = build_cluster(
+        sim, ClusterConfig(n_clients=len(weights) * clients_per_tenant))
+    cfg = FlockConfig(qps_per_handle=threads, max_aqp=32,
+                      sched_interval_ns=150_000.0,
+                      thread_sched_interval_ns=150_000.0)
+    server = FlockNode(sim, servers[0], fabric, cfg)
+    server.fl_reg_handler(ECHO_RPC, _echo_handler(64, 100.0))
+    tenancy = TenantManager()
+    for name, weight in weights.items():
+        tenancy.register_tenant(name, weight=weight)
+    server.server.tenancy = tenancy
+
+    recorder = Recorder(sim)
+    ops = dict.fromkeys(weights, 0)
+    handles: Dict[str, list] = {name: [] for name in weights}
+
+    def worker(fnode, handle, tenant, thread_id):
+        while True:
+            started = sim.now
+            yield from fnode.fl_call(handle, thread_id, ECHO_RPC, 64)
+            recorder.record(started)
+            ops[tenant] += 1
+
+    tenants = list(weights)
+    for c_idx, node in enumerate(clients):
+        tenant = tenants[c_idx // clients_per_tenant]
+        fnode = FlockNode(sim, node, fabric, cfg, seed=c_idx)
+        handle = fnode.fl_connect(server, n_qps=threads)
+        tenancy.assign_client(handle.client_id, tenant)
+        handles[tenant].append(handle)
+        for t_idx in range(threads):
+            sim.spawn(worker(fnode, handle, tenant, t_idx))
+
+    run.window([recorder], fabric)
+    extras: Dict[str, object] = {"system": "flock",
+                                 "max_aqp": cfg.max_aqp,
+                                 "clients": len(clients)}
+    for tenant, tenant_handles in handles.items():
+        extras["active_qps_" + tenant] = sum(
+            len(server.server.clients[h.client_id].active_set)
+            for h in tenant_handles)
+        extras["ops_" + tenant] = ops[tenant]
+    extras["events"] = sim.events_processed
+    return run.finish(recorder.result(**extras))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ __all__ = [
     "attach_attribution",
     "attach_slo",
     "retention",
+    "scorecard_ablations",
     "scorecard_fig2a",
     "scorecard_fig2b",
     "scorecards_fig6_7_8",
@@ -39,6 +40,7 @@ __all__ = [
     "scorecard_fig15",
     "scorecard_fig16",
     "scorecard_incast",
+    "scorecard_multitenancy",
     "scorecard_search",
 ]
 
@@ -707,6 +709,107 @@ def scorecard_fig16(results: Dict[tuple, Dict[str, object]]) -> Scorecard:
         sc.add_check("mix_is_90_10",
                      abs(gets / max(gets + scans, 1) - 0.9) <= 0.03,
                      "90% gets / 10% scans")
+    return sc
+
+
+def scorecard_ablations(rows: Dict[tuple, object]) -> Scorecard:
+    """Ablations of FLock's design constants (DESIGN.md §5), keyed
+    ``(table, value)``: ``max_aqp`` and ``light`` sweep MAX_AQP at high
+    and light load, ``max_combine`` the leader's combining bound,
+    ``credit_batch`` the credit batch C.  Every table cell is a metric."""
+    sc = Scorecard("ablations", "FLock design-constant ablations")
+    for (table, value), r in rows.items():
+        prefix = "%s_%d_" % (table, value)
+        sc.add_metric(prefix + "mops", r.mops, better="higher", unit="Mops")
+        if table == "light":
+            sc.add_metric(prefix + "median_us", r.median_us, better="lower",
+                          unit="us")
+            continue
+        if table != "max_combine":
+            sc.add_metric(prefix + "p99_us", r.p99_us, better="lower",
+                          unit="us")
+        if table != "credit_batch":
+            sc.add_metric(prefix + "coalesce_deg",
+                          r.extras["mean_coalescing_degree"], better="equal",
+                          rtol=0.20, unit="reqs/msg")
+        if table == "max_aqp":
+            sc.add_metric(prefix + "active_qps", r.extras["active_qps"],
+                          better="info")
+            sc.add_metric(prefix + "cache_miss", r.extras["qp_cache_miss"],
+                          better="lower", atol=0.02)
+
+    aqp, light, combine, credit = (
+        {value: r for (t, value), r in rows.items() if t == table}
+        for table in ("max_aqp", "light", "max_combine", "credit_batch"))
+
+    def degree(r):
+        return r.extras["mean_coalescing_degree"]
+
+    sc.add_check("sharing_deepens_coalescing",
+                 degree(aqp[32]) > degree(aqp[736]),
+                 "fewer active QPs -> more sharing -> deeper coalescing")
+    sc.add_check("sharing_buys_throughput", aqp[32].mops >= aqp[736].mops,
+                 "under heavy fan-in, deep sharing wins through coalescing "
+                 "(the Fig. 12 effect); the model has no per-QP NIC "
+                 "parallelism penalty")
+    sc.add_check("past_cache_no_throughput",
+                 aqp[736].mops < 1.15 * aqp[256].mops,
+                 "MAX_AQP past the NIC cache buys no throughput")
+    sc.add_check("past_cache_explodes_tail",
+                 aqp[736].p99_us > 2 * aqp[256].p99_us,
+                 "MAX_AQP past the NIC cache brings back the Fig. 2a "
+                 "thrashing in the tail")
+    sc.add_check("past_cache_thrashes",
+                 aqp[736].extras["qp_cache_miss"]
+                 >= aqp[256].extras["qp_cache_miss"],
+                 "QP-cache misses grow past the cache")
+    sc.add_check("light_load_throughput_kept",
+                 light[256].mops > 0.8 * light[32].mops,
+                 "MAX_AQP=256 keeps throughput at light load")
+    sc.add_check("light_load_latency_kept",
+                 light[256].median_us < 1.5 * light[32].median_us,
+                 "MAX_AQP=256 keeps median latency at light load")
+    sc.add_check("combining_pays", combine[16].mops > 1.1 * combine[1].mops,
+                 "a 16-request combining bound beats no coalescing")
+    sc.add_check("combining_coalesces",
+                 degree(combine[16]) > degree(combine[1]),
+                 "a larger bound coalesces more requests per message")
+    sc.add_check("combining_diminishing_returns",
+                 combine[64].mops < 1.3 * combine[16].mops,
+                 "bounds past 16 stop helping once batches exceed "
+                 "concurrent arrivals")
+    sc.add_check("small_batch_starves", credit[32].mops > credit[4].mops,
+                 "C=4 starves QPs on renewal latency")
+    sc.add_check("paper_batch_suffices",
+                 credit[128].mops < 1.25 * credit[32].mops,
+                 "the paper's C=32 captures most of a larger batch's gain")
+    return sc
+
+
+def scorecard_multitenancy(result, tenants: List[str]) -> Scorecard:
+    """Extension (§9): weighted tenants share one server's MAX_AQP
+    budget.  ``result`` is a :func:`repro.harness.microbench.
+    run_multitenancy` run; ``tenants`` lists its tenants heaviest first."""
+    sc = Scorecard("multitenancy", "Multi-tenant QP allocation")
+    extras = result.extras
+    qps = {t: extras["active_qps_" + t] for t in tenants}
+    ops = {t: extras["ops_" + t] for t in tenants}
+    for t in tenants:
+        sc.add_metric("active_qps_" + t, qps[t], better="equal", atol=1.0)
+        sc.add_metric("ops_" + t, ops[t], better="higher")
+    heavy, light = tenants[0], tenants[-1]
+    sc.add_check("qps_follow_weights", qps[heavy] >= 2 * qps[light],
+                 "the 3:1 weights give the heavy tenant at least twice "
+                 "the light tenant's active QPs")
+    sc.add_check("budget_held",
+                 sum(qps.values()) <= extras["max_aqp"] + extras["clients"],
+                 "active QPs stay within MAX_AQP plus one per client "
+                 "(each client keeps a minimum)")
+    sc.add_check("light_tenant_progresses", ops[light] > 0,
+                 "isolation, not starvation")
+    sc.add_check("heavy_tenant_keeps_pace", ops[heavy] > 0.8 * ops[light],
+                 "the light tenant's heavier coalescing does not leave "
+                 "the heavy tenant far behind")
     return sc
 
 

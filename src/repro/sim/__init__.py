@@ -10,7 +10,7 @@ from .core import (
     Simulator,
     Timeout,
 )
-from .rand import HotColdGenerator, Streams, ZipfGenerator, percentile, summarize_latencies
+from .rand import HotColdGenerator, Streams, percentile, summarize_latencies
 from .resources import Resource, SpinLock, Store, TokenBucket, TrackedStore
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "Timeout",
     "TokenBucket",
     "TrackedStore",
-    "ZipfGenerator",
     "percentile",
     "summarize_latencies",
 ]

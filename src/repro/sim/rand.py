@@ -14,7 +14,7 @@ import random
 import zlib
 from typing import List, Sequence
 
-__all__ = ["Streams", "ZipfGenerator", "HotColdGenerator"]
+__all__ = ["Streams", "HotColdGenerator"]
 
 
 class Streams:
@@ -50,56 +50,6 @@ class Streams:
         # Fold to a stable, positive 63-bit value so the child can itself
         # derive grandchildren without unbounded seed growth.
         return Streams(child_seed & 0x7FFFFFFFFFFFFFFF)
-
-
-class ZipfGenerator:
-    """Zipfian key sampler over ``[0, n)`` (YCSB-style).
-
-    Uses the Gray/Jim-Gray rejection-free method: precomputes the zeta
-    constants and samples in O(1) per draw.  ``theta`` near 0.99 gives the
-    familiar YCSB skew; theta=0 degenerates to uniform.
-    """
-
-    def __init__(self, n: int, theta: float = 0.99, rng: random.Random = None):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if not 0.0 <= theta < 1.0:
-            raise ValueError("theta must be in [0, 1)")
-        self.n = n
-        self.theta = theta
-        self.rng = rng or random.Random(0)
-        self._zetan = self._zeta(n, theta)
-        self._zeta2 = self._zeta(2, theta)
-        self._alpha = 1.0 / (1.0 - theta) if theta > 0 else 1.0
-        self._eta = (
-            (1 - (2.0 / n) ** (1 - theta)) / (1 - self._zeta2 / self._zetan)
-            if theta > 0
-            else 0.0
-        )
-
-    @staticmethod
-    def _zeta(n: int, theta: float) -> float:
-        # Exact for small n, integral approximation beyond a cutoff to keep
-        # construction cheap for the 32M-key HydraList experiments.
-        cutoff = min(n, 10000)
-        s = sum(1.0 / (i ** theta) for i in range(1, cutoff + 1))
-        if n > cutoff:
-            if theta == 1.0:
-                s += math.log(n / cutoff)
-            else:
-                s += ((n ** (1 - theta)) - (cutoff ** (1 - theta))) / (1 - theta)
-        return s
-
-    def next(self) -> int:
-        if self.theta == 0.0:
-            return self.rng.randrange(self.n)
-        u = self.rng.random()
-        uz = u * self._zetan
-        if uz < 1.0:
-            return 0
-        if uz < 1.0 + 0.5 ** self.theta:
-            return 1
-        return int(self.n * ((self._eta * u - self._eta + 1) ** self._alpha))
 
 
 class HotColdGenerator:

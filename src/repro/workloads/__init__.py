@@ -3,17 +3,12 @@
 from .smallbank import ACCOUNTS_PER_THREAD, SmallbankWorkload
 from .synthetic import BimodalSize, FixedSize
 from .tatp import SUBSCRIBERS_PER_SERVER, TatpWorkload
-from .ycsb import INSERT, READ, UPDATE, YcsbWorkload
 
 __all__ = [
     "ACCOUNTS_PER_THREAD",
     "BimodalSize",
     "FixedSize",
-    "INSERT",
-    "READ",
     "SUBSCRIBERS_PER_SERVER",
     "SmallbankWorkload",
     "TatpWorkload",
-    "UPDATE",
-    "YcsbWorkload",
 ]

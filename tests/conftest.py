@@ -2,11 +2,36 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.config import ClusterConfig
 from repro.net import build_cluster
 from repro.sim import Simulator
+
+
+@pytest.fixture(autouse=True)
+def _no_repro_knobs():
+    """Run every test with no ``REPRO_*`` variable set, and restore the
+    outer ones after it.  ``monkeypatch`` cannot do this alone: deleting
+    an absent variable records nothing, so a variable a test's code sets
+    directly (``main(["--scale", ...])`` writes ``REPRO_BENCH_SCALE``)
+    would leak into every later test."""
+    outer = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
+    for key in outer:
+        del os.environ[key]
+    yield
+    for key in [k for k in os.environ if k.startswith("REPRO_")]:
+        del os.environ[key]
+    os.environ.update(outer)
+
+
+@pytest.fixture
+def half_windows(monkeypatch):
+    """Halve every scaled run's windows (``REPRO_BENCH_SCALE=0.5``), for
+    tests whose assertions hold at any window length."""
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "0.5")
 
 
 def run_gen(sim: Simulator, gen, until=None):

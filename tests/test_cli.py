@@ -39,24 +39,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
 
-    def test_scale_flag_sets_env(self, monkeypatch, capsys):
+    def test_scale_flag_sets_env(self, capsys):
         import os
-        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
         main(["--scale", "0.5", "list"])
         assert os.environ["REPRO_BENCH_SCALE"] == "0.5"
 
 
 class TestSmallRuns:
-    def test_fig2a_prints_table(self, capsys, monkeypatch):
-        # Register the env key with monkeypatch so the --scale side
-        # effect is rolled back and cannot leak into later tests.
-        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
+    def test_fig2a_prints_table(self, capsys):
         main(["--scale", "0.5", "fig2a", "--qps", "8", "--clients", "2"])
         out = capsys.readouterr().out
         assert "Fig 2(a)" in out and "Mops" in out
 
-    def test_fig6_prints_table(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
+    def test_fig6_prints_table(self, capsys):
         main(["--scale", "0.3", "fig6", "--threads", "2",
               "--outstanding", "1", "--clients", "2"])
         out = capsys.readouterr().out
@@ -66,12 +61,6 @@ class TestSmallRuns:
 class TestRunKnobs:
     """The boolean knobs share one parser; malformed values of any run
     knob fail loudly instead of silently picking a default."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_env(self, monkeypatch):
-        for var in ("REPRO_AUDIT", "REPRO_PROFILE", "REPRO_BENCH_SCALE"):
-            monkeypatch.setenv(var, "pending-delete")
-            monkeypatch.delenv(var)
 
     @staticmethod
     def _flags():
@@ -121,7 +110,6 @@ class TestFaultStamp:
 
     def _scorecard(self, tmp_path, monkeypatch, faults_env):
         import json
-        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
         if faults_env:
             monkeypatch.setenv("REPRO_FAULTS", faults_env)
         else:

@@ -9,7 +9,6 @@ be byte-identical — not approximately equal.
 
 import hashlib
 import json
-import os
 
 import pytest
 
@@ -23,6 +22,8 @@ from repro.harness import (
 )
 from repro.harness.incastbench import IncastConfig, run_incast_flock
 from repro.harness.scorecards import scorecard_fig2a
+
+pytestmark = pytest.mark.usefixtures("half_windows")
 
 SMALL = MicrobenchConfig(n_clients=3, threads_per_client=4, outstanding=2,
                          warmup_ns=150_000, measure_ns=150_000)
@@ -118,10 +119,8 @@ ORDER_WITNESS = {
 
 @pytest.mark.parametrize("name", sorted(ORDER_WITNESS))
 def test_results_match_pinned_hash(name, monkeypatch):
-    # The hashes are for the default run knobs; an earlier test may
-    # have left REPRO_BENCH_SCALE set, which rescales the windows.
-    for var in [v for v in os.environ if v.startswith("REPRO_")]:
-        monkeypatch.delenv(var)
+    # The hashes are for full-length windows.
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "1")
     expected, run = ORDER_WITNESS[name]
     result = run()
     result.extras.pop("events", None)

@@ -21,6 +21,8 @@ from repro.harness import (
 )
 from repro.sim import Simulator
 
+pytestmark = pytest.mark.usefixtures("half_windows")
+
 
 class TestRecorder:
     def test_window_filters_completions(self):

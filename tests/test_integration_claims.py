@@ -16,6 +16,8 @@ from repro.harness import (
     run_rc,
 )
 
+pytestmark = pytest.mark.usefixtures("half_windows")
+
 
 class TestMotivationClaims:
     def test_rc_reads_collapse_beyond_nic_cache(self):

@@ -23,6 +23,8 @@ from repro.obs import (
 from repro.obs.audit import AUDIT_ENV, audit_enabled
 from repro.sim import Simulator
 
+pytestmark = pytest.mark.usefixtures("half_windows")
+
 SMALL = MicrobenchConfig(n_clients=3, threads_per_client=4, outstanding=4,
                          warmup_ns=150_000, measure_ns=150_000)
 

@@ -2,10 +2,11 @@
 
 Every figure runner drives one ``Run``: simulator first, then telemetry,
 audit registry and host-time profiler, all before the cluster is built.
-Each of the thirteen runners is driven here at a tiny config with the
+Each of the fourteen runners is driven here at a tiny config with the
 auditors and the profiler on, so a runner that skips part of the
 lifecycle fails loudly.  A structural pin keeps simulator construction
-and loop selection in the one module that defines ``Run``.
+and loop selection in the one module that defines ``Run``, and cluster
+construction out of the bench modules.
 """
 
 import pathlib
@@ -25,6 +26,7 @@ from repro.harness import (
     run_flocktx,
     run_incast_flock,
     run_incast_ud,
+    run_multitenancy,
     run_raw_reads,
     run_rc,
     run_thread_sched,
@@ -35,7 +37,8 @@ from repro.obs.simprof import PROFILE_ENV
 from repro.search.runner import ScenarioConfig, run_scenario_leg
 from repro.workloads import BimodalSize
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 
 def _micro():
@@ -80,6 +83,9 @@ RUNNERS = {
                                                  audit=True),
     "run_incast_ud": lambda: run_incast_ud(_incast(), congested=True,
                                            audit=True),
+    "run_multitenancy": lambda: run_multitenancy(
+        {"a": 2.0, "b": 1.0}, clients_per_tenant=1, threads=2,
+        duration_ns=100_000.0, audit=True, profile=True),
     "run_scenario_leg": lambda: run_scenario_leg(
         ScenarioConfig(n_senders=2, threads_per_client=2), congested=True,
         audit=True),
@@ -109,11 +115,17 @@ def test_unscaled_run_keeps_its_windows(monkeypatch):
 
 def test_only_run_builds_simulators_and_picks_loops():
     """``Simulator(`` and ``run_profiled`` appear in exactly one runner
-    module: the one defining :class:`repro.harness.metrics.Run`."""
+    module: the one defining :class:`repro.harness.metrics.Run`.  Bench
+    modules build neither a simulator nor a cluster: they run specs."""
     offenders = []
     for package in ("harness", "search"):
         for path in sorted((SRC / package).rglob("*.py")):
             text = path.read_text()
             if "Simulator(" in text or "run_profiled" in text:
-                offenders.append(path.relative_to(SRC).as_posix())
-    assert offenders == ["harness/metrics.py"]
+                offenders.append(path.relative_to(ROOT).as_posix())
+    for path in sorted((ROOT / "benchmarks").rglob("*.py")):
+        text = path.read_text()
+        if any(s in text for s in ("Simulator(", "build_cluster(",
+                                   "run_profiled")):
+            offenders.append(path.relative_to(ROOT).as_posix())
+    assert offenders == ["src/repro/harness/metrics.py"]

@@ -1,4 +1,4 @@
-"""Random streams, zipfian/hot-cold samplers, percentile math."""
+"""Random streams, the hot-cold sampler, percentile math."""
 
 import random
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.sim import (
     HotColdGenerator,
     Streams,
-    ZipfGenerator,
     percentile,
     summarize_latencies,
 )
@@ -27,36 +26,6 @@ class TestStreams:
 
     def test_different_seeds_differ(self):
         assert Streams(1).stream("x").random() != Streams(2).stream("x").random()
-
-
-class TestZipf:
-    def test_bounds(self):
-        gen = ZipfGenerator(1000, theta=0.99, rng=random.Random(1))
-        for _ in range(5000):
-            assert 0 <= gen.next() < 1000
-
-    def test_skew_favors_low_keys(self):
-        gen = ZipfGenerator(10000, theta=0.99, rng=random.Random(2))
-        samples = [gen.next() for _ in range(20000)]
-        top_100 = sum(1 for s in samples if s < 100)
-        # Zipf 0.99 puts a large share of mass on the head.
-        assert top_100 / len(samples) > 0.35
-
-    def test_theta_zero_is_uniform(self):
-        gen = ZipfGenerator(100, theta=0.0, rng=random.Random(3))
-        samples = [gen.next() for _ in range(20000)]
-        head = sum(1 for s in samples if s < 10)
-        assert 0.05 < head / len(samples) < 0.15
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            ZipfGenerator(0)
-        with pytest.raises(ValueError):
-            ZipfGenerator(10, theta=1.5)
-
-    def test_large_n_constructs_fast(self):
-        gen = ZipfGenerator(32_000_000, theta=0.99, rng=random.Random(4))
-        assert 0 <= gen.next() < 32_000_000
 
 
 class TestHotCold:
