@@ -71,9 +71,17 @@ class HydraList:
             node = self._layer_nodes[idx]
         else:
             node = self._layer_nodes[0]
-        while node.next is not None and node.next.keys and node.next.keys[0] <= key:
-            node = node.next
-            self.stale_traversals += 1
+        nxt = node.next
+        while nxt is not None:
+            if not nxt.keys:
+                # Emptied by removals: it separates nothing, look past it.
+                nxt = nxt.next
+            elif nxt.keys[0] <= key:
+                node = nxt
+                nxt = node.next
+                self.stale_traversals += 1
+            else:
+                break
         return node
 
     def merge_search_layer(self) -> int:
@@ -83,6 +91,10 @@ class HydraList:
             return 0
         merged = len(self._pending_splits)
         for node in self._pending_splits:
+            if not node.keys:
+                # Emptied before the merge: no separator to publish, and
+                # ``_locate`` never lands on it.
+                continue
             idx = bisect.bisect_left(self._layer_keys, node.min_key)
             self._layer_keys.insert(idx, node.min_key)
             self._layer_nodes.insert(idx + 1, node)

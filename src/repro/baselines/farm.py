@@ -132,7 +132,7 @@ class RcRpcServer:
                 verb=Verb.WRITE, length=rmsg.total_bytes,
                 remote_addr=resp_region.addr, rkey=resp_region.rkey,
                 payload=rmsg, signaled=False,
-            ))
+            ), wait=False)
             self.requests_handled += 1
 
 
@@ -203,7 +203,7 @@ class RcRpcClient:
                 remote_addr=channel.req_region.addr,
                 rkey=channel.req_region.rkey,
                 payload=msg, signaled=False,
-            ))
+            ), wait=False)
         finally:
             if channel.lock is not None:
                 channel.lock.release()

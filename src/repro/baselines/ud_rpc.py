@@ -127,7 +127,7 @@ class UdRpcServer:
             qp.post_send(
                 WorkRequest(verb=Verb.SEND, length=size, signaled=False,
                             payload=UdResponse(request.req_id, size, payload)),
-                remote=request.reply_qp,
+                remote=request.reply_qp, wait=False,
             )
             self.requests_handled += 1
             # Post-processing off the latency path but on the CPU budget:
@@ -198,7 +198,7 @@ class UdEndpoint:
         self.qp.post_send(
             WorkRequest(verb=Verb.SEND, length=size, signaled=False,
                         payload=request),
-            remote=server_qp,
+            remote=server_qp, wait=False,
         )
         yield self.sim.timeout(self.cpu.ud_sw_transport_ns + self.extra_sw_ns)
         if self.timeout_ns is not None:
@@ -232,7 +232,7 @@ class UdEndpoint:
                 WorkRequest(verb=Verb.SEND, length=chunk_len, signaled=False,
                             payload=UdChunk(msg_id, idx, len(chunks),
                                             payload, nbytes=chunk_len)),
-                remote=target_qp,
+                remote=target_qp, wait=False,
             )
         return len(chunks)
 

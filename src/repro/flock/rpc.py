@@ -352,7 +352,7 @@ class FlockServer:
             verb=Verb.WRITE, length=rmsg.total_bytes,
             remote_addr=schannel.resp_addr, rkey=schannel.resp_rkey,
             payload=rmsg, signaled=signaled, span=rmsg.span,
-        ))
+        ), wait=False)
         schannel.responses_sent += len(responses)
 
     # -- QP scheduler: credit renewals (§5.1, §7) -----------------------------------
@@ -417,7 +417,7 @@ class FlockServer:
         schannel.server_qp.post_send(WorkRequest(
             verb=Verb.WRITE, length=nbytes, remote_addr=schannel.resp_addr,
             rkey=schannel.resp_rkey, payload=payload, signaled=False,
-        ))
+        ), wait=False)
 
     # -- QP scheduler: periodic redistribution (§5.1) ---------------------------------
 
@@ -822,7 +822,7 @@ class FlockClient:
                 remote_addr=channel.request_ring.region.addr,
                 rkey=channel.request_ring.region.rkey,
                 payload=msg, signaled=signaled, span=msg.span,
-            ))
+            ), wait=False)
             channel.tcq.record_message(len(rpc_slots))
         for slot in mem_slots:
             op: MemOp = slot.request
@@ -861,7 +861,7 @@ class FlockClient:
             verb=Verb.WRITE_IMM, length=RENEW_BYTES,
             remote_addr=channel.ctrl_addr, rkey=channel.ctrl_rkey,
             payload=request, imm=channel.index, signaled=False,
-        ))
+        ), wait=False)
 
     def _migrate_stranded(self, handle: ConnectionHandle, channel) -> None:
         """Re-home queued sends from a deactivated QP onto the threads'

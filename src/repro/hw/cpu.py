@@ -10,7 +10,7 @@ userspace network libraries while FLock's coalescing frees them.
 
 from __future__ import annotations
 
-from typing import Dict, Generator
+from typing import Dict
 
 from ..sim import Event, Simulator
 
@@ -32,9 +32,6 @@ class CoreMeter:
             raise ValueError("negative CPU charge")
         self.busy_ns[category] = self.busy_ns.get(category, 0.0) + ns
         return self.sim.timeout(ns)
-
-    def charge_gen(self, ns: float, category: str = "app") -> Generator[Event, None, None]:
-        yield self.charge(ns, category)
 
     @property
     def total_busy_ns(self) -> float:

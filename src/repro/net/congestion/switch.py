@@ -175,7 +175,8 @@ class Switch:
             port.pause_events += 1
             self._m_pauses.inc()
             port.resume_ev = Event(self.sim)
-            self.sim.spawn(self._resume_watch(port), name="pfc-resume")
+            self.sim.spawn(self._resume_watch(port), name="pfc-resume",
+                           detached=True)
         ev = port.resume_ev
         self._paused_srcs.setdefault(src_name, {})[port.name] = ev
         return ev

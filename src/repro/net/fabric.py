@@ -200,12 +200,8 @@ class Fabric:
         if marked and reliable and self.dcqcn_active:
             # The receiver's CNP generator notifies the marked flow.
             self.sim.spawn(self._deliver_cnp(src.name, src_qpn),
-                           name="cnp")
+                           name="cnp", detached=True)
         return True
-
-    def transfer_async(self, *args, **kwargs):
-        """Spawn :meth:`transfer` as a background process; returns it."""
-        return self.sim.spawn(self.transfer(*args, **kwargs), name="xfer")
 
     def congestion_snapshot(self) -> dict:
         """Switch + DCQCN state for reporting (empty when disabled)."""

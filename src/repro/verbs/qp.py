@@ -127,14 +127,21 @@ class QueuePair:
 
     # -- send path ----------------------------------------------------------
 
-    def post_send(self, wr: WorkRequest, remote: Optional["QueuePair"] = None) -> Process:
-        """Submit a work request; returns the initiator-completion event.
+    def post_send(self, wr: WorkRequest, remote: Optional["QueuePair"] = None,
+                  *, wait: bool = True) -> Optional[Process]:
+        """Submit a work request; returns the initiator-completion event,
+        or ``None`` when ``wait`` is False.
 
         The event is the verb's own process: it fires when the operation
         completes *at the initiator* (TX done for UD, ACK/data returned
         for RC) with the :class:`Completion`.  A CQE is additionally
         pushed to ``send_cq`` iff ``wr.signaled`` — callers model
         selective signaling by clearing the flag.
+
+        ``wait=False`` is for callers that drop the handle: the verb runs
+        as a detached process whose completion fires no event.  The
+        verb itself is unchanged — the ACK leg, the CQE of a signaled WR
+        and the WR span's end all happen as with ``wait=True``.
 
         ``remote`` addresses the target for UD sends; RC/UC use the
         connected peer.
@@ -170,7 +177,9 @@ class QueuePair:
             wr.span = self.sim.spans.begin(
                 "wr.%s" % wr.verb.value, track="hw:%s" % self.node.name,
                 t=self.sim.now, bytes=wr.length, qpn=self.qpn)
-        return self.sim.spawn(self._execute(wr, target), name="verb")
+        proc = self.sim.spawn(self._execute(wr, target), name="verb",
+                              detached=not wait)
+        return proc if wait else None
 
     # -- verb execution -------------------------------------------------------
 

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.hydralist import HydraList
 
@@ -93,6 +93,19 @@ class TestAsyncSearchLayer:
             assert index.get(key) == key
         assert index.stale_traversals == before  # layer is fresh
 
+    def test_merge_skips_emptied_node(self):
+        index = HydraList(node_capacity=3)
+        for key in range(6):
+            index.insert(key, key)
+        index.remove(2)
+        index.remove(3)
+        index.merge_search_layer()
+        for key in (2, 3, 4):
+            index.insert(key, -key)
+        assert index.size == 6
+        assert list(index.items()) == [
+            (0, 0), (1, 1), (2, -2), (3, -3), (4, -4), (5, 5)]
+
     def test_automatic_merge_bounds_staleness(self):
         index = HydraList(node_capacity=2)
         for key in range(600):
@@ -131,6 +144,10 @@ class TestAgainstReference:
     @given(st.lists(st.tuples(st.sampled_from(["ins", "del", "get"]),
                               st.integers(min_value=0, max_value=50)),
                     max_size=200))
+    # Emptying a node between two others must not hide its successors:
+    # this sequence once stored key 4 twice.
+    @example([("ins", k) for k in range(6)]
+             + [("del", 2), ("del", 3), ("ins", 4)])
     @settings(max_examples=50, deadline=None)
     def test_matches_dict_reference(self, ops):
         index = HydraList(node_capacity=3)

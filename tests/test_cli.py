@@ -1,5 +1,7 @@
 """The command-line experiment runner."""
 
+import json
+
 import pytest
 
 from repro.harness import FIGURES
@@ -57,6 +59,26 @@ class TestSmallRuns:
         out = capsys.readouterr().out
         assert "FLock" in out and "eRPC" in out
 
+    def test_incast_congested_legs_attribute_switch_queue(self, tmp_path,
+                                                          capsys):
+        attr = tmp_path / "incast.attr.json"
+        cards = tmp_path / "scorecards"
+        assert main(["--scale", "0.1", "--audit", "--attribution",
+                     "--attribution-json", str(attr),
+                     "--scorecard", str(cards), "incast"]) == 0
+        report = json.loads(attr.read_text())
+        cong = {label: rep for label, rep in report.items()
+                if "cong" in label}
+        assert cong, sorted(report)
+        for label, rep in cong.items():
+            total = sum(cell["share"] for cell in rep["attribution"].values())
+            assert total == pytest.approx(1.0, abs=1e-6), label
+        assert any("switch_queue" in rep["attribution"]
+                   for rep in cong.values())
+        card = json.loads((cards / "BENCH_ext_incast.json").read_text())
+        assert card["checks"]
+        assert all(c["passed"] for c in card["checks"]), card["checks"]
+
 
 class TestRunKnobs:
     """The boolean knobs share one parser; malformed values of any run
@@ -109,7 +131,6 @@ class TestFaultStamp:
     touching the run-store fingerprint."""
 
     def _scorecard(self, tmp_path, monkeypatch, faults_env):
-        import json
         if faults_env:
             monkeypatch.setenv("REPRO_FAULTS", faults_env)
         else:

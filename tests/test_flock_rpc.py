@@ -346,9 +346,9 @@ class TestNoProcessPerOccurrence:
         tenures = [0]
         spawn, start_tenure = Simulator.spawn, FlockClient.start_tenure
 
-        def counting_spawn(sim, gen, name=""):
+        def counting_spawn(sim, gen, name="", detached=False):
             spawned[name] += 1
-            return spawn(sim, gen, name)
+            return spawn(sim, gen, name, detached)
 
         def counting_start_tenure(client, handle, channel):
             tenures[0] += 1

@@ -55,13 +55,6 @@ class TestMttCache:
 
 
 class TestFabricHelpers:
-    def test_transfer_async_returns_process(self, small_cluster):
-        sim, server, clients, fabric = small_cluster
-        proc = fabric.transfer_async(clients[0], server, 64, 1, 2)
-        sim.run()
-        assert proc.processed and proc.value is True
-        assert fabric.messages_delivered == 1
-
     def test_qpn_allocation_monotonic(self, small_cluster):
         _sim, server, _clients, _fabric = small_cluster
         qpns = [server.alloc_qpn() for _ in range(10)]

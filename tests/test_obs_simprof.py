@@ -11,6 +11,7 @@ import pathlib
 import pytest
 
 from repro.harness import MicrobenchConfig, run_flock, run_raw_reads
+from repro.harness.incastbench import IncastConfig, run_incast_flock
 from repro.obs.simprof import (
     PROFILE_ENV,
     SimProfile,
@@ -247,25 +248,34 @@ def _idle_events(report):
 
 
 class TestEveryEventWakesSomeone:
-    """A verb's process is its own completion, so only a completion no
-    one waits on fires idle (``kernel;idle``)."""
+    """A verb's process is its own completion, and a verb or CNP nobody
+    waits on runs detached, so no event fires idle (``kernel;idle``)."""
 
     def test_waited_reads_fire_no_idle_event(self):
         result = run_raw_reads(24, n_clients=3, profile=True)
         assert result.ops > 0
         assert _idle_events(result.profile) == 0
 
-    def test_flock_idle_events_bounded_by_posted_wrs(self, monkeypatch):
+    def test_flock_fires_no_idle_event(self, monkeypatch):
         posted = [0]
         post_send = QueuePair.post_send
 
-        def counting_post_send(qp, wr, remote=None):
+        def counting_post_send(qp, wr, remote=None, *, wait=True):
             posted[0] += 1
-            return post_send(qp, wr, remote)
+            return post_send(qp, wr, remote, wait=wait)
 
         monkeypatch.setattr(QueuePair, "post_send", counting_post_send)
         result = run_flock(MicrobenchConfig(
             n_clients=3, threads_per_client=4, outstanding=2,
             warmup_ns=150_000, measure_ns=150_000), profile=True)
         assert posted[0] > 0
-        assert _idle_events(result.profile) <= posted[0]
+        assert _idle_events(result.profile) == 0
+
+    def test_congested_incast_fires_no_idle_event(self, monkeypatch):
+        monkeypatch.setenv(PROFILE_ENV, "1")
+        result = run_incast_flock(
+            IncastConfig(n_senders=4, threads_per_client=3,
+                         warmup_ns=100_000.0, measure_ns=150_000.0),
+            congested=True)
+        assert result.extras["cnps"] > 0
+        assert _idle_events(result.profile) == 0

@@ -157,6 +157,54 @@ class TestProcess:
         assert p.triggered and not p.ok
 
 
+class TestDetachedProcess:
+    @staticmethod
+    def _run(detached):
+        sim = Simulator()
+
+        def proc():
+            yield sim.timeout(10)
+            yield sim.timeout(5)
+            return "done"
+
+        p = sim.spawn(proc(), detached=detached)
+        sim.run()
+        return sim, p
+
+    def test_runs_to_completion_and_keeps_value(self):
+        sim, p = self._run(detached=True)
+        assert sim.now == 15
+        assert not p.is_alive
+        assert p.processed and p.ok and p.value == "done"
+
+    def test_completion_fires_no_event(self):
+        plain, _ = self._run(detached=False)
+        detached, _ = self._run(detached=True)
+        assert detached.events_processed == plain.events_processed - 1
+
+    def test_waiter_is_rejected(self, sim):
+        def child():
+            yield sim.timeout(1)
+
+        def parent():
+            yield sim.spawn(child(), detached=True)
+
+        sim.spawn(parent())
+        with pytest.raises(SimulationError):
+            sim.run()
+
+    def test_failure_still_fires_when_not_strict(self):
+        sim = Simulator(strict=False)
+
+        def proc():
+            yield sim.timeout(1)
+            raise RuntimeError("kaboom")
+
+        p = sim.spawn(proc(), detached=True)
+        sim.run()
+        assert p.processed and not p.ok
+
+
 class TestInterrupt:
     def test_interrupt_wakes_sleeper(self, sim):
         def sleeper():

@@ -360,6 +360,44 @@ class TestSignaling:
         run_gen(sim, proc())
         assert len(cqp.send_cq) == 1  # only the signaled one
 
+    def test_detached_write_returns_none_and_lands(self, rc_pair):
+        sim, server, client, fabric, cqp, sqp = rc_pair
+        region = server.memory.register(4096)
+        landed = []
+        region.sink = lambda payload, addr, length: landed.append(payload)
+        assert cqp.post_send(WorkRequest(
+            verb=Verb.WRITE, length=64, remote_addr=region.addr,
+            rkey=region.rkey, payload="data", signaled=False),
+            wait=False) is None
+        sim.run()
+        assert landed == ["data"]
+        assert cqp.sends_completed == 1
+        assert len(cqp.send_cq) == 0
+
+    @staticmethod
+    def _signaled_write_cqe_time(wait):
+        sim = Simulator()
+        servers, clients, fabric = build_cluster(sim, ClusterConfig())
+        sqp = QueuePair(sim, servers[0], fabric, Transport.RC)
+        cqp = QueuePair(sim, clients[0], fabric, Transport.RC)
+        cqp.connect(sqp)
+        region = servers[0].memory.register(4096)
+        cqp.post_send(WorkRequest(
+            verb=Verb.WRITE, length=64, remote_addr=region.addr,
+            rkey=region.rkey, signaled=True), wait=wait)
+
+        def reaper():
+            wc = yield cqp.send_cq.wait_pop()
+            return wc, sim.now
+
+        return run_gen(sim, reaper())
+
+    def test_detached_signaled_write_pushes_cqe_at_ack(self):
+        waited_wc, waited_t = self._signaled_write_cqe_time(wait=True)
+        detached_wc, detached_t = self._signaled_write_cqe_time(wait=False)
+        assert detached_wc.ok and waited_wc.ok
+        assert detached_t == waited_t > 0
+
 
 class TestCompletionQueue:
     def test_poll_reaps_in_order(self, sim):
