@@ -124,19 +124,29 @@ class SpinLock(Resource):
 
 
 class Store:
-    """An unbounded (or bounded) FIFO channel of items between processes."""
+    """An unbounded (or bounded) FIFO channel of items between processes.
+
+    ``items``, ``_getters`` and ``_putters`` start as ``None`` and become
+    deques on their first append: most stores in a run (a QP's receive
+    buffers, its CQs) never hold anything, and an empty deque costs about
+    760 bytes.  Every emptiness test is a truthiness test, so ``None``
+    reads as empty.
+    """
 
     __slots__ = ("sim", "capacity", "items", "_getters", "_putters")
 
     def __init__(self, sim: Simulator, capacity: Optional[int] = None):
+        if capacity is not None and capacity < 1:
+            raise ValueError("capacity must be None or >= 1")
         self.sim = sim
         self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()
+        self.items: Optional[Deque[Any]] = None
+        self._getters: Optional[Deque[Event]] = None
+        self._putters: Optional[Deque[tuple]] = None
 
     def __len__(self) -> int:
-        return len(self.items)
+        items = self.items
+        return 0 if items is None else len(items)
 
     def put(self, item: Any) -> Event:
         """Event that fires once the item is in the store."""
@@ -145,10 +155,16 @@ class Store:
             # Direct hand-off to the longest-waiting getter.
             self._getters.popleft().succeed(item)
             ev.succeed()
-        elif self.capacity is None or len(self.items) < self.capacity:
-            self.items.append(item)
+            return ev
+        items = self.items
+        if items is None:
+            items = self.items = deque()
+        if self.capacity is None or len(items) < self.capacity:
+            items.append(item)
             ev.succeed()
         else:
+            if self._putters is None:
+                self._putters = deque()
             self._putters.append((ev, item))
         return ev
 
@@ -157,33 +173,40 @@ class Store:
         if self._getters:
             self._getters.popleft().succeed(item)
             return True
-        if self.capacity is None or len(self.items) < self.capacity:
-            self.items.append(item)
+        items = self.items
+        if items is None:
+            items = self.items = deque()
+        if self.capacity is None or len(items) < self.capacity:
+            items.append(item)
             return True
         return False
 
     def get(self) -> Event:
         """Event that fires with the next item."""
         ev = self.sim.event()
-        if self.items:
-            item = self.items.popleft()
+        items = self.items
+        if items:
+            item = items.popleft()
             if self._putters:
                 put_ev, put_item = self._putters.popleft()
-                self.items.append(put_item)
+                items.append(put_item)
                 put_ev.succeed()
             ev.succeed(item)
         else:
+            if self._getters is None:
+                self._getters = deque()
             self._getters.append(ev)
         return ev
 
     def try_get(self) -> tuple:
         """Non-blocking get; returns (ok, item)."""
-        if not self.items:
+        items = self.items
+        if not items:
             return False, None
-        item = self.items.popleft()
+        item = items.popleft()
         if self._putters:
             put_ev, put_item = self._putters.popleft()
-            self.items.append(put_item)
+            items.append(put_item)
             put_ev.succeed()
         return True, item
 
@@ -197,7 +220,8 @@ class TrackedStore(Store):
     * ``accepted`` / ``reaped`` — items that entered / left the queue,
     * ``wait_ns`` — total time completed items spent queued,
     * ``area`` — the time integral of queue depth (``∫ L(t) dt``),
-    * ``arrivals`` — entry timestamps of the items currently queued.
+    * ``arrivals`` — entry timestamps of the items currently queued
+      (``None`` when untracked).
 
     These give two *independent* accountings of the same queue: the area
     integral accumulates depth × elapsed-time at every mutation, while
@@ -223,7 +247,7 @@ class TrackedStore(Store):
         self.reaped = 0
         self.wait_ns = 0.0
         self.area = 0.0
-        self.arrivals: Deque[float] = deque()
+        self.arrivals: Optional[Deque[float]] = deque() if track else None
         self._area_t = sim.now
         if track:
             # Surface the queue to the end-of-run auditors.
@@ -235,12 +259,12 @@ class TrackedStore(Store):
         """Integrate depth over the interval since the last mutation."""
         now = self.sim.now
         if now > self._area_t:
-            self.area += len(self.items) * (now - self._area_t)
+            self.area += len(self) * (now - self._area_t)
             self._area_t = now
 
     def _sync_arrivals(self) -> None:
         """Stamp arrivals for items a queued putter just slid in."""
-        while len(self.arrivals) < len(self.items):
+        while len(self.arrivals) < len(self):
             self.arrivals.append(self.sim.now)
             self.accepted += 1
 
@@ -260,12 +284,12 @@ class TrackedStore(Store):
             return super().put(item)
         self._tick()
         handed = bool(self._getters)
-        depth_before = len(self.items)
+        depth_before = len(self)
         ev = super().put(item)
         if handed:
             self.accepted += 1
             self.reaped += 1
-        elif len(self.items) > depth_before:
+        elif len(self) > depth_before:
             self.accepted += 1
             self.arrivals.append(self.sim.now)
         return ev

@@ -79,6 +79,31 @@ class TestSmallRuns:
         assert card["checks"]
         assert all(c["passed"] for c in card["checks"]), card["checks"]
 
+    def test_fig2a_trace_attribution_and_folded_stacks(self, tmp_path,
+                                                       capsys):
+        trace = tmp_path / "fig2a.trace.json"
+        attr = tmp_path / "fig2a.attr.json"
+        folded = tmp_path / "fig2a.folded"
+        assert main(["--scale", "0.1", "--breakdown", "--trace", str(trace),
+                     "--attribution", "--attribution-json", str(attr),
+                     "--critical-path", str(folded),
+                     "fig2a", "--qps", "8", "--clients", "2"]) == 0
+        capsys.readouterr()
+        events = json.loads(trace.read_text())["traceEvents"]
+        assert any(e["ph"] == "X" for e in events), "no span events"
+        assert all(e.get("dur", 0) >= 0 for e in events)
+        report = json.loads(attr.read_text())
+        assert report, "empty attribution report"
+        for label, rep in report.items():
+            assert rep["paths"] > 0, label
+            total = sum(cell["share"] for cell in rep["attribution"].values())
+            assert total == pytest.approx(1.0, abs=1e-6), label
+        lines = folded.read_text().splitlines()
+        assert lines, "empty folded-stack export"
+        for line in lines:
+            frame, ns = line.rsplit(" ", 1)
+            assert ";" in frame and int(ns) >= 0, line
+
 
 class TestRunKnobs:
     """The boolean knobs share one parser; malformed values of any run

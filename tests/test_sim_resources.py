@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Resource, SimulationError, Simulator, SpinLock, Store, TokenBucket
+from repro.sim import (Resource, SimulationError, Simulator, SpinLock, Store,
+                       TokenBucket, TrackedStore)
 
 from conftest import run_gen
 
@@ -161,6 +162,37 @@ class TestStore:
         store.try_put("direct")
         sim.run()
         assert p.value == "direct"
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_bad_capacity(self, sim, capacity):
+        with pytest.raises(ValueError):
+            Store(sim, capacity=capacity)
+
+    def test_fresh_store_holds_no_deque(self, sim):
+        store = Store(sim)
+        assert store.items is None
+        assert store._getters is None and store._putters is None
+        assert len(store) == 0
+        assert store.try_get() == (False, None)
+        assert store.items is None  # a failed get queues nothing
+
+    def test_queues_created_on_first_use(self, sim):
+        store = Store(sim, capacity=1)
+        store.get()
+        assert len(store._getters) == 1 and store.items is None
+        store.try_put("handed")  # straight to the parked getter
+        assert store.items is None
+        store.try_put("queued")
+        store.put("blocked")
+        assert list(store.items) == ["queued"]
+        assert len(store._putters) == 1
+
+    def test_untracked_store_keeps_no_arrivals(self, sim):
+        assert TrackedStore(sim).arrivals is None
+        tracked = TrackedStore(sim, track=True)
+        assert tracked.arrivals is not None and len(tracked.arrivals) == 0
+        tracked.try_put("x")
+        assert len(tracked.arrivals) == 1 and tracked.accepted == 1
 
     @given(st.lists(st.integers(), min_size=1, max_size=50))
     @settings(max_examples=30, deadline=None)

@@ -1,5 +1,8 @@
 """Verbs layer: Table 1 semantics, QP behaviour, CQs, completions."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.config import ClusterConfig
@@ -397,6 +400,40 @@ class TestSignaling:
         detached_wc, detached_t = self._signaled_write_cqe_time(wait=False)
         assert detached_wc.ok and waited_wc.ok
         assert detached_t == waited_t > 0
+
+
+class TestQueuePairFootprint:
+    """A QP that has done no work holds no queue: its CQs and receive
+    buffers create their deques on first use (Fig. 2a builds thousands
+    of QPs, most of which never queue anything)."""
+
+    def test_idle_qp_holds_no_deque(self, rc_pair):
+        sim, server, client, fabric, cqp, sqp = rc_pair
+        for qp in (cqp, sqp):
+            cq_stores = (qp.send_cq._store, qp.recv_cq._store)
+            for store in cq_stores + (qp.recv_buffers,):
+                assert store.items is None
+                assert store._getters is None and store._putters is None
+            assert all(store.arrivals is None for store in cq_stores)
+            assert len(qp.send_cq) == 0 and qp.recv_posted == 0
+
+    def test_connected_rc_pair_costs_under_4_kib(self, small_cluster):
+        sim, server, clients, fabric = small_cluster
+        n = 1000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pairs = []
+            for _ in range(n):
+                a = QueuePair(sim, clients[0], fabric, Transport.RC)
+                b = QueuePair(sim, server, fabric, Transport.RC)
+                a.connect(b)
+                pairs.append((a, b))
+            per_pair = (tracemalloc.get_traced_memory()[0] - before) / n
+        finally:
+            tracemalloc.stop()
+        assert per_pair <= 4096, per_pair
 
 
 class TestCompletionQueue:
