@@ -28,6 +28,7 @@ from ..baselines import UdEndpoint, UdRpcServer
 from ..config import ClusterConfig, CongestionConfig, FlockConfig, NetConfig
 from ..flock import FlockNode
 from ..net import build_cluster
+from ..sim import UniformStream
 from .metrics import Recorder, Run, RunResult
 from .microbench import ECHO_RPC, _echo_handler
 
@@ -74,6 +75,11 @@ class IncastConfig:
             enabled=True, buffer_bytes=10_240,
             ecn_kmin_bytes=2_560, ecn_kmax_bytes=7_680,
             pfc_xoff_bytes=7_680, pfc_xon_bytes=2_560))
+
+    def __post_init__(self):
+        if self.think_jitter_ns < 0:
+            raise ValueError("think_jitter_ns must be >= 0, got %r"
+                             % (self.think_jitter_ns,))
 
     def cluster(self, congested: bool) -> ClusterConfig:
         if congested:
@@ -142,7 +148,7 @@ def run_incast_flock(cfg: IncastConfig, *, congested: bool,
         handles.append(handle)
         for t_idx in range(cfg.threads_per_client):
             for _ in range(cfg.outstanding):
-                rng = random.Random(jitter_rng.getrandbits(48))
+                rng = UniformStream(jitter_rng.getrandbits(48))
                 sim.spawn(worker(fnode, handle, t_idx, rng),
                           name="incast-worker")
 
@@ -196,7 +202,7 @@ def run_incast_ud(cfg: IncastConfig, *, congested: bool,
             endpoint_counter[0] += 1
             endpoints.append(endpoint)
             for _ in range(cfg.outstanding):
-                rng = random.Random(jitter_rng.getrandbits(48))
+                rng = UniformStream(jitter_rng.getrandbits(48))
                 sim.spawn(worker(endpoint, server_qp, rng),
                           name="incast-worker")
 

@@ -27,6 +27,7 @@ from ..flock import FlockNode, TenantManager
 from ..net import build_cluster
 from ..obs import faults
 from ..obs.anomaly import detect_run_anomalies
+from ..sim import UniformStream
 from ..workloads import FixedSize
 from .metrics import Recorder, Run, RunResult, host_block
 
@@ -67,6 +68,11 @@ class MicrobenchConfig:
     #: Optional per-thread size generator (Fig. 11); overrides req_size.
     sizegen: Optional[object] = None
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
+
+    def __post_init__(self):
+        if self.think_jitter_ns < 0:
+            raise ValueError("think_jitter_ns must be >= 0, got %r"
+                             % (self.think_jitter_ns,))
 
     def make_sizegen(self):
         return self.sizegen if self.sizegen is not None else FixedSize(self.req_size)
@@ -144,7 +150,7 @@ def run_flock(cfg: MicrobenchConfig, *, qps_per_process: Optional[int] = None,
             client_nodes.append(fnode)
             for t_idx in range(cfg.threads_per_client):
                 for _ in range(cfg.outstanding):
-                    rng = random.Random(jitter_rng.getrandbits(48))
+                    rng = UniformStream(jitter_rng.getrandbits(48))
                     sim.spawn(worker(fnode, handle, t_idx, rng),
                               name="bench-worker")
 
@@ -202,7 +208,7 @@ def run_erpc(cfg: MicrobenchConfig, *, telemetry=None,
                 server_qp = server.qp_for_client(endpoint_counter[0])
                 endpoint_counter[0] += 1
                 for _ in range(cfg.outstanding):
-                    rng = random.Random(jitter_rng.getrandbits(48))
+                    rng = UniformStream(jitter_rng.getrandbits(48))
                     sim.spawn(worker(endpoint, server_qp, t_idx, rng),
                               name="erpc-worker")
 
@@ -259,7 +265,7 @@ def run_rc(cfg: MicrobenchConfig, *, threads_per_qp: int = 1,
                                    threads_per_qp=threads_per_qp)
         for t_idx in range(cfg.threads_per_client):
             for _ in range(cfg.outstanding):
-                rng = random.Random(jitter_rng.getrandbits(48))
+                rng = UniformStream(jitter_rng.getrandbits(48))
                 sim.spawn(worker(rc_client, handle, t_idx, rng),
                           name="rc-worker")
 
@@ -327,7 +333,7 @@ def run_thread_sched(cfg: MicrobenchConfig, *, scheduling: bool,
         handles.append(handle)
         for t_idx in range(cfg.threads_per_client):
             for _ in range(cfg.outstanding):
-                rng = random.Random(jitter_rng.getrandbits(48))
+                rng = UniformStream(jitter_rng.getrandbits(48))
                 sim.spawn(worker(fnode, handle, t_idx, rng),
                           name="sched-worker")
 

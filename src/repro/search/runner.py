@@ -34,7 +34,7 @@ from ..flock import FlockNode
 from ..net import build_cluster
 from ..obs import Telemetry
 from ..obs.explain import attribution_blocks, shift_table, top_shift
-from ..sim import Streams
+from ..sim import Streams, UniformStream
 from ..workloads import BimodalSize, FixedSize
 from ..harness.metrics import Recorder, Run, RunResult
 from ..harness.microbench import ECHO_RPC, _echo_handler
@@ -72,6 +72,11 @@ class ScenarioConfig:
     think_jitter_ns: float = 200.0
     warmup_ns: float = 300_000.0
     measure_ns: float = 500_000.0
+
+    def __post_init__(self):
+        if self.think_jitter_ns < 0:
+            raise ValueError("think_jitter_ns must be >= 0, got %r"
+                             % (self.think_jitter_ns,))
 
     @classmethod
     def from_point(cls, point: dict, seed: int = 1) -> "ScenarioConfig":
@@ -159,7 +164,7 @@ def run_scenario_leg(cfg: ScenarioConfig, *, congested: bool,
             size = sizegen.next(t_idx)
             think_ns = cfg.think_jitter_ns * cfg.think_scale(t_idx)
             for _ in range(cfg.outstanding):
-                rng = random.Random(jitter_rng.getrandbits(48))
+                rng = UniformStream(jitter_rng.getrandbits(48))
                 sim.spawn(worker(fnode, handle, t_idx, size, think_ns, rng),
                           name="search-worker")
 

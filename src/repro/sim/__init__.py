@@ -10,7 +10,13 @@ from .core import (
     Simulator,
     Timeout,
 )
-from .rand import HotColdGenerator, Streams, percentile, summarize_latencies
+from .rand import (
+    HotColdGenerator,
+    Streams,
+    UniformStream,
+    percentile,
+    summarize_latencies,
+)
 from .resources import Resource, SpinLock, Store, TokenBucket, TrackedStore
 
 __all__ = [
@@ -29,6 +35,7 @@ __all__ = [
     "Timeout",
     "TokenBucket",
     "TrackedStore",
+    "UniformStream",
     "percentile",
     "summarize_latencies",
 ]

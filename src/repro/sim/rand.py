@@ -12,9 +12,10 @@ import hashlib
 import math
 import random
 import zlib
+from array import array
 from typing import List, Sequence
 
-__all__ = ["Streams", "HotColdGenerator"]
+__all__ = ["Streams", "HotColdGenerator", "UniformStream"]
 
 
 class Streams:
@@ -50,6 +51,45 @@ class Streams:
         # Fold to a stable, positive 63-bit value so the child can itself
         # derive grandchildren without unbounded seed growth.
         return Streams(child_seed & 0x7FFFFFFFFFFFFFFF)
+
+
+class UniformStream:
+    """``random.Random(seed).random()``'s exact sequence, without keeping
+    the Mersenne Twister between draws.
+
+    A ``Random`` is 2.9 KB; a stream holds the seed, the number of values
+    drawn and an ``array('d')`` of the next few.  When the buffer runs out
+    it rebuilds ``Random(seed)``, skips the values already drawn (each
+    ``random()`` consumes two 32-bit outputs, and ``getrandbits(64 * n)``
+    consumes exactly ``2 * n``), refills ``max(16, drawn)`` values and
+    drops the ``Random``, so ``n`` draws rebuild it ``1 + log2(n / 16)``
+    times.  Meant for the many per-worker streams that draw a few dozen
+    values per run; only ``random()`` is offered.
+    """
+
+    __slots__ = ("seed", "drawn", "_next")
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.drawn = 0
+        self._next = None
+
+    def random(self) -> float:
+        buf = self._next
+        if not buf:
+            buf = self._refill()
+        self.drawn += 1
+        return buf.pop()
+
+    def _refill(self) -> array:
+        rng = random.Random(self.seed)
+        if self.drawn:
+            rng.getrandbits(64 * self.drawn)
+        draw = rng.random
+        values = [draw() for _ in range(max(16, self.drawn))]
+        values.reverse()
+        self._next = buf = array("d", values)
+        return buf
 
 
 class HotColdGenerator:

@@ -19,9 +19,17 @@ from repro.harness import (
     run_flock,
     run_flocktx,
     run_raw_reads,
+    run_rc,
+    run_thread_sched,
 )
-from repro.harness.incastbench import IncastConfig, run_incast_flock
+from repro.harness.incastbench import (
+    IncastConfig,
+    run_incast_flock,
+    run_incast_ud,
+)
 from repro.harness.scorecards import scorecard_fig2a
+from repro.search.runner import ScenarioConfig, run_scenario_leg
+from repro.workloads import BimodalSize
 
 pytestmark = pytest.mark.usefixtures("half_windows")
 
@@ -95,12 +103,40 @@ def test_scorecards_byte_identical_across_runs(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
-#: SHA-256 of ``serialized(result)`` without ``extras["events"]`` for
-#: four small runs.  The dispatched-event count is host bookkeeping:
-#: removing an event that wakes no one lowers it and changes nothing
-#: else.  Any other change to these hashes means a result changed,
-#: usually because two same-instant events swapped order.  Update them
-#: only with an intended model change.
+#: The incast shape every pinned incast leg runs.
+SMALL_INCAST = IncastConfig(n_senders=4, threads_per_client=3,
+                            warmup_ns=100_000.0, measure_ns=150_000.0)
+
+#: A small Fig. 11 point: one large-size thread per five.
+SMALL_SCHED = MicrobenchConfig(
+    n_clients=2, threads_per_client=10, outstanding=2,
+    warmup_ns=150_000.0, measure_ns=150_000.0,
+    sizegen=BimodalSize(n_threads=10, large_size=512))
+
+#: A small congested search candidate with a size mix and tenant skew.
+SMALL_SCENARIO = ScenarioConfig(n_senders=3, threads_per_client=3,
+                                large_fraction=0.34, zipf_theta=0.5,
+                                warmup_ns=100_000.0, measure_ns=150_000.0)
+
+
+def witness(result):
+    """``serialized(result)`` without ``extras["events"]``; a dict of
+    named results and plain values (``run_thread_sched``'s return) is
+    serialized key by key."""
+    if isinstance(result, dict):
+        return json.dumps({k: witness(v) if hasattr(v, "extras") else v
+                           for k, v in result.items()}, sort_keys=True)
+    result.extras.pop("events", None)
+    return serialized(result)
+
+
+#: SHA-256 of ``witness(result)`` for small runs of every runner whose
+#: workers draw think-time jitter.  The dispatched-event count is host
+#: bookkeeping: removing an event that wakes no one lowers it and
+#: changes nothing else.  Any other change to these hashes means a
+#: result changed, usually because two same-instant events swapped
+#: order or a worker drew different jitter.  Update them only with an
+#: intended model change.
 ORDER_WITNESS = {
     "flock": ("43cca68f0fde702d0d68fe1c08fe35209cb0db1b0fe267d92bd4e4d0b4b141ad",
               lambda: run_flock(SMALL)),
@@ -110,10 +146,20 @@ ORDER_WITNESS = {
                 lambda: run_flocktx(SMALL_TXN)),
     "incast_congested": (
         "f3e67b145cf6a9772c30a2965ac376c5b13f317e487a262e84b462f095f7bba9",
-        lambda: run_incast_flock(IncastConfig(n_senders=4, threads_per_client=3,
-                                              warmup_ns=100_000.0,
-                                              measure_ns=150_000.0),
-                                 congested=True)),
+        lambda: run_incast_flock(SMALL_INCAST, congested=True)),
+    "erpc": ("0711a0d36c9fcb1da101895a29017d9e2c3012db39286b110af81f470f67e773",
+             lambda: run_erpc(SMALL)),
+    "rc_shared": ("1332853f4807c219cf2a0372a3642338981943db0f9ad0ecb34938bf792f63fa",
+                  lambda: run_rc(SMALL, threads_per_qp=2)),
+    "thread_sched": (
+        "9384e82cfbba275018c73826850598081fad1c74dd9ffc2f8a5633bd02838269",
+        lambda: run_thread_sched(SMALL_SCHED, scheduling=True)),
+    "incast_ud_congested": (
+        "f24be07270a407aca24cbb656d466a65b26a1cfb6042d3c003482541ee49be5e",
+        lambda: run_incast_ud(SMALL_INCAST, congested=True)),
+    "scenario_leg_congested": (
+        "eafd20de148296bec4b2364c2d49db033675a16316d0e0d5e07e6f38f8391b02",
+        lambda: run_scenario_leg(SMALL_SCENARIO, congested=True)),
 }
 
 
@@ -122,7 +168,5 @@ def test_results_match_pinned_hash(name, monkeypatch):
     # The hashes are for full-length windows.
     monkeypatch.setenv("REPRO_BENCH_SCALE", "1")
     expected, run = ORDER_WITNESS[name]
-    result = run()
-    result.extras.pop("events", None)
-    digest = hashlib.sha256(serialized(result).encode()).hexdigest()
+    digest = hashlib.sha256(witness(run()).encode()).hexdigest()
     assert digest == expected

@@ -403,7 +403,15 @@ class TestSearchCli:
         assert dumps[0] == dumps[1]
         payload = json.loads(dumps[0])
         assert payload["search"]["n_evals"] == 4
+        board = payload["search"]["leaderboard"]
+        assert len(board) == 4
+        fingerprints = [entry["fingerprint"] for entry in board]
+        assert len(set(fingerprints)) == len(board), "duplicate fingerprints"
+        scores = [entry["score"] for entry in board]
+        assert scores == sorted(scores, reverse=True)
         assert payload["explanations"]
+        for detail in payload["explanations"]:
+            assert detail["shift"], "explained entry lacks a shift table"
 
     def test_cli_export_scenario_writes_scorecard(self, tmp_path, capsys):
         rc = main(["--scale", SMOKE, "--scorecard", str(tmp_path),

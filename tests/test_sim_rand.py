@@ -1,6 +1,8 @@
 """Random streams, the hot-cold sampler, percentile math."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.sim import (
     HotColdGenerator,
     Streams,
+    UniformStream,
     percentile,
     summarize_latencies,
 )
@@ -26,6 +29,51 @@ class TestStreams:
 
     def test_different_seeds_differ(self):
         assert Streams(1).stream("x").random() != Streams(2).stream("x").random()
+
+
+class TestUniformStream:
+    @pytest.mark.parametrize("seed", [0, 1, 2**48 - 1])
+    def test_matches_random_exactly(self, seed):
+        """5,000 draws cross every refill boundary (16, 32, 64, ...)."""
+        stream, ref = UniformStream(seed), random.Random(seed)
+        assert [stream.random() for _ in range(5000)] == \
+            [ref.random() for _ in range(5000)]
+        assert stream.drawn == 5000
+
+    def test_holds_no_state_before_first_draw(self):
+        stream = UniformStream(7)
+        assert stream._next is None
+        stream.random()
+        assert not any(isinstance(getattr(stream, name), random.Random)
+                       for name in UniformStream.__slots__)
+
+    def test_per_stream_memory(self):
+        """A worker draws 11 to 26 jitter values per run (Fig. 10 point);
+        after 26 draws a stream holds at most 512 B, a ``Random`` ~2.9 KB."""
+        def traced_bytes_each(make, n=1000):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                kept = [make(2**40 + i) for i in range(n)]
+                used = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert len(kept) == n
+            return used / n
+
+        def drawn(make):
+            def build(seed):
+                rng = make(seed)
+                for _ in range(26):
+                    rng.random()
+                return rng
+            return build
+
+        stream_bytes = traced_bytes_each(drawn(UniformStream))
+        random_bytes = traced_bytes_each(drawn(random.Random))
+        assert stream_bytes <= 512
+        assert random_bytes >= 2500
 
 
 class TestHotCold:
