@@ -165,12 +165,8 @@ class UdEndpoint:
         self.pending: Dict[int, Event] = {}
         self.lost_requests = 0
         self.completed = 0
-        #: Reassembly state for inbound multi-chunk messages.  Partial
-        #: messages whose remaining chunks were lost are expired on the
-        #: next arrival so lossy runs don't accumulate unbounded state.
+        #: Reassembly state for inbound multi-chunk messages.
         self.reassembler = Reassembler()
-        self.reassembly_timeout_ns = (
-            timeout_ns if timeout_ns is not None else 100_000.0)
         self._credits = Store(sim)
         if session_credits:
             for _ in range(session_credits):
@@ -242,19 +238,6 @@ class UdEndpoint:
         message completes, None otherwise."""
         return reassembler.add(chunk.msg_id, chunk.chunk_idx,
                                chunk.n_chunks, chunk.payload)
-
-    def receive_chunk(self, chunk: "UdChunk"):
-        """Feed one chunk into this endpoint's own reassembler.
-
-        Expires stale partial messages first (chunks lost under UD mean
-        some messages never complete), then accounts the new chunk with
-        its size and arrival time.  Returns the chunk list when the
-        message completes, None otherwise.
-        """
-        self.reassembler.expire(self.sim.now, self.reassembly_timeout_ns)
-        return self.reassembler.add(
-            chunk.msg_id, chunk.chunk_idx, chunk.n_chunks, chunk.payload,
-            nbytes=chunk.nbytes, now=self.sim.now)
 
     def _dispatcher(self) -> Generator[Event, None, None]:
         while True:

@@ -17,7 +17,6 @@ applies it lives in :mod:`repro.flock.rpc`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Hashable, Mapping, Optional
 
 __all__ = ["HoldLedger", "UtilizationTable", "compute_allocation"]
@@ -114,15 +113,3 @@ def compute_allocation(
             share = int(max_aqp * (u / total_u))
             alloc[cid] = max(1, min(cap, share))
     return alloc
-
-
-def allocation_for_new_client(
-    per_client_u: Mapping[int, float], max_aqp: int, cap: int
-) -> int:
-    """A newly joined sender gets the average allocation of functioning
-    senders (paper §5.1)."""
-    functioning = [u for u in per_client_u.values() if u > 0]
-    if not functioning:
-        return max(1, min(cap, max_aqp))
-    avg = max_aqp // max(1, len(functioning))
-    return max(1, min(cap, avg))

@@ -94,10 +94,6 @@ class RingBuffer:
         """Messages written but not yet consumed."""
         return self.tail - self.head
 
-    @property
-    def backlog_bytes(self) -> int:
-        return self.tail_bytes - self.head_bytes
-
 
 class SenderView:
     """The sender's bookkeeping for a remote ring (§4.1).

@@ -530,8 +530,12 @@ class FlockClient:
     # -- connection setup (fl_connect / fl_attach_mreg) ---------------------------
 
     def connect(self, server: FlockServer, n_qps: Optional[int] = None) -> ConnectionHandle:
-        """``fl_connect``: build a connection handle to ``server``."""
-        n_qps = n_qps or self.cfg.qps_per_handle
+        """``fl_connect``: build a connection handle to ``server`` over
+        ``n_qps`` RC QPs (``qps_per_handle`` when None)."""
+        if n_qps is None:
+            n_qps = self.cfg.qps_per_handle
+        elif n_qps < 1:
+            raise ValueError("n_qps must be >= 1, got %r" % (n_qps,))
         server.start()
         self.start()
         client_id, shandle = server.accept(self.node, n_qps, self.cfg.ring_slots)

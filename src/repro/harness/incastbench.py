@@ -20,19 +20,19 @@ and no queue ever builds — see ``docs/network.md``.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 from ..baselines import UdEndpoint, UdRpcServer
 from ..config import ClusterConfig, CongestionConfig, FlockConfig, NetConfig
 from ..flock import FlockNode
 from ..net import build_cluster
-from ..sim import UniformStream
-from .metrics import Recorder, Run, RunResult
+from ..sim import jitter_streams
+from .metrics import Recorder, Run, RunResult, closed_loop
 from .microbench import ECHO_RPC, _echo_handler
 
-__all__ = ["IncastConfig", "run_incast_flock", "run_incast_ud"]
+__all__ = ["IncastConfig", "flock_fan_in", "run_incast_flock",
+           "run_incast_ud", "switch_extras"]
 
 
 @dataclass
@@ -91,15 +91,12 @@ class IncastConfig:
             net=replace(NetConfig(), congestion=cong))
 
 
-def _switch_extras(fabric) -> dict:
-    """Congestion-side observables for the run's extras block."""
+def switch_extras(fabric) -> dict:
+    """Congestion-side observables for a fan-in leg's extras block."""
     sw = fabric.switch
-    # Kept as a constant: perf/references.json pins a digest of extras.
-    extras = {"fidelity": "packet"}
     if sw is None:
-        extras["congested"] = False
-        return extras
-    extras.update({
+        return {"congested": False}
+    return {
         "congested": True,
         "pfc": sw.cfg.pfc,
         "buffer_bytes": sw.cfg.buffer_bytes,
@@ -108,8 +105,50 @@ def _switch_extras(fabric) -> dict:
         "ecn_marks": sw.total_ecn_marks,
         "pfc_pauses": sw.total_pause_events,
         "cnps": fabric.cnps_delivered,
-    })
-    return extras
+    }
+
+
+def flock_fan_in(run: Run, cfg, congested: bool, flock_cfg: FlockConfig,
+                 sizes: Sequence[int], thinks: Sequence[float],
+                 system: str) -> Tuple[Recorder, dict, list, object]:
+    """Every sender's FLock client -> one FLock echo server, run through
+    ``run``'s window.
+
+    ``cfg`` is an :class:`IncastConfig` or anything with its fields and
+    ``cluster(congested)``; thread ``t`` of every client sends
+    ``sizes[t]`` bytes and thinks up to ``thinks[t]`` ns between calls.
+    Returns the recorder, the extras every fan-in leg reports (``system``,
+    the mean coalescing degree and the server's CPU utilisation), the
+    client handles and the fabric.
+    """
+    sim = run.sim
+    servers, clients, fabric = build_cluster(sim, cfg.cluster(congested))
+    server = FlockNode(sim, servers[0], fabric, flock_cfg)
+    server.fl_reg_handler(ECHO_RPC, _echo_handler(run, cfg.resp_size,
+                                                  cfg.handler_ns))
+
+    recorder = Recorder(sim)
+    jitter = jitter_streams(cfg.seed ^ 0x7EA)
+    handles = []
+    for c_idx, node in enumerate(clients):
+        fnode = FlockNode(sim, node, fabric, flock_cfg,
+                          seed=cfg.seed + c_idx * 131)
+        handle = fnode.fl_connect(server, n_qps=cfg.qps_per_handle)
+        handles.append(handle)
+        for t_idx in range(cfg.threads_per_client):
+            args = (handle, t_idx, ECHO_RPC, sizes[t_idx])
+            for _ in range(cfg.outstanding):
+                sim.spawn(closed_loop(sim, recorder, fnode.fl_call, args,
+                                      thinks[t_idx], next(jitter)),
+                          name="fan-in-worker")
+
+    run.window([recorder], fabric)
+    degree = (sum(h.mean_coalescing_degree() for h in handles)
+              / len(handles) if handles else 1.0)
+    extras = {"system": system,
+              "mean_coalescing_degree": round(degree, 3),
+              "server_cpu": round(servers[0].cpu.utilization(), 3)}
+    return recorder, extras, handles, fabric
 
 
 def run_incast_flock(cfg: IncastConfig, *, congested: bool,
@@ -119,53 +158,21 @@ def run_incast_flock(cfg: IncastConfig, *, congested: bool,
     """One FLock incast leg (all senders → one FLock server)."""
     run = Run("flock-incast %s" % ("cong" if congested else "base"),
               cfg.warmup_ns, cfg.measure_ns, telemetry=telemetry, audit=audit)
-    sim = run.sim
-    servers, clients, fabric = build_cluster(sim, cfg.cluster(congested))
     if flock_cfg is None:
         flock_cfg = FlockConfig(sched_interval_ns=150_000.0,
                                 thread_sched_interval_ns=150_000.0)
-    server = FlockNode(sim, servers[0], fabric, flock_cfg)
-    server.fl_reg_handler(ECHO_RPC, _echo_handler(
-        cfg.resp_size, cfg.handler_ns, sim, run.warmup + run.measure / 2))
-
-    recorder = Recorder(sim)
-    jitter_rng = random.Random(cfg.seed ^ 0x7EA)
-    handles = []
-
-    def worker(fnode, handle, thread_id, rng):
-        while True:
-            if cfg.think_jitter_ns > 0:
-                yield sim.timeout(rng.random() * cfg.think_jitter_ns)
-            started = sim.now
-            yield from fnode.fl_call(handle, thread_id, ECHO_RPC,
-                                     cfg.req_size)
-            recorder.record(started)
-
-    for c_idx, node in enumerate(clients):
-        fnode = FlockNode(sim, node, fabric, flock_cfg,
-                          seed=cfg.seed + c_idx * 131)
-        handle = fnode.fl_connect(server, n_qps=cfg.qps_per_handle)
-        handles.append(handle)
-        for t_idx in range(cfg.threads_per_client):
-            for _ in range(cfg.outstanding):
-                rng = UniformStream(jitter_rng.getrandbits(48))
-                sim.spawn(worker(fnode, handle, t_idx, rng),
-                          name="incast-worker")
-
-    run.window([recorder], fabric)
-    degree = (sum(h.mean_coalescing_degree() for h in handles)
-              / len(handles) if handles else 1.0)
-    extras = _switch_extras(fabric)
+    threads = cfg.threads_per_client
+    recorder, extras, handles, fabric = flock_fan_in(
+        run, cfg, congested, flock_cfg, [cfg.req_size] * threads,
+        [cfg.think_jitter_ns] * threads, "flock")
+    extras["events"] = run.sim.events_processed
+    # Kept as a constant: perf/references.json pins a digest of extras.
+    extras["fidelity"] = "packet"
+    extras.update(switch_extras(fabric))
     extras["throttled_qps"] = sum(
         1 for h in handles
         for st in h.congestion_stats(fabric).values() if st["cnps"] > 0)
-    return run.finish(recorder.result(
-        system="flock",
-        mean_coalescing_degree=round(degree, 3),
-        server_cpu=round(servers[0].cpu.utilization(), 3),
-        events=sim.events_processed,
-        **extras,
-    ))
+    return run.finish(recorder.result(**extras))
 
 
 def run_incast_ud(cfg: IncastConfig, *, congested: bool,
@@ -176,38 +183,26 @@ def run_incast_ud(cfg: IncastConfig, *, congested: bool,
     sim = run.sim
     servers, clients, fabric = build_cluster(sim, cfg.cluster(congested))
     server = UdRpcServer(sim, servers[0], fabric)
-    server.register_handler(ECHO_RPC, _echo_handler(
-        cfg.resp_size, cfg.handler_ns, sim, run.warmup + run.measure / 2))
+    server.register_handler(ECHO_RPC, _echo_handler(run, cfg.resp_size,
+                                                    cfg.handler_ns))
 
     recorder = Recorder(sim)
-    jitter_rng = random.Random(cfg.seed ^ 0x7EA)
+    jitter = jitter_streams(cfg.seed ^ 0x7EA)
     endpoints = []
-    endpoint_counter = [0]
-
-    def worker(endpoint, server_qp, rng):
-        while True:
-            if cfg.think_jitter_ns > 0:
-                yield sim.timeout(rng.random() * cfg.think_jitter_ns)
-            started = sim.now
-            response = yield from endpoint.call(server, server_qp, ECHO_RPC,
-                                                cfg.req_size)
-            if response is not None:
-                recorder.record(started)
-
     for node in clients:
         for _t in range(cfg.threads_per_client):
             endpoint = UdEndpoint(sim, node, fabric,
                                   timeout_ns=cfg.ud_timeout_ns)
-            server_qp = server.qp_for_client(endpoint_counter[0])
-            endpoint_counter[0] += 1
+            args = (server, server.qp_for_client(len(endpoints)), ECHO_RPC,
+                    cfg.req_size)
             endpoints.append(endpoint)
             for _ in range(cfg.outstanding):
-                rng = UniformStream(jitter_rng.getrandbits(48))
-                sim.spawn(worker(endpoint, server_qp, rng),
+                sim.spawn(closed_loop(sim, recorder, endpoint.call, args,
+                                      cfg.think_jitter_ns, next(jitter)),
                           name="incast-worker")
 
     run.window([recorder], fabric)
-    extras = _switch_extras(fabric)
+    extras = {"fidelity": "packet", **switch_extras(fabric)}
     return run.finish(recorder.result(
         system="ud-rpc",
         lost_requests=sum(e.lost_requests for e in endpoints),

@@ -25,7 +25,8 @@ from ..obs.simprof import SimProfile, profile_enabled
 from ..obs.windows import SloTimeline, attach_switch_sources
 from ..sim import Simulator, percentile, summarize_latencies
 
-__all__ = ["Recorder", "Run", "RunResult", "bench_scale", "host_block"]
+__all__ = ["Recorder", "Run", "RunResult", "bench_scale", "closed_loop",
+           "host_block"]
 
 
 def bench_scale() -> float:
@@ -158,14 +159,14 @@ class Recorder:
         report as ``RunResult.slo``."""
         self.slo_timeline = timeline
 
-    def record(self, started_ns: float, extra: float = 0.0) -> None:
+    def record(self, started_ns: float) -> None:
         """Record one completed op that began at ``started_ns``."""
         self.total_ops += 1
         now = self.sim.now
         if self.window_start is None or not (self.window_start <= now < self.window_end):
             return
         self.ops += 1
-        latency = now - started_ns + extra
+        latency = now - started_ns
         self.latencies_ns.append(latency)
         if self.slo_timeline is not None:
             self.slo_timeline.observe(now, latency)
@@ -192,6 +193,24 @@ class Recorder:
         ordered = sorted(self.latencies_ns)
         return [(p, percentile(ordered, p) / 1e3)
                 for p in (i * 100.0 / (points - 1) for i in range(points))]
+
+
+def closed_loop(sim: Simulator, recorder: Recorder, call, args: tuple,
+                think_ns: float = 0.0, rng=None):
+    """One closed-loop application thread, as a process generator.
+
+    Forever: wait a uniform ``[0, think_ns)`` think time drawn from
+    ``rng`` (no wait at all when ``think_ns`` is 0), issue
+    ``call(*args)`` and record its latency into ``recorder``.  A call
+    that returns None lost its request (the UD and eRPC baselines) and
+    is not recorded.
+    """
+    while True:
+        if think_ns > 0:
+            yield sim.timeout(rng.random() * think_ns)
+        started = sim.now
+        if (yield from call(*args)) is not None:
+            recorder.record(started)
 
 
 @dataclass

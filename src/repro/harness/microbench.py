@@ -9,7 +9,6 @@ The run lifecycle (simulator, instruments, windows scaled by
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
@@ -27,9 +26,9 @@ from ..flock import FlockNode, TenantManager
 from ..net import build_cluster
 from ..obs import faults
 from ..obs.anomaly import detect_run_anomalies
-from ..sim import UniformStream
+from ..sim import jitter_streams
 from ..workloads import FixedSize
-from .metrics import Recorder, Run, RunResult, host_block
+from .metrics import Recorder, Run, RunResult, closed_loop, host_block
 
 __all__ = [
     "MicrobenchConfig",
@@ -79,16 +78,20 @@ class MicrobenchConfig:
 
 
 #: ``bench.step_handler_cost`` multiplies the server handler cost by
-#: this factor once virtual time passes ``step_at_ns`` — a manufactured
-#: mid-run latency changepoint the anomaly detectors must catch (and CI
-#: proves they do, while staying silent on the clean twin run).
+#: this factor from the middle of the measurement window on — a
+#: manufactured mid-run latency changepoint the anomaly detectors must
+#: catch (and tier-1 proves they do, while staying silent on the clean
+#: twin run).
 STEP_FAULT_FACTOR = 25.0
 
 
-def _echo_handler(resp_size: int, handler_ns: float, sim=None,
-                  step_at_ns: Optional[float] = None):
-    if (sim is not None and step_at_ns is not None
-            and faults.is_active("bench.step_handler_cost")):
+def _echo_handler(run: Run, resp_size: int, handler_ns: float):
+    """The echo RPC handler: ``resp_size`` bytes back for ``handler_ns``
+    of server CPU, stepped up under ``bench.step_handler_cost``."""
+    if faults.is_active("bench.step_handler_cost"):
+        sim = run.sim
+        step_at_ns = run.warmup + run.measure / 2
+
         def faulty_handler(request):
             if sim.now >= step_at_ns:
                 return resp_size, None, handler_ns * STEP_FAULT_FACTOR
@@ -120,25 +123,14 @@ def run_flock(cfg: MicrobenchConfig, *, qps_per_process: Optional[int] = None,
         flock_cfg = FlockConfig(sched_interval_ns=150_000.0,
                                 thread_sched_interval_ns=150_000.0)
     server = FlockNode(sim, servers[0], fabric, flock_cfg)
-    server.fl_reg_handler(ECHO_RPC, _echo_handler(
-        cfg.resp_size, cfg.handler_ns, sim, run.warmup + run.measure / 2))
+    server.fl_reg_handler(ECHO_RPC, _echo_handler(run, cfg.resp_size,
+                                                  cfg.handler_ns))
 
     recorder = Recorder(sim)
     sizegen = cfg.make_sizegen()
     n_qps = qps_per_process or cfg.threads_per_client
     handles = []
-    client_nodes = []
-    jitter_rng = random.Random(cfg.seed ^ 0x7EA)
-
-    def worker(flock_client, handle, thread_id, rng):
-        while True:
-            if cfg.think_jitter_ns > 0:
-                yield sim.timeout(rng.random() * cfg.think_jitter_ns)
-            size = sizegen.next(thread_id)
-            started = sim.now
-            yield from flock_client.fl_call(handle, thread_id, ECHO_RPC, size)
-            recorder.record(started)
-
+    jitter = jitter_streams(cfg.seed ^ 0x7EA)
     for c_idx, node in enumerate(clients):
         for p_idx in range(cfg.processes_per_client):
             fnode = FlockNode(sim, node, fabric, flock_cfg,
@@ -147,11 +139,11 @@ def run_flock(cfg: MicrobenchConfig, *, qps_per_process: Optional[int] = None,
             fnode.client.thread_scheduling_enabled = thread_scheduling
             handle = fnode.fl_connect(server, n_qps=n_qps)
             handles.append(handle)
-            client_nodes.append(fnode)
             for t_idx in range(cfg.threads_per_client):
+                args = (handle, t_idx, ECHO_RPC, sizegen.next(t_idx))
                 for _ in range(cfg.outstanding):
-                    rng = UniformStream(jitter_rng.getrandbits(48))
-                    sim.spawn(worker(fnode, handle, t_idx, rng),
+                    sim.spawn(closed_loop(sim, recorder, fnode.fl_call, args,
+                                          cfg.think_jitter_ns, next(jitter)),
                               name="bench-worker")
 
     run.window([recorder], fabric)
@@ -182,34 +174,23 @@ def run_erpc(cfg: MicrobenchConfig, *, telemetry=None,
     cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
     servers, clients, fabric = build_cluster(sim, cluster)
     server = ErpcServer(sim, servers[0], fabric)
-    server.register_handler(ECHO_RPC, _echo_handler(
-        cfg.resp_size, cfg.handler_ns, sim, run.warmup + run.measure / 2))
+    server.register_handler(ECHO_RPC, _echo_handler(run, cfg.resp_size,
+                                                    cfg.handler_ns))
 
     recorder = Recorder(sim)
     sizegen = cfg.make_sizegen()
-    endpoint_counter = [0]
-
-    jitter_rng = random.Random(cfg.seed ^ 0x7EA)
-
-    def worker(endpoint, server_qp, thread_id, rng):
-        while True:
-            if cfg.think_jitter_ns > 0:
-                yield sim.timeout(rng.random() * cfg.think_jitter_ns)
-            size = sizegen.next(thread_id)
-            started = sim.now
-            response = yield from endpoint.call(server, server_qp, ECHO_RPC, size)
-            if response is not None:
-                recorder.record(started)
-
+    n_endpoints = 0
+    jitter = jitter_streams(cfg.seed ^ 0x7EA)
     for node in clients:
         for _p in range(cfg.processes_per_client):
             for t_idx in range(cfg.threads_per_client):
                 endpoint = ErpcEndpoint(sim, node, fabric)
-                server_qp = server.qp_for_client(endpoint_counter[0])
-                endpoint_counter[0] += 1
+                args = (server, server.qp_for_client(n_endpoints), ECHO_RPC,
+                        sizegen.next(t_idx))
+                n_endpoints += 1
                 for _ in range(cfg.outstanding):
-                    rng = UniformStream(jitter_rng.getrandbits(48))
-                    sim.spawn(worker(endpoint, server_qp, t_idx, rng),
+                    sim.spawn(closed_loop(sim, recorder, endpoint.call, args,
+                                          cfg.think_jitter_ns, next(jitter)),
                               name="erpc-worker")
 
     run.window([recorder], fabric)
@@ -240,23 +221,12 @@ def run_rc(cfg: MicrobenchConfig, *, threads_per_qp: int = 1,
     cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
     servers, clients, fabric = build_cluster(sim, cluster)
     server = RcRpcServer(sim, servers[0], fabric)
-    server.register_handler(ECHO_RPC, _echo_handler(
-        cfg.resp_size, cfg.handler_ns, sim, run.warmup + run.measure / 2))
+    server.register_handler(ECHO_RPC, _echo_handler(run, cfg.resp_size,
+                                                    cfg.handler_ns))
 
     recorder = Recorder(sim)
     sizegen = cfg.make_sizegen()
-
-    jitter_rng = random.Random(cfg.seed ^ 0x7EA)
-
-    def worker(rc_client, handle, thread_id, rng):
-        while True:
-            if cfg.think_jitter_ns > 0:
-                yield sim.timeout(rng.random() * cfg.think_jitter_ns)
-            size = sizegen.next(thread_id)
-            started = sim.now
-            yield from rc_client.call(handle, thread_id, ECHO_RPC, size)
-            recorder.record(started)
-
+    jitter = jitter_streams(cfg.seed ^ 0x7EA)
     for node in clients:
         rc_client = RcRpcClient(sim, node, fabric)
         n_qps = max(1, (cfg.threads_per_client + threads_per_qp - 1)
@@ -264,9 +234,10 @@ def run_rc(cfg: MicrobenchConfig, *, threads_per_qp: int = 1,
         handle = rc_client.connect(server, n_qps=n_qps,
                                    threads_per_qp=threads_per_qp)
         for t_idx in range(cfg.threads_per_client):
+            args = (handle, t_idx, ECHO_RPC, sizegen.next(t_idx))
             for _ in range(cfg.outstanding):
-                rng = UniformStream(jitter_rng.getrandbits(48))
-                sim.spawn(worker(rc_client, handle, t_idx, rng),
+                sim.spawn(closed_loop(sim, recorder, rc_client.call, args,
+                                      cfg.think_jitter_ns, next(jitter)),
                           name="rc-worker")
 
     run.window([recorder], fabric)
@@ -310,31 +281,23 @@ def run_thread_sched(cfg: MicrobenchConfig, *, scheduling: bool,
     flock_cfg = FlockConfig(sched_interval_ns=150_000.0,
                             thread_sched_interval_ns=150_000.0)
     server = FlockNode(sim, servers[0], fabric, flock_cfg)
-    server.fl_reg_handler(ECHO_RPC, _echo_handler(
-        cfg.resp_size, cfg.handler_ns, sim, run.warmup + run.measure / 2))
+    server.fl_reg_handler(ECHO_RPC, _echo_handler(run, cfg.resp_size,
+                                                  cfg.handler_ns))
     recorders = {"small": Recorder(sim), "large": Recorder(sim)}
-    jitter_rng = random.Random(99)
+    jitter = jitter_streams(99)
     handles = []
-
-    def worker(fnode, handle, thread_id, rng):
-        recorder = recorders["large" if thread_id in sizegen.large_threads
-                             else "small"]
-        while True:
-            yield sim.timeout(rng.random() * cfg.think_jitter_ns)
-            started = sim.now
-            yield from fnode.fl_call(handle, thread_id, ECHO_RPC,
-                                     sizegen.next(thread_id))
-            recorder.record(started)
-
     for c_idx, node in enumerate(clients):
         fnode = FlockNode(sim, node, fabric, flock_cfg, seed=c_idx)
         fnode.client.thread_scheduling_enabled = scheduling
         handle = fnode.fl_connect(server, n_qps=cfg.threads_per_client // 2)
         handles.append(handle)
         for t_idx in range(cfg.threads_per_client):
+            recorder = recorders["large" if t_idx in sizegen.large_threads
+                                 else "small"]
+            args = (handle, t_idx, ECHO_RPC, sizegen.next(t_idx))
             for _ in range(cfg.outstanding):
-                rng = UniformStream(jitter_rng.getrandbits(48))
-                sim.spawn(worker(fnode, handle, t_idx, rng),
+                sim.spawn(closed_loop(sim, recorder, fnode.fl_call, args,
+                                      cfg.think_jitter_ns, next(jitter)),
                           name="sched-worker")
 
     run.window(recorders.values(), fabric)
@@ -381,23 +344,14 @@ def run_multitenancy(weights: Dict[str, float], *, clients_per_tenant: int = 4,
                       sched_interval_ns=150_000.0,
                       thread_sched_interval_ns=150_000.0)
     server = FlockNode(sim, servers[0], fabric, cfg)
-    server.fl_reg_handler(ECHO_RPC, _echo_handler(64, 100.0))
+    server.fl_reg_handler(ECHO_RPC, _echo_handler(run, 64, 100.0))
     tenancy = TenantManager()
     for name, weight in weights.items():
         tenancy.register_tenant(name, weight=weight)
     server.server.tenancy = tenancy
 
     recorder = Recorder(sim)
-    ops = dict.fromkeys(weights, 0)
     handles: Dict[str, list] = {name: [] for name in weights}
-
-    def worker(fnode, handle, tenant, thread_id):
-        while True:
-            started = sim.now
-            yield from fnode.fl_call(handle, thread_id, ECHO_RPC, 64)
-            recorder.record(started)
-            ops[tenant] += 1
-
     tenants = list(weights)
     for c_idx, node in enumerate(clients):
         tenant = tenants[c_idx // clients_per_tenant]
@@ -406,7 +360,8 @@ def run_multitenancy(weights: Dict[str, float], *, clients_per_tenant: int = 4,
         tenancy.assign_client(handle.client_id, tenant)
         handles[tenant].append(handle)
         for t_idx in range(threads):
-            sim.spawn(worker(fnode, handle, tenant, t_idx))
+            sim.spawn(closed_loop(sim, recorder, fnode.fl_call,
+                                  (handle, t_idx, ECHO_RPC, 64)))
 
     run.window([recorder], fabric)
     extras: Dict[str, object] = {"system": "flock",
@@ -416,7 +371,8 @@ def run_multitenancy(weights: Dict[str, float], *, clients_per_tenant: int = 4,
         extras["active_qps_" + tenant] = sum(
             len(server.server.clients[h.client_id].active_set)
             for h in tenant_handles)
-        extras["ops_" + tenant] = ops[tenant]
+        extras["ops_" + tenant] = sum(h.rpcs_completed
+                                      for h in tenant_handles)
     extras["events"] = sim.events_processed
     return run.finish(recorder.result(**extras))
 
@@ -490,28 +446,21 @@ def run_ud_rpc(n_senders: int, *, n_clients: int = 22, req_size: int = 64,
     cluster = replace(cluster or ClusterConfig(), n_clients=n_clients)
     servers, clients, fabric = build_cluster(sim, cluster)
     server = UdRpcServer(sim, servers[0], fabric)
-    server.register_handler(ECHO_RPC, _echo_handler(
-        resp_size, handler_ns, sim, run.warmup + run.measure / 2))
+    server.register_handler(ECHO_RPC, _echo_handler(run, resp_size,
+                                                    handler_ns))
 
     recorder = Recorder(sim)
-
-    def worker(endpoint, server_qp):
-        while True:
-            started = sim.now
-            response = yield from endpoint.call(server, server_qp, ECHO_RPC,
-                                                req_size)
-            if response is not None:
-                recorder.record(started)
-
     per_client = max(1, n_senders // n_clients)
     sender_idx = 0
     for node in clients:
         for _s in range(per_client):
             endpoint = UdEndpoint(sim, node, fabric)
-            server_qp = server.qp_for_client(sender_idx)
+            args = (server, server.qp_for_client(sender_idx), ECHO_RPC,
+                    req_size)
             sender_idx += 1
             for _ in range(outstanding):
-                sim.spawn(worker(endpoint, server_qp), name="ud-worker")
+                sim.spawn(closed_loop(sim, recorder, endpoint.call, args),
+                          name="ud-worker")
 
     run.window([recorder], fabric)
     return run.finish(recorder.result(

@@ -287,22 +287,3 @@ class Switch:
                 span.wait("switch_queue", now, now + wait)
             yield self.sim.timeout(wait)
         return True, marked
-
-    # -- reporting ---------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        now = self.sim.now
-        return {
-            "ports": {
-                name: {
-                    "depth_bytes": round(p.depth_bytes(now), 1),
-                    "peak_depth_bytes": round(p.peak_depth_bytes, 1),
-                    "accepted_msgs": p.accepted_msgs,
-                    "dropped_msgs": p.dropped_msgs,
-                    "ecn_marks": p.ecn_marks,
-                    "pause_events": p.pause_events,
-                    "utilization": round(p.utilization(now), 4),
-                }
-                for name, p in sorted(self.ports.items())
-            },
-        }

@@ -203,19 +203,6 @@ class Fabric:
                            name="cnp", detached=True)
         return True
 
-    def congestion_snapshot(self) -> dict:
-        """Switch + DCQCN state for reporting (empty when disabled)."""
-        if self.switch is None:
-            return {}
-        snap = self.switch.snapshot()
-        snap["cnps_delivered"] = self.cnps_delivered
-        snap["flows"] = {
-            "%s/qp%d" % key: st.snapshot()
-            for key, st in sorted(self._dcqcn.items())
-            if st.cnps or st.throttled
-        }
-        return snap
-
 
 def build_cluster(sim: Simulator, cfg: ClusterConfig):
     """Create (servers, clients, fabric) per a :class:`ClusterConfig`."""

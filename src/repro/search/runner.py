@@ -18,7 +18,6 @@ assignment and evaluation order.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -30,14 +29,12 @@ from ..config import (
     NetConfig,
     NicConfig,
 )
-from ..flock import FlockNode
-from ..net import build_cluster
 from ..obs import Telemetry
 from ..obs.explain import attribution_blocks, shift_table, top_shift
-from ..sim import Streams, UniformStream
+from ..sim import Streams
 from ..workloads import BimodalSize, FixedSize
-from ..harness.metrics import Recorder, Run, RunResult
-from ..harness.microbench import ECHO_RPC, _echo_handler
+from ..harness.incastbench import flock_fan_in, switch_extras
+from ..harness.metrics import Run, RunResult
 from .space import default_space
 
 __all__ = ["ScenarioConfig", "run_scenario_leg", "evaluate_point",
@@ -135,58 +132,13 @@ def run_scenario_leg(cfg: ScenarioConfig, *, congested: bool,
     """One leg of a candidate: all senders -> one FLock server."""
     run = Run(CONG_LABEL if congested else BASE_LABEL, cfg.warmup_ns,
               cfg.measure_ns, telemetry=telemetry, audit=audit)
-    sim = run.sim
-    servers, clients, fabric = build_cluster(sim, cfg.cluster(congested))
-    flock_cfg = cfg.flock()
-    server = FlockNode(sim, servers[0], fabric, flock_cfg)
-    server.fl_reg_handler(ECHO_RPC, _echo_handler(
-        cfg.resp_size, cfg.handler_ns, sim, run.warmup + run.measure / 2))
-
-    recorder = Recorder(sim)
-    jitter_rng = random.Random(cfg.seed ^ 0x7EA)
     sizegen = cfg.sizegen()
-    handles = []
-
-    def worker(fnode, handle, thread_id, size, think_ns, rng):
-        while True:
-            if think_ns > 0:
-                yield sim.timeout(rng.random() * think_ns)
-            started = sim.now
-            yield from fnode.fl_call(handle, thread_id, ECHO_RPC, size)
-            recorder.record(started)
-
-    for c_idx, node in enumerate(clients):
-        fnode = FlockNode(sim, node, fabric, flock_cfg,
-                          seed=cfg.seed + c_idx * 131)
-        handle = fnode.fl_connect(server, n_qps=cfg.qps_per_handle)
-        handles.append(handle)
-        for t_idx in range(cfg.threads_per_client):
-            size = sizegen.next(t_idx)
-            think_ns = cfg.think_jitter_ns * cfg.think_scale(t_idx)
-            for _ in range(cfg.outstanding):
-                rng = UniformStream(jitter_rng.getrandbits(48))
-                sim.spawn(worker(fnode, handle, t_idx, size, think_ns, rng),
-                          name="search-worker")
-
-    run.window([recorder], fabric)
-    degree = (sum(h.mean_coalescing_degree() for h in handles)
-              / len(handles) if handles else 1.0)
-    sw = fabric.switch
-    extras = {
-        "system": "search-%s" % ("cong" if congested else "base"),
-        "mean_coalescing_degree": round(degree, 3),
-        "server_cpu": round(servers[0].cpu.utilization(), 3),
-        "congested": sw is not None,
-    }
-    if sw is not None:
-        extras.update(
-            pfc=sw.cfg.pfc,
-            buffer_bytes=sw.cfg.buffer_bytes,
-            peak_port_depth_bytes=round(sw.peak_depth_bytes(), 1),
-            switch_drops=sw.total_drops,
-            ecn_marks=sw.total_ecn_marks,
-            pfc_pauses=sw.total_pause_events,
-            cnps=fabric.cnps_delivered)
+    threads = range(cfg.threads_per_client)
+    recorder, extras, _handles, fabric = flock_fan_in(
+        run, cfg, congested, cfg.flock(), [sizegen.next(t) for t in threads],
+        [cfg.think_jitter_ns * cfg.think_scale(t) for t in threads],
+        "search-%s" % ("cong" if congested else "base"))
+    extras.update(switch_extras(fabric))
     return run.finish(recorder.result(**extras))
 
 

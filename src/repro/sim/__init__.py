@@ -14,6 +14,7 @@ from .rand import (
     HotColdGenerator,
     Streams,
     UniformStream,
+    jitter_streams,
     percentile,
     summarize_latencies,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "TokenBucket",
     "TrackedStore",
     "UniformStream",
+    "jitter_streams",
     "percentile",
     "summarize_latencies",
 ]

@@ -38,6 +38,7 @@ remains the observable single-step API with identical semantics.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from itertools import count
 from time import perf_counter_ns
@@ -156,30 +157,10 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` nanoseconds after creation."""
+    """An event that fires ``delay`` nanoseconds after creation; only
+    :meth:`Simulator.timeout` builds one."""
 
     __slots__ = ()
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        # Flattened Event.__init__ + succeed: a Timeout is born triggered,
-        # and creating one is the single most common allocation in a run.
-        self.sim = sim
-        self.callbacks = []
-        self._value = value
-        self._exc = None
-        self._triggered = True
-        self._processed = False
-        if delay == 0.0:
-            sim._ready_append(self)
-        elif delay > 0:
-            when = sim.now + delay
-            if when > sim.now:
-                heapq.heappush(sim._heap, (when, sim._next_seq(), self))
-            else:
-                # delay too small to move the float clock: same instant
-                sim._ready_append(self)
-        else:
-            raise ValueError("negative timeout delay: %r" % delay)
 
 
 ProcessGen = Generator[Event, Any, Any]
@@ -480,7 +461,8 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing ``delay`` ns from now."""
-        # Flattened Timeout.__init__ — the most common allocation of all.
+        # Flattened Event.__init__ + succeed: a Timeout is born triggered,
+        # and creating one is the single most common allocation in a run.
         ev = Timeout.__new__(Timeout)
         ev.sim = self
         ev.callbacks = []
@@ -569,6 +551,8 @@ class Simulator:
         """
         if until is not None and until < self.now:
             raise SimulationError("until=%r is in the past (now=%r)" % (until, self.now))
+        # Draining is a window that never closes.
+        stop = math.inf if until is None else until
         heap = self._heap
         ready = self._ready
         popleft = ready.popleft
@@ -576,56 +560,30 @@ class Simulator:
         n = self._n_events
         try:
             now = self.now  # mirror of self.now, for branch-free reads
-            if until is None:
-                # Drain loop: no window checks at all.
-                while True:
-                    if ready and (not heap or heap[0][0] > now):
-                        event = popleft()
-                    elif heap:
-                        head = pop(heap)
-                        when = head[0]
-                        if when < now:
-                            self.time_regressions += 1
-                        self.now = now = when
-                        event = head[2]
-                    else:
+            while True:
+                if ready and (not heap or heap[0][0] > now):
+                    event = popleft()
+                elif heap:
+                    when = heap[0][0]
+                    if when > stop:
                         break
-                    n += 1
-                    # Inlined Event._fire(); one callback is the norm.
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            for fn in callbacks:
-                                fn(event)
-            else:
-                while True:
-                    if ready and (not heap or heap[0][0] > now):
-                        event = popleft()
-                    elif heap:
-                        when = heap[0][0]
-                        if when > until:
-                            break
-                        event = pop(heap)[2]
-                        if when < now:
-                            self.time_regressions += 1
-                        self.now = now = when
+                    event = pop(heap)[2]
+                    if when < now:
+                        self.time_regressions += 1
+                    self.now = now = when
+                else:
+                    break
+                n += 1
+                # Inlined Event._fire(); one callback is the norm.
+                callbacks = event.callbacks
+                event.callbacks = None
+                event._processed = True
+                if callbacks:
+                    if len(callbacks) == 1:
+                        callbacks[0](event)
                     else:
-                        break
-                    n += 1
-                    # Inlined Event._fire(); one callback is the norm.
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        if len(callbacks) == 1:
-                            callbacks[0](event)
-                        else:
-                            for fn in callbacks:
-                                fn(event)
+                        for fn in callbacks:
+                            fn(event)
         finally:
             self._n_events = n
         if until is not None:
@@ -652,6 +610,7 @@ class Simulator:
         pop = heapq.heappop
         account = profile.account
         clock = perf_counter_ns
+        stop = math.inf if until is None else until
         n = self._n_events
         try:
             while True:
@@ -659,7 +618,7 @@ class Simulator:
                     event = popleft()
                 elif heap:
                     when = heap[0][0]
-                    if until is not None and when > until:
+                    if when > stop:
                         break
                     event = pop(heap)[2]
                     if when < self.now:

@@ -13,9 +13,9 @@ import math
 import random
 import zlib
 from array import array
-from typing import List, Sequence
+from typing import Iterator, List, Sequence
 
-__all__ = ["Streams", "HotColdGenerator", "UniformStream"]
+__all__ = ["Streams", "HotColdGenerator", "UniformStream", "jitter_streams"]
 
 
 class Streams:
@@ -90,6 +90,15 @@ class UniformStream:
         values.reverse()
         self._next = buf = array("d", values)
         return buf
+
+
+def jitter_streams(seed: int) -> Iterator[UniformStream]:
+    """One :class:`UniformStream` per ``next()``, each seeded with the
+    next 48 bits of ``random.Random(seed)``: the think-time jitter of a
+    run's closed-loop workers, one stream per worker in spawn order."""
+    rng = random.Random(seed)
+    while True:
+        yield UniformStream(rng.getrandbits(48))
 
 
 class HotColdGenerator:

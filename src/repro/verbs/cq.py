@@ -103,8 +103,3 @@ class CompletionQueue:
     def reaped(self) -> int:
         """Completions that have left the queue (polled or handed off)."""
         return self._store.reaped
-
-    @property
-    def queue_stats(self) -> Optional[TrackedStore]:
-        """The tracked backing store, or None when tracking is off."""
-        return self._store if self._store.track else None

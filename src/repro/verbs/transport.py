@@ -51,14 +51,6 @@ class Verb(enum.Enum):
     FETCH_ADD = "fetch_add"
     CMP_SWAP = "cmp_swap"
 
-    @property
-    def one_sided(self) -> bool:
-        return self in _ONE_SIDED
-
-
-_ONE_SIDED = frozenset(
-    {Verb.WRITE, Verb.READ, Verb.FETCH_ADD, Verb.CMP_SWAP}
-)
 
 _CAPS: Dict[Transport, FrozenSet[Verb]] = {
     Transport.RC: frozenset(Verb),

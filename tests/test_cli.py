@@ -105,6 +105,33 @@ class TestSmallRuns:
             assert ";" in frame and int(ns) >= 0, line
 
 
+    def test_step_fault_fires_goodput_changepoints(self, tmp_path,
+                                                   monkeypatch, capsys):
+        """``bench.step_handler_cost`` steps the echo handler's cost up
+        halfway through the measurement window: every faulted fig6 leg
+        shows a goodput drop changepoint, and the clean twin none."""
+        def goodput_drops(faults_env):
+            if faults_env:
+                monkeypatch.setenv("REPRO_FAULTS", faults_env)
+            else:
+                monkeypatch.delenv("REPRO_FAULTS", raising=False)
+            out = tmp_path / ("faulty" if faults_env else "clean")
+            assert main(["--scale", "0.1", "--scorecard", str(out), "fig6",
+                         "--threads", "1", "8", "--outstanding", "1",
+                         "--clients", "4"]) == 0
+            meta = json.loads((out / "BENCH_fig6.json").read_text())["meta"]
+            runs = meta.get("anomalies", {}).get("runs", {})
+            return {label: any(a["kind"] == "changepoint"
+                               and a["metric"] == "goodput_mops"
+                               and a["direction"] == "drop" for a in found)
+                    for label, found in runs.items()}
+
+        clean = goodput_drops(None)
+        faulty = goodput_drops("bench.step_handler_cost")
+        capsys.readouterr()
+        assert not any(clean.values()), clean
+        assert len(faulty) == 4 and all(faulty.values()), faulty
+
 class TestRunKnobs:
     """The boolean knobs share one parser; malformed values of any run
     knob fail loudly instead of silently picking a default."""

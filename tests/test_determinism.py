@@ -18,9 +18,11 @@ from repro.harness import (
     run_erpc,
     run_flock,
     run_flocktx,
+    run_multitenancy,
     run_raw_reads,
     run_rc,
     run_thread_sched,
+    run_ud_rpc,
 )
 from repro.harness.incastbench import (
     IncastConfig,
@@ -131,12 +133,13 @@ def witness(result):
 
 
 #: SHA-256 of ``witness(result)`` for small runs of every runner whose
-#: workers draw think-time jitter.  The dispatched-event count is host
-#: bookkeeping: removing an event that wakes no one lowers it and
-#: changes nothing else.  Any other change to these hashes means a
-#: result changed, usually because two same-instant events swapped
-#: order or a worker drew different jitter.  Update them only with an
-#: intended model change.
+#: workers run :func:`repro.harness.metrics.closed_loop` or draw
+#: think-time jitter.  The dispatched-event count is host bookkeeping:
+#: removing an event that wakes no one lowers it and changes nothing
+#: else.  Any other change to these hashes means a result changed,
+#: usually because two same-instant events swapped order or a worker
+#: drew different jitter.  Update them only with an intended model
+#: change.
 ORDER_WITNESS = {
     "flock": ("43cca68f0fde702d0d68fe1c08fe35209cb0db1b0fe267d92bd4e4d0b4b141ad",
               lambda: run_flock(SMALL)),
@@ -160,6 +163,15 @@ ORDER_WITNESS = {
     "scenario_leg_congested": (
         "eafd20de148296bec4b2364c2d49db033675a16316d0e0d5e07e6f38f8391b02",
         lambda: run_scenario_leg(SMALL_SCENARIO, congested=True)),
+    "ud_rpc": ("810987a4415e291fc4ff6374cadd524b8cc7dc8ed97dfe83dcd40fe084718810",
+               lambda: run_ud_rpc(12, n_clients=3, warmup_ns=100_000.0,
+                                  measure_ns=150_000.0)),
+    # 48 QPs of demand against MAX_AQP=32, split 3:1.
+    "multitenancy": (
+        "459975f03fa9c3b59988beba48238bd14f5e7413be9fe735c431dfc497606f49",
+        lambda: run_multitenancy({"gold": 3.0, "bronze": 1.0},
+                                 clients_per_tenant=1, threads=24,
+                                 duration_ns=450_000.0)),
 }
 
 

@@ -109,6 +109,18 @@ class TestEndpointWiring:
         handle = client.fl_connect(server)  # n_qps defaults from config
         assert len(handle.channels) == 3
 
+    @pytest.mark.parametrize("n_qps", [0, -1])
+    def test_connect_rejects_fewer_than_one_qp(self, n_qps):
+        """0 used to fall back to ``qps_per_handle`` and -1 connected no
+        QP at all, failing only at the first call."""
+        sim = Simulator()
+        servers, clients, fabric = build_cluster(sim,
+                                                 ClusterConfig(n_clients=1))
+        server = FlockNode(sim, servers[0], fabric)
+        client = FlockNode(sim, clients[0], fabric)
+        with pytest.raises(ValueError, match="n_qps"):
+            client.fl_connect(server, n_qps=n_qps)
+
     def test_two_handles_get_distinct_client_ids(self):
         sim = Simulator()
         servers, clients, fabric = build_cluster(sim,

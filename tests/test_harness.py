@@ -19,6 +19,7 @@ from repro.harness import (
     run_rc,
     run_ud_rpc,
 )
+from repro.harness.metrics import closed_loop
 from repro.harness.incastbench import IncastConfig
 from repro.search.runner import ScenarioConfig
 from repro.sim import Simulator
@@ -115,6 +116,60 @@ class TestRecorder:
 
         assert "from ..sim import" not in inspect.getsource(
             metrics_mod.Recorder.cdf_us)
+
+
+class TestClosedLoop:
+    @staticmethod
+    def open_recorder(sim):
+        recorder = Recorder(sim)
+        recorder.open_window(0.0, 1e9)
+        return recorder
+
+    def test_no_think_time_calls_at_zero_and_arms_no_timer(self):
+        sim = Simulator()
+        issued = []
+
+        def call(tag):
+            issued.append((tag, sim.now))
+            yield sim.event()  # never answered
+
+        sim.spawn(closed_loop(sim, self.open_recorder(sim), call, ("x",)))
+        sim.run()
+        assert issued == [("x", 0.0)]
+        assert sim.events_processed == 1  # the kick-start alone
+
+    def test_think_time_precedes_every_call(self):
+        class Half:
+            def random(self):
+                return 0.5
+
+        sim = Simulator()
+        issued = []
+
+        def call():
+            issued.append(sim.now)
+            yield sim.timeout(10.0)
+            return "ok"
+
+        recorder = self.open_recorder(sim)
+        sim.spawn(closed_loop(sim, recorder, call, (), 100.0, Half()))
+        sim.run(until=175.0)
+        assert issued == [50.0, 110.0, 170.0]
+        assert recorder.latencies_ns == [10.0, 10.0]
+
+    def test_lost_request_is_not_recorded(self):
+        sim = Simulator()
+        responses = iter(["a", None, "b", None])
+
+        def call():
+            yield sim.timeout(100.0)
+            return next(responses)
+
+        recorder = self.open_recorder(sim)
+        sim.spawn(closed_loop(sim, recorder, call, ()))
+        sim.run(until=450.0)
+        assert recorder.total_ops == 2
+        assert recorder.latencies_ns == [100.0, 100.0]
 
 
 class TestRunResult:

@@ -11,6 +11,7 @@ from repro.sim import (
     HotColdGenerator,
     Streams,
     UniformStream,
+    jitter_streams,
     percentile,
     summarize_latencies,
 )
@@ -74,6 +75,20 @@ class TestUniformStream:
         random_bytes = traced_bytes_each(drawn(random.Random))
         assert stream_bytes <= 512
         assert random_bytes >= 2500
+
+
+class TestJitterStreams:
+    def test_reproduces_per_worker_seeding(self):
+        """Stream k is ``UniformStream`` of the k-th 48-bit draw of
+        ``Random(seed)``: the per-worker streams runners drew by hand."""
+        seeds = random.Random(0x7EB)
+        streams = jitter_streams(0x7EB)
+        for _ in range(5):
+            expected = UniformStream(seeds.getrandbits(48))
+            stream = next(streams)
+            assert stream.seed == expected.seed
+            assert [stream.random() for _ in range(40)] == \
+                [expected.random() for _ in range(40)]
 
 
 class TestHotCold:
