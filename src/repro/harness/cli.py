@@ -117,7 +117,7 @@ from ..search.objectives import OBJECTIVES
 from .figures import FIGURES
 from .metrics import bench_scale
 from .parallel import default_jobs
-from .scorecards import scorecard_search
+from .scorecards import scorecard_search, sweep_runs
 from .tables import print_table
 
 #: Default committed-baseline directory for ``bench-compare``.
@@ -145,34 +145,18 @@ def _emit_scorecard(args, sc) -> None:
                                         "PASS" if sc.passed else "FAIL"))
 
 
-def _slo_label(key) -> str:
-    """Stable label for a sweep key in the SLO timeline export."""
-    if isinstance(key, tuple):
-        return "/".join(str(part) for part in key)
-    return str(key)
-
-
 def _collect_slo(args, results) -> None:
-    """Gather each run's windowed SLO report for ``--slo-timeline``.
-
-    ``results`` is a figure's sweep dict; values may be RunResults or
-    one-level-nested dicts of RunResults (the index benchmark's shape).
-    Entries without a timeline (derived floats, legacy results) are
-    skipped.  Collection is cheap, so it runs regardless of the flag and
+    """Gather each run's windowed SLO report for ``--slo-timeline``,
+    keyed by its :func:`repro.harness.scorecards.sweep_runs` label.
+    Collection is cheap, so it runs regardless of the flag and
     :func:`main` decides whether to write the file.
     """
     blocks = getattr(args, "_slo_blocks", None)
     if blocks is None:
         blocks = args._slo_blocks = {}
-    for key, value in results.items():
-        slo = getattr(value, "slo", None)
-        if slo is not None:
-            blocks[_slo_label(key)] = slo
-        elif isinstance(value, dict):
-            for sub, nested in value.items():
-                nslo = getattr(nested, "slo", None)
-                if nslo is not None:
-                    blocks[_slo_label(key) + "/" + str(sub)] = nslo
+    for label, result in sweep_runs(results):
+        if result.slo is not None:
+            blocks[label] = result.slo
 
 
 def _figure_opts(spec, args) -> dict:

@@ -30,6 +30,7 @@ from .incastbench import IncastConfig, run_incast_flock, run_incast_ud
 from .indexbench import IndexBenchConfig, run_erpc_index, run_flock_index
 from .microbench import (
     MicrobenchConfig,
+    bench_flock_config,
     run_erpc,
     run_flock,
     run_multitenancy,
@@ -403,9 +404,7 @@ def _ablations_points():
     for load, knob, values in _ABLATIONS.values():
         for value in values:
             key = _ablation_key(load, knob, value)
-            flock_cfg = FlockConfig(sched_interval_ns=150_000.0,
-                                    thread_sched_interval_ns=150_000.0,
-                                    **_ablation_overrides(knob, value))
+            flock_cfg = bench_flock_config(**_ablation_overrides(knob, value))
             points[key] = SweepPoint(
                 "/".join(["ablations", load] + ["%s=%d" % kv
                                                 for kv in key[1:]]),

@@ -29,7 +29,7 @@ from ..flock import FlockNode
 from ..net import build_cluster
 from ..sim import jitter_streams
 from .metrics import Recorder, Run, RunResult, closed_loop
-from .microbench import ECHO_RPC, _echo_handler
+from .microbench import ECHO_RPC, _echo_handler, bench_flock_config
 
 __all__ = ["IncastConfig", "flock_fan_in", "run_incast_flock",
            "run_incast_ud", "switch_extras"]
@@ -159,13 +159,11 @@ def run_incast_flock(cfg: IncastConfig, *, congested: bool,
     run = Run("flock-incast %s" % ("cong" if congested else "base"),
               cfg.warmup_ns, cfg.measure_ns, telemetry=telemetry, audit=audit)
     if flock_cfg is None:
-        flock_cfg = FlockConfig(sched_interval_ns=150_000.0,
-                                thread_sched_interval_ns=150_000.0)
+        flock_cfg = bench_flock_config()
     threads = cfg.threads_per_client
     recorder, extras, handles, fabric = flock_fan_in(
         run, cfg, congested, flock_cfg, [cfg.req_size] * threads,
         [cfg.think_jitter_ns] * threads, "flock")
-    extras["events"] = run.sim.events_processed
     # Kept as a constant: perf/references.json pins a digest of extras.
     extras["fidelity"] = "packet"
     extras.update(switch_extras(fabric))
@@ -209,7 +207,6 @@ def run_incast_ud(cfg: IncastConfig, *, congested: bool,
         pending_reassembly_bytes=sum(e.reassembler.pending_bytes
                                      for e in endpoints),
         server_cpu=round(servers[0].cpu.utilization(), 3),
-        events=sim.events_processed,
         **extras,
     ))
 

@@ -24,6 +24,7 @@ from ..flock import FlockNode
 from ..net import build_cluster
 from ..sim import Streams
 from .metrics import Recorder, Run, RunResult
+from .microbench import bench_flock_config
 
 __all__ = ["IndexBenchConfig", "run_flock_index", "run_erpc_index"]
 
@@ -74,19 +75,17 @@ def _handlers(index: HydraList, cfg: IndexBenchConfig):
 
 def _results(run: Run, recorders: Dict[str, Recorder], system: str,
              **extras) -> Dict[str, RunResult]:
-    """Per-recorder results plus combined throughput; the run's profile
-    and audit report ride on the ``get`` result."""
+    """Per-recorder results plus combined throughput; the run's event
+    count, profile and audit report ride on the ``get`` result."""
     out = {}
     total_ops = 0
     duration = None
     for name, recorder in recorders.items():
         result = recorder.result(system=system, **extras)
-        result.telemetry = run.telemetry
         out[name] = result
         total_ops += result.ops
         duration = result.duration_ns
     out["total_mops"] = total_ops / duration * 1e3 if duration else 0.0
-    out["events"] = run.sim.events_processed
     run.finish(out["get"])
     return out
 
@@ -102,8 +101,7 @@ def run_flock_index(cfg: IndexBenchConfig,
     cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
     servers, clients, fabric = build_cluster(sim, cluster)
     if flock_cfg is None:
-        flock_cfg = FlockConfig(sched_interval_ns=150_000.0,
-                                thread_sched_interval_ns=150_000.0)
+        flock_cfg = bench_flock_config()
     index = build_index(cfg)
     server = FlockNode(sim, servers[0], fabric, flock_cfg)
     get_handler, scan_handler = _handlers(index, cfg)

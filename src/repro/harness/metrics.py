@@ -25,8 +25,7 @@ from ..obs.simprof import SimProfile, profile_enabled
 from ..obs.windows import SloTimeline, attach_switch_sources
 from ..sim import Simulator, percentile, summarize_latencies
 
-__all__ = ["Recorder", "Run", "RunResult", "bench_scale", "closed_loop",
-           "host_block"]
+__all__ = ["Recorder", "Run", "RunResult", "bench_scale", "closed_loop"]
 
 
 def bench_scale() -> float:
@@ -40,12 +39,6 @@ def bench_scale() -> float:
     except ValueError:
         raise ValueError("REPRO_BENCH_SCALE=%r is not a number"
                          % raw) from None
-
-
-def host_block(sim: Simulator) -> Dict[str, int]:
-    """Host-cost summary of a finished run: the events it dispatched
-    (``python -m perf`` reports it as ``events``)."""
-    return {"events": sim.events_processed}
 
 
 class Run:
@@ -75,7 +68,6 @@ class Run:
         tel = telemetry if telemetry is not None else current_telemetry()
         if tel is not None:
             tel.install(sim, label=label)
-        self.telemetry = tel
         # The audit registry must be the one safe to cross-check against
         # this sim's structural counters: None when the installed
         # registry accumulated earlier runs (its counters are cumulative
@@ -120,10 +112,10 @@ class Run:
         self.run(end)
 
     def finish(self, result: "RunResult") -> "RunResult":
-        """Hang the run's telemetry and profile report on ``result`` and
-        run the auditors; raises :class:`repro.obs.AuditError` on any
-        violation."""
-        result.telemetry = self.telemetry
+        """Stamp the run's event count and profile report on ``result``
+        and run the auditors; raises :class:`repro.obs.AuditError` on
+        any violation."""
+        result.host = {"events": self.sim.events_processed}
         if self.profile is not None:
             result.profile = self.profile.report()
         if self.audited:
@@ -181,8 +173,7 @@ class Recorder:
                          latency=summarize_latencies(self.latencies_ns),
                          extras=dict(extras), slo=slo,
                          anomalies=detect_run_anomalies(
-                             slo, label=str(extras.get("system", ""))),
-                         host=host_block(self.sim))
+                             slo, label=str(extras.get("system", ""))))
 
     def cdf_us(self, points: int = 20):
         """Latency CDF as (percentile, µs) pairs — Figs. 7/8-style curves."""
@@ -215,33 +206,33 @@ def closed_loop(sim: Simulator, recorder: Recorder, call, args: tuple,
 
 @dataclass
 class RunResult:
-    """One experiment data point."""
+    """One experiment data point.
+
+    Plain data only: a result pickles as-is across the parallel
+    executor's process boundary.  The spans of a traced run stay in the
+    :class:`repro.obs.Telemetry` it ran under.
+    """
 
     ops: int
     duration_ns: float
     latency: Dict[str, float]
     extras: Dict[str, object] = field(default_factory=dict)
-    #: The :class:`repro.obs.Telemetry` active during the run (None when
-    #: observability was not enabled) — holds spans and metric values.
-    telemetry: Optional[object] = field(default=None, repr=False)
     #: End-of-run :class:`repro.obs.AuditReport` (None unless the run
     #: was audited via ``--audit`` / ``REPRO_AUDIT`` / ``audit=True``).
     audit_report: Optional[object] = field(default=None, repr=False)
     #: Windowed SLO timeline report (plain JSON-safe dict from
     #: :meth:`repro.obs.windows.SloTimeline.report`); None when no
-    #: timeline was attached.  Unlike telemetry this survives the
-    #: parallel executor's pickle boundary.
+    #: timeline was attached.
     slo: Optional[Dict[str, object]] = field(default=None, repr=False)
     #: Anomalies detected on the run's SLO timeline (plain dicts from
     #: :func:`repro.obs.anomaly.detect_run_anomalies`) — changepoints on
     #: per-window p99/goodput, counter bursts.  Empty when no timeline
-    #: was attached or nothing fired.  Plain data: crosses the parallel
-    #: executor's pickle boundary untouched, so the detected set is
-    #: byte-identical for any ``--jobs`` count.
+    #: was attached or nothing fired.
     anomalies: List[dict] = field(default_factory=list, repr=False)
-    #: Host-cost block from :func:`host_block` — events fired.  Not part
-    #: of the jobs-invariance fingerprint; None only for hand-built
-    #: results.
+    #: ``{"events": n}``, the events the run dispatched, stamped by
+    #: :meth:`Run.finish` (``python -m perf`` reports it as ``events``).
+    #: Not part of the jobs-invariance fingerprint; None on a result
+    #: :meth:`Run.finish` did not finish.
     host: Optional[Dict[str, int]] = field(default=None, repr=False)
     #: Host-time census (plain dict from
     #: :meth:`repro.obs.simprof.SimProfile.report`); None unless the run
@@ -276,17 +267,6 @@ class RunResult:
             "p999_us": round(self.p999_us, 2),
             "ops": self.ops,
         }
-
-    def breakdown(self, name: Optional[str] = "rpc") -> Dict[str, Dict[str, float]]:
-        """Phase-level latency breakdown of the run's spans.
-
-        Returns ``{phase: {count, total_ns, mean_ns, max_ns, share}}``
-        (see :meth:`repro.obs.SpanLog.breakdown`); empty when the run was
-        not traced.
-        """
-        if self.telemetry is None:
-            return {}
-        return self.telemetry.breakdown(name)
 
     def __repr__(self) -> str:
         return ("RunResult(mops=%.3f, median=%.2fus, p99=%.2fus, ops=%d)"

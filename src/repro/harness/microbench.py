@@ -28,10 +28,11 @@ from ..obs import faults
 from ..obs.anomaly import detect_run_anomalies
 from ..sim import jitter_streams
 from ..workloads import FixedSize
-from .metrics import Recorder, Run, RunResult, closed_loop, host_block
+from .metrics import Recorder, Run, RunResult, closed_loop
 
 __all__ = [
     "MicrobenchConfig",
+    "bench_flock_config",
     "run_flock",
     "run_erpc",
     "run_multitenancy",
@@ -42,6 +43,15 @@ __all__ = [
 ]
 
 ECHO_RPC = 1
+
+
+def bench_flock_config(**fields) -> FlockConfig:
+    """The :class:`FlockConfig` every benchmark runs: the paper's
+    defaults, but with 150 µs QP- and thread-scheduler passes, because
+    the benchmarks' sub-millisecond windows need several passes to
+    converge before measuring.  ``fields`` set any other field."""
+    return FlockConfig(sched_interval_ns=150_000.0,
+                       thread_sched_interval_ns=150_000.0, **fields)
 
 
 @dataclass
@@ -119,9 +129,7 @@ def run_flock(cfg: MicrobenchConfig, *, qps_per_process: Optional[int] = None,
     cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
     servers, clients, fabric = build_cluster(sim, cluster)
     if flock_cfg is None:
-        # Fast scheduler convergence for short measurement windows.
-        flock_cfg = FlockConfig(sched_interval_ns=150_000.0,
-                                thread_sched_interval_ns=150_000.0)
+        flock_cfg = bench_flock_config()
     server = FlockNode(sim, servers[0], fabric, flock_cfg)
     server.fl_reg_handler(ECHO_RPC, _echo_handler(run, cfg.resp_size,
                                                   cfg.handler_ns))
@@ -156,7 +164,6 @@ def run_flock(cfg: MicrobenchConfig, *, qps_per_process: Optional[int] = None,
         server_cpu=round(servers[0].cpu.utilization(), 3),
         server_net_frac=round(servers[0].cpu.network_fraction(), 3),
         qp_cache_miss=round(servers[0].rnic.qp_cache.stats.miss_ratio, 4),
-        events=sim.events_processed,
     ))
 
 
@@ -199,7 +206,6 @@ def run_erpc(cfg: MicrobenchConfig, *, telemetry=None,
         server_cpu=round(servers[0].cpu.utilization(), 3),
         server_net_frac=round(servers[0].cpu.network_fraction(), 3),
         recv_drops=server.recv_drops,
-        events=sim.events_processed,
     ))
 
 
@@ -245,7 +251,6 @@ def run_rc(cfg: MicrobenchConfig, *, threads_per_qp: int = 1,
         system="rc-%dtpq" % threads_per_qp,
         server_cpu=round(servers[0].cpu.utilization(), 3),
         qp_cache_miss=round(servers[0].rnic.qp_cache.stats.miss_ratio, 4),
-        events=sim.events_processed,
     ))
 
 
@@ -265,10 +270,10 @@ def run_thread_sched(cfg: MicrobenchConfig, *, scheduling: bool,
     passes after the first (at scale 0.3 it starts one pass in, and
     scheduling still costs 40% of throughput).
 
-    Returns per-class results (``"small"``, ``"large"``; the run's
-    profile and audit report ride on ``"small"``), the combined ``"mops"``
-    and ``"mixed_qps"``: the QPs that carry both size classes at the end
-    of the run.
+    Returns per-class results (``"small"``, ``"large"``; the run's event
+    count, profile and audit report ride on ``"small"``), the combined
+    ``"mops"`` and ``"mixed_qps"``: the QPs that carry both size classes
+    at the end of the run.
     """
     sizegen = cfg.sizegen
     run = Run("thread-sched %dB %s" % (sizegen.large_size,
@@ -278,8 +283,7 @@ def run_thread_sched(cfg: MicrobenchConfig, *, scheduling: bool,
     sim = run.sim
     cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
     servers, clients, fabric = build_cluster(sim, cluster)
-    flock_cfg = FlockConfig(sched_interval_ns=150_000.0,
-                            thread_sched_interval_ns=150_000.0)
+    flock_cfg = bench_flock_config()
     server = FlockNode(sim, servers[0], fabric, flock_cfg)
     server.fl_reg_handler(ECHO_RPC, _echo_handler(run, cfg.resp_size,
                                                   cfg.handler_ns))
@@ -340,9 +344,7 @@ def run_multitenancy(weights: Dict[str, float], *, clients_per_tenant: int = 4,
     sim = run.sim
     servers, clients, fabric = build_cluster(
         sim, ClusterConfig(n_clients=len(weights) * clients_per_tenant))
-    cfg = FlockConfig(qps_per_handle=threads, max_aqp=32,
-                      sched_interval_ns=150_000.0,
-                      thread_sched_interval_ns=150_000.0)
+    cfg = bench_flock_config(qps_per_handle=threads, max_aqp=32)
     server = FlockNode(sim, servers[0], fabric, cfg)
     server.fl_reg_handler(ECHO_RPC, _echo_handler(run, 64, 100.0))
     tenancy = TenantManager()
@@ -373,7 +375,6 @@ def run_multitenancy(weights: Dict[str, float], *, clients_per_tenant: int = 4,
             for h in tenant_handles)
         extras["ops_" + tenant] = sum(h.rpcs_completed
                                       for h in tenant_handles)
-    extras["events"] = sim.events_processed
     return run.finish(recorder.result(**extras))
 
 
@@ -428,8 +429,7 @@ def run_raw_reads(total_qps: int, *, n_clients: int = 22, read_size: int = 16,
             "pcie_reads": servers[0].rnic.pcie.reads_issued,
         },
         slo=slo,
-        anomalies=detect_run_anomalies(slo, label="rc-read"),
-        host=host_block(sim)))
+        anomalies=detect_run_anomalies(slo, label="rc-read")))
 
 
 def run_ud_rpc(n_senders: int, *, n_clients: int = 22, req_size: int = 64,
@@ -468,5 +468,4 @@ def run_ud_rpc(n_senders: int, *, n_clients: int = 22, req_size: int = 64,
         n_senders=per_client * n_clients,
         server_cpu=round(servers[0].cpu.utilization(), 3),
         server_net_frac=round(servers[0].cpu.network_fraction(), 3),
-        events=sim.events_processed,
     ))

@@ -22,7 +22,7 @@ of :class:`SweepPoint`\\ s and returns their results *in input order*:
   its 22-QP point), and ship back :class:`repro.harness.metrics.RunResult`
   payloads (including audit reports) by pickling.
 
-Two deliberate guard rails:
+One deliberate guard rail:
 
 * **Span observability forces serial.**  Spans accumulate in the
   process-wide :func:`repro.obs.current_telemetry` and only exist in
@@ -36,10 +36,9 @@ Two deliberate guard rails:
   exported state (integer counters, exactly-mergeable quantile
   sketches) is folded into the parent registry *in input order*, so the
   merged snapshot is byte-identical for any worker count.
-* **Span telemetry never crosses the process boundary.**  Worker
-  results are scrubbed (`RunResult.telemetry` is per-process and
-  unpicklable); audit reports, SLO timelines, and registry states are
-  plain data and travel intact.
+
+Results are plain data (audit reports, SLO timelines and registry
+states included), so they cross the process boundary as they are.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..obs import Telemetry, current_telemetry, disable, enable
-from .metrics import RunResult
 
 __all__ = ["SweepPoint", "run_sweep", "default_jobs"]
 
@@ -94,25 +92,9 @@ def default_jobs(requested: int = None) -> int:
         raise ValueError("%s=%r is not an integer" % (JOBS_ENV, env)) from None
 
 
-def _scrub(result: Any) -> Any:
-    """Strip per-process telemetry handles before pickling a result.
-
-    Results can be bare :class:`RunResult`\\ s or containers of them (the
-    incast and index sweeps return dicts mixing results with scalars).
-    """
-    if isinstance(result, RunResult):
-        result.telemetry = None
-        return result
-    if isinstance(result, dict):
-        return {k: _scrub(v) for k, v in result.items()}
-    if isinstance(result, (list, tuple)):
-        return type(result)(_scrub(v) for v in result)
-    return result
-
-
 def _run_point(point: SweepPoint) -> Tuple[str, Any]:
     """Worker-side shim: evaluate one point, return (key, result)."""
-    return point.key, _scrub(point.run())
+    return point.key, point.run()
 
 
 def _run_point_fresh(point: SweepPoint) -> Tuple[str, Any, dict]:

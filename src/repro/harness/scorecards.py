@@ -16,17 +16,15 @@ scorecards are meant to be committed as baselines.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..obs import Scorecard
+from ..obs import Scorecard, current_telemetry
 from ..obs.anomaly import detect_sweep_anomalies
 from ..obs.explain import attribution_blocks
-from .metrics import bench_scale
+from .metrics import RunResult, bench_scale
 
 __all__ = [
-    "attach_anomalies",
-    "attach_attribution",
-    "attach_slo",
+    "attach_runs",
     "retention",
     "scorecard_ablations",
     "scorecard_fig2a",
@@ -42,92 +40,74 @@ __all__ = [
     "scorecard_incast",
     "scorecard_multitenancy",
     "scorecard_search",
+    "sweep_runs",
 ]
 
 
-def attach_attribution(sc: Scorecard, results: Iterable) -> None:
-    """Attach per-run critical-path attribution blocks to a scorecard.
+def sweep_runs(results: Dict) -> Iterator[Tuple[str, RunResult]]:
+    """Every run in a figure's sweep results, as ``(label, result)``.
 
-    For every distinct telemetry carried by the figure's results, each
-    traced run contributes ``sc.meta["attribution"][run_label]`` with
-    the number of critical paths, each resource's share of blocked time,
-    and the what-if speedup upper bound per resource.  Untraced runs
-    (``result.telemetry is None`` — the default benchmark path) leave
-    the scorecard untouched, so committed baselines only gain the block
-    when attribution was explicitly enabled.
+    A run's label is its sweep key (tuple keys join with '/').  A dict
+    value (the per-class results of the thread-scheduling and index
+    runners) yields each of its runs as ``key/sub``; derived values
+    (floats, counts) are skipped.
     """
-    seen = set()
-    blocks: Dict[str, dict] = {}
-    for result in results:
-        tel = getattr(result, "telemetry", None)
-        if tel is None or id(tel) in seen:
-            continue
-        seen.add(id(tel))
-        blocks.update(attribution_blocks(tel))
+    for key, value in results.items():
+        label = ("/".join(str(part) for part in key)
+                 if isinstance(key, tuple) else str(key))
+        if isinstance(value, RunResult):
+            yield label, value
+        elif isinstance(value, dict):
+            for sub, nested in value.items():
+                if isinstance(nested, RunResult):
+                    yield label + "/" + str(sub), nested
+
+
+def attach_runs(sc: Scorecard, results: Dict,
+                sweep: Optional[List[dict]] = None,
+                labels: Optional[Dict[str, str]] = None) -> None:
+    """Attach the sweep's per-run blocks to ``sc.meta``.
+
+    * ``"slo"``: each run's windowed SLO report
+      (:attr:`repro.harness.metrics.RunResult.slo`: per-window
+      p50/p99/p999 latency, goodput, counter deltas and threshold
+      violations), keyed by the run's :func:`sweep_runs` label.
+    * ``"attribution"``: each traced run's critical-path attribution
+      (:func:`repro.obs.explain.attribution_blocks` over the current
+      telemetry, keyed by the run's own label): the number of critical
+      paths, each resource's share of blocked time and the what-if
+      speedup bound per resource.
+    * ``"anomalies"``: ``"sweep"``, the anomalies detected on the
+      figure's headline curve (passed in by its scorecard function);
+      ``"runs"``, each run's within-run anomalies (changepoints, counter
+      bursts); and ``"labels"``, a sweep-x -> attribution-run-label map,
+      so a stored scorecard can be explained offline (``explain run:N``
+      joins sweep anomalies to ``meta["attribution"]`` through it).
+
+    Empty blocks and parts are omitted, so an untraced run without
+    timelines or anomalies leaves the scorecard untouched.
+    """
+    slo: Dict[str, dict] = {}
+    runs: Dict[str, List[dict]] = {}
+    for label, result in sweep_runs(results):
+        if result.slo is not None:
+            slo[label] = result.slo
+        if result.anomalies:
+            runs[label] = result.anomalies
+    if slo:
+        sc.meta["slo"] = slo
+    blocks = attribution_blocks(current_telemetry())
     if blocks:
         sc.meta["attribution"] = blocks
-
-
-def _slo_label(key) -> str:
-    """Stable string label for a sweep key (tuples join with '/')."""
-    if isinstance(key, tuple):
-        return "/".join(str(part) for part in key)
-    return str(key)
-
-
-def attach_slo(sc: Scorecard, results: Dict) -> None:
-    """Attach per-run windowed SLO timelines to ``sc.meta["slo"]``.
-
-    Every sweep point whose result carries a
-    :attr:`repro.harness.metrics.RunResult.slo` report contributes
-    ``sc.meta["slo"][label]`` — per-window p50/p99/p999 latency, goodput
-    and counter deltas plus any threshold violation events — so a
-    committed scorecard records the run's *trajectory*, not just its
-    terminal aggregates.  Points without a timeline are skipped, and the
-    block is omitted entirely when no point has one, leaving legacy
-    scorecards byte-identical.
-    """
-    blocks: Dict[str, dict] = {}
-    for key, result in results.items():
-        slo = getattr(result, "slo", None)
-        if slo is not None:
-            blocks[_slo_label(key)] = slo
-    if blocks:
-        sc.meta["slo"] = blocks
-
-
-def attach_anomalies(sc: Scorecard, results: Dict,
-                     sweep: Optional[List[dict]] = None,
-                     labels: Optional[Dict[str, str]] = None) -> List[dict]:
-    """Attach detected anomalies to ``sc.meta["anomalies"]``.
-
-    The block has up to three parts: ``"sweep"`` — anomalies detected on
-    the figure's headline curve (cliffs/knees, passed in by the builder
-    that owns the curve); ``"runs"`` — each sweep point's within-run
-    anomalies (:attr:`repro.harness.metrics.RunResult.anomalies`:
-    changepoints, counter bursts), keyed by the point's label; and
-    ``"labels"`` — a sweep-x → attribution-run-label map so a stored
-    scorecard can be explained offline (``explain run:N`` joins sweep
-    anomalies to ``meta["attribution"]`` through it).  Empty parts are
-    omitted, and results without anomalies leave the scorecard
-    untouched — legacy scorecards stay byte-identical.  Returns the
-    sweep anomaly list for builders that also derive checks from it.
-    """
-    block: Dict[str, object] = {}
+    anomalies: Dict[str, object] = {}
     if sweep:
-        block["sweep"] = sweep
-    runs = {}
-    for key, result in results.items():
-        found = getattr(result, "anomalies", None)
-        if found:
-            runs[_slo_label(key)] = found
+        anomalies["sweep"] = sweep
     if runs:
-        block["runs"] = runs
-    if block and labels:
-        block["labels"] = labels
-    if block:
-        sc.meta["anomalies"] = block
-    return sweep or []
+        anomalies["runs"] = runs
+    if anomalies and labels:
+        anomalies["labels"] = labels
+    if anomalies:
+        sc.meta["anomalies"] = anomalies
 
 
 def _windowed_p99s(slo: Optional[dict]) -> List[float]:
@@ -235,12 +215,10 @@ def scorecard_fig2a(results: Dict[int, object],
         sc.add_check("collapse_is_cache_thrash",
                      miss[hi] > miss[peak_qps],
                      "miss ratio grows from peak to collapse")
-    attach_slo(sc, results)
+    attach_runs(sc, results, sweep=sweep,
+                labels={str(q): "rc-read qps=%d" % q for q in xs})
     _fig2a_slo_check(sc, results, qp_cache_entries)
-    attach_attribution(sc, results.values())
     _fig2a_attribution_check(sc, xs, qp_cache_entries)
-    attach_anomalies(sc, results, sweep=sweep,
-                     labels={str(q): "rc-read qps=%d" % q for q in xs})
     return sc
 
 
@@ -266,9 +244,7 @@ def scorecard_fig2b(results: Dict[object, object]) -> Scorecard:
         sc.add_check("below_rc_read_peak",
                      best < results["rc_read"].mops,
                      "paper: the UD ceiling sits ~2x below RC reads")
-    attach_slo(sc, results)
-    attach_anomalies(sc, results)
-    attach_attribution(sc, results.values())
+    attach_runs(sc, results)
     return sc
 
 
@@ -347,9 +323,7 @@ def scorecards_fig6_7_8(results: Dict[tuple, object]) -> List[Scorecard]:
     fig8.add_check("erpc_tail_degrades",
                    erpc32.p99_us > 1.2 * flock32.p99_us,
                    "paper: ~1.5x worse eRPC p99 at 32 threads")
-    attach_slo(fig6, results)
-    attach_anomalies(fig6, results)
-    attach_attribution(fig6, results.values())
+    attach_runs(fig6, results)
     return [fig6, fig7, fig8]
 
 
@@ -404,9 +378,7 @@ def scorecard_fig9(results: Dict[tuple, object]) -> Scorecard:
                 results[("flock", t)].p99_us
                 < results[("nosharing", t)].p99_us,
                 "paper: 27%/49% lower p99 at 32/48 threads")
-    attach_slo(sc, results)
-    attach_anomalies(sc, results)
-    attach_attribution(sc, results.values())
+    attach_runs(sc, results)
     return sc
 
 
@@ -445,9 +417,7 @@ def scorecard_fig10(results: Dict[tuple, object]) -> Scorecard:
         sc.add_check("degree_grows", degrees[-1] > degrees[0]
                      and degrees[0] > 1.1 and degrees[-1] > 1.5,
                      "requests per message grow with outstanding")
-    attach_slo(sc, results)
-    attach_anomalies(sc, results)
-    attach_attribution(sc, results.values())
+    attach_runs(sc, results)
     return sc
 
 
@@ -523,9 +493,7 @@ def scorecard_fig12(results: Dict[tuple, object]) -> Scorecard:
                      all(results[("2t1q", t)].p99_us
                          < 1.3 * results[("2t2q", t)].p99_us for t in tails),
                      "sharing a QP costs no tail latency at high counts")
-    attach_slo(sc, results)
-    attach_anomalies(sc, results)
-    attach_attribution(sc, results.values())
+    attach_runs(sc, results)
     return sc
 
 
@@ -561,9 +529,7 @@ def _txn_scorecard(figure: str, title: str, results: Dict[tuple, object],
                  all(r.extras.get("committed", 0) > 0
                      for r in results.values()),
                  "every configuration commits work")
-    attach_slo(sc, results)
-    attach_anomalies(sc, results)
-    attach_attribution(sc, results.values())
+    attach_runs(sc, results)
     return sc
 
 
@@ -627,9 +593,7 @@ def scorecard_incast(results: Dict[str, object]) -> Scorecard:
         cong.get("throttled_qps", 0) > 0
         and results["ud_cong"].extras.get("cnps", 0) == 0,
         "CNPs throttle FLock's RC QPs; UD has no reliable flows to pace")
-    attach_slo(sc, results)
-    attach_anomalies(sc, results)
-    attach_attribution(sc, results.values())
+    attach_runs(sc, results)
     return sc
 
 

@@ -34,6 +34,7 @@ from ..net import build_cluster
 from ..sim import Streams
 from ..workloads import SmallbankWorkload, TatpWorkload
 from .metrics import Recorder, Run, RunResult
+from .microbench import bench_flock_config
 
 __all__ = ["TxnBenchConfig", "run_flocktx", "run_fasst_txn",
            "build_txn_servers"]
@@ -139,7 +140,6 @@ def _result(run: Run, recorder: Recorder, coordinators: List[Coordinator],
         committed=committed, aborted=aborted, lost=lost,
         abort_rate=round(aborted / total, 4),
         loss_rate=round(lost / total, 6),
-        events=run.sim.events_processed,
         **extras,
     ))
 
@@ -155,8 +155,7 @@ def run_flocktx(cfg: TxnBenchConfig,
                       n_servers=cfg.n_servers, seed=cfg.seed)
     server_hw, client_hw, fabric = build_cluster(sim, cluster)
     if flock_cfg is None:
-        flock_cfg = FlockConfig(sched_interval_ns=150_000.0,
-                                thread_sched_interval_ns=150_000.0)
+        flock_cfg = bench_flock_config()
     txn_servers = build_txn_servers(cfg, server_hw)
     flock_servers = []
     version_rkeys: Dict[int, int] = {}

@@ -63,7 +63,7 @@ def attribution_blocks(telemetry) -> Dict[str, dict]:
 
     Returns ``{run_label: {"paths", "shares", "what_if"}}`` — the exact
     shape scorecards persist as ``meta["attribution"]`` (see
-    :func:`repro.harness.scorecards.attach_attribution`, which delegates
+    :func:`repro.harness.scorecards.attach_runs`, which delegates
     here), so live and stored explanations consume the same data.
     Untraced runs (no finished critical paths) are omitted.  The
     unbounded what-if case (all blocked time on one resource) is

@@ -127,17 +127,13 @@ class Histogram:
     percentiles were biased toward the start of the run.  Because the
     sketch merges exactly, parallel sweep workers can ship their
     histograms back and the merged percentiles are identical to a
-    single-process run.
-
-    ``max_samples`` is accepted for backward compatibility and ignored:
-    the sketch's memory is bounded by its bucket count, not a sample
-    cap.
+    single-process run.  The sketch's memory is bounded by its bucket
+    count, not a sample cap.
     """
 
     __slots__ = ("name", "labels", "sketch")
 
     def __init__(self, name: str, labels: Optional[Dict[str, Any]] = None,
-                 max_samples: int = 65536,
                  relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY):
         self.name = name
         self.labels = labels or {}
@@ -255,13 +251,12 @@ class Registry:
             inst.fn = fn
         return inst
 
-    def histogram(self, name: str, max_samples: int = 65536,
-                  **labels) -> Histogram:
+    def histogram(self, name: str, **labels) -> Histogram:
         """Get or create the histogram ``name`` with optional labels."""
         key = (name, _label_key(labels))
         inst = self._histograms.get(key)
         if inst is None:
-            inst = Histogram(name, labels, max_samples=max_samples)
+            inst = Histogram(name, labels)
             self._histograms[key] = inst
         return inst
 
@@ -406,8 +401,7 @@ class NullRegistry:
         """The shared no-op gauge (the callable is never sampled)."""
         return _NULL_GAUGE
 
-    def histogram(self, name: str, max_samples: int = 65536,
-                  **labels) -> NullHistogram:
+    def histogram(self, name: str, **labels) -> NullHistogram:
         """The shared no-op histogram."""
         return _NULL_HISTOGRAM
 

@@ -43,7 +43,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from .benchstore import CompareReport, compare_scorecards
+from .benchstore import CompareReport, _merge, compare_scorecards
 from .scorecard import Scorecard
 
 __all__ = ["RunRecord", "RunStore", "default_store_dir"]
@@ -272,11 +272,8 @@ class RunStore:
                 report.skipped.append("%s: absent from run %d"
                                       % (figure, cur.run_id))
                 continue
-            part = compare_scorecards(base.scorecard(figure), cur_sc)
-            report.deltas.extend(part.deltas)
-            report.skipped.extend(part.skipped)
-            report.failed_checks.extend(part.failed_checks)
-            report.anomaly_flags.extend(part.anomaly_flags)
+            _merge(report, compare_scorecards(base.scorecard(figure),
+                                              cur_sc))
         return report
 
     # -- querying -------------------------------------------------------

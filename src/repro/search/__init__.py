@@ -18,7 +18,6 @@ where the point id is the candidate's config fingerprint.
 
 from .space import (
     BoolDim,
-    ChoiceDim,
     FloatDim,
     IntDim,
     SearchSpace,
@@ -33,7 +32,6 @@ from .scenarios import CURATED_SCENARIOS, curated_evaluation
 
 __all__ = [
     "BoolDim",
-    "ChoiceDim",
     "FloatDim",
     "IntDim",
     "SearchSpace",

@@ -2,17 +2,17 @@
 
 Kernels are local moves sized to each dimension's scale: log dimensions
 step by a random factor in [1/2, 2] (one octave), linear numerics step
-within an eighth of the range, booleans flip, choices resample.  A
-mutation always changes the clamped point when the dimension has more
-than one representable value — the driver relies on that to make
-progress instead of re-fingerprinting the parent.
+within an eighth of the range, booleans flip.  A mutation always
+changes the clamped point when the dimension has more than one
+representable value — the search relies on that to make progress
+instead of re-fingerprinting the parent.
 """
 
 from __future__ import annotations
 
 import random
 
-from .space import BoolDim, ChoiceDim, FloatDim, IntDim, SearchSpace
+from .space import BoolDim, FloatDim, IntDim, SearchSpace
 
 __all__ = ["mutate_point", "mutate_value"]
 
@@ -21,11 +21,6 @@ def mutate_value(dim, value, rng: random.Random):
     """One local move of ``value`` within ``dim`` (clamped)."""
     if isinstance(dim, BoolDim):
         return not bool(value)
-    if isinstance(dim, ChoiceDim):
-        if len(dim.choices) <= 1:
-            return dim.clamp(value)
-        alternatives = [c for c in dim.choices if c != value]
-        return alternatives[rng.randrange(len(alternatives))]
     if isinstance(dim, IntDim):
         if dim.log:
             proposal = dim.clamp(value * 2.0 ** rng.uniform(-1.0, 1.0))

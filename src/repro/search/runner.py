@@ -35,6 +35,7 @@ from ..sim import Streams
 from ..workloads import BimodalSize, FixedSize
 from ..harness.incastbench import flock_fan_in, switch_extras
 from ..harness.metrics import Run, RunResult
+from ..harness.microbench import bench_flock_config
 from .space import default_space
 
 __all__ = ["ScenarioConfig", "run_scenario_leg", "evaluate_point",
@@ -102,12 +103,10 @@ class ScenarioConfig:
             net=replace(NetConfig(), congestion=self.congestion(congested)))
 
     def flock(self) -> FlockConfig:
-        return FlockConfig(
+        return bench_flock_config(
             credit_batch=self.credit_batch,
             credit_renew_threshold=max(1, self.credit_batch // 2),
-            qps_per_handle=self.qps_per_handle,
-            sched_interval_ns=150_000.0,
-            thread_sched_interval_ns=150_000.0)
+            qps_per_handle=self.qps_per_handle)
 
     def sizegen(self):
         """Per-thread message-size mix: ``large_fraction`` of each
@@ -171,7 +170,7 @@ def evaluate_point(point: dict, seed: int = 7, trace: bool = False) -> dict:
     space = default_space()
     point = space.clamp(point)
     fingerprint = space.fingerprint(point)
-    streams = Streams(seed).child("search/%s" % fingerprint)
+    streams = Streams(seed).child(space.point_id(point))
     cfg = ScenarioConfig.from_point(point, seed=streams.seed)
 
     legs = {}

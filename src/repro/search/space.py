@@ -19,16 +19,14 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 __all__ = [
     "IntDim",
     "FloatDim",
     "BoolDim",
-    "ChoiceDim",
     "SearchSpace",
     "default_space",
-    "dim_from_dict",
 ]
 
 
@@ -115,46 +113,6 @@ class BoolDim:
         return {"kind": "bool", "name": self.name}
 
 
-@dataclass(frozen=True)
-class ChoiceDim:
-    """Categorical dimension over a fixed tuple of JSON-safe choices."""
-
-    name: str
-    choices: Tuple
-
-    def __post_init__(self):
-        if len(self.choices) < 1:
-            raise ValueError("%s: need at least one choice" % self.name)
-
-    def sample(self, rng: random.Random):
-        return self.choices[rng.randrange(len(self.choices))]
-
-    def clamp(self, value):
-        if value in self.choices:
-            return value
-        return self.choices[0]
-
-    def to_dict(self) -> dict:
-        return {"kind": "choice", "name": self.name,
-                "choices": list(self.choices)}
-
-
-def dim_from_dict(data: dict):
-    """Inverse of every dimension's ``to_dict``."""
-    kind = data.get("kind")
-    if kind == "int":
-        return IntDim(data["name"], int(data["lo"]), int(data["hi"]),
-                      bool(data.get("log", False)))
-    if kind == "float":
-        return FloatDim(data["name"], float(data["lo"]), float(data["hi"]),
-                        bool(data.get("log", False)))
-    if kind == "bool":
-        return BoolDim(data["name"])
-    if kind == "choice":
-        return ChoiceDim(data["name"], tuple(data["choices"]))
-    raise ValueError("unknown dimension kind: %r" % (kind,))
-
-
 class SearchSpace:
     """An ordered collection of named dimensions."""
 
@@ -197,10 +155,6 @@ class SearchSpace:
 
     def to_dict(self) -> dict:
         return {"dims": [dim.to_dict() for dim in self.dims.values()]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SearchSpace":
-        return cls([dim_from_dict(d) for d in data.get("dims", [])])
 
 
 def default_space() -> SearchSpace:

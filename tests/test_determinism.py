@@ -9,14 +9,19 @@ be byte-identical — not approximately equal.
 
 import hashlib
 import json
+import pickle
 
 import pytest
 
 from repro.harness import (
+    IndexBenchConfig,
     MicrobenchConfig,
     TxnBenchConfig,
     run_erpc,
+    run_erpc_index,
+    run_fasst_txn,
     run_flock,
+    run_flock_index,
     run_flocktx,
     run_multitenancy,
     run_raw_reads,
@@ -30,6 +35,7 @@ from repro.harness.incastbench import (
     run_incast_ud,
 )
 from repro.harness.scorecards import scorecard_fig2a
+from repro.obs import Telemetry
 from repro.search.runner import ScenarioConfig, run_scenario_leg
 from repro.workloads import BimodalSize
 
@@ -81,6 +87,16 @@ def test_audit_does_not_perturb_results():
     assert serialized(plain) == serialized(audited)
 
 
+def test_traced_result_pickles():
+    """A result is plain data: a traced run's result round-trips through
+    pickle, the way the parallel executor ships it home."""
+    result = run_flock(SMALL, telemetry=Telemetry())
+    thawed = pickle.loads(pickle.dumps(result))
+    assert serialized(thawed) == serialized(result)
+    assert (thawed.slo, thawed.anomalies, thawed.host) == \
+        (result.slo, result.anomalies, result.host)
+
+
 def test_seed_actually_matters():
     """Guard against accidentally ignoring the seed (which would make
     the byte-identical assertions above vacuous)."""
@@ -121,20 +137,28 @@ SMALL_SCENARIO = ScenarioConfig(n_senders=3, threads_per_client=3,
                                 warmup_ns=100_000.0, measure_ns=150_000.0)
 
 
+#: A small HydraList index point: 90 % get / 10 % scan over 2,000 keys.
+SMALL_INDEX = IndexBenchConfig(n_clients=3, threads_per_client=3,
+                               n_keys=2_000, warmup_ns=100_000.0,
+                               measure_ns=150_000.0)
+
+
 def witness(result):
     """``serialized(result)`` without ``extras["events"]``; a dict of
-    named results and plain values (``run_thread_sched``'s return) is
-    serialized key by key."""
+    named results and plain values (the per-class returns of
+    ``run_thread_sched`` and the index runners) is serialized key by
+    key, without a top-level ``"events"``."""
     if isinstance(result, dict):
         return json.dumps({k: witness(v) if hasattr(v, "extras") else v
-                           for k, v in result.items()}, sort_keys=True)
+                           for k, v in result.items() if k != "events"},
+                          sort_keys=True)
     result.extras.pop("events", None)
     return serialized(result)
 
 
 #: SHA-256 of ``witness(result)`` for small runs of every runner whose
 #: workers run :func:`repro.harness.metrics.closed_loop` or draw
-#: think-time jitter.  The dispatched-event count is host bookkeeping:
+#: think-time jitter, and of the transaction and index runners.  The dispatched-event count is host bookkeeping:
 #: removing an event that wakes no one lowers it and changes nothing
 #: else.  Any other change to these hashes means a result changed,
 #: usually because two same-instant events swapped order or a worker
@@ -147,6 +171,14 @@ ORDER_WITNESS = {
                   lambda: run_raw_reads(24, n_clients=3)),
     "flocktx": ("6b85f84f826513551789bd580ba62f41f51d3a84585d01431d77e647176ef69b",
                 lambda: run_flocktx(SMALL_TXN)),
+    "fasst_txn": ("fd20fcea0e5c02b8a4405e1bfaf01c0001e108198c824ad396066736198b67cf",
+                  lambda: run_fasst_txn(SMALL_TXN)),
+    "flock_index": (
+        "2b8b90e185319ab5990aa345648f8ca4a25e2a7ad225e56695e3fcd19977b61d",
+        lambda: run_flock_index(SMALL_INDEX)),
+    "erpc_index": (
+        "bcdee4232539c4f64832de0e3781a6b74e131c0b7d28079eb7bbd1b5d1178871",
+        lambda: run_erpc_index(SMALL_INDEX)),
     "incast_congested": (
         "f3e67b145cf6a9772c30a2965ac376c5b13f317e487a262e84b462f095f7bba9",
         lambda: run_incast_flock(SMALL_INCAST, congested=True)),

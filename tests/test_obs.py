@@ -330,9 +330,8 @@ class TestTracedRuns:
         tel = Telemetry()
         cfg = MicrobenchConfig(n_clients=2, threads_per_client=4,
                                outstanding=2)
-        result = run_flock(cfg, telemetry=tel)
-        assert result.telemetry is tel
-        table = result.breakdown()
+        run_flock(cfg, telemetry=tel)
+        table = tel.breakdown("rpc")
         # Every stack layer contributed to the per-RPC breakdown.
         for phase in ("client_queue", "doorbell_mmio", "wire", "propagation",
                       "nic_rx", "server_queue", "server_handler", "response"):
@@ -355,10 +354,9 @@ class TestTracedRuns:
         # Observability must not perturb virtual time: identical results.
         assert traced.ops == base.ops
         assert traced.latency == base.latency
-        assert traced.extras["events"] == base.extras["events"]
+        assert traced.host["events"] == base.host["events"]
         assert traced.extras["mean_coalescing_degree"] == \
             base.extras["mean_coalescing_degree"]
-        assert base.telemetry is None
 
     def test_fig2a_breakdown_shows_qp_cache_cliff(self):
         """Acceptance: the traced Fig. 2a sweep attributes the throughput

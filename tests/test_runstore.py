@@ -3,9 +3,10 @@
 Unit half: record/list/get/diff/query on a tmp-path store with
 hand-built scorecards — append-only ids, git context, config
 fingerprints, tolerance-aware regression detection (improvements never
-gate, only run A's tolerances do).  CLI half: the exit-code contract CI
-leans on — ``runs diff`` returns 0 on a clean diff and nonzero on a
-regression or a bad reference, without a traceback.
+gate, only run A's tolerances do).  CLI half: the exit-code contract —
+``runs diff`` returns 0 on a clean diff and nonzero on a regression
+(a fault-injected fig6 run included) or a bad reference, without a
+traceback.
 """
 
 import json
@@ -14,6 +15,7 @@ import os
 import pytest
 
 from repro.harness.cli import main
+from repro.obs.faults import FAULTS_ENV
 from repro.obs.runstore import (
     RUNSTORE_DIR_ENV,
     RunStore,
@@ -281,6 +283,23 @@ class TestRunsCli:
         assert main(["runs", "diff", "1", "1"]) == 0
         assert main(["runs", "diff", "1", "2"]) == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+    def test_diff_fails_a_fault_injected_figure_run(self, monkeypatch,
+                                                     capsys):
+        """The regression gate on real runs: fig6 with FLock's credit
+        refills dropped (``credits.drop_refill``) regresses against a
+        clean fig6 run, and the clean run diffs clean against itself."""
+        for name, fault in (("clean", ""), ("faulty", "credits.drop_refill")):
+            monkeypatch.setenv(FAULTS_ENV, fault)
+            d = str(self.tmp / name)
+            assert main(["--scale", "0.1", "--scorecard", d, "fig6",
+                         "--threads", "8", "--outstanding", "1",
+                         "--clients", "4"]) == 0
+            assert main(["runs", "record", d, "--label", name]) == 0
+        capsys.readouterr()
+        assert main(["runs", "diff", "1", "1"]) == 0
+        assert main(["runs", "diff", "1", "2"]) == 1
+        assert "flock_mops_t8" in capsys.readouterr().out
 
     def test_bad_reference_is_an_error_not_a_traceback(self, capsys):
         assert main(["runs", "show", "42"]) == 1

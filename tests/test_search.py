@@ -20,7 +20,6 @@ from repro.harness.cli import main
 from repro.harness.scorecards import scorecard_search
 from repro.search import (
     BoolDim,
-    ChoiceDim,
     FloatDim,
     IntDim,
     SearchConfig,
@@ -33,7 +32,6 @@ from repro.search import (
 )
 from repro.search.mutate import mutate_value
 from repro.search.scenarios import CURATED_SCENARIOS
-from repro.search.space import dim_from_dict
 from repro.sim.rand import Streams
 
 SMOKE = "0.05"
@@ -71,12 +69,10 @@ class TestDimensions:
         assert dim.clamp(0.123456789) == 0.123457
         assert dim.clamp(2.0) == 1.0
 
-    def test_bool_and_choice(self):
+    def test_bool_samples_both_values(self):
         rng = random.Random(3)
         assert {BoolDim("x").sample(rng) for _ in range(20)} == {True, False}
-        dim = ChoiceDim("x", ("a", "b"))
-        assert dim.clamp("b") == "b"
-        assert dim.clamp("zzz") == "a"
+        assert BoolDim("x").clamp(0) is False
 
     def test_invalid_bounds_raise(self):
         with pytest.raises(ValueError):
@@ -85,13 +81,6 @@ class TestDimensions:
             IntDim("x", 0, 4, log=True)
         with pytest.raises(ValueError):
             FloatDim("x", 0.0, 1.0, log=True)
-        with pytest.raises(ValueError):
-            ChoiceDim("x", ())
-
-    def test_dim_round_trips_through_dict(self):
-        for dim in (IntDim("i", 1, 9, log=True), FloatDim("f", 0.5, 2.0),
-                    BoolDim("b"), ChoiceDim("c", (1, 2, 3))):
-            assert dim_from_dict(dim.to_dict()) == dim
 
 
 class TestSearchSpace:
@@ -128,13 +117,6 @@ class TestSearchSpace:
         thawed = json.loads(json.dumps(point))
         assert space.fingerprint(thawed) == space.fingerprint(point)
 
-    def test_space_round_trips_through_dict(self):
-        space = default_space()
-        rebuilt = SearchSpace.from_dict(space.to_dict())
-        assert list(rebuilt.dims) == list(space.dims)
-        point = space.sample(random.Random(5))
-        assert rebuilt.fingerprint(point) == space.fingerprint(point)
-
 
 class TestMutation:
     def test_mutation_always_moves(self):
@@ -156,8 +138,6 @@ class TestMutation:
     def test_single_value_dimension_is_fixed_point(self):
         # Degenerate lo == hi: nothing to move to; must not loop or raise.
         assert mutate_value(IntDim("x", 5, 5), 5, random.Random(1)) == 5
-        assert mutate_value(ChoiceDim("x", ("only",)), "only",
-                            random.Random(1)) == "only"
 
     def test_mutate_point_changes_one_or_two_dims(self):
         space = _tiny_space()
