@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import FlockConfig
 from ..obs import Scorecard
-from ..workloads import BimodalSize
 from .incastbench import IncastConfig, run_incast_flock, run_incast_ud
 from .indexbench import IndexBenchConfig, run_erpc_index, run_flock_index
 from .microbench import (
@@ -209,12 +208,11 @@ def _fig11_points(sizes, clients):
     points = {}
     for s in sizes:
         cfg = MicrobenchConfig(n_clients=clients, threads_per_client=32,
-                               outstanding=8,
-                               sizegen=BimodalSize(n_threads=32, large_size=s))
+                               outstanding=8)
         for sched in (False, True):
             points[(s, sched)] = SweepPoint(
                 "fig11/%s/s=%d" % ("on" if sched else "off", s),
-                run_thread_sched, (cfg,), {"scheduling": sched})
+                run_thread_sched, (cfg, s), {"scheduling": sched})
     return points
 
 

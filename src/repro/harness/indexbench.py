@@ -14,14 +14,13 @@ insensitive to the scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..apps.hydralist import HydraList
 from ..baselines import ErpcEndpoint, ErpcServer
-from ..config import ClusterConfig, FlockConfig
+from ..config import ClusterConfig
 from ..flock import FlockNode
-from ..net import build_cluster
 from ..sim import Streams
 from .metrics import Recorder, Run, RunResult
 from .microbench import bench_flock_config
@@ -37,6 +36,10 @@ GET_RESP_BYTES = 8
 SCAN_REQ_BYTES = 24
 SCAN_RESP_BYTES = 8
 
+#: The paper's op mix: 90 % get, 10 % scan of 64 keys.
+GET_FRACTION = 0.90
+SCAN_KEYS = 64
+
 
 @dataclass
 class IndexBenchConfig:
@@ -44,12 +47,12 @@ class IndexBenchConfig:
     threads_per_client: int = 8
     outstanding: int = 1
     n_keys: int = 200_000
-    scan_range: int = 64
-    get_fraction: float = 0.90
     warmup_ns: float = 600_000.0
     measure_ns: float = 500_000.0
     seed: int = 11
-    cluster: ClusterConfig = field(default_factory=ClusterConfig)
+
+    def cluster_config(self) -> ClusterConfig:
+        return ClusterConfig(n_clients=self.n_clients, seed=self.seed)
 
 
 def build_index(cfg: IndexBenchConfig) -> HydraList:
@@ -59,7 +62,7 @@ def build_index(cfg: IndexBenchConfig) -> HydraList:
     return index
 
 
-def _handlers(index: HydraList, cfg: IndexBenchConfig):
+def _handlers(index: HydraList):
     def get_handler(request):
         key = request.payload
         value = index.get(key)
@@ -67,7 +70,7 @@ def _handlers(index: HydraList, cfg: IndexBenchConfig):
 
     def scan_handler(request):
         start_key = request.payload
-        found = index.scan(start_key, cfg.scan_range)
+        found = index.scan(start_key, SCAN_KEYS)
         return SCAN_RESP_BYTES, len(found), index.scan_cost_ns(len(found))
 
     return get_handler, scan_handler
@@ -90,21 +93,16 @@ def _results(run: Run, recorders: Dict[str, Recorder], system: str,
     return out
 
 
-def run_flock_index(cfg: IndexBenchConfig,
-                    flock_cfg: Optional[FlockConfig] = None,
-                    telemetry=None,
+def run_flock_index(cfg: IndexBenchConfig, *, telemetry=None,
                     audit: Optional[bool] = None) -> Dict[str, RunResult]:
     """90 % get / 10 % scan over FLock RPC."""
     run = Run("flock-index", cfg.warmup_ns, cfg.measure_ns,
-              telemetry=telemetry, audit=audit)
-    sim = run.sim
-    cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
-    servers, clients, fabric = build_cluster(sim, cluster)
-    if flock_cfg is None:
-        flock_cfg = bench_flock_config()
+              cfg.cluster_config(), telemetry=telemetry, audit=audit)
+    sim, fabric = run.sim, run.fabric
+    flock_cfg = bench_flock_config()
     index = build_index(cfg)
-    server = FlockNode(sim, servers[0], fabric, flock_cfg)
-    get_handler, scan_handler = _handlers(index, cfg)
+    server = FlockNode(sim, run.servers[0], fabric, flock_cfg)
+    get_handler, scan_handler = _handlers(index)
     server.fl_reg_handler(RPC_GET, get_handler)
     server.fl_reg_handler(RPC_SCAN, scan_handler)
 
@@ -115,7 +113,7 @@ def run_flock_index(cfg: IndexBenchConfig,
         while True:
             key = rng.randrange(cfg.n_keys)
             started = sim.now
-            if rng.random() < cfg.get_fraction:
+            if rng.random() < GET_FRACTION:
                 yield from fnode.fl_call(handle, thread_id, RPC_GET,
                                          GET_REQ_BYTES, key)
                 recorders["get"].record(started)
@@ -124,7 +122,7 @@ def run_flock_index(cfg: IndexBenchConfig,
                                          SCAN_REQ_BYTES, key)
                 recorders["scan"].record(started)
 
-    for c_idx, node in enumerate(clients):
+    for c_idx, node in enumerate(run.clients):
         fnode = FlockNode(sim, node, fabric, flock_cfg, seed=cfg.seed + c_idx)
         handle = fnode.fl_connect(server, n_qps=cfg.threads_per_client)
         for t_idx in range(cfg.threads_per_client):
@@ -133,22 +131,20 @@ def run_flock_index(cfg: IndexBenchConfig,
                 sim.spawn(worker(fnode, handle, t_idx, rng),
                           name="hydra-worker")
 
-    run.window(recorders.values(), fabric)
+    run.window(recorders.values())
     return _results(run, recorders, "flock",
-                    server_cpu=round(servers[0].cpu.utilization(), 3))
+                    server_cpu=round(run.servers[0].cpu.utilization(), 3))
 
 
 def run_erpc_index(cfg: IndexBenchConfig, *, telemetry=None,
                    audit: Optional[bool] = None) -> Dict[str, RunResult]:
     """90 % get / 10 % scan over eRPC."""
     run = Run("erpc-index", cfg.warmup_ns, cfg.measure_ns,
-              telemetry=telemetry, audit=audit)
-    sim = run.sim
-    cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
-    servers, clients, fabric = build_cluster(sim, cluster)
+              cfg.cluster_config(), telemetry=telemetry, audit=audit)
+    sim, fabric = run.sim, run.fabric
     index = build_index(cfg)
-    server = ErpcServer(sim, servers[0], fabric)
-    get_handler, scan_handler = _handlers(index, cfg)
+    server = ErpcServer(sim, run.servers[0], fabric)
+    get_handler, scan_handler = _handlers(index)
     server.register_handler(RPC_GET, get_handler)
     server.register_handler(RPC_SCAN, scan_handler)
 
@@ -160,7 +156,7 @@ def run_erpc_index(cfg: IndexBenchConfig, *, telemetry=None,
         while True:
             key = rng.randrange(cfg.n_keys)
             started = sim.now
-            if rng.random() < cfg.get_fraction:
+            if rng.random() < GET_FRACTION:
                 response = yield from endpoint.call(server, server_qp,
                                                     RPC_GET, GET_REQ_BYTES,
                                                     key)
@@ -173,7 +169,7 @@ def run_erpc_index(cfg: IndexBenchConfig, *, telemetry=None,
                 if response is not None:
                     recorders["scan"].record(started)
 
-    for c_idx, node in enumerate(clients):
+    for c_idx, node in enumerate(run.clients):
         for t_idx in range(cfg.threads_per_client):
             endpoint = ErpcEndpoint(sim, node, fabric)
             server_qp = server.qp_for_client(endpoint_counter[0])
@@ -183,7 +179,7 @@ def run_erpc_index(cfg: IndexBenchConfig, *, telemetry=None,
                 sim.spawn(worker(endpoint, server_qp, rng),
                           name="hydra-worker")
 
-    run.window(recorders.values(), fabric)
+    run.window(recorders.values())
     return _results(run, recorders, "erpc",
-                    server_cpu=round(servers[0].cpu.utilization(), 3))
+                    server_cpu=round(run.servers[0].cpu.utilization(), 3))
 

@@ -1,8 +1,9 @@
 """Measurement utilities shared by every experiment.
 
 Every runner drives one :class:`Run`: it creates the simulator, installs
-the run's instruments, measures a warmup-then-measure virtual-time
-window and finishes the result.  Closed-loop workers record per-op
+the run's instruments, builds the cluster, spawns the closed-loop
+clients, measures a warmup-then-measure virtual-time window and
+finishes the result.  Closed-loop workers record per-op
 latency into a :class:`Recorder` that only counts completions inside the
 measurement window (after warmup); throughput is completed ops per
 virtual second.  Everything reports in the paper's units: **Mops** and
@@ -19,6 +20,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
+from ..config import ClusterConfig
+from ..net import build_cluster
 from ..obs import AuditError, Registry, audit_enabled, current_telemetry, run_audit
 from ..obs.anomaly import detect_run_anomalies
 from ..obs.simprof import SimProfile, profile_enabled
@@ -45,10 +48,10 @@ class Run:
     """One simulation run's lifecycle, shared by every figure runner.
 
     Construction creates the :class:`Simulator` and installs the run's
-    instruments on it, in order: the telemetry, the audit registry, then
-    the host-time profiler.  Components cache the telemetry and the
-    registry at construction, so the runner builds its cluster on
-    :attr:`sim` only afterwards.
+    instruments on it (the telemetry, the audit registry, then the
+    host-time profiler).  Only then does it build ``cluster`` into
+    :attr:`servers`, :attr:`clients` and :attr:`fabric`, because
+    components cache the telemetry and the registry at construction.
 
     ``telemetry``, ``audit`` and ``profile`` override the process-wide
     defaults (:func:`repro.obs.enable`, ``REPRO_AUDIT``,
@@ -60,9 +63,9 @@ class Run:
     spanning fixed-period scheduler passes.
     """
 
-    def __init__(self, label: str, warmup_ns: float, measure_ns: float, *,
-                 scaled: bool = True, telemetry=None,
-                 audit: Optional[bool] = None,
+    def __init__(self, label: str, warmup_ns: float, measure_ns: float,
+                 cluster: ClusterConfig, *, scaled: bool = True,
+                 telemetry=None, audit: Optional[bool] = None,
                  profile: Optional[bool] = None):
         self.sim = sim = Simulator()
         tel = telemetry if telemetry is not None else current_telemetry()
@@ -87,12 +90,23 @@ class Run:
         want = profile if profile is not None else profile_enabled()
         self.profile = (SimProfile(self.warmup, self.warmup + self.measure)
                         if want else None)
+        self.servers, self.clients, self.fabric = build_cluster(sim, cluster)
 
-    def timeline(self, fabric) -> SloTimeline:
+    def timeline(self) -> SloTimeline:
         """A fresh SLO timeline over the measurement window, with the
         fabric's switch counters as sources when it has a switch."""
         return attach_switch_sources(
-            SloTimeline(self.warmup, self.warmup + self.measure), fabric)
+            SloTimeline(self.warmup, self.warmup + self.measure), self.fabric)
+
+    def loops(self, recorder: "Recorder", call, args: tuple, n: int,
+              think_ns: float = 0.0, jitter=None) -> None:
+        """Spawn ``n`` :func:`closed_loop` threads issuing ``call(*args)``
+        into ``recorder``, each drawing its think time from its own
+        ``next(jitter)`` stream (no draws when ``jitter`` is None)."""
+        sim = self.sim
+        for _ in range(n):
+            sim.spawn(closed_loop(sim, recorder, call, args, think_ns,
+                                  None if jitter is None else next(jitter)))
 
     def run(self, until: float) -> None:
         """Advance the simulation to ``until``: the profiled loop when
@@ -102,13 +116,13 @@ class Run:
         else:
             self.sim.run(until=until)
 
-    def window(self, recorders: Iterable["Recorder"], fabric) -> None:
+    def window(self, recorders: Iterable["Recorder"]) -> None:
         """Open every recorder's measurement window with its own SLO
         timeline, then run to the end of the window."""
         end = self.warmup + self.measure
         for recorder in recorders:
             recorder.open_window(self.warmup, end)
-            recorder.attach_slo(self.timeline(fabric))
+            recorder.attach_slo(self.timeline())
         self.run(end)
 
     def finish(self, result: "RunResult") -> "RunResult":

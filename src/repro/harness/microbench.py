@@ -1,16 +1,16 @@
 """Microbenchmark runners (paper Figs. 2, 6-12).
 
-Each function builds a fresh cluster, spawns closed-loop client workers,
-runs a warmup long enough for FLock's schedulers to converge, measures a
-virtual-time window, and returns a :class:`RunResult` in paper units.
-The run lifecycle (simulator, instruments, windows scaled by
-``REPRO_BENCH_SCALE``) is :class:`repro.harness.metrics.Run`.
+Each function drives one :class:`repro.harness.metrics.Run`, which
+builds a fresh cluster, spawns the closed-loop client workers, runs a
+warmup long enough for FLock's schedulers to converge, measures a
+virtual-time window (scaled by ``REPRO_BENCH_SCALE``), and finishes a
+:class:`RunResult` in paper units.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..baselines import (
     ErpcEndpoint,
@@ -23,16 +23,16 @@ from ..baselines import (
 )
 from ..config import ClusterConfig, FlockConfig
 from ..flock import FlockNode, TenantManager
-from ..net import build_cluster
 from ..obs import faults
 from ..obs.anomaly import detect_run_anomalies
-from ..sim import jitter_streams
-from ..workloads import FixedSize
-from .metrics import Recorder, Run, RunResult, closed_loop
+from ..sim import jitter_streams, summarize_latencies
+from ..workloads import BimodalSize
+from .metrics import Recorder, Run, RunResult
 
 __all__ = [
     "MicrobenchConfig",
     "bench_flock_config",
+    "flock_echo",
     "run_flock",
     "run_erpc",
     "run_multitenancy",
@@ -43,6 +43,19 @@ __all__ = [
 ]
 
 ECHO_RPC = 1
+
+#: Request and response bytes of the echo RPC (Figs. 6-12).
+ECHO_BYTES = 64
+#: Server-side application work per echo request.
+ECHO_HANDLER_NS = 100.0
+#: Per-iteration client think-time jitter (uniform [0, x) ns): real
+#: application threads never re-issue in perfect lockstep, which keeps
+#: coalescing degrees realistic instead of phase-locked.
+THINK_JITTER_NS = 300.0
+#: Fig. 2a's RDMA READ size.
+READ_BYTES = 16
+#: Requests each Fig. 2b UD sender keeps in flight.
+UD_OUTSTANDING = 2
 
 
 def bench_flock_config(**fields) -> FlockConfig:
@@ -63,28 +76,12 @@ class MicrobenchConfig:
     outstanding: int = 1
     #: Client processes per node (Fig. 12 runs up to 16).
     processes_per_client: int = 1
-    req_size: int = 64
-    resp_size: int = 64
-    #: Server-side application work per request.
-    handler_ns: float = 100.0
-    #: Per-iteration client think-time jitter (uniform [0, x) ns): real
-    #: application threads never re-issue in perfect lockstep, which
-    #: keeps coalescing degrees realistic instead of phase-locked.
-    think_jitter_ns: float = 300.0
     warmup_ns: float = 600_000.0
     measure_ns: float = 500_000.0
     seed: int = 1
-    #: Optional per-thread size generator (Fig. 11); overrides req_size.
-    sizegen: Optional[object] = None
-    cluster: ClusterConfig = field(default_factory=ClusterConfig)
 
-    def __post_init__(self):
-        if self.think_jitter_ns < 0:
-            raise ValueError("think_jitter_ns must be >= 0, got %r"
-                             % (self.think_jitter_ns,))
-
-    def make_sizegen(self):
-        return self.sizegen if self.sizegen is not None else FixedSize(self.req_size)
+    def cluster_config(self) -> ClusterConfig:
+        return ClusterConfig(n_clients=self.n_clients, seed=self.seed)
 
 
 #: ``bench.step_handler_cost`` multiplies the server handler cost by
@@ -95,21 +92,21 @@ class MicrobenchConfig:
 STEP_FAULT_FACTOR = 25.0
 
 
-def _echo_handler(run: Run, resp_size: int, handler_ns: float):
-    """The echo RPC handler: ``resp_size`` bytes back for ``handler_ns``
-    of server CPU, stepped up under ``bench.step_handler_cost``."""
+def _echo_handler(run: Run, handler_ns: float = ECHO_HANDLER_NS):
+    """The echo RPC handler: ``ECHO_BYTES`` back for ``handler_ns`` of
+    server CPU, stepped up under ``bench.step_handler_cost``."""
     if faults.is_active("bench.step_handler_cost"):
         sim = run.sim
         step_at_ns = run.warmup + run.measure / 2
 
         def faulty_handler(request):
             if sim.now >= step_at_ns:
-                return resp_size, None, handler_ns * STEP_FAULT_FACTOR
-            return resp_size, None, handler_ns
+                return ECHO_BYTES, None, handler_ns * STEP_FAULT_FACTOR
+            return ECHO_BYTES, None, handler_ns
         return faulty_handler
 
     def handler(request):
-        return resp_size, None, handler_ns
+        return ECHO_BYTES, None, handler_ns
     return handler
 
 
@@ -117,54 +114,71 @@ def _echo_handler(run: Run, resp_size: int, handler_ns: float):
 # FLock (Figs. 6-12)
 # ---------------------------------------------------------------------------
 
+def flock_echo(run: Run, cfg, flock_cfg: FlockConfig, n_qps: int,
+               sizes: Sequence[int], thinks: Sequence[float], system: str,
+               *, handler_ns: float = ECHO_HANDLER_NS, processes: int = 1,
+               coalescing: bool = True
+               ) -> Tuple[Recorder, dict, list, FlockNode]:
+    """Every client's FLock processes -> one FLock echo server, run
+    through ``run``'s window.
+
+    ``cfg`` is any bench config with ``threads_per_client``,
+    ``outstanding`` and ``seed``.  Each of a client's ``processes``
+    connects ``n_qps`` QPs; its thread ``t`` sends ``sizes[t]`` bytes and
+    thinks up to ``thinks[t]`` ns between calls.  Returns the recorder,
+    the extras every FLock echo run reports (``system``, the mean
+    coalescing degree and the server's CPU utilisation), the client
+    handles and the server node.
+    """
+    sim, fabric = run.sim, run.fabric
+    server = FlockNode(sim, run.servers[0], fabric, flock_cfg)
+    server.fl_reg_handler(ECHO_RPC, _echo_handler(run, handler_ns))
+
+    recorder = Recorder(sim)
+    jitter = jitter_streams(cfg.seed ^ 0x7EA)
+    handles = []
+    for c_idx, node in enumerate(run.clients):
+        for p_idx in range(processes):
+            fnode = FlockNode(sim, node, fabric, flock_cfg,
+                              seed=cfg.seed + c_idx * 131 + p_idx)
+            fnode.client.coalescing_enabled = coalescing
+            handle = fnode.fl_connect(server, n_qps=n_qps)
+            handles.append(handle)
+            for t_idx in range(cfg.threads_per_client):
+                run.loops(recorder, fnode.fl_call,
+                          (handle, t_idx, ECHO_RPC, sizes[t_idx]),
+                          cfg.outstanding, thinks[t_idx], jitter)
+
+    run.window([recorder])
+    degree = (sum(h.mean_coalescing_degree() for h in handles) / len(handles)
+              if handles else 1.0)
+    extras = {"system": system,
+              "mean_coalescing_degree": round(degree, 3),
+              "server_cpu": round(run.servers[0].cpu.utilization(), 3)}
+    return recorder, extras, handles, server
+
+
 def run_flock(cfg: MicrobenchConfig, *, qps_per_process: Optional[int] = None,
-              coalescing: bool = True, thread_scheduling: bool = True,
+              coalescing: bool = True,
               flock_cfg: Optional[FlockConfig] = None,
               telemetry=None, audit: Optional[bool] = None,
               profile: Optional[bool] = None) -> RunResult:
     """Closed-loop echo RPCs over FLock."""
-    run = Run("flock", cfg.warmup_ns, cfg.measure_ns, telemetry=telemetry,
-              audit=audit, profile=profile)
-    sim = run.sim
-    cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
-    servers, clients, fabric = build_cluster(sim, cluster)
+    run = Run("flock", cfg.warmup_ns, cfg.measure_ns, cfg.cluster_config(),
+              telemetry=telemetry, audit=audit, profile=profile)
     if flock_cfg is None:
         flock_cfg = bench_flock_config()
-    server = FlockNode(sim, servers[0], fabric, flock_cfg)
-    server.fl_reg_handler(ECHO_RPC, _echo_handler(run, cfg.resp_size,
-                                                  cfg.handler_ns))
-
-    recorder = Recorder(sim)
-    sizegen = cfg.make_sizegen()
-    n_qps = qps_per_process or cfg.threads_per_client
-    handles = []
-    jitter = jitter_streams(cfg.seed ^ 0x7EA)
-    for c_idx, node in enumerate(clients):
-        for p_idx in range(cfg.processes_per_client):
-            fnode = FlockNode(sim, node, fabric, flock_cfg,
-                              seed=cfg.seed + c_idx * 131 + p_idx)
-            fnode.client.coalescing_enabled = coalescing
-            fnode.client.thread_scheduling_enabled = thread_scheduling
-            handle = fnode.fl_connect(server, n_qps=n_qps)
-            handles.append(handle)
-            for t_idx in range(cfg.threads_per_client):
-                args = (handle, t_idx, ECHO_RPC, sizegen.next(t_idx))
-                for _ in range(cfg.outstanding):
-                    sim.spawn(closed_loop(sim, recorder, fnode.fl_call, args,
-                                          cfg.think_jitter_ns, next(jitter)),
-                              name="bench-worker")
-
-    run.window([recorder], fabric)
-    degree = (sum(h.mean_coalescing_degree() for h in handles) / len(handles)
-              if handles else 1.0)
+    threads = cfg.threads_per_client
+    recorder, extras, _handles, server = flock_echo(
+        run, cfg, flock_cfg, qps_per_process or threads,
+        [ECHO_BYTES] * threads, [THINK_JITTER_NS] * threads, "flock",
+        processes=cfg.processes_per_client, coalescing=coalescing)
+    hw = run.servers[0]
     return run.finish(recorder.result(
-        system="flock",
-        mean_coalescing_degree=round(degree, 3),
         active_qps=server.server.total_active_qps,
-        server_cpu=round(servers[0].cpu.utilization(), 3),
-        server_net_frac=round(servers[0].cpu.network_fraction(), 3),
-        qp_cache_miss=round(servers[0].rnic.qp_cache.stats.miss_ratio, 4),
-    ))
+        server_net_frac=round(hw.cpu.network_fraction(), 3),
+        qp_cache_miss=round(hw.rnic.qp_cache.stats.miss_ratio, 4),
+        **extras))
 
 
 # ---------------------------------------------------------------------------
@@ -175,36 +189,30 @@ def run_erpc(cfg: MicrobenchConfig, *, telemetry=None,
              audit: Optional[bool] = None,
              profile: Optional[bool] = None) -> RunResult:
     """Closed-loop echo RPCs over the eRPC-like UD baseline."""
-    run = Run("erpc", cfg.warmup_ns, cfg.measure_ns, telemetry=telemetry,
-              audit=audit, profile=profile)
-    sim = run.sim
-    cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
-    servers, clients, fabric = build_cluster(sim, cluster)
-    server = ErpcServer(sim, servers[0], fabric)
-    server.register_handler(ECHO_RPC, _echo_handler(run, cfg.resp_size,
-                                                    cfg.handler_ns))
+    run = Run("erpc", cfg.warmup_ns, cfg.measure_ns, cfg.cluster_config(),
+              telemetry=telemetry, audit=audit, profile=profile)
+    sim, fabric = run.sim, run.fabric
+    server = ErpcServer(sim, run.servers[0], fabric)
+    server.register_handler(ECHO_RPC, _echo_handler(run))
 
     recorder = Recorder(sim)
-    sizegen = cfg.make_sizegen()
     n_endpoints = 0
     jitter = jitter_streams(cfg.seed ^ 0x7EA)
-    for node in clients:
+    for node in run.clients:
         for _p in range(cfg.processes_per_client):
-            for t_idx in range(cfg.threads_per_client):
+            for _t in range(cfg.threads_per_client):
                 endpoint = ErpcEndpoint(sim, node, fabric)
                 args = (server, server.qp_for_client(n_endpoints), ECHO_RPC,
-                        sizegen.next(t_idx))
+                        ECHO_BYTES)
                 n_endpoints += 1
-                for _ in range(cfg.outstanding):
-                    sim.spawn(closed_loop(sim, recorder, endpoint.call, args,
-                                          cfg.think_jitter_ns, next(jitter)),
-                              name="erpc-worker")
+                run.loops(recorder, endpoint.call, args, cfg.outstanding,
+                          THINK_JITTER_NS, jitter)
 
-    run.window([recorder], fabric)
+    run.window([recorder])
     return run.finish(recorder.result(
         system="erpc",
-        server_cpu=round(servers[0].cpu.utilization(), 3),
-        server_net_frac=round(servers[0].cpu.network_fraction(), 3),
+        server_cpu=round(run.servers[0].cpu.utilization(), 3),
+        server_net_frac=round(run.servers[0].cpu.network_fraction(), 3),
         recv_drops=server.recv_drops,
     ))
 
@@ -222,35 +230,30 @@ def run_rc(cfg: MicrobenchConfig, *, threads_per_qp: int = 1,
     2 or 4 is FaRM-like spinlock sharing.
     """
     run = Run("rc-%dtpq" % threads_per_qp, cfg.warmup_ns, cfg.measure_ns,
-              telemetry=telemetry, audit=audit, profile=profile)
-    sim = run.sim
-    cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
-    servers, clients, fabric = build_cluster(sim, cluster)
-    server = RcRpcServer(sim, servers[0], fabric)
-    server.register_handler(ECHO_RPC, _echo_handler(run, cfg.resp_size,
-                                                    cfg.handler_ns))
+              cfg.cluster_config(), telemetry=telemetry, audit=audit,
+              profile=profile)
+    sim, fabric = run.sim, run.fabric
+    server = RcRpcServer(sim, run.servers[0], fabric)
+    server.register_handler(ECHO_RPC, _echo_handler(run))
 
     recorder = Recorder(sim)
-    sizegen = cfg.make_sizegen()
     jitter = jitter_streams(cfg.seed ^ 0x7EA)
-    for node in clients:
+    for node in run.clients:
         rc_client = RcRpcClient(sim, node, fabric)
         n_qps = max(1, (cfg.threads_per_client + threads_per_qp - 1)
                     // threads_per_qp)
         handle = rc_client.connect(server, n_qps=n_qps,
                                    threads_per_qp=threads_per_qp)
         for t_idx in range(cfg.threads_per_client):
-            args = (handle, t_idx, ECHO_RPC, sizegen.next(t_idx))
-            for _ in range(cfg.outstanding):
-                sim.spawn(closed_loop(sim, recorder, rc_client.call, args,
-                                      cfg.think_jitter_ns, next(jitter)),
-                          name="rc-worker")
+            run.loops(recorder, rc_client.call,
+                      (handle, t_idx, ECHO_RPC, ECHO_BYTES), cfg.outstanding,
+                      THINK_JITTER_NS, jitter)
 
-    run.window([recorder], fabric)
+    run.window([recorder])
     return run.finish(recorder.result(
         system="rc-%dtpq" % threads_per_qp,
-        server_cpu=round(servers[0].cpu.utilization(), 3),
-        qp_cache_miss=round(servers[0].rnic.qp_cache.stats.miss_ratio, 4),
+        server_cpu=round(run.servers[0].cpu.utilization(), 3),
+        qp_cache_miss=round(run.servers[0].rnic.qp_cache.stats.miss_ratio, 4),
     ))
 
 
@@ -258,12 +261,14 @@ def run_rc(cfg: MicrobenchConfig, *, threads_per_qp: int = 1,
 # Sender-side thread scheduling under mixed payloads (Fig. 11)
 # ---------------------------------------------------------------------------
 
-def run_thread_sched(cfg: MicrobenchConfig, *, scheduling: bool,
-                     telemetry=None, audit: Optional[bool] = None,
+def run_thread_sched(cfg: MicrobenchConfig, large_size: int, *,
+                     scheduling: bool, telemetry=None,
+                     audit: Optional[bool] = None,
                      profile: Optional[bool] = None) -> Dict[str, object]:
-    """FLock echo RPCs over a mixed-size workload (``cfg.sizegen``, a
-    :class:`BimodalSize`), with thread scheduling on or off.  Each client
-    connects half as many QPs as it has threads.
+    """FLock echo RPCs over Fig. 11's mixed-size workload (a
+    :class:`BimodalSize`: the first tenth of each client's threads send
+    ``large_size`` bytes, the rest 64 B), with thread scheduling on or
+    off.  Each client connects half as many QPs as it has threads.
 
     The windows are ``cfg``'s, unscaled by ``REPRO_BENCH_SCALE``: the
     scheduler acts every 150 µs, and the measurement must start several
@@ -275,41 +280,37 @@ def run_thread_sched(cfg: MicrobenchConfig, *, scheduling: bool,
     ``"mops"`` and ``"mixed_qps"``: the QPs that carry both size classes
     at the end of the run.
     """
-    sizegen = cfg.sizegen
-    run = Run("thread-sched %dB %s" % (sizegen.large_size,
+    sizes = BimodalSize(cfg.threads_per_client, large_size)
+    run = Run("thread-sched %dB %s" % (large_size,
                                        "on" if scheduling else "off"),
-              cfg.warmup_ns, cfg.measure_ns, scaled=False,
-              telemetry=telemetry, audit=audit, profile=profile)
-    sim = run.sim
-    cluster = replace(cfg.cluster, n_clients=cfg.n_clients, seed=cfg.seed)
-    servers, clients, fabric = build_cluster(sim, cluster)
+              cfg.warmup_ns, cfg.measure_ns, cfg.cluster_config(),
+              scaled=False, telemetry=telemetry, audit=audit,
+              profile=profile)
+    sim, fabric = run.sim, run.fabric
     flock_cfg = bench_flock_config()
-    server = FlockNode(sim, servers[0], fabric, flock_cfg)
-    server.fl_reg_handler(ECHO_RPC, _echo_handler(run, cfg.resp_size,
-                                                  cfg.handler_ns))
+    server = FlockNode(sim, run.servers[0], fabric, flock_cfg)
+    server.fl_reg_handler(ECHO_RPC, _echo_handler(run))
     recorders = {"small": Recorder(sim), "large": Recorder(sim)}
     jitter = jitter_streams(99)
     handles = []
-    for c_idx, node in enumerate(clients):
+    for c_idx, node in enumerate(run.clients):
         fnode = FlockNode(sim, node, fabric, flock_cfg, seed=c_idx)
         fnode.client.thread_scheduling_enabled = scheduling
         handle = fnode.fl_connect(server, n_qps=cfg.threads_per_client // 2)
         handles.append(handle)
         for t_idx in range(cfg.threads_per_client):
-            recorder = recorders["large" if t_idx in sizegen.large_threads
+            recorder = recorders["large" if t_idx in sizes.large_threads
                                  else "small"]
-            args = (handle, t_idx, ECHO_RPC, sizegen.next(t_idx))
-            for _ in range(cfg.outstanding):
-                sim.spawn(closed_loop(sim, recorder, fnode.fl_call, args,
-                                      cfg.think_jitter_ns, next(jitter)),
-                          name="sched-worker")
+            run.loops(recorder, fnode.fl_call,
+                      (handle, t_idx, ECHO_RPC, sizes.next(t_idx)),
+                      cfg.outstanding, THINK_JITTER_NS, jitter)
 
-    run.window(recorders.values(), fabric)
+    run.window(recorders.values())
     mixed_qps = 0
     for handle in handles:
         classes = {}
         for tid, qp in handle.thread_qp_map.items():
-            classes.setdefault(qp, set()).add(tid in sizegen.large_threads)
+            classes.setdefault(qp, set()).add(tid in sizes.large_threads)
         mixed_qps += sum(1 for found in classes.values() if len(found) == 2)
     out = {name: recorder.result(system="flock")
            for name, recorder in recorders.items()}
@@ -339,14 +340,14 @@ def run_multitenancy(weights: Dict[str, float], *, clients_per_tenant: int = 4,
     number of ``clients``, and each tenant's active QPs at the end of the
     run (``active_qps_<tenant>``) and completed ops (``ops_<tenant>``).
     """
-    run = Run("multitenancy", 0.0, duration_ns, scaled=False,
-              telemetry=telemetry, audit=audit, profile=profile)
-    sim = run.sim
-    servers, clients, fabric = build_cluster(
-        sim, ClusterConfig(n_clients=len(weights) * clients_per_tenant))
+    run = Run("multitenancy", 0.0, duration_ns,
+              ClusterConfig(n_clients=len(weights) * clients_per_tenant),
+              scaled=False, telemetry=telemetry, audit=audit,
+              profile=profile)
+    sim, fabric = run.sim, run.fabric
     cfg = bench_flock_config(qps_per_handle=threads, max_aqp=32)
-    server = FlockNode(sim, servers[0], fabric, cfg)
-    server.fl_reg_handler(ECHO_RPC, _echo_handler(run, 64, 100.0))
+    server = FlockNode(sim, run.servers[0], fabric, cfg)
+    server.fl_reg_handler(ECHO_RPC, _echo_handler(run))
     tenancy = TenantManager()
     for name, weight in weights.items():
         tenancy.register_tenant(name, weight=weight)
@@ -355,20 +356,20 @@ def run_multitenancy(weights: Dict[str, float], *, clients_per_tenant: int = 4,
     recorder = Recorder(sim)
     handles: Dict[str, list] = {name: [] for name in weights}
     tenants = list(weights)
-    for c_idx, node in enumerate(clients):
+    for c_idx, node in enumerate(run.clients):
         tenant = tenants[c_idx // clients_per_tenant]
         fnode = FlockNode(sim, node, fabric, cfg, seed=c_idx)
         handle = fnode.fl_connect(server, n_qps=threads)
         tenancy.assign_client(handle.client_id, tenant)
         handles[tenant].append(handle)
         for t_idx in range(threads):
-            sim.spawn(closed_loop(sim, recorder, fnode.fl_call,
-                                  (handle, t_idx, ECHO_RPC, 64)))
+            run.loops(recorder, fnode.fl_call,
+                      (handle, t_idx, ECHO_RPC, ECHO_BYTES), 1)
 
-    run.window([recorder], fabric)
+    run.window([recorder])
     extras: Dict[str, object] = {"system": "flock",
                                  "max_aqp": cfg.max_aqp,
-                                 "clients": len(clients)}
+                                 "clients": len(run.clients)}
     for tenant, tenant_handles in handles.items():
         extras["active_qps_" + tenant] = sum(
             len(server.server.clients[h.client_id].active_set)
@@ -382,7 +383,7 @@ def run_multitenancy(weights: Dict[str, float], *, clients_per_tenant: int = 4,
 # Motivation: raw RC reads (Fig. 2a) and UD RPC (Fig. 2b)
 # ---------------------------------------------------------------------------
 
-def run_raw_reads(total_qps: int, *, n_clients: int = 22, read_size: int = 16,
+def run_raw_reads(total_qps: int, *, n_clients: int = 22,
                   outstanding_per_qp: int = 4,
                   warmup_ns: float = 200_000.0,
                   measure_ns: float = 300_000.0,
@@ -391,19 +392,18 @@ def run_raw_reads(total_qps: int, *, n_clients: int = 22, read_size: int = 16,
                   profile: Optional[bool] = None) -> RunResult:
     """16-byte RDMA reads over an increasing number of QPs."""
     run = Run("rc-read qps=%d" % total_qps, warmup_ns, measure_ns,
+              replace(cluster or ClusterConfig(), n_clients=n_clients),
               telemetry=telemetry, audit=audit, profile=profile)
-    sim = run.sim
-    cluster = replace(cluster or ClusterConfig(), n_clients=n_clients)
-    servers, clients, fabric = build_cluster(sim, cluster)
-    region = servers[0].memory.register(1 << 20)
+    sim, server = run.sim, run.servers[0]
+    region = server.memory.register(1 << 20)
 
-    timeline = run.timeline(fabric)
+    timeline = run.timeline()
 
     per_client = max(1, total_qps // n_clients)
     read_clients: List[ReadClient] = []
-    for node in clients:
-        rc = ReadClient(sim, node, fabric, servers[0], region,
-                        n_qps=per_client, read_size=read_size,
+    for node in run.clients:
+        rc = ReadClient(sim, node, run.fabric, server, region,
+                        n_qps=per_client, read_size=READ_BYTES,
                         outstanding_per_qp=outstanding_per_qp)
         # Raw reads have no Recorder; the passive completion hook feeds
         # the SLO timeline so Fig. 2a's cliff is visible *within* a run.
@@ -419,53 +419,45 @@ def run_raw_reads(total_qps: int, *, n_clients: int = 22, read_size: int = 16,
     slo = timeline.report()
     return run.finish(RunResult(
         ops=after - before, duration_ns=run.measure,
-        latency={"count": 0, "median": 0.0, "p99": 0.0, "p999": 0.0,
-                 "mean": 0.0, "min": 0.0, "max": 0.0},
+        latency=summarize_latencies([]),
         extras={
             "system": "rc-read",
             "total_qps": per_client * n_clients,
-            "qp_cache_miss": round(
-                servers[0].rnic.qp_cache.stats.miss_ratio, 4),
-            "pcie_reads": servers[0].rnic.pcie.reads_issued,
+            "qp_cache_miss": round(server.rnic.qp_cache.stats.miss_ratio, 4),
+            "pcie_reads": server.rnic.pcie.reads_issued,
         },
         slo=slo,
         anomalies=detect_run_anomalies(slo, label="rc-read")))
 
 
-def run_ud_rpc(n_senders: int, *, n_clients: int = 22, req_size: int = 64,
-               resp_size: int = 64, handler_ns: float = 100.0,
-               outstanding: int = 2, warmup_ns: float = 200_000.0,
+def run_ud_rpc(n_senders: int, *, n_clients: int = 22,
+               warmup_ns: float = 200_000.0,
                measure_ns: float = 300_000.0,
-               cluster: Optional[ClusterConfig] = None,
                telemetry=None, audit: Optional[bool] = None,
                profile: Optional[bool] = None) -> RunResult:
     """UD-based RPC with an increasing number of senders."""
     run = Run("ud-rpc n=%d" % n_senders, warmup_ns, measure_ns,
-              telemetry=telemetry, audit=audit, profile=profile)
-    sim = run.sim
-    cluster = replace(cluster or ClusterConfig(), n_clients=n_clients)
-    servers, clients, fabric = build_cluster(sim, cluster)
-    server = UdRpcServer(sim, servers[0], fabric)
-    server.register_handler(ECHO_RPC, _echo_handler(run, resp_size,
-                                                    handler_ns))
+              ClusterConfig(n_clients=n_clients), telemetry=telemetry,
+              audit=audit, profile=profile)
+    sim, fabric = run.sim, run.fabric
+    server = UdRpcServer(sim, run.servers[0], fabric)
+    server.register_handler(ECHO_RPC, _echo_handler(run))
 
     recorder = Recorder(sim)
     per_client = max(1, n_senders // n_clients)
     sender_idx = 0
-    for node in clients:
+    for node in run.clients:
         for _s in range(per_client):
             endpoint = UdEndpoint(sim, node, fabric)
             args = (server, server.qp_for_client(sender_idx), ECHO_RPC,
-                    req_size)
+                    ECHO_BYTES)
             sender_idx += 1
-            for _ in range(outstanding):
-                sim.spawn(closed_loop(sim, recorder, endpoint.call, args),
-                          name="ud-worker")
+            run.loops(recorder, endpoint.call, args, UD_OUTSTANDING)
 
-    run.window([recorder], fabric)
+    run.window([recorder])
     return run.finish(recorder.result(
         system="ud-rpc",
         n_senders=per_client * n_clients,
-        server_cpu=round(servers[0].cpu.utilization(), 3),
-        server_net_frac=round(servers[0].cpu.network_fraction(), 3),
+        server_cpu=round(run.servers[0].cpu.utilization(), 3),
+        server_net_frac=round(run.servers[0].cpu.network_fraction(), 3),
     ))

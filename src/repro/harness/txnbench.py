@@ -16,7 +16,7 @@ by the *skew*, which is preserved exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..apps.kvstore import KvPartition, partition_of, replicas_of
@@ -28,9 +28,8 @@ from ..apps.txn import (
     TxnServer,
 )
 from ..baselines import FasstEndpoint, FasstServer
-from ..config import ClusterConfig, FlockConfig
+from ..config import ClusterConfig
 from ..flock import FlockNode
-from ..net import build_cluster
 from ..sim import Streams
 from ..workloads import SmallbankWorkload, TatpWorkload
 from .metrics import Recorder, Run, RunResult
@@ -56,21 +55,26 @@ class TxnBenchConfig:
     warmup_ns: float = 800_000.0
     measure_ns: float = 800_000.0
     seed: int = 7
-    cluster: ClusterConfig = field(default_factory=ClusterConfig)
+
+    def cluster_config(self) -> ClusterConfig:
+        return ClusterConfig(n_clients=self.n_clients,
+                             n_servers=self.n_servers, seed=self.seed)
+
+    def n_accounts(self) -> int:
+        """Smallbank accounts (each has a checking and a savings key)."""
+        return max(4, self.accounts_per_thread * self.threads_per_client)
 
     def n_keys(self) -> int:
         if self.workload == "tatp":
             return self.n_servers * self.subscribers_per_server
-        n_accounts = max(4, self.accounts_per_thread * self.threads_per_client)
-        return 2 * n_accounts
+        return 2 * self.n_accounts()
 
     def make_workload(self, rng):
         if self.workload == "tatp":
             return TatpWorkload(self.n_servers, rng,
                                 subscribers_per_server=self.subscribers_per_server)
         if self.workload == "smallbank":
-            n_accounts = max(4, self.accounts_per_thread * self.threads_per_client)
-            return SmallbankWorkload(n_accounts, rng)
+            return SmallbankWorkload(self.n_accounts(), rng)
         raise ValueError("unknown workload %r" % self.workload)
 
 
@@ -144,18 +148,14 @@ def _result(run: Run, recorder: Recorder, coordinators: List[Coordinator],
     ))
 
 
-def run_flocktx(cfg: TxnBenchConfig,
-                flock_cfg: Optional[FlockConfig] = None,
-                telemetry=None, audit: Optional[bool] = None) -> RunResult:
+def run_flocktx(cfg: TxnBenchConfig, *, telemetry=None,
+                audit: Optional[bool] = None) -> RunResult:
     """FLockTX: the transaction protocol over FLock RPC + fl_read."""
-    run = Run("flocktx", cfg.warmup_ns, cfg.measure_ns, telemetry=telemetry,
-              audit=audit)
-    sim = run.sim
-    cluster = replace(cfg.cluster, n_clients=cfg.n_clients,
-                      n_servers=cfg.n_servers, seed=cfg.seed)
-    server_hw, client_hw, fabric = build_cluster(sim, cluster)
-    if flock_cfg is None:
-        flock_cfg = bench_flock_config()
+    run = Run("flocktx", cfg.warmup_ns, cfg.measure_ns, cfg.cluster_config(),
+              telemetry=telemetry, audit=audit)
+    sim, fabric = run.sim, run.fabric
+    server_hw, client_hw = run.servers, run.clients
+    flock_cfg = bench_flock_config()
     txn_servers = build_txn_servers(cfg, server_hw)
     flock_servers = []
     version_rkeys: Dict[int, int] = {}
@@ -187,7 +187,7 @@ def run_flocktx(cfg: TxnBenchConfig,
 
     _spawn_coordinators(sim, cfg, recorder, make_transport, streams,
                         coordinators)
-    run.window([recorder], fabric)
+    run.window([recorder])
     return _result(run, recorder, coordinators, system="flocktx",
                    server_cpu=round(server_hw[0].cpu.utilization(), 3))
 
@@ -195,12 +195,10 @@ def run_flocktx(cfg: TxnBenchConfig,
 def run_fasst_txn(cfg: TxnBenchConfig, *, telemetry=None,
                   audit: Optional[bool] = None) -> RunResult:
     """The same protocol over FaSST-style UD RPCs (two-sided only)."""
-    run = Run("fasst", cfg.warmup_ns, cfg.measure_ns, telemetry=telemetry,
-              audit=audit)
-    sim = run.sim
-    cluster = replace(cfg.cluster, n_clients=cfg.n_clients,
-                      n_servers=cfg.n_servers, seed=cfg.seed)
-    server_hw, client_hw, fabric = build_cluster(sim, cluster)
+    run = Run("fasst", cfg.warmup_ns, cfg.measure_ns, cfg.cluster_config(),
+              telemetry=telemetry, audit=audit)
+    sim, fabric = run.sim, run.fabric
+    server_hw, client_hw = run.servers, run.clients
     txn_servers = build_txn_servers(cfg, server_hw)
     fasst_servers = []
     for s in range(cfg.n_servers):
@@ -225,7 +223,7 @@ def run_fasst_txn(cfg: TxnBenchConfig, *, telemetry=None,
 
     _spawn_coordinators(sim, cfg, recorder, make_transport, streams,
                         coordinators)
-    run.window([recorder], fabric)
+    run.window([recorder])
     return _result(run, recorder, coordinators, system="fasst",
                    server_cpu=round(server_hw[0].cpu.utilization(), 3),
                    recv_drops=sum(f.recv_drops for f in fasst_servers))

@@ -19,7 +19,7 @@ assignment and evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import List, Optional
 
 from ..config import (
     GBPS,
@@ -32,10 +32,10 @@ from ..config import (
 from ..obs import Telemetry
 from ..obs.explain import attribution_blocks, shift_table, top_shift
 from ..sim import Streams
-from ..workloads import BimodalSize, FixedSize
-from ..harness.incastbench import flock_fan_in, switch_extras
+from ..workloads import BimodalSize
+from ..harness.incastbench import INCAST_THINK_JITTER_NS, switch_extras
 from ..harness.metrics import Run, RunResult
-from ..harness.microbench import bench_flock_config
+from ..harness.microbench import bench_flock_config, flock_echo
 from .space import default_space
 
 __all__ = ["ScenarioConfig", "run_scenario_leg", "evaluate_point",
@@ -66,15 +66,8 @@ class ScenarioConfig:
     dcqcn_rate_ai_gbps: float = 5.0
     dcqcn_min_rate_gbps: float = 1.0
     seed: int = 1
-    resp_size: int = 64
-    think_jitter_ns: float = 200.0
     warmup_ns: float = 300_000.0
     measure_ns: float = 500_000.0
-
-    def __post_init__(self):
-        if self.think_jitter_ns < 0:
-            raise ValueError("think_jitter_ns must be >= 0, got %r"
-                             % (self.think_jitter_ns,))
 
     @classmethod
     def from_point(cls, point: dict, seed: int = 1) -> "ScenarioConfig":
@@ -108,15 +101,17 @@ class ScenarioConfig:
             credit_renew_threshold=max(1, self.credit_batch // 2),
             qps_per_handle=self.qps_per_handle)
 
-    def sizegen(self):
-        """Per-thread message-size mix: ``large_fraction`` of each
-        client's threads send ``large_size``, the rest ``req_size``."""
+    def sizes(self) -> List[int]:
+        """Per-thread message sizes: ``large_fraction`` of each client's
+        threads send ``large_size``, the rest ``req_size``."""
+        threads = range(self.threads_per_client)
         if self.large_fraction <= 0.0:
-            return FixedSize(self.req_size)
-        return BimodalSize(self.threads_per_client,
-                           large_size=max(self.large_size, self.req_size),
-                           small_size=self.req_size,
-                           large_fraction=self.large_fraction)
+            return [self.req_size for _ in threads]
+        mix = BimodalSize(self.threads_per_client,
+                          large_size=max(self.large_size, self.req_size),
+                          small_size=self.req_size,
+                          large_fraction=self.large_fraction)
+        return [mix.next(t) for t in threads]
 
     def think_scale(self, thread_id: int) -> float:
         """Zipfian tenant-activity skew: thread rank 0 is the hot tenant
@@ -130,14 +125,15 @@ def run_scenario_leg(cfg: ScenarioConfig, *, congested: bool,
                      ) -> RunResult:
     """One leg of a candidate: all senders -> one FLock server."""
     run = Run(CONG_LABEL if congested else BASE_LABEL, cfg.warmup_ns,
-              cfg.measure_ns, telemetry=telemetry, audit=audit)
-    sizegen = cfg.sizegen()
-    threads = range(cfg.threads_per_client)
-    recorder, extras, _handles, fabric = flock_fan_in(
-        run, cfg, congested, cfg.flock(), [sizegen.next(t) for t in threads],
-        [cfg.think_jitter_ns * cfg.think_scale(t) for t in threads],
-        "search-%s" % ("cong" if congested else "base"))
-    extras.update(switch_extras(fabric))
+              cfg.measure_ns, cfg.cluster(congested), telemetry=telemetry,
+              audit=audit)
+    recorder, extras, _handles, _server = flock_echo(
+        run, cfg, cfg.flock(), cfg.qps_per_handle, cfg.sizes(),
+        [INCAST_THINK_JITTER_NS * cfg.think_scale(t)
+         for t in range(cfg.threads_per_client)],
+        "search-%s" % ("cong" if congested else "base"),
+        handler_ns=cfg.handler_ns)
+    extras.update(switch_extras(run.fabric))
     return run.finish(recorder.result(**extras))
 
 

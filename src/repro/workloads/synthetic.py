@@ -1,7 +1,5 @@
-"""Synthetic RPC size mixes for the microbenchmarks (§8.2, §8.3).
+"""Synthetic RPC size mix for the microbenchmarks (§8.3).
 
-* :class:`FixedSize` — every request the same size (the 64 B workload of
-  Figs. 6-10 and 12).
 * :class:`BimodalSize` — 90 % small / 10 % large, the head-of-line
   blocking workload of Fig. 11.
 """
@@ -9,19 +7,7 @@
 from __future__ import annotations
 
 
-__all__ = ["FixedSize", "BimodalSize"]
-
-
-class FixedSize:
-    """Constant request size."""
-
-    def __init__(self, size: int = 64):
-        if size < 0:
-            raise ValueError("negative size")
-        self.size = size
-
-    def next(self, _thread_id: int = 0) -> int:
-        return self.size
+__all__ = ["BimodalSize"]
 
 
 class BimodalSize:
@@ -42,9 +28,6 @@ class BimodalSize:
         n_large = max(1, round(n_threads * large_fraction)) if n_threads else 0
         #: Deterministic: the first ceil(10%) thread ids are the large ones.
         self.large_threads = set(range(n_large))
-
-    def __eq__(self, other):
-        return type(other) is type(self) and vars(other) == vars(self)
 
     def next(self, thread_id: int) -> int:
         if thread_id in self.large_threads:

@@ -37,7 +37,6 @@ from repro.harness.incastbench import (
 from repro.harness.scorecards import scorecard_fig2a
 from repro.obs import Telemetry
 from repro.search.runner import ScenarioConfig, run_scenario_leg
-from repro.workloads import BimodalSize
 
 pytestmark = pytest.mark.usefixtures("half_windows")
 
@@ -128,8 +127,7 @@ SMALL_INCAST = IncastConfig(n_senders=4, threads_per_client=3,
 #: A small Fig. 11 point: one large-size thread per five.
 SMALL_SCHED = MicrobenchConfig(
     n_clients=2, threads_per_client=10, outstanding=2,
-    warmup_ns=150_000.0, measure_ns=150_000.0,
-    sizegen=BimodalSize(n_threads=10, large_size=512))
+    warmup_ns=150_000.0, measure_ns=150_000.0)
 
 #: A small congested search candidate with a size mix and tenant skew.
 SMALL_SCENARIO = ScenarioConfig(n_senders=3, threads_per_client=3,
@@ -188,7 +186,7 @@ ORDER_WITNESS = {
                   lambda: run_rc(SMALL, threads_per_qp=2)),
     "thread_sched": (
         "9384e82cfbba275018c73826850598081fad1c74dd9ffc2f8a5633bd02838269",
-        lambda: run_thread_sched(SMALL_SCHED, scheduling=True)),
+        lambda: run_thread_sched(SMALL_SCHED, 512, scheduling=True)),
     "incast_ud_congested": (
         "f24be07270a407aca24cbb656d466a65b26a1cfb6042d3c003482541ee49be5e",
         lambda: run_incast_ud(SMALL_INCAST, congested=True)),

@@ -20,8 +20,6 @@ from repro.harness import (
     run_ud_rpc,
 )
 from repro.harness.metrics import closed_loop
-from repro.harness.incastbench import IncastConfig
-from repro.search.runner import ScenarioConfig
 from repro.sim import Simulator
 
 pytestmark = pytest.mark.usefixtures("half_windows")
@@ -248,25 +246,6 @@ class TestMicrobenchIntegration:
         b = run_flock(SMALL)
         assert a.ops == b.ops
         assert a.latency == b.latency
-
-
-class TestThinkJitterValidation:
-    """A negative think time has no meaning: runners that guard the
-    timeout with ``> 0`` would silently run without jitter, and the Fig.
-    11 runner would fail inside the event loop.  Construction rejects it."""
-
-    def test_microbench_config_rejects_negative_jitter(self):
-        with pytest.raises(ValueError, match="think_jitter_ns"):
-            MicrobenchConfig(think_jitter_ns=-1.0)
-        assert MicrobenchConfig(think_jitter_ns=0.0).think_jitter_ns == 0.0
-
-    def test_incast_config_rejects_negative_jitter(self):
-        with pytest.raises(ValueError, match="think_jitter_ns"):
-            IncastConfig(think_jitter_ns=-200.0)
-
-    def test_scenario_config_rejects_negative_jitter(self):
-        with pytest.raises(ValueError, match="think_jitter_ns"):
-            ScenarioConfig(think_jitter_ns=-0.5)
 
 
 class TestTxnBenchIntegration:

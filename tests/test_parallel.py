@@ -194,6 +194,27 @@ class TestSweepDeterminism:
         for system in ("flock", "ud"):
             assert retention(serial, system) == retention(parallel, system)
 
+    @pytest.mark.parametrize("figure", [
+        ["fig2a", "--qps", "8", "16", "--clients", "2"],
+        ["incast", "--senders", "3", "--threads", "2"],
+    ], ids=["fig2a", "incast"])
+    def test_cli_tables_and_scorecards_identical_across_jobs(
+            self, figure, tmp_path, capsys):
+        """The CLI's stdout (bar the ``wrote scorecard:`` lines, which
+        name the directory) and its scorecard directory are byte-identical
+        at ``--jobs 1`` and ``--jobs 4``."""
+        outs, dirs = [], []
+        for jobs in (1, 4):
+            directory = tmp_path / ("jobs%d" % jobs)
+            main(["--scale", "0.1", "--jobs", str(jobs),
+                  "--scorecard", str(directory)] + figure)
+            outs.append([line for line in capsys.readouterr().out.splitlines()
+                         if not line.startswith("wrote scorecard:")])
+            dirs.append({p.name: p.read_bytes()
+                         for p in sorted(directory.iterdir())})
+        assert outs[0] == outs[1]
+        assert dirs[0] == dirs[1] and dirs[0]
+
     def test_cli_metrics_file_identical_across_jobs(self, tmp_path,
                                                     capsys):
         """``--metrics`` no longer forces telemetry off under --jobs:

@@ -4,15 +4,15 @@ Every figure runner drives one ``Run``: simulator first, then telemetry,
 audit registry and host-time profiler, all before the cluster is built.
 Each of the fourteen runners is driven here at a tiny config with the
 auditors and the profiler on, so a runner that skips part of the
-lifecycle fails loudly.  A structural pin keeps simulator construction
-and loop selection in the one module that defines ``Run``, and cluster
-construction out of the bench modules.
+lifecycle fails loudly.  A structural pin keeps simulator and cluster
+construction and loop selection in the one module that defines ``Run``.
 """
 
 import pathlib
 
 import pytest
 
+from repro.config import ClusterConfig
 from repro.harness import (
     IncastConfig,
     IndexBenchConfig,
@@ -35,7 +35,6 @@ from repro.harness import (
 from repro.harness.metrics import Run
 from repro.obs.simprof import PROFILE_ENV
 from repro.search.runner import ScenarioConfig, run_scenario_leg
-from repro.workloads import BimodalSize
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -68,9 +67,8 @@ RUNNERS = {
     "run_rc": lambda: run_rc(_micro(), audit=True, profile=True),
     "run_thread_sched": lambda: run_thread_sched(
         MicrobenchConfig(n_clients=2, threads_per_client=10,
-                         warmup_ns=60_000.0, measure_ns=50_000.0,
-                         sizegen=BimodalSize(n_threads=10, large_size=512)),
-        scheduling=True, audit=True, profile=True)["small"],
+                         warmup_ns=60_000.0, measure_ns=50_000.0),
+        512, scheduling=True, audit=True, profile=True)["small"],
     "run_raw_reads": lambda: run_raw_reads(8, n_clients=2, audit=True,
                                            profile=True),
     "run_ud_rpc": lambda: run_ud_rpc(4, n_clients=2, audit=True,
@@ -107,21 +105,24 @@ def test_runner_is_audited_and_profiled(name, monkeypatch):
 
 def test_unscaled_run_keeps_its_windows(monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_SCALE", "0.1")
-    scaled = Run("scaled", 600.0, 500.0)
+    cluster = ClusterConfig(n_clients=1)
+    scaled = Run("scaled", 600.0, 500.0, cluster)
     assert (scaled.warmup, scaled.measure) == pytest.approx((60.0, 50.0))
-    unscaled = Run("unscaled", 600.0, 500.0, scaled=False)
+    unscaled = Run("unscaled", 600.0, 500.0, cluster, scaled=False)
     assert (unscaled.warmup, unscaled.measure) == (600.0, 500.0)
 
 
 def test_only_run_builds_simulators_and_picks_loops():
-    """``Simulator(`` and ``run_profiled`` appear in exactly one runner
-    module: the one defining :class:`repro.harness.metrics.Run`.  Bench
-    modules build neither a simulator nor a cluster: they run specs."""
+    """``Simulator(``, ``build_cluster(`` and ``run_profiled`` appear in
+    exactly one runner module: the one defining
+    :class:`repro.harness.metrics.Run`.  Bench modules build neither a
+    simulator nor a cluster: they run specs."""
     offenders = []
     for package in ("harness", "search"):
         for path in sorted((SRC / package).rglob("*.py")):
             text = path.read_text()
-            if "Simulator(" in text or "run_profiled" in text:
+            if any(s in text for s in ("Simulator(", "build_cluster(",
+                                       "run_profiled")):
                 offenders.append(path.relative_to(ROOT).as_posix())
     for path in sorted((ROOT / "benchmarks").rglob("*.py")):
         text = path.read_text()

@@ -7,7 +7,6 @@ import pytest
 
 from repro.workloads import (
     BimodalSize,
-    FixedSize,
     SmallbankWorkload,
     TatpWorkload,
 )
@@ -112,12 +111,6 @@ class TestSmallbank:
 
 
 class TestSizeGenerators:
-    def test_fixed(self):
-        gen = FixedSize(64)
-        assert gen.next(0) == 64 and gen.next(99) == 64
-        with pytest.raises(ValueError):
-            FixedSize(-1)
-
     def test_bimodal_per_thread_assignment(self):
         gen = BimodalSize(n_threads=20, large_size=1024)
         sizes = [gen.next(tid) for tid in range(20)]
