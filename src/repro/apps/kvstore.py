@@ -18,7 +18,7 @@ version word in a registered memory region*: the word packs
 ``version << 1 | locked`` at a stable address, so coordinators validate
 read-sets with one-sided RDMA reads exactly as the paper's Fig. 13 shows
 (``fl_read`` of the address returned during execution).  Addresses are
-handed out in first-publication order, ``words_per_key`` bytes apart.
+handed out in first-publication order, ``WORD_BYTES`` bytes apart.
 """
 
 from __future__ import annotations
@@ -34,6 +34,12 @@ LOCK_NS = 60.0
 
 #: The version word of a freshly loaded record: version 1, unlocked.
 _LOADED_WORD = 1 << 1
+
+#: Bytes between consecutive published version words.
+WORD_BYTES = 8
+
+#: Copies of each partition: a primary and two backups (§8.5.2).
+N_REPLICAS = 3
 
 
 class KvEntry:
@@ -76,14 +82,13 @@ class KvPartition:
     """One server's partition, optionally exposing version words in a
     registered region for one-sided validation."""
 
-    def __init__(self, partition_id: int, region=None, words_per_key: int = 8):
+    def __init__(self, partition_id: int, region=None):
         self.partition_id = partition_id
         self.values: Dict[Any, Any] = {}
         self.versions: Dict[Any, int] = {}
         #: Lock holder per key; only locked keys appear.
         self.owners: Dict[Any, int] = {}
         self.region = region
-        self.words_per_key = words_per_key
         self._addrs: Dict[Any, int] = {}
         self._next_off = 0
         # Statistics for experiment reports.
@@ -109,7 +114,7 @@ class KvPartition:
 
     def _assign_addrs(self, keys) -> None:
         """Give each of ``keys`` (none yet addressed) the next free word."""
-        step = self.words_per_key
+        step = WORD_BYTES
         start = self._next_off
         end = start + step * len(keys)
         if end > self.region.length:
@@ -205,7 +210,7 @@ def partition_of(key: int, n_partitions: int) -> int:
     return (key * 2654435761 & 0xFFFFFFFF) % n_partitions
 
 
-def replicas_of(partition_id: int, n_servers: int, n_replicas: int = 3) -> List[int]:
+def replicas_of(partition_id: int, n_servers: int) -> List[int]:
     """Primary + backup server ids (3-way chain as in §8.5.2)."""
-    n = min(n_replicas, n_servers)
+    n = min(N_REPLICAS, n_servers)
     return [(partition_id + i) % n_servers for i in range(n)]

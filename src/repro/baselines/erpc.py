@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..config import CpuConfig
 from ..net.fabric import Fabric, Node
 from ..sim import Simulator
 from .ud_rpc import UdEndpoint, UdRpcServer
@@ -34,9 +33,8 @@ class ErpcServer(UdRpcServer):
     """UD RPC server with the eRPC software cost profile."""
 
     def __init__(self, sim: Simulator, node: Node, fabric: Fabric,
-                 cpu: Optional[CpuConfig] = None,
                  n_workers: Optional[int] = None):
-        super().__init__(sim, node, fabric, cpu=cpu, n_workers=n_workers,
+        super().__init__(sim, node, fabric, n_workers=n_workers,
                          recv_pool_per_worker=2048,
                          extra_sw_ns=ERPC_EXTRA_SW_NS)
 
@@ -44,9 +42,7 @@ class ErpcServer(UdRpcServer):
 class ErpcEndpoint(UdEndpoint):
     """Client endpoint with eRPC session credits + CC costs."""
 
-    def __init__(self, sim: Simulator, node: Node, fabric: Fabric,
-                 cpu: Optional[CpuConfig] = None,
-                 session_credits: int = ERPC_SESSION_CREDITS):
-        super().__init__(sim, node, fabric, cpu=cpu,
-                         session_credits=session_credits,
+    def __init__(self, sim: Simulator, node: Node, fabric: Fabric):
+        super().__init__(sim, node, fabric,
+                         session_credits=ERPC_SESSION_CREDITS,
                          extra_sw_ns=ERPC_EXTRA_SW_NS)

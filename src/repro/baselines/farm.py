@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from ..config import CpuConfig
 from ..net.fabric import Fabric, Node
 from ..sim import Event, Simulator, SpinLock, Store
 from ..verbs import QueuePair, Transport, Verb, WorkRequest
@@ -29,6 +28,9 @@ from ..flock.ringbuf import RingBuffer
 __all__ = ["RcRpcServer", "RcRpcClient", "RcHandle"]
 
 _thread_seq = itertools.count(1)
+
+#: Slots in each channel's request and response ring.
+RING_SLOTS = 256
 
 
 class _RcChannel:
@@ -67,14 +69,11 @@ class RcRpcServer:
     """Server half: per-core workers drain per-QP request rings."""
 
     def __init__(self, sim: Simulator, node: Node, fabric: Fabric,
-                 cpu: Optional[CpuConfig] = None,
-                 n_workers: Optional[int] = None,
-                 ring_slots: int = 256):
+                 n_workers: Optional[int] = None):
         self.sim = sim
         self.node = node
         self.fabric = fabric
-        self.cpu = cpu or node.cpu_cfg
-        self.ring_slots = ring_slots
+        self.cpu = node.cpu_cfg
         self.n_workers = n_workers if n_workers is not None else len(node.cpu)
         self.handlers: Dict[int, Callable] = {}
         self._inboxes: List[Store] = [Store(sim) for _ in range(self.n_workers)]
@@ -96,8 +95,8 @@ class RcRpcServer:
     def accept_channel(self) -> Tuple[QueuePair, Any, RingBuffer, Store, int]:
         """Create the server side of one channel; returns routing info."""
         server_qp = QueuePair(self.sim, self.node, self.fabric, Transport.RC)
-        region = self.node.memory.register(self.ring_slots * 4096)
-        ring = RingBuffer(self.sim, region, self.ring_slots)
+        region = self.node.memory.register(RING_SLOTS * 4096)
+        ring = RingBuffer(self.sim, region, RING_SLOTS)
         worker = self._rr % self.n_workers
         self._rr += 1
         self._rings_per_worker[worker] += 1
@@ -139,13 +138,11 @@ class RcRpcServer:
 class RcRpcClient:
     """Client half: spinlock-shared (or dedicated) QPs, one write per RPC."""
 
-    def __init__(self, sim: Simulator, node: Node, fabric: Fabric,
-                 cpu: Optional[CpuConfig] = None, ring_slots: int = 256):
+    def __init__(self, sim: Simulator, node: Node, fabric: Fabric):
         self.sim = sim
         self.node = node
         self.fabric = fabric
-        self.cpu = cpu or node.cpu_cfg
-        self.ring_slots = ring_slots
+        self.cpu = node.cpu_cfg
 
     def connect(self, server: RcRpcServer, n_qps: int,
                 threads_per_qp: int = 1) -> RcHandle:
@@ -155,8 +152,8 @@ class RcRpcClient:
             client_qp = QueuePair(self.sim, self.node, self.fabric, Transport.RC)
             server_qp, req_region, req_ring, inbox, _worker = server.accept_channel()
             client_qp.connect(server_qp)
-            resp_region = self.node.memory.register(self.ring_slots * 4096)
-            resp_ring = RingBuffer(self.sim, resp_region, self.ring_slots)
+            resp_region = self.node.memory.register(RING_SLOTS * 4096)
+            resp_ring = RingBuffer(self.sim, resp_region, RING_SLOTS)
             lock = SpinLock(self.sim) if threads_per_qp > 1 else None
             channel = _RcChannel(index, client_qp, server_qp, req_region,
                                  resp_region, resp_ring, lock)

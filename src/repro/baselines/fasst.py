@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..config import CpuConfig
 from ..net.fabric import Fabric, Node
 from ..sim import Simulator
 from .ud_rpc import UdEndpoint, UdRpcServer
@@ -34,10 +33,9 @@ class FasstServer(UdRpcServer):
     """UD RPC server with FaSST's cost profile and finite recv pools."""
 
     def __init__(self, sim: Simulator, node: Node, fabric: Fabric,
-                 cpu: Optional[CpuConfig] = None,
                  n_workers: Optional[int] = None,
                  recv_pool_per_worker: int = FASST_RECV_POOL):
-        super().__init__(sim, node, fabric, cpu=cpu, n_workers=n_workers,
+        super().__init__(sim, node, fabric, n_workers=n_workers,
                          recv_pool_per_worker=recv_pool_per_worker,
                          extra_sw_ns=0.0)
 
@@ -46,7 +44,6 @@ class FasstEndpoint(UdEndpoint):
     """Client endpoint: no CC window, loss detected by timeout."""
 
     def __init__(self, sim: Simulator, node: Node, fabric: Fabric,
-                 cpu: Optional[CpuConfig] = None,
                  timeout_ns: float = FASST_TIMEOUT_NS):
-        super().__init__(sim, node, fabric, cpu=cpu, session_credits=None,
+        super().__init__(sim, node, fabric, session_credits=None,
                          extra_sw_ns=0.0, timeout_ns=timeout_ns)

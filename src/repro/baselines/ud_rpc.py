@@ -16,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from ..config import CpuConfig
 from ..net.fabric import Fabric, Node
 from ..net.packet import Reassembler, segment
 from ..sim import Event, Simulator, Store
@@ -65,14 +64,13 @@ class UdRpcServer:
     """A server running one UD QP + worker per core (run-to-completion)."""
 
     def __init__(self, sim: Simulator, node: Node, fabric: Fabric,
-                 cpu: Optional[CpuConfig] = None,
                  n_workers: Optional[int] = None,
                  recv_pool_per_worker: int = 512,
                  extra_sw_ns: float = 0.0):
         self.sim = sim
         self.node = node
         self.fabric = fabric
-        self.cpu = cpu or node.cpu_cfg
+        self.cpu = node.cpu_cfg
         self.n_workers = n_workers if n_workers is not None else len(node.cpu)
         #: Extra per-message software cost (congestion control profile).
         self.extra_sw_ns = extra_sw_ns
@@ -151,13 +149,12 @@ class UdEndpoint:
     """
 
     def __init__(self, sim: Simulator, node: Node, fabric: Fabric,
-                 cpu: Optional[CpuConfig] = None,
                  session_credits: Optional[int] = None,
                  extra_sw_ns: float = 0.0,
                  timeout_ns: Optional[float] = None):
         self.sim = sim
         self.node = node
-        self.cpu = cpu or node.cpu_cfg
+        self.cpu = node.cpu_cfg
         self.extra_sw_ns = extra_sw_ns
         self.timeout_ns = timeout_ns
         self.qp = QueuePair(sim, node, fabric, Transport.UD)

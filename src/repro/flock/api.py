@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional, Tuple
 
-from ..config import CpuConfig, FlockConfig
+from ..config import FlockConfig
 from ..net.fabric import Fabric, Node
 from ..sim import Event, Simulator
 from .handle import ConnectionHandle
@@ -41,14 +41,13 @@ class FlockNode:
     """Per-node FLock endpoint exposing the Table 2 API."""
 
     def __init__(self, sim: Simulator, node: Node, fabric: Fabric,
-                 cfg: Optional[FlockConfig] = None,
-                 cpu: Optional[CpuConfig] = None, seed: int = 0):
+                 cfg: Optional[FlockConfig] = None, seed: int = 0):
         self.sim = sim
         self.node = node
         self.fabric = fabric
         self.cfg = cfg or FlockConfig()
-        self.client = FlockClient(sim, node, fabric, self.cfg, cpu, seed=seed)
-        self.server = FlockServer(sim, node, fabric, self.cfg, cpu)
+        self.client = FlockClient(sim, node, fabric, self.cfg, seed=seed)
+        self.server = FlockServer(sim, node, fabric, self.cfg)
         self.mem = MemoryOps(self.client)
 
     # -- setup ----------------------------------------------------------------
@@ -108,14 +107,13 @@ class FlockNode:
         return (shandle, schannel), request
 
     def fl_send_res(self, token, request: RpcRequest, size: int,
-                    payload: Any = None, core_index: int = 0
-                    ) -> Generator[Event, None, None]:
+                    payload: Any = None) -> Generator[Event, None, None]:
         """Send the response for a manually dispatched request."""
         shandle, schannel = token
         response = RpcResponse(thread_id=request.thread_id,
                                seq_id=request.seq_id, rpc_id=request.rpc_id,
                                size=size, payload=payload)
-        core = self.node.cpu[core_index]
+        core = self.node.cpu[0]
         self.server.requests_handled += 1
         yield from self.server._flush_responses(core, shandle, schannel,
                                                 [response])

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from ..config import CpuConfig, FlockConfig
+from ..config import FlockConfig
 from ..net.fabric import Fabric, Node
 from ..sim import Event, Simulator, Store, TrackedStore
 from ..verbs import (
@@ -122,13 +122,12 @@ class FlockServer:
     """The receiver: request dispatch, handlers, and QP scheduling."""
 
     def __init__(self, sim: Simulator, node: Node, fabric: Fabric,
-                 cfg: FlockConfig, cpu: Optional[CpuConfig] = None,
-                 n_workers: Optional[int] = None):
+                 cfg: FlockConfig):
         self.sim = sim
         self.node = node
         self.fabric = fabric
         self.cfg = cfg
-        self.cpu = cpu or node.cpu_cfg
+        self.cpu = node.cpu_cfg
         self.handlers: Dict[int, RpcHandler] = {}
         #: Shared RCQ the QP scheduler polls for credit write-with-imms (§7).
         self.sched_cq = CompletionQueue(sim, name="sched-rcq")
@@ -136,7 +135,7 @@ class FlockServer:
         self._next_client_id = 0
         self.util = UtilizationTable()
         # One worker per core, one core reserved for the QP scheduler.
-        self.n_workers = n_workers if n_workers is not None else max(1, len(node.cpu) - 1)
+        self.n_workers = max(1, len(node.cpu) - 1)
         self._inboxes: List[TrackedStore] = self._make_inboxes(self.n_workers)
         self._rings_per_worker = [0] * self.n_workers
         self._next_channel_rr = 0
@@ -494,13 +493,12 @@ class FlockClient:
     """The sender: connection handles, FLock synchronization, dispatch."""
 
     def __init__(self, sim: Simulator, node: Node, fabric: Fabric,
-                 cfg: FlockConfig, cpu: Optional[CpuConfig] = None,
-                 seed: int = 0):
+                 cfg: FlockConfig, seed: int = 0):
         self.sim = sim
         self.node = node
         self.fabric = fabric
         self.cfg = cfg
-        self.cpu = cpu or node.cpu_cfg
+        self.cpu = node.cpu_cfg
         self.rng = random.Random(seed)
         self.handles: List[ConnectionHandle] = []
         # Typed instruments (no-op unless telemetry installed on sim);

@@ -208,6 +208,21 @@ def _search_summary_scorecard(result) -> Scorecard:
     return sc
 
 
+def _scenario_spec(spec: str):
+    """``NAME[:RANK]`` -> ``(name, rank)``; rejects an empty name or a
+    rank that is not an integer before the search runs."""
+    name, _, rank_text = spec.partition(":")
+    try:
+        rank = int(rank_text) if rank_text else 1
+    except ValueError:
+        rank = None
+    if not name or rank is None:
+        raise argparse.ArgumentTypeError(
+            "bad scenario spec %r: want NAME[:RANK] with a non-empty NAME "
+            "and an integer RANK" % spec)
+    return name, rank
+
+
 def cmd_search(args) -> int:
     """Adversarial scenario search (see docs/search.md)."""
     cfg = SearchConfig(objective=args.objective, budget=args.budget,
@@ -238,8 +253,7 @@ def cmd_search(args) -> int:
 
     exported = []
     if args.export_scenario:
-        name, _, rank_text = args.export_scenario.partition(":")
-        rank = int(rank_text) if rank_text else 1
+        name, rank = args.export_scenario
         if not 1 <= rank <= len(result.leaderboard):
             print("--export-scenario: rank %d out of range (1..%d)"
                   % (rank, len(result.leaderboard)))
@@ -613,6 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="FILE", default=None,
                    help="write the full result + explanations as JSON")
     p.add_argument("--export-scenario", metavar="NAME[:RANK]", default=None,
+                   type=_scenario_spec,
                    help="freeze the RANK-th candidate (default 1) as a "
                         "BENCH_search_<NAME>.json scorecard in the "
                         "--scorecard dir (default .)")

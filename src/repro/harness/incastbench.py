@@ -101,12 +101,11 @@ def switch_extras(fabric) -> dict:
 
 
 def run_incast_flock(cfg: IncastConfig, *, congested: bool,
-                     telemetry=None, audit: Optional[bool] = None
-                     ) -> RunResult:
+                     audit: Optional[bool] = None) -> RunResult:
     """One FLock incast leg (all senders → one FLock server)."""
     run = Run("flock-incast %s" % ("cong" if congested else "base"),
               cfg.warmup_ns, cfg.measure_ns, cfg.cluster(congested),
-              telemetry=telemetry, audit=audit)
+              audit=audit)
     threads = cfg.threads_per_client
     recorder, extras, handles, _server = flock_echo(
         run, cfg, bench_flock_config(), cfg.qps_per_handle,
@@ -122,11 +121,11 @@ def run_incast_flock(cfg: IncastConfig, *, congested: bool,
 
 
 def run_incast_ud(cfg: IncastConfig, *, congested: bool,
-                  telemetry=None, audit: Optional[bool] = None) -> RunResult:
+                  audit: Optional[bool] = None) -> RunResult:
     """One UD-RPC incast leg (the HERD/eRPC design point)."""
     run = Run("ud-incast %s" % ("cong" if congested else "base"),
               cfg.warmup_ns, cfg.measure_ns, cfg.cluster(congested),
-              telemetry=telemetry, audit=audit)
+              audit=audit)
     sim, fabric = run.sim, run.fabric
     server = UdRpcServer(sim, run.servers[0], fabric)
     server.register_handler(ECHO_RPC, _echo_handler(run))

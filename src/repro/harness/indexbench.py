@@ -93,11 +93,11 @@ def _results(run: Run, recorders: Dict[str, Recorder], system: str,
     return out
 
 
-def run_flock_index(cfg: IndexBenchConfig, *, telemetry=None,
+def run_flock_index(cfg: IndexBenchConfig, *,
                     audit: Optional[bool] = None) -> Dict[str, RunResult]:
     """90 % get / 10 % scan over FLock RPC."""
     run = Run("flock-index", cfg.warmup_ns, cfg.measure_ns,
-              cfg.cluster_config(), telemetry=telemetry, audit=audit)
+              cfg.cluster_config(), audit=audit)
     sim, fabric = run.sim, run.fabric
     flock_cfg = bench_flock_config()
     index = build_index(cfg)
@@ -136,11 +136,11 @@ def run_flock_index(cfg: IndexBenchConfig, *, telemetry=None,
                     server_cpu=round(run.servers[0].cpu.utilization(), 3))
 
 
-def run_erpc_index(cfg: IndexBenchConfig, *, telemetry=None,
+def run_erpc_index(cfg: IndexBenchConfig, *,
                    audit: Optional[bool] = None) -> Dict[str, RunResult]:
     """90 % get / 10 % scan over eRPC."""
     run = Run("erpc-index", cfg.warmup_ns, cfg.measure_ns,
-              cfg.cluster_config(), telemetry=telemetry, audit=audit)
+              cfg.cluster_config(), audit=audit)
     sim, fabric = run.sim, run.fabric
     index = build_index(cfg)
     server = ErpcServer(sim, run.servers[0], fabric)

@@ -56,7 +56,10 @@ class Run:
     ``telemetry``, ``audit`` and ``profile`` override the process-wide
     defaults (:func:`repro.obs.enable`, ``REPRO_AUDIT``,
     ``REPRO_PROFILE``).  None of the instruments schedules events or
-    draws randomness, so they never change simulation results.
+    draws randomness, so they never change simulation results.  Of the
+    runners, only ``run_flock``, ``run_raw_reads`` and the search's
+    ``run_scenario_leg`` take a ``telemetry=`` to pass on; every other
+    runner uses the process-wide one.
 
     ``scaled=False`` keeps the windows as given instead of multiplying
     them by :func:`bench_scale`, for a runner whose claims need a warmup

@@ -185,12 +185,11 @@ def run_flock(cfg: MicrobenchConfig, *, qps_per_process: Optional[int] = None,
 # eRPC (Figs. 6-8, 16-18 baseline)
 # ---------------------------------------------------------------------------
 
-def run_erpc(cfg: MicrobenchConfig, *, telemetry=None,
-             audit: Optional[bool] = None,
+def run_erpc(cfg: MicrobenchConfig, *, audit: Optional[bool] = None,
              profile: Optional[bool] = None) -> RunResult:
     """Closed-loop echo RPCs over the eRPC-like UD baseline."""
     run = Run("erpc", cfg.warmup_ns, cfg.measure_ns, cfg.cluster_config(),
-              telemetry=telemetry, audit=audit, profile=profile)
+              audit=audit, profile=profile)
     sim, fabric = run.sim, run.fabric
     server = ErpcServer(sim, run.servers[0], fabric)
     server.register_handler(ECHO_RPC, _echo_handler(run))
@@ -222,7 +221,7 @@ def run_erpc(cfg: MicrobenchConfig, *, telemetry=None,
 # ---------------------------------------------------------------------------
 
 def run_rc(cfg: MicrobenchConfig, *, threads_per_qp: int = 1,
-           telemetry=None, audit: Optional[bool] = None,
+           audit: Optional[bool] = None,
            profile: Optional[bool] = None) -> RunResult:
     """Closed-loop echo RPCs over RC write-based RPC without coalescing.
 
@@ -230,8 +229,7 @@ def run_rc(cfg: MicrobenchConfig, *, threads_per_qp: int = 1,
     2 or 4 is FaRM-like spinlock sharing.
     """
     run = Run("rc-%dtpq" % threads_per_qp, cfg.warmup_ns, cfg.measure_ns,
-              cfg.cluster_config(), telemetry=telemetry, audit=audit,
-              profile=profile)
+              cfg.cluster_config(), audit=audit, profile=profile)
     sim, fabric = run.sim, run.fabric
     server = RcRpcServer(sim, run.servers[0], fabric)
     server.register_handler(ECHO_RPC, _echo_handler(run))
@@ -262,8 +260,7 @@ def run_rc(cfg: MicrobenchConfig, *, threads_per_qp: int = 1,
 # ---------------------------------------------------------------------------
 
 def run_thread_sched(cfg: MicrobenchConfig, large_size: int, *,
-                     scheduling: bool, telemetry=None,
-                     audit: Optional[bool] = None,
+                     scheduling: bool, audit: Optional[bool] = None,
                      profile: Optional[bool] = None) -> Dict[str, object]:
     """FLock echo RPCs over Fig. 11's mixed-size workload (a
     :class:`BimodalSize`: the first tenth of each client's threads send
@@ -284,8 +281,7 @@ def run_thread_sched(cfg: MicrobenchConfig, large_size: int, *,
     run = Run("thread-sched %dB %s" % (large_size,
                                        "on" if scheduling else "off"),
               cfg.warmup_ns, cfg.measure_ns, cfg.cluster_config(),
-              scaled=False, telemetry=telemetry, audit=audit,
-              profile=profile)
+              scaled=False, audit=audit, profile=profile)
     sim, fabric = run.sim, run.fabric
     flock_cfg = bench_flock_config()
     server = FlockNode(sim, run.servers[0], fabric, flock_cfg)
@@ -326,7 +322,7 @@ def run_thread_sched(cfg: MicrobenchConfig, large_size: int, *,
 
 def run_multitenancy(weights: Dict[str, float], *, clients_per_tenant: int = 4,
                      threads: int = 16, duration_ns: float = 1_500_000.0,
-                     telemetry=None, audit: Optional[bool] = None,
+                     audit: Optional[bool] = None,
                      profile: Optional[bool] = None) -> RunResult:
     """Equally aggressive tenants share one FLock server whose
     :class:`repro.flock.TenantManager` splits a MAX_AQP=32 budget by
@@ -342,8 +338,7 @@ def run_multitenancy(weights: Dict[str, float], *, clients_per_tenant: int = 4,
     """
     run = Run("multitenancy", 0.0, duration_ns,
               ClusterConfig(n_clients=len(weights) * clients_per_tenant),
-              scaled=False, telemetry=telemetry, audit=audit,
-              profile=profile)
+              scaled=False, audit=audit, profile=profile)
     sim, fabric = run.sim, run.fabric
     cfg = bench_flock_config(qps_per_handle=threads, max_aqp=32)
     server = FlockNode(sim, run.servers[0], fabric, cfg)
@@ -433,12 +428,12 @@ def run_raw_reads(total_qps: int, *, n_clients: int = 22,
 def run_ud_rpc(n_senders: int, *, n_clients: int = 22,
                warmup_ns: float = 200_000.0,
                measure_ns: float = 300_000.0,
-               telemetry=None, audit: Optional[bool] = None,
+               audit: Optional[bool] = None,
                profile: Optional[bool] = None) -> RunResult:
     """UD-based RPC with an increasing number of senders."""
     run = Run("ud-rpc n=%d" % n_senders, warmup_ns, measure_ns,
-              ClusterConfig(n_clients=n_clients), telemetry=telemetry,
-              audit=audit, profile=profile)
+              ClusterConfig(n_clients=n_clients), audit=audit,
+              profile=profile)
     sim, fabric = run.sim, run.fabric
     server = UdRpcServer(sim, run.servers[0], fabric)
     server.register_handler(ECHO_RPC, _echo_handler(run))

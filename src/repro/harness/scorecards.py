@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..config import NicConfig
 from ..obs import Scorecard, current_telemetry
 from ..obs.anomaly import detect_sweep_anomalies
 from ..obs.explain import attribution_blocks
@@ -173,10 +174,11 @@ def _fig2a_attribution_check(sc: Scorecard, qps_points: List[int],
         "(>35%%) at %d QPs" % (max(pre_pts), max(post_pts)))
 
 
-def scorecard_fig2a(results: Dict[int, object],
-                    qp_cache_entries: int = 560) -> Scorecard:
+def scorecard_fig2a(results: Dict[int, object]) -> Scorecard:
     """Fig. 2(a): RC read throughput rises, plateaus around the QP-cache
-    size, then collapses as the connection cache thrashes."""
+    size (the modelled RNIC's ``NicConfig.qp_cache_entries``), then
+    collapses as the connection cache thrashes."""
+    qp_cache_entries = NicConfig().qp_cache_entries
     sc = Scorecard("fig2a", "RC read throughput vs #QPs")
     mops = {qps: r.mops for qps, r in results.items()}
     lo, hi = min(mops), max(mops)

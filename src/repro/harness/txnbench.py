@@ -148,11 +148,11 @@ def _result(run: Run, recorder: Recorder, coordinators: List[Coordinator],
     ))
 
 
-def run_flocktx(cfg: TxnBenchConfig, *, telemetry=None,
+def run_flocktx(cfg: TxnBenchConfig, *,
                 audit: Optional[bool] = None) -> RunResult:
     """FLockTX: the transaction protocol over FLock RPC + fl_read."""
     run = Run("flocktx", cfg.warmup_ns, cfg.measure_ns, cfg.cluster_config(),
-              telemetry=telemetry, audit=audit)
+              audit=audit)
     sim, fabric = run.sim, run.fabric
     server_hw, client_hw = run.servers, run.clients
     flock_cfg = bench_flock_config()
@@ -192,11 +192,11 @@ def run_flocktx(cfg: TxnBenchConfig, *, telemetry=None,
                    server_cpu=round(server_hw[0].cpu.utilization(), 3))
 
 
-def run_fasst_txn(cfg: TxnBenchConfig, *, telemetry=None,
+def run_fasst_txn(cfg: TxnBenchConfig, *,
                   audit: Optional[bool] = None) -> RunResult:
     """The same protocol over FaSST-style UD RPCs (two-sided only)."""
     run = Run("fasst", cfg.warmup_ns, cfg.measure_ns, cfg.cluster_config(),
-              telemetry=telemetry, audit=audit)
+              audit=audit)
     sim, fabric = run.sim, run.fabric
     server_hw, client_hw = run.servers, run.clients
     txn_servers = build_txn_servers(cfg, server_hw)

@@ -72,6 +72,22 @@ KINDS = ("cliff", "knee", "changepoint", "counter_burst")
 #: Severity thresholds of the uniform scale (see module docstring).
 SEVERITY_BANDS = ((0.5, "severe"), (0.25, "moderate"), (0.0, "mild"))
 
+# The detectors' thresholds: one set for every figure and run.
+#: A knee's least offset from the chord, as a fraction of the unit square.
+KNEE_MIN_DISTANCE = 0.2
+#: Fewest windows on each side of a changepoint split.
+CHANGEPOINT_MIN_SEGMENT = 2
+#: A split's least mean shift over the pooled in-segment scatter.
+CHANGEPOINT_MIN_SCORE = 3.0
+#: A split's least shift as a fraction of the larger level.
+CHANGEPOINT_MIN_REL_SHIFT = 0.25
+#: Preceding windows a counter burst's rolling baseline averages.
+BURST_BASELINE_WINDOWS = 3
+#: How many times its baseline a burst's delta must exceed.
+BURST_FACTOR = 4.0
+#: The least per-window delta that can be a burst.
+BURST_ABS_FLOOR = 8.0
+
 
 def severity_label(severity: float) -> str:
     """The uniform severity band: mild < 0.25 <= moderate < 0.5 <= severe."""
@@ -212,8 +228,8 @@ def detect_cliffs(xs: Sequence[float], ys: Sequence[float], *,
 
 
 def detect_knees(xs: Sequence[float], ys: Sequence[float], *,
-                 metric: str = "y", series: str = "", figure: str = "",
-                 min_distance: float = 0.2) -> List[Anomaly]:
+                 metric: str = "y", series: str = "",
+                 figure: str = "") -> List[Anomaly]:
     """Kneedle-style knee detection: the point furthest from the chord.
 
     The curve is normalized to the unit square — *index space* on x, so
@@ -221,7 +237,7 @@ def detect_knees(xs: Sequence[float], ys: Sequence[float], *,
     the detector stays scale-free — and the perpendicular offset of
     every interior point from the straight line joining the endpoints is
     computed.  The maximum-offset point is the knee when its offset
-    reaches ``min_distance`` of the unit square; a point *above* the
+    reaches :data:`KNEE_MIN_DISTANCE` of the unit square; a point *above* the
     chord is a saturation knee (the curve rose then flattened/fell, a
     "rise" then loss of slope), one *below* is an onset knee.
     """
@@ -241,7 +257,7 @@ def detect_knees(xs: Sequence[float], ys: Sequence[float], *,
         off = norm[i] - chord
         if abs(off) > abs(best_off):
             best_i, best_off = i, off
-    if best_i < 0 or abs(best_off) < min_distance:
+    if best_i < 0 or abs(best_off) < KNEE_MIN_DISTANCE:
         return []
     direction = "rise" if best_off > 0 else "drop"
     return [Anomaly(
@@ -285,8 +301,6 @@ def _mad(vals: Sequence[float], center: float) -> float:
 
 
 def detect_changepoints(values: Sequence[float], *,
-                        min_segment: int = 2, min_score: float = 3.0,
-                        min_rel_shift: float = 0.25,
                         max_splits: int = 3) -> List[Tuple[int, float, float, float]]:
     """Binary segmentation for mean level shifts in a windowed series.
 
@@ -297,11 +311,14 @@ def detect_changepoints(values: Sequence[float], *,
     level so a perfectly flat segment cannot divide by zero).  A split
     is accepted only when
 
-    * ``score >= min_score`` — the shift stands well clear of the
-      in-segment scatter (the noise gate), and
-    * the shift is at least ``min_rel_shift`` of the larger level (the
-      magnitude gate — a statistically crisp 2% drift is not an
-      anomaly).
+    * ``score >= CHANGEPOINT_MIN_SCORE`` — the shift stands well clear
+      of the in-segment scatter (the noise gate), and
+    * the shift is at least ``CHANGEPOINT_MIN_REL_SHIFT`` of the larger
+      level (the magnitude gate — a statistically crisp 2% drift is not
+      an anomaly).
+
+    Each side of a split keeps at least ``CHANGEPOINT_MIN_SEGMENT``
+    windows.
 
     Accepted splits recurse into both halves (at most ``max_splits``
     total), largest-score-first, with ties broken by the earlier index
@@ -313,23 +330,25 @@ def detect_changepoints(values: Sequence[float], *,
     def best_split(lo: int, hi: int):
         """The strongest accepted split of values[lo:hi), or None."""
         n = hi - lo
-        if n < 2 * min_segment:
+        if n < 2 * CHANGEPOINT_MIN_SEGMENT:
             return None
         best = None
-        for k in range(lo + min_segment, hi - min_segment + 1):
+        for k in range(lo + CHANGEPOINT_MIN_SEGMENT,
+                       hi - CHANGEPOINT_MIN_SEGMENT + 1):
             left, right = values[lo:k], values[k:hi]
             ml, mr = _mean(left), _mean(right)
             level = max(abs(ml), abs(mr))
             if level <= 0.0:
                 continue
             shift = abs(mr - ml)
-            if shift / level < min_rel_shift:
+            if shift / level < CHANGEPOINT_MIN_REL_SHIFT:
                 continue
             pooled = (_mad(left, ml) * len(left)
                       + _mad(right, mr) * len(right)) / n
             pooled = max(pooled, 0.01 * level)
             score = shift / pooled
-            if score >= min_score and (best is None or score > best[3]):
+            if score >= CHANGEPOINT_MIN_SCORE and (best is None
+                                                   or score > best[3]):
                 best = (k, ml, mr, score)
         return best
 
@@ -352,30 +371,30 @@ def detect_changepoints(values: Sequence[float], *,
     return found
 
 
-def detect_counter_bursts(values: Sequence[float], *,
-                          baseline_windows: int = 3, factor: float = 4.0,
-                          abs_floor: float = 8.0) -> List[Tuple[int, float, float]]:
+def detect_counter_bursts(values: Sequence[float]
+                          ) -> List[Tuple[int, float, float]]:
     """Rolling-baseline burst detection on per-window counter deltas.
 
     Returns ``[(index, value, baseline), ...]``.  Window ``i`` (``i >=
-    1``) bursts when its delta exceeds ``abs_floor`` *and* ``factor``
-    times the mean of the preceding (up to ``baseline_windows``)
-    deltas.  A counter that was silent and suddenly produces
-    ``abs_floor`` events in one window is a burst (baseline 0); a
-    counter that ticks steadily every window is not, no matter how
-    large its level.
+    1``) bursts when its delta exceeds ``BURST_ABS_FLOOR`` *and*
+    ``BURST_FACTOR`` times the mean of the preceding (up to
+    ``BURST_BASELINE_WINDOWS``) deltas.  A counter that was silent and
+    suddenly produces ``BURST_ABS_FLOOR`` events in one window is a
+    burst (baseline 0); a counter that ticks steadily every window is
+    not, no matter how large its level.
     """
     out = []
     for i in range(1, len(values)):
-        window = values[max(0, i - baseline_windows):i]
+        window = values[max(0, i - BURST_BASELINE_WINDOWS):i]
         baseline = _mean(window)
-        if values[i] >= abs_floor and values[i] > factor * max(baseline, 1e-12):
+        if (values[i] >= BURST_ABS_FLOOR
+                and values[i] > BURST_FACTOR * max(baseline, 1e-12)):
             out.append((i, values[i], baseline))
     return out
 
 
 def detect_run_anomalies(slo: Optional[Dict[str, Any]], *,
-                         figure: str = "", label: str = "") -> List[Dict[str, Any]]:
+                         label: str = "") -> List[Dict[str, Any]]:
     """All windowed anomalies of one run's SLO timeline report.
 
     Runs :func:`detect_changepoints` over the per-window ``p99_us`` and
@@ -407,7 +426,7 @@ def detect_run_anomalies(slo: Optional[Dict[str, Any]], *,
             widx = series[k][0]
             level = max(abs(pre), abs(post))
             anomalies.append(Anomaly(
-                kind="changepoint", figure=figure, series=label,
+                kind="changepoint", figure="", series=label,
                 metric=metric, x=float(widx), span=window_span(widx),
                 direction="rise" if post > pre else "drop",
                 severity=_round6(min(1.0, abs(post - pre) / level)
@@ -428,7 +447,7 @@ def detect_run_anomalies(slo: Optional[Dict[str, Any]], *,
                   for row in rows]
         for idx, value, baseline in detect_counter_bursts(deltas):
             anomalies.append(Anomaly(
-                kind="counter_burst", figure=figure, series=label,
+                kind="counter_burst", figure="", series=label,
                 metric=name, x=float(rows[idx]["window"]),
                 span=window_span(idx), direction="rise",
                 severity=_round6(min(1.0, 1.0 - baseline / value)

@@ -30,9 +30,9 @@ gated the RPC?*
   "removing ``pcie_stall`` waits bounds Fig. 2a post-cliff recovery at
   2.9x".
 
-Like :mod:`repro.obs.span`, this module is import-cycle-free: it never
-imports the simulator (``sim/core.py`` imports ``repro.obs`` at class
-definition time), so it carries its own percentile helper.
+Like :mod:`repro.obs.span`, this module imports nothing from the
+simulator at import time (``sim/core.py`` imports ``repro.obs`` at class
+definition time); :func:`attribute` imports its percentile when called.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .export import format_table
 from .span import Span
 
 __all__ = [
@@ -81,23 +82,6 @@ RESOURCES = (
 )
 
 _RESOURCE_ORDER = {name: i for i, name in enumerate(RESOURCES)}
-
-
-def _percentile(sorted_values: Sequence[float], p: float) -> float:
-    """Linear-interpolated percentile of an already sorted sequence.
-
-    Mirrors ``repro.sim.rand.percentile`` (kept local: importing the
-    simulator from ``repro.obs`` would create a cycle).
-    """
-    if not sorted_values:
-        return 0.0
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    rank = (p / 100.0) * (len(sorted_values) - 1)
-    lo = int(math.floor(rank))
-    hi = min(lo + 1, len(sorted_values) - 1)
-    frac = rank - lo
-    return sorted_values[lo] + (sorted_values[hi] - sorted_values[lo]) * frac
 
 
 class Segment:
@@ -153,7 +137,7 @@ def _resource_rank(resource: str) -> Tuple[int, str]:
     return (_RESOURCE_ORDER.get(resource, len(RESOURCES)), resource)
 
 
-def critical_path(span: Span, gap_resource: str = GAP_RESOURCE) -> CriticalPath:
+def critical_path(span: Span) -> CriticalPath:
     """Extract the critical path of one finished span.
 
     Backward-greedy walk: starting from the span's end, repeatedly pick
@@ -190,7 +174,7 @@ def critical_path(span: Span, gap_resource: str = GAP_RESOURCE) -> CriticalPath:
             segments.append(Segment(best[0], best[1], cursor))
             cursor = best[1]
         else:
-            segments.append(Segment(gap_resource, latest_end, cursor))
+            segments.append(Segment(GAP_RESOURCE, latest_end, cursor))
             cursor = latest_end
     segments.reverse()
     return CriticalPath(span, segments)
@@ -227,6 +211,7 @@ def attribute(paths: Iterable[CriticalPath]) -> Dict[str, Dict[str, float]]:
     shares sum to exactly 1 — and ``p99_ns`` is the 99th percentile of
     individual segment durations.
     """
+    from ..sim.rand import percentile
     durs: Dict[str, List[float]] = {}
     for path in paths:
         for seg in path.segments:
@@ -242,7 +227,7 @@ def attribute(paths: Iterable[CriticalPath]) -> Dict[str, Dict[str, float]]:
             "count": len(values),
             "total_ns": total,
             "share": (total / grand) if grand else 0.0,
-            "p99_ns": _percentile(values, 99.0),
+            "p99_ns": percentile(values, 99.0),
         }
     return out
 
@@ -330,12 +315,4 @@ def format_attribution(table: Dict[str, Dict[str, float]],
             bound = bounds.get(resource, 1.0)
             row.append("inf" if math.isinf(bound) else "%.2f" % bound)
         rows.append(row)
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
-    lines = [title]
-    lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
-    lines.append("  ".join("-" * widths[i] for i in range(len(headers))))
-    for row in rows:
-        lines.append("  ".join(row[i].ljust(widths[i])
-                               for i in range(len(headers))))
-    return "\n".join(lines)
+    return format_table(title, headers, rows)

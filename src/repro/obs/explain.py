@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from .anomaly import Anomaly
-from .causal import RESOURCES, attribute, what_if_all
+from .causal import _resource_rank, attribute, what_if_all
 
 __all__ = [
     "Explanation",
@@ -51,11 +51,9 @@ __all__ = [
     "format_explanation",
 ]
 
-_RESOURCE_ORDER = {name: i for i, name in enumerate(RESOURCES)}
-
-
-def _rank(resource: str) -> Tuple[int, str]:
-    return (_RESOURCE_ORDER.get(resource, len(RESOURCES)), resource)
+#: Share shifts smaller than this are folded into one line of
+#: :func:`format_explanation`'s table.
+MIN_SHOWN_SHIFT = 0.005
 
 
 def attribution_blocks(telemetry) -> Dict[str, dict]:
@@ -98,13 +96,13 @@ def shift_table(pre: Dict[str, float],
     order.  The first row is the anomaly's prime suspect.
     """
     rows = []
-    for resource in sorted(set(pre) | set(post), key=_rank):
+    for resource in sorted(set(pre) | set(post), key=_resource_rank):
         p, q = pre.get(resource, 0.0), post.get(resource, 0.0)
         rows.append({"resource": resource,
                      "pre_share": round(p, 6),
                      "post_share": round(q, 6),
                      "delta": round(q - p, 6)})
-    rows.sort(key=lambda r: (-r["delta"],) + _rank(r["resource"]))
+    rows.sort(key=lambda r: (-r["delta"],) + _resource_rank(r["resource"]))
     return rows
 
 
@@ -232,13 +230,12 @@ def explain_changepoint(anomaly: Dict[str, Any], paths,
                        top_resource=top, what_if_bound=bound)
 
 
-def format_explanation(exp: Explanation, min_abs_delta: float = 0.005
-                       ) -> str:
+def format_explanation(exp: Explanation) -> str:
     """Human-readable explanation block.
 
     The anomaly headline, then the ranked shift table (resources whose
-    share moved less than ``min_abs_delta`` are folded away), then the
-    what-if bound for the prime suspect.
+    share moved less than :data:`MIN_SHOWN_SHIFT` are folded away), then
+    the what-if bound for the prime suspect.
     """
     a = Anomaly.from_dict(exp.anomaly)
     lines = [str(a)]
@@ -249,7 +246,7 @@ def format_explanation(exp: Explanation, min_abs_delta: float = 0.005
         return "\n".join(lines)
     lines.append("  attribution shift: %s -> %s"
                  % (exp.pre_label, exp.post_label))
-    shown = [r for r in exp.shifts if abs(r["delta"]) >= min_abs_delta]
+    shown = [r for r in exp.shifts if abs(r["delta"]) >= MIN_SHOWN_SHIFT]
     width = max((len(r["resource"]) for r in shown), default=8)
     for r in shown:
         lines.append("    %-*s  %5.1f%% -> %5.1f%%  (%+.1f)"
@@ -259,7 +256,7 @@ def format_explanation(exp: Explanation, min_abs_delta: float = 0.005
     if hidden:
         lines.append("    (%d resource%s moved < %.1f%%)"
                      % (hidden, "s" if hidden != 1 else "",
-                        min_abs_delta * 100.0))
+                        MIN_SHOWN_SHIFT * 100.0))
     if exp.top_resource is not None:
         bound = ("unbounded" if exp.what_if_bound is None
                  else "%.2fx" % exp.what_if_bound)

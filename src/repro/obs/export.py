@@ -9,7 +9,8 @@ virtual nanoseconds divided by 1000 — so a 500 µs measurement window
 reads naturally in the UI.
 
 ``format_breakdown`` renders a :meth:`repro.obs.span.SpanLog.breakdown`
-dict as the harness's paper-style text table.
+dict as the harness's paper-style text table, laid out by
+``format_table``, which the attribution table shares.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "format_breakdown",
+    "format_table",
 ]
 
 
@@ -107,12 +109,18 @@ def format_breakdown(table: Dict[str, Dict[str, float]],
         ])
     if not rows:
         rows.append(["(no spans recorded)", "", "", "", "", ""])
-    widths = [max(len(header[i]), max(len(r[i]) for r in rows))
-              for i in range(len(header))]
-    lines = [title,
-             "  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-    lines.append("  ".join("-" * w for w in widths))
+    return format_table(title, header, rows)
+
+
+def format_table(title: str, header: List[str],
+                 rows: List[List[str]]) -> str:
+    """``title``, then ``header`` and ``rows`` left-aligned in columns as
+    wide as their widest cell, under a dash rule per column; cells are
+    separated by two spaces."""
+    widths = [max([len(h)] + [len(r[i]) for r in rows])
+              for i, h in enumerate(header)]
+    lines = [title, "  ".join(h.ljust(w) for h, w in zip(header, widths)),
+             "  ".join("-" * w for w in widths)]
     for row in rows:
-        lines.append("  ".join(row[i].ljust(widths[i])
-                               for i in range(len(row))))
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)

@@ -31,7 +31,7 @@ import io
 import json
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from .sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
+from .sketch import QuantileSketch
 
 __all__ = [
     "Counter",
@@ -133,11 +133,10 @@ class Histogram:
 
     __slots__ = ("name", "labels", "sketch")
 
-    def __init__(self, name: str, labels: Optional[Dict[str, Any]] = None,
-                 relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY):
+    def __init__(self, name: str, labels: Optional[Dict[str, Any]] = None):
         self.name = name
         self.labels = labels or {}
-        self.sketch = QuantileSketch(relative_accuracy)
+        self.sketch = QuantileSketch()
 
     def observe(self, value: float) -> None:
         """Record one observation."""
@@ -279,9 +278,9 @@ class Registry:
             },
         }
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """The snapshot as a JSON document."""
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
+        return json.dumps(self.snapshot(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         """The snapshot as flat CSV rows: type,name,field,value."""
@@ -409,9 +408,9 @@ class NullRegistry:
         """An empty snapshot."""
         return {"counters": {}, "gauges": {}, "histograms": {}}
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """An empty JSON snapshot."""
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
+        return json.dumps(self.snapshot(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         """Header-only CSV."""

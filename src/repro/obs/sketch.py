@@ -176,19 +176,15 @@ class QuantileSketch:
         return self
 
     @classmethod
-    def merged(cls, sketches: Iterable["QuantileSketch"],
-               relative_accuracy: Optional[float] = None) -> "QuantileSketch":
-        """A fresh sketch holding the fold of ``sketches`` in order."""
+    def merged(cls, sketches: Iterable["QuantileSketch"]) -> "QuantileSketch":
+        """A fresh sketch holding the fold of ``sketches`` in order (the
+        first one's accuracy; the default when there are none)."""
         out: Optional[QuantileSketch] = None
         for sk in sketches:
             if out is None:
-                out = cls(relative_accuracy if relative_accuracy is not None
-                          else sk.relative_accuracy)
+                out = cls(sk.relative_accuracy)
             out.merge(sk)
-        if out is None:
-            out = cls(relative_accuracy if relative_accuracy is not None
-                      else DEFAULT_RELATIVE_ACCURACY)
-        return out
+        return out if out is not None else cls()
 
     # -- serialization --------------------------------------------------
 

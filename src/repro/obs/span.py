@@ -124,9 +124,9 @@ class Span:
         if t0 is not None and t > t0:
             self.edges.append((resource, t0, t))
 
-    def bump(self, key: str, n: float = 1) -> None:
-        """Increment a numeric annotation in ``args`` (e.g. miss counts)."""
-        self.args[key] = self.args.get(key, 0) + n
+    def bump(self, key: str) -> None:
+        """Count one more of ``key`` in ``args`` (e.g. cache misses)."""
+        self.args[key] = self.args.get(key, 0) + 1
 
     def adopt(self, other: "Span", phases: Optional[Iterable[str]] = None,
               claim: bool = False) -> None:
@@ -321,13 +321,13 @@ class SpanLog:
         self._bd_table = out
         return out
 
-    def phase_share(self, phase: str, name: Optional[str] = None) -> float:
+    def phase_share(self, phase: str) -> float:
         """Fraction of all phase time spent in ``phase`` (0 if unseen).
 
         Served from the memoised breakdown: querying N phases in a row
         (as the harness tables do) costs one aggregation pass, not N.
         """
-        table = self.breakdown(name)
+        table = self.breakdown()
         return table.get(phase, {}).get("share", 0.0)
 
 
@@ -364,7 +364,7 @@ class NullSpanLog:
         """An empty breakdown."""
         return {}
 
-    def phase_share(self, phase: str, name: Optional[str] = None) -> float:
+    def phase_share(self, phase: str) -> float:
         """Nothing was recorded."""
         return 0.0
 

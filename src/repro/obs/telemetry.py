@@ -46,9 +46,9 @@ class Telemetry:
     :meth:`repro.obs.registry.Registry.export_state`).
     """
 
-    def __init__(self, max_spans: int = 200_000, wants_spans: bool = True):
+    def __init__(self, wants_spans: bool = True):
         self.registry = Registry()
-        self.spans = SpanLog(max_spans=max_spans)
+        self.spans = SpanLog()
         #: Whether span recording matters to this telemetry's consumer
         #: (False = metrics-only; sweeps may fan out across processes).
         self.wants_spans = wants_spans
@@ -108,20 +108,19 @@ class Telemetry:
         self.flush()
         return critical_paths(self.spans, name=name, run=run)
 
-    def attribution(self, name: Optional[str] = None,
-                    run: Optional[int] = None) -> Dict[str, Dict[str, float]]:
+    def attribution(self, name: Optional[str] = None
+                    ) -> Dict[str, Dict[str, float]]:
         """Blocked-time attribution table over critical paths."""
-        return attribute(self.critical_paths(name=name, run=run))
+        return attribute(self.critical_paths(name=name))
 
     def what_if(self, name: Optional[str] = None,
                 run: Optional[int] = None) -> Dict[str, float]:
         """Upper-bound speedup per resource if its waits were removed."""
         return what_if_all(self.critical_paths(name=name, run=run))
 
-    def folded(self, name: Optional[str] = None,
-               run: Optional[int] = None) -> str:
+    def folded(self) -> str:
         """Folded-stack (flamegraph.pl / speedscope) text export."""
-        return folded_stacks(self.critical_paths(name=name, run=run))
+        return folded_stacks(self.critical_paths())
 
 
 #: The CLI-installed telemetry runners fall back to (None = disabled).

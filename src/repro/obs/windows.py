@@ -59,15 +59,13 @@ class SloTimeline:
     """Windowed latency/goodput/counter tracking over [t0, t1)."""
 
     def __init__(self, t0: float, t1: float,
-                 n_windows: int = DEFAULT_WINDOWS,
-                 relative_accuracy: float = 0.01):
+                 n_windows: int = DEFAULT_WINDOWS):
         if t1 <= t0:
             raise ValueError("empty SLO window span")
         self.t0 = t0
         self.t1 = t1
         self.n_windows = n_windows
         self.window_ns = (t1 - t0) / self.n_windows
-        self.relative_accuracy = relative_accuracy
         self._windows: Dict[int, _Window] = {}
         self._sources: Dict[str, Callable[[], float]] = {}
         self._last_sample: Dict[str, float] = {}
@@ -121,7 +119,7 @@ class SloTimeline:
         win = self._window(idx)
         win.ops += 1
         if win.sketch is None:
-            win.sketch = QuantileSketch(self.relative_accuracy)
+            win.sketch = QuantileSketch()
         win.sketch.observe(latency_ns)
 
     def finish(self) -> None:

@@ -28,7 +28,7 @@ from .objectives import Objective, get_objective, list_objectives
 from .mutate import mutate_point
 from .driver import SearchConfig, SearchResult, run_search
 from .report import explain_entry, format_entry, leaderboard_rows
-from .scenarios import CURATED_SCENARIOS, curated_evaluation
+from .scenarios import CURATED_SCENARIOS
 
 __all__ = [
     "BoolDim",
@@ -50,5 +50,4 @@ __all__ = [
     "format_entry",
     "leaderboard_rows",
     "CURATED_SCENARIOS",
-    "curated_evaluation",
 ]

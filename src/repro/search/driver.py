@@ -33,6 +33,11 @@ from .space import SearchSpace, default_space
 
 __all__ = ["SearchConfig", "SearchResult", "run_search"]
 
+#: Simulated-annealing acceptance of worse children: the relative
+#: temperature is ``ANNEAL_T0 * ANNEAL_DECAY**(generation - 1)``.
+ANNEAL_T0 = 0.05
+ANNEAL_DECAY = 0.7
+
 
 @dataclass
 class SearchConfig:
@@ -47,10 +52,6 @@ class SearchConfig:
     warmup: int = 0
     #: Frontier slots the climb mutates each generation.
     elites: int = 4
-    #: Simulated-annealing acceptance of worse children (relative
-    #: temperature ``t0 * decay**generation``); 0 disables.
-    t0: float = 0.05
-    decay: float = 0.7
     space: Optional[SearchSpace] = None
 
     def resolved_space(self) -> SearchSpace:
@@ -191,7 +192,7 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchResult:
 
         # Acceptance per frontier slot: climb uphill, annealed downhill.
         accept_rng = Streams(cfg.seed).stream("search/accept/g%d" % generation)
-        temperature = cfg.t0 * (cfg.decay ** (generation - 1))
+        temperature = ANNEAL_T0 * ANNEAL_DECAY ** (generation - 1)
         for slot, parent_fp in enumerate(parents):
             child_fp = space.fingerprint(children[slot])
             child = evaluated.get(child_fp)

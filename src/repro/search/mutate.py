@@ -48,12 +48,10 @@ def mutate_value(dim, value, rng: random.Random):
 
 
 def mutate_point(space: SearchSpace, point: dict,
-                 rng: random.Random, n_dims: int = 0) -> dict:
-    """Mutate 1-2 dimensions of ``point`` (or exactly ``n_dims`` when
-    given); returns a new clamped point."""
+                 rng: random.Random) -> dict:
+    """Mutate 1-2 dimensions of ``point``; returns a new clamped point."""
     names = list(space.dims)
-    k = n_dims if n_dims >= 1 else (1 if rng.random() < 0.7 else 2)
-    k = min(k, len(names))
+    k = min(1 if rng.random() < 0.7 else 2, len(names))
     chosen = rng.sample(names, k)
     mutated = dict(point)
     for name in chosen:

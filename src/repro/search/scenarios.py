@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .runner import evaluate_point
-
-__all__ = ["CuratedScenario", "CURATED_SCENARIOS", "curated_evaluation"]
+__all__ = ["CuratedScenario", "CURATED_SCENARIOS"]
 
 
 @dataclass(frozen=True)
@@ -99,11 +97,3 @@ _register(CuratedScenario(
     expect_anomaly_records=False,
     max_goodput_retained=0.3,
 ))
-
-
-def curated_evaluation(name: str, trace: bool = True) -> dict:
-    """Evaluate a curated scenario exactly as the search that found it
-    did (same seed derivation), traced by default so the scorecard can
-    carry its attribution-shift explanation."""
-    scenario = CURATED_SCENARIOS[name]
-    return evaluate_point(scenario.point, seed=scenario.seed, trace=trace)

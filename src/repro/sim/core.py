@@ -130,7 +130,7 @@ class Event:
             self.sim._schedule(self, delay)
         return self
 
-    def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
+    def fail(self, exc: BaseException) -> "Event":
         """Trigger the event with an exception delivered to waiters."""
         if self._triggered:
             raise SimulationError("event already triggered")
@@ -138,7 +138,7 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._triggered = True
         self._exc = exc
-        self.sim._schedule(self, delay)
+        self.sim._schedule(self, 0.0)
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:

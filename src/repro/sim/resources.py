@@ -111,8 +111,8 @@ class SpinLock(Resource):
 
     __slots__ = ("contended_acquires", "total_acquires")
 
-    def __init__(self, sim: Simulator, name: str = ""):
-        super().__init__(sim, capacity=1, name=name)
+    def __init__(self, sim: Simulator):
+        super().__init__(sim, capacity=1)
         self.contended_acquires = 0
         self.total_acquires = 0
 
@@ -348,14 +348,14 @@ class TokenBucket:
         self._tokens = self.burst
         self._last = 0.0
 
-    def delay_for(self, tokens: float = 1.0) -> float:
-        """Consume ``tokens`` and return the ns to wait before proceeding."""
+    def delay_for(self) -> float:
+        """Consume one token and return the ns to wait before proceeding."""
         now = self.sim.now
         if now > self._last:
             self._tokens = min(self.burst,
                                self._tokens + (now - self._last) * self.rate)
             self._last = now
-        self._tokens -= tokens
+        self._tokens -= 1.0
         if self._tokens >= 0:
             return 0.0
         return -self._tokens / self.rate

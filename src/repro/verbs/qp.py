@@ -64,7 +64,6 @@ class QueuePair:
         node: Node,
         fabric: Fabric,
         transport: Transport,
-        send_cq: Optional[CompletionQueue] = None,
         recv_cq: Optional[CompletionQueue] = None,
     ):
         self.sim = sim
@@ -73,7 +72,7 @@ class QueuePair:
         self.transport = transport
         self.qpn = node.alloc_qpn()
         # Note: CQs define __len__, so test identity rather than truth.
-        self.send_cq = send_cq if send_cq is not None else CompletionQueue(sim, name="scq")
+        self.send_cq = CompletionQueue(sim, name="scq")
         self.recv_cq = recv_cq if recv_cq is not None else CompletionQueue(sim, name="rcq")
         self.remote: Optional["QueuePair"] = None
         #: Posted receive buffers (their byte capacities).

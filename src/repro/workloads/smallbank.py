@@ -28,18 +28,20 @@ from ..sim import HotColdGenerator
 __all__ = ["SmallbankWorkload", "ACCOUNTS_PER_THREAD"]
 
 ACCOUNTS_PER_THREAD = 100_000
+#: The paper's skew: 4% of the accounts take 90% of the accesses.
+HOT_FRACTION = 0.04
+HOT_ACCESS = 0.90
 
 
 class SmallbankWorkload:
     """Transaction generator with the paper's Smallbank configuration."""
 
-    def __init__(self, n_accounts: int, rng: random.Random,
-                 hot_fraction: float = 0.04, hot_access: float = 0.90):
+    def __init__(self, n_accounts: int, rng: random.Random):
         if n_accounts < 4:
             raise ValueError("need at least 4 accounts")
         self.n_accounts = n_accounts
         self.rng = rng
-        self.keygen = HotColdGenerator(n_accounts, hot_fraction, hot_access,
+        self.keygen = HotColdGenerator(n_accounts, HOT_FRACTION, HOT_ACCESS,
                                        rng=rng)
         self._next_value = 0
 

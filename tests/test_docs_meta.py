@@ -7,6 +7,7 @@ library reads is listed in the "Run knobs" table of
 ``docs/observability.md``.
 """
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -85,3 +86,133 @@ def test_run_knob_census():
     table = doc.split("## Run knobs", 1)[1].split("\n## ", 1)[0]
     rows = set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", table, re.M))
     assert rows == RUN_KNOBS
+
+
+#: Directories whose calls count as callers in the parameter census.
+CALLER_DIRS = ("src", "tests", "benchmarks", "perf", "examples")
+
+#: Defaulted parameters the census finds no caller for, each kept
+#: because a caller sets it where a name match cannot see it.
+PARAMETER_ALLOWLIST = {
+    "repro.baselines.erpc.ErpcServer(n_workers)":
+        "tests/test_baselines.py builds it as server_cls(..., n_workers=1)",
+    "repro.hw.memory.MemoryRegion(remote_read)":
+        "Memory.register(**perms) forwards it (tests/test_verbs.py)",
+    "repro.hw.memory.MemoryRegion(remote_atomic)":
+        "Memory.register(**perms) forwards it (tests/test_verbs.py)",
+}
+
+
+def _defaulted(fn, method):
+    """``(name, position)`` of each defaulted parameter of ``fn``; the
+    position is None for keyword-only ones and skips ``self``."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    if method and pos:
+        pos = pos[1:]
+    first = len(pos) - len(args.defaults)
+    out = [(a.arg, i) for i, a in enumerate(pos) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _public_signatures(tree, module):
+    """``(label, callee, param, position)`` for every defaulted parameter
+    of a public function, or of a public class's ``__init__`` (called
+    by the class name) or public method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            for p, i in _defaulted(node, False):
+                yield "%s.%s(%s)" % (module, node.name, p), node.name, p, i
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                decorators = {ast.unparse(d) for d in fn.decorator_list}
+                if fn.name == "__init__":
+                    callee, label = node.name, node.name
+                elif fn.name.startswith("_") or "property" in decorators:
+                    continue
+                else:
+                    callee, label = fn.name, node.name + "." + fn.name
+                method = "staticmethod" not in decorators
+                for p, i in _defaulted(fn, method):
+                    yield "%s.%s(%s)" % (module, label, p), callee, p, i
+
+
+def _name(expr):
+    return getattr(expr, "attr", None) or getattr(expr, "id", None)
+
+
+def _keys(node):
+    """The constant keys of a dict literal (none for anything else)."""
+    return {k.value for k in getattr(node, "keys", ())
+            if isinstance(k, ast.Constant)}
+
+
+#: Node types that hold no calls: the census walk skips them.
+_LEAVES = (ast.expr_context, ast.operator, ast.cmpop, ast.unaryop,
+           ast.boolop, ast.Constant, ast.Name, ast.alias)
+
+
+def _calls(tree):
+    """``(callee, positional count, keywords)`` for every call in
+    ``tree``.  ``super().__init__`` calls its class's bases;
+    ``partial(f, ...)`` and ``SweepPoint(key, f, args, kwargs)`` call
+    ``f``; a ``*`` splat passes every position and a ``**{...}`` literal
+    its keys."""
+    stack = [(tree, ())]
+    while stack:
+        node, bases = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            bases = [_name(b) for b in node.bases]
+        stack.extend((child, bases) for child in ast.iter_child_nodes(node)
+                     if not isinstance(child, _LEAVES))
+        if not isinstance(node, ast.Call):
+            continue
+        callee, args = _name(node.func), node.args
+        kws = {k.arg for k in node.keywords if k.arg}
+        for k in node.keywords:
+            if k.arg is None:
+                kws |= _keys(k.value)
+        npos = (1 << 30 if any(isinstance(a, ast.Starred) for a in args)
+                else len(args))
+        yield callee, npos, kws
+        if (callee == "__init__" and isinstance(node.func.value, ast.Call)
+                and _name(node.func.value.func) == "super"):
+            for base in bases:
+                yield base, npos, kws
+        elif callee == "partial" and args:
+            yield _name(args[0]), npos - 1, kws
+        elif callee == "SweepPoint" and len(args) >= 3:
+            yield (_name(args[1]), len(getattr(args[2], "elts", ())),
+                   _keys(args[3]) if len(args) > 3 else set())
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    """ROADMAP's knob census rule, over every public signature in
+    ``src/repro`` outside ``config.py`` (whose model fields the search
+    mutates by name and the time-scale oracle rescales): a defaulted
+    parameter no call in the repo sets is a constant, not a knob.
+    Calls match by callee name; a class name calls its ``__init__``."""
+    trees = {path: ast.parse(path.read_text())
+             for d in CALLER_DIRS for path in sorted((ROOT / d).rglob("*.py"))}
+    set_kws, set_pos = {}, {}
+    for tree in trees.values():
+        for callee, npos, kws in _calls(tree):
+            set_kws.setdefault(callee, set()).update(kws)
+            set_pos[callee] = max(set_pos.get(callee, 0), npos)
+    unset = set()
+    src = ROOT / "src"
+    for path, tree in trees.items():
+        if src not in path.parents or path == src / "repro" / "config.py":
+            continue
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        for label, callee, p, i in _public_signatures(tree, module):
+            if p in set_kws.get(callee, ()):
+                continue
+            if i is not None and set_pos.get(callee, 0) > i:
+                continue
+            unset.add(label)
+    assert unset == set(PARAMETER_ALLOWLIST)

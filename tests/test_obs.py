@@ -296,6 +296,20 @@ class TestChromeTrace:
     def test_format_breakdown_empty(self):
         assert "(no spans recorded)" in format_breakdown({})
 
+    def test_format_breakdown_exact_bytes(self):
+        text = format_breakdown(self._sample_log().breakdown(), title="T")
+        assert text == (
+            "T\n"
+            "phase          count  total us  mean ns  max ns  share\n"
+            "-------------  -----  --------  -------  ------  -----\n"
+            "doorbell_mmio  1      0.1       50       50      33.3%\n"
+            "wire           1      0.1       100      100     66.7%")
+        assert format_breakdown({}) == (
+            "Latency breakdown\n"
+            "phase                count  total us  mean ns  max ns  share\n"
+            "-------------------  -----  --------  -------  ------  -----\n"
+            "(no spans recorded)" + " " * 41)
+
 
 class TestTelemetry:
     def test_install_opens_run_scopes(self):

@@ -29,6 +29,7 @@ from repro.obs import (
     critical_path,
     critical_paths,
     folded_stacks,
+    format_attribution,
     what_if,
     what_if_all,
 )
@@ -287,6 +288,26 @@ class TestAttribution:
         assert text == ("rpc;cpu 60\n"
                         "rpc;pcie_stall 140\n")
         assert folded_stacks([]) == ""
+
+    def test_format_attribution_exact_bytes(self):
+        paths = self._paths()
+        assert format_attribution(attribute(paths)) == (
+            "Critical-path attribution\n"
+            "resource    count  total us  share  p99 ns\n"
+            "----------  -----  --------  -----  ------\n"
+            "pcie_stall  2      0.1       70.0%  99    \n"
+            "cpu         1      0.1       30.0%  60    ")
+        assert format_attribution(attribute(paths), what_if_all(paths),
+                                  title="T") == (
+            "T\n"
+            "resource    count  total us  share  p99 ns  what-if x\n"
+            "----------  -----  --------  -----  ------  ---------\n"
+            "pcie_stall  2      0.1       70.0%  99      3.33     \n"
+            "cpu         1      0.1       30.0%  60      1.43     ")
+        assert format_attribution({}) == (
+            "Critical-path attribution\n"
+            "resource  count  total us  share  p99 ns\n"
+            "--------  -----  --------  -----  ------")
 
     def test_what_if_math(self):
         paths = self._paths()

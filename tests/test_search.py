@@ -369,17 +369,22 @@ class TestCuratedScenarios:
 
 
 class TestSearchCli:
-    def test_cli_json_identical_across_jobs(self, tmp_path, capsys):
-        dumps = []
-        for jobs, name in ((1, "serial.json"), (2, "parallel.json")):
-            path = tmp_path / name
+    def test_cli_json_identical_across_jobs(self, tmp_path, capsys,
+                                            monkeypatch):
+        # Each side runs in its own directory with the same relative
+        # --json name, so stdout (which echoes the path) compares too.
+        dumps, outs = [], []
+        for jobs in (1, 2):
+            workdir = tmp_path / ("jobs%d" % jobs)
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
             main(["--scale", SMOKE, "--jobs", str(jobs),
                   "search", "--budget", "4", "--seed", "7",
                   "--elites", "2", "--explain-top", "1",
-                  "--json", str(path),
-                  "--store", str(tmp_path / ("store%d" % jobs))])
-            capsys.readouterr()
-            dumps.append(path.read_bytes())
+                  "--json", "search.json", "--no-record"])
+            outs.append(capsys.readouterr().out)
+            dumps.append((workdir / "search.json").read_bytes())
+        assert outs[0] == outs[1]
         assert dumps[0] == dumps[1]
         payload = json.loads(dumps[0])
         assert payload["search"]["n_evals"] == 4
@@ -408,10 +413,23 @@ class TestSearchCli:
         assert data["meta"]["search"]["fingerprint"]
         assert "recorded search run" in out
 
-    def test_cli_export_rank_out_of_range(self, tmp_path, capsys):
-        rc = main(["--scale", SMOKE, "--scorecard", str(tmp_path),
-                   "search", "--budget", "2", "--seed", "7",
-                   "--explain-top", "0", "--no-record",
-                   "--export-scenario", "oops:9"])
-        assert rc == 1
-        assert "out of range" in capsys.readouterr().out
+    @pytest.mark.parametrize("spec", ["oops:9", "x:abc", ":1"])
+    def test_cli_export_rank_out_of_range(self, tmp_path, capsys, spec):
+        argv = ["--scale", SMOKE, "--scorecard", str(tmp_path),
+                "search", "--budget", "2", "--seed", "7",
+                "--explain-top", "0", "--no-record",
+                "--export-scenario", spec]
+        if spec == "oops:9":
+            # A well-formed spec is checked against the leaderboard
+            # after the search.
+            assert main(argv) == 1
+            assert "out of range" in capsys.readouterr().out
+        else:
+            # A malformed one stops the parser before any search runs.
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert "bad scenario spec %r" % spec in captured.err
+            assert captured.out == ""
+        assert not list(tmp_path.glob("BENCH_search_*.json"))
