@@ -16,6 +16,7 @@ by the *skew*, which is preserved exactly.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -56,6 +57,16 @@ class TxnBenchConfig:
     measure_ns: float = 800_000.0
     seed: int = 7
 
+    def __post_init__(self):
+        if self.workload not in ("tatp", "smallbank"):
+            raise ValueError("workload must be 'tatp' or 'smallbank', not %r"
+                             % (self.workload,))
+        for name in ("coroutines_per_thread", "subscribers_per_server",
+                     "accounts_per_thread"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be at least 1, not %r"
+                                 % (name, getattr(self, name)))
+
     def cluster_config(self) -> ClusterConfig:
         return ClusterConfig(n_clients=self.n_clients,
                              n_servers=self.n_servers, seed=self.seed)
@@ -73,14 +84,17 @@ class TxnBenchConfig:
         if self.workload == "tatp":
             return TatpWorkload(self.n_servers, rng,
                                 subscribers_per_server=self.subscribers_per_server)
-        if self.workload == "smallbank":
-            return SmallbankWorkload(self.n_accounts(), rng)
-        raise ValueError("unknown workload %r" % self.workload)
+        return SmallbankWorkload(self.n_accounts(), rng)
 
 
 def build_txn_servers(cfg: TxnBenchConfig, server_nodes) -> List[TxnServer]:
     """Partitioned, 3-way-replicated stores + TxnServer per node."""
     n = cfg.n_servers
+    # One loaded population per partition, shared by its three copies.
+    # Its keys increase, which fixes each primary's version-word layout.
+    populations = [array("q") for _ in range(n)]
+    for key in range(cfg.n_keys()):
+        populations[partition_of(key, n)].append(key)
     # copies[(partition, server)] -> KvPartition instance on that server.
     copies: Dict[tuple, KvPartition] = {}
     for p in range(n):
@@ -90,14 +104,8 @@ def build_txn_servers(cfg: TxnBenchConfig, server_nodes) -> List[TxnServer]:
                 # Primary publishes version words for one-sided validation.
                 region = server_nodes[s].memory.register(
                     (cfg.n_keys() + 1024) * 8)
-            copies[(p, s)] = KvPartition(p, region=region)
-    # Populate every copy identically, in one bulk load per copy; keys go
-    # in increasing order, which fixes each primary's version-word layout.
-    keys_of: List[Dict[int, int]] = [{} for _ in range(n)]
-    for key in range(cfg.n_keys()):
-        keys_of[partition_of(key, n)][key] = 0
-    for (p, _s), partition in copies.items():
-        partition.load(keys_of[p])
+            copies[(p, s)] = KvPartition(p, region=region,
+                                         population=populations[p])
     servers = []
     for s in range(n):
         primary = copies[(s, s)]

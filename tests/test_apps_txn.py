@@ -134,9 +134,9 @@ class TestAbortPath:
 
         def tampering_exec(request):
             result = original(request)
-            primary = servers[0].primary
-            primary.versions[k_read] += 1
-            primary._publish(k_read)
+            entry = servers[0].primary.get(k_read)
+            servers[0].primary.apply_replica_update(
+                k_read, entry.value, entry.version + 1)
             return result
 
         flock_servers[0].server.handlers[RPC_EXEC] = tampering_exec

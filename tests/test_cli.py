@@ -132,6 +132,23 @@ class TestSmallRuns:
         assert not any(clean.values()), clean
         assert len(faulty) == 4 and all(faulty.values()), faulty
 
+    def test_explain_fig2a_is_byte_deterministic(self, tmp_path,
+                                                 monkeypatch, capsys):
+        """``explain fig2a`` twice prints the same report and writes the
+        same JSON, byte for byte."""
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.1")
+        report = tmp_path / "fig2a.anomalies.json"
+
+        def explain():
+            assert main(["explain", "fig2a", "--qps", "22", "176", "704",
+                         "2816", "--json", str(report)]) == 0
+            return capsys.readouterr().out, report.read_bytes()
+
+        first = explain()
+        assert "=== fig2a" in first[0]
+        assert first == explain()
+
+
 class TestRunKnobs:
     """The boolean knobs share one parser; malformed values of any run
     knob fail loudly instead of silently picking a default."""

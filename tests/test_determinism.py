@@ -10,6 +10,7 @@ be byte-identical — not approximately equal.
 import hashlib
 import json
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -99,8 +100,6 @@ def test_traced_result_pickles():
 def test_seed_actually_matters():
     """Guard against accidentally ignoring the seed (which would make
     the byte-identical assertions above vacuous)."""
-    from dataclasses import replace
-
     a = run_flock(SMALL)
     b = run_flock(replace(SMALL, seed=SMALL.seed + 1))
     assert serialized(a) != serialized(b)
@@ -171,6 +170,14 @@ ORDER_WITNESS = {
                 lambda: run_flocktx(SMALL_TXN)),
     "fasst_txn": ("fd20fcea0e5c02b8a4405e1bfaf01c0001e108198c824ad396066736198b67cf",
                   lambda: run_fasst_txn(SMALL_TXN)),
+    # SmallBank's hot 4 % of accounts drives the store's lock and
+    # overwrite paths hardest.
+    "flocktx_smallbank": (
+        "cec9c0443dc0e16208d59c94a9cf96c41ebd1e0afffc15f68ec8cd542d48b188",
+        lambda: run_flocktx(replace(SMALL_TXN, workload="smallbank"))),
+    "fasst_txn_smallbank": (
+        "e0b827d1213743a9afd30ce89a2c45d0de6ff4f943d4fad7c2af208a75bcbd0f",
+        lambda: run_fasst_txn(replace(SMALL_TXN, workload="smallbank"))),
     "flock_index": (
         "2b8b90e185319ab5990aa345648f8ca4a25e2a7ad225e56695e3fcd19977b61d",
         lambda: run_flock_index(SMALL_INDEX)),

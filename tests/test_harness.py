@@ -274,9 +274,8 @@ class TestTxnBenchIntegration:
 
     def test_unknown_workload_rejected(self):
         from dataclasses import replace
-        cfg = replace(self.CFG, workload="nope")
         with pytest.raises(ValueError):
-            cfg.make_workload(None)
+            replace(self.CFG, workload="nope")
 
 
 class TestIndexBenchIntegration:

@@ -1,6 +1,7 @@
 """Transaction-bench topology: partitioning, replication, regions."""
 
 import gc
+import tracemalloc
 
 import pytest
 
@@ -81,6 +82,31 @@ class TestBulkPopulation:
             for s in replicas_of(p, 3):
                 assert txn_servers[s].replicas[p].get(key) == KvEntry(0, 1, None)
 
+    def test_copies_share_one_population_and_start_unwritten(self):
+        cfg, txn_servers, _hw = build(n_keys_per_server=50)
+        for p in range(3):
+            copies = [txn_servers[s].replicas[p] for s in replicas_of(p, 3)]
+            assert all(c.population is copies[0].population for c in copies)
+            assert list(copies[0].population) == [
+                k for k in range(cfg.n_keys()) if partition_of(k, 3) == p]
+            for copy in copies:
+                assert not copy.values and not copy.versions
+                assert not copy.owners and not copy._addrs
+
+    def test_build_leaves_little_live_memory(self):
+        sim = Simulator()
+        servers, _clients, _fabric = build_cluster(
+            sim, ClusterConfig(n_clients=1, n_servers=3))
+        cfg = TxnBenchConfig(n_servers=3, subscribers_per_server=30_000)
+        tracemalloc.start()
+        try:
+            built = build_txn_servers(cfg, servers)
+            live, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(built) == 3
+        assert live <= 2 * 1024 * 1024, live
+
     def test_copies_iterate_keys_in_increasing_order(self):
         _cfg, txn_servers, _hw = build(n_keys_per_server=50)
         for server in txn_servers:
@@ -108,6 +134,9 @@ class TestGcInvisibility:
                 for column in (copy.values, copy.versions, copy.owners,
                                copy._addrs):
                     assert not gc.is_tracked(column)
+                # The collector visits no key of the population.
+                assert all(isinstance(ref, type)
+                           for ref in gc.get_referents(copy.population))
             assert not gc.is_tracked(server.primary.region.words)
 
     def test_tracked_objects_do_not_grow_with_population(self):
@@ -134,3 +163,12 @@ class TestConfigHelpers:
         wl = cfg.make_workload(random.Random(1))
         txn = wl.next_txn()
         assert txn.reads or txn.writes
+
+    @pytest.mark.parametrize("field, value", [
+        ("subscribers_per_server", 0),
+        ("accounts_per_thread", 0),
+        ("coroutines_per_thread", 0),
+    ])
+    def test_rejects_values_that_cannot_run(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TxnBenchConfig(**{field: value})
