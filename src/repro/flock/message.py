@@ -134,9 +134,9 @@ def coalesced_overhead(n_entries: int) -> int:
     """Framing bytes of a coalesced message with ``n_entries`` requests.
 
     ``coalesced_size(sizes) == coalesced_overhead(len(sizes)) + sum(sizes)``
-    by construction — the byte-conservation auditor leans on this
-    identity to reconcile the ``flock.message_bytes`` histogram against
-    the coalesced request/byte counters.
+    by construction — the coalescing auditor leans on this identity to
+    reconcile the bytes written into the request rings against the
+    coalesced request/byte ledgers.
     """
     if n_entries < 0:
         raise ValueError("negative entry count")

@@ -142,30 +142,23 @@ class FlockServer:
         self.requests_handled = 0
         self.messages_handled = 0
         self.renewals_handled = 0
+        #: Renewals answered by a grant riding a response, by a
+        #: dedicated grant write, or by a decline (§5.1, §7).
+        self.grants_piggybacked = 0
+        self.grants_dedicated = 0
+        self.grants_declined = 0
         self.redistributions = 0
         #: Requests awaiting application-driven dispatch (fl_recv_rpc).
         self.manual_inbox: Store = Store(sim)
-        # Typed instruments (no-op unless telemetry installed on sim);
-        # the per-message ones are only touched when ``_obs`` is set.
+        # The response-degree histogram is only touched when ``_obs``
+        # is set (a live registry installed on sim).
         metrics = sim.metrics
         self._obs = metrics.enabled
         self._trace = sim.spans.enabled
-        self._m_requests = metrics.counter("flock.server.requests")
-        self._m_messages = metrics.counter("flock.server.messages")
-        self._m_renewals = metrics.counter("flock.server.renewals")
-        self._m_grants_piggybacked = metrics.counter("flock.grants.piggybacked")
-        self._m_grants_dedicated = metrics.counter("flock.grants.dedicated")
-        self._m_grants_declined = metrics.counter("flock.grants.declined")
-        self._m_redistributions = metrics.counter("flock.redistributions")
         self._m_resp_degree = metrics.histogram("flock.response_degree")
         #: Server-side view of scheduler holds: how long each (client,
         #: qp) pair spent deactivated between redistributions.
         self.hold_ledger = HoldLedger()
-        self._m_hold_ns = metrics.counter("flock.qp_hold_ns")
-        if self._obs:
-            metrics.gauge("flock.active_qps",
-                          fn=lambda: self.total_active_qps,
-                          server=node.name)
         #: Optional :class:`repro.flock.tenancy.TenantManager` — when set,
         #: the QP budget is split hierarchically across tenants first
         #: (the §9 multi-application extension).
@@ -264,8 +257,6 @@ class FlockServer:
             schannel.processing = True
             shandle.requests_in_interval += len(msg.entries)
             self.messages_handled += 1
-            if self._obs:
-                self._m_messages.inc()
             schannel.request_ring.consume(msg.total_bytes)
             n = len(msg.entries)
             # Network-stack CPU: detect the message (ring poll amortized
@@ -298,8 +289,6 @@ class FlockServer:
                     span=span,
                 ))
                 self.requests_handled += 1
-                if self._obs:
-                    self._m_requests.inc()
             if app_ns > 0:
                 yield core.charge(app_ns, "app")
             t_handled = self.sim.now
@@ -365,7 +354,6 @@ class FlockServer:
                 continue
             yield core.charge(self.cpu.cq_poll_ns + 60.0, "net-sched")
             self.renewals_handled += 1
-            self._m_renewals.inc()
             shandle = self.clients.get(request.client_id)
             if shandle is None:
                 continue
@@ -377,13 +365,13 @@ class FlockServer:
                         or schannel.processing):
                     # Responses for queued requests will flush shortly —
                     # piggyback the grant on one of them (§5.1).
-                    self._m_grants_piggybacked.inc()
+                    self.grants_piggybacked += 1
                     schannel.pending_grant += self.cfg.credit_batch
                     _soon(self.sim, self._grant_watchdog, schannel)
                 else:
                     # Nothing to piggyback on: the sender is about to run
                     # dry, push a dedicated grant immediately.
-                    self._m_grants_dedicated.inc()
+                    self.grants_dedicated += 1
                     self._send_control(
                         schannel,
                         CreditGrant(qp_index=schannel.index,
@@ -392,7 +380,7 @@ class FlockServer:
                     )
             else:
                 # Declined: deactivates the QP at the sender (§5.1).
-                self._m_grants_declined.inc()
+                self.grants_declined += 1
                 self._send_control(
                     schannel, CreditGrant(qp_index=schannel.index, credits=0),
                     GRANT_BYTES,
@@ -448,7 +436,6 @@ class FlockServer:
             alloc = compute_allocation(per_client, self.cfg.max_aqp,
                                        qps_per_client)
         self.redistributions += 1
-        self._m_redistributions.inc()
         for cid, shandle in self.clients.items():
             budget = alloc.get(cid, 1)
             if budget >= len(shandle.channels):
@@ -472,10 +459,7 @@ class FlockServer:
                     if was_active and not schannel.active:
                         self.hold_ledger.hold((cid, schannel.index), now)
                     elif schannel.active and not was_active:
-                        held = self.hold_ledger.release(
-                            (cid, schannel.index), now)
-                        if held > 0:
-                            self._m_hold_ns.inc(held)
+                        self.hold_ledger.release((cid, schannel.index), now)
                 update = ActiveSetUpdate(active_indices=new_set,
                                          credit_batch=self.cfg.credit_batch)
                 _soon(self.sim, self._send_control,
@@ -487,6 +471,19 @@ class FlockServer:
     @property
     def total_active_qps(self) -> int:
         return sum(len(sh.active_set) for sh in self.clients.values())
+
+    def report_metrics(self, metrics) -> None:
+        """Report the server's ledgers to a metrics registry at run end."""
+        metrics.add("flock.server.requests", self.requests_handled)
+        metrics.add("flock.server.messages", self.messages_handled)
+        metrics.add("flock.server.renewals", self.renewals_handled)
+        metrics.add("flock.grants.piggybacked", self.grants_piggybacked)
+        metrics.add("flock.grants.dedicated", self.grants_dedicated)
+        metrics.add("flock.grants.declined", self.grants_declined)
+        metrics.add("flock.redistributions", self.redistributions)
+        metrics.add("flock.qp_hold_ns", self.hold_ledger.total_hold_ns)
+        metrics.set("flock.active_qps", self.total_active_qps,
+                    server=self.node.name)
 
 
 class FlockClient:
@@ -501,22 +498,22 @@ class FlockClient:
         self.cpu = node.cpu_cfg
         self.rng = random.Random(seed)
         self.handles: List[ConnectionHandle] = []
-        # Typed instruments (no-op unless telemetry installed on sim);
-        # the per-RPC and per-message ones are only touched when ``_obs``
-        # is set.
+        #: RPCs submitted; RPCs and their payload bytes posted inside
+        #: coalesced messages (messages and framed bytes are counted by
+        #: each channel's :class:`SenderView`).
+        self.rpcs_submitted = 0
+        self.rpcs_coalesced = 0
+        self.rpc_bytes_coalesced = 0
+        #: Migrations off a deactivated QP, and the sends they re-homed.
+        self.migrations = 0
+        self.stranded_slots = 0
+        # The coalescing histograms are only touched when ``_obs`` is
+        # set (a live registry installed on sim).
         metrics = sim.metrics
         self._obs = metrics.enabled
         self._trace = sim.spans.enabled
-        self._m_rpcs = metrics.counter("flock.client.rpcs")
-        self._m_messages = metrics.counter("flock.client.messages")
-        self._m_rpcs_coalesced = metrics.counter("flock.client.rpcs_coalesced")
-        self._m_rpc_bytes_coalesced = metrics.counter(
-            "flock.client.rpc_bytes_coalesced")
         self._m_degree = metrics.histogram("flock.coalescing_degree")
         self._m_msg_bytes = metrics.histogram("flock.message_bytes")
-        self._m_migrations = metrics.counter("flock.migrations")
-        self._m_stranded = metrics.counter("flock.stranded_slots")
-        self._m_renewals_sent = metrics.counter("flock.renewals_sent")
         self._dispatch_inbox: Store = Store(sim)
         #: Coalescing can be disabled for the Fig. 10 ablation.
         self.coalescing_enabled = True
@@ -595,6 +592,20 @@ class FlockClient:
         self.sim.spawn(self._response_dispatcher(), name="flock-dispatch")
         self.sim.spawn(self._thread_scheduler_loop(), name="flock-threadsched")
 
+    def report_metrics(self, metrics) -> None:
+        """Report the client's ledgers to a metrics registry at run end."""
+        channels = [ch for h in self.handles for ch in h.channels]
+        metrics.add("flock.client.rpcs", self.rpcs_submitted)
+        metrics.add("flock.client.messages",
+                    sum(ch.sender_view.messages_sent for ch in channels))
+        metrics.add("flock.client.rpcs_coalesced", self.rpcs_coalesced)
+        metrics.add("flock.client.rpc_bytes_coalesced",
+                    self.rpc_bytes_coalesced)
+        metrics.add("flock.migrations", self.migrations)
+        metrics.add("flock.stranded_slots", self.stranded_slots)
+        metrics.add("flock.renewals_sent",
+                    sum(ch.credits.renewals_requested for ch in channels))
+
     # -- the send path (fl_send_rpc / fl_recv_res) -----------------------------------
 
     def call(self, handle: ConnectionHandle, thread_id: int, rpc_id: int,
@@ -622,8 +633,7 @@ class FlockClient:
             request = RpcRequest(thread_id=thread_id, seq_id=seq,
                                  rpc_id=rpc_id, size=size, payload=payload,
                                  created_ns=self.sim.now)
-            if self._obs:
-                self._m_rpcs.inc()
+            self.rpcs_submitted += 1
             if self._trace:
                 request.span = self.sim.spans.begin(
                     "rpc", track="%s/t%d" % (self.node.name, thread_id),
@@ -798,12 +808,10 @@ class FlockClient:
             assert consumed, "leader batched more RPCs than credits"
             msg = CoalescedMessage(entries=[s.request for s in rpc_slots])
             msg.msg_id = channel.sender_view.allocate(msg.total_bytes)
+            self.rpcs_coalesced += len(rpc_slots)
+            self.rpc_bytes_coalesced += sum(s.request.size for s in rpc_slots)
             if self._obs:
-                self._m_messages.inc()
                 self._m_degree.observe(len(rpc_slots))
-                self._m_rpcs_coalesced.inc(len(rpc_slots))
-                self._m_rpc_bytes_coalesced.inc(
-                    sum(s.request.size for s in rpc_slots))
                 self._m_msg_bytes.observe(msg.total_bytes)
             t_post = self.sim.now
             if self._trace:
@@ -847,7 +855,6 @@ class FlockClient:
     def _maybe_renew(self, handle: ConnectionHandle, channel) -> None:
         if channel.credits.needs_renewal():
             channel.credits.mark_renewal_sent()
-            self._m_renewals_sent.inc()
             _soon(self.sim, self._send_renewal, handle, channel)
 
     def _send_renewal(self, handle: ConnectionHandle, channel) -> None:
@@ -871,8 +878,8 @@ class FlockClient:
         stranded = list(channel.tcq.pending)
         channel.tcq.pending.clear()
         if stranded:
-            self._m_migrations.inc()
-            self._m_stranded.inc(len(stranded))
+            self.migrations += 1
+            self.stranded_slots += len(stranded)
             if self._trace:
                 # The time between the scheduler deactivating this QP and
                 # the migration is a scheduler-imposed hold on every

@@ -48,10 +48,13 @@ class Run:
     """One simulation run's lifecycle, shared by every figure runner.
 
     Construction creates the :class:`Simulator` and installs the run's
-    instruments on it (the telemetry, the audit registry, then the
-    host-time profiler).  Only then does it build ``cluster`` into
-    :attr:`servers`, :attr:`clients` and :attr:`fabric`, because
-    components cache the telemetry and the registry at construction.
+    instruments on it (the telemetry, a bare registry for an audited run
+    without one, then the host-time profiler).  Only then does it build
+    ``cluster`` into :attr:`servers`, :attr:`clients` and :attr:`fabric`,
+    because components decide at construction whether to keep the
+    queue and wait accounting that telemetry and the auditors read.
+    The auditors check the components' own ledgers against each other,
+    so every audited run runs every check, whatever telemetry it shares.
 
     ``telemetry``, ``audit`` and ``profile`` override the process-wide
     defaults (:func:`repro.obs.enable`, ``REPRO_AUDIT``,
@@ -74,19 +77,12 @@ class Run:
         tel = telemetry if telemetry is not None else current_telemetry()
         if tel is not None:
             tel.install(sim, label=label)
-        # The audit registry must be the one safe to cross-check against
-        # this sim's structural counters: None when the installed
-        # registry accumulated earlier runs (its counters are cumulative
-        # per registry).  Auditing without telemetry installs a bare
-        # Registry so counter cross-checks still run (no span overhead).
+        # Auditing without telemetry installs a bare Registry: queues
+        # and credit states keep the accounting the auditors read only
+        # when instrumented (no span overhead).
         self.audited = audit if audit is not None else audit_enabled()
-        self._audit_registry = None
-        if self.audited:
-            if sim.metrics.enabled:
-                if tel is None or len(tel.runs) <= 1:
-                    self._audit_registry = sim.metrics
-            else:
-                self._audit_registry = sim.metrics = Registry()
+        if self.audited and not sim.metrics.enabled:
+            sim.metrics = Registry()
         scale = bench_scale() if scaled else 1.0
         self.warmup = warmup_ns * scale
         self.measure = measure_ns * scale
@@ -136,7 +132,7 @@ class Run:
         if self.profile is not None:
             result.profile = self.profile.report()
         if self.audited:
-            result.audit_report = run_audit(self.sim, self._audit_registry)
+            result.audit_report = run_audit(self.sim)
             if not result.audit_report.ok:
                 raise AuditError(result.audit_report)
         return result

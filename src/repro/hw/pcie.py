@@ -34,12 +34,10 @@ class PcieLink:
         self.read_latency_ns = read_latency_ns
         self._slots = Resource(sim, capacity=max(1, slots), name="pcie_slots")
         self.reads_issued = 0
+        #: Time reads held a slot fetching state (the stall integral).
         self.busy_ns = 0.0
-        self._obs = sim.instrumented
-        metrics = sim.metrics
-        self._m_reads = metrics.counter("pcie.reads")
-        self._m_stall_ns = metrics.counter("pcie.stall_ns")
-        self._m_queue_ns = metrics.counter("pcie.queue_ns")
+        #: Time reads waited for a free slot before fetching.
+        self.queue_ns = 0.0
         sim.register_component(self)
 
     @property
@@ -61,19 +59,21 @@ class PcieLink:
         attributes its in-flight wait when the span is flushed.
         """
         self.reads_issued += 1
-        if self._obs:
-            self._m_reads.inc()
         queued_at = self.sim.now
         if span is not None:
             span.wait_begin("pcie_stall", queued_at)
         yield self._slots.acquire()
         try:
-            if self._obs:
-                self._m_queue_ns.inc(self.sim.now - queued_at)
-                self._m_stall_ns.inc(self.read_latency_ns)
+            self.queue_ns += self.sim.now - queued_at
             self.busy_ns += self.read_latency_ns
             yield self.sim.timeout(self.read_latency_ns)
         finally:
             self._slots.release()
         if span is not None:
             span.wait_end("pcie_stall", self.sim.now)
+
+    def report_metrics(self, metrics) -> None:
+        """Report this link's ledgers to a metrics registry at run end."""
+        metrics.add("pcie.reads", self.reads_issued)
+        metrics.add("pcie.stall_ns", self.busy_ns)
+        metrics.add("pcie.queue_ns", self.queue_ns)

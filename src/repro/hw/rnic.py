@@ -59,33 +59,6 @@ class Rnic:
         #: not elapsed yet (the CQ push happens right after it does) —
         #: the slack term in the CQE-conservation invariant.
         self.cqes_dma_pending = 0
-        # Typed instruments (no-op singletons unless telemetry installed
-        # on the simulator before construction).  ``_obs`` caches
-        # ``sim.instrumented`` once so the per-message hot path pays a
-        # single bool test instead of null-object calls (see
-        # docs/performance.md).
-        self._obs = sim.instrumented
-        metrics = sim.metrics
-        self._m_qp_hits = metrics.counter("rnic.qp_cache.hits")
-        self._m_qp_misses = metrics.counter("rnic.qp_cache.misses")
-        self._m_mtt_hits = metrics.counter("rnic.mtt_cache.hits")
-        self._m_mtt_misses = metrics.counter("rnic.mtt_cache.misses")
-        self._m_tx = metrics.counter("rnic.messages_tx")
-        self._m_rx = metrics.counter("rnic.messages_rx")
-        self._m_tx_bytes = metrics.counter("rnic.bytes_tx")
-        self._m_cqes = metrics.counter("rnic.cqes")
-        if metrics.enabled:
-            # Per-NIC gauges: cheap callables sampled only at snapshot.
-            metrics.gauge("rnic.qp_cache.evictions",
-                          fn=lambda: self.qp_cache.stats.evictions,
-                          nic=name)
-            metrics.gauge("rnic.mtt_cache.evictions",
-                          fn=lambda: self.mtt_cache.stats.evictions,
-                          nic=name)
-            metrics.gauge("rnic.tx_port.occupancy",
-                          fn=lambda: self._tx_port.in_use, nic=name)
-            metrics.gauge("rnic.pcie.outstanding",
-                          fn=lambda: self.pcie.outstanding, nic=name)
         sim.register_component(self)
 
     # -- wire-format helpers --------------------------------------------
@@ -117,15 +90,11 @@ class Rnic:
         hit/miss annotations.
         """
         if self.qp_cache.access(("qp", qpn)):
-            if self._obs:
-                self._m_qp_hits.inc()
-                if faults.ACTIVE and "rnic.double_count_hit" in faults.ACTIVE:
-                    self._m_qp_hits.inc()
             if span is not None:
                 span.bump("qp_hits")
         else:
-            if self._obs:
-                self._m_qp_misses.inc()
+            if faults.ACTIVE and "rnic.double_count_miss" in faults.ACTIVE:
+                self.qp_cache.stats.misses += 1
             if span is not None:
                 span.bump("qp_misses")
                 stall_t0 = self.sim.now
@@ -134,12 +103,7 @@ class Rnic:
             else:
                 yield from self.pcie.read()
         for rkey in rkeys:
-            if self.mtt_cache.access(("mr", rkey)):
-                if self._obs:
-                    self._m_mtt_hits.inc()
-            else:
-                if self._obs:
-                    self._m_mtt_misses.inc()
+            if not self.mtt_cache.access(("mr", rkey)):
                 if span is not None:
                     span.bump("mtt_misses")
                     stall_t0 = self.sim.now
@@ -183,9 +147,6 @@ class Rnic:
         self.messages_tx += 1
         self.bytes_tx += nbytes
         self.packets_tx += self.packets_for(nbytes)
-        if self._obs:
-            self._m_tx.inc()
-            self._m_tx_bytes.inc(nbytes)
         if span is not None:
             span.add_phase("nic_tx", t0, self.sim.now)
 
@@ -202,8 +163,6 @@ class Rnic:
             yield self.sim.timeout(delay)
         yield from self._lookup(qpn, rkeys, span)
         self.messages_rx += 1
-        if self._obs:
-            self._m_rx.inc()
         if span is not None:
             span.add_phase("nic_rx", t0, self.sim.now)
 
@@ -211,13 +170,29 @@ class Rnic:
         """DMA one completion entry to the host CQ (skipped when the work
         request is unsignaled; §7 selective signaling)."""
         self.cqes_generated += 1
-        if self._obs:
-            self._m_cqes.inc()
         self.cqes_dma_pending += 1
         yield self.sim.timeout(self.cfg.cqe_dma_ns)
         self.cqes_dma_pending -= 1
 
     # -- reporting ---------------------------------------------------------
+
+    def report_metrics(self, metrics) -> None:
+        """Report this NIC's ledgers to a metrics registry at run end."""
+        qs, ms = self.qp_cache.stats, self.mtt_cache.stats
+        metrics.add("rnic.qp_cache.hits", qs.hits)
+        metrics.add("rnic.qp_cache.misses", qs.misses)
+        metrics.add("rnic.mtt_cache.hits", ms.hits)
+        metrics.add("rnic.mtt_cache.misses", ms.misses)
+        metrics.add("rnic.messages_tx", self.messages_tx)
+        metrics.add("rnic.messages_rx", self.messages_rx)
+        metrics.add("rnic.bytes_tx", self.bytes_tx)
+        metrics.add("rnic.cqes", self.cqes_generated)
+        metrics.set("rnic.qp_cache.evictions", qs.evictions, nic=self.name)
+        metrics.set("rnic.mtt_cache.evictions", ms.evictions, nic=self.name)
+        metrics.set("rnic.tx_port.occupancy", self._tx_port.in_use,
+                    nic=self.name)
+        metrics.set("rnic.pcie.outstanding", self.pcie.outstanding,
+                    nic=self.name)
 
     def snapshot(self) -> dict:
         return {

@@ -54,7 +54,8 @@ class SwitchPort:
         "name", "rate", "busy_until",
         "offered_msgs", "offered_bytes", "accepted_msgs", "accepted_bytes",
         "dropped_msgs", "dropped_bytes", "ecn_marks", "pause_events",
-        "peak_depth_bytes", "queue_wait_ns", "paused", "resume_ev",
+        "resume_events", "peak_depth_bytes", "queue_wait_ns", "paused",
+        "resume_ev",
     )
 
     def __init__(self, name: str, rate: float):
@@ -69,8 +70,9 @@ class SwitchPort:
         self.dropped_msgs = 0
         self.dropped_bytes = 0
         self.ecn_marks = 0
-        #: Times this port asserted XOFF (PFC mode).
+        #: Times this port asserted XOFF, and XON (PFC mode).
         self.pause_events = 0
+        self.resume_events = 0
         self.peak_depth_bytes = 0.0
         #: Cumulative queueing delay charged to arrivals (ns).
         self.queue_wait_ns = 0.0
@@ -109,15 +111,6 @@ class Switch:
         self.ports: Dict[str, SwitchPort] = {}
         #: src node -> {port name: resume event} while PFC-paused.
         self._paused_srcs: Dict[str, Dict[str, Event]] = {}
-        metrics = sim.metrics
-        self._m_msgs = metrics.counter("switch.msgs")
-        self._m_bytes = metrics.counter("switch.bytes")
-        self._m_drops = metrics.counter("switch.drops")
-        self._m_marks = metrics.counter("switch.ecn_marks")
-        self._m_pauses = metrics.counter("switch.pfc_pauses")
-        self._m_resumes = metrics.counter("switch.pfc_resumes")
-        self._m_queue_ns = metrics.counter("switch.queue_ns")
-        self._metrics = metrics
         sim.register_component(self)
 
     # -- ports -----------------------------------------------------------
@@ -127,16 +120,6 @@ class Switch:
         if port is None:
             port = SwitchPort(dst_name, self.rate)
             self.ports[dst_name] = port
-            if self._metrics.enabled:
-                # Per-port gauges, sampled only at snapshot time.
-                self._metrics.gauge(
-                    "switch.port_depth",
-                    fn=lambda p=port: p.depth_bytes(self.sim.now),
-                    port=dst_name)
-                self._metrics.gauge(
-                    "switch.port_utilization",
-                    fn=lambda p=port: p.utilization(self.sim.now),
-                    port=dst_name)
         return port
 
     @property
@@ -154,6 +137,23 @@ class Switch:
     def peak_depth_bytes(self) -> float:
         return max((p.peak_depth_bytes for p in self.ports.values()),
                    default=0.0)
+
+    def report_metrics(self, metrics) -> None:
+        """Report the port ledgers to a metrics registry at run end."""
+        ports = self.ports.values()
+        now = self.sim.now
+        metrics.add("switch.msgs", sum(p.accepted_msgs for p in ports))
+        metrics.add("switch.bytes", sum(p.accepted_bytes for p in ports))
+        metrics.add("switch.drops", self.total_drops)
+        metrics.add("switch.ecn_marks", self.total_ecn_marks)
+        metrics.add("switch.pfc_pauses", self.total_pause_events)
+        metrics.add("switch.pfc_resumes", sum(p.resume_events for p in ports))
+        metrics.add("switch.queue_ns", sum(p.queue_wait_ns for p in ports))
+        for port in ports:
+            metrics.set("switch.port_depth", port.depth_bytes(now),
+                        port=port.name)
+            metrics.set("switch.port_utilization", port.utilization(now),
+                        port=port.name)
 
     # -- PFC pause propagation -------------------------------------------
 
@@ -173,7 +173,6 @@ class Switch:
         if port.resume_ev is None:
             port.paused = True
             port.pause_events += 1
-            self._m_pauses.inc()
             port.resume_ev = Event(self.sim)
             self.sim.spawn(self._resume_watch(port), name="pfc-resume",
                            detached=True)
@@ -194,7 +193,7 @@ class Switch:
                 break
             yield self.sim.timeout(target - self.sim.now)
         port.paused = False
-        self._m_resumes.inc()
+        port.resume_events += 1
         ev, port.resume_ev = port.resume_ev, None
         if ev is not None and not ev.triggered:
             ev.succeed()
@@ -262,26 +261,21 @@ class Switch:
         if not self.cfg.pfc and depth + wire_bytes > self.cfg.buffer_bytes:
             port.dropped_msgs += 1
             port.dropped_bytes += wire_bytes
-            self._m_drops.inc()
             return False, False
         marked = False
         p = self._mark_probability(depth)
         if p >= 1.0 or (p > 0.0 and self.rng.random() < p):
             marked = True
             port.ecn_marks += 1
-            self._m_marks.inc()
         wait = max(0.0, port.busy_until - now)
         port.busy_until = now + wait + wire_bytes / self.rate
         port.accepted_msgs += 1
         port.accepted_bytes += wire_bytes
-        self._m_msgs.inc()
-        self._m_bytes.inc(wire_bytes)
         depth_after = depth + wire_bytes
         if depth_after > port.peak_depth_bytes:
             port.peak_depth_bytes = depth_after
         if wait > 0:
             port.queue_wait_ns += wait
-            self._m_queue_ns.inc(wait)
             if span is not None:
                 span.add_phase("switch_queue", now, now + wait)
                 span.wait("switch_queue", now, now + wait)

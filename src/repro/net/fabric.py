@@ -79,25 +79,14 @@ class Fabric:
         #: switch model and DCQCN are both on.
         self._dcqcn: Dict[Tuple[str, int], DcqcnState] = {}
         self.cnps_delivered = 0
-        self._obs = sim.instrumented
-        metrics = sim.metrics
-        self._m_messages = metrics.counter("net.messages")
-        self._m_payload_bytes = metrics.counter("net.payload_bytes")
-        self._m_wire_bytes = metrics.counter("net.wire_bytes")
-        self._m_header_bytes = metrics.counter("net.header_bytes")
-        self._m_packets = metrics.counter("net.packets")
-        self._m_drops = metrics.counter("net.drops")
-        self._m_retransmits = metrics.counter("net.retransmits")
-        self._m_cnps = metrics.counter("net.cnps")
-        if metrics.enabled:
-            # Aggregate utilization: wire bytes moved vs. the capacity of
-            # all ports over elapsed virtual time (sampled at snapshot).
-            metrics.gauge(
-                "net.link_utilization",
-                fn=lambda: (self._m_wire_bytes.value
-                            / (cfg.bandwidth_bytes_per_ns
-                               * max(self.n_ports, 1)
-                               * max(sim.now, 1.0))))
+        #: Transfers started, and their payload, on-the-wire bytes
+        #: (payload plus per-packet headers) and MTU packets.
+        self.messages_started = 0
+        self.payload_bytes = 0
+        self.wire_bytes = 0
+        self.packets = 0
+        #: Packets RC hardware resent (injected loss or switch drops).
+        self.retransmits = 0
         sim.register_component(self)
 
     # -- congestion plumbing ----------------------------------------------
@@ -121,8 +110,6 @@ class Fabric:
         yield self.sim.timeout(self.cfg.propagation_ns)
         self.dcqcn_for(src_name, src_qpn).on_cnp(self.sim.now)
         self.cnps_delivered += 1
-        if self._obs:
-            self._m_cnps.inc()
 
     def transfer(
         self,
@@ -147,12 +134,10 @@ class Fabric:
         """
         n_packets = src.rnic.packets_for(nbytes)
         wire_bytes = src.rnic.wire_bytes(nbytes)
-        if self._obs:
-            self._m_messages.inc()
-            self._m_payload_bytes.inc(nbytes)
-            self._m_wire_bytes.inc(wire_bytes)
-            self._m_header_bytes.inc(wire_bytes - nbytes)
-            self._m_packets.inc(n_packets)
+        self.messages_started += 1
+        self.payload_bytes += nbytes
+        self.wire_bytes += wire_bytes
+        self.packets += n_packets
         yield from src.rnic.tx_process(nbytes, src_qpn, rkeys, span=span)
         delay = self.cfg.propagation_ns + src.rnic.cfg.base_latency_ns
         if jitter_ns > 0:
@@ -167,13 +152,10 @@ class Fabric:
             if lost:
                 if not reliable:
                     self.messages_dropped += 1
-                    if self._obs:
-                        self._m_drops.inc()
                     return False
                 # RNIC-level retransmissions: invisible to software.
                 delay += self.retransmit_ns * lost
-                if self._obs:
-                    self._m_retransmits.inc(lost)
+                self.retransmits += lost
         marked = False
         if self.switch is not None:
             while True:
@@ -183,13 +165,10 @@ class Fabric:
                     break
                 if not reliable:
                     self.messages_dropped += 1
-                    if self._obs:
-                        self._m_drops.inc()
                     return False
                 # Tail drop on RC: hardware go-back-N resubmits the
                 # message after the retransmission timeout.
-                if self._obs:
-                    self._m_retransmits.inc()
+                self.retransmits += 1
                 yield self.sim.timeout(self.retransmit_ns)
         if span is not None:
             span.add_phase("propagation", self.sim.now, self.sim.now + delay)
@@ -202,6 +181,23 @@ class Fabric:
             self.sim.spawn(self._deliver_cnp(src.name, src_qpn),
                            name="cnp", detached=True)
         return True
+
+    def report_metrics(self, metrics) -> None:
+        """Report the fabric's ledgers to a metrics registry at run end."""
+        metrics.add("net.messages", self.messages_started)
+        metrics.add("net.payload_bytes", self.payload_bytes)
+        metrics.add("net.wire_bytes", self.wire_bytes)
+        metrics.add("net.header_bytes", self.wire_bytes - self.payload_bytes)
+        metrics.add("net.packets", self.packets)
+        metrics.add("net.drops", self.messages_dropped)
+        metrics.add("net.retransmits", self.retransmits)
+        metrics.add("net.cnps", self.cnps_delivered)
+        # Aggregate utilization: wire bytes moved vs. the capacity of
+        # all ports over elapsed virtual time.
+        metrics.set("net.link_utilization",
+                    self.wire_bytes / (self.cfg.bandwidth_bytes_per_ns
+                                       * max(self.n_ports, 1)
+                                       * max(self.sim.now, 1.0)))
 
 
 def build_cluster(sim: Simulator, cfg: ClusterConfig):

@@ -7,11 +7,12 @@ Three pillars, all opt-in and near-zero-cost when disabled:
   MMIO → RNIC processing (with cache-miss/PCIe-stall sub-phases) → wire
   → server queue → handler → response, recorded in virtual time and
   aggregated into phase-level latency breakdowns.
-* **Metrics registry** (:mod:`repro.obs.registry`) — typed
-  counters/gauges/histograms wired into the hot paths of the RNIC, PCIe,
-  fabric, verbs, and FLock layers; the default :class:`NullRegistry`
-  hands out shared no-op instruments so the uninstrumented path costs
-  one empty method call.
+* **Metrics registry** (:mod:`repro.obs.registry`) — named counters and
+  gauges read, once per run, from the ledgers the RNIC, PCIe, fabric,
+  switch, verbs and FLock components keep anyway, plus live histograms
+  for distributions; the default :class:`NullRegistry` hands out a
+  shared no-op histogram, so the uninstrumented hot path keeps only
+  its plain integer ledgers.
 * **Export** (:mod:`repro.obs.export`) — Chrome trace-event JSON
   (loadable in Perfetto / ``chrome://tracing``) plus metrics snapshots
   as JSON/CSV, surfaced on the CLI as ``--trace`` / ``--metrics`` /
@@ -19,8 +20,8 @@ Three pillars, all opt-in and near-zero-cost when disabled:
 
 On top of the pillars sit the **auditors** (:mod:`repro.obs.audit`) —
 end-of-run invariant checks (Little's law per queue, byte/CQE/credit
-conservation, cache accounting) cross-validating structural component
-counters against the registry — and the **scorecards / bench store**
+conservation, cache accounting) checking the components' ledgers
+against each other — and the **scorecards / bench store**
 (:mod:`repro.obs.scorecard`, :mod:`repro.obs.benchstore`): per-figure
 ``BENCH_*.json`` fidelity records compared against committed baselines
 to gate CI on regressions.
@@ -76,8 +77,6 @@ from .explain import (
 )
 from .export import chrome_trace, format_breakdown, write_chrome_trace
 from .registry import (
-    Counter,
-    Gauge,
     Histogram,
     NullRegistry,
     Registry,
@@ -99,7 +98,6 @@ __all__ = [
     "Check",
     "Explanation",
     "CompareReport",
-    "Counter",
     "CriticalPath",
     "GAP_RESOURCE",
     "Metric",
@@ -140,7 +138,6 @@ __all__ = [
     "run_audit",
     "what_if",
     "what_if_all",
-    "Gauge",
     "Histogram",
     "NullRegistry",
     "NullSpanLog",

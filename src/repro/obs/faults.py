@@ -3,7 +3,7 @@
 An auditor that never fires is untested: to prove each invariant check
 can actually catch the bug class it guards against, the test suite seeds
 deliberate accounting bugs (drop a credit refill, leak a CQE,
-double-count a cache hit) and asserts the matching auditor — and only
+double-count a cache miss) and asserts the matching auditor — and only
 that auditor — reports a violation.
 
 The hook is a module-level set of active fault names.  Instrumented
@@ -35,8 +35,8 @@ FAULT_NAMES = frozenset({
     # verbs/qp.py: a signaled send completion is counted but never
     # DMA-ed into the CQ.
     "verbs.leak_cqe",
-    # hw/rnic.py: a QP-cache hit increments the metrics counter twice.
-    "rnic.double_count_hit",
+    # hw/rnic.py: a QP-cache miss is counted twice in the cache stats.
+    "rnic.double_count_miss",
     # harness/microbench.py: the echo handler cost steps up 25x halfway
     # through the measurement window — a manufactured latency
     # changepoint the anomaly detectors must catch (CI's known-bad run).

@@ -1,25 +1,26 @@
-"""Typed metrics instruments and the central registry.
+"""The metrics registry: counters, gauges and histograms by name.
 
-Every layer of the stack (RNIC caches, PCIe link, fabric, verbs queues,
-FLock schedulers) exposes its hot-path statistics through three typed
-instruments rather than ad-hoc attributes:
+Every count a run reports is kept once, by the component that owns it:
+``Rnic.messages_tx``, ``CacheStats.misses``, ``SwitchPort.ecn_marks``
+and so on are plain integer (or float) attributes bumped on the hot
+path.  A :class:`Registry` turns those ledgers into named series only
+when a simulator's run is over (:meth:`Registry.attach`): each
+registered component reports its ledgers through ``report_metrics``,
 
-* :class:`Counter` — a monotonically increasing total (messages sent,
-  cache misses, PCIe stall nanoseconds, ...),
-* :class:`Gauge` — a point-in-time value, either set explicitly or backed
-  by a zero-argument callable sampled at snapshot time (queue depth,
-  pipeline occupancy), and
-* :class:`Histogram` — a distribution with exact online moments plus a
-  bounded-memory mergeable :class:`repro.obs.sketch.QuantileSketch` for
-  percentiles (coalescing degree, CQ poll batch size, latencies).
+* as **counters** — totals summed over components and over the runs
+  a registry has seen (messages sent, cache misses, PCIe stall ns) —
+  and
+* as **gauges** — a point-in-time value per label set, the last run's
+  (queue depth, pipeline occupancy, link utilization).
 
-Instruments are created through a :class:`Registry`, memoized by
-``(name, labels)`` so two components asking for the same metric share one
-instrument.  The default registry installed on every simulator is the
-:class:`NullRegistry`, whose instruments are shared no-op singletons: the
-hot paths always call ``counter.inc()`` unconditionally, and the disabled
-path costs one empty method call — no branches, no allocation, no dict
-lookups (components cache their instruments at construction time).
+Distributions have no ledger, so a :class:`Histogram` stays a live
+instrument: exact online moments plus a bounded-memory mergeable
+:class:`repro.obs.sketch.QuantileSketch` for percentiles (coalescing
+degree, CQ poll batch size).  Histograms are memoized by ``(name,
+labels)``; components fetch theirs at construction and observe only
+when the simulator is instrumented.  The default registry on every
+simulator is the :class:`NullRegistry`, which hands out one shared
+no-op histogram.
 
 This module is intentionally dependency-free (stdlib only) so the
 simulation kernel itself can import it without cycles.
@@ -29,16 +30,12 @@ from __future__ import annotations
 
 import io
 import json
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from .sketch import QuantileSketch
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
-    "NullCounter",
-    "NullGauge",
     "NullHistogram",
     "NullRegistry",
     "Registry",
@@ -71,51 +68,6 @@ def _format_name(name: str, labels: Dict[str, Any]) -> str:
         return name
     inner = ",".join("%s=%s" % (k, v) for k, v in sorted(labels.items()))
     return "%s{%s}" % (name, inner)
-
-
-class Counter:
-    """A monotonically increasing total."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: Optional[Dict[str, Any]] = None):
-        self.name = name
-        self.labels = labels or {}
-        self.value = 0.0
-
-    def inc(self, n: float = 1.0) -> None:
-        """Add ``n`` (default 1) to the total."""
-        self.value += n
-
-    def __repr__(self) -> str:
-        return "Counter(%s=%g)" % (_format_name(self.name, self.labels), self.value)
-
-
-class Gauge:
-    """A point-in-time value, set directly or read from a callable."""
-
-    __slots__ = ("name", "labels", "_value", "fn")
-
-    def __init__(self, name: str, labels: Optional[Dict[str, Any]] = None,
-                 fn: Optional[Callable[[], float]] = None):
-        self.name = name
-        self.labels = labels or {}
-        self._value = 0.0
-        self.fn = fn
-
-    def set(self, value: float) -> None:
-        """Record the current value."""
-        self._value = value
-
-    @property
-    def value(self) -> float:
-        """The current value (sampling the backing callable if present)."""
-        if self.fn is not None:
-            return float(self.fn())
-        return self._value
-
-    def __repr__(self) -> str:
-        return "Gauge(%s=%g)" % (_format_name(self.name, self.labels), self.value)
 
 
 class Histogram:
@@ -212,43 +164,33 @@ class Histogram:
 
 
 class Registry:
-    """Central factory and store for named instruments.
+    """Named counters, gauges and histograms.
 
-    Instruments are memoized by ``(name, labels)``: asking twice returns
-    the same object, so components on different nodes can either share a
-    global total (no labels) or keep per-node series (e.g.
-    ``registry.counter("pcie.reads", nic="server0.rnic")``).
+    Counters and gauges are plain values keyed by ``(name, labels)``:
+    :meth:`add` sums into a counter, :meth:`set` overwrites a gauge.
+    Components never call either on the hot path; they report their
+    ledgers once per run through ``report_metrics`` when the registry
+    lets go of their simulator (see :meth:`attach`).  Histograms are
+    live instruments, memoized by ``(name, labels)``.
     """
 
     enabled = True
 
     def __init__(self):
-        self._counters: Dict[Tuple, Counter] = {}
-        self._gauges: Dict[Tuple, Gauge] = {}
+        self._counters: Dict[Tuple, float] = {}
+        self._gauges: Dict[Tuple, float] = {}
         self._histograms: Dict[Tuple, Histogram] = {}
+        #: The attached simulator whose ledgers are not folded in yet.
+        self._held = None
 
-    # -- factories ------------------------------------------------------
-
-    def counter(self, name: str, **labels) -> Counter:
-        """Get or create the counter ``name`` with optional labels."""
+    def add(self, name: str, value: float, **labels) -> None:
+        """Add ``value`` to the counter ``name`` (created at 0)."""
         key = (name, _label_key(labels))
-        inst = self._counters.get(key)
-        if inst is None:
-            inst = Counter(name, labels)
-            self._counters[key] = inst
-        return inst
+        self._counters[key] = self._counters.get(key, 0.0) + value
 
-    def gauge(self, name: str, fn: Optional[Callable[[], float]] = None,
-              **labels) -> Gauge:
-        """Get or create the gauge ``name``; ``fn`` backs it if given."""
-        key = (name, _label_key(labels))
-        inst = self._gauges.get(key)
-        if inst is None:
-            inst = Gauge(name, labels, fn=fn)
-            self._gauges[key] = inst
-        elif fn is not None:
-            inst.fn = fn
-        return inst
+    def set(self, name: str, value: float, **labels) -> None:
+        """Record ``value`` as the gauge ``name``."""
+        self._gauges[(name, _label_key(labels))] = float(value)
 
     def histogram(self, name: str, **labels) -> Histogram:
         """Get or create the histogram ``name`` with optional labels."""
@@ -259,18 +201,48 @@ class Registry:
             self._histograms[key] = inst
         return inst
 
+    # -- run ledgers ----------------------------------------------------
+
+    def attach(self, sim) -> None:
+        """Take ``sim``'s ledgers at the end of its run.
+
+        Folds the previously attached simulator first.  Its ledgers are
+        folded exactly once: here, or when the registry is next read
+        (:meth:`snapshot`, :meth:`export_state`) or merged into.
+        """
+        self._fold()
+        self._held = sim
+
+    def _fold(self) -> None:
+        """Add the held simulator's ledgers to the counters and gauges.
+
+        The run's totals are summed on their own first, so a run folded
+        here adds the same float to each counter that a run exported
+        from a worker process adds through :meth:`merge_state`.
+        """
+        sim, self._held = self._held, None
+        if sim is None:
+            return
+        ledgers = Registry()
+        for component in sim.components:
+            report = getattr(component, "report_metrics", None)
+            if report is not None:
+                report(ledgers)
+        self.merge_state(ledgers.export_state())
+
     # -- export ---------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """All instrument values keyed by display name."""
+        """All values keyed by display name."""
+        self._fold()
         return {
             "counters": {
-                _format_name(c.name, c.labels): c.value
-                for c in self._counters.values()
+                _format_name(name, dict(lbl)): value
+                for (name, lbl), value in self._counters.items()
             },
             "gauges": {
-                _format_name(g.name, g.labels): g.value
-                for g in self._gauges.values()
+                _format_name(name, dict(lbl)): value
+                for (name, lbl), value in self._gauges.items()
             },
             "histograms": {
                 _format_name(h.name, h.labels): h.summary()
@@ -300,20 +272,20 @@ class Registry:
     # -- cross-process state --------------------------------------------
 
     def export_state(self) -> dict:
-        """A picklable snapshot of every instrument's *full* state.
+        """A picklable snapshot of every series' *full* state.
 
         Unlike :meth:`snapshot` (display names, summarized histograms),
         this keeps the ``(name, labels)`` keys and the complete sketch
         buckets, so a worker process can ship its registry across a
         pickle boundary and the parent can :meth:`merge_state` it
-        without losing percentile resolution.  Gauges are sampled (their
-        backing callables cannot travel between processes).
+        without losing percentile resolution.
         """
+        self._fold()
         return {
-            "counters": [(c.name, key[1], c.value)
-                         for key, c in self._counters.items()],
-            "gauges": [(g.name, key[1], g.value)
-                       for key, g in self._gauges.items()],
+            "counters": [(name, lbl, value)
+                         for (name, lbl), value in self._counters.items()],
+            "gauges": [(name, lbl, value)
+                       for (name, lbl), value in self._gauges.items()],
             "histograms": [(h.name, key[1], h.state())
                            for key, h in self._histograms.items()],
         }
@@ -328,32 +300,13 @@ class Registry:
         deterministic given the fold order; the parallel sweep executor
         folds worker states in input order.
         """
+        self._fold()
         for name, lbl, value in state["counters"]:
-            self.counter(name, **dict(lbl)).value += value
+            self.add(name, value, **dict(lbl))
         for name, lbl, value in state["gauges"]:
-            self.gauge(name, **dict(lbl)).set(value)
+            self.set(name, value, **dict(lbl))
         for name, lbl, hstate in state["histograms"]:
             self.histogram(name, **dict(lbl)).merge_state(hstate)
-
-
-class NullCounter:
-    """No-op counter: the disabled hot path."""
-
-    __slots__ = ()
-    value = 0.0
-
-    def inc(self, n: float = 1.0) -> None:
-        """Discard the increment."""
-
-
-class NullGauge:
-    """No-op gauge: the disabled hot path."""
-
-    __slots__ = ()
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        """Discard the value."""
 
 
 class NullHistogram:
@@ -376,29 +329,17 @@ class NullHistogram:
         return _zero_summary()
 
 
-_NULL_COUNTER = NullCounter()
-_NULL_GAUGE = NullGauge()
 _NULL_HISTOGRAM = NullHistogram()
 
 
 class NullRegistry:
-    """Registry stub handing out shared no-op instruments.
+    """Registry stub handing out the shared no-op histogram.
 
-    Installed on every :class:`repro.sim.Simulator` by default, so
-    instrumented components can cache and call their instruments
-    unconditionally at near-zero cost.
+    Installed on every :class:`repro.sim.Simulator` by default; nothing
+    attaches it to a simulator, so no ledger is ever folded into it.
     """
 
     enabled = False
-
-    def counter(self, name: str, **labels) -> NullCounter:
-        """The shared no-op counter."""
-        return _NULL_COUNTER
-
-    def gauge(self, name: str, fn: Optional[Callable[[], float]] = None,
-              **labels) -> NullGauge:
-        """The shared no-op gauge (the callable is never sampled)."""
-        return _NULL_GAUGE
 
     def histogram(self, name: str, **labels) -> NullHistogram:
         """The shared no-op histogram."""
@@ -407,14 +348,6 @@ class NullRegistry:
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """An empty snapshot."""
         return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def to_json(self) -> str:
-        """An empty JSON snapshot."""
-        return json.dumps(self.snapshot(), indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        """Header-only CSV."""
-        return "type,name,field,value\n"
 
 
 #: Shared stub installed on simulators constructed without telemetry.

@@ -2,9 +2,11 @@
 
 A :class:`Telemetry` owns a live :class:`repro.obs.registry.Registry` and
 :class:`repro.obs.span.SpanLog` and installs them onto a simulator
-*before* the cluster is built (instrumented components cache their
-instruments at construction time, so installation order matters — the
-harness runners handle this).
+*before* the cluster is built (components fetch their histograms and
+decide whether to record spans at construction time, so installation
+order matters — the harness runners handle this).  The components'
+own ledgers reach the registry once per simulator, when the telemetry
+lets go of it: at the next install, or when the registry is read.
 
 A module-level *current telemetry* lets the CLI enable observability for
 every figure runner without threading a parameter through each command:
@@ -66,10 +68,13 @@ class Telemetry:
         processes.  Spans left unfinished by the *previous* run (work
         stuck on a saturated resource when its simulator stopped) are
         flushed at that run's final clock first, so they land in the
-        right run scope with their in-flight waits closed.  Returns self
-        for chaining.
+        right run scope with their in-flight waits closed.  The previous
+        run's ledgers are folded into the registry the same way (see
+        :meth:`repro.obs.registry.Registry.attach`).  Returns self for
+        chaining.
         """
         self.flush()
+        self.registry.attach(sim)
         sim.metrics = self.registry
         sim.spans = self.spans
         run_label = label or ("run%d" % (len(self.runs) + 1))

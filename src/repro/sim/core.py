@@ -413,8 +413,9 @@ class Simulator:
         self.spans = null_span_log
         #: Every instrumented component (RNICs, CQs, credit states, ...)
         #: registers itself here at construction so the end-of-run
-        #: auditors (:mod:`repro.obs.audit`) can enumerate the system
-        #: without the simulation threading references around.
+        #: auditors (:mod:`repro.obs.audit`) and the metrics registry
+        #: can enumerate the system without the simulation threading
+        #: references around.
         self.components: List[Any] = []
         #: Heap pops that would move the clock backwards (always 0 with a
         #: correct heap; the monotone-time auditor asserts it).
@@ -494,7 +495,7 @@ class Simulator:
         return Process(self, gen, name)
 
     def register_component(self, component: Any) -> None:
-        """Record an instrumented component for end-of-run auditing."""
+        """Record a component for end-of-run auditing and reporting."""
         self.components.append(component)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:

@@ -34,8 +34,6 @@ class CompletionQueue:
                                    name=name)
         self.pushed = 0
         self.overflowed = 0
-        self._m_pushed = metrics.counter("verbs.cq.pushed")
-        self._m_overflowed = metrics.counter("verbs.cq.overflowed")
         self._m_depth = metrics.histogram("verbs.cq.depth")
         self._m_poll_batch = metrics.histogram("verbs.cq.poll_batch")
         sim.register_component(self)
@@ -48,7 +46,6 @@ class CompletionQueue:
         if self._store.try_put(wc):
             self.pushed += 1
             if self._obs:
-                self._m_pushed.inc()
                 self._m_depth.observe(len(self._store))
             if self._trace and wc.span is not None:
                 # Stamp CQ entry time; the reap side turns the residency
@@ -60,8 +57,6 @@ class CompletionQueue:
             # A real overflowed CQ moves the QP to an error state; for the
             # simulation, counting the overflow is enough for tests.
             self.overflowed += 1
-            if self._obs:
-                self._m_overflowed.inc()
 
     def _note_reap(self, wc: Completion) -> None:
         """Record how long the CQE sat before software picked it up."""
@@ -96,6 +91,11 @@ class CompletionQueue:
         if self._trace:
             ev.add_callback(self._reap_cb)
         return ev
+
+    def report_metrics(self, metrics) -> None:
+        """Report this CQ's ledgers to a metrics registry at run end."""
+        metrics.add("verbs.cq.pushed", self.pushed)
+        metrics.add("verbs.cq.overflowed", self.overflowed)
 
     # -- audit accounting (populated when telemetry is live) -------------
 

@@ -79,15 +79,17 @@ class QueuePair:
         self.recv_buffers = Store(sim)
         self.recv_drops = 0
         self.sends_posted = 0
+        self.sends_signaled = 0
         self.sends_completed = 0
         self.destroyed = False
-        self._obs = sim.instrumented
         self._trace = sim.spans.enabled
-        metrics = sim.metrics
-        self._m_wrs = metrics.counter("verbs.wrs_posted")
-        self._m_signaled = metrics.counter("verbs.wrs_signaled")
-        self._m_recv_drops = metrics.counter("verbs.recv_drops")
         sim.register_component(self)
+
+    def report_metrics(self, metrics) -> None:
+        """Report this QP's ledgers to a metrics registry at run end."""
+        metrics.add("verbs.wrs_posted", self.sends_posted)
+        metrics.add("verbs.wrs_signaled", self.sends_signaled)
+        metrics.add("verbs.recv_drops", self.recv_drops)
 
     # -- connection management ------------------------------------------
 
@@ -166,10 +168,8 @@ class QueuePair:
             if target is None:
                 raise VerbError("UD send requires a remote QP")
         self.sends_posted += 1
-        if self._obs:
-            self._m_wrs.inc()
-            if wr.signaled:
-                self._m_signaled.inc()
+        if wr.signaled:
+            self.sends_signaled += 1
         if wr.span is None and self._trace:
             # No upper layer attached a span: trace this WR on its own
             # (raw verbs paths — Fig. 2a reads, baseline RPCs).
@@ -190,10 +190,7 @@ class QueuePair:
                 wc.span = wr.span
             if not (faults.ACTIVE and "verbs.leak_cqe" in faults.ACTIVE):
                 self.send_cq.push(wc)
-            rnic = self.node.rnic
-            rnic.cqes_generated += 1
-            if rnic._obs:
-                rnic._m_cqes.inc()
+            self.node.rnic.cqes_generated += 1
 
     def _congestion_gate(self, wr: WorkRequest) -> Generator[Event, None, None]:
         """DCQCN pacing for RC flows under the switched-fabric model.
@@ -267,8 +264,6 @@ class QueuePair:
                 ))
             else:
                 target.recv_drops += 1
-                if target._obs:
-                    target._m_recv_drops.inc()
         wc = Completion(wr_id=wr.wr_id, verb=Verb.SEND, byte_len=wr.length,
                         qpn=self.qpn)
         if self.transport.reliable:

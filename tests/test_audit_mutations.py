@@ -2,7 +2,7 @@
 
 An invariant check that never fires is untested.  Here we seed three
 deliberate accounting bugs through :mod:`repro.obs.faults` — drop a
-credit refill, leak a CQE, double-count a QP-cache hit — and assert the
+credit refill, leak a CQE, double-count a QP-cache miss — and assert the
 matching auditor (and only that auditor) reports a violation, while an
 unmutated run stays clean.
 """
@@ -53,10 +53,14 @@ def test_leaked_cqe_trips_only_cqe_auditor():
     assert v.observed > v.expected
 
 
-def test_double_counted_cache_hit_trips_only_qp_cache_auditor():
-    auditors, report = violating_auditors("rnic.double_count_hit")
+def test_double_counted_cache_miss_trips_only_qp_cache_auditor():
+    auditors, report = violating_auditors("rnic.double_count_miss")
     assert auditors == {"qp-cache"}, report.format()
-    assert any("qp_cache.hits" in v.invariant for v in report.violations)
+    assert report.violations
+    for v in report.violations:
+        assert v.invariant.startswith("rnic.pcie_read_conservation[")
+        # The NIC counted misses that fetched no state over PCIe.
+        assert v.observed < v.expected
 
 
 class TestFaultHook:
@@ -95,7 +99,7 @@ class TestFaultHook:
         modules = {
             "credits.drop_refill": os.path.join(root, "flock", "credits.py"),
             "verbs.leak_cqe": os.path.join(root, "verbs", "qp.py"),
-            "rnic.double_count_hit": os.path.join(root, "hw", "rnic.py"),
+            "rnic.double_count_miss": os.path.join(root, "hw", "rnic.py"),
             "bench.step_handler_cost": os.path.join(
                 root, "harness", "microbench.py"),
         }

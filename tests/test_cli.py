@@ -214,10 +214,10 @@ class TestFaultStamp:
         from repro.obs import faults, load_scorecard
         from repro.obs.runstore import config_fingerprint
         faulty = self._scorecard(tmp_path, monkeypatch,
-                                 "rnic.double_count_hit,"
+                                 "rnic.double_count_miss,"
                                  "bench.step_handler_cost")
         assert faulty["meta"]["faults"] == ["bench.step_handler_cost",
-                                            "rnic.double_count_hit"]
+                                            "rnic.double_count_miss"]
         assert not faults.ACTIVE  # cleared after the command
         clean = self._scorecard(tmp_path, monkeypatch, None)
         assert "faults" not in clean["meta"]

@@ -1,27 +1,17 @@
 """Credit grant delivery paths: piggybacked vs dedicated (§5.1/§7).
 
-The grant paths are observed through the registry counters the QP
-scheduler increments at each decision (``flock.grants.*``), so a
-:class:`repro.obs.Registry` is installed on the simulator before any
-component is built (components cache their instruments at
-construction).
+The grant paths are observed through the ledgers the QP scheduler
+bumps at each decision (``FlockServer.grants_*``).
 """
 
 from repro.config import ClusterConfig, FlockConfig
-from repro.flock import FlockNode, coalesced_size
+from repro.flock import META_BYTES, FlockNode, coalesced_size
 from repro.net import build_cluster
-from repro.obs import Registry
 from repro.sim import Simulator
 
 
-def _instrumented_sim():
-    sim = Simulator()
-    sim.metrics = Registry()
-    return sim
-
-
 def make(credit_batch=8, handler_ns=100.0):
-    sim = _instrumented_sim()
+    sim = Simulator()
     servers, clients, fabric = build_cluster(sim, ClusterConfig(n_clients=1))
     cfg = FlockConfig(qps_per_handle=1, credit_batch=credit_batch,
                       credit_renew_threshold=max(1, credit_batch // 2))
@@ -30,10 +20,6 @@ def make(credit_batch=8, handler_ns=100.0):
     client = FlockNode(sim, clients[0], fabric, cfg, seed=1)
     handle = client.fl_connect(server, n_qps=1)
     return sim, server, client, handle
-
-
-def count(sim, name):
-    return sim.metrics.counter(name).value
 
 
 class TestGrantPaths:
@@ -49,7 +35,7 @@ class TestGrantPaths:
         for tid in range(8):
             sim.spawn(worker(tid))
         sim.run(until=20_000_000)
-        assert count(sim, "flock.grants.piggybacked") > 0
+        assert server.server.grants_piggybacked > 0
         # Grants arrived and kept traffic flowing well beyond the
         # bootstrap batch.
         assert handle.rpcs_completed == 240
@@ -66,7 +52,7 @@ class TestGrantPaths:
         sim.spawn(worker())
         sim.run(until=20_000_000)
         assert handle.rpcs_completed == 20
-        assert count(sim, "flock.grants.dedicated") > 0
+        assert server.server.grants_dedicated > 0
 
     def test_grants_respect_batch_size(self):
         sim, server, client, handle = make(credit_batch=4)
@@ -88,12 +74,12 @@ class TestGrantPaths:
         sim.run(until=20_000_000)
         assert grants
         assert all(g == 4 for g in grants)  # C per grant, never declined
-        assert count(sim, "flock.grants.declined") == 0
+        assert server.server.grants_declined == 0
 
 
 class TestCoalescingCounters:
     def test_counters_see_coalescing_and_scheduling(self):
-        sim = _instrumented_sim()
+        sim = Simulator()
         servers, clients, fabric = build_cluster(sim,
                                                  ClusterConfig(n_clients=1))
         cfg = FlockConfig(qps_per_handle=2, sched_interval_ns=150_000.0,
@@ -110,11 +96,12 @@ class TestCoalescingCounters:
         for tid in range(8):
             sim.spawn(worker(tid))
         sim.run(until=3_000_000)
-        messages = count(sim, "flock.client.messages")
+        views = [ch.sender_view for ch in handle.channels]
+        messages = sum(v.messages_sent for v in views)
         assert messages > 0
-        assert count(sim, "flock.client.rpcs_coalesced") == 160
-        # Byte sizes match the message-layout formula.
-        sizes = sim.metrics.histogram("flock.message_bytes")
-        assert sizes.count == messages
-        assert sizes.min >= coalesced_size([64])
-        assert count(sim, "flock.redistributions") > 0
+        assert client.client.rpcs_coalesced == 160
+        # Byte sizes match the message-layout formula: one frame per
+        # message, one 64 B entry per RPC.
+        assert (sum(v.sent_bytes for v in views)
+                == messages * coalesced_size([]) + 160 * (META_BYTES + 64))
+        assert server.server.redistributions > 0

@@ -17,6 +17,7 @@ from repro.harness.microbench import (
     run_flock,
     run_raw_reads,
 )
+from repro.net import build_cluster
 from repro.obs import (
     PHASES,
     NullRegistry,
@@ -152,26 +153,26 @@ class TestSpanLog:
 class TestRegistry:
     def test_counter_math(self):
         reg = Registry()
-        c = reg.counter("rnic.qp_cache.hits")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
+        reg.add("rnic.qp_cache.hits", 1)
+        reg.add("rnic.qp_cache.hits", 4)
+        value = reg.snapshot()["counters"]["rnic.qp_cache.hits"]
+        assert value == 5 and isinstance(value, float)
 
     def test_memoized_by_name_and_labels(self):
         reg = Registry()
-        assert reg.counter("x") is reg.counter("x")
-        assert reg.counter("x", nic=1) is reg.counter("x", nic=1)
-        assert reg.counter("x", nic=1) is not reg.counter("x", nic=2)
+        reg.add("x", 1, nic=1)
+        reg.add("x", 2, nic=1)
+        reg.add("x", 4, nic=2)
+        assert reg.snapshot()["counters"] == {"x{nic=1}": 3.0,
+                                              "x{nic=2}": 4.0}
+        assert reg.histogram("h") is reg.histogram("h")
+        assert reg.histogram("h", nic=1) is not reg.histogram("h", nic=2)
 
     def test_gauge(self):
         reg = Registry()
-        g = reg.gauge("depth")
-        g.set(7)
-        assert g.value == 7
-        backing = [3]
-        fg = reg.gauge("live", fn=lambda: backing[0])
-        backing[0] = 11
-        assert fg.value == 11
+        reg.set("depth", 7)
+        reg.set("depth", 3)
+        assert reg.snapshot()["gauges"] == {"depth": 3.0}
 
     def test_histogram(self):
         reg = Registry()
@@ -187,8 +188,8 @@ class TestRegistry:
 
     def test_snapshot_and_exports(self):
         reg = Registry()
-        reg.counter("a", nic=0).inc(2)
-        reg.gauge("b").set(1.5)
+        reg.add("a", 2, nic=0)
+        reg.set("b", 1.5)
         reg.histogram("c").observe(9.0)
         snap = reg.snapshot()
         assert snap["counters"]["a{nic=0}"] == 2
@@ -204,16 +205,8 @@ class TestRegistry:
 class TestDisabledMode:
     def test_null_registry_instruments_are_shared_noops(self):
         assert not null_registry.enabled
-        c1 = null_registry.counter("anything", lab=1)
-        c2 = null_registry.counter("other")
-        assert c1 is c2  # one shared singleton, no per-name allocation
-        c1.inc()
-        c1.inc(100)
-        assert c1.value == 0
-        g = null_registry.gauge("g", fn=lambda: 1 / 0)  # fn never called
-        g.set(5)
-        assert g.value == 0
-        h = null_registry.histogram("h")
+        h = null_registry.histogram("h", lab=1)
+        assert h is null_registry.histogram("other")  # one shared singleton
         h.observe(3.0)
         assert h.summary()["count"] == 0
         assert null_registry.snapshot() == {
@@ -322,6 +315,32 @@ class TestTelemetry:
         assert sim1.spans is tel.spans
         assert tel.runs == ["a", "b"]
         assert tel.spans.run_id == 2
+
+    def test_ledgers_fold_once_per_simulator(self):
+        """A simulator's ledgers reach the registry once: when the
+        registry is read, or when the next simulator is installed."""
+        from repro.sim import Simulator
+
+        tel = Telemetry()
+
+        def run(label, nbytes):
+            sim = Simulator()
+            tel.install(sim, label=label)
+            servers, clients, fabric = build_cluster(
+                sim, ClusterConfig(n_clients=1))
+            sim.spawn(fabric.transfer(clients[0], servers[0], nbytes, 1, 1))
+            sim.run()
+
+        run("a", 100)
+        first = tel.metrics_snapshot()
+        assert first["counters"]["net.payload_bytes"] == 100
+        assert tel.metrics_snapshot() == first
+        run("b", 20)
+        snap = tel.metrics_snapshot()
+        assert snap["counters"]["net.payload_bytes"] == 120
+        assert snap["counters"]["net.messages"] == 2
+        # Gauges are the last run's.
+        assert snap["gauges"]["rnic.tx_port.occupancy{nic=client0.rnic}"] == 0
 
     def test_process_wide_current(self):
         assert current_telemetry() is None

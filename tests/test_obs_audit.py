@@ -3,6 +3,7 @@
 import pytest
 
 from repro.harness import (
+    IncastConfig,
     IndexBenchConfig,
     MicrobenchConfig,
     TxnBenchConfig,
@@ -10,14 +11,17 @@ from repro.harness import (
     run_flock,
     run_flock_index,
     run_flocktx,
+    run_incast_flock,
     run_raw_reads,
 )
 from repro.obs import (
     AuditContext,
     AuditError,
     AuditReport,
-    Registry,
+    Telemetry,
     Violation,
+    disable,
+    enable,
     run_audit,
 )
 from repro.obs.audit import AUDIT_ENV, audit_enabled
@@ -74,12 +78,6 @@ class TestFramework:
         assert not ctx.check_eq("y", 1.1, 1.0, exact=False)
         assert ctx.report.checks == 4
         assert len(ctx.report.violations) == 2
-
-    def test_context_drops_disabled_registry(self):
-        reg = Registry()
-        reg.enabled = False
-        ctx = AuditContext(Simulator(), reg)
-        assert ctx.registry is None
 
     def test_audit_enabled_env_parsing(self, monkeypatch):
         for off in ("", "0", "false", "NO", "off"):
@@ -165,13 +163,36 @@ class TestCleanRuns:
         result = run_flock(SMALL)
         assert result.audit_report is None
 
-    def test_audit_with_shared_telemetry_skips_counter_checks(self):
-        from repro.obs import Telemetry
+    def test_every_audited_run_runs_every_check(self, monkeypatch):
+        """An audited run checks every law whether it has no telemetry
+        or shares one with earlier runs: the checks read ledgers only.
+        A congested FLock incast leg builds every audited component."""
+        seen = []
+        check = AuditContext.check
 
-        tel = Telemetry()
-        run_flock(SMALL, telemetry=tel)  # first run dirties the registry
-        result = run_flock(SMALL, telemetry=tel, audit=True)
-        report = result.audit_report
-        assert report.ok, report.format()
-        # Counter cross-checks must be recorded skips, not bogus passes.
-        assert any("counters" in s for s in report.skipped)
+        def spy(ctx, invariant, ok, *args, **kwargs):
+            seen.append(invariant)
+            return check(ctx, invariant, ok, *args, **kwargs)
+
+        monkeypatch.setattr(AuditContext, "check", spy)
+        cfg = IncastConfig(n_senders=4)
+        moved = {"net.messages.in_flight", "net.payload_vs_nic_tx",
+                 "flock.message_bytes_identity", "flock.rpcs_vs_coalesced",
+                 "flock.server_requests_vs_coalesced"}
+        reports = [run_incast_flock(cfg, congested=True,
+                                    audit=True).audit_report]
+        checks_alone = set(seen)
+        enable(Telemetry())
+        try:
+            run_incast_flock(cfg, congested=True)
+            del seen[:]
+            reports.append(run_incast_flock(cfg, congested=True,
+                                            audit=True).audit_report)
+        finally:
+            disable()
+        for report in reports:
+            assert report.ok, report.format()
+            assert report.skipped == []
+        assert moved <= checks_alone
+        # The telemetry also records spans, which adds their own check.
+        assert set(seen) == checks_alone | {"spans.phase_monotonicity"}
