@@ -127,7 +127,8 @@ def run_flock_index(cfg: IndexBenchConfig, *,
         handle = fnode.fl_connect(server, n_qps=cfg.threads_per_client)
         for t_idx in range(cfg.threads_per_client):
             for k in range(cfg.outstanding):
-                rng = streams.stream("hydra-%d-%d-%d" % (c_idx, t_idx, k))
+                rng = streams.word_stream("hydra-%d-%d-%d"
+                                          % (c_idx, t_idx, k))
                 sim.spawn(worker(fnode, handle, t_idx, rng),
                           name="hydra-worker")
 
@@ -175,7 +176,8 @@ def run_erpc_index(cfg: IndexBenchConfig, *,
             server_qp = server.qp_for_client(endpoint_counter[0])
             endpoint_counter[0] += 1
             for k in range(cfg.outstanding):
-                rng = streams.stream("hydra-%d-%d-%d" % (c_idx, t_idx, k))
+                rng = streams.word_stream("hydra-%d-%d-%d"
+                                          % (c_idx, t_idx, k))
                 sim.spawn(worker(endpoint, server_qp, rng),
                           name="hydra-worker")
 

@@ -31,7 +31,7 @@ from ..apps.txn import (
 from ..baselines import FasstEndpoint, FasstServer
 from ..config import ClusterConfig
 from ..flock import FlockNode
-from ..sim import Streams
+from ..sim import RandomSource, Streams
 from ..workloads import SmallbankWorkload, TatpWorkload
 from .metrics import Recorder, Run, RunResult
 from .microbench import bench_flock_config
@@ -80,7 +80,7 @@ class TxnBenchConfig:
             return self.n_servers * self.subscribers_per_server
         return 2 * self.n_accounts()
 
-    def make_workload(self, rng):
+    def make_workload(self, rng: RandomSource):
         if self.workload == "tatp":
             return TatpWorkload(self.n_servers, rng,
                                 subscribers_per_server=self.subscribers_per_server)
@@ -121,8 +121,9 @@ def _spawn_coordinators(sim, cfg: TxnBenchConfig, recorder: Recorder,
     """Client side shared by both systems."""
     coord_id = [0]
 
-    def coroutine(coordinator, workload):
-        for txn in workload:
+    def coroutine(coordinator, next_txn):
+        while True:
+            txn = next_txn()
             started = sim.now
             outcome = yield from coordinator.run(txn)
             if outcome == TxnOutcome.COMMITTED:
@@ -136,9 +137,9 @@ def _spawn_coordinators(sim, cfg: TxnBenchConfig, recorder: Recorder,
             coord_id[0] += 1
             coordinators.append(coordinator)
             for k in range(cfg.coroutines_per_thread):
-                rng = streams.stream("wl-%d-%d-%d" % (c_idx, t_idx, k))
+                rng = streams.word_stream("wl-%d-%d-%d" % (c_idx, t_idx, k))
                 workload = cfg.make_workload(rng)
-                sim.spawn(coroutine(coordinator, iter(workload)),
+                sim.spawn(coroutine(coordinator, workload.next_txn),
                           name="txn-coroutine")
 
 

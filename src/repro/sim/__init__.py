@@ -12,8 +12,9 @@ from .core import (
 )
 from .rand import (
     HotColdGenerator,
+    RandomSource,
     Streams,
-    UniformStream,
+    WordStream,
     jitter_streams,
     percentile,
     summarize_latencies,
@@ -27,6 +28,7 @@ __all__ = [
     "HotColdGenerator",
     "Interrupt",
     "Process",
+    "RandomSource",
     "Resource",
     "SimulationError",
     "Simulator",
@@ -36,7 +38,7 @@ __all__ = [
     "Timeout",
     "TokenBucket",
     "TrackedStore",
-    "UniformStream",
+    "WordStream",
     "jitter_streams",
     "percentile",
     "summarize_latencies",

@@ -11,11 +11,13 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import struct
 import zlib
 from array import array
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Optional, Protocol, Sequence
 
-__all__ = ["Streams", "HotColdGenerator", "UniformStream", "jitter_streams"]
+__all__ = ["Streams", "HotColdGenerator", "RandomSource", "WordStream",
+           "jitter_streams"]
 
 
 class Streams:
@@ -24,10 +26,18 @@ class Streams:
     def __init__(self, seed: int = 0):
         self.seed = seed
 
+    def _child_seed(self, name: str) -> int:
+        return (self.seed << 32) ^ zlib.crc32(name.encode())
+
     def stream(self, name: str) -> random.Random:
         """A child RNG uniquely determined by (root seed, name)."""
-        child_seed = (self.seed << 32) ^ zlib.crc32(name.encode())
-        return random.Random(child_seed)
+        return random.Random(self._child_seed(name))
+
+    def word_stream(self, name: str) -> "WordStream":
+        """The same child seed's ``random()`` and ``randrange()`` draws
+        as a :class:`WordStream`, for the many per-worker streams that
+        need no other method."""
+        return WordStream(self._child_seed(name))
 
     def child(self, point_id: str) -> "Streams":
         """A derived :class:`Streams` uniquely determined by (seed, id).
@@ -53,18 +63,36 @@ class Streams:
         return Streams(child_seed & 0x7FFFFFFFFFFFFFFF)
 
 
-class UniformStream:
-    """``random.Random(seed).random()``'s exact sequence, without keeping
-    the Mersenne Twister between draws.
+class RandomSource(Protocol):
+    """The two draws the workload generators make: ``random.Random`` and
+    :class:`WordStream` both provide them."""
 
-    A ``Random`` is 2.9 KB; a stream holds the seed, the number of values
-    drawn and an ``array('d')`` of the next few.  When the buffer runs out
-    it rebuilds ``Random(seed)``, skips the values already drawn (each
-    ``random()`` consumes two 32-bit outputs, and ``getrandbits(64 * n)``
-    consumes exactly ``2 * n``), refills ``max(16, drawn)`` values and
-    drops the ``Random``, so ``n`` draws rebuild it ``1 + log2(n / 16)``
-    times.  Meant for the many per-worker streams that draw a few dozen
-    values per run; only ``random()`` is offered.
+    def random(self) -> float: ...
+
+    def randrange(self, start: int, stop: Optional[int] = None) -> int: ...
+
+
+#: The fewest 32-bit words a refill fetches: 16 ``random()`` values.
+_MIN_REFILL_WORDS = 32
+
+
+class WordStream:
+    """``random.Random(seed)``'s exact ``random()`` and ``randrange()``
+    draws, without keeping the Mersenne Twister between draws.
+
+    A ``Random`` is 2.9 KB; a stream holds the seed, the number of 32-bit
+    Mersenne Twister outputs (words) consumed, and an ``array('I')`` of
+    the next few.  The draws follow CPython's code (3.9 to 3.12):
+    ``random()`` takes two words ``a, b`` and returns
+    ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``; ``randrange`` repeats
+    ``getrandbits(k)``, the top ``k = width.bit_length()`` bits of one
+    word, until the value is below the width.  When the buffer runs out
+    the stream rebuilds ``Random(seed)``, skips the words already
+    consumed with one ``getrandbits(32 * drawn)`` call (which consumes
+    exactly ``drawn`` words), fetches ``max(32, drawn)`` more and drops
+    the ``Random``, so ``n`` words rebuild it ``1 + log2(n / 32)`` times.
+    Meant for the many per-worker streams that draw a few dozen values
+    per run.
     """
 
     __slots__ = ("seed", "drawn", "_next")
@@ -76,29 +104,55 @@ class UniformStream:
 
     def random(self) -> float:
         buf = self._next
-        if not buf:
+        if buf is None or len(buf) < 2:
+            # A refill starts at word ``drawn``, so a word left over here
+            # is fetched again, not skipped.
             buf = self._refill()
-        self.drawn += 1
-        return buf.pop()
+        self.drawn += 2
+        a = buf.pop() >> 5
+        b = buf.pop() >> 6
+        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+
+    def randrange(self, start: int, stop: Optional[int] = None) -> int:
+        """An int uniform in ``[0, start)``, or in ``[start, stop)``."""
+        if stop is None:
+            start, width = 0, start
+        else:
+            width = stop - start
+        if width <= 0:
+            raise ValueError("empty range for randrange()")
+        if width >> 32:
+            raise ValueError("randrange() width must be below 2**32")
+        shift = 32 - width.bit_length()
+        buf = self._next
+        while True:
+            if not buf:
+                buf = self._refill()
+            self.drawn += 1
+            r = buf.pop() >> shift
+            if r < width:
+                return start + r
 
     def _refill(self) -> array:
         rng = random.Random(self.seed)
         if self.drawn:
-            rng.getrandbits(64 * self.drawn)
-        draw = rng.random
-        values = [draw() for _ in range(max(16, self.drawn))]
-        values.reverse()
-        self._next = buf = array("d", values)
+            rng.getrandbits(32 * self.drawn)
+        n = max(_MIN_REFILL_WORDS, self.drawn)
+        # getrandbits puts the first word it makes lowest, so the words
+        # read most significant first list the last one first, and pop()
+        # returns them in the order they were made, on any host.
+        bits = rng.getrandbits(32 * n).to_bytes(4 * n, "big")
+        self._next = buf = array("I", struct.unpack(">%dI" % n, bits))
         return buf
 
 
-def jitter_streams(seed: int) -> Iterator[UniformStream]:
-    """One :class:`UniformStream` per ``next()``, each seeded with the
+def jitter_streams(seed: int) -> Iterator[WordStream]:
+    """One :class:`WordStream` per ``next()``, each seeded with the
     next 48 bits of ``random.Random(seed)``: the think-time jitter of a
     run's closed-loop workers, one stream per worker in spawn order."""
     rng = random.Random(seed)
     while True:
-        yield UniformStream(rng.getrandbits(48))
+        yield WordStream(rng.getrandbits(48))
 
 
 class HotColdGenerator:
@@ -109,12 +163,14 @@ class HotColdGenerator:
     transactions"; this generator reproduces exactly that law.
     """
 
+    __slots__ = ("n", "n_hot", "hot_access", "rng")
+
     def __init__(
         self,
         n: int,
         hot_fraction: float = 0.04,
         hot_access: float = 0.90,
-        rng: random.Random = None,
+        rng: Optional[RandomSource] = None,
     ):
         if n < 1:
             raise ValueError("n must be >= 1")

@@ -19,11 +19,10 @@ send-payment        15 %   write 2
 
 from __future__ import annotations
 
-import random
 from typing import Iterator
 
 from ..apps.txn import Transaction
-from ..sim import HotColdGenerator
+from ..sim import HotColdGenerator, RandomSource
 
 __all__ = ["SmallbankWorkload", "ACCOUNTS_PER_THREAD"]
 
@@ -36,7 +35,9 @@ HOT_ACCESS = 0.90
 class SmallbankWorkload:
     """Transaction generator with the paper's Smallbank configuration."""
 
-    def __init__(self, n_accounts: int, rng: random.Random):
+    __slots__ = ("n_accounts", "rng", "keygen", "_next_value")
+
+    def __init__(self, n_accounts: int, rng: RandomSource):
         if n_accounts < 4:
             raise ValueError("need at least 4 accounts")
         self.n_accounts = n_accounts

@@ -15,10 +15,10 @@ generation is a constant factor the paper does not rely on).
 
 from __future__ import annotations
 
-import random
 from typing import Iterator
 
 from ..apps.txn import Transaction
+from ..sim import RandomSource
 
 __all__ = ["TatpWorkload", "SUBSCRIBERS_PER_SERVER"]
 
@@ -33,7 +33,9 @@ class TatpWorkload:
     P_MULTI_READ = 0.10
     P_READ_WRITE = 0.04
 
-    def __init__(self, n_servers: int, rng: random.Random,
+    __slots__ = ("n_keys", "rng", "_next_value")
+
+    def __init__(self, n_servers: int, rng: RandomSource,
                  subscribers_per_server: int = SUBSCRIBERS_PER_SERVER):
         if n_servers < 1:
             raise ValueError("need at least one server")

@@ -10,11 +10,36 @@ from hypothesis import given, settings, strategies as st
 from repro.sim import (
     HotColdGenerator,
     Streams,
-    UniformStream,
+    WordStream,
     jitter_streams,
     percentile,
     summarize_latencies,
 )
+
+
+#: Seeds of the exactness tests: the edges of the 48-bit jitter seeds and
+#: a ``Streams`` child seed (``(seed << 32) ^ crc32(name)``, 67 bits).
+EXACT_SEEDS = [0, 1, 2**48 - 1, Streams(7).word_stream("wl-19-3-18").seed]
+#: randrange widths: one and three values, a TATP key space, and the
+#: widths just past 2**31 and at the last one a single word can serve.
+WIDTHS = [1, 3, 90_000, 2**31 + 1, 2**32 - 1]
+
+
+def mixed_draws(rng, n, seed):
+    """``n`` draws mixing ``random()``, ``randrange(n)`` and
+    ``randrange(a, b)`` in an order fixed by ``seed``."""
+    plan = random.Random(seed ^ 0x5EED)
+    out = []
+    for _ in range(n):
+        kind, width = plan.randrange(3), plan.choice(WIDTHS)
+        if kind == 0:
+            out.append(rng.random())
+        elif kind == 1:
+            out.append(rng.randrange(width))
+        else:
+            start = plan.randrange(-1000, 1000)
+            out.append(rng.randrange(start, start + width))
+    return out
 
 
 class TestStreams:
@@ -31,22 +56,62 @@ class TestStreams:
     def test_different_seeds_differ(self):
         assert Streams(1).stream("x").random() != Streams(2).stream("x").random()
 
+    def test_word_stream_draws_what_stream_draws(self):
+        s = Streams(seed=42)
+        assert mixed_draws(s.word_stream("x"), 200, 1) == \
+            mixed_draws(s.stream("x"), 200, 1)
 
-class TestUniformStream:
+
+class TestWordStream:
     @pytest.mark.parametrize("seed", [0, 1, 2**48 - 1])
     def test_matches_random_exactly(self, seed):
-        """5,000 draws cross every refill boundary (16, 32, 64, ...)."""
-        stream, ref = UniformStream(seed), random.Random(seed)
+        """5,000 draws cross every refill boundary (32, 64, 128, ...
+        words); ``drawn`` counts words, two per ``random()``."""
+        stream, ref = WordStream(seed), random.Random(seed)
         assert [stream.random() for _ in range(5000)] == \
             [ref.random() for _ in range(5000)]
-        assert stream.drawn == 5000
+        assert stream.drawn == 10000
+
+    @pytest.mark.parametrize("seed", EXACT_SEEDS)
+    def test_mixed_draws_match_random(self, seed):
+        stream = WordStream(seed)
+        assert mixed_draws(stream, 5000, seed) == \
+            mixed_draws(random.Random(seed), 5000, seed)
+        # The words consumed are exactly the generator's first ``drawn``.
+        ref = random.Random(seed)
+        ref.getrandbits(32 * stream.drawn)
+        assert stream.random() == ref.random()
+
+    @pytest.mark.parametrize("seed", EXACT_SEEDS)
+    def test_refill_words_are_the_generators_outputs(self, seed):
+        """The buffer holds the next 32-bit outputs, in the order pop()
+        returns them, whatever the host's byte order."""
+        stream = WordStream(seed)
+        stream.randrange(3)
+        ref = random.Random(seed)
+        expected = [ref.getrandbits(32) for _ in range(32)]
+        assert list(reversed(stream._next)) == expected[stream.drawn:]
+
+    def test_rejects_what_one_word_cannot_serve(self):
+        stream = WordStream(3)
+        for args in [(2**32,), (2**40,), (5, 5 + 2**32)]:
+            with pytest.raises(ValueError):
+                stream.randrange(*args)
+        for args in [(0,), (-1,), (4, 4), (4, 3)]:
+            with pytest.raises(ValueError):
+                stream.randrange(*args)
+            with pytest.raises(ValueError):
+                random.Random(3).randrange(*args)
+        assert stream.drawn == 0
 
     def test_holds_no_state_before_first_draw(self):
-        stream = UniformStream(7)
+        stream = WordStream(7)
         assert stream._next is None
         stream.random()
         assert not any(isinstance(getattr(stream, name), random.Random)
-                       for name in UniformStream.__slots__)
+                       for name in WordStream.__slots__)
+        # The first refill holds 16 random() values.
+        assert len(stream._next) + stream.drawn == 32
 
     def test_per_stream_memory(self):
         """A worker draws 11 to 26 jitter values per run (Fig. 10 point);
@@ -71,7 +136,7 @@ class TestUniformStream:
                 return rng
             return build
 
-        stream_bytes = traced_bytes_each(drawn(UniformStream))
+        stream_bytes = traced_bytes_each(drawn(WordStream))
         random_bytes = traced_bytes_each(drawn(random.Random))
         assert stream_bytes <= 512
         assert random_bytes >= 2500
@@ -79,14 +144,15 @@ class TestUniformStream:
 
 class TestJitterStreams:
     def test_reproduces_per_worker_seeding(self):
-        """Stream k is ``UniformStream`` of the k-th 48-bit draw of
+        """Stream k is ``WordStream`` of the k-th 48-bit draw of
         ``Random(seed)``: the per-worker streams runners drew by hand."""
         seeds = random.Random(0x7EB)
         streams = jitter_streams(0x7EB)
         for _ in range(5):
-            expected = UniformStream(seeds.getrandbits(48))
+            seed = seeds.getrandbits(48)
             stream = next(streams)
-            assert stream.seed == expected.seed
+            assert stream.seed == seed
+            expected = random.Random(seed)
             assert [stream.random() for _ in range(40)] == \
                 [expected.random() for _ in range(40)]
 

@@ -1,13 +1,15 @@
 """Transaction-bench topology: partitioning, replication, regions."""
 
 import gc
+import random
 import tracemalloc
 
 import pytest
 
 from repro.apps.kvstore import KvEntry, partition_of, replicas_of
 from repro.config import ClusterConfig
-from repro.harness.txnbench import TxnBenchConfig, build_txn_servers
+from repro.harness.txnbench import (TxnBenchConfig, build_txn_servers,
+                                    run_flocktx)
 from repro.net import build_cluster
 from repro.sim import Simulator
 
@@ -144,6 +146,43 @@ class TestGcInvisibility:
         small = _tracked_delta(200)
         large = _tracked_delta(20_000)
         assert abs(large - small) < 100, (small, large)
+
+
+class _FirstRun(Exception):
+    pass
+
+
+def _live_randoms_at_first_run(monkeypatch, workload, coroutines):
+    """``random.Random`` objects alive when a small FLockTX run first
+    enters the event loop."""
+    counted = []
+
+    def first_run(sim, until=None):
+        gc.collect()
+        counted.append(sum(isinstance(o, random.Random)
+                           for o in gc.get_objects()))
+        raise _FirstRun
+
+    monkeypatch.setattr(Simulator, "run", first_run)
+    cfg = TxnBenchConfig(workload=workload, n_clients=2,
+                         threads_per_client=2, subscribers_per_server=50,
+                         accounts_per_thread=50,
+                         coroutines_per_thread=coroutines)
+    try:
+        run_flocktx(cfg)
+    except _FirstRun:
+        pass
+    return counted[0]
+
+
+class TestWorkloadStreams:
+    @pytest.mark.parametrize("workload", ["tatp", "smallbank"])
+    def test_coroutines_hold_no_random(self, monkeypatch, workload):
+        """A txn coroutine's workload draws from a ``WordStream``, so
+        adding coroutines adds no Mersenne Twister."""
+        one = _live_randoms_at_first_run(monkeypatch, workload, 1)
+        four = _live_randoms_at_first_run(monkeypatch, workload, 4)
+        assert one == four
 
 
 class TestConfigHelpers:

@@ -5,11 +5,23 @@ from collections import Counter
 
 import pytest
 
+from repro.sim import WordStream
 from repro.workloads import (
     BimodalSize,
     SmallbankWorkload,
     TatpWorkload,
 )
+
+
+def same_transactions(make, n=2000, seed=11):
+    """``make(rng)``'s first ``n`` transactions are the same whether it
+    draws from ``random.Random(seed)`` or ``WordStream(seed)``."""
+    a, b = make(random.Random(seed)), make(WordStream(seed))
+    for _ in range(n):
+        ta, tb = a.next_txn(), b.next_txn()
+        if (ta.reads, ta.writes) != (tb.reads, tb.writes):
+            return False
+    return True
 
 
 class TestTatp:
@@ -68,6 +80,11 @@ class TestTatp:
         with pytest.raises(ValueError):
             TatpWorkload(0, random.Random(1))
 
+    def test_word_stream_draws_the_same_transactions(self):
+        assert same_transactions(
+            lambda rng: TatpWorkload(3, rng, subscribers_per_server=30_000))
+        assert not hasattr(self.make(), "__dict__")
+
 
 class TestSmallbank:
     def make(self, seed=2, accounts=5000):
@@ -108,6 +125,12 @@ class TestSmallbank:
     def test_bad_config(self):
         with pytest.raises(ValueError):
             SmallbankWorkload(2, random.Random(1))
+
+    def test_word_stream_draws_the_same_transactions(self):
+        assert same_transactions(lambda rng: SmallbankWorkload(40_000, rng))
+        wl = self.make()
+        assert not hasattr(wl, "__dict__")
+        assert not hasattr(wl.keygen, "__dict__")
 
 
 class TestSizeGenerators:
