@@ -19,6 +19,7 @@ This module wires the pieces of §4-§5 together in virtual time:
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
@@ -150,12 +151,10 @@ class FlockServer:
         self.redistributions = 0
         #: Requests awaiting application-driven dispatch (fl_recv_rpc).
         self.manual_inbox: Store = Store(sim)
-        # The response-degree histogram is only touched when ``_obs``
-        # is set (a live registry installed on sim).
-        metrics = sim.metrics
-        self._obs = metrics.enabled
+        self._obs = sim.instrumented
         self._trace = sim.spans.enabled
-        self._m_resp_degree = metrics.histogram("flock.response_degree")
+        #: {responses per write-back: count}, kept only when instrumented.
+        self.response_degrees: Counter = Counter()
         #: Server-side view of scheduler holds: how long each (client,
         #: qp) pair spent deactivated between redistributions.
         self.hold_ledger = HoldLedger()
@@ -171,8 +170,7 @@ class FlockServer:
     def _make_inboxes(self, n: int) -> List[TrackedStore]:
         """Worker inboxes with queue accounting when telemetry is live
         (the Little's-law auditor treats them as the server queue)."""
-        track = self.sim.metrics.enabled
-        return [TrackedStore(self.sim, track=track,
+        return [TrackedStore(self.sim, track=self.sim.instrumented,
                              name="%s.inbox%d" % (self.node.name, i))
                 for i in range(n)]
 
@@ -320,7 +318,7 @@ class FlockServer:
             schannel.pending_grant = 0
         yield core.charge(self.cpu.header_build_ns + self.cpu.mmio_ns, "net-send")
         if self._obs:
-            self._m_resp_degree.observe(len(responses))
+            self.response_degrees[len(responses)] += 1
         t_post = self.sim.now
         if self._trace:
             # Hardware-facing span for the response write; member RPC
@@ -484,6 +482,9 @@ class FlockServer:
         metrics.add("flock.qp_hold_ns", self.hold_ledger.total_hold_ns)
         metrics.set("flock.active_qps", self.total_active_qps,
                     server=self.node.name)
+        metrics.observe("flock.response_degree", 0, 0)  # even when empty
+        for value, n in self.response_degrees.items():
+            metrics.observe("flock.response_degree", value, n)
 
 
 class FlockClient:
@@ -507,13 +508,12 @@ class FlockClient:
         #: Migrations off a deactivated QP, and the sends they re-homed.
         self.migrations = 0
         self.stranded_slots = 0
-        # The coalescing histograms are only touched when ``_obs`` is
-        # set (a live registry installed on sim).
-        metrics = sim.metrics
-        self._obs = metrics.enabled
+        self._obs = sim.instrumented
         self._trace = sim.spans.enabled
-        self._m_degree = metrics.histogram("flock.coalescing_degree")
-        self._m_msg_bytes = metrics.histogram("flock.message_bytes")
+        #: {value: count} ledgers of each coalesced message's RPCs and
+        #: bytes, kept only when instrumented.
+        self.coalescing_degrees: Counter = Counter()
+        self.message_bytes: Counter = Counter()
         self._dispatch_inbox: Store = Store(sim)
         #: Coalescing can be disabled for the Fig. 10 ablation.
         self.coalescing_enabled = True
@@ -605,6 +605,12 @@ class FlockClient:
         metrics.add("flock.stranded_slots", self.stranded_slots)
         metrics.add("flock.renewals_sent",
                     sum(ch.credits.renewals_requested for ch in channels))
+        for name, ledger in (("flock.coalescing_degree",
+                              self.coalescing_degrees),
+                             ("flock.message_bytes", self.message_bytes)):
+            metrics.observe(name, 0, 0)  # reported even when empty
+            for value, n in ledger.items():
+                metrics.observe(name, value, n)
 
     # -- the send path (fl_send_rpc / fl_recv_res) -----------------------------------
 
@@ -811,8 +817,8 @@ class FlockClient:
             self.rpcs_coalesced += len(rpc_slots)
             self.rpc_bytes_coalesced += sum(s.request.size for s in rpc_slots)
             if self._obs:
-                self._m_degree.observe(len(rpc_slots))
-                self._m_msg_bytes.observe(msg.total_bytes)
+                self.coalescing_degrees[len(rpc_slots)] += 1
+                self.message_bytes[msg.total_bytes] += 1
             t_post = self.sim.now
             if self._trace:
                 # One hardware-facing span per coalesced message; member

@@ -377,7 +377,7 @@ def _emit_explanations(args, per_figure) -> int:
 def _explain_live_fig2a(args) -> int:
     """Run the Fig. 2a sweep with spans on and explain its anomalies."""
     prev = current_telemetry()
-    own = prev is None or not getattr(prev, "wants_spans", False)
+    own = prev is None or not prev.spans.enabled
     tel = enable(Telemetry(wants_spans=True)) if own else prev
     try:
         # A spans-wanting telemetry forces run_sweep serial, so the

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional
 
 from ..config import ClusterConfig
 from ..net import build_cluster
-from ..obs import AuditError, Registry, audit_enabled, current_telemetry, run_audit
+from ..obs import AuditError, audit_enabled, current_telemetry, run_audit
 from ..obs.anomaly import detect_run_anomalies
 from ..obs.simprof import SimProfile, profile_enabled
 from ..obs.windows import SloTimeline, attach_switch_sources
@@ -48,8 +48,8 @@ class Run:
     """One simulation run's lifecycle, shared by every figure runner.
 
     Construction creates the :class:`Simulator` and installs the run's
-    instruments on it (the telemetry, a bare registry for an audited run
-    without one, then the host-time profiler).  Only then does it build
+    instruments on it (the telemetry, ``sim.instrumented`` for an
+    audited run, then the host-time profiler).  Only then does it build
     ``cluster`` into :attr:`servers`, :attr:`clients` and :attr:`fabric`,
     because components decide at construction whether to keep the
     queue and wait accounting that telemetry and the auditors read.
@@ -77,12 +77,12 @@ class Run:
         tel = telemetry if telemetry is not None else current_telemetry()
         if tel is not None:
             tel.install(sim, label=label)
-        # Auditing without telemetry installs a bare Registry: queues
-        # and credit states keep the accounting the auditors read only
-        # when instrumented (no span overhead).
+        # Queues and credit states keep the accounting the auditors read
+        # only when instrumented, so auditing alone instruments the run
+        # (no span overhead).
         self.audited = audit if audit is not None else audit_enabled()
-        if self.audited and not sim.metrics.enabled:
-            sim.metrics = Registry()
+        if self.audited:
+            sim.instrumented = True
         scale = bench_scale() if scaled else 1.0
         self.warmup = warmup_ns * scale
         self.measure = measure_ns * scale

@@ -128,7 +128,7 @@ def run_sweep(points: Sequence[SweepPoint], jobs: int = 1
     points = list(points)
     jobs = default_jobs(jobs)
     tel = current_telemetry()
-    if tel is not None and not getattr(tel, "wants_spans", True):
+    if tel is not None and not tel.spans.enabled:
         return _run_sweep_metrics_only(points, jobs, tel)
     if jobs > 1 and tel is not None:
         # Spans must accumulate in this process; see module docs.

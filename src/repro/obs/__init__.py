@@ -7,12 +7,11 @@ Three pillars, all opt-in and near-zero-cost when disabled:
   MMIO → RNIC processing (with cache-miss/PCIe-stall sub-phases) → wire
   → server queue → handler → response, recorded in virtual time and
   aggregated into phase-level latency breakdowns.
-* **Metrics registry** (:mod:`repro.obs.registry`) — named counters and
-  gauges read, once per run, from the ledgers the RNIC, PCIe, fabric,
-  switch, verbs and FLock components keep anyway, plus live histograms
-  for distributions; the default :class:`NullRegistry` hands out a
-  shared no-op histogram, so the uninstrumented hot path keeps only
-  its plain integer ledgers.
+* **Metrics registry** (:mod:`repro.obs.registry`) — named counters,
+  gauges and histograms read, once per run, from the ledgers the RNIC,
+  PCIe, fabric, switch, verbs and FLock components keep anyway; a
+  distribution is a ``{value: count}`` ledger its component keeps only
+  when the simulator is instrumented.
 * **Export** (:mod:`repro.obs.export`) — Chrome trace-event JSON
   (loadable in Perfetto / ``chrome://tracing``) plus metrics snapshots
   as JSON/CSV, surfaced on the CLI as ``--trace`` / ``--metrics`` /
@@ -76,12 +75,7 @@ from .explain import (
     top_shift,
 )
 from .export import chrome_trace, format_breakdown, write_chrome_trace
-from .registry import (
-    Histogram,
-    NullRegistry,
-    Registry,
-    null_registry,
-)
+from .registry import Registry
 from .runstore import RunRecord, RunStore, default_store_dir
 from .scorecard import Check, Metric, Scorecard, load_scorecard
 from .simprof import SimProfile, component_bucket, profile_enabled
@@ -138,8 +132,6 @@ __all__ = [
     "run_audit",
     "what_if",
     "what_if_all",
-    "Histogram",
-    "NullRegistry",
     "NullSpanLog",
     "PHASES",
     "QuantileSketch",
@@ -156,7 +148,6 @@ __all__ = [
     "disable",
     "enable",
     "format_breakdown",
-    "null_registry",
     "null_span_log",
     "write_chrome_trace",
 ]

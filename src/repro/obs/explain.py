@@ -63,12 +63,13 @@ def attribution_blocks(telemetry) -> Dict[str, dict]:
     shape scorecards persist as ``meta["attribution"]`` (see
     :func:`repro.harness.scorecards.attach_runs`, which delegates
     here), so live and stored explanations consume the same data.
-    Untraced runs (no finished critical paths) are omitted.  The
+    Untraced runs (no finished critical paths) are omitted, and a
+    telemetry that records no spans has no blocks.  The
     unbounded what-if case (all blocked time on one resource) is
     represented as None — ``inf`` is not strict JSON.
     """
     blocks: Dict[str, dict] = {}
-    if telemetry is None:
+    if telemetry is None or not telemetry.spans.enabled:
         return blocks
     for run_id in sorted(telemetry.spans.run_labels):
         label = telemetry.spans.run_labels[run_id]

@@ -1,6 +1,6 @@
 """The metrics registry: counters, gauges and histograms by name.
 
-Every count a run reports is kept once, by the component that owns it:
+Every value a run reports is kept once, by the component that owns it:
 ``Rnic.messages_tx``, ``CacheStats.misses``, ``SwitchPort.ecn_marks``
 and so on are plain integer (or float) attributes bumped on the hot
 path.  A :class:`Registry` turns those ledgers into named series only
@@ -8,22 +8,17 @@ when a simulator's run is over (:meth:`Registry.attach`): each
 registered component reports its ledgers through ``report_metrics``,
 
 * as **counters** — totals summed over components and over the runs
-  a registry has seen (messages sent, cache misses, PCIe stall ns) —
-  and
+  a registry has seen (messages sent, cache misses, PCIe stall ns);
 * as **gauges** — a point-in-time value per label set, the last run's
-  (queue depth, pipeline occupancy, link utilization).
+  (queue depth, pipeline occupancy, link utilization); and
+* as **histograms** — a distribution, which its component keeps as a
+  ``{value: count}`` ledger (coalescing degree, CQ depth) and hands
+  over through :meth:`Registry.observe`.  The registry folds it into a
+  bounded-memory mergeable :class:`repro.obs.sketch.QuantileSketch`:
+  exact count, sum, min and max, percentiles within the sketch's
+  relative-error bound.
 
-Distributions have no ledger, so a :class:`Histogram` stays a live
-instrument: exact online moments plus a bounded-memory mergeable
-:class:`repro.obs.sketch.QuantileSketch` for percentiles (coalescing
-degree, CQ poll batch size).  Histograms are memoized by ``(name,
-labels)``; components fetch theirs at construction and observe only
-when the simulator is instrumented.  The default registry on every
-simulator is the :class:`NullRegistry`, which hands out one shared
-no-op histogram.
-
-This module is intentionally dependency-free (stdlib only) so the
-simulation kernel itself can import it without cycles.
+This module is intentionally dependency-free (stdlib only).
 """
 
 from __future__ import annotations
@@ -34,27 +29,28 @@ from typing import Any, Dict, Tuple
 
 from .sketch import QuantileSketch
 
-__all__ = [
-    "Histogram",
-    "NullHistogram",
-    "NullRegistry",
-    "Registry",
-    "SUMMARY_KEYS",
-    "null_registry",
-]
+__all__ = ["Registry", "SUMMARY_KEYS"]
 
-#: The shared summary schema: every histogram summary — live or null —
-#: carries exactly these keys in this order, and ``to_csv`` emits one
-#: row per key.  A test pins live and null implementations in lockstep.
+#: The summary schema: every histogram summary carries exactly these
+#: keys in this order, and ``to_csv`` emits one row per key.
 SUMMARY_KEYS = ("count", "sum", "min", "max", "mean", "p50", "p99", "p999")
 
 
-def _zero_summary() -> Dict[str, float]:
-    """The canonical all-zero summary (count is an int, rest floats)."""
-    out: Dict[str, float] = {}
-    for key in SUMMARY_KEYS:
-        out[key] = 0 if key == "count" else 0.0
-    return out
+def _summary(sketch: QuantileSketch) -> Dict[str, float]:
+    """The :data:`SUMMARY_KEYS` schema of one distribution.  An empty
+    one is all zeros (count an int, the rest floats)."""
+    if not sketch.count:
+        return {key: 0 if key == "count" else 0.0 for key in SUMMARY_KEYS}
+    return {
+        "count": sketch.count,
+        "sum": sketch.total,
+        "min": sketch.min,
+        "max": sketch.max,
+        "mean": sketch.mean,
+        "p50": sketch.percentile(50),
+        "p99": sketch.percentile(99),
+        "p999": sketch.percentile(99.9),
+    }
 
 
 def _label_key(labels: Dict[str, Any]) -> Tuple:
@@ -70,116 +66,20 @@ def _format_name(name: str, labels: Dict[str, Any]) -> str:
     return "%s{%s}" % (name, inner)
 
 
-class Histogram:
-    """A distribution: exact count/sum/min/max plus a mergeable sketch.
-
-    Percentiles come from a bounded-memory
-    :class:`repro.obs.sketch.QuantileSketch` (<=1% relative error at
-    every rank), replacing the seed-era first-N sample buffer whose
-    percentiles were biased toward the start of the run.  Because the
-    sketch merges exactly, parallel sweep workers can ship their
-    histograms back and the merged percentiles are identical to a
-    single-process run.  The sketch's memory is bounded by its bucket
-    count, not a sample cap.
-    """
-
-    __slots__ = ("name", "labels", "sketch")
-
-    def __init__(self, name: str, labels: Optional[Dict[str, Any]] = None):
-        self.name = name
-        self.labels = labels or {}
-        self.sketch = QuantileSketch()
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self.sketch.observe(value)
-
-    @property
-    def count(self) -> int:
-        """Exact number of observations."""
-        return self.sketch.count
-
-    @property
-    def total(self) -> float:
-        """Exact sum of all observations."""
-        return self.sketch.total
-
-    @property
-    def min(self) -> float:
-        """Exact minimum (inf when empty)."""
-        return self.sketch.min
-
-    @property
-    def max(self) -> float:
-        """Exact maximum (-inf when empty)."""
-        return self.sketch.max
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of all observations (0 when empty)."""
-        return self.sketch.mean
-
-    def percentile(self, p: float) -> float:
-        """Percentile ``p`` in [0, 100]; exact at the endpoints, within
-        the sketch's relative-error bound everywhere else."""
-        if not self.sketch.count:
-            return 0.0
-        if p <= 0:
-            return self.sketch.min
-        if p >= 100:
-            return self.sketch.max
-        return self.sketch.percentile(p)
-
-    def summary(self) -> Dict[str, float]:
-        """The :data:`SUMMARY_KEYS` schema as a plain dict."""
-        if not self.sketch.count:
-            return _zero_summary()
-        return {
-            "count": self.sketch.count,
-            "sum": self.sketch.total,
-            "min": self.sketch.min,
-            "max": self.sketch.max,
-            "mean": self.mean,
-            "p50": self.percentile(50),
-            "p99": self.percentile(99),
-            "p999": self.percentile(99.9),
-        }
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold another histogram's sketch into this one (exact)."""
-        self.sketch.merge(other.sketch)
-        return self
-
-    def state(self) -> dict:
-        """Picklable full state (see :meth:`QuantileSketch.to_dict`)."""
-        return self.sketch.to_dict()
-
-    def merge_state(self, state: dict) -> None:
-        """Fold a :meth:`state` snapshot into this histogram."""
-        self.sketch.merge(QuantileSketch.from_dict(state))
-
-    def __repr__(self) -> str:
-        return "Histogram(%s, n=%d, mean=%g)" % (
-            _format_name(self.name, self.labels), self.count, self.mean)
-
-
 class Registry:
     """Named counters, gauges and histograms.
 
-    Counters and gauges are plain values keyed by ``(name, labels)``:
-    :meth:`add` sums into a counter, :meth:`set` overwrites a gauge.
-    Components never call either on the hot path; they report their
-    ledgers once per run through ``report_metrics`` when the registry
-    lets go of their simulator (see :meth:`attach`).  Histograms are
-    live instruments, memoized by ``(name, labels)``.
+    Every series is keyed by ``(name, labels)``: :meth:`add` sums into a
+    counter, :meth:`set` overwrites a gauge and :meth:`observe` adds to
+    a histogram's sketch.  Components never call them on the hot path;
+    they report their ledgers once per run through ``report_metrics``
+    when the registry lets go of their simulator (see :meth:`attach`).
     """
-
-    enabled = True
 
     def __init__(self):
         self._counters: Dict[Tuple, float] = {}
         self._gauges: Dict[Tuple, float] = {}
-        self._histograms: Dict[Tuple, Histogram] = {}
+        self._histograms: Dict[Tuple, QuantileSketch] = {}
         #: The attached simulator whose ledgers are not folded in yet.
         self._held = None
 
@@ -192,14 +92,20 @@ class Registry:
         """Record ``value`` as the gauge ``name``."""
         self._gauges[(name, _label_key(labels))] = float(value)
 
-    def histogram(self, name: str, **labels) -> Histogram:
-        """Get or create the histogram ``name`` with optional labels."""
-        key = (name, _label_key(labels))
-        inst = self._histograms.get(key)
-        if inst is None:
-            inst = Histogram(name, labels)
-            self._histograms[key] = inst
-        return inst
+    def observe(self, name: str, value: float, n: int = 1,
+                **labels) -> None:
+        """Add ``n`` observations of ``value`` to the histogram ``name``.
+
+        The histogram exists from its first mention, so ``n=0`` reports
+        an empty one: it still appears, with the all-zero summary.
+        """
+        self._sketch((name, _label_key(labels))).observe(value, n)
+
+    def _sketch(self, key: Tuple) -> QuantileSketch:
+        sketch = self._histograms.get(key)
+        if sketch is None:
+            sketch = self._histograms[key] = QuantileSketch()
+        return sketch
 
     # -- run ledgers ----------------------------------------------------
 
@@ -214,7 +120,7 @@ class Registry:
         self._held = sim
 
     def _fold(self) -> None:
-        """Add the held simulator's ledgers to the counters and gauges.
+        """Add the held simulator's ledgers to the registry's series.
 
         The run's totals are summed on their own first, so a run folded
         here adds the same float to each counter that a run exported
@@ -245,8 +151,8 @@ class Registry:
                 for (name, lbl), value in self._gauges.items()
             },
             "histograms": {
-                _format_name(h.name, h.labels): h.summary()
-                for h in self._histograms.values()
+                _format_name(name, dict(lbl)): _summary(sketch)
+                for (name, lbl), sketch in self._histograms.items()
             },
         }
 
@@ -255,18 +161,22 @@ class Registry:
         return json.dumps(self.snapshot(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
-        """The snapshot as flat CSV rows: type,name,field,value."""
+        """The snapshot as flat CSV rows: type,name,field,value.  Each
+        value is written as the shortest text that parses back to it."""
         out = io.StringIO()
         out.write("type,name,field,value\n")
         snap = self.snapshot()
         for name in sorted(snap["counters"]):
-            out.write("counter,%s,value,%g\n" % (name, snap["counters"][name]))
+            out.write("counter,%s,value,%r\n"
+                      % (name, float(snap["counters"][name])))
         for name in sorted(snap["gauges"]):
-            out.write("gauge,%s,value,%g\n" % (name, snap["gauges"][name]))
+            out.write("gauge,%s,value,%r\n"
+                      % (name, float(snap["gauges"][name])))
         for name in sorted(snap["histograms"]):
             for field in SUMMARY_KEYS:
-                out.write("histogram,%s,%s,%g\n"
-                          % (name, field, snap["histograms"][name][field]))
+                out.write("histogram,%s,%s,%r\n"
+                          % (name, field,
+                             float(snap["histograms"][name][field])))
         return out.getvalue()
 
     # -- cross-process state --------------------------------------------
@@ -286,8 +196,9 @@ class Registry:
                          for (name, lbl), value in self._counters.items()],
             "gauges": [(name, lbl, value)
                        for (name, lbl), value in self._gauges.items()],
-            "histograms": [(h.name, key[1], h.state())
-                           for key, h in self._histograms.items()],
+            "histograms": [(name, lbl, sketch.to_dict())
+                           for (name, lbl), sketch
+                           in self._histograms.items()],
         }
 
     def merge_state(self, state: dict) -> None:
@@ -306,49 +217,5 @@ class Registry:
         for name, lbl, value in state["gauges"]:
             self.set(name, value, **dict(lbl))
         for name, lbl, hstate in state["histograms"]:
-            self.histogram(name, **dict(lbl)).merge_state(hstate)
-
-
-class NullHistogram:
-    """No-op histogram: the disabled hot path."""
-
-    __slots__ = ()
-    count = 0
-    total = 0.0
-    mean = 0.0
-
-    def observe(self, value: float) -> None:
-        """Discard the observation."""
-
-    def percentile(self, p: float) -> float:
-        """Nothing was recorded."""
-        return 0.0
-
-    def summary(self) -> Dict[str, float]:
-        """An all-zero summary over the shared :data:`SUMMARY_KEYS`."""
-        return _zero_summary()
-
-
-_NULL_HISTOGRAM = NullHistogram()
-
-
-class NullRegistry:
-    """Registry stub handing out the shared no-op histogram.
-
-    Installed on every :class:`repro.sim.Simulator` by default; nothing
-    attaches it to a simulator, so no ledger is ever folded into it.
-    """
-
-    enabled = False
-
-    def histogram(self, name: str, **labels) -> NullHistogram:
-        """The shared no-op histogram."""
-        return _NULL_HISTOGRAM
-
-    def snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """An empty snapshot."""
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
-
-#: Shared stub installed on simulators constructed without telemetry.
-null_registry = NullRegistry()
+            self._sketch((name, _label_key(dict(lbl)))).merge(
+                QuantileSketch.from_dict(hstate))

@@ -2,7 +2,7 @@
 
 The simulation observes millions of latency samples per sweep; keeping
 them all is unaffordable and keeping "the first N" (the seed-era
-``Histogram`` reservoir) is a *start-of-run bias* — warmup transients
+sample reservoir) is a *start-of-run bias* — warmup transients
 dominate and the steady state past sample N is invisible.  A
 :class:`QuantileSketch` replaces the buffer with logarithmic buckets:
 

@@ -1,9 +1,9 @@
 """The Telemetry bundle: one object wiring all three pillars together.
 
-A :class:`Telemetry` owns a live :class:`repro.obs.registry.Registry` and
+A :class:`Telemetry` owns a :class:`repro.obs.registry.Registry` and a
 :class:`repro.obs.span.SpanLog` and installs them onto a simulator
-*before* the cluster is built (components fetch their histograms and
-decide whether to record spans at construction time, so installation
+*before* the cluster is built (components decide at construction time
+whether to keep their accounting and record spans, so installation
 order matters — the harness runners handle this).  The components'
 own ledgers reach the registry once per simulator, when the telemetry
 lets go of it: at the next install, or when the registry is read.
@@ -26,7 +26,7 @@ from .causal import (
     what_if_all,
 )
 from .registry import Registry
-from .span import SpanLog
+from .span import SpanLog, null_span_log
 
 __all__ = [
     "Telemetry",
@@ -37,23 +37,22 @@ __all__ = [
 
 
 class Telemetry:
-    """A live metrics registry + span log, installable on simulators.
+    """A metrics registry + span log, installable on simulators.
 
     ``wants_spans`` declares whether span-level observability (traces,
     breakdowns, attribution) is needed.  Spans only exist in the process
     that recorded them, so a spans-wanting telemetry forces sweeps
-    serial; a metrics-only telemetry (``wants_spans=False``) keeps
-    ``--jobs`` parallelism because counters and quantile sketches merge
-    exactly across worker processes (see
+    serial; a metrics-only telemetry (``wants_spans=False``) records no
+    spans and keeps ``--jobs`` parallelism because counters and quantile
+    sketches merge exactly across worker processes (see
     :meth:`repro.obs.registry.Registry.export_state`).
     """
 
     def __init__(self, wants_spans: bool = True):
         self.registry = Registry()
-        self.spans = SpanLog()
-        #: Whether span recording matters to this telemetry's consumer
-        #: (False = metrics-only; sweeps may fan out across processes).
-        self.wants_spans = wants_spans
+        #: The span log; the null one for a metrics-only telemetry,
+        #: whose sweeps may fan out across processes.
+        self.spans = SpanLog() if wants_spans else null_span_log
         #: Labels of the runs this telemetry has been installed on.
         self.runs = []
         #: The most recently installed simulator — its clock gives the
@@ -75,7 +74,7 @@ class Telemetry:
         """
         self.flush()
         self.registry.attach(sim)
-        sim.metrics = self.registry
+        sim.instrumented = True
         sim.spans = self.spans
         run_label = label or ("run%d" % (len(self.runs) + 1))
         self.spans.new_run(run_label)

@@ -44,7 +44,6 @@ from itertools import count
 from time import perf_counter_ns
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from ..obs.registry import null_registry
 from ..obs.span import null_span_log
 
 __all__ = [
@@ -405,10 +404,14 @@ class Simulator:
         #: is one C call instead of a load/add/store round trip.
         self._next_seq = count(1).__next__
         self._n_events = 0
-        #: Metrics registry consulted by instrumented components at
-        #: construction time; :meth:`repro.obs.Telemetry.install` swaps in
-        #: a live registry *before* the cluster is built.
-        self.metrics = null_registry
+        #: Whether components keep the accounting that telemetry and the
+        #: auditors read: queue accounting, wait times and value-count
+        #: ledgers.  Components read it **once, at construction time**
+        #: and cache it, so the uninstrumented hot path pays one cached
+        #: bool branch.  :meth:`repro.obs.Telemetry.install` and an
+        #: audited :class:`repro.harness.Run` set it *before* the
+        #: cluster is built.
+        self.instrumented = False
         #: Span log for per-RPC/per-message tracing; disabled by default.
         self.spans = null_span_log
         #: Every instrumented component (RNICs, CQs, credit states, ...)
@@ -422,19 +425,6 @@ class Simulator:
         self.time_regressions = 0
 
     # -- scheduling ----------------------------------------------------
-
-    @property
-    def instrumented(self) -> bool:
-        """True when a live registry or span log is installed.
-
-        Components consult this **once, at construction time** and cache
-        the answer, hoisting every ``metrics.enabled`` / ``spans.enabled``
-        test out of their per-event code — the uninstrumented hot path
-        pays a single cached-bool branch instead of attribute chains and
-        null-object calls.  Telemetry must therefore be installed before
-        the cluster is built (the harness runners guarantee this).
-        """
-        return self.metrics.enabled or self.spans.enabled
 
     def _schedule(self, event: Event, delay: float) -> None:
         if delay == 0.0:

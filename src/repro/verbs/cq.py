@@ -10,7 +10,9 @@ reaped).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from collections import Counter
+from types import MappingProxyType
+from typing import List, Mapping, Optional
 
 from ..sim import Event, Simulator, TrackedStore
 from .wr import Completion
@@ -21,21 +23,27 @@ __all__ = ["CompletionQueue"]
 class CompletionQueue:
     """FIFO of completions, optionally bounded like a real CQ."""
 
+    #: {value: count} ledgers: the queue depth after each push, and the
+    #: CQEs each successful poll reaps.  Only an instrumented CQ keeps
+    #: its own; the thousands of uninstrumented ones share these empty
+    #: read-only ones.
+    depths: Mapping[int, int] = MappingProxyType({})
+    poll_batches: Mapping[int, int] = MappingProxyType({})
+
     def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = "cq"):
         self.sim = sim
         self.name = name
         self._obs = sim.instrumented
         self._trace = sim.spans.enabled
-        metrics = sim.metrics
         # Queueing-theory accounting (arrival times, depth-time integral)
-        # only when telemetry is live: the Little's-law auditor consumes
-        # it, the disabled path stays a plain Store.
-        self._store = TrackedStore(sim, capacity, track=metrics.enabled,
+        # only when instrumented: the Little's-law auditor consumes it,
+        # the uninstrumented path stays a plain Store.
+        self._store = TrackedStore(sim, capacity, track=self._obs,
                                    name=name)
         self.pushed = 0
         self.overflowed = 0
-        self._m_depth = metrics.histogram("verbs.cq.depth")
-        self._m_poll_batch = metrics.histogram("verbs.cq.poll_batch")
+        if self._obs:
+            self.depths, self.poll_batches = Counter(), Counter()
         sim.register_component(self)
 
     def __len__(self) -> int:
@@ -46,7 +54,7 @@ class CompletionQueue:
         if self._store.try_put(wc):
             self.pushed += 1
             if self._obs:
-                self._m_depth.observe(len(self._store))
+                self.depths[len(self._store)] += 1
             if self._trace and wc.span is not None:
                 # Stamp CQ entry time; the reap side turns the residency
                 # into a ``cq_poll`` wait edge.  (Direct hand-off to a
@@ -79,7 +87,7 @@ class CompletionQueue:
         if out:
             # Completion batching: how many CQEs each successful poll reaps.
             if self._obs:
-                self._m_poll_batch.observe(len(out))
+                self.poll_batches[len(out)] += 1
             if self._trace:
                 for wc in out:
                     self._note_reap(wc)
@@ -96,6 +104,11 @@ class CompletionQueue:
         """Report this CQ's ledgers to a metrics registry at run end."""
         metrics.add("verbs.cq.pushed", self.pushed)
         metrics.add("verbs.cq.overflowed", self.overflowed)
+        for name, ledger in (("verbs.cq.depth", self.depths),
+                             ("verbs.cq.poll_batch", self.poll_batches)):
+            metrics.observe(name, 0, 0)  # reported even when empty
+            for value, n in ledger.items():
+                metrics.observe(name, value, n)
 
     # -- audit accounting (populated when telemetry is live) -------------
 

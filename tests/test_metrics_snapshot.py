@@ -24,18 +24,19 @@ DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "docs",
                     "observability.md")
 
 
-def _metrics(tmp_path, *flags):
-    path = tmp_path / "m.json"
+def _metrics(tmp_path, *flags, name="m.json"):
+    """The snapshot file's text (JSON, or CSV when ``name`` says so)."""
+    path = tmp_path / name
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_BENCH_SCALE", "0.1")
         assert main([*flags, "--metrics", str(path),
                      "incast", "--senders", "4"]) == 0
-    return json.loads(path.read_text())
+    return path.read_text()
 
 
 @pytest.fixture(scope="module")
 def snapshot(tmp_path_factory):
-    return _metrics(tmp_path_factory.mktemp("metrics"))
+    return json.loads(_metrics(tmp_path_factory.mktemp("metrics")))
 
 
 def _rounded(value):
@@ -64,7 +65,24 @@ def test_span_recording_leaves_metrics_unchanged(snapshot, tmp_path):
     instead of one registry per point; the snapshot must not notice.
     ``net.link_utilization`` once divided every run's wire bytes by the
     last run's clock here."""
-    assert _metrics(tmp_path, "--breakdown") == snapshot
+    assert json.loads(_metrics(tmp_path, "--breakdown")) == snapshot
+
+
+def test_csv_rows_equal_json_values(snapshot, tmp_path):
+    """Every ``--metrics FILE.csv`` value parses back to the JSON value
+    of the same series (``%g`` once rounded 22 of these rows)."""
+    rows = _metrics(tmp_path, name="m.csv").splitlines()
+    assert rows[0] == "type,name,field,value"
+    kinds = {"counter": "counters", "gauge": "gauges",
+             "histogram": "histograms"}
+    for row in rows[1:]:
+        kind, rest = row.split(",", 1)
+        name, field, value = rest.rsplit(",", 2)
+        expected = snapshot[kinds[kind]][name]
+        if kind == "histogram":
+            expected = expected[field]
+        assert float(value) == expected, row
+    assert len(rows) - 1 == 46 + 36 + 5 * 8
 
 
 def _expand(name):

@@ -20,7 +20,6 @@ from repro.harness.microbench import (
 from repro.net import build_cluster
 from repro.obs import (
     PHASES,
-    NullRegistry,
     NullSpanLog,
     Registry,
     Span,
@@ -31,7 +30,6 @@ from repro.obs import (
     disable,
     enable,
     format_breakdown,
-    null_registry,
     null_span_log,
     write_chrome_trace,
 )
@@ -163,10 +161,13 @@ class TestRegistry:
         reg.add("x", 1, nic=1)
         reg.add("x", 2, nic=1)
         reg.add("x", 4, nic=2)
-        assert reg.snapshot()["counters"] == {"x{nic=1}": 3.0,
-                                              "x{nic=2}": 4.0}
-        assert reg.histogram("h") is reg.histogram("h")
-        assert reg.histogram("h", nic=1) is not reg.histogram("h", nic=2)
+        reg.observe("h", 1.0, nic=1)
+        reg.observe("h", 2.0, nic=1)
+        reg.observe("h", 4.0, nic=2)
+        snap = reg.snapshot()
+        assert snap["counters"] == {"x{nic=1}": 3.0, "x{nic=2}": 4.0}
+        assert {name: h["count"] for name, h in snap["histograms"].items()
+                } == {"h{nic=1}": 2, "h{nic=2}": 1}
 
     def test_gauge(self):
         reg = Registry()
@@ -176,21 +177,36 @@ class TestRegistry:
 
     def test_histogram(self):
         reg = Registry()
-        h = reg.histogram("lat")
         for v in (1.0, 2.0, 3.0, 4.0):
-            h.observe(v)
-        summary = h.summary()
+            reg.observe("lat", v)
+        summary = reg.snapshot()["histograms"]["lat"]
         assert summary["count"] == 4
+        assert summary["sum"] == 10.0
         assert summary["min"] == 1.0
         assert summary["max"] == 4.0
         assert summary["mean"] == pytest.approx(2.5)
-        assert h.percentile(100) == 4.0
+
+    def test_value_counts_fold_like_single_observations(self):
+        """A component's {value: count} ledger, handed over with
+        ``observe(name, value, n)``, gives the same histogram as the
+        observations one at a time; ``n=0`` reports an empty one."""
+        values = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]
+        one, folded = Registry(), Registry()
+        for v in values:
+            one.observe("deg", v)
+        folded.observe("deg", 0, 0)
+        folded.observe("empty", 0, 0)
+        for v in sorted(set(values)):
+            folded.observe("deg", v, values.count(v))
+        assert folded.export_state()["histograms"][0] == \
+            one.export_state()["histograms"][0]
+        assert folded.snapshot()["histograms"]["empty"]["count"] == 0
 
     def test_snapshot_and_exports(self):
         reg = Registry()
         reg.add("a", 2, nic=0)
         reg.set("b", 1.5)
-        reg.histogram("c").observe(9.0)
+        reg.observe("c", 9.0)
         snap = reg.snapshot()
         assert snap["counters"]["a{nic=0}"] == 2
         assert snap["gauges"]["b"] == 1.5
@@ -199,18 +215,34 @@ class TestRegistry:
         assert doc["counters"]["a{nic=0}"] == 2
         csv_text = reg.to_csv()
         assert csv_text.startswith("type,name,field,value\n")
-        assert "counter,a{nic=0},value,2" in csv_text
+        assert "counter,a{nic=0},value,2.0\n" in csv_text
 
 
 class TestDisabledMode:
-    def test_null_registry_instruments_are_shared_noops(self):
-        assert not null_registry.enabled
-        h = null_registry.histogram("h", lab=1)
-        assert h is null_registry.histogram("other")  # one shared singleton
-        h.observe(3.0)
-        assert h.summary()["count"] == 0
-        assert null_registry.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}}
+    def test_kernel_carries_no_registry(self):
+        """The simulator knows only whether it is instrumented; no
+        module of the kernel imports the metrics registry."""
+        import ast
+        import pathlib
+
+        import repro.sim
+        from repro.sim import Simulator
+
+        sim = Simulator()
+        assert not hasattr(sim, "metrics")
+        assert sim.instrumented is False
+        for path in pathlib.Path(repro.sim.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    base = node.module or ""
+                    names = [base] + ["%s.%s" % (base, a.name)
+                                      for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                assert not any(name.endswith("obs.registry")
+                               for name in names), path.name
 
     def test_null_span_log(self):
         assert not null_span_log.enabled
@@ -222,8 +254,38 @@ class TestDisabledMode:
     def test_fresh_simulator_defaults_to_null(self):
         from repro.sim import Simulator
         sim = Simulator()
-        assert isinstance(sim.metrics, NullRegistry)
         assert isinstance(sim.spans, NullSpanLog)
+
+    def test_uninstrumented_run_keeps_no_distribution(self, monkeypatch):
+        """With no telemetry and no audit, the CQs and FLock endpoints
+        leave their value-count ledgers empty."""
+        from repro.flock.rpc import FlockClient, FlockServer
+        from repro.harness.metrics import Run
+        from repro.verbs.cq import CompletionQueue
+
+        sims = []
+        finish = Run.finish
+
+        def capture(run, result):
+            sims.append(run.sim)
+            return finish(run, result)
+
+        monkeypatch.setattr(Run, "finish", capture)
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.1")
+        run_flock(MicrobenchConfig(n_clients=2), audit=False)
+        (sim,) = sims
+        assert sim.instrumented is False
+        ledgers = {CompletionQueue: ("depths", "poll_batches"),
+                   FlockServer: ("response_degrees",),
+                   FlockClient: ("coalescing_degrees", "message_bytes")}
+        seen = set()
+        for component in sim.components:
+            for kind, names in ledgers.items():
+                if isinstance(component, kind):
+                    seen.add(kind)
+                    for name in names:
+                        assert getattr(component, name) == {}, name
+        assert seen == set(ledgers)
 
 
 class TestChromeTrace:
@@ -311,7 +373,7 @@ class TestTelemetry:
         sim1, sim2 = Simulator(), Simulator()
         tel.install(sim1, label="a")
         tel.install(sim2, label="b")
-        assert sim1.metrics is tel.registry
+        assert sim1.instrumented and sim2.instrumented
         assert sim1.spans is tel.spans
         assert tel.runs == ["a", "b"]
         assert tel.spans.run_id == 2
@@ -341,6 +403,17 @@ class TestTelemetry:
         assert snap["counters"]["net.messages"] == 2
         # Gauges are the last run's.
         assert snap["gauges"]["rnic.tx_port.occupancy{nic=client0.rnic}"] == 0
+
+    def test_metrics_only_telemetry_records_no_spans(self, monkeypatch):
+        from repro.obs import attribution_blocks
+
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.1")
+        tel = Telemetry(wants_spans=False)
+        run_flock(MicrobenchConfig(n_clients=4), telemetry=tel)
+        assert len(tel.spans) == 0
+        assert attribution_blocks(tel) == {}
+        snap = tel.metrics_snapshot()
+        assert snap["histograms"]["flock.coalescing_degree"]["count"] > 0
 
     def test_process_wide_current(self):
         assert current_telemetry() is None

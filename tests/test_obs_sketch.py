@@ -11,9 +11,8 @@ The sketch's contract has two halves and this file pins both:
   that observed every value directly.  This is the property the
   ``--jobs N`` percentile-reporting path stands on.
 
-A final class locks the ``Histogram`` / ``NullHistogram`` summary
-schemas together so the enabled and disabled observability paths can
-never drift apart.
+A final class pins the summary schema a registry histogram reports,
+through :meth:`repro.obs.Registry.observe` and the snapshot.
 """
 
 import json
@@ -23,7 +22,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.registry import SUMMARY_KEYS, Histogram, NullHistogram
+from repro.obs.registry import SUMMARY_KEYS, Registry
 from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
 
 ALPHA = DEFAULT_RELATIVE_ACCURACY
@@ -260,35 +259,41 @@ class TestEdgesAndSerialization:
 
 
 class TestSummarySchemaLockstep:
-    """Histogram and NullHistogram summaries may never drift apart."""
+    """A registry histogram's summary keeps the shared schema."""
+
+    @staticmethod
+    def _summary(values):
+        reg = Registry()
+        reg.observe("lat", 0.0, 0)
+        for v in values:
+            reg.observe("lat", v)
+        return reg.snapshot()["histograms"]["lat"]
 
     def test_keys_identical_and_ordered(self):
-        hist = Histogram("lat")
-        hist.observe(5.0)
-        assert tuple(hist.summary()) == SUMMARY_KEYS
-        assert tuple(NullHistogram().summary()) == SUMMARY_KEYS
+        assert tuple(self._summary([5.0])) == SUMMARY_KEYS
+        assert tuple(self._summary([])) == SUMMARY_KEYS
 
-    def test_empty_histogram_matches_null_summary(self):
-        assert Histogram("lat").summary() == NullHistogram().summary()
+    def test_empty_histogram_summary_is_all_zero(self):
+        summary = self._summary([])
+        assert summary == dict.fromkeys(SUMMARY_KEYS, 0.0)
+        assert type(summary["count"]) is int
+        assert all(type(summary[k]) is float for k in SUMMARY_KEYS[1:])
 
     def test_p999_present_and_bounded(self):
-        hist = Histogram("lat")
-        for v in _heavy_tail(n=2000):
-            hist.observe(v)
-        s = hist.summary()
+        s = self._summary(_heavy_tail(n=2000))
         assert s["p50"] <= s["p99"] <= s["p999"] <= s["max"]
         assert s["count"] == 2000
 
     def test_percentile_endpoints_exact(self):
-        hist = Histogram("lat")
-        for v in (1.0, 50.0, 100.0):
-            hist.observe(v)
-        assert hist.percentile(0) == 1.0
-        assert hist.percentile(100) == 100.0
+        s = self._summary([50.0, 1.0, 100.0])
+        assert (s["min"], s["max"]) == (1.0, 100.0)
 
     def test_histogram_merge_state_roundtrip(self):
-        a, b = Histogram("lat"), Histogram("lat")
+        a, b = Registry(), Registry()
         for v in (1.0, 2.0, 3.0):
-            a.observe(v)
-        b.merge_state(a.state())
-        assert b.summary() == a.summary()
+            a.observe("lat", v, nic=0)
+        a.observe("lat", 7.0, nic=1)
+        b.merge_state(a.export_state())
+        assert b.snapshot() == a.snapshot()
+        assert b.export_state() == a.export_state()
+        assert b.snapshot()["histograms"]["lat{nic=0}"]["count"] == 3
