@@ -62,8 +62,8 @@ class CreditState:
         self.issued_total = batch
         self.consumed_total = 0
         #: Blocked-on-credits accounting: completely-dry waits and the
-        #: total virtual time spent in them (causal wait edges are cut
-        #: per queued request by the leader, which knows the spans).
+        #: total virtual time spent in them (span waits are cut per
+        #: queued request by the leader, which knows the spans).
         self.dry_waits = 0
         self.wait_ns = 0.0
         #: Cached ``sim.instrumented``: the wait-time accounting closure

@@ -148,7 +148,7 @@ class ConnectionHandle:
         self.attached_mrs: Dict[int, Any] = {}
         self.rpcs_completed = 0
         #: Deactivation windows per QP index — how long the receiver-side
-        #: QP scheduler held each channel (feeds ``qp_hold`` wait edges).
+        #: QP scheduler held each channel (feeds ``qp_hold`` waits).
         self.holds = HoldLedger()
 
     # -- threads ------------------------------------------------------------

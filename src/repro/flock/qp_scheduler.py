@@ -56,7 +56,7 @@ class HoldLedger:
     When a redistribution (or a declined renewal) deactivates a QP,
     requests already queued behind it are *held by the scheduler* until
     the QP is re-activated or the requests migrate.  The ledger records
-    those windows so (a) the time shows up as ``qp_hold`` wait edges on
+    those windows so (a) the time shows up as ``qp_hold`` waits on
     the affected RPC spans, and (b) total scheduler-induced hold time is
     visible as a run statistic independent of tracing.
     """

@@ -272,9 +272,8 @@ class FlockServer:
                     # message into this RPC's own trace, then record the
                     # time it waited between ring landing and worker pop.
                     if msg.span is not None:
-                        span.adopt(msg.span, claim=True)
+                        span.adopt(msg.span)
                     span.add_phase("server_queue", msg.arrived_ns, t_pop)
-                    span.wait("server_queue", msg.arrived_ns, t_pop)
                     span.open("server_handler", t_pop)
                 if self.handlers.get(request.rpc_id) is MANUAL_HANDLER:
                     self.manual_inbox.try_put((shandle, schannel, request))
@@ -695,7 +694,7 @@ class FlockClient:
 
     def _note_blocked(self, tcq, resource: str, t0: float) -> None:
         """Record a leader-level stall (out of credits, no ring space) as
-        a wait edge on every request queued behind the leader.  Each
+        a wait on every request queued behind the leader.  Each
         request is only charged from the moment it enqueued."""
         if not self._trace:
             return
@@ -705,7 +704,7 @@ class FlockClient:
         for slot in tcq.pending:
             span = getattr(slot.request, "span", None)
             if span is not None:
-                span.wait(resource, max(t0, slot.enqueued_ns), t1)
+                span.add_phase(resource, max(t0, slot.enqueued_ns), t1)
 
     # -- FLock synchronization: the leader (§4.2) ------------------------------------
 
@@ -897,7 +896,7 @@ class FlockClient:
                     if span is not None:
                         t0 = max(slot.enqueued_ns,
                                  held_since if held_since is not None else now)
-                        span.wait("qp_hold", t0, now)
+                        span.add_phase("qp_hold", t0, now)
         for slot in stranded:
             thread_id = slot.request.thread_id
             new_channel = handle.qp_for_thread(thread_id)
@@ -947,10 +946,10 @@ class FlockClient:
                 span = response.span
                 if span is not None:
                     if msg.span is not None:
-                        # Fold the response write's hardware phases and
-                        # waits into the RPC span (claimed, so the
-                        # message span is not double-counted).
-                        span.adopt(msg.span, claim=True)
+                        # Fold the response write's hardware intervals
+                        # into the RPC span (the message span becomes a
+                        # donor, so its waits are not double-counted).
+                        span.adopt(msg.span)
                     span.close("response", t_done)
                     span.finish(t_done)
                 handle.complete_pending(response.thread_id, response.seq_id,

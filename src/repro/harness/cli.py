@@ -22,7 +22,8 @@ Observability flags (see ``docs/observability.md``)::
 ``--trace`` writes a Chrome trace-event file (load it at
 ``ui.perfetto.dev``), ``--metrics`` dumps every counter/gauge/histogram
 (JSON, or CSV when the filename ends in ``.csv``), and ``--breakdown``
-prints the phase-level latency table aggregated over all traced spans.
+prints every span interval, waits included, summed by name over all
+traced spans.
 
 Causal critical-path attribution (``docs/observability.md``)::
 
@@ -540,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write a metrics snapshot (JSON, or CSV when "
                              "the name ends in .csv)")
     parser.add_argument("--breakdown", action="store_true",
-                        help="print the phase-level latency breakdown "
-                             "after the experiment")
+                        help="print every span interval, waits included, "
+                             "summed by name after the experiment")
     parser.add_argument("--attribution", action="store_true",
                         help="print per-run critical-path attribution "
                              "tables with what-if speedup bounds")

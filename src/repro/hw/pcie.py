@@ -52,16 +52,16 @@ class PcieLink:
         """Process-style: perform one PCIe read (state fetch).
 
         When ``span`` is given, the whole read — slot queueing plus the
-        fetch itself — is recorded as a ``pcie_stall`` wait edge for
-        critical-path attribution (the work the span traces cannot make
-        progress until the state arrives).  The edge is opened *before*
-        queueing so a read still stuck in the backlog when the run ends
-        attributes its in-flight wait when the span is flushed.
+        fetch itself — is recorded as a ``pcie_stall`` wait (the work the
+        span traces cannot make progress until the state arrives).  The
+        interval is opened *before* queueing so a read still stuck in the
+        backlog when the run ends keeps its in-flight wait when the span
+        is flushed.
         """
         self.reads_issued += 1
         queued_at = self.sim.now
         if span is not None:
-            span.wait_begin("pcie_stall", queued_at)
+            span.open("pcie_stall", queued_at)
         yield self._slots.acquire()
         try:
             self.queue_ns += self.sim.now - queued_at
@@ -70,7 +70,7 @@ class PcieLink:
         finally:
             self._slots.release()
         if span is not None:
-            span.wait_end("pcie_stall", self.sim.now)
+            span.close("pcie_stall", self.sim.now)
 
     def report_metrics(self, metrics) -> None:
         """Report this link's ledgers to a metrics registry at run end."""

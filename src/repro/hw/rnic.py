@@ -86,8 +86,8 @@ class Rnic:
 
         Misses stall on PCIe; concurrent misses contend for the bounded
         PCIe read slots, which is what converts thrashing into collapse.
-        A carried ``span`` gets one ``pcie_stall`` sub-phase per miss and
-        hit/miss annotations.
+        A carried ``span`` gets hit/miss annotations here and one
+        ``pcie_stall`` wait per miss from :meth:`PcieLink.read`.
         """
         if self.qp_cache.access(("qp", qpn)):
             if span is not None:
@@ -97,20 +97,12 @@ class Rnic:
                 self.qp_cache.stats.misses += 1
             if span is not None:
                 span.bump("qp_misses")
-                stall_t0 = self.sim.now
-                yield from self.pcie.read(span)
-                span.add_phase("pcie_stall", stall_t0, self.sim.now)
-            else:
-                yield from self.pcie.read()
+            yield from self.pcie.read(span)
         for rkey in rkeys:
             if not self.mtt_cache.access(("mr", rkey)):
                 if span is not None:
                     span.bump("mtt_misses")
-                    stall_t0 = self.sim.now
-                    yield from self.pcie.read(span)
-                    span.add_phase("pcie_stall", stall_t0, self.sim.now)
-                else:
-                    yield from self.pcie.read()
+                yield from self.pcie.read(span)
 
     # -- directional processing -------------------------------------------
 
@@ -120,8 +112,8 @@ class Rnic:
     ) -> Generator[Event, None, None]:
         """NIC-side work to emit one message: state lookup, rate limit,
         and wire serialization (the TX port is held for the wire time).
-        A carried ``span`` records a ``nic_tx`` phase with ``pcie_stall``,
-        ``tx_queue``, and ``wire`` sub-phases."""
+        A carried ``span`` records a ``nic_tx`` interval around the
+        ``pcie_stall``, ``nic_throttle``, ``tx_port`` and ``wire`` waits."""
         t0 = self.sim.now
         if self.tx_gate is not None:
             yield from self.tx_gate(span)
@@ -129,18 +121,14 @@ class Rnic:
         delay = self._tx_bucket.delay_for()
         if delay > 0:
             if span is not None:
-                span.wait("nic_throttle", self.sim.now, self.sim.now + delay)
+                span.add_phase("nic_throttle", self.sim.now,
+                               self.sim.now + delay)
             yield self.sim.timeout(delay)
         wire = self.wire_time_ns(nbytes)
-        port_t0 = self.sim.now
         yield self._tx_port.acquire(span)
         try:
             if span is not None:
-                port_t1 = self.sim.now
-                if port_t1 > port_t0:
-                    span.add_phase("tx_queue", port_t0, port_t1)
-                span.add_phase("wire", port_t1, port_t1 + wire)
-                span.wait("wire", port_t1, port_t1 + wire)
+                span.add_phase("wire", self.sim.now, self.sim.now + wire)
             yield self.sim.timeout(wire)
         finally:
             self._tx_port.release()
@@ -159,7 +147,8 @@ class Rnic:
         delay = self._rx_bucket.delay_for()
         if delay > 0:
             if span is not None:
-                span.wait("nic_throttle", self.sim.now, self.sim.now + delay)
+                span.add_phase("nic_throttle", self.sim.now,
+                               self.sim.now + delay)
             yield self.sim.timeout(delay)
         yield from self._lookup(qpn, rkeys, span)
         self.messages_rx += 1

@@ -29,7 +29,7 @@ shallower queues) is invisible.  This module adds the missing layer:
   drops; the buffer stretches into headroom for messages already past
   their pause check.
 
-Every blocking interaction records a typed wait edge (``switch_queue``,
+Every blocking interaction records a wait (``switch_queue``,
 ``pfc_pause``) on the carried span for critical-path attribution, and
 the structural per-port counters are cross-checked end-of-run by the
 ``switch`` auditor in :mod:`repro.obs.audit`.
@@ -206,7 +206,7 @@ class Switch:
         This is the head-of-line blocking: a source paused because one
         of its flows feeds a congested port cannot transmit to idle
         destinations either.  The wait is recorded as an open
-        ``pfc_pause`` edge so senders still paused at end of run keep
+        ``pfc_pause`` interval so senders still paused at end of run keep
         their in-flight blocked time.
         """
         while self.is_paused(src_name):
@@ -215,10 +215,10 @@ class Switch:
             if not evs:
                 continue
             if span is not None:
-                span.wait_begin("pfc_pause", self.sim.now)
+                span.open("pfc_pause", self.sim.now)
             yield self.sim.all_of(evs)
             if span is not None:
-                span.wait_end("pfc_pause", self.sim.now)
+                span.close("pfc_pause", self.sim.now)
 
     # -- the egress hop ---------------------------------------------------
 
@@ -249,10 +249,10 @@ class Switch:
                     >= self.cfg.pfc_xoff_bytes:
                 ev = self._assert_pause(port, src_name)
                 if span is not None:
-                    span.wait_begin("pfc_pause", self.sim.now)
+                    span.open("pfc_pause", self.sim.now)
                 yield ev
                 if span is not None:
-                    span.wait_end("pfc_pause", self.sim.now)
+                    span.close("pfc_pause", self.sim.now)
                 yield from self.ingress_wait(src_name, span)
         now = self.sim.now
         depth = port.depth_bytes(now)
@@ -278,6 +278,5 @@ class Switch:
             port.queue_wait_ns += wait
             if span is not None:
                 span.add_phase("switch_queue", now, now + wait)
-                span.wait("switch_queue", now, now + wait)
             yield self.sim.timeout(wait)
         return True, marked

@@ -172,7 +172,6 @@ class Fabric:
                 yield self.sim.timeout(self.retransmit_ns)
         if span is not None:
             span.add_phase("propagation", self.sim.now, self.sim.now + delay)
-            span.wait("propagation", self.sim.now, self.sim.now + delay)
         yield self.sim.timeout(delay)
         yield from dst.rnic.rx_process(nbytes, dst_qpn, rkeys, span=span)
         self.messages_delivered += 1

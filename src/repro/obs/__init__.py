@@ -52,7 +52,6 @@ from .audit import (
 from .benchstore import CompareReport, MetricDelta, compare_dirs, compare_scorecards
 from .causal import (
     GAP_RESOURCE,
-    RESOURCES,
     CriticalPath,
     Segment,
     attribute,
@@ -80,7 +79,7 @@ from .runstore import RunRecord, RunStore, default_store_dir
 from .scorecard import Check, Metric, Scorecard, load_scorecard
 from .simprof import SimProfile, component_bucket, profile_enabled
 from .sketch import QuantileSketch
-from .span import PHASES, NullSpanLog, Span, SpanLog, null_span_log
+from .span import PHASES, SPENT, NullSpanLog, Span, SpanLog, null_span_log
 from .telemetry import Telemetry, current_telemetry, disable, enable
 from .windows import SloTimeline
 
@@ -96,7 +95,6 @@ __all__ = [
     "GAP_RESOURCE",
     "Metric",
     "MetricDelta",
-    "RESOURCES",
     "Scorecard",
     "Segment",
     "Violation",
@@ -134,6 +132,7 @@ __all__ = [
     "what_if_all",
     "NullSpanLog",
     "PHASES",
+    "SPENT",
     "QuantileSketch",
     "Registry",
     "RunRecord",

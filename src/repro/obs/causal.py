@@ -1,14 +1,14 @@
-"""Causal wait-graph analysis: critical paths, attribution, what-if.
+"""Causal analysis of span waits: critical paths, attribution, what-if.
 
-Phases (:mod:`repro.obs.span`) say where time was *spent*; wait edges
-say what the work was *blocked on*.  Every blocking interaction in the
-stack — credit exhaustion in ``flock/credits.py``, QP-scheduler holds
-tracked by ``flock/qp_scheduler.py``, QP/MTT cache-miss PCIe fetches in
-``hw/rnic.py``/``hw/pcie.py``, link serialisation and propagation in
-``net/fabric.py``, CQ-poll delay in ``verbs/cq.py``, server-side worker
-queueing in ``flock/rpc.py``, and generic ``sim/resources.py``
-acquisitions — records a typed ``(resource, t0, t1)`` edge on the span
-it delayed.  This module turns those edges into the answer to the one
+A span's intervals (:mod:`repro.obs.span`) whose names are not in
+:data:`~repro.obs.span.SPENT` are *waits*: time the work was blocked on
+a resource.  Every blocking interaction in the stack — credit
+exhaustion and QP-scheduler holds in ``flock/rpc.py``, QP/MTT
+cache-miss PCIe fetches in ``hw/pcie.py``, link serialisation and
+propagation in ``hw/rnic.py``/``net/fabric.py``, CQ-poll delay in
+``verbs/cq.py``, server-side worker queueing in ``flock/rpc.py``, and
+contended ``sim/resources.py`` acquisitions — records one on the span
+it delayed.  This module turns those waits into the answer to the one
 causal question every figure in the paper reduces to: *which resource
 gated the RPC?*
 
@@ -17,9 +17,8 @@ gated the RPC?*
   that exactly tile ``[t0, t1]`` (uncovered time is attributed to
   :data:`GAP_RESOURCE`, i.e. the CPU was making progress).
 * :func:`critical_paths` extracts a path per finished root span in a
-  :class:`~repro.obs.span.SpanLog` (donor spans whose intervals were
-  claimed by an adopter are skipped, so shared hardware time counts
-  once).
+  :class:`~repro.obs.span.SpanLog` (donor spans whose intervals an
+  adopter copied are skipped, so shared hardware time counts once).
 * :func:`attribute` folds paths into a blocked-time attribution table
   ``{resource: {count, total_ns, share, p99_ns}}`` whose shares sum to
   exactly 1.
@@ -41,11 +40,10 @@ import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .export import format_table
-from .span import Span
+from .span import SPENT, Span, phase_rank
 
 __all__ = [
     "GAP_RESOURCE",
-    "RESOURCES",
     "Segment",
     "CriticalPath",
     "critical_path",
@@ -58,30 +56,10 @@ __all__ = [
     "format_attribution",
 ]
 
-#: Attribution bucket for critical-path time not covered by any wait
-#: edge: the work was progressing (CPU/NIC pipeline), not blocked.
+#: Attribution bucket for critical-path time not covered by any wait:
+#: the work was progressing (CPU/NIC pipeline), not blocked.  It ranks
+#: last among the canonical names in :data:`~repro.obs.span.PHASES`.
 GAP_RESOURCE = "cpu"
-
-#: Canonical wait-edge resources in stack order, used to order tables.
-#: Producers are free to add more (e.g. ``resource:<name>`` generics).
-RESOURCES = (
-    "credit_wait",    # flock/credits.py — sender out of credits (§5.1)
-    "qp_hold",        # flock/rpc.py + qp_scheduler.py — QP deactivated
-    "ring_space",     # flock/rpc.py — receiver ring back-pressure (§4.1)
-    "server_queue",   # flock/rpc.py — ring landing → worker pop
-    "pcie_stall",     # hw/rnic.py + hw/pcie.py — QP/MTT miss DMA fetch
-    "nic_throttle",   # hw/rnic.py — NIC pipeline rate limiting
-    "ecn_throttle",   # verbs/qp.py — DCQCN pacing after an ECN rate cut
-    "pfc_pause",      # net/congestion — sender PAUSE-flow-controlled
-    "tx_port",        # hw/rnic.py — shared TX port serialisation
-    "wire",           # hw/rnic.py — link-bandwidth serialisation
-    "switch_queue",   # net/congestion — egress output-queue backlog
-    "propagation",    # net/fabric.py — switch hops + flight time
-    "cq_poll",        # verbs/cq.py — CQE ready → reaped by a poller
-    GAP_RESOURCE,
-)
-
-_RESOURCE_ORDER = {name: i for i, name in enumerate(RESOURCES)}
 
 
 class Segment:
@@ -131,42 +109,39 @@ class CriticalPath:
             self.span.name, self.duration, len(self.segments))
 
 
-def _resource_rank(resource: str) -> Tuple[int, str]:
-    """Deterministic resource ordering: canonical stack order first,
-    unknown resources after, alphabetically."""
-    return (_RESOURCE_ORDER.get(resource, len(RESOURCES)), resource)
-
-
 def critical_path(span: Span) -> CriticalPath:
     """Extract the critical path of one finished span.
 
-    Backward-greedy walk: starting from the span's end, repeatedly pick
-    the wait edge that covers the cursor and reaches furthest back (the
-    *longest* waits-for chain); where no edge covers the cursor, emit a
-    gap segment back to the nearest earlier edge end.  Edges are clamped
-    to ``[t0, t1]``; edges recorded entirely outside the span (e.g. a
-    CQ-poll edge stamped after the initiator already finished the span)
-    are ignored.  The result tiles the span exactly, so per-resource
-    totals sum to the span's latency.
+    Backward-greedy walk over the span's waits (its intervals not in
+    :data:`~repro.obs.span.SPENT`): starting from the span's end,
+    repeatedly pick the wait that covers the cursor and reaches furthest
+    back (the *longest* waits-for chain); where no wait covers the
+    cursor, emit a gap segment back to the nearest earlier wait end.
+    Waits are clamped to ``[t0, t1]``; waits that are empty after
+    clamping (zero-length, or recorded entirely outside the span, e.g. a
+    CQ-poll stamped after the initiator already finished the span) are
+    ignored, so the order of the span's intervals does not matter.  The
+    result tiles the span exactly, so per-resource totals sum to the
+    span's latency.
     """
     if span.t1 is None:
         raise ValueError("critical_path needs a finished span: %r" % (span,))
     t_begin, t_end = span.t0, span.t1
-    edges = [(res, max(t0, t_begin), min(t1, t_end))
-             for res, t0, t1 in span.edges]
-    edges = [e for e in edges if e[2] > e[1]]
+    waits = [(res, max(t0, t_begin), min(t1, t_end))
+             for res, t0, t1 in span.phases if res not in SPENT]
+    waits = [e for e in waits if e[2] > e[1]]
     segments: List[Segment] = []
     cursor = t_end
     while cursor > t_begin:
         best = None
-        latest_end = t_begin  # nearest edge end strictly before cursor
-        for res, e0, e1 in edges:
+        latest_end = t_begin  # nearest wait end strictly before cursor
+        for res, e0, e1 in waits:
             if e0 < cursor <= e1:
-                # Edge covers the cursor; prefer the one reaching
+                # The wait covers the cursor; prefer the one reaching
                 # furthest back (the longest waits-for chain).
                 if (best is None or e0 < best[1]
                         or (e0 == best[1]
-                            and _resource_rank(res) < _resource_rank(best[0]))):
+                            and phase_rank(res) < phase_rank(best[0]))):
                     best = (res, e0, e1)
             elif e1 <= cursor and e1 > latest_end:
                 latest_end = e1
@@ -184,15 +159,15 @@ def critical_paths(log, name: Optional[str] = None,
                    run: Optional[int] = None) -> List[CriticalPath]:
     """Critical paths for every finished root span in ``log``.
 
-    Donor spans (whose intervals another span claimed via
-    ``adopt(claim=True)``) are excluded — their wait time reappears on
-    the adopting RPC spans, and counting both would double-bill the
-    shared hardware waits.  ``name`` restricts to spans with that name;
+    Donor spans (whose intervals another span copied through
+    ``Span.adopt``) are excluded — their wait time reappears on the
+    adopting RPC spans, and counting both would double-bill the shared
+    hardware waits.  ``name`` restricts to spans with that name;
     ``run`` restricts to one run scope (``Span.pid``).
     """
     paths = []
     for span in log.spans:
-        if span.t1 is None or span.is_donor:
+        if span.t1 is None or span.donor:
             continue
         if name is not None and span.name != name:
             continue
@@ -219,7 +194,7 @@ def attribute(paths: Iterable[CriticalPath]) -> Dict[str, Dict[str, float]]:
     grand = sum(sum(v) for v in durs.values())
     out: Dict[str, Dict[str, float]] = {}
     order = sorted(durs,
-                   key=lambda r: (-sum(durs[r]), _resource_rank(r)))
+                   key=lambda r: (-sum(durs[r]), phase_rank(r)))
     for resource in order:
         values = sorted(durs[resource])
         total = sum(values)

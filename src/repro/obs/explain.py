@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from .anomaly import Anomaly
-from .causal import _resource_rank, attribute, what_if_all
+from .causal import attribute, what_if_all
+from .span import phase_rank
 
 __all__ = [
     "Explanation",
@@ -97,13 +98,13 @@ def shift_table(pre: Dict[str, float],
     order.  The first row is the anomaly's prime suspect.
     """
     rows = []
-    for resource in sorted(set(pre) | set(post), key=_resource_rank):
+    for resource in sorted(set(pre) | set(post), key=phase_rank):
         p, q = pre.get(resource, 0.0), post.get(resource, 0.0)
         rows.append({"resource": resource,
                      "pre_share": round(p, 6),
                      "post_share": round(q, 6),
                      "delta": round(q - p, 6)})
-    rows.sort(key=lambda r: (-r["delta"],) + _resource_rank(r["resource"]))
+    rows.sort(key=lambda r: (-r["delta"],) + phase_rank(r["resource"]))
     return rows
 
 

@@ -4,13 +4,14 @@ The Chrome trace-event format (the JSON array flavour) is understood by
 ``chrome://tracing`` and Perfetto, which makes a simulated run visually
 explorable: one *process* per simulator run, one *thread* per span track
 (a client thread, a NIC, the wire), complete (``"ph": "X"``) events for
-spans and their phases.  Timestamps are microseconds in the trace file —
-virtual nanoseconds divided by 1000 — so a 500 µs measurement window
-reads naturally in the UI.
+spans and for every interval they recorded, waits included.  Timestamps
+are microseconds in the trace file — virtual nanoseconds divided by
+1000 — so a 500 µs measurement window reads naturally in the UI.
 
 ``format_breakdown`` renders a :meth:`repro.obs.span.SpanLog.breakdown`
-dict as the harness's paper-style text table, laid out by
-``format_table``, which the attribution table shares.
+dict as the harness's paper-style text table, rows in the canonical
+:data:`~repro.obs.span.PHASES` order, laid out by ``format_table``,
+which the attribution table shares.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from .span import PHASES, SpanLog
+from .span import SpanLog, phase_rank
 
 __all__ = [
     "chrome_trace",
@@ -28,18 +29,10 @@ __all__ = [
 ]
 
 
-def _phase_sort_key(phase: str):
-    """Order phases by canonical stack position, unknown names last."""
-    try:
-        return (0, PHASES.index(phase))
-    except ValueError:
-        return (1, phase)
-
-
 def chrome_trace(log: SpanLog) -> Dict[str, Any]:
     """Convert a span log to a Chrome trace-event JSON object.
 
-    Emits one ``X`` (complete) event per span and per phase, plus ``M``
+    Emits one ``X`` (complete) event per span and per interval, plus ``M``
     metadata events naming processes (runs) and threads (tracks).  Events
     are sorted by timestamp so consumers see a monotonic stream.
     """
@@ -92,12 +85,12 @@ def format_breakdown(table: Dict[str, Dict[str, float]],
                      title: str = "Latency breakdown") -> str:
     """Render a phase-breakdown dict as an aligned text table.
 
-    Phases appear in canonical stack order; unknown phases sort last
+    Names appear in canonical stack order; unknown names sort last
     alphabetically.  Durations print in microseconds.
     """
     header = ["phase", "count", "total us", "mean ns", "max ns", "share"]
     rows: List[List[str]] = []
-    for phase in sorted(table, key=_phase_sort_key):
+    for phase in sorted(table, key=phase_rank):
         cell = table[phase]
         rows.append([
             phase,

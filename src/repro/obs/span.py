@@ -3,18 +3,18 @@
 A :class:`Span` is one unit of work moving through the stack — an RPC
 from ``fl_send_rpc`` to response delivery, or one wire message from
 doorbell to remote-ring landing.  Spans carry *phases*: named
-``(t0, t1)`` sub-intervals recorded as the work crosses each layer
-(``client_queue``, ``doorbell_mmio``, ``pcie_stall``, ``wire``,
-``propagation``, ``nic_rx``, ``server_queue``, ``server_handler``,
-``response``).  Aggregating phase totals over a run answers the question
-every figure in the paper hinges on: *where did the microseconds go?*
+``(name, t0, t1)`` intervals recorded as the work crosses each layer.
+Each interval is recorded once, by the layer that timed it.
 
-Spans additionally carry *wait edges*: typed ``(resource, t0, t1)``
-intervals recorded whenever the work was **blocked on** something — a
-credit grant, a PCIe cache-miss fetch, the shared TX port, a worker
-queue.  Phases say where time was spent; edges say what the work was
-waiting for, and feed the critical-path extractor in
-:mod:`repro.obs.causal`.
+An interval's name says what kind of time it is.  The names in
+:data:`SPENT` record time the work spent making progress (a NIC
+pipeline pass, the server handler); every other name records time the
+work was *blocked on* a resource — a credit grant, a PCIe cache-miss
+fetch, the shared TX port, a worker queue.  :meth:`SpanLog.breakdown`
+sums every interval by name, answering the question every figure in the
+paper hinges on: *where did the microseconds go?*  The critical-path
+extractor in :mod:`repro.obs.causal` walks only the waits, answering
+*which resource gated the work?*
 
 Spans are created through a :class:`SpanLog`; the default installed on
 every simulator is :data:`null_span_log`, whose ``enabled`` flag lets
@@ -28,33 +28,55 @@ can use it without cycles.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["Span", "SpanLog", "NullSpanLog", "null_span_log", "PHASES"]
+__all__ = ["Span", "SpanLog", "NullSpanLog", "null_span_log", "PHASES",
+           "SPENT", "phase_rank"]
 
-#: Canonical phase names in stack order, used to order breakdown tables.
+#: Canonical interval names in stack order, used to order tables and to
+#: break critical-path ties.  Producers are free to add more (e.g. the
+#: name of a generic ``sim.resources.Resource``); unknown names sort last.
 PHASES = (
-    "client_queue",
-    "doorbell_mmio",
-    "nic_tx",
-    "pcie_stall",
-    "tx_queue",
-    "wire",
-    "switch_queue",
-    "ecn_throttle",
-    "propagation",
-    "nic_rx",
-    "server_queue",
-    "server_handler",
-    "response",
+    "client_queue",    # flock/rpc.py — submission → leader collects it
+    "credit_wait",     # flock/rpc.py — sender out of credits (§5.1)
+    "qp_hold",         # flock/rpc.py + qp_scheduler.py — QP deactivated
+    "ring_space",      # flock/rpc.py — receiver ring back-pressure (§4.1)
+    "server_queue",    # flock/rpc.py — ring landing → worker pop
+    "doorbell_mmio",   # flock/rpc.py — header build + doorbell
+    "nic_tx",          # hw/rnic.py — whole TX pipeline pass
+    "pcie_stall",      # hw/pcie.py — QP/MTT miss DMA fetch
+    "nic_throttle",    # hw/rnic.py — NIC pipeline rate limiting
+    "ecn_throttle",    # verbs/qp.py — DCQCN pacing after an ECN rate cut
+    "pfc_pause",       # net/congestion — sender PAUSE-flow-controlled
+    "tx_port",         # sim/resources.py — shared TX port serialisation
+    "wire",            # hw/rnic.py — link-bandwidth serialisation
+    "switch_queue",    # net/congestion — egress output-queue backlog
+    "propagation",     # net/fabric.py — switch hops + flight time
+    "nic_rx",          # hw/rnic.py — whole RX pipeline pass
+    "cq_poll",         # verbs/cq.py — CQE ready → reaped by a poller
+    "server_handler",  # flock/rpc.py — worker pop → handler done
+    "response",        # flock/rpc.py — response post → client delivery
+    "cpu",             # causal.GAP_RESOURCE — path time no wait covers
 )
+
+#: The names that record time spent making progress, not a wait.
+SPENT = frozenset(("client_queue", "doorbell_mmio", "nic_tx", "nic_rx",
+                   "server_handler", "response"))
+
+_PHASE_RANK = {name: i for i, name in enumerate(PHASES)}
+
+
+def phase_rank(name: str) -> Tuple[int, str]:
+    """Deterministic name ordering: canonical stack order first, unknown
+    names after, alphabetically."""
+    return (_PHASE_RANK.get(name, len(PHASES)), name)
 
 
 class Span:
-    """One traced unit of work with named sub-phases in virtual time."""
+    """One traced unit of work with named intervals in virtual time."""
 
-    __slots__ = ("name", "track", "t0", "t1", "args", "phases", "edges",
-                 "_open", "_open_waits", "pid", "_log", "_donated")
+    __slots__ = ("name", "track", "t0", "t1", "args", "phases", "_open",
+                 "pid", "_log", "donor")
 
     def __init__(self, log: "SpanLog", name: str, track: str, t0: float,
                  pid: int, args: Optional[Dict[str, Any]] = None):
@@ -63,26 +85,25 @@ class Span:
         self.t0 = t0
         self.t1: Optional[float] = None
         self.args: Dict[str, Any] = args or {}
-        #: Finished sub-intervals: (phase name, t0, t1).
+        #: Finished intervals: (name, t0, t1).
         self.phases: List[Tuple[str, float, float]] = []
-        #: Typed wait edges: (resource, t0, t1) — what blocked this work.
-        self.edges: List[Tuple[str, float, float]] = []
         self._open: Dict[str, float] = {}
-        self._open_waits: Dict[str, float] = {}
         self.pid = pid
         self._log = log
-        #: Phase names this span donated to an adopter via
-        #: ``adopt(claim=True)``; None while the span owns everything.
-        self._donated: Optional[set] = None
+        #: True once another span adopted this span's intervals.
+        self.donor = False
 
     # -- phases ---------------------------------------------------------
 
     def open(self, phase: str, t: float) -> None:
-        """Begin phase ``phase`` at virtual time ``t``.
+        """Begin interval ``phase`` at virtual time ``t``.
 
-        Opening a phase that is already open closes the prior interval
-        at ``t`` first, so re-opens (e.g. a second PCIe stall before the
-        first was closed) never silently discard time.
+        Use this form when the interval's end is not yet known (a PCIe
+        fetch entering a backlogged queue, a contended acquisition): a
+        span flushed at end of run while still blocked closes it at the
+        truncation point instead of losing it.  Opening a name that is
+        already open closes the prior interval at ``t`` first, so
+        re-opens never silently discard time.
         """
         prior = self._open.get(phase)
         if prior is not None:
@@ -90,94 +111,37 @@ class Span:
         self._open[phase] = t
 
     def close(self, phase: str, t: float) -> None:
-        """End a previously opened phase (no-op if it was never opened)."""
+        """End a previously opened interval (no-op if never opened)."""
         t0 = self._open.pop(phase, None)
         if t0 is not None:
             self.phases.append((phase, t0, t))
 
     def add_phase(self, phase: str, t0: float, t1: float) -> None:
-        """Record a finished sub-interval directly."""
+        """Record a finished interval directly."""
         self.phases.append((phase, t0, t1))
-
-    def wait(self, resource: str, t0: float, t1: float) -> None:
-        """Record a typed wait edge: this work was blocked on
-        ``resource`` over ``[t0, t1)``.  Zero/negative intervals are
-        dropped so uncontended fast paths leave no edge."""
-        if t1 > t0:
-            self.edges.append((resource, t0, t1))
-
-    def wait_begin(self, resource: str, t: float) -> None:
-        """Start an *open* wait edge on ``resource``.
-
-        Use this form when the wait's end is not yet known (a PCIe fetch
-        entering a backlogged queue, a contended resource acquisition):
-        if the span is truncated — flushed at end of run while still
-        blocked — the open wait is closed at the truncation point instead
-        of vanishing, so work stuck on a collapsed resource still
-        attributes its blocked time to it.
-        """
-        self._open_waits[resource] = t
-
-    def wait_end(self, resource: str, t: float) -> None:
-        """Close an open wait edge (no-op if it was never begun)."""
-        t0 = self._open_waits.pop(resource, None)
-        if t0 is not None and t > t0:
-            self.edges.append((resource, t0, t))
 
     def bump(self, key: str) -> None:
         """Count one more of ``key`` in ``args`` (e.g. cache misses)."""
         self.args[key] = self.args.get(key, 0) + 1
 
-    def adopt(self, other: "Span", phases: Optional[Iterable[str]] = None,
-              claim: bool = False) -> None:
-        """Copy phases and wait edges from ``other`` (e.g. a message-level
-        hardware span into each member RPC's span) so per-RPC breakdowns
-        include the shared hardware time.  ``phases`` restricts which
-        names copy (it filters edges by resource name too).
-
-        Intended semantics: the *adopter* becomes the reporting owner of
-        the copied intervals.  With ``claim=True`` the donor records what
-        it gave away, so ``SpanLog.breakdown(dedup=True)`` can skip the
-        donor's copies and avoid double-counting when both spans are
-        finished; the causal layer likewise drops donor spans from its
-        critical-path roots.  With ``claim=False`` (the default, and the
-        pre-existing behaviour) both spans keep reporting the intervals
-        and phase totals intentionally double-count the shared hardware
-        time — shares are fractions of *phase* time, not wall time.
+    def adopt(self, other: "Span") -> None:
+        """Copy ``other``'s intervals (e.g. a message-level hardware span
+        into each member RPC's span) so per-RPC breakdowns and critical
+        paths include the shared hardware time.  ``other`` becomes a
+        donor, which the causal layer drops from its critical-path roots.
         """
-        wanted = None if phases is None else frozenset(phases)
-        donated = set()
-        for name, t0, t1 in other.phases:
-            if wanted is None or name in wanted:
-                self.phases.append((name, t0, t1))
-                donated.add(name)
-        for resource, t0, t1 in other.edges:
-            if wanted is None or resource in wanted:
-                self.edges.append((resource, t0, t1))
-        if claim:
-            if other._donated is None:
-                other._donated = donated
-            else:
-                other._donated.update(donated)
-
-    @property
-    def is_donor(self) -> bool:
-        """True once another span claimed this span's intervals."""
-        return self._donated is not None
+        self.phases.extend(other.phases)
+        other.donor = True
 
     # -- lifecycle ------------------------------------------------------
 
     def finish(self, t: float) -> None:
-        """Close the span (and any still-open phases/waits) at ``t``."""
+        """Close the span (and any still-open intervals) at ``t``."""
         if self.t1 is not None:
             return
-        for phase, t0 in list(self._open.items()):
+        for phase, t0 in self._open.items():
             self.phases.append((phase, t0, t))
         self._open.clear()
-        for resource, t0 in list(self._open_waits.items()):
-            if t > t0:
-                self.edges.append((resource, t0, t))
-        self._open_waits.clear()
         self.t1 = t
         self._log._finished(self)
 
@@ -185,10 +149,6 @@ class Span:
     def duration(self) -> float:
         """Span length in ns (0 while unfinished)."""
         return (self.t1 - self.t0) if self.t1 is not None else 0.0
-
-    def phase_total(self, phase: str) -> float:
-        """Summed duration of all sub-intervals named ``phase``."""
-        return sum(t1 - t0 for name, t0, t1 in self.phases if name == phase)
 
     def __repr__(self) -> str:
         return "Span(%s, track=%s, t0=%.0f, dur=%.0f, phases=%d)" % (
@@ -223,9 +183,6 @@ class SpanLog:
         self.run_labels: Dict[int, str] = {}
         #: Live (unfinished) spans by identity, in creation order.
         self._live: Dict[int, Span] = {}
-        #: Single-entry breakdown memo: (n_spans, name, dedup) -> table.
-        self._bd_key: Optional[Tuple[int, Optional[str], bool]] = None
-        self._bd_table: Dict[str, Dict[str, float]] = {}
 
     def new_run(self, label: str = "") -> int:
         """Start a new run scope; returns its id (Chrome-trace pid)."""
@@ -255,7 +212,7 @@ class SpanLog:
         """Finish every live span at ``t`` (the end of a run).
 
         Truncated spans get ``args["truncated"] = True`` and their open
-        phases/waits closed at ``t``, then enter the log like any other
+        intervals closed at ``t``, then enter the log like any other
         finished span.  Returns how many spans were flushed.  Call this
         only once the simulator driving those spans has stopped — a
         later ``finish`` from the producer becomes a no-op.
@@ -271,33 +228,21 @@ class SpanLog:
 
     # -- aggregation ----------------------------------------------------
 
-    def breakdown(self, name: Optional[str] = None,
-                  dedup: bool = False) -> Dict[str, Dict[str, float]]:
-        """Aggregate phase durations over finished spans.
+    def breakdown(self, name: Optional[str] = None
+                  ) -> Dict[str, Dict[str, float]]:
+        """Aggregate interval durations over finished spans.
 
         Returns ``{phase: {count, total_ns, mean_ns, max_ns, share}}``
-        where ``share`` is the phase's fraction of all phase time.
+        where ``share`` is the name's fraction of all interval time.
         ``name`` restricts aggregation to spans with that name (e.g.
-        only ``"rpc"`` spans).  ``dedup=True`` skips phases a donor span
-        gave away through ``Span.adopt(claim=True)``, so shared hardware
-        intervals count once (on the adopter) instead of twice.
-
-        The result is memoised per finished-span count, so repeated
-        queries (harness tables asking for several ``phase_share``\\ s)
-        aggregate once instead of once per call.  Treat the returned
-        table as read-only.
+        only ``"rpc"`` spans).  Adopted intervals count on both spans,
+        so shares are fractions of interval time, not of wall time.
         """
-        key = (len(self.spans), name, dedup)
-        if key == self._bd_key:
-            return self._bd_table
         totals: Dict[str, List[float]] = {}
         for span in self.spans:
             if name is not None and span.name != name:
                 continue
-            donated = span._donated if dedup else None
             for phase, t0, t1 in span.phases:
-                if donated is not None and phase in donated:
-                    continue
                 cell = totals.get(phase)
                 if cell is None:
                     cell = [0, 0.0, 0.0]  # count, total, max
@@ -308,27 +253,12 @@ class SpanLog:
                 if dur > cell[2]:
                     cell[2] = dur
         grand = sum(cell[1] for cell in totals.values()) or 1.0
-        out: Dict[str, Dict[str, float]] = {}
-        for phase, (count, total, peak) in totals.items():
-            out[phase] = {
-                "count": count,
-                "total_ns": total,
-                "mean_ns": total / count if count else 0.0,
-                "max_ns": peak,
-                "share": total / grand,
-            }
-        self._bd_key = key
-        self._bd_table = out
-        return out
-
-    def phase_share(self, phase: str) -> float:
-        """Fraction of all phase time spent in ``phase`` (0 if unseen).
-
-        Served from the memoised breakdown: querying N phases in a row
-        (as the harness tables do) costs one aggregation pass, not N.
-        """
-        table = self.breakdown()
-        return table.get(phase, {}).get("share", 0.0)
+        return {phase: {"count": count,
+                        "total_ns": total,
+                        "mean_ns": total / count if count else 0.0,
+                        "max_ns": peak,
+                        "share": total / grand}
+                for phase, (count, total, peak) in totals.items()}
 
 
 class NullSpanLog:
@@ -359,14 +289,10 @@ class NullSpanLog:
     def __len__(self) -> int:
         return 0
 
-    def breakdown(self, name: Optional[str] = None,
-                  dedup: bool = False) -> Dict[str, Dict[str, float]]:
+    def breakdown(self, name: Optional[str] = None
+                  ) -> Dict[str, Dict[str, float]]:
         """An empty breakdown."""
         return {}
-
-    def phase_share(self, phase: str) -> float:
-        """Nothing was recorded."""
-        return 0.0
 
 
 #: Shared stub installed on simulators constructed without telemetry.

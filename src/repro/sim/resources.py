@@ -58,8 +58,8 @@ class Resource:
         """Event that fires once a unit of the resource is held.
 
         When contended and ``span`` is given, the wait is recorded on
-        the span as an *open* wait edge named after the resource (see
-        :meth:`repro.obs.span.Span.wait_begin`) and closed when the
+        the span as an *open* interval named after the resource (see
+        :meth:`repro.obs.span.Span.open`) and closed when the
         acquisition succeeds — so an acquirer still queued when the span
         is flushed at end of run keeps its in-flight wait.
         """
@@ -73,13 +73,13 @@ class Resource:
             if span is not None:
                 t0 = self.sim.now
                 resource = self.name or "resource"
-                span.wait_begin(resource, t0)
+                span.open(resource, t0)
 
                 def _note(_ev: Event) -> None:
                     waited = self.sim.now - t0
                     if waited > 0:
                         self.wait_ns += waited
-                    span.wait_end(resource, self.sim.now)
+                    span.close(resource, self.sim.now)
 
                 ev.add_callback(_note)
         return ev

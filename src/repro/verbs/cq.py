@@ -57,9 +57,9 @@ class CompletionQueue:
                 self.depths[len(self._store)] += 1
             if self._trace and wc.span is not None:
                 # Stamp CQ entry time; the reap side turns the residency
-                # into a ``cq_poll`` wait edge.  (Direct hand-off to a
-                # blocked getter stamps and reaps at the same instant,
-                # leaving no edge.)
+                # into a ``cq_poll`` wait.  (Direct hand-off to a blocked
+                # getter stamps and reaps at the same instant: a
+                # zero-length wait.)
                 wc._cq_t0 = self.sim.now
         else:
             # A real overflowed CQ moves the QP to an error state; for the
@@ -70,7 +70,7 @@ class CompletionQueue:
         """Record how long the CQE sat before software picked it up."""
         t0 = getattr(wc, "_cq_t0", None)
         if t0 is not None and wc.span is not None:
-            wc.span.wait("cq_poll", t0, self.sim.now)
+            wc.span.add_phase("cq_poll", t0, self.sim.now)
 
     def _reap_cb(self, ev: Event) -> None:
         if ev.ok and isinstance(ev.value, Completion):

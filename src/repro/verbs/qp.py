@@ -186,7 +186,7 @@ class QueuePair:
         if wr.signaled:
             if wc.span is None:
                 # Let the CQ blame reap delay on the traced work
-                # (``cq_poll`` wait edges).
+                # (``cq_poll`` waits).
                 wc.span = wr.span
             if not (faults.ACTIVE and "verbs.leak_cqe" in faults.ACTIVE):
                 self.send_cq.push(wc)
@@ -197,7 +197,7 @@ class QueuePair:
 
         After the flow's rate was cut by a CNP, outgoing work requests
         are spaced to the current rate before the NIC pipeline sees
-        them; the stall is recorded as an ``ecn_throttle`` wait edge.
+        them; the stall is recorded as an ``ecn_throttle`` wait.
         A flow at line rate pays nothing here (the TX port already
         serializes at link speed).
         """
@@ -210,8 +210,6 @@ class QueuePair:
         if delay > 0:
             if wr.span is not None:
                 wr.span.add_phase(
-                    "ecn_throttle", self.sim.now, self.sim.now + delay)
-                wr.span.wait(
                     "ecn_throttle", self.sim.now, self.sim.now + delay)
             yield self.sim.timeout(delay)
 

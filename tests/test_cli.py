@@ -1,11 +1,14 @@
 """The command-line experiment runner."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.harness import FIGURES
+from repro.harness import cli
 from repro.harness.cli import build_parser, main
+from repro.obs import PHASES, enable
 
 
 class TestParser:
@@ -47,6 +50,10 @@ class TestParser:
         assert os.environ["REPRO_BENCH_SCALE"] == "0.5"
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestSmallRuns:
     def test_fig2a_prints_table(self, capsys):
         main(["--scale", "0.5", "fig2a", "--qps", "8", "--clients", "2"])
@@ -60,9 +67,13 @@ class TestSmallRuns:
         assert "FLock" in out and "eRPC" in out
 
     def test_incast_congested_legs_attribute_switch_queue(self, tmp_path,
-                                                          capsys):
+                                                          capsys,
+                                                          monkeypatch):
         attr = tmp_path / "incast.attr.json"
         cards = tmp_path / "scorecards"
+        tels = []
+        monkeypatch.setattr(cli, "enable",
+                            lambda tel: tels.append(tel) or enable(tel))
         assert main(["--scale", "0.1", "--audit", "--attribution",
                      "--attribution-json", str(attr),
                      "--scorecard", str(cards), "incast"]) == 0
@@ -75,9 +86,21 @@ class TestSmallRuns:
             assert total == pytest.approx(1.0, abs=1e-6), label
         assert any("switch_queue" in rep["attribution"]
                    for rep in cong.values())
+        # Pinned: switch_queue, ecn_throttle, cq_poll, server_queue and
+        # tx_port all reach this report.
+        assert _sha256(attr) == (
+            "841ab1dd9b932fe8b5dcd02d566fdfcfaf4e7a0d49ec3864c9a100b196dd1a60")
         card = json.loads((cards / "BENCH_ext_incast.json").read_text())
         assert card["checks"]
         assert all(c["passed"] for c in card["checks"]), card["checks"]
+        # Each interval is recorded once, and the breakdown covers waits.
+        (tel,) = tels
+        for span in tel.spans.spans:
+            assert len(set(span.phases)) == len(span.phases), span
+        table = tel.breakdown()
+        assert {"tx_port", "cq_poll", "nic_throttle"} <= set(table)
+        assert "tx_queue" not in table
+        assert set(table) <= set(PHASES)
 
     def test_fig2a_trace_attribution_and_folded_stacks(self, tmp_path,
                                                        capsys):
@@ -87,7 +110,7 @@ class TestSmallRuns:
         assert main(["--scale", "0.1", "--breakdown", "--trace", str(trace),
                      "--attribution", "--attribution-json", str(attr),
                      "--critical-path", str(folded),
-                     "fig2a", "--qps", "8", "--clients", "2"]) == 0
+                     "fig2a", "--qps", "8", "704", "--clients", "2"]) == 0
         capsys.readouterr()
         events = json.loads(trace.read_text())["traceEvents"]
         assert any(e["ph"] == "X" for e in events), "no span events"
@@ -103,7 +126,12 @@ class TestSmallRuns:
         for line in lines:
             frame, ns = line.rsplit(" ", 1)
             assert ";" in frame and int(ns) >= 0, line
-
+        # Pinned: past the QP cache (704 QPs) pcie_stall and nic_throttle
+        # take most of the critical path.
+        assert _sha256(attr) == (
+            "d52a8ab0d506a0282dbb1ccb7681dbfc671e83c10a85376bf59d1958aa6138ba")
+        assert _sha256(folded) == (
+            "9b860a7a2df60bc03022350533fb9582187172fe9177ab77658d73e5e7440d16")
 
     def test_step_fault_fires_goodput_changepoints(self, tmp_path,
                                                    monkeypatch, capsys):

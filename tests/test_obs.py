@@ -35,6 +35,11 @@ from repro.obs import (
 )
 
 
+def _total(span, name):
+    """Summed duration of ``span``'s intervals named ``name``."""
+    return sum(t1 - t0 for phase, t0, t1 in span.phases if phase == name)
+
+
 class TestSpan:
     def test_lifecycle(self):
         log = SpanLog()
@@ -47,8 +52,8 @@ class TestSpan:
         assert span.t1 == 200.0
         assert span.duration == 100.0
         assert len(log) == 1
-        assert span.phase_total("client_queue") == 50.0
-        assert span.phase_total("wire") == 20.0
+        assert _total(span, "client_queue") == 50.0
+        assert _total(span, "wire") == 20.0
 
     def test_finish_idempotent(self):
         log = SpanLog()
@@ -63,7 +68,7 @@ class TestSpan:
         span = log.begin("rpc", track="x", t=0.0)
         span.open("server_handler", 5.0)
         span.finish(12.0)
-        assert span.phase_total("server_handler") == 7.0
+        assert _total(span, "server_handler") == 7.0
 
     def test_close_unopened_phase_is_noop(self):
         log = SpanLog()
@@ -80,8 +85,8 @@ class TestSpan:
         span.add_phase("pcie_stall", 10.0, 30.0)
         span.add_phase("pcie_stall", 50.0, 60.0)
         span.finish(100.0)
-        assert span.phase_total("pcie_stall") == 30.0
-        assert span.phase_total("nic_tx") == 100.0
+        assert _total(span, "pcie_stall") == 30.0
+        assert _total(span, "nic_tx") == 100.0
 
     def test_adopt_copies_phases(self):
         log = SpanLog()
@@ -89,13 +94,10 @@ class TestSpan:
         msg.add_phase("doorbell_mmio", 0.0, 5.0)
         msg.add_phase("wire", 5.0, 15.0)
         rpc = log.begin("rpc", track="t0", t=0.0)
+        assert not msg.donor
         rpc.adopt(msg)
-        assert rpc.phase_total("doorbell_mmio") == 5.0
-        assert rpc.phase_total("wire") == 10.0
-        rpc2 = log.begin("rpc", track="t1", t=0.0)
-        rpc2.adopt(msg, phases=["wire"])
-        assert rpc2.phase_total("doorbell_mmio") == 0.0
-        assert rpc2.phase_total("wire") == 10.0
+        assert rpc.phases == msg.phases
+        assert msg.donor
 
     def test_bump(self):
         log = SpanLog()
@@ -125,7 +127,7 @@ class TestSpanLog:
         assert table["wire"]["total_ns"] == 20.0
         assert table["wire"]["mean_ns"] == 10.0
         assert table["server_handler"]["share"] == pytest.approx(0.75)
-        assert log.phase_share("wire") == pytest.approx(0.25)
+        assert table["wire"]["share"] == pytest.approx(0.25)
 
     def test_breakdown_filters_by_name(self):
         log = SpanLog()
@@ -249,7 +251,6 @@ class TestDisabledMode:
         assert null_span_log.begin("s", track="x", t=0.0) is None
         assert len(null_span_log) == 0
         assert null_span_log.breakdown() == {}
-        assert null_span_log.phase_share("wire") == 0.0
 
     def test_fresh_simulator_defaults_to_null(self):
         from repro.sim import Simulator
@@ -474,7 +475,7 @@ class TestTracedRuns:
             tel = Telemetry()
             result = run_raw_reads(qps, n_clients=8, cluster=cluster,
                                    telemetry=tel)
-            shares[qps] = tel.spans.phase_share("pcie_stall")
+            shares[qps] = tel.breakdown()["pcie_stall"]["share"]
             misses[qps] = result.extras["qp_cache_miss"]
         assert misses[16] < 0.05 < misses[256]
         assert shares[16] < 0.05, "no stalls expected while QPs fit cache"

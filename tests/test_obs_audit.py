@@ -18,6 +18,7 @@ from repro.obs import (
     AuditContext,
     AuditError,
     AuditReport,
+    SpanLog,
     Telemetry,
     Violation,
     disable,
@@ -94,6 +95,20 @@ class TestFramework:
         assert report.ok
         assert report.checks >= 2  # monotone-time always runs
         assert report.skipped  # no components -> recorded skips
+
+    def test_negative_wait_fails_span_audit(self):
+        """A wait is recorded like any other interval, so a faulty wait
+        producer is caught: a ``pcie_stall`` closed before it opened
+        (the open/close calls ``Pcie.read`` makes) fails the audit."""
+        sim = Simulator()
+        sim.spans = SpanLog()
+        span = sim.spans.begin("rpc", track="t0", t=0.0)
+        span.open("pcie_stall", 10.0)
+        span.close("pcie_stall", 5.0)
+        span.finish(20.0)
+        report = run_audit(sim)
+        assert [v.invariant for v in report.violations] == [
+            "spans.phase_monotonicity"]
 
     def test_auditor_crash_becomes_violation(self):
         def broken(ctx):

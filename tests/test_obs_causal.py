@@ -1,10 +1,9 @@
-"""Causal wait-graph capture, critical paths, attribution, what-if.
+"""Causal wait capture, critical paths, attribution, what-if.
 
-Covers the typed wait-edge producers (generic resource acquisition,
-PCIe cache-miss fetches, credit accounting, the scheduler hold ledger),
+Covers the wait producers (generic resource acquisition, PCIe
+cache-miss fetches, credit accounting, the scheduler hold ledger),
 the span-level satellites (double-open, null-log immutability, adopt
-ownership, breakdown memoisation), the critical-path walker on
-hand-built spans, the attribution/folded-stack/what-if math, end-of-run
+donors), the critical-path walker on hand-built spans, the attribution/folded-stack/what-if math, end-of-run
 live-span flushing, and the Fig. 2a acceptance scenario: attribution
 pins the post-cliff collapse on ``pcie_stall`` and the what-if bound
 tracks the measured recovery when the QP cache is sized to fit.
@@ -20,7 +19,7 @@ from repro.harness.microbench import run_raw_reads
 from repro.hw.pcie import PcieLink
 from repro.obs import (
     GAP_RESOURCE,
-    RESOURCES,
+    PHASES,
     NullSpanLog,
     SpanLog,
     Telemetry,
@@ -37,16 +36,16 @@ from repro.sim import Resource, Simulator
 
 
 def _span(log, t0, t1, edges=(), name="rpc"):
-    """A finished span with the given wait edges."""
+    """A finished span with the given wait intervals."""
     span = log.begin(name, track="t", t=t0)
     for resource, e0, e1 in edges:
-        span.wait(resource, e0, e1)
+        span.add_phase(resource, e0, e1)
     span.finish(t1)
     return span
 
 
 # ---------------------------------------------------------------------------
-# Wait-edge producers
+# Wait producers
 # ---------------------------------------------------------------------------
 
 class TestEdgeProducers:
@@ -69,7 +68,7 @@ class TestEdgeProducers:
         sim.spawn(holder())
         sim.spawn(waiter())
         sim.run()
-        assert span.edges == [("widget", 10.0, 50.0)]
+        assert span.phases == [("widget", 10.0, 50.0)]
         assert res.contended == 1
         assert res.wait_ns == 40.0
 
@@ -80,7 +79,7 @@ class TestEdgeProducers:
         ev = res.acquire(span)
         assert ev.triggered
         span.finish(5.0)
-        assert span.edges == []
+        assert span.phases == []
         assert res.wait_ns == 0.0
 
     def test_pcie_read_records_stall_edge(self, sim):
@@ -96,8 +95,8 @@ class TestEdgeProducers:
             sim.spawn(fetch(span))
         sim.run()
         # First read: pure latency; second also queues behind the slot.
-        assert spans[0].edges == [("pcie_stall", 0.0, 100.0)]
-        assert spans[1].edges == [("pcie_stall", 0.0, 200.0)]
+        assert spans[0].phases == [("pcie_stall", 0.0, 100.0)]
+        assert spans[1].phases == [("pcie_stall", 0.0, 200.0)]
 
     def test_stuck_pcie_read_survives_flush(self, sim):
         link = PcieLink(sim, read_latency_ns=100.0, slots=1)
@@ -115,7 +114,7 @@ class TestEdgeProducers:
         flushed = log.flush(sim.now)
         assert flushed == 2 and log.live == 0
         stuck = [s for s in log.spans if s.args.get("truncated")]
-        assert {tuple(s.edges[0]) for s in stuck} == {
+        assert {tuple(s.phases[0]) for s in stuck} == {
             ("pcie_stall", 0.0, 150.0)}
 
     def test_hold_ledger_windows(self):
@@ -145,7 +144,7 @@ class TestSpanSatellites:
         span.finish(50.0)
         assert ("pcie_stall", 10.0, 30.0) in span.phases
         assert ("pcie_stall", 30.0, 45.0) in span.phases
-        assert span.phase_total("pcie_stall") == 35.0
+        assert sum(t1 - t0 for _, t0, t1 in span.phases) == 35.0
 
     def test_null_span_log_is_immutable(self):
         null = NullSpanLog()
@@ -155,43 +154,18 @@ class TestSpanSatellites:
         assert null.flush(100.0) == 0
         assert null.breakdown() == {}
 
-    def test_adopt_claim_dedups_breakdown(self):
-        log = SpanLog()
-        hw = log.begin("msg", track="hw", t=0.0)
-        hw.add_phase("wire", 0.0, 10.0)
-        hw.wait("wire", 0.0, 10.0)
-        rpc = log.begin("rpc", track="c", t=0.0)
-        rpc.adopt(hw, claim=True)
-        assert hw.is_donor
-        hw.finish(10.0)
-        rpc.finish(12.0)
-        plain = log.breakdown()
-        assert plain["wire"]["total_ns"] == 20.0  # double-counted
-        dedup = log.breakdown(dedup=True)
-        assert dedup["wire"]["total_ns"] == 10.0  # adopter owns it
-        # Donor spans never root a critical path of their own.
-        assert [p.span.name for p in critical_paths(log)] == ["rpc"]
-
-    def test_adopt_without_claim_keeps_both(self):
+    def test_adopt_donor_drops_out_of_critical_paths(self):
         log = SpanLog()
         hw = log.begin("msg", track="hw", t=0.0)
         hw.add_phase("wire", 0.0, 10.0)
         rpc = log.begin("rpc", track="c", t=0.0)
         rpc.adopt(hw)
-        assert not hw.is_donor
+        assert hw.donor
         hw.finish(10.0)
         rpc.finish(12.0)
-        assert log.breakdown(dedup=True)["wire"]["total_ns"] == 20.0
-
-    def test_breakdown_memoised_per_span_count(self):
-        log = SpanLog()
-        span = log.begin("rpc", track="t", t=0.0)
-        span.add_phase("wire", 0.0, 5.0)
-        span.finish(10.0)
-        first = log.breakdown()
-        assert log.breakdown() is first  # cache hit: same object
-        _span(log, 0.0, 20.0)
-        assert log.breakdown() is not first  # new span invalidates
+        assert log.breakdown()["wire"]["total_ns"] == 20.0  # on both
+        # Donor spans never root a critical path of their own.
+        assert [p.span.name for p in critical_paths(log)] == ["rpc"]
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +208,17 @@ class TestCriticalPath:
                      edges=[("wire", 0.0, 50.0),
                             ("credit_wait", 0.0, 50.0)])
         path = critical_path(span)
-        assert RESOURCES.index("credit_wait") < RESOURCES.index("wire")
+        assert PHASES.index("credit_wait") < PHASES.index("wire")
         assert [s.resource for s in path.segments] == ["credit_wait"]
+
+    def test_spent_intervals_are_not_waits(self):
+        log = SpanLog()
+        span = _span(log, 0.0, 50.0,
+                     edges=[("nic_tx", 0.0, 50.0),
+                            ("pcie_stall", 10.0, 20.0)])
+        path = critical_path(span)
+        assert [s.resource for s in path.segments] == [
+            GAP_RESOURCE, "pcie_stall", GAP_RESOURCE]
 
     def test_edges_clamped_and_out_of_range_dropped(self):
         log = SpanLog()
@@ -339,19 +322,19 @@ class TestFlush:
     def test_flush_closes_open_waits(self):
         log = SpanLog()
         span = log.begin("rpc", track="t", t=0.0)
-        span.wait_begin("pcie_stall", 5.0)
+        span.open("pcie_stall", 5.0)
         assert log.flush(40.0) == 1
         assert span.t1 == 40.0
         assert span.args["truncated"] is True
-        assert span.edges == [("pcie_stall", 5.0, 40.0)]
+        assert span.phases == [("pcie_stall", 5.0, 40.0)]
 
     def test_telemetry_flushes_before_analysis(self):
         tel = Telemetry()
         sim = Simulator()
         tel.install(sim, label="demo")
         span = sim.spans.begin("rpc", track="t", t=0.0)
-        span.wait("wire", 0.0, 0.0)  # zero-length: dropped
-        span.wait_begin("credit_wait", 0.0)
+        span.add_phase("wire", 0.0, 0.0)  # zero-length: no path time
+        span.open("credit_wait", 0.0)
 
         def advance():
             yield sim.timeout(30.0)
