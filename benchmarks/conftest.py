@@ -24,8 +24,8 @@ when its headline numbers still look plausible.
 Every bench session that produced scorecards is also appended to the
 run-history store (``repro.obs.runstore``) with its git context, so
 ``python -m repro.harness.cli runs list`` / ``runs diff`` can navigate
-and compare past sessions.  Set ``REPRO_RUNSTORE=0`` to opt out;
-``REPRO_RUNSTORE_DIR`` relocates the store.
+and compare past sessions.  Set ``REPRO_RUNSTORE=0`` (or ``false``,
+``no``, ``off``) to opt out; ``REPRO_RUNSTORE_DIR`` relocates the store.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from typing import Dict, List, Sequence
 
 import pytest
 
+from repro.config import env_flag
 from repro.harness import FIGURES, bench_scale, format_table
 from repro.obs.audit import AUDIT_ENV
 from repro.obs.runstore import RunStore
@@ -137,7 +138,7 @@ def _record_run(terminalreporter) -> None:
     filesystem or exotic CI sandbox must never fail the benchmarks
     themselves.
     """
-    if os.environ.get("REPRO_RUNSTORE", "1") == "0":
+    if not env_flag("REPRO_RUNSTORE", True):
         return
     try:
         rec = RunStore().record(

@@ -86,6 +86,7 @@ from typing import List
 
 from ..obs import (
     Explanation,
+    Registry,
     RunStore,
     Scorecard,
     Telemetry,
@@ -146,18 +147,18 @@ def _emit_scorecard(args, sc) -> None:
                                         "PASS" if sc.passed else "FAIL"))
 
 
-def _collect_slo(args, results) -> None:
+def _collect(args, results) -> None:
     """Gather each run's windowed SLO report for ``--slo-timeline``,
-    keyed by its :func:`repro.harness.scorecards.sweep_runs` label.
-    Collection is cheap, so it runs regardless of the flag and
-    :func:`main` decides whether to write the file.
+    keyed by its :func:`repro.harness.scorecards.sweep_runs` label, and
+    fold its metrics state for ``--metrics``, in sweep order.
+    Collection is cheap, so it runs regardless of the flags and
+    :func:`main` decides which files to write.
     """
-    blocks = getattr(args, "_slo_blocks", None)
-    if blocks is None:
-        blocks = args._slo_blocks = {}
     for label, result in sweep_runs(results):
         if result.slo is not None:
-            blocks[label] = result.slo
+            args.slo_blocks[label] = result.slo
+        if result.metrics is not None:
+            args.metrics_folded.merge_state(result.metrics)
 
 
 def _figure_opts(spec, args) -> dict:
@@ -182,7 +183,7 @@ def cmd_figure(args) -> None:
     results = spec.run(args.jobs, **opts)
     for title, columns, rows in spec.tables(results, **opts):
         print_table(title, columns, rows)
-    _collect_slo(args, results)
+    _collect(args, results)
     for sc in spec.scorecards(results, **opts):
         _emit_scorecard(args, sc)
 
@@ -230,6 +231,8 @@ def cmd_search(args) -> int:
                        seed=args.seed, jobs=default_jobs(args.jobs),
                        warmup=args.warmup, elites=args.elites)
     result = run_search(cfg, progress=print)
+    if result.metrics is not None:
+        args.metrics_folded.merge_state(result.metrics)
     columns, rows = leaderboard_rows(result, args.top)
     print_table("leaderboard: %s (%d evals, %d dedup)"
                 % (result.search_id, result.n_evals, result.n_dedup),
@@ -393,7 +396,7 @@ def _explain_live_fig2a(args) -> int:
                 enable(prev)
             else:
                 disable()
-    _collect_slo(args, results)
+    _collect(args, results)
     _emit_scorecard(args, sc)
     exps, block = _explain_figure("fig2a", sc.meta, tel)
     return _emit_explanations(args, {"fig2a": (exps, block)})
@@ -532,8 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fan independent sweep points across N worker "
                              "processes (default: serial; REPRO_JOBS env "
                              "also sets it).  Results are byte-identical "
-                             "to a serial run; observability flags force "
-                             "serial execution — see docs/performance.md")
+                             "to a serial run; span flags (--trace, "
+                             "--breakdown, --attribution...) force serial "
+                             "execution — see docs/performance.md")
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="write a Chrome trace-event JSON of every "
                              "traced RPC (open in ui.perfetto.dev)")
@@ -690,9 +694,10 @@ def main(argv: List[str] = None) -> int:
         os.environ["REPRO_BENCH_SCALE"] = str(args.scale)
     if args.audit:
         os.environ[AUDIT_ENV] = "1"
+    args.slo_blocks, args.metrics_folded = {}, Registry()
     # Spans must accumulate in-process (forces sweeps serial); a
-    # metrics-only run can keep --jobs parallelism because sketches and
-    # counters merge exactly across workers.
+    # metrics-only run keeps --jobs parallelism because each run's
+    # metrics come home on its result.
     wants_spans = bool(args.trace or args.breakdown or args.attribution
                        or args.attribution_json or args.critical_path)
     observing = wants_spans or bool(args.metrics)
@@ -707,13 +712,12 @@ def main(argv: List[str] = None) -> int:
         for name in injected_faults:
             faults.clear(name)
         disable()
-    if getattr(args, "slo_timeline", None):
-        blocks = getattr(args, "_slo_blocks", {})
+    if args.slo_timeline:
         with open(args.slo_timeline, "w") as fh:
-            json.dump(blocks, fh, indent=2, sort_keys=True)
+            json.dump(args.slo_blocks, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print("wrote SLO timelines: %s (%d runs)"
-              % (args.slo_timeline, len(blocks)))
+              % (args.slo_timeline, len(args.slo_blocks)))
     if telemetry is not None:
         if args.breakdown:
             print()
@@ -735,9 +739,9 @@ def main(argv: List[str] = None) -> int:
             print("wrote Chrome trace: %s (%d spans)"
                   % (args.trace, len(telemetry.spans.spans)))
         if args.metrics:
-            text = (telemetry.registry.to_csv()
-                    if args.metrics.endswith(".csv")
-                    else telemetry.registry.to_json())
+            folded = args.metrics_folded
+            text = (folded.to_csv() if args.metrics.endswith(".csv")
+                    else folded.to_json())
             with open(args.metrics, "w") as fh:
                 fh.write(text)
             print("wrote metrics snapshot: %s" % args.metrics)

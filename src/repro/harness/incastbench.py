@@ -21,7 +21,6 @@ queue ever builds — see ``docs/network.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from ..baselines import UdEndpoint, UdRpcServer
 from ..config import ClusterConfig, CongestionConfig, NetConfig
@@ -100,12 +99,10 @@ def switch_extras(fabric) -> dict:
     }
 
 
-def run_incast_flock(cfg: IncastConfig, *, congested: bool,
-                     audit: Optional[bool] = None) -> RunResult:
+def run_incast_flock(cfg: IncastConfig, *, congested: bool) -> RunResult:
     """One FLock incast leg (all senders → one FLock server)."""
     run = Run("flock-incast %s" % ("cong" if congested else "base"),
-              cfg.warmup_ns, cfg.measure_ns, cfg.cluster(congested),
-              audit=audit)
+              cfg.warmup_ns, cfg.measure_ns, cfg.cluster(congested))
     threads = cfg.threads_per_client
     recorder, extras, handles, _server = flock_echo(
         run, cfg, bench_flock_config(), cfg.qps_per_handle,
@@ -120,12 +117,10 @@ def run_incast_flock(cfg: IncastConfig, *, congested: bool,
     return run.finish(recorder.result(**extras))
 
 
-def run_incast_ud(cfg: IncastConfig, *, congested: bool,
-                  audit: Optional[bool] = None) -> RunResult:
+def run_incast_ud(cfg: IncastConfig, *, congested: bool) -> RunResult:
     """One UD-RPC incast leg (the HERD/eRPC design point)."""
     run = Run("ud-incast %s" % ("cong" if congested else "base"),
-              cfg.warmup_ns, cfg.measure_ns, cfg.cluster(congested),
-              audit=audit)
+              cfg.warmup_ns, cfg.measure_ns, cfg.cluster(congested))
     sim, fabric = run.sim, run.fabric
     server = UdRpcServer(sim, run.servers[0], fabric)
     server.register_handler(ECHO_RPC, _echo_handler(run))

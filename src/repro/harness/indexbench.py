@@ -15,7 +15,7 @@ insensitive to the scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..apps.hydralist import HydraList
 from ..baselines import ErpcEndpoint, ErpcServer
@@ -79,7 +79,8 @@ def _handlers(index: HydraList):
 def _results(run: Run, recorders: Dict[str, Recorder], system: str,
              **extras) -> Dict[str, RunResult]:
     """Per-recorder results plus combined throughput; the run's event
-    count, profile and audit report ride on the ``get`` result."""
+    count, profile, audit report and metrics ride on the ``get``
+    result."""
     out = {}
     total_ops = 0
     duration = None
@@ -93,11 +94,10 @@ def _results(run: Run, recorders: Dict[str, Recorder], system: str,
     return out
 
 
-def run_flock_index(cfg: IndexBenchConfig, *,
-                    audit: Optional[bool] = None) -> Dict[str, RunResult]:
+def run_flock_index(cfg: IndexBenchConfig) -> Dict[str, RunResult]:
     """90 % get / 10 % scan over FLock RPC."""
     run = Run("flock-index", cfg.warmup_ns, cfg.measure_ns,
-              cfg.cluster_config(), audit=audit)
+              cfg.cluster_config())
     sim, fabric = run.sim, run.fabric
     flock_cfg = bench_flock_config()
     index = build_index(cfg)
@@ -137,11 +137,10 @@ def run_flock_index(cfg: IndexBenchConfig, *,
                     server_cpu=round(run.servers[0].cpu.utilization(), 3))
 
 
-def run_erpc_index(cfg: IndexBenchConfig, *,
-                   audit: Optional[bool] = None) -> Dict[str, RunResult]:
+def run_erpc_index(cfg: IndexBenchConfig) -> Dict[str, RunResult]:
     """90 % get / 10 % scan over eRPC."""
     run = Run("erpc-index", cfg.warmup_ns, cfg.measure_ns,
-              cfg.cluster_config(), audit=audit)
+              cfg.cluster_config())
     sim, fabric = run.sim, run.fabric
     index = build_index(cfg)
     server = ErpcServer(sim, run.servers[0], fabric)

@@ -22,7 +22,13 @@ from typing import Dict, Iterable, List, Optional
 
 from ..config import ClusterConfig
 from ..net import build_cluster
-from ..obs import AuditError, audit_enabled, current_telemetry, run_audit
+from ..obs import (
+    AuditError,
+    audit_enabled,
+    current_telemetry,
+    ledger_state,
+    run_audit,
+)
 from ..obs.anomaly import detect_run_anomalies
 from ..obs.simprof import SimProfile, profile_enabled
 from ..obs.windows import SloTimeline, attach_switch_sources
@@ -56,13 +62,15 @@ class Run:
     The auditors check the components' own ledgers against each other,
     so every audited run runs every check, whatever telemetry it shares.
 
-    ``telemetry``, ``audit`` and ``profile`` override the process-wide
-    defaults (:func:`repro.obs.enable`, ``REPRO_AUDIT``,
-    ``REPRO_PROFILE``).  None of the instruments schedules events or
-    draws randomness, so they never change simulation results.  Of the
-    runners, only ``run_flock``, ``run_raw_reads`` and the search's
-    ``run_scenario_leg`` take a ``telemetry=`` to pass on; every other
-    runner uses the process-wide one.
+    Auditing and profiling are the process's switches
+    (``REPRO_AUDIT``/``--audit``, ``REPRO_PROFILE``); ``profile``
+    overrides the latter for the host-cost benchmark.  ``telemetry``
+    overrides the process-wide one (:func:`repro.obs.enable`), to give
+    one run its own span log; of the runners, only ``run_flock``,
+    ``run_raw_reads`` and the search's ``run_scenario_leg`` pass one on.
+    A run under a telemetry hands its metrics back on its result (see
+    :meth:`finish`).  None of the instruments schedules events or draws
+    randomness, so they never change simulation results.
 
     ``scaled=False`` keeps the windows as given instead of multiplying
     them by :func:`bench_scale`, for a runner whose claims need a warmup
@@ -71,16 +79,16 @@ class Run:
 
     def __init__(self, label: str, warmup_ns: float, measure_ns: float,
                  cluster: ClusterConfig, *, scaled: bool = True,
-                 telemetry=None, audit: Optional[bool] = None,
-                 profile: Optional[bool] = None):
+                 telemetry=None, profile: Optional[bool] = None):
         self.sim = sim = Simulator()
-        tel = telemetry if telemetry is not None else current_telemetry()
-        if tel is not None:
-            tel.install(sim, label=label)
+        self.telemetry = (telemetry if telemetry is not None
+                          else current_telemetry())
+        if self.telemetry is not None:
+            self.telemetry.install(sim, label=label)
         # Queues and credit states keep the accounting the auditors read
         # only when instrumented, so auditing alone instruments the run
         # (no span overhead).
-        self.audited = audit if audit is not None else audit_enabled()
+        self.audited = audit_enabled()
         if self.audited:
             sim.instrumented = True
         scale = bench_scale() if scaled else 1.0
@@ -125,12 +133,14 @@ class Run:
         self.run(end)
 
     def finish(self, result: "RunResult") -> "RunResult":
-        """Stamp the run's event count and profile report on ``result``
-        and run the auditors; raises :class:`repro.obs.AuditError` on
-        any violation."""
+        """Stamp the run's event count, profile report and (under a
+        telemetry) metrics on ``result`` and run the auditors; raises
+        :class:`repro.obs.AuditError` on any violation."""
         result.host = {"events": self.sim.events_processed}
         if self.profile is not None:
             result.profile = self.profile.report()
+        if self.telemetry is not None:
+            result.metrics = ledger_state(self.sim)
         if self.audited:
             result.audit_report = run_audit(self.sim)
             if not result.audit_report.ok:
@@ -222,8 +232,8 @@ class RunResult:
     """One experiment data point.
 
     Plain data only: a result pickles as-is across the parallel
-    executor's process boundary.  The spans of a traced run stay in the
-    :class:`repro.obs.Telemetry` it ran under.
+    executor's process boundary, metrics included.  The spans of a
+    traced run stay in the :class:`repro.obs.Telemetry` it ran under.
     """
 
     ops: int
@@ -231,7 +241,7 @@ class RunResult:
     latency: Dict[str, float]
     extras: Dict[str, object] = field(default_factory=dict)
     #: End-of-run :class:`repro.obs.AuditReport` (None unless the run
-    #: was audited via ``--audit`` / ``REPRO_AUDIT`` / ``audit=True``).
+    #: was audited via ``--audit`` / ``REPRO_AUDIT``).
     audit_report: Optional[object] = field(default=None, repr=False)
     #: Windowed SLO timeline report (plain JSON-safe dict from
     #: :meth:`repro.obs.windows.SloTimeline.report`); None when no
@@ -251,6 +261,11 @@ class RunResult:
     #: :meth:`repro.obs.simprof.SimProfile.report`); None unless the run
     #: was profiled via ``REPRO_PROFILE`` or ``Run(profile=True)``.
     profile: Optional[Dict[str, object]] = field(default=None, repr=False)
+    #: The run's counters, gauges and histograms as a
+    #: :meth:`repro.obs.Registry.export_state` state, stamped by
+    #: :meth:`Run.finish` when the run had a telemetry; None otherwise.
+    #: The CLI folds a sweep's states with ``Registry.merge_state``.
+    metrics: Optional[dict] = field(default=None, repr=False)
 
     @property
     def mops(self) -> float:

@@ -161,11 +161,10 @@ def flock_echo(run: Run, cfg, flock_cfg: FlockConfig, n_qps: int,
 def run_flock(cfg: MicrobenchConfig, *, qps_per_process: Optional[int] = None,
               coalescing: bool = True,
               flock_cfg: Optional[FlockConfig] = None,
-              telemetry=None, audit: Optional[bool] = None,
-              profile: Optional[bool] = None) -> RunResult:
+              telemetry=None, profile: Optional[bool] = None) -> RunResult:
     """Closed-loop echo RPCs over FLock."""
     run = Run("flock", cfg.warmup_ns, cfg.measure_ns, cfg.cluster_config(),
-              telemetry=telemetry, audit=audit, profile=profile)
+              telemetry=telemetry, profile=profile)
     if flock_cfg is None:
         flock_cfg = bench_flock_config()
     threads = cfg.threads_per_client
@@ -185,11 +184,9 @@ def run_flock(cfg: MicrobenchConfig, *, qps_per_process: Optional[int] = None,
 # eRPC (Figs. 6-8, 16-18 baseline)
 # ---------------------------------------------------------------------------
 
-def run_erpc(cfg: MicrobenchConfig, *, audit: Optional[bool] = None,
-             profile: Optional[bool] = None) -> RunResult:
+def run_erpc(cfg: MicrobenchConfig) -> RunResult:
     """Closed-loop echo RPCs over the eRPC-like UD baseline."""
-    run = Run("erpc", cfg.warmup_ns, cfg.measure_ns, cfg.cluster_config(),
-              audit=audit, profile=profile)
+    run = Run("erpc", cfg.warmup_ns, cfg.measure_ns, cfg.cluster_config())
     sim, fabric = run.sim, run.fabric
     server = ErpcServer(sim, run.servers[0], fabric)
     server.register_handler(ECHO_RPC, _echo_handler(run))
@@ -220,16 +217,14 @@ def run_erpc(cfg: MicrobenchConfig, *, audit: Optional[bool] = None,
 # RC sharing baselines: no-sharing / FaRM-style spinlock (Fig. 9)
 # ---------------------------------------------------------------------------
 
-def run_rc(cfg: MicrobenchConfig, *, threads_per_qp: int = 1,
-           audit: Optional[bool] = None,
-           profile: Optional[bool] = None) -> RunResult:
+def run_rc(cfg: MicrobenchConfig, *, threads_per_qp: int = 1) -> RunResult:
     """Closed-loop echo RPCs over RC write-based RPC without coalescing.
 
     ``threads_per_qp=1`` is the dedicated-QP (no sharing) config;
     2 or 4 is FaRM-like spinlock sharing.
     """
     run = Run("rc-%dtpq" % threads_per_qp, cfg.warmup_ns, cfg.measure_ns,
-              cfg.cluster_config(), audit=audit, profile=profile)
+              cfg.cluster_config())
     sim, fabric = run.sim, run.fabric
     server = RcRpcServer(sim, run.servers[0], fabric)
     server.register_handler(ECHO_RPC, _echo_handler(run))
@@ -260,8 +255,7 @@ def run_rc(cfg: MicrobenchConfig, *, threads_per_qp: int = 1,
 # ---------------------------------------------------------------------------
 
 def run_thread_sched(cfg: MicrobenchConfig, large_size: int, *,
-                     scheduling: bool, audit: Optional[bool] = None,
-                     profile: Optional[bool] = None) -> Dict[str, object]:
+                     scheduling: bool) -> Dict[str, object]:
     """FLock echo RPCs over Fig. 11's mixed-size workload (a
     :class:`BimodalSize`: the first tenth of each client's threads send
     ``large_size`` bytes, the rest 64 B), with thread scheduling on or
@@ -273,15 +267,15 @@ def run_thread_sched(cfg: MicrobenchConfig, large_size: int, *,
     scheduling still costs 40% of throughput).
 
     Returns per-class results (``"small"``, ``"large"``; the run's event
-    count, profile and audit report ride on ``"small"``), the combined
-    ``"mops"`` and ``"mixed_qps"``: the QPs that carry both size classes
-    at the end of the run.
+    count, profile, audit report and metrics ride on ``"small"``), the
+    combined ``"mops"`` and ``"mixed_qps"``: the QPs that carry both size
+    classes at the end of the run.
     """
     sizes = BimodalSize(cfg.threads_per_client, large_size)
     run = Run("thread-sched %dB %s" % (large_size,
                                        "on" if scheduling else "off"),
               cfg.warmup_ns, cfg.measure_ns, cfg.cluster_config(),
-              scaled=False, audit=audit, profile=profile)
+              scaled=False)
     sim, fabric = run.sim, run.fabric
     flock_cfg = bench_flock_config()
     server = FlockNode(sim, run.servers[0], fabric, flock_cfg)
@@ -321,9 +315,8 @@ def run_thread_sched(cfg: MicrobenchConfig, large_size: int, *,
 # ---------------------------------------------------------------------------
 
 def run_multitenancy(weights: Dict[str, float], *, clients_per_tenant: int = 4,
-                     threads: int = 16, duration_ns: float = 1_500_000.0,
-                     audit: Optional[bool] = None,
-                     profile: Optional[bool] = None) -> RunResult:
+                     threads: int = 16, duration_ns: float = 1_500_000.0
+                     ) -> RunResult:
     """Equally aggressive tenants share one FLock server whose
     :class:`repro.flock.TenantManager` splits a MAX_AQP=32 budget by
     ``weights`` (tenant name -> weight; each tenant gets
@@ -338,7 +331,7 @@ def run_multitenancy(weights: Dict[str, float], *, clients_per_tenant: int = 4,
     """
     run = Run("multitenancy", 0.0, duration_ns,
               ClusterConfig(n_clients=len(weights) * clients_per_tenant),
-              scaled=False, audit=audit, profile=profile)
+              scaled=False)
     sim, fabric = run.sim, run.fabric
     cfg = bench_flock_config(qps_per_handle=threads, max_aqp=32)
     server = FlockNode(sim, run.servers[0], fabric, cfg)
@@ -383,12 +376,12 @@ def run_raw_reads(total_qps: int, *, n_clients: int = 22,
                   warmup_ns: float = 200_000.0,
                   measure_ns: float = 300_000.0,
                   cluster: Optional[ClusterConfig] = None,
-                  telemetry=None, audit: Optional[bool] = None,
-                  profile: Optional[bool] = None) -> RunResult:
+                  telemetry=None, profile: Optional[bool] = None
+                  ) -> RunResult:
     """16-byte RDMA reads over an increasing number of QPs."""
     run = Run("rc-read qps=%d" % total_qps, warmup_ns, measure_ns,
               replace(cluster or ClusterConfig(), n_clients=n_clients),
-              telemetry=telemetry, audit=audit, profile=profile)
+              telemetry=telemetry, profile=profile)
     sim, server = run.sim, run.servers[0]
     region = server.memory.register(1 << 20)
 
@@ -427,13 +420,10 @@ def run_raw_reads(total_qps: int, *, n_clients: int = 22,
 
 def run_ud_rpc(n_senders: int, *, n_clients: int = 22,
                warmup_ns: float = 200_000.0,
-               measure_ns: float = 300_000.0,
-               audit: Optional[bool] = None,
-               profile: Optional[bool] = None) -> RunResult:
+               measure_ns: float = 300_000.0) -> RunResult:
     """UD-based RPC with an increasing number of senders."""
     run = Run("ud-rpc n=%d" % n_senders, warmup_ns, measure_ns,
-              ClusterConfig(n_clients=n_clients), audit=audit,
-              profile=profile)
+              ClusterConfig(n_clients=n_clients))
     sim, fabric = run.sim, run.fabric
     server = UdRpcServer(sim, run.servers[0], fabric)
     server.register_handler(ECHO_RPC, _echo_handler(run))

@@ -31,13 +31,12 @@ One deliberate guard rail:
   ``run_sweep`` detects a spans-wanting telemetry and runs the sweep
   serially.  A *metrics-only* telemetry
   (``Telemetry(wants_spans=False)``, what the CLI builds for a bare
-  ``--metrics``) keeps ``--jobs`` parallelism: every point — serial or
-  parallel alike — runs against a fresh per-point registry whose
-  exported state (integer counters, exactly-mergeable quantile
-  sketches) is folded into the parent registry *in input order*, so the
-  merged snapshot is byte-identical for any worker count.
+  ``--metrics``) keeps ``--jobs`` parallelism: each worker runs under a
+  metrics-only telemetry of its own, and each run's metrics travel home
+  on its result (``RunResult.metrics``) for the CLI to fold in input
+  order.
 
-Results are plain data (audit reports, SLO timelines and registry
+Results are plain data (audit reports, SLO timelines and metrics
 states included), so they cross the process boundary as they are.
 """
 
@@ -48,7 +47,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
-from ..obs import Telemetry, current_telemetry, disable, enable
+from ..obs import Telemetry, current_telemetry, enable
 
 __all__ = ["SweepPoint", "run_sweep", "default_jobs"]
 
@@ -97,30 +96,6 @@ def _run_point(point: SweepPoint) -> Tuple[str, Any]:
     return point.key, point.run()
 
 
-def _run_point_fresh(point: SweepPoint) -> Tuple[str, Any, dict]:
-    """Evaluate one point against a fresh metrics-only telemetry.
-
-    The point runs with its own registry regardless of which process
-    (and in pooled runs, which reused worker) executes it, and the
-    registry's exported state travels home with the result.  Folding
-    the states in input order makes the parent's merged registry a pure
-    function of the point list — the ``--jobs N`` byte-identity
-    contract, extended to metrics.  The previously current telemetry is
-    restored afterwards (workers are reused across points; leaking a
-    point's registry into the next would double-count).
-    """
-    prev = current_telemetry()
-    fresh = enable(Telemetry(wants_spans=False))
-    try:
-        key, result = _run_point(point)
-    finally:
-        if prev is not None:
-            enable(prev)
-        else:
-            disable()
-    return key, result, fresh.registry.export_state()
-
-
 def run_sweep(points: Sequence[SweepPoint], jobs: int = 1
               ) -> List[Tuple[str, Any]]:
     """Evaluate every point; return ``[(key, result), ...]`` in input
@@ -128,36 +103,25 @@ def run_sweep(points: Sequence[SweepPoint], jobs: int = 1
     points = list(points)
     jobs = default_jobs(jobs)
     tel = current_telemetry()
-    if tel is not None and not tel.spans.enabled:
-        return _run_sweep_metrics_only(points, jobs, tel)
-    if jobs > 1 and tel is not None:
+    if tel is not None and tel.spans.enabled:
         # Spans must accumulate in this process; see module docs.
         jobs = 1
     if jobs <= 1 or len(points) <= 1:
         return [(p.key, p.run()) for p in points]
-    with _pool(jobs, len(points)) as pool:
+    with _pool(jobs, len(points), tel is not None) as pool:
         return pool.map(_run_point, points, chunksize=1)
 
 
-def _run_sweep_metrics_only(points: List[SweepPoint], jobs: int,
-                            tel) -> List[Tuple[str, Any]]:
-    """The metrics-only sweep path: per-point fresh registries, merged
-    into ``tel.registry`` in input order — serial and parallel runs are
-    byte-identical (see :func:`_run_point_fresh`)."""
-    if jobs <= 1 or len(points) <= 1:
-        evaluated = [_run_point_fresh(p) for p in points]
-    else:
-        with _pool(jobs, len(points)) as pool:
-            evaluated = pool.map(_run_point_fresh, points, chunksize=1)
-    out = []
-    for key, result, state in evaluated:
-        tel.registry.merge_state(state)
-        out.append((key, result))
-    return out
+def _init_worker(instrumented: bool) -> None:
+    """Instrument the worker's runs as the parent's would be, whether
+    the pool forks or spawns."""
+    if instrumented:
+        enable(Telemetry(wants_spans=False))
 
 
-def _pool(jobs: int, n_points: int):
-    """A worker pool sized for the sweep.
+def _pool(jobs: int, n_points: int, instrumented: bool):
+    """A worker pool sized for the sweep, its workers instrumented when
+    ``instrumented``.
 
     fork shares the warmed-up interpreter and environment on the
     platforms CI runs on; spawn is the portable fallback and works
@@ -167,4 +131,5 @@ def _pool(jobs: int, n_points: int):
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         ctx = multiprocessing.get_context("spawn")
-    return ctx.Pool(processes=min(jobs, n_points))
+    return ctx.Pool(processes=min(jobs, n_points),
+                    initializer=_init_worker, initargs=(instrumented,))

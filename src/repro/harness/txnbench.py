@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..apps.kvstore import KvPartition, partition_of, replicas_of
 from ..apps.txn import (
@@ -157,11 +157,9 @@ def _result(run: Run, recorder: Recorder, coordinators: List[Coordinator],
     ))
 
 
-def run_flocktx(cfg: TxnBenchConfig, *,
-                audit: Optional[bool] = None) -> RunResult:
+def run_flocktx(cfg: TxnBenchConfig) -> RunResult:
     """FLockTX: the transaction protocol over FLock RPC + fl_read."""
-    run = Run("flocktx", cfg.warmup_ns, cfg.measure_ns, cfg.cluster_config(),
-              audit=audit)
+    run = Run("flocktx", cfg.warmup_ns, cfg.measure_ns, cfg.cluster_config())
     sim, fabric = run.sim, run.fabric
     server_hw, client_hw = run.servers, run.clients
     flock_cfg = bench_flock_config()
@@ -201,11 +199,9 @@ def run_flocktx(cfg: TxnBenchConfig, *,
                    server_cpu=round(server_hw[0].cpu.utilization(), 3))
 
 
-def run_fasst_txn(cfg: TxnBenchConfig, *,
-                  audit: Optional[bool] = None) -> RunResult:
+def run_fasst_txn(cfg: TxnBenchConfig) -> RunResult:
     """The same protocol over FaSST-style UD RPCs (two-sided only)."""
-    run = Run("fasst", cfg.warmup_ns, cfg.measure_ns, cfg.cluster_config(),
-              audit=audit)
+    run = Run("fasst", cfg.warmup_ns, cfg.measure_ns, cfg.cluster_config())
     sim, fabric = run.sim, run.fabric
     server_hw, client_hw = run.servers, run.clients
     txn_servers = build_txn_servers(cfg, server_hw)

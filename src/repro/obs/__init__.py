@@ -74,7 +74,7 @@ from .explain import (
     top_shift,
 )
 from .export import chrome_trace, format_breakdown, write_chrome_trace
-from .registry import Registry
+from .registry import Registry, ledger_state
 from .runstore import RunRecord, RunStore, default_store_dir
 from .scorecard import Check, Metric, Scorecard, load_scorecard
 from .simprof import SimProfile, component_bucket, profile_enabled
@@ -147,6 +147,7 @@ __all__ = [
     "disable",
     "enable",
     "format_breakdown",
+    "ledger_state",
     "null_span_log",
     "write_chrome_trace",
 ]

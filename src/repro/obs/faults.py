@@ -11,8 +11,9 @@ sites guard with ``if ACTIVE and "name" in ACTIVE`` so the production
 path costs one truthiness test of an (almost always) empty set.  Faults
 are only ever enabled deliberately: by tests, or by the CLI honoring
 the ``REPRO_FAULTS`` environment variable (a comma-separated fault
-list) — which CI uses to manufacture a known-bad run for the run-store
-regression gate.
+list) — which the run-store regression test uses to manufacture a
+known-bad figure run
+(``tests/test_runstore.py::TestRunsCli::test_diff_fails_a_fault_injected_figure_run``).
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ FAULT_NAMES = frozenset({
     "rnic.double_count_miss",
     # harness/microbench.py: the echo handler cost steps up 25x halfway
     # through the measurement window — a manufactured latency
-    # changepoint the anomaly detectors must catch (CI's known-bad run).
+    # changepoint the anomaly detectors must catch
+    # (tests/test_cli.py::TestSmallRuns::test_step_fault_fires_goodput_changepoints).
     "bench.step_handler_cost",
 })
 

@@ -3,12 +3,13 @@
 Every value a run reports is kept once, by the component that owns it:
 ``Rnic.messages_tx``, ``CacheStats.misses``, ``SwitchPort.ecn_marks``
 and so on are plain integer (or float) attributes bumped on the hot
-path.  A :class:`Registry` turns those ledgers into named series only
-when a simulator's run is over (:meth:`Registry.attach`): each
-registered component reports its ledgers through ``report_metrics``,
+path.  They become named series only when a simulator's run is over
+(:func:`ledger_state`, which :meth:`repro.harness.metrics.Run.finish`
+puts on ``RunResult.metrics``): each registered component reports its
+ledgers through ``report_metrics`` into a :class:`Registry`,
 
 * as **counters** — totals summed over components and over the runs
-  a registry has seen (messages sent, cache misses, PCIe stall ns);
+  a registry has folded (messages sent, cache misses, PCIe stall ns);
 * as **gauges** — a point-in-time value per label set, the last run's
   (queue depth, pipeline occupancy, link utilization); and
 * as **histograms** — a distribution, which its component keeps as a
@@ -25,11 +26,11 @@ from __future__ import annotations
 
 import io
 import json
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Iterable, Tuple
 
 from .sketch import QuantileSketch
 
-__all__ = ["Registry", "SUMMARY_KEYS"]
+__all__ = ["Registry", "SUMMARY_KEYS", "ledger_state"]
 
 #: The summary schema: every histogram summary carries exactly these
 #: keys in this order, and ``to_csv`` emits one row per key.
@@ -73,15 +74,14 @@ class Registry:
     counter, :meth:`set` overwrites a gauge and :meth:`observe` adds to
     a histogram's sketch.  Components never call them on the hot path;
     they report their ledgers once per run through ``report_metrics``
-    when the registry lets go of their simulator (see :meth:`attach`).
+    (see :func:`ledger_state`).  Runs fold together through
+    :meth:`merge_state`.
     """
 
     def __init__(self):
         self._counters: Dict[Tuple, float] = {}
         self._gauges: Dict[Tuple, float] = {}
         self._histograms: Dict[Tuple, QuantileSketch] = {}
-        #: The attached simulator whose ledgers are not folded in yet.
-        self._held = None
 
     def add(self, name: str, value: float, **labels) -> None:
         """Add ``value`` to the counter ``name`` (created at 0)."""
@@ -107,40 +107,10 @@ class Registry:
             sketch = self._histograms[key] = QuantileSketch()
         return sketch
 
-    # -- run ledgers ----------------------------------------------------
-
-    def attach(self, sim) -> None:
-        """Take ``sim``'s ledgers at the end of its run.
-
-        Folds the previously attached simulator first.  Its ledgers are
-        folded exactly once: here, or when the registry is next read
-        (:meth:`snapshot`, :meth:`export_state`) or merged into.
-        """
-        self._fold()
-        self._held = sim
-
-    def _fold(self) -> None:
-        """Add the held simulator's ledgers to the registry's series.
-
-        The run's totals are summed on their own first, so a run folded
-        here adds the same float to each counter that a run exported
-        from a worker process adds through :meth:`merge_state`.
-        """
-        sim, self._held = self._held, None
-        if sim is None:
-            return
-        ledgers = Registry()
-        for component in sim.components:
-            report = getattr(component, "report_metrics", None)
-            if report is not None:
-                report(ledgers)
-        self.merge_state(ledgers.export_state())
-
     # -- export ---------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """All values keyed by display name."""
-        self._fold()
         return {
             "counters": {
                 _format_name(name, dict(lbl)): value
@@ -190,7 +160,6 @@ class Registry:
         pickle boundary and the parent can :meth:`merge_state` it
         without losing percentile resolution.
         """
-        self._fold()
         return {
             "counters": [(name, lbl, value)
                          for (name, lbl), value in self._counters.items()],
@@ -201,17 +170,24 @@ class Registry:
                            in self._histograms.items()],
         }
 
+    @classmethod
+    def merged(cls, states: Iterable[dict]) -> "Registry":
+        """A fresh registry holding the fold of ``states``
+        (:meth:`export_state` states) in order."""
+        out = cls()
+        for state in states:
+            out.merge_state(state)
+        return out
+
     def merge_state(self, state: dict) -> None:
         """Fold an :meth:`export_state` snapshot into this registry.
 
         Counters add, histogram sketches merge bucket-exactly, gauges
-        take the incoming value (so folding worker states in input
-        order leaves the last sweep point's gauge values — the same
-        values a serial run would report at the end).  Merging is
-        deterministic given the fold order; the parallel sweep executor
-        folds worker states in input order.
+        take the incoming value (so folding run states in sweep order
+        leaves the last run's gauge values).  Merging is deterministic
+        given the fold order, and the CLI folds in sweep input order, so
+        the result is the same for any ``--jobs``.
         """
-        self._fold()
         for name, lbl, value in state["counters"]:
             self.add(name, value, **dict(lbl))
         for name, lbl, value in state["gauges"]:
@@ -219,3 +195,19 @@ class Registry:
         for name, lbl, hstate in state["histograms"]:
             self._sketch((name, _label_key(dict(lbl)))).merge(
                 QuantileSketch.from_dict(hstate))
+
+
+def ledger_state(sim) -> dict:
+    """One run's metrics: ``sim``'s component ledgers as an
+    :meth:`Registry.export_state` state.
+
+    Every component with a ``report_metrics`` method reports into a
+    fresh registry, so a run's totals are summed on their own before
+    :meth:`Registry.merge_state` folds them into a sweep's.
+    """
+    ledgers = Registry()
+    for component in sim.components:
+        report = getattr(component, "report_metrics", None)
+        if report is not None:
+            report(ledgers)
+    return ledgers.export_state()

@@ -1,12 +1,12 @@
-"""The Telemetry bundle: one object wiring all three pillars together.
+"""The Telemetry bundle: instruments runs and records their spans.
 
-A :class:`Telemetry` owns a :class:`repro.obs.registry.Registry` and a
-:class:`repro.obs.span.SpanLog` and installs them onto a simulator
-*before* the cluster is built (components decide at construction time
-whether to keep their accounting and record spans, so installation
-order matters — the harness runners handle this).  The components'
-own ledgers reach the registry once per simulator, when the telemetry
-lets go of it: at the next install, or when the registry is read.
+A :class:`Telemetry` owns a :class:`repro.obs.span.SpanLog` and installs
+it onto a simulator *before* the cluster is built (components decide at
+construction time whether to keep their accounting and record spans, so
+installation order matters — :class:`repro.harness.metrics.Run` handles
+this).  A run under a telemetry also hands back its metrics: ``Run.finish``
+puts the components' ledgers on ``RunResult.metrics``
+(:func:`repro.obs.registry.ledger_state`).
 
 A module-level *current telemetry* lets the CLI enable observability for
 every figure runner without threading a parameter through each command:
@@ -16,7 +16,7 @@ every figure runner without threading a parameter through each command:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .causal import (
     CriticalPath,
@@ -25,7 +25,6 @@ from .causal import (
     folded_stacks,
     what_if_all,
 )
-from .registry import Registry
 from .span import SpanLog, null_span_log
 
 __all__ = [
@@ -37,19 +36,17 @@ __all__ = [
 
 
 class Telemetry:
-    """A metrics registry + span log, installable on simulators.
+    """A span log, installable on simulators; it instruments each run.
 
     ``wants_spans`` declares whether span-level observability (traces,
     breakdowns, attribution) is needed.  Spans only exist in the process
     that recorded them, so a spans-wanting telemetry forces sweeps
     serial; a metrics-only telemetry (``wants_spans=False``) records no
-    spans and keeps ``--jobs`` parallelism because counters and quantile
-    sketches merge exactly across worker processes (see
-    :meth:`repro.obs.registry.Registry.export_state`).
+    spans and keeps ``--jobs`` parallelism, because each run's metrics
+    travel home on its result as plain data.
     """
 
     def __init__(self, wants_spans: bool = True):
-        self.registry = Registry()
         #: The span log; the null one for a metrics-only telemetry,
         #: whose sweeps may fan out across processes.
         self.spans = SpanLog() if wants_spans else null_span_log
@@ -67,13 +64,10 @@ class Telemetry:
         processes.  Spans left unfinished by the *previous* run (work
         stuck on a saturated resource when its simulator stopped) are
         flushed at that run's final clock first, so they land in the
-        right run scope with their in-flight waits closed.  The previous
-        run's ledgers are folded into the registry the same way (see
-        :meth:`repro.obs.registry.Registry.attach`).  Returns self for
-        chaining.
+        right run scope with their in-flight waits closed.  Returns self
+        for chaining.
         """
         self.flush()
-        self.registry.attach(sim)
         sim.instrumented = True
         sim.spans = self.spans
         run_label = label or ("run%d" % (len(self.runs) + 1))
@@ -94,10 +88,6 @@ class Telemetry:
     def breakdown(self, name: Optional[str] = None) -> Dict[str, Dict[str, float]]:
         """Phase-level latency breakdown over all recorded spans."""
         return self.spans.breakdown(name)
-
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        """The registry snapshot (counters/gauges/histograms)."""
-        return self.registry.snapshot()
 
     # -- causal analysis (repro.obs.causal) -----------------------------
 

@@ -15,7 +15,9 @@ anomaly — but it is rigorously deterministic:
 
 Candidate evaluations fan across the multiprocessing sweep executor in
 generations; the budget counts *unique* evaluations (duplicates by
-fingerprint are served from the in-run cache).
+fingerprint are served from the in-run cache).  Evaluations that ran
+under a telemetry carry their metrics states; the driver folds them in
+evaluation order into :attr:`SearchResult.metrics`.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..harness.parallel import SweepPoint, run_sweep
+from ..obs import Registry
 from ..sim import Streams
 from .mutate import mutate_point
 from .objectives import Objective, get_objective
@@ -82,6 +85,10 @@ class SearchResult:
     #: Per-generation progress rows.
     history: List[dict] = field(default_factory=list)
     space: Dict = field(default_factory=dict)
+    #: The evaluations' metrics states folded in evaluation order (a
+    #: :meth:`repro.obs.Registry.export_state` state); None when none
+    #: ran under a telemetry.  Not part of :meth:`to_dict`.
+    metrics: Optional[dict] = None
 
     @property
     def best(self) -> Optional[dict]:
@@ -111,6 +118,7 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchResult:
         raise ValueError("budget must be >= 1")
 
     evaluated: Dict[str, dict] = {}
+    metrics_states: List[dict] = []
     dedup_hits = [0]
 
     def note(msg: str) -> None:
@@ -136,6 +144,8 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchResult:
                              "trace": objective.needs_trace})
                  for fp, point in fresh.items()]
         for _key, evaluation in run_sweep(sweep, cfg.jobs):
+            if "metrics" in evaluation:
+                metrics_states.append(evaluation.pop("metrics"))
             evaluation["score"] = round(objective.score(evaluation), 6)
             evaluated[evaluation["fingerprint"]] = evaluation
 
@@ -232,4 +242,6 @@ def run_search(cfg: SearchConfig, progress=None) -> SearchResult:
         leaderboard=ranked(),
         history=history,
         space=space.to_dict(),
+        metrics=(Registry.merged(metrics_states).export_state()
+                 if metrics_states else None),
     )

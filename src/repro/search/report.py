@@ -37,6 +37,8 @@ def explain_entry(entry: dict, seed: int) -> dict:
         traced = entry
     else:
         traced = evaluate_point(entry["point"], seed=seed, trace=True)
+        # A re-run for its spans: its metrics are not the search's.
+        del traced["metrics"]
         traced["score"] = entry.get("score", 0.0)
     blocks = traced.get("attribution", {})
     shifts = traced.get("shift", [])

@@ -19,7 +19,7 @@ assignment and evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import List
 
 from ..config import (
     GBPS,
@@ -29,7 +29,7 @@ from ..config import (
     NetConfig,
     NicConfig,
 )
-from ..obs import Telemetry
+from ..obs import Registry, Telemetry
 from ..obs.explain import attribution_blocks, shift_table, top_shift
 from ..sim import Streams
 from ..workloads import BimodalSize
@@ -121,12 +121,10 @@ class ScenarioConfig:
 
 
 def run_scenario_leg(cfg: ScenarioConfig, *, congested: bool,
-                     telemetry=None, audit: Optional[bool] = None
-                     ) -> RunResult:
+                     telemetry=None) -> RunResult:
     """One leg of a candidate: all senders -> one FLock server."""
     run = Run(CONG_LABEL if congested else BASE_LABEL, cfg.warmup_ns,
-              cfg.measure_ns, cfg.cluster(congested), telemetry=telemetry,
-              audit=audit)
+              cfg.measure_ns, cfg.cluster(congested), telemetry=telemetry)
     recorder, extras, _handles, _server = flock_echo(
         run, cfg, cfg.flock(), cfg.qps_per_handle, cfg.sizes(),
         [INCAST_THINK_JITTER_NS * cfg.think_scale(t)
@@ -161,7 +159,9 @@ def evaluate_point(point: dict, seed: int = 7, trace: bool = False) -> dict:
     telemetry and the result carries per-leg attribution shares plus the
     baseline->scenario shift table.  The telemetry never leaves this
     process — only plain data crosses the executor's pickle boundary,
-    which preserves jobs-1-vs-N byte-identity.
+    which preserves jobs-1-vs-N byte-identity.  When the legs ran under
+    a telemetry, ``"metrics"`` holds their two metrics states folded
+    into one (the driver takes it out again).
     """
     space = default_space()
     point = space.clamp(point)
@@ -194,6 +194,9 @@ def evaluate_point(point: dict, seed: int = 7, trace: bool = False) -> dict:
         "max_anomaly_severity": round(max(severities), 6) if severities
         else 0.0,
     }
+    states = [res.metrics for res in legs.values() if res.metrics is not None]
+    if states:
+        evaluation["metrics"] = Registry.merged(states).export_state()
     if trace:
         base_shares = blocks.get(BASE_LABEL, {}).get("shares", {})
         cong_shares = blocks.get(CONG_LABEL, {}).get("shares", {})

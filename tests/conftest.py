@@ -8,6 +8,8 @@ import pytest
 
 from repro.config import ClusterConfig
 from repro.net import build_cluster
+from repro.obs.audit import AUDIT_ENV
+from repro.obs.simprof import PROFILE_ENV
 from repro.sim import Simulator
 
 
@@ -32,6 +34,18 @@ def half_windows(monkeypatch):
     """Halve every scaled run's windows (``REPRO_BENCH_SCALE=0.5``), for
     tests whose assertions hold at any window length."""
     monkeypatch.setenv("REPRO_BENCH_SCALE", "0.5")
+
+
+@pytest.fixture
+def audited(monkeypatch):
+    """Audit every run (``REPRO_AUDIT=1``, what ``--audit`` sets)."""
+    monkeypatch.setenv(AUDIT_ENV, "1")
+
+
+@pytest.fixture
+def profiled(monkeypatch):
+    """Take every run's host-time census (``REPRO_PROFILE=1``)."""
+    monkeypatch.setenv(PROFILE_ENV, "1")
 
 
 def run_gen(sim: Simulator, gen, until=None):

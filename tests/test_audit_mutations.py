@@ -12,6 +12,8 @@ import pytest
 from repro.harness import MicrobenchConfig, run_flock
 from repro.obs import AuditError, faults
 
+pytestmark = pytest.mark.usefixtures("audited")
+
 CFG = MicrobenchConfig(n_clients=3, threads_per_client=4, outstanding=4,
                        warmup_ns=150_000, measure_ns=150_000)
 
@@ -21,7 +23,7 @@ def violating_auditors(fault_name):
     set of auditor names that reported violations."""
     with faults.injected(fault_name):
         with pytest.raises(AuditError) as excinfo:
-            run_flock(CFG, audit=True)
+            run_flock(CFG)
     report = excinfo.value.report
     return {v.auditor for v in report.violations}, report
 
@@ -34,7 +36,7 @@ def _no_leftover_faults():
 
 def test_baseline_is_clean():
     assert not faults.ACTIVE
-    result = run_flock(CFG, audit=True)
+    result = run_flock(CFG)
     assert result.audit_report.ok, result.audit_report.format()
 
 

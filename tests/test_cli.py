@@ -160,6 +160,23 @@ class TestSmallRuns:
         assert not any(clean.values()), clean
         assert len(faulty) == 4 and all(faulty.values()), faulty
 
+    def test_explain_writes_the_sweeps_metrics(self, tmp_path, monkeypatch):
+        """``--metrics`` with ``explain fig2a`` holds the explained
+        sweep's metrics: each run hands them back on its result, under
+        whichever telemetry traced it, so the file matches the figure
+        command's.  RC reads build CQs but no FLock endpoint, so the
+        two CQ histograms are the sweep's only ones."""
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.1")
+        sweep = ["fig2a", "--qps", "8", "16", "--clients", "2"]
+        explained, figure = tmp_path / "explain.json", tmp_path / "fig.json"
+        assert main(["--metrics", str(explained), "explain", *sweep]) == 0
+        assert main(["--metrics", str(figure), *sweep]) == 0
+        snap = json.loads(explained.read_text())
+        assert snap["counters"]["net.messages"] > 0
+        assert sorted(snap["histograms"]) == ["verbs.cq.depth",
+                                              "verbs.cq.poll_batch"]
+        assert snap == json.loads(figure.read_text())
+
     def test_explain_fig2a_is_byte_deterministic(self, tmp_path,
                                                  monkeypatch, capsys):
         """``explain fig2a`` twice prints the same report and writes the

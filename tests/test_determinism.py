@@ -37,6 +37,7 @@ from repro.harness.incastbench import (
 )
 from repro.harness.scorecards import scorecard_fig2a
 from repro.obs import Telemetry
+from repro.obs.audit import AUDIT_ENV
 from repro.search.runner import ScenarioConfig, run_scenario_leg
 
 pytestmark = pytest.mark.usefixtures("half_windows")
@@ -79,11 +80,13 @@ def test_flocktx_rows_byte_identical():
     assert serialized(a) == serialized(b)
 
 
-def test_audit_does_not_perturb_results():
+def test_audit_does_not_perturb_results(monkeypatch):
     """Auditing is observation only: an audited run must produce the
     same numbers as an unaudited one."""
     plain = run_flock(SMALL)
-    audited = run_flock(SMALL, audit=True)
+    monkeypatch.setenv(AUDIT_ENV, "1")
+    audited = run_flock(SMALL)
+    assert audited.audit_report is not None
     assert serialized(plain) == serialized(audited)
 
 

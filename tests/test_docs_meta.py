@@ -63,8 +63,9 @@ def test_package_exports_resolve():
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-#: The environment knobs the library reads; adding one means adding it
-#: here and to the "Run knobs" table in docs/observability.md.
+#: The environment knobs the library and the benchmark suite read;
+#: adding one means adding it here and to the "Run knobs" table in
+#: docs/observability.md.
 RUN_KNOBS = {
     "REPRO_BENCH_SCALE",
     "REPRO_JOBS",
@@ -72,14 +73,18 @@ RUN_KNOBS = {
     "REPRO_PROFILE",
     "REPRO_FAULTS",
     "REPRO_RUNSTORE_DIR",
+    "REPRO_SCORECARD_DIR",
+    "REPRO_RUNSTORE",
 }
 
 
 def test_run_knob_census():
-    """The ``REPRO_*`` names under ``src/`` are exactly the documented
-    run knobs, and each has a row in the Run knobs table."""
+    """The ``REPRO_*`` names under ``src/`` and ``benchmarks/`` are
+    exactly the documented run knobs, and each has a row in the Run
+    knobs table."""
     found = set()
-    for path in (ROOT / "src").rglob("*.py"):
+    for path in [*(ROOT / "src").rglob("*.py"),
+                 *(ROOT / "benchmarks").rglob("*.py")]:
         found.update(re.findall(r"REPRO_[A-Z0-9_]+", path.read_text()))
     assert found == RUN_KNOBS
     doc = (ROOT / "docs" / "observability.md").read_text()

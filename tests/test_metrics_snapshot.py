@@ -61,8 +61,9 @@ def test_snapshot_is_pinned(snapshot):
 
 
 def test_span_recording_leaves_metrics_unchanged(snapshot, tmp_path):
-    """``--breakdown`` runs the sweep serially under one shared registry
-    instead of one registry per point; the snapshot must not notice.
+    """``--breakdown`` runs the sweep serially under one span-recording
+    telemetry instead of a metrics-only one; the snapshot must not
+    notice.
     ``net.link_utilization`` once divided every run's wire bytes by the
     last run's clock here."""
     assert json.loads(_metrics(tmp_path, "--breakdown")) == snapshot

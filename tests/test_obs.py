@@ -30,6 +30,7 @@ from repro.obs import (
     disable,
     enable,
     format_breakdown,
+    ledger_state,
     null_span_log,
     write_chrome_trace,
 )
@@ -273,7 +274,7 @@ class TestDisabledMode:
 
         monkeypatch.setattr(Run, "finish", capture)
         monkeypatch.setenv("REPRO_BENCH_SCALE", "0.1")
-        run_flock(MicrobenchConfig(n_clients=2), audit=False)
+        run_flock(MicrobenchConfig(n_clients=2))
         (sim,) = sims
         assert sim.instrumented is False
         ledgers = {CompletionQueue: ("depths", "poll_batches"),
@@ -380,8 +381,8 @@ class TestTelemetry:
         assert tel.spans.run_id == 2
 
     def test_ledgers_fold_once_per_simulator(self):
-        """A simulator's ledgers reach the registry once: when the
-        registry is read, or when the next simulator is installed."""
+        """Each simulator's ledgers make one state; folding two runs'
+        states sums their counters and keeps the last run's gauges."""
         from repro.sim import Simulator
 
         tel = Telemetry()
@@ -393,13 +394,14 @@ class TestTelemetry:
                 sim, ClusterConfig(n_clients=1))
             sim.spawn(fabric.transfer(clients[0], servers[0], nbytes, 1, 1))
             sim.run()
+            return ledger_state(sim)
 
-        run("a", 100)
-        first = tel.metrics_snapshot()
+        states = [run("a", 100)]
+        first = Registry.merged(states).snapshot()
         assert first["counters"]["net.payload_bytes"] == 100
-        assert tel.metrics_snapshot() == first
-        run("b", 20)
-        snap = tel.metrics_snapshot()
+        assert Registry.merged(states).snapshot() == first
+        states.append(run("b", 20))
+        snap = Registry.merged(states).snapshot()
         assert snap["counters"]["net.payload_bytes"] == 120
         assert snap["counters"]["net.messages"] == 2
         # Gauges are the last run's.
@@ -410,11 +412,18 @@ class TestTelemetry:
 
         monkeypatch.setenv("REPRO_BENCH_SCALE", "0.1")
         tel = Telemetry(wants_spans=False)
-        run_flock(MicrobenchConfig(n_clients=4), telemetry=tel)
+        result = run_flock(MicrobenchConfig(n_clients=4), telemetry=tel)
         assert len(tel.spans) == 0
         assert attribution_blocks(tel) == {}
-        snap = tel.metrics_snapshot()
+        snap = Registry.merged([result.metrics]).snapshot()
         assert snap["histograms"]["flock.coalescing_degree"]["count"] > 0
+
+    def test_untraced_run_carries_no_metrics(self, monkeypatch):
+        """A run with no telemetry folds no ledgers: ``metrics`` stays
+        None (the host-cost benchmark's runs take this path)."""
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.1")
+        result = run_flock(MicrobenchConfig(n_clients=2))
+        assert result.metrics is None
 
     def test_process_wide_current(self):
         assert current_telemetry() is None
@@ -437,7 +446,7 @@ class TestTracedRuns:
         tel = Telemetry()
         cfg = MicrobenchConfig(n_clients=2, threads_per_client=4,
                                outstanding=2)
-        run_flock(cfg, telemetry=tel)
+        result = run_flock(cfg, telemetry=tel)
         table = tel.breakdown("rpc")
         # Every stack layer contributed to the per-RPC breakdown.
         for phase in ("client_queue", "doorbell_mmio", "wire", "propagation",
@@ -448,7 +457,7 @@ class TestTracedRuns:
         # Span count matches traced RPCs (all finished inside the run).
         rpc_spans = [s for s in tel.spans.spans if s.name == "rpc"]
         assert len(rpc_spans) > 0
-        snap = tel.metrics_snapshot()
+        snap = Registry.merged([result.metrics]).snapshot()
         assert snap["counters"]["flock.client.rpcs"] >= len(rpc_spans)
         assert snap["counters"]["flock.server.requests"] > 0
         assert snap["counters"]["net.messages"] > 0

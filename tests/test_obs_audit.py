@@ -138,30 +138,30 @@ class TestCleanRuns:
         assert report.ok, report.format()
         assert report.checks > 10
 
-    def test_flock_audits_clean(self):
-        self._assert_clean(run_flock(SMALL, audit=True))
+    def test_flock_audits_clean(self, audited):
+        self._assert_clean(run_flock(SMALL))
 
-    def test_erpc_audits_clean(self):
-        self._assert_clean(run_erpc(SMALL, audit=True))
+    def test_erpc_audits_clean(self, audited):
+        self._assert_clean(run_erpc(SMALL))
 
-    def test_raw_reads_audit_clean(self):
-        self._assert_clean(run_raw_reads(24, n_clients=3, audit=True))
+    def test_raw_reads_audit_clean(self, audited):
+        self._assert_clean(run_raw_reads(24, n_clients=3))
 
-    def test_flocktx_audits_clean(self):
+    def test_flocktx_audits_clean(self, audited):
         cfg = TxnBenchConfig(n_clients=2, threads_per_client=2,
                              coroutines_per_thread=3,
                              subscribers_per_server=600,
                              warmup_ns=200_000, measure_ns=200_000)
-        self._assert_clean(run_flocktx(cfg, audit=True))
+        self._assert_clean(run_flocktx(cfg))
 
-    def test_index_audits_clean(self):
+    def test_index_audits_clean(self, audited):
         cfg = IndexBenchConfig(n_clients=2, threads_per_client=3,
                                n_keys=20_000, warmup_ns=200_000,
                                measure_ns=200_000)
-        self._assert_clean(run_flock_index(cfg, audit=True)["get"])
+        self._assert_clean(run_flock_index(cfg)["get"])
 
-    def test_flock_audit_reports_littles_law_info(self):
-        result = run_flock(SMALL, audit=True)
+    def test_flock_audit_reports_littles_law_info(self, audited):
+        result = run_flock(SMALL)
         laws = {k: v for k, v in result.audit_report.info.items()
                 if k.startswith("queues.littles_law")}
         assert laws
@@ -178,7 +178,8 @@ class TestCleanRuns:
         result = run_flock(SMALL)
         assert result.audit_report is None
 
-    def test_every_audited_run_runs_every_check(self, monkeypatch):
+    def test_every_audited_run_runs_every_check(self, monkeypatch,
+                                                audited):
         """An audited run checks every law whether it has no telemetry
         or shares one with earlier runs: the checks read ledgers only.
         A congested FLock incast leg builds every audited component."""
@@ -194,15 +195,14 @@ class TestCleanRuns:
         moved = {"net.messages.in_flight", "net.payload_vs_nic_tx",
                  "flock.message_bytes_identity", "flock.rpcs_vs_coalesced",
                  "flock.server_requests_vs_coalesced"}
-        reports = [run_incast_flock(cfg, congested=True,
-                                    audit=True).audit_report]
+        reports = [run_incast_flock(cfg, congested=True).audit_report]
         checks_alone = set(seen)
         enable(Telemetry())
         try:
             run_incast_flock(cfg, congested=True)
             del seen[:]
-            reports.append(run_incast_flock(cfg, congested=True,
-                                            audit=True).audit_report)
+            reports.append(run_incast_flock(cfg,
+                                            congested=True).audit_report)
         finally:
             disable()
         for report in reports:

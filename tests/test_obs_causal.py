@@ -372,7 +372,7 @@ class TestFlush:
 
 def _attribution_for(qps, **kwargs):
     tel = Telemetry()
-    result = run_raw_reads(qps, telemetry=tel, audit=False, **kwargs)
+    result = run_raw_reads(qps, telemetry=tel, **kwargs)
     return result, tel
 
 
@@ -397,7 +397,7 @@ class TestFig2aAcceptance:
         base, tel = _attribution_for(2200)
         bound = tel.what_if(name="wr.read")["pcie_stall"]
         big_cache = ClusterConfig(nic=NicConfig(qp_cache_entries=4096))
-        fitted = run_raw_reads(2200, cluster=big_cache, audit=False)
+        fitted = run_raw_reads(2200, cluster=big_cache)
         actual = fitted.mops / base.mops
         assert actual > 1.5  # sizing the cache really removes the cliff
         assert abs(bound - actual) / actual <= 0.25

@@ -11,6 +11,7 @@ figure sweeps at smoke scale.
 """
 
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -24,7 +25,7 @@ from repro.harness.parallel import (
     run_sweep,
 )
 from repro.harness.scorecards import retention, scorecard_fig2a
-from repro.obs import Telemetry, current_telemetry, disable, enable
+from repro.obs import Registry, Telemetry, current_telemetry, disable, enable
 from repro.sim.rand import Streams
 
 SMOKE = "0.05"
@@ -95,23 +96,40 @@ class TestRunSweep:
             disable()
 
     def test_metrics_merge_is_jobs_invariant(self, monkeypatch):
-        """The parent registry after a metrics-only sweep is identical
-        for jobs=1 and jobs=4: per-point registries merge in input
-        order either way."""
+        """The folded metrics of a metrics-only sweep are identical for
+        jobs=1 and jobs=4: every run, in this process or a worker,
+        brings its metrics home on its result, folded in input order."""
         monkeypatch.setenv("REPRO_BENCH_SCALE", SMOKE)
         snapshots = []
         for jobs in (1, 4):
-            tel = enable(Telemetry(wants_spans=False))
+            enable(Telemetry(wants_spans=False))
             try:
                 points = [SweepPoint("r%d" % i, _tiny_flock)
                           for i in range(3)]
-                run_sweep(points, jobs)
-                snapshots.append(json.dumps(tel.metrics_snapshot(),
+                folded = Registry.merged(
+                    result.metrics for _key, result in run_sweep(points, jobs))
+                snapshots.append(json.dumps(folded.snapshot(),
                                             sort_keys=True))
             finally:
                 disable()
         assert snapshots[0] == snapshots[1]
         assert '"count"' in snapshots[0]  # histograms actually recorded
+
+    def test_spawned_workers_instrument_their_runs(self, monkeypatch):
+        """A spawned worker inherits no telemetry; the pool's
+        initializer gives it a metrics-only one, so its runs still
+        bring metrics home."""
+        monkeypatch.setenv("REPRO_BENCH_SCALE", SMOKE)
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda _method: spawn)
+        enable(Telemetry(wants_spans=False))
+        try:
+            results = run_sweep([SweepPoint("r%d" % i, _tiny_flock)
+                                 for i in range(2)], 2)
+        finally:
+            disable()
+        assert all(result.metrics is not None for _key, result in results)
 
 
 class TestDefaultJobs:

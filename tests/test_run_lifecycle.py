@@ -1,7 +1,7 @@
 """The shared run lifecycle (:class:`repro.harness.metrics.Run`).
 
 Every figure runner drives one ``Run``: simulator first, then telemetry,
-audit registry and host-time profiler, all before the cluster is built.
+audit switch and host-time profiler, all before the cluster is built.
 Each of the fourteen runners is driven here at a tiny config with the
 auditors and the profiler on, so a runner that skips part of the
 lifecycle fails loudly.  A structural pin keeps simulator and cluster
@@ -33,7 +33,6 @@ from repro.harness import (
     run_ud_rpc,
 )
 from repro.harness.metrics import Run
-from repro.obs.simprof import PROFILE_ENV
 from repro.search.runner import ScenarioConfig, run_scenario_leg
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -59,41 +58,36 @@ def _incast():
 
 
 #: runner name -> call returning the RunResult that carries the run's
-#: profile and audit report.  Runners without a ``profile`` parameter
-#: are profiled through ``REPRO_PROFILE`` (set for every case).
+#: profile and audit report.  Every runner is audited and profiled
+#: through the process's switches (``REPRO_AUDIT``, ``REPRO_PROFILE``).
 RUNNERS = {
-    "run_flock": lambda: run_flock(_micro(), audit=True, profile=True),
-    "run_erpc": lambda: run_erpc(_micro(), audit=True, profile=True),
-    "run_rc": lambda: run_rc(_micro(), audit=True, profile=True),
+    "run_flock": lambda: run_flock(_micro()),
+    "run_erpc": lambda: run_erpc(_micro()),
+    "run_rc": lambda: run_rc(_micro()),
     "run_thread_sched": lambda: run_thread_sched(
         MicrobenchConfig(n_clients=2, threads_per_client=10,
                          warmup_ns=60_000.0, measure_ns=50_000.0),
-        512, scheduling=True, audit=True, profile=True)["small"],
-    "run_raw_reads": lambda: run_raw_reads(8, n_clients=2, audit=True,
-                                           profile=True),
-    "run_ud_rpc": lambda: run_ud_rpc(4, n_clients=2, audit=True,
-                                     profile=True),
-    "run_flocktx": lambda: run_flocktx(_txn(), audit=True),
-    "run_fasst_txn": lambda: run_fasst_txn(_txn(), audit=True),
-    "run_flock_index": lambda: run_flock_index(_index(), audit=True)["get"],
-    "run_erpc_index": lambda: run_erpc_index(_index(), audit=True)["get"],
-    "run_incast_flock": lambda: run_incast_flock(_incast(), congested=True,
-                                                 audit=True),
-    "run_incast_ud": lambda: run_incast_ud(_incast(), congested=True,
-                                           audit=True),
+        512, scheduling=True)["small"],
+    "run_raw_reads": lambda: run_raw_reads(8, n_clients=2),
+    "run_ud_rpc": lambda: run_ud_rpc(4, n_clients=2),
+    "run_flocktx": lambda: run_flocktx(_txn()),
+    "run_fasst_txn": lambda: run_fasst_txn(_txn()),
+    "run_flock_index": lambda: run_flock_index(_index())["get"],
+    "run_erpc_index": lambda: run_erpc_index(_index())["get"],
+    "run_incast_flock": lambda: run_incast_flock(_incast(), congested=True),
+    "run_incast_ud": lambda: run_incast_ud(_incast(), congested=True),
     "run_multitenancy": lambda: run_multitenancy(
         {"a": 2.0, "b": 1.0}, clients_per_tenant=1, threads=2,
-        duration_ns=100_000.0, audit=True, profile=True),
+        duration_ns=100_000.0),
     "run_scenario_leg": lambda: run_scenario_leg(
-        ScenarioConfig(n_senders=2, threads_per_client=2), congested=True,
-        audit=True),
+        ScenarioConfig(n_senders=2, threads_per_client=2), congested=True),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RUNNERS))
-def test_runner_is_audited_and_profiled(name, monkeypatch):
+def test_runner_is_audited_and_profiled(name, monkeypatch, audited,
+                                       profiled):
     monkeypatch.setenv("REPRO_BENCH_SCALE", "0.1")
-    monkeypatch.setenv(PROFILE_ENV, "1")
     result = RUNNERS[name]()
     assert result.ops > 0
     assert result.audit_report is not None and result.audit_report.ok

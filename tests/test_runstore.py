@@ -9,8 +9,11 @@ gate, only run A's tolerances do).  CLI half: the exit-code contract —
 traceback.
 """
 
+import importlib.util
 import json
 import os
+import pathlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -320,3 +323,29 @@ class TestRunsCli:
         d = self._scorecard_dir("clean", 10.0)
         assert main(["runs", "--store", str(other), "record", d]) == 0
         assert (other / "runs.jsonl").exists()
+
+
+def _bench_conftest():
+    """``benchmarks/conftest.py``, loaded as a plain module."""
+    path = (pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+            / "conftest.py")
+    spec = importlib.util.spec_from_file_location("bench_conftest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("raw,recorded", [
+    ("0", False), ("false", False), ("off", False), ("no", False),
+    ("1", True), ("on", True),
+])
+def test_bench_session_runstore_knob_is_boolean(raw, recorded, monkeypatch,
+                                               tmp_path):
+    """``REPRO_RUNSTORE`` parses like every boolean run knob: any off
+    spelling keeps a bench session out of the run store."""
+    monkeypatch.setenv("REPRO_RUNSTORE", raw)
+    monkeypatch.setenv(RUNSTORE_DIR_ENV, str(tmp_path / "rs"))
+    lines = []
+    _bench_conftest()._record_run(SimpleNamespace(write_line=lines.append))
+    assert len(RunStore().list()) == int(recorded)
+    assert bool(lines) is recorded
