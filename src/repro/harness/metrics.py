@@ -16,6 +16,7 @@ runner's but Fig. 11's, see :class:`Run`).
 
 from __future__ import annotations
 
+import gc
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
@@ -72,6 +73,10 @@ class Run:
     :meth:`finish`).  None of the instruments schedules events or draws
     randomness, so they never change simulation results.
 
+    :meth:`run` is the only way a runner enters the event loop, and it
+    pauses the cyclic garbage collector for the loop's duration; no
+    other code under ``src/`` touches the collector.
+
     ``scaled=False`` keeps the windows as given instead of multiplying
     them by :func:`bench_scale`, for a runner whose claims need a warmup
     spanning fixed-period scheduler passes.
@@ -117,11 +122,23 @@ class Run:
 
     def run(self, until: float) -> None:
         """Advance the simulation to ``until``: the profiled loop when
-        profiling, the fast path otherwise (same results either way)."""
-        if self.profile is not None:
-            self.sim.run_profiled(self.profile, until=until)
-        else:
-            self.sim.run(until=until)
+        profiling, the fast path otherwise (same results either way).
+
+        The cyclic garbage collector is paused for the loop and put back
+        as the caller had it, even when the loop raises.  The loop makes
+        no reference cycles (docs/performance.md, "Garbage discipline"),
+        so refcounting frees every finished object and a collection
+        there would only traverse live in-flight state."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            if self.profile is not None:
+                self.sim.run_profiled(self.profile, until=until)
+            else:
+                self.sim.run(until=until)
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def window(self, recorders: Iterable["Recorder"]) -> None:
         """Open every recorder's measurement window with its own SLO

@@ -65,9 +65,11 @@ class SimulationError(Exception):
 class Interrupt(Exception):
     """Raised inside a process that another process interrupted.
 
-    The interrupting party passes ``cause`` to describe why; e.g. the
-    sender-side thread scheduler interrupts an application thread when the
-    QP it was waiting on gets deactivated.
+    The interrupting party passes ``cause`` to describe why.  No model
+    component interrupts a process: when the sender-side thread scheduler
+    deactivates a QP, it re-homes the QP's threads and queued sends
+    (``_migrate_stranded``, ``_apply_active_set`` in
+    :mod:`repro.flock.rpc`) instead of interrupting their waits.
     """
 
     def __init__(self, cause: Any = None):

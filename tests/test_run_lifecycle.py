@@ -5,9 +5,12 @@ audit switch and host-time profiler, all before the cluster is built.
 Each of the fourteen runners is driven here at a tiny config with the
 auditors and the profiler on, so a runner that skips part of the
 lifecycle fails loudly.  A structural pin keeps simulator and cluster
-construction and loop selection in the one module that defines ``Run``.
+construction and loop selection in the one module that defines ``Run``,
+and ``Run.run`` is checked to pause the cyclic garbage collector for
+the loop and to hand it back as the caller had it.
 """
 
+import gc
 import pathlib
 
 import pytest
@@ -104,6 +107,59 @@ def test_unscaled_run_keeps_its_windows(monkeypatch):
     assert (scaled.warmup, scaled.measure) == pytest.approx((60.0, 50.0))
     unscaled = Run("unscaled", 600.0, 500.0, cluster, scaled=False)
     assert (unscaled.warmup, unscaled.measure) == (600.0, 500.0)
+
+
+@pytest.fixture(params=["fast", "profiled"])
+def probe_run(request):
+    """A factory for a small :class:`Run` on the fast or the profiled
+    loop, returning ``(run, seen)``: its one process appends
+    ``gc.isenabled()`` to ``seen`` at 10 ns, then raises when ``fail``.
+    The collector is re-enabled after the test, whatever it left."""
+    if request.param == "profiled":
+        request.getfixturevalue("profiled")
+
+    def make(fail=False):
+        run = Run("gc", 0.0, 100.0, ClusterConfig(n_clients=1))
+        assert (run.profile is not None) == (request.param == "profiled")
+        seen = []
+
+        def proc():
+            yield run.sim.timeout(10.0)
+            seen.append(gc.isenabled())
+            if fail:
+                raise RuntimeError("kaboom")
+
+        run.sim.spawn(proc())
+        return run, seen
+
+    yield make
+    gc.enable()
+
+
+def test_loop_pauses_the_collector_and_restores_it(probe_run):
+    run, seen = probe_run()
+    gc.enable()
+    run.run(100.0)
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_loop_leaves_a_disabled_collector_off(probe_run):
+    run, seen = probe_run()
+    gc.disable()
+    run.run(100.0)
+    assert seen == [False]
+    assert not gc.isenabled()
+
+
+def test_loop_restores_the_collector_when_it_raises(probe_run):
+    run, seen = probe_run(fail=True)
+    assert run.sim.strict
+    gc.enable()
+    with pytest.raises(RuntimeError, match="kaboom"):
+        run.run(100.0)
+    assert seen == [False]
+    assert gc.isenabled()
 
 
 def test_only_run_builds_simulators_and_picks_loops():

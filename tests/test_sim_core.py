@@ -1,5 +1,6 @@
 """DES kernel: events, timeouts, processes, conditions, determinism."""
 
+import collections
 import gc
 
 import pytest
@@ -15,6 +16,13 @@ from repro.sim import (
 )
 
 from conftest import run_gen
+from repro.harness import MicrobenchConfig, run_flock
+from repro.obs import Telemetry
+from test_run_lifecycle import RUNNERS
+
+#: The garbage check's extra case: ``run_flock`` with its own telemetry,
+#: under the auditors.
+TRACED_FLOCK = "run_flock traced+audited"
 
 
 class TestEvent:
@@ -450,7 +458,8 @@ class TestGarbageDiscipline:
     """Pins for the kernel's acyclic per-event objects: the cached
     ``Process._cb`` refers back to its process, so it must be dropped when
     the process finishes, or every finished process is left for the
-    cyclic garbage collector."""
+    cyclic garbage collector.  ``Run.run`` pauses that collector for the
+    event loop, which is safe only while no loop makes a cycle."""
 
     def test_finished_processes_leave_no_cyclic_garbage(self):
         gc.collect()
@@ -493,32 +502,41 @@ class TestGarbageDiscipline:
         sim.run()
         assert p.ok == value_ok and p._cb is None
 
-    def test_flock_run_collects_nothing_inside_the_loop(self, monkeypatch):
-        from repro.harness.microbench import MicrobenchConfig, run_flock
-
-        in_run = [False]
-        stats = {"collections": 0, "collected": 0}
+    @pytest.mark.parametrize("name", sorted(RUNNERS) + [TRACED_FLOCK])
+    def test_run_loop_leaves_no_cyclic_garbage(self, name, monkeypatch,
+                                               request):
+        """``Run.run`` pauses the collector for the loop, so every cycle
+        the loop makes is still uncollected when it returns.  A saving
+        collection right after the loop must find none, for every runner
+        and for a traced and audited FLock run."""
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.1")
+        if name == TRACED_FLOCK:
+            request.getfixturevalue("audited")
+            call = lambda: run_flock(
+                MicrobenchConfig(n_clients=2, threads_per_client=2),
+                telemetry=Telemetry())
+        else:
+            call = RUNNERS[name]
+        paused, garbage = [], []
         plain_run = Simulator.run
 
         def run(self, *args, **kwargs):
-            in_run[0] = True
+            gc.collect()
             try:
                 return plain_run(self, *args, **kwargs)
             finally:
-                in_run[0] = False
-
-        def hook(phase, info):
-            if phase == "stop" and in_run[0]:
-                stats["collections"] += 1
-                stats["collected"] += info["collected"]
+                paused.append(not gc.isenabled())
+                flags, saved = gc.get_debug(), gc.garbage[:]
+                del gc.garbage[:]
+                gc.set_debug(gc.DEBUG_SAVEALL)
+                try:
+                    gc.collect()
+                    garbage.extend(type(o).__name__ for o in gc.garbage)
+                finally:
+                    gc.set_debug(flags)
+                    gc.garbage[:] = saved
 
         monkeypatch.setattr(Simulator, "run", run)
-        gc.callbacks.append(hook)
-        try:
-            run_flock(MicrobenchConfig(n_clients=2, threads_per_client=4,
-                                       outstanding=2, warmup_ns=20_000.0,
-                                       measure_ns=20_000.0))
-        finally:
-            gc.callbacks.remove(hook)
-        assert stats["collections"] > 0
-        assert stats["collected"] == 0
+        call()
+        assert paused and all(paused)
+        assert not garbage, collections.Counter(garbage).most_common(5)
