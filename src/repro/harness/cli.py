@@ -63,8 +63,7 @@ thresholds), and explains each anomaly as a pre-vs-post attribution
 diff — the ranked resource-shift table plus the what-if recovery bound
 for the prime suspect.  ``explain run:N`` (or ``run:-1`` /
 ``run:latest``) explains the anomaly blocks a recorded run's
-scorecards carry; ``runs diff A B`` additionally reports anomaly-set
-drift (new / vanished / moved) between two runs.
+scorecards carry.
 
 Fabric congestion (``docs/network.md``)::
 
@@ -88,7 +87,6 @@ from ..obs import (
     Explanation,
     Registry,
     RunStore,
-    Scorecard,
     Telemetry,
     attribute,
     attribution_report,
@@ -188,28 +186,6 @@ def cmd_figure(args) -> None:
         _emit_scorecard(args, sc)
 
 
-def _search_summary_scorecard(result) -> Scorecard:
-    """The light per-search scorecard recorded into run history, so
-    ``runs query label=<search_id>`` / ``figure=search`` slice it."""
-    sc = Scorecard("search", "scenario search: %s" % result.search_id)
-    best = result.best
-    sc.add_metric("best_score", best["score"] if best else 0.0,
-                  better="info")
-    sc.add_metric("n_evals", result.n_evals, better="info")
-    sc.add_metric("n_dedup", result.n_dedup, better="info")
-    sc.meta["search"] = {
-        "search_id": result.search_id,
-        "objective": result.objective,
-        "seed": result.seed,
-        "budget": result.budget,
-        "leaderboard": [
-            {"rank": rank, "fingerprint": e["fingerprint"],
-             "score": e["score"]}
-            for rank, e in enumerate(result.leaderboard[:10], start=1)],
-    }
-    return sc
-
-
 def _scenario_spec(spec: str):
     """``NAME[:RANK]`` -> ``(name, rank)``; rejects an empty name or a
     rank that is not an integer before the search runs."""
@@ -255,7 +231,6 @@ def cmd_search(args) -> int:
         print()
         print("wrote search result: %s" % args.json)
 
-    exported = []
     if args.export_scenario:
         name, rank = args.export_scenario
         if not 1 <= rank <= len(result.leaderboard):
@@ -272,19 +247,6 @@ def cmd_search(args) -> int:
         path = sc.write(args.scorecard or ".")
         print("wrote scenario scorecard: %s (%s)"
               % (path, "PASS" if sc.passed else "FAIL"))
-        exported.append(sc)
-
-    if not args.no_record:
-        try:
-            rec = RunStore(args.store).record(
-                [_search_summary_scorecard(result)] + exported,
-                label=result.search_id,
-                meta={"objective": result.objective, "seed": result.seed,
-                      "budget": result.budget})
-            print("recorded search run %d (label %s)"
-                  % (rec.run_id, result.search_id))
-        except OSError as exc:
-            print("warning: could not record search run: %s" % exc)
     return 0
 
 
@@ -457,15 +419,19 @@ def _runstore(args) -> RunStore:
 
 
 def cmd_runs_list(args) -> int:
-    """List every recorded run."""
-    records = _runstore(args).list()
-    if not records:
-        print("run store is empty (%s)" % _runstore(args).path)
-        return 0
-    print_table("run history",
-                ["id", "when", "label", "commit", "config", "figures",
-                 "checks"],
-                [rec.summary_row() for rec in records])
+    """List every recorded run and name any unreadable line."""
+    store = _runstore(args)
+    records, torn = store.read()
+    if records:
+        print_table("run history",
+                    ["id", "when", "label", "commit", "config", "figures",
+                     "checks"],
+                    [rec.summary_row() for rec in records])
+    elif not torn:
+        print("run store is empty (%s)" % store.path)
+    if torn:
+        print("skipped unreadable line(s) %s of %s"
+              % (", ".join(map(str, torn)), store.path))
     return 0
 
 
@@ -508,19 +474,6 @@ def cmd_runs_record(args) -> int:
     print("recorded run %d: %d figure(s) (%s), config %s"
           % (rec.run_id, len(rec.figures), ", ".join(rec.figures),
              rec.fingerprint))
-    return 0
-
-
-def cmd_runs_query(args) -> int:
-    """Filter run history by field and metric expressions."""
-    matches = _runstore(args).query(args.exprs)
-    if not matches:
-        print("no runs match: %s" % " ".join(args.exprs))
-        return 0
-    print_table("runs matching: %s" % " ".join(args.exprs),
-                ["id", "when", "label", "commit", "config", "figures",
-                 "checks"],
-                [rec.summary_row() for rec in matches])
     return 0
 
 
@@ -636,15 +589,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="freeze the RANK-th candidate (default 1) as a "
                         "BENCH_search_<NAME>.json scorecard in the "
                         "--scorecard dir (default .)")
-    p.add_argument("--store", metavar="DIR", default=None,
-                   help="run-store directory for the search-history "
-                        "record (default: benchmarks/runstore)")
-    p.add_argument("--no-record", action="store_true",
-                   help="skip recording the search into run history")
     p.set_defaults(fn=cmd_search)
 
-    p = sub.add_parser("runs", help="queryable run history: list / show "
-                                    "/ diff / record / query")
+    p = sub.add_parser("runs", help="run history: list / show / diff "
+                                    "/ record")
     p.add_argument("--store", metavar="DIR", default=None,
                    help="run-store directory (default: "
                         "benchmarks/runstore, or REPRO_RUNSTORE_DIR)")
@@ -659,8 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
     rp.set_defaults(fn=cmd_runs_show)
 
     rp = runs_sub.add_parser(
-        "diff", help="compare run B against run A's tolerances and "
-                     "anomaly sets (exit 1 when B regresses)")
+        "diff", help="compare run B against run A's tolerances "
+                     "(exit 1 when B regresses)")
     rp.add_argument("a", help="baseline run id (run:N, run:-N, "
                               "run:latest)")
     rp.add_argument("b", help="candidate run id")
@@ -673,12 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--label", default="",
                     help="free-form label for the run")
     rp.set_defaults(fn=cmd_runs_record)
-
-    rp = runs_sub.add_parser(
-        "query", help="filter runs: label=nightly figure=fig2a "
-                      "fig2a.peak_mops>40 ...")
-    rp.add_argument("exprs", nargs="+", metavar="EXPR")
-    rp.set_defaults(fn=cmd_runs_query)
 
     p = sub.add_parser("list", help="list available experiments")
     p.set_defaults(fn=lambda args: print("\n".join(

@@ -38,7 +38,6 @@ from .anomaly import (
     detect_knees,
     detect_run_anomalies,
     detect_sweep_anomalies,
-    diff_anomaly_sets,
     severity_label,
 )
 from .audit import (
@@ -113,7 +112,6 @@ __all__ = [
     "detect_knees",
     "detect_run_anomalies",
     "detect_sweep_anomalies",
-    "diff_anomaly_sets",
     "explain_between",
     "explain_changepoint",
     "explain_sweep_anomalies",

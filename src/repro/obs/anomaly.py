@@ -43,10 +43,8 @@ which detector produced it.
 :func:`detect_run_anomalies` runs the windowed detectors over one run's
 SLO timeline report (:meth:`repro.obs.windows.SloTimeline.report`) and
 is what every figure runner calls to populate
-``RunResult.anomalies``.  :func:`diff_anomaly_sets` compares two
-recorded anomaly blocks (``runs diff A B``) and flags new / vanished /
-moved anomalies.  :mod:`repro.obs.explain` joins anomalies to critical-
-path attribution for the *why*.
+``RunResult.anomalies``.  :mod:`repro.obs.explain` joins anomalies to
+critical-path attribution for the *why*.
 """
 
 from __future__ import annotations
@@ -62,7 +60,6 @@ __all__ = [
     "detect_changepoints",
     "detect_counter_bursts",
     "detect_run_anomalies",
-    "diff_anomaly_sets",
     "severity_label",
 ]
 
@@ -128,12 +125,6 @@ class Anomaly:
     @property
     def severity_band(self) -> str:
         return severity_label(self.severity)
-
-    def key(self) -> Tuple[str, str, str]:
-        """Identity for set-diffing: an anomaly that keeps (kind, series,
-        metric) but changes ``x`` *moved*; one that disappears outright
-        *vanished*."""
-        return (self.kind, self.series, self.metric)
 
     def sort_key(self) -> Tuple:
         return (self.figure, self.series, self.metric, self.kind, self.x)
@@ -460,64 +451,3 @@ def detect_run_anomalies(slo: Optional[Dict[str, Any]], *,
 
     anomalies.sort(key=Anomaly.sort_key)
     return [a.to_dict() for a in anomalies]
-
-
-# ---------------------------------------------------------------------------
-# Anomaly-set diffing (runs diff A B)
-# ---------------------------------------------------------------------------
-
-def _flatten(block: Optional[Dict[str, Any]]) -> Dict[Tuple, Dict[str, Any]]:
-    """Index a scorecard ``meta["anomalies"]`` block by identity key.
-
-    The block is ``{"sweep": [...], "runs": {label: [...]}}`` (either
-    part optional).  Keys are ``(scope, kind, series, metric)``; when
-    one scope holds several anomalies with the same identity (two
-    counters bursting twice), occurrences are numbered in order.
-    """
-    flat: Dict[Tuple, Dict[str, Any]] = {}
-    counts: Dict[Tuple, int] = {}
-
-    def add(scope: str, items):
-        for data in items or ():
-            a = Anomaly.from_dict(data)
-            base = (scope,) + a.key()
-            n = counts.get(base, 0)
-            counts[base] = n + 1
-            flat[base + (n,)] = data
-    if block:
-        add("sweep", block.get("sweep"))
-        for run_label in sorted(block.get("runs") or {}):
-            add("runs/%s" % run_label, block["runs"][run_label])
-    return flat
-
-
-def diff_anomaly_sets(base: Optional[Dict[str, Any]],
-                      current: Optional[Dict[str, Any]],
-                      *, moved_rel_tol: float = 0.0) -> Dict[str, List[str]]:
-    """Compare two recorded anomaly blocks; flags are human-readable.
-
-    Returns ``{"new": [...], "vanished": [...], "moved": [...]}``.  An
-    anomaly is *new* when its identity (scope, kind, series, metric)
-    only exists in ``current``, *vanished* when only in ``base``, and
-    *moved* when it exists in both but at a different x-location
-    (beyond ``moved_rel_tol`` of the base x).
-    """
-    a, b = _flatten(base), _flatten(current)
-    out: Dict[str, List[str]] = {"new": [], "vanished": [], "moved": []}
-
-    def describe(key: Tuple, data: Dict[str, Any]) -> str:
-        scope = key[0]
-        return "%s: %s" % (scope, Anomaly.from_dict(data))
-
-    for key in sorted(b.keys() - a.keys()):
-        out["new"].append(describe(key, b[key]))
-    for key in sorted(a.keys() - b.keys()):
-        out["vanished"].append(describe(key, a[key]))
-    for key in sorted(a.keys() & b.keys()):
-        xa, xb = float(a[key]["x"]), float(b[key]["x"])
-        if abs(xb - xa) > moved_rel_tol * abs(xa):
-            if xa != xb:
-                out["moved"].append(
-                    "%s: %s %s/%s x=%g -> x=%g"
-                    % (key[0], key[1], key[2] or "-", key[3], xa, xb))
-    return out

@@ -12,8 +12,13 @@ scorecards, :func:`compare_dirs` matches them up by figure and flags:
 Improvements are reported but never gate.  Comparisons are skipped (not
 failed) when run conditions differ — most importantly ``bench_scale``,
 since scaled-down smoke runs produce numbers that are not comparable to
-full-scale baselines.  The CLI front-end (``repro-bench bench-compare``)
-exits nonzero iff regressions were found, which is the CI gate.
+full-scale baselines.  The CLI front-end (``python -m
+repro.harness.cli bench-compare``) exits nonzero iff regressions were
+found, which is the CI gate.
+
+:func:`compare_runs` is the one comparison loop: it takes two
+``{figure: Scorecard}`` maps, so ``bench-compare`` (two directories)
+and ``runs diff`` (two recorded runs) gate by the same rule.
 """
 
 from __future__ import annotations
@@ -21,15 +26,15 @@ from __future__ import annotations
 import glob
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from .anomaly import diff_anomaly_sets
 from .scorecard import Scorecard, load_scorecard
 
 __all__ = [
     "MetricDelta",
     "CompareReport",
     "compare_scorecards",
+    "compare_runs",
     "compare_dirs",
 ]
 
@@ -66,12 +71,6 @@ class CompareReport:
     skipped: List[str] = field(default_factory=list)
     #: Baseline-passing shape checks that fail in the current run.
     failed_checks: List[str] = field(default_factory=list)
-    #: Anomaly-set drift (new / vanished / moved anomalies) between the
-    #: runs' ``meta["anomalies"]`` blocks.  Informational only — drift
-    #: surfaces in :meth:`format` but never flips :attr:`ok`; the gated
-    #: metrics and held checks are the contract, the anomaly diff is the
-    #: explanation of *where* a regression bit.
-    anomaly_flags: List[str] = field(default_factory=list)
 
     @property
     def regressions(self) -> List[MetricDelta]:
@@ -91,8 +90,6 @@ class CompareReport:
                 lines.append("  " + str(d))
         for name in self.failed_checks:
             lines.append("  REGRESSION check %s now fails" % name)
-        for flag in self.anomaly_flags:
-            lines.append("  anomaly %s" % flag)
         for s in self.skipped:
             lines.append("  skip %s" % s)
         if self.ok:
@@ -117,13 +114,19 @@ def compare_scorecards(baseline: Scorecard,
     """Compare one figure's scorecards; tolerance and direction come
     from the *baseline* (the committed contract)."""
     report = CompareReport()
+    _compare_into(report, baseline, current)
+    return report
+
+
+def _compare_into(report: CompareReport, baseline: Scorecard,
+                  current: Scorecard) -> None:
     for key in _GATING_META:
         b, c = baseline.meta.get(key), current.meta.get(key)
         if b is not None and c is not None and b != c:
             report.skipped.append(
                 "%s: %s mismatch (baseline=%s current=%s)"
                 % (baseline.figure, key, b, c))
-            return report
+            return
     for bm in baseline.metrics:
         cm = current.metric(bm.name)
         if cm is None:
@@ -144,45 +147,44 @@ def compare_scorecards(baseline: Scorecard,
             report.failed_checks.append(
                 "%s/%s%s" % (current.figure, check.name,
                              (": " + check.detail) if check.detail else ""))
-    diff = diff_anomaly_sets(baseline.meta.get("anomalies"),
-                             current.meta.get("anomalies"))
-    for verb in ("new", "vanished", "moved"):
-        for entry in diff[verb]:
-            report.anomaly_flags.append(
-                "%s %s: %s" % (baseline.figure, verb, entry))
+
+
+def compare_runs(baseline: Dict[str, Scorecard],
+                 current: Dict[str, Scorecard],
+                 absent: str) -> CompareReport:
+    """Compare two ``{figure: Scorecard}`` maps, figure by figure.
+
+    A baseline figure with no current counterpart is a skip (reason
+    ``absent``), not a failure; a current figure with no baseline is
+    ignored (a new figure cannot regress).
+    """
+    report = CompareReport()
+    for figure in sorted(baseline):
+        if figure in current:
+            _compare_into(report, baseline[figure], current[figure])
+        else:
+            report.skipped.append("%s: %s" % (figure, absent))
     return report
-
-
-def _merge(into: CompareReport, part: CompareReport) -> None:
-    into.deltas.extend(part.deltas)
-    into.skipped.extend(part.skipped)
-    into.failed_checks.extend(part.failed_checks)
-    into.anomaly_flags.extend(part.anomaly_flags)
 
 
 def compare_dirs(baseline_dir: str, current_dir: str,
                  figures: Optional[List[str]] = None) -> CompareReport:
     """Compare every ``BENCH_*.json`` in ``current_dir`` against its
-    committed twin in ``baseline_dir``.
-
-    Baselines with no current counterpart are recorded as skips (the
-    figure was not run), not failures; unknown current figures are
-    ignored (a new figure cannot regress).  ``figures`` restricts the
-    comparison to the named figures.
+    committed twin in ``baseline_dir`` (see :func:`compare_runs`).
+    ``figures`` restricts the comparison to the named figures.
     """
     report = CompareReport()
-    baselines = sorted(glob.glob(os.path.join(baseline_dir, "BENCH_*.json")))
-    if not baselines:
+    paths = sorted(glob.glob(os.path.join(baseline_dir, "BENCH_*.json")))
+    if not paths:
         report.skipped.append("no baselines in %s" % baseline_dir)
         return report
-    for bpath in baselines:
+    baseline, current = {}, {}
+    for bpath in paths:
         base = load_scorecard(bpath)
         if figures is not None and base.figure not in figures:
             continue
+        baseline[base.figure] = base
         cpath = os.path.join(current_dir, os.path.basename(bpath))
-        if not os.path.exists(cpath):
-            report.skipped.append("%s: not produced by this run"
-                                  % base.figure)
-            continue
-        _merge(report, compare_scorecards(base, load_scorecard(cpath)))
-    return report
+        if os.path.exists(cpath):
+            current[base.figure] = load_scorecard(cpath)
+    return compare_runs(baseline, current, "not produced by this run")

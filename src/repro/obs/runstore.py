@@ -1,11 +1,10 @@
-"""Queryable run history: an append-only store of benchmark runs.
+"""Run history: an append-only store of benchmark runs.
 
 Scorecards answer "how faithful is *this* run"; the bench store answers
 "did it regress against the committed contract".  What neither answers
-is *navigable history*: which runs exist, under what code and config,
-and how any two of them compare — the workflow Collie-style performance
-anomaly hunting actually needs.  A :class:`RunStore` records every
-bench/scorecard run as one JSON line in an append-only log
+is *history*: which runs exist, under what code and config, and how any
+two of them compare.  A :class:`RunStore` records every bench session
+and ``runs record`` as one JSON line in an append-only log
 (``runs.jsonl``), each carrying:
 
 * **git context** — commit, branch, and a dirty flag captured at record
@@ -14,23 +13,24 @@ bench/scorecard run as one JSON line in an append-only log
   gating meta (``bench_scale``), so comparable runs are recognizable at
   a glance and incomparable ones are obvious;
 * **the full scorecards** — metrics with tolerances, shape checks, and
-  meta (including windowed SLO timelines), verbatim.
+  meta (including windowed SLO timelines and anomaly blocks, which
+  ``explain run:N`` reads back), verbatim.
 
 Records are never rewritten: the store only appends, and run ids are
 the 1-based line numbers, so any id mentioned in a CI log or a commit
-message stays valid forever.
+message stays valid forever.  A line torn by an interrupted append is
+skipped on read (``runs list`` names it) and keeps its id; the next
+record starts on a fresh line.
 
-:meth:`RunStore.diff` replays the bench store's tolerance-aware
-comparison with run *A* as the baseline contract — the CLI front-end
-(``repro runs diff A B``) exits nonzero iff B regresses beyond A's
-tolerances, which is the smoke gate CI uses against a deliberately
-fault-injected run.  :meth:`RunStore.query` filters history with
-``figure.metric OP value`` expressions (``fig2a.peak_mops>40``) and
-``key=value`` field matches (``label=nightly``, ``figure=fig2a``).
+:meth:`RunStore.diff` runs the bench store's comparison loop with run
+*A* as the baseline contract — the CLI front-end (``repro runs diff A
+B``) exits nonzero iff B regresses beyond A's tolerances, as
+``tests/test_runstore.py::TestRunsCli::
+test_diff_fails_a_fault_injected_figure_run`` checks on real runs.
 
 The store location defaults to ``benchmarks/runstore`` next to the
-committed baselines; ``REPRO_RUNSTORE_DIR`` overrides it (CI points it
-at a scratch directory, tests at tmp paths).
+committed baselines; ``REPRO_RUNSTORE_DIR`` overrides it (tests point
+it at tmp paths).
 """
 
 from __future__ import annotations
@@ -41,19 +41,15 @@ import os
 import subprocess
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from .benchstore import CompareReport, _merge, compare_scorecards
+from .benchstore import CompareReport, compare_runs
 from .scorecard import Scorecard
 
 __all__ = ["RunRecord", "RunStore", "default_store_dir"]
 
 #: Environment override for the store directory.
 RUNSTORE_DIR_ENV = "REPRO_RUNSTORE_DIR"
-
-#: Comparison operators a query expression may use, longest first so
-#: ``>=`` is not parsed as ``>`` followed by a stray ``=``.
-_QUERY_OPS = (">=", "<=", "!=", "==", ">", "<", "=")
 
 
 def default_store_dir() -> str:
@@ -135,16 +131,6 @@ class RunRecord:
         data = self.scorecards.get(figure)
         return Scorecard.from_dict(data) if data is not None else None
 
-    def metric(self, figure: str, name: str) -> Optional[float]:
-        """A metric value by figure and name (None when absent)."""
-        sc = self.scorecards.get(figure)
-        if sc is None:
-            return None
-        for m in sc.get("metrics", ()):
-            if m.get("name") == name:
-                return m.get("value")
-        return None
-
     def to_dict(self) -> dict:
         """JSON form written to the log."""
         return {"run_id": self.run_id, "timestamp": self.timestamp,
@@ -203,8 +189,15 @@ class RunStore:
             fingerprint=config_fingerprint(scorecards),
             scorecards={sc.figure: sc.to_dict() for sc in scorecards},
             meta=dict(meta or {}))
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+        with open(self.path, "ab+") as fh:
+            if fh.tell():  # append mode opens at the end
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    # Close a line torn by an interrupted append, so
+                    # this record still lands on line ``run_id``.
+                    fh.write(b"\n")
+            fh.write(json.dumps(rec.to_dict(), sort_keys=True).encode()
+                     + b"\n")
         return rec
 
     def _next_id(self) -> int:
@@ -218,10 +211,20 @@ class RunStore:
         with open(self.path) as fh:
             return [line for line in fh if line.strip()]
 
+    def read(self) -> Tuple[List[RunRecord], List[int]]:
+        """Every readable run in record order, and the line numbers of
+        lines that do not parse (torn by an interrupted append)."""
+        records, torn = [], []
+        for number, line in enumerate(self._lines(), start=1):
+            try:
+                records.append(RunRecord.from_dict(json.loads(line)))
+            except ValueError:
+                torn.append(number)
+        return records, torn
+
     def list(self) -> List[RunRecord]:
-        """Every recorded run, in record order."""
-        return [RunRecord.from_dict(json.loads(line))
-                for line in self._lines()]
+        """Every readable recorded run, in record order."""
+        return self.read()[0]
 
     def get(self, ref) -> RunRecord:
         """A run by reference.
@@ -260,66 +263,12 @@ class RunStore:
 
         Run *A* is the baseline contract: its metric tolerances and its
         passing shape checks gate, exactly as the bench store gates a
-        fresh run against committed baselines.  Figures present in only
-        one run are recorded as skips.  ``report.ok`` is False iff B
+        fresh run against committed baselines.  Figures of A absent
+        from B are recorded as skips.  ``report.ok`` is False iff B
         regresses.
         """
         base, cur = self.get(a), self.get(b)
-        report = CompareReport()
-        for figure in base.figures:
-            cur_sc = cur.scorecard(figure)
-            if cur_sc is None:
-                report.skipped.append("%s: absent from run %d"
-                                      % (figure, cur.run_id))
-                continue
-            _merge(report, compare_scorecards(base.scorecard(figure),
-                                              cur_sc))
-        return report
-
-    # -- querying -------------------------------------------------------
-
-    def query(self, exprs: List[str]) -> List[RunRecord]:
-        """Runs matching every expression (see the module docstring)."""
-        out = []
-        for rec in self.list():
-            if all(self._matches(rec, expr) for expr in exprs):
-                out.append(rec)
-        return out
-
-    @staticmethod
-    def _matches(rec: RunRecord, expr: str) -> bool:
-        """Evaluate one query expression against one record."""
-        for op in _QUERY_OPS:
-            if op in expr:
-                lhs, rhs = expr.split(op, 1)
-                lhs, rhs = lhs.strip(), rhs.strip()
-                break
-        else:
-            raise ValueError("bad query expression %r" % expr)
-        if op == "=" or op == "==":
-            if lhs == "label":
-                return rec.label == rhs
-            if lhs == "commit":
-                return bool(rec.git.get("commit", "")
-                            and rec.git["commit"].startswith(rhs))
-            if lhs == "figure":
-                return rhs in rec.scorecards
-            if lhs == "fingerprint":
-                return rec.fingerprint == rhs
-            if lhs == "passed":
-                return rec.passed == (rhs.lower() in ("1", "true", "yes"))
-        if "." not in lhs:
-            raise ValueError(
-                "unknown query field %r (want label/commit/figure/"
-                "fingerprint/passed or figure.metric)" % lhs)
-        figure, metric = lhs.split(".", 1)
-        value = rec.metric(figure, metric)
-        if value is None:
-            return False
-        target = float(rhs)
-        return {
-            ">": value > target, ">=": value >= target,
-            "<": value < target, "<=": value <= target,
-            "==": value == target, "=": value == target,
-            "!=": value != target,
-        }[op]
+        return compare_runs(
+            {f: base.scorecard(f) for f in base.figures},
+            {f: cur.scorecard(f) for f in cur.figures},
+            "absent from run %d" % cur.run_id)

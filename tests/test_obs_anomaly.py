@@ -3,8 +3,7 @@
 Unit half: the three detector families on hand-built series — cliffs
 (largest relative step), knees (max distance to the endpoint chord),
 changepoints (binary segmentation over windowed means) and counter
-bursts (rolling baseline) — plus anomaly-set diffing and the explain
-join.  End-to-end half: the manufactured ``bench.step_handler_cost``
+bursts (rolling baseline) — plus the explain join.  End-to-end half: the manufactured ``bench.step_handler_cost``
 fault produces changepoints a clean run does not have, the incast
 runner's timeline carries switch-counter sources, and the detected set
 is a pure function of its input (byte-identical on repetition).
@@ -25,7 +24,6 @@ from repro.obs.anomaly import (
     detect_knees,
     detect_run_anomalies,
     detect_sweep_anomalies,
-    diff_anomaly_sets,
     severity_label,
 )
 from repro.obs.explain import (
@@ -255,79 +253,6 @@ class TestRunAnomalies:
         a = json.dumps(detect_run_anomalies(slo, label="x"), sort_keys=True)
         b = json.dumps(detect_run_anomalies(slo, label="x"), sort_keys=True)
         assert a == b
-
-
-class TestDiffAnomalySets:
-    def block(self, x=2816.0):
-        a = [c for c in detect_cliffs(FIG2A_XS, FIG2A_YS, metric="mops",
-                                      series="rc-read")
-             if c.direction == "drop"][0].to_dict()
-        a["x"] = x
-        return {"sweep": [a]}
-
-    def test_identical_sets_are_quiet(self):
-        d = diff_anomaly_sets(self.block(), self.block())
-        assert d == {"new": [], "vanished": [], "moved": []}
-
-    def test_new_and_vanished(self):
-        d = diff_anomaly_sets(None, self.block())
-        assert len(d["new"]) == 1 and "cliff" in d["new"][0]
-        d = diff_anomaly_sets(self.block(), None)
-        assert len(d["vanished"]) == 1
-
-    def test_moved(self):
-        d = diff_anomaly_sets(self.block(x=704.0), self.block(x=2816.0))
-        assert len(d["moved"]) == 1
-        assert "704" in d["moved"][0] and "2816" in d["moved"][0]
-
-    def test_runs_scope_distinct_from_sweep(self):
-        a = self.block()["sweep"][0]
-        d = diff_anomaly_sets({"sweep": [a]}, {"runs": {"flock": [a]}})
-        assert len(d["new"]) == 1 and len(d["vanished"]) == 1
-
-    def test_duplicate_identities_keyed_by_occurrence(self):
-        """Two anomalies with the same (scope, kind, series, metric) are
-        numbered in order, so a matched pair with identical positions is
-        quiet — not collapsed into one record."""
-        a1 = self.block(x=704.0)["sweep"][0]
-        a2 = self.block(x=2816.0)["sweep"][0]
-        d = diff_anomaly_sets({"sweep": [a1, a2]}, {"sweep": [a1, a2]})
-        assert d == {"new": [], "vanished": [], "moved": []}
-
-    def test_lost_occurrence_vanishes_not_moves(self):
-        """Dropping one of two same-identity anomalies is a *vanished*
-        second occurrence; the surviving first occurrence still matches
-        positionally."""
-        a1 = self.block(x=704.0)["sweep"][0]
-        a2 = self.block(x=2816.0)["sweep"][0]
-        d = diff_anomaly_sets({"sweep": [a1, a2]}, {"sweep": [a1]})
-        assert d["new"] == [] and d["moved"] == []
-        assert len(d["vanished"]) == 1
-        assert "2816" in d["vanished"][0]
-
-    def test_occurrences_pair_in_order(self):
-        # Both sides hold two occurrences; the second one moved.
-        a1 = self.block(x=704.0)["sweep"][0]
-        a2 = self.block(x=2816.0)["sweep"][0]
-        a2_moved = self.block(x=5632.0)["sweep"][0]
-        d = diff_anomaly_sets({"sweep": [a1, a2]},
-                              {"sweep": [a1, a2_moved]})
-        assert d["new"] == [] and d["vanished"] == []
-        assert len(d["moved"]) == 1
-        assert "2816" in d["moved"][0] and "5632" in d["moved"][0]
-
-    def test_moved_rel_tol_suppresses_small_drift(self):
-        base, near = self.block(x=1000.0), self.block(x=1040.0)
-        strict = diff_anomaly_sets(base, near)
-        assert len(strict["moved"]) == 1
-        lax = diff_anomaly_sets(base, near, moved_rel_tol=0.05)
-        assert lax == {"new": [], "vanished": [], "moved": []}
-
-    def test_empty_blocks_are_quiet(self):
-        assert diff_anomaly_sets(None, None) == \
-            {"new": [], "vanished": [], "moved": []}
-        assert diff_anomaly_sets({}, {"sweep": []}) == \
-            {"new": [], "vanished": [], "moved": []}
 
 
 class TestExplain:

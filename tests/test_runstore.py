@@ -1,9 +1,10 @@
-"""The queryable run-history store and its ``runs`` CLI front-end.
+"""The run-history store and its ``runs`` CLI front-end.
 
-Unit half: record/list/get/diff/query on a tmp-path store with
-hand-built scorecards — append-only ids, git context, config
+Unit half: record/list/get/diff on a tmp-path store with hand-built
+scorecards — append-only ids, torn-line recovery, git context, config
 fingerprints, tolerance-aware regression detection (improvements never
-gate, only run A's tolerances do).  CLI half: the exit-code contract —
+gate, only run A's tolerances do) through the same comparison loop as
+``bench-compare``.  CLI half: the exit-code contract —
 ``runs diff`` returns 0 on a clean diff and nonzero on a regression
 (a fault-injected fig6 run included) or a bad reference, without a
 traceback.
@@ -18,6 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.harness.cli import main
+from repro.obs.benchstore import compare_dirs
 from repro.obs.faults import FAULTS_ENV
 from repro.obs.runstore import (
     RUNSTORE_DIR_ENV,
@@ -88,8 +90,29 @@ class TestRecord:
         assert rec.label == "nightly"
         assert rec.meta == {"host": "ci"}
         assert rec.timestamp == 1_700_000_000.0
-        assert rec.metric("figX", "mops") == 33.0
+        assert rec.scorecard("figX").metric("mops").value == 33.0
         assert rec.passed
+
+    def test_torn_line_is_skipped_and_next_record_reads(self, store,
+                                                        capsys):
+        """An interrupted append leaves a last line without its newline:
+        reading skips it, and the next record starts a fresh line."""
+        store.record([make_scorecard(mops=1.0)], label="first")
+        store.record([make_scorecard(mops=2.0)], label="second")
+        with open(store.path, "rb") as fh:
+            data = fh.read()
+        with open(store.path, "wb") as fh:
+            fh.write(data[:-40])  # tear run 2 mid-record
+        assert [r.run_id for r in store.list()] == [1]
+        rec = store.record([make_scorecard(mops=3.0)], label="third")
+        assert rec.run_id == 3
+        assert [r.label for r in store.list()] == ["first", "third"]
+        assert store.read()[1] == [2]
+        assert store.get("latest").run_id == 3
+        assert main(["runs", "--store", store.root, "list"]) == 0
+        out = capsys.readouterr().out
+        assert "third" in out
+        assert "skipped unreadable line(s) 2" in out
 
 
 class TestGet:
@@ -173,65 +196,32 @@ class TestDiff:
         assert report.ok
         assert report.skipped
 
-    def test_anomaly_drift_flagged_but_never_gates(self, store):
-        anomaly = {"kind": "changepoint", "figure": "figX",
-                   "series": "flock", "metric": "p99_us", "x": 4.0,
-                   "span": [100.0, 200.0], "direction": "rise",
-                   "severity": 0.5, "detail": "", "evidence": {}}
-        a = make_scorecard()
-        b = make_scorecard()
-        b.meta["anomalies"] = {"runs": {"flock": [anomaly]}}
-        store.record([a])
-        store.record([b])
-        report = store.diff(1, 2)
-        assert report.ok  # informational, not a gate
-        assert any("new" in flag and "p99_us" in flag
-                   for flag in report.anomaly_flags)
-        assert "anomaly" in report.format()
-        # The reverse direction reports the anomaly as vanished.
-        back = store.diff(2, 1)
-        assert any("vanished" in flag for flag in back.anomaly_flags)
-
-
-class TestQuery:
-    @pytest.fixture
-    def seeded(self, store):
-        store.record([make_scorecard("fig2a", mops=40.0)], label="nightly")
-        store.record([make_scorecard("fig2a", mops=50.0),
-                      make_scorecard("fig6", mops=25.0)], label="pr")
-        store.record([make_scorecard("fig2a", mops=30.0,
-                                     check_ok=False)], label="nightly")
-        return store
-
-    def test_field_matches(self, seeded):
-        assert [r.run_id for r in seeded.query(["label=nightly"])] == [1, 3]
-        assert [r.run_id for r in seeded.query(["figure=fig6"])] == [2]
-        assert [r.run_id for r in seeded.query(["passed=false"])] == [3]
-
-    def test_commit_prefix_match(self, seeded):
-        prefix = seeded.get(1).git["commit"][:8]
-        assert len(seeded.query(["commit=%s" % prefix])) == 3
-
-    def test_metric_expressions(self, seeded):
-        assert [r.run_id for r in
-                seeded.query(["fig2a.mops>=40"])] == [1, 2]
-        assert [r.run_id for r in
-                seeded.query(["fig2a.mops<35"])] == [3]
-        assert [r.run_id for r in
-                seeded.query(["fig6.mops==25"])] == [2]
-
-    def test_conjunction(self, seeded):
-        assert [r.run_id for r in
-                seeded.query(["label=nightly", "fig2a.mops>35"])] == [1]
-
-    def test_missing_metric_never_matches(self, seeded):
-        assert seeded.query(["fig9.mops>0"]) == []
-
-    def test_bad_expression_raises(self, seeded):
-        with pytest.raises(ValueError):
-            seeded.query(["no-operator-here"])
-        with pytest.raises(ValueError):
-            seeded.query(["bogusfield=3"])
+    def test_matches_bench_compare_over_directories(self, store, tmp_path):
+        """``runs diff`` and ``bench-compare`` share one comparison loop:
+        the same two scorecard sets, recorded as runs and written as
+        directories, give the same deltas, failed checks and skipped
+        figures."""
+        base = [make_scorecard("fig2a", mops=10.0),
+                make_scorecard("fig6", check_ok=True),
+                make_scorecard("fig9")]
+        cur = [make_scorecard("fig2a", mops=8.0),     # regression
+               make_scorecard("fig6", check_ok=False)]  # fig9 absent
+        store.record(base)
+        store.record(cur)
+        for name, cards in (("base", base), ("cur", cur)):
+            for sc in cards:
+                sc.write(str(tmp_path / name))
+        from_runs = store.diff(1, 2)
+        from_dirs = compare_dirs(str(tmp_path / "base"),
+                                 str(tmp_path / "cur"))
+        assert from_runs.deltas == from_dirs.deltas
+        assert any(d.regression and d.figure == "fig2a"
+                   for d in from_runs.deltas)
+        assert from_runs.failed_checks == from_dirs.failed_checks
+        assert from_runs.failed_checks == ["fig6/shape_holds"]
+        skipped = [[s.split(":")[0] for s in report.skipped]
+                   for report in (from_runs, from_dirs)]
+        assert skipped[0] == skipped[1] == ["fig9"]
 
 
 class TestDefaultDir:
@@ -308,15 +298,6 @@ class TestRunsCli:
         assert main(["runs", "show", "42"]) == 1
         assert main(["runs", "diff", "1", "2"]) == 1
         assert "no run" in capsys.readouterr().out
-
-    def test_query_cli(self, capsys):
-        main(["runs", "record", self._scorecard_dir("clean", 10.0),
-              "--label", "nightly"])
-        assert main(["runs", "query", "label=nightly"]) == 0
-        assert main(["runs", "query", "label=other"]) == 0
-        out = capsys.readouterr().out
-        assert "nightly" in out
-        assert "no runs match" in out
 
     def test_store_flag_overrides_env(self, capsys):
         other = self.tmp / "elsewhere"

@@ -381,7 +381,7 @@ class TestSearchCli:
             main(["--scale", SMOKE, "--jobs", str(jobs),
                   "search", "--budget", "4", "--seed", "7",
                   "--elites", "2", "--explain-top", "1",
-                  "--json", "search.json", "--no-record"])
+                  "--json", "search.json"])
             outs.append(capsys.readouterr().out)
             dumps.append((workdir / "search.json").read_bytes())
         assert outs[0] == outs[1]
@@ -402,8 +402,7 @@ class TestSearchCli:
         rc = main(["--scale", SMOKE, "--scorecard", str(tmp_path),
                    "search", "--budget", "3", "--seed", "7",
                    "--elites", "2", "--explain-top", "0",
-                   "--export-scenario", "unit_find:1",
-                   "--store", str(tmp_path / "store")])
+                   "--export-scenario", "unit_find:1"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "wrote scenario scorecard" in out
@@ -411,14 +410,12 @@ class TestSearchCli:
         assert len(written) == 1
         data = json.loads(written[0].read_text())
         assert data["meta"]["search"]["fingerprint"]
-        assert "recorded search run" in out
 
     @pytest.mark.parametrize("spec", ["oops:9", "x:abc", ":1"])
     def test_cli_export_rank_out_of_range(self, tmp_path, capsys, spec):
         argv = ["--scale", SMOKE, "--scorecard", str(tmp_path),
                 "search", "--budget", "2", "--seed", "7",
-                "--explain-top", "0", "--no-record",
-                "--export-scenario", spec]
+                "--explain-top", "0", "--export-scenario", spec]
         if spec == "oops:9":
             # A well-formed spec is checked against the leaderboard
             # after the search.
