@@ -29,10 +29,15 @@ The hot path is deliberately split in two (see ``docs/performance.md``):
   A delay so small that ``now + delay`` rounds to ``now`` is routed to the
   ready deque, keeping the invariant above airtight even under float
   rounding.
+* **Satisfied waits** (a free resource unit, a waiting store item) go
+  through :meth:`Simulator.satisfied`.  When their wake-up would be the
+  loop's very next dispatch and would resume only the waiter, the waiter
+  carries on in place and the dispatch is left out.
 
 :meth:`Simulator.run` inlines the event dispatch loop — no per-event
-method calls beyond the callbacks themselves — while :meth:`Simulator.step`
-remains the observable single-step API with identical semantics.
+method calls beyond the callbacks themselves.  :meth:`Simulator.step`
+remains the observable single-step API: it fires events in the same
+order, but dispatches every satisfied wait, so it counts more events.
 """
 
 from __future__ import annotations
@@ -232,43 +237,48 @@ class Process(Event):
             # same instant the process finished) must not resume a
             # completed generator.
             return
-        try:
-            if event._exc is None:
-                target = self._send(event._value)
-            else:
-                target = self._throw(event._exc)
-        except StopIteration as stop:
-            self._cb = None
-            self.succeed(stop.value)
-            return
-        except Interrupt:
-            # Interrupt escaped the generator: unhandled interruption is a
-            # cancellation, not a crash.
-            self._cb = None
-            self.succeed(None)
-            return
-        except BaseException as exc:
-            if self.sim.strict:
-                raise
-            self._cb = None
-            self.fail(exc)
-            return
-        # Fast-path dispatch: every legitimate yield target is an Event;
-        # reaching straight for its callback list replaces both the
-        # isinstance check and the bound add_callback call.
-        try:
-            cbs = target.callbacks
-        except AttributeError:
-            raise SimulationError(
-                "process %r yielded %r (must yield Event)" % (self.name, target)
-            )
-        self._waiting_on = target
-        if cbs is not None:
-            cbs.append(self._cb)
-        else:
-            # Already processed (yielded an event that has fired): resume
-            # immediately, as add_callback would.
-            self._resume(target)
+        # A loop, not recursion: a run of yields whose targets have
+        # already fired (see Simulator.satisfied) resumes in place
+        # without growing the stack.
+        while True:
+            try:
+                if event._exc is None:
+                    target = self._send(event._value)
+                else:
+                    target = self._throw(event._exc)
+            except StopIteration as stop:
+                self._cb = None
+                self.succeed(stop.value)
+                return
+            except Interrupt:
+                # Interrupt escaped the generator: unhandled interruption
+                # is a cancellation, not a crash.
+                self._cb = None
+                self.succeed(None)
+                return
+            except BaseException as exc:
+                if self.sim.strict:
+                    raise
+                self._cb = None
+                self.fail(exc)
+                return
+            # Fast-path dispatch: every legitimate yield target is an
+            # Event; reaching straight for its callback list replaces
+            # both the isinstance check and the bound add_callback call.
+            try:
+                cbs = target.callbacks
+            except AttributeError:
+                raise SimulationError(
+                    "process %r yielded %r (must yield Event)"
+                    % (self.name, target)
+                )
+            self._waiting_on = target
+            if cbs is not None:
+                cbs.append(self._cb)
+                return
+            # Already processed (yielded an event that has fired):
+            # resume with it at once, as add_callback would.
+            event = target
 
 
 class _DetachedProcess(Process):
@@ -309,6 +319,11 @@ class _Condition(Event):
             self.succeed({})
             return
         for ev in self.events:
+            # An event that has already fired may decide the condition
+            # (and detach it) while it is being built: attach nothing
+            # to the rest.
+            if self._triggered:
+                break
             ev.add_callback(self._check)
 
     def _results(self) -> dict:
@@ -406,6 +421,10 @@ class Simulator:
         #: is one C call instead of a load/add/store round trip.
         self._next_seq = count(1).__next__
         self._n_events = 0
+        #: True only while :meth:`run` or :meth:`run_profiled` fires an
+        #: event's one callback, i.e. while the code running is the whole
+        #: of the dispatch (see :meth:`satisfied`).
+        self._lone = False
         #: Whether components keep the accounting that telemetry and the
         #: auditors read: queue accounting, wait times and value-count
         #: ledgers.  Components read it **once, at construction time**
@@ -450,6 +469,42 @@ class Simulator:
         ev._exc = None
         ev._triggered = False
         ev._processed = False
+        return ev
+
+    def satisfied(self, value: Any = None) -> Event:
+        """An event for a wait that is already satisfied, carrying ``value``.
+
+        ``Resource.acquire`` on a free unit and ``Store.get`` on a waiting
+        item are the callers.  Usually this is a zero-delay event, queued
+        FIFO like any other.  But when the loop is firing the lone
+        callback of an event (the caller's resume), the ready deque is
+        empty and no heap entry is due at ``now``, that event would be
+        the very next dispatch and would wake only the caller.  Then the
+        event is born fired, and :meth:`Process._resume` carries on in
+        place: the dispatch goes, and every event that is still
+        dispatched keeps its exact place in the order.
+
+        Precondition: the caller is a process that yields the returned
+        event at once.  A callback attached to a born-fired event runs at
+        attach time, so whatever the caller did between this call and its
+        yield would run after that callback instead of before it.
+        """
+        if self._lone and not self._ready:
+            heap = self._heap
+            if not heap or heap[0][0] > self.now:
+                ev = Event.__new__(Event)
+                ev.sim = self
+                ev.callbacks = None
+                ev._value = value
+                ev._exc = None
+                ev._triggered = True
+                ev._processed = True
+                return ev
+        ev = self.event()
+        # Flattened succeed(value): queued at the tail of the ready deque.
+        ev._triggered = True
+        ev._value = value
+        self._ready_append(ev)
         return ev
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
@@ -540,7 +595,10 @@ class Simulator:
         This is the kernel's hottest loop; it inlines event selection and
         firing (the body of :meth:`step` and :meth:`Event._fire`) so the
         per-event cost is the callbacks themselves plus a few local-variable
-        operations.  Semantics are identical to ``while self.step(): ...``.
+        operations.  It fires events in the order ``while self.step(): ...``
+        would, but while it fires an event's lone callback it sets the flag
+        that lets :meth:`satisfied` leave out the next dispatch, so it
+        dispatches fewer events than stepping does.
         """
         if until is not None and until < self.now:
             raise SimulationError("until=%r is in the past (now=%r)" % (until, self.now))
@@ -573,11 +631,14 @@ class Simulator:
                 event._processed = True
                 if callbacks:
                     if len(callbacks) == 1:
+                        self._lone = True
                         callbacks[0](event)
                     else:
+                        self._lone = False
                         for fn in callbacks:
                             fn(event)
         finally:
+            self._lone = False
             self._n_events = n
         if until is not None:
             self.now = until
@@ -587,8 +648,9 @@ class Simulator:
         """Instrumented twin of :meth:`run` for the host-time census.
 
         Identical event-selection semantics (same order, same clock
-        behaviour, same ``until`` handling — a profiled run produces
-        byte-identical simulation results), but every callback batch is
+        behaviour, same ``until`` handling, the same lone-callback flag —
+        a profiled run produces byte-identical simulation results and
+        dispatches the same events), but every callback batch is
         bracketed with ``perf_counter_ns`` and charged to ``profile``
         via ``profile.account(event, callbacks, dt_ns)``.
 
@@ -625,10 +687,12 @@ class Simulator:
                 event._processed = True
                 t_fire = clock()
                 if callbacks:
+                    self._lone = len(callbacks) == 1
                     for fn in callbacks:
                         fn(event)
                 account(event, callbacks, clock() - t_fire)
         finally:
+            self._lone = False
             self._n_events = n
         if until is not None:
             self.now = until

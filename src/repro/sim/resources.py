@@ -62,26 +62,29 @@ class Resource:
         :meth:`repro.obs.span.Span.open`) and closed when the
         acquisition succeeds — so an acquirer still queued when the span
         is flushed at end of run keeps its in-flight wait.
+
+        Yield the event at once: a free unit comes from
+        :meth:`Simulator.satisfied`, which may hand back an event that
+        has already fired.
         """
-        ev = self.sim.event()
         if self._in_use < self.capacity:
             self._in_use += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-            self.contended += 1
-            if span is not None:
-                t0 = self.sim.now
-                resource = self.name or "resource"
-                span.open(resource, t0)
+            return self.sim.satisfied()
+        ev = self.sim.event()
+        self._waiters.append(ev)
+        self.contended += 1
+        if span is not None:
+            t0 = self.sim.now
+            resource = self.name or "resource"
+            span.open(resource, t0)
 
-                def _note(_ev: Event) -> None:
-                    waited = self.sim.now - t0
-                    if waited > 0:
-                        self.wait_ns += waited
-                    span.close(resource, self.sim.now)
+            def _note(_ev: Event) -> None:
+                waited = self.sim.now - t0
+                if waited > 0:
+                    self.wait_ns += waited
+                span.close(resource, self.sim.now)
 
-                ev.add_callback(_note)
+            ev.add_callback(_note)
         return ev
 
     def try_acquire(self) -> bool:
@@ -182,8 +185,11 @@ class Store:
         return False
 
     def get(self) -> Event:
-        """Event that fires with the next item."""
-        ev = self.sim.event()
+        """Event that fires with the next item.
+
+        Yield the event at once: a waiting item comes from
+        :meth:`Simulator.satisfied`, as in :meth:`Resource.acquire`.
+        """
         items = self.items
         if items:
             item = items.popleft()
@@ -191,11 +197,11 @@ class Store:
                 put_ev, put_item = self._putters.popleft()
                 items.append(put_item)
                 put_ev.succeed()
-            ev.succeed(item)
-        else:
-            if self._getters is None:
-                self._getters = deque()
-            self._getters.append(ev)
+            return self.sim.satisfied(item)
+        ev = self.sim.event()
+        if self._getters is None:
+            self._getters = deque()
+        self._getters.append(ev)
         return ev
 
     def try_get(self) -> tuple:

@@ -156,69 +156,96 @@ def witness(result):
     return serialized(result)
 
 
-#: SHA-256 of ``witness(result)`` for small runs of every runner whose
-#: workers run :func:`repro.harness.metrics.closed_loop` or draw
-#: think-time jitter, and of the transaction and index runners.  The dispatched-event count is host bookkeeping:
-#: removing an event that wakes no one lowers it and changes nothing
-#: else.  Any other change to these hashes means a result changed,
-#: usually because two same-instant events swapped order or a worker
-#: drew different jitter.  Update them only with an intended model
-#: change.
+def dispatched(result):
+    """The events the run dispatched.  Of a dict of named results, only
+    the one :meth:`Run.finish` stamped carries the count."""
+    if isinstance(result, dict):
+        (events,) = [v.host["events"] for v in result.values()
+                     if getattr(v, "host", None)]
+        return events
+    return result.host["events"]
+
+
+#: For small runs of every runner whose workers run
+#: :func:`repro.harness.metrics.closed_loop` or draw think-time jitter,
+#: and of the transaction and index runners: the SHA-256 of
+#: ``witness(result)`` and the events the run dispatched.
+#:
+#: A change to a hash means a result changed, usually because two
+#: same-instant events swapped order or a worker drew different jitter.
+#: Update the hashes only with an intended model change.
+#:
+#: The event count is host bookkeeping.  A cut that drops dispatches
+#: which model nothing (an event that wakes no one, a satisfied wait
+#: whose waiter runs next) lowers it and moves no hash.  Update the
+#: counts on purpose, with such a cut, and list old and new in
+#: CHANGES.md.
 ORDER_WITNESS = {
-    "flock": ("43cca68f0fde702d0d68fe1c08fe35209cb0db1b0fe267d92bd4e4d0b4b141ad",
-              lambda: run_flock(SMALL)),
-    "raw_reads": ("833bf636818184572edcf23d0d1e475c330030e111b64cfc47c613daeb5baa37",
-                  lambda: run_raw_reads(24, n_clients=3)),
-    "flocktx": ("6b85f84f826513551789bd580ba62f41f51d3a84585d01431d77e647176ef69b",
-                lambda: run_flocktx(SMALL_TXN)),
-    "fasst_txn": ("fd20fcea0e5c02b8a4405e1bfaf01c0001e108198c824ad396066736198b67cf",
-                  lambda: run_fasst_txn(SMALL_TXN)),
+    "flock": (
+        "43cca68f0fde702d0d68fe1c08fe35209cb0db1b0fe267d92bd4e4d0b4b141ad",
+        50_865, lambda: run_flock(SMALL)),
+    "raw_reads": (
+        "833bf636818184572edcf23d0d1e475c330030e111b64cfc47c613daeb5baa37",
+        168_189, lambda: run_raw_reads(24, n_clients=3)),
+    "flocktx": (
+        "6b85f84f826513551789bd580ba62f41f51d3a84585d01431d77e647176ef69b",
+        36_830, lambda: run_flocktx(SMALL_TXN)),
+    "fasst_txn": (
+        "fd20fcea0e5c02b8a4405e1bfaf01c0001e108198c824ad396066736198b67cf",
+        28_111, lambda: run_fasst_txn(SMALL_TXN)),
     # SmallBank's hot 4 % of accounts drives the store's lock and
     # overwrite paths hardest.
     "flocktx_smallbank": (
         "cec9c0443dc0e16208d59c94a9cf96c41ebd1e0afffc15f68ec8cd542d48b188",
-        lambda: run_flocktx(replace(SMALL_TXN, workload="smallbank"))),
+        34_959, lambda: run_flocktx(replace(SMALL_TXN, workload="smallbank"))),
     "fasst_txn_smallbank": (
         "e0b827d1213743a9afd30ce89a2c45d0de6ff4f943d4fad7c2af208a75bcbd0f",
+        28_327,
         lambda: run_fasst_txn(replace(SMALL_TXN, workload="smallbank"))),
     "flock_index": (
         "2b8b90e185319ab5990aa345648f8ca4a25e2a7ad225e56695e3fcd19977b61d",
-        lambda: run_flock_index(SMALL_INDEX)),
+        17_717, lambda: run_flock_index(SMALL_INDEX)),
     "erpc_index": (
         "bcdee4232539c4f64832de0e3781a6b74e131c0b7d28079eb7bbd1b5d1178871",
-        lambda: run_erpc_index(SMALL_INDEX)),
+        14_511, lambda: run_erpc_index(SMALL_INDEX)),
     "incast_congested": (
         "f3e67b145cf6a9772c30a2965ac376c5b13f317e487a262e84b462f095f7bba9",
-        lambda: run_incast_flock(SMALL_INCAST, congested=True)),
-    "erpc": ("0711a0d36c9fcb1da101895a29017d9e2c3012db39286b110af81f470f67e773",
-             lambda: run_erpc(SMALL)),
-    "rc_shared": ("1332853f4807c219cf2a0372a3642338981943db0f9ad0ecb34938bf792f63fa",
-                  lambda: run_rc(SMALL, threads_per_qp=2)),
+        34_882, lambda: run_incast_flock(SMALL_INCAST, congested=True)),
+    "erpc": (
+        "0711a0d36c9fcb1da101895a29017d9e2c3012db39286b110af81f470f67e773",
+        47_756, lambda: run_erpc(SMALL)),
+    "rc_shared": (
+        "1332853f4807c219cf2a0372a3642338981943db0f9ad0ecb34938bf792f63fa",
+        45_011, lambda: run_rc(SMALL, threads_per_qp=2)),
     "thread_sched": (
         "9384e82cfbba275018c73826850598081fad1c74dd9ffc2f8a5633bd02838269",
-        lambda: run_thread_sched(SMALL_SCHED, 512, scheduling=True)),
+        41_200, lambda: run_thread_sched(SMALL_SCHED, 512, scheduling=True)),
     "incast_ud_congested": (
         "f24be07270a407aca24cbb656d466a65b26a1cfb6042d3c003482541ee49be5e",
-        lambda: run_incast_ud(SMALL_INCAST, congested=True)),
+        44_711, lambda: run_incast_ud(SMALL_INCAST, congested=True)),
     "scenario_leg_congested": (
         "eafd20de148296bec4b2364c2d49db033675a16316d0e0d5e07e6f38f8391b02",
-        lambda: run_scenario_leg(SMALL_SCENARIO, congested=True)),
-    "ud_rpc": ("810987a4415e291fc4ff6374cadd524b8cc7dc8ed97dfe83dcd40fe084718810",
-               lambda: run_ud_rpc(12, n_clients=3, warmup_ns=100_000.0,
-                                  measure_ns=150_000.0)),
+        30_008, lambda: run_scenario_leg(SMALL_SCENARIO, congested=True)),
+    "ud_rpc": (
+        "810987a4415e291fc4ff6374cadd524b8cc7dc8ed97dfe83dcd40fe084718810",
+        42_239, lambda: run_ud_rpc(12, n_clients=3, warmup_ns=100_000.0,
+                                   measure_ns=150_000.0)),
     # 48 QPs of demand against MAX_AQP=32, split 3:1.
     "multitenancy": (
         "459975f03fa9c3b59988beba48238bd14f5e7413be9fe735c431dfc497606f49",
-        lambda: run_multitenancy({"gold": 3.0, "bronze": 1.0},
-                                 clients_per_tenant=1, threads=24,
-                                 duration_ns=450_000.0)),
+        121_652, lambda: run_multitenancy({"gold": 3.0, "bronze": 1.0},
+                                          clients_per_tenant=1, threads=24,
+                                          duration_ns=450_000.0)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ORDER_WITNESS))
 def test_results_match_pinned_hash(name, monkeypatch):
-    # The hashes are for full-length windows.
+    # The hashes and counts are for full-length windows.
     monkeypatch.setenv("REPRO_BENCH_SCALE", "1")
-    expected, run = ORDER_WITNESS[name]
-    digest = hashlib.sha256(witness(run()).encode()).hexdigest()
+    expected, events, run = ORDER_WITNESS[name]
+    result = run()
+    n = dispatched(result)
+    digest = hashlib.sha256(witness(result).encode()).hexdigest()
     assert digest == expected
+    assert n == events

@@ -11,8 +11,10 @@ from repro.sim import (
     AnyOf,
     Event,
     Interrupt,
+    Resource,
     SimulationError,
     Simulator,
+    Store,
 )
 
 from conftest import run_gen
@@ -387,6 +389,20 @@ class TestFastPathRegressions:
 
         assert run_gen(sim, proc()) == 0
 
+    def test_condition_decided_while_built_attaches_no_more(self, sim):
+        """A constituent that has already fired can decide the condition
+        while it is being built; the events after it must not get a dead
+        callback."""
+        fired, doomed = sim.event(), sim.event()
+        fired.succeed("done")
+        doomed.fail(RuntimeError("boom"))
+        sim.run()
+        pending = sim.event()
+        won = sim.any_of([fired, pending])
+        lost = sim.all_of([doomed, pending])
+        assert won.triggered and lost.triggered
+        assert pending.callbacks == []
+
     def test_heap_ties_never_compare_events(self, sim):
         """Same-time heap entries are ordered by sequence number alone;
         Event deliberately defines no ordering, so a tie that fell
@@ -452,6 +468,156 @@ class TestFastPathRegressions:
         sim.spawn(other())
         sim.run()
         assert order == ["peer", "rounded"]
+
+
+class TestSatisfiedWaits:
+    """``Simulator.satisfied``: an already-satisfied wait skips its
+    dispatch only when that dispatch would be the very next one and
+    would wake only the caller.  Every other event keeps its place."""
+
+    def test_lone_uncontended_acquire_and_get_skip_their_dispatch(self, sim):
+        res, store = Resource(sim), Store(sim)
+        store.try_put("item")
+
+        def proc():
+            yield res.acquire()
+            got = yield store.get()
+            res.release()
+            return got
+
+        assert run_gen(sim, proc()) == "item"
+        # The kick-start and the completion; the two waits cost nothing.
+        assert sim.events_processed == 2
+
+    def test_acquire_behind_a_queued_ready_event_waits_its_turn(self, sim):
+        res, order = Resource(sim), []
+        wake = sim.event()
+
+        def acquirer():
+            wake.succeed()
+            yield res.acquire()
+            order.append("acquirer")
+
+        def woken():
+            yield wake
+            order.append("woken")
+
+        sim.spawn(woken())
+        sim.run()
+        sim.spawn(acquirer())
+        sim.run()
+        assert order == ["woken", "acquirer"]
+
+    def test_acquire_behind_a_heap_entry_due_now_waits_its_turn(self, sim):
+        res, order = Resource(sim), []
+
+        def acquirer():
+            yield sim.timeout(5.0)
+            yield res.acquire()
+            order.append("acquirer")
+
+        def peer():
+            yield sim.timeout(5.0)  # same instant, pushed second
+            order.append("peer")
+
+        sim.spawn(acquirer())
+        sim.spawn(peer())
+        sim.run()
+        assert order == ["peer", "acquirer"]
+
+    def test_first_of_two_waiters_does_not_run_ahead(self, sim):
+        res, order = Resource(sim), []
+        tick = sim.timeout(3.0)
+
+        def first():
+            yield tick
+            yield res.acquire()
+            order.append("first acquired")
+
+        def second():
+            yield tick
+            order.append("second woke")
+
+        sim.spawn(first())
+        sim.spawn(second())
+        sim.run()
+        assert order == ["second woke", "first acquired"]
+
+    @staticmethod
+    def _mixed(sim, order):
+        """Satisfied and contended waits around a shared lock; returns
+        the last process to finish."""
+        lock, store = Resource(sim), Store(sim)
+
+        def worker(tag, delay):
+            yield sim.timeout(delay)
+            for i in range(3):
+                yield lock.acquire()
+                order.append((sim.now, tag, "lock", i))
+                yield sim.timeout(2.0)
+                lock.release()
+                store.try_put((tag, i))
+                item = yield store.get()
+                order.append((sim.now, tag, "got", item))
+
+        procs = [sim.spawn(worker(t, d)) for t, d in
+                 (("a", 1.0), ("b", 1.0), ("c", 4.0))]
+        return procs[-1]
+
+    def test_run_until_event_keeps_the_order_of_run(self):
+        by_run, by_step = [], []
+        plain = Simulator()
+        self._mixed(plain, by_run)
+        plain.run()
+        stepped = Simulator()
+        last = self._mixed(stepped, by_step)
+        stepped.run_until_event(last)
+        assert by_step == by_run and len(by_run) == 18
+        # step() never skips a dispatch; run() does.
+        assert stepped.events_processed > plain.events_processed
+
+    def test_long_chain_of_satisfied_waits_does_not_recurse(self, sim):
+        res = Resource(sim)
+        fired = sim.event()
+        fired.succeed()
+        sim.run()
+
+        def proc():
+            for _ in range(10_000):
+                yield res.acquire()
+                res.release()
+                yield fired  # already processed: resumes in place too
+            return "done"
+
+        assert run_gen(sim, proc()) == "done"
+        assert sim.events_processed == 3
+
+    def test_step_queues_every_wait_after_a_run_raised(self, sim):
+        def boom():
+            yield sim.timeout(1.0)
+            raise RuntimeError("boom")
+
+        sim.spawn(boom())
+        with pytest.raises(RuntimeError):
+            sim.run()
+        before = sim.events_processed
+        res = Resource(sim)
+
+        def proc():
+            yield res.acquire()
+
+        sim.run_until_event(sim.spawn(proc()))
+        # The kick-start, the acquire and the completion.
+        assert sim.events_processed - before == 3
+
+    def test_profiled_run_dispatches_the_same_count(self):
+        cfg = MicrobenchConfig(n_clients=2, threads_per_client=2,
+                               warmup_ns=20_000.0, measure_ns=20_000.0)
+        plain = run_flock(cfg)
+        profiled = run_flock(cfg, profile=True)
+        assert profiled.profile is not None
+        assert profiled.host["events"] == plain.host["events"]
+        assert profiled.ops == plain.ops
 
 
 class TestGarbageDiscipline:
