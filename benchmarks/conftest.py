@@ -8,6 +8,11 @@ are keyed by table title, so re-running a single figure refreshes its
 section without discarding the others.  No run ever drops a section:
 deleting a bench module means deleting its sections by hand.
 
+``results.txt`` takes only tables a run can vouch for
+(:func:`vouched_tables`): a full-scale run's tables from tests that
+passed with every scorecard passing.  Every other table is merged into
+a ``results.txt`` beside the scorecards instead.
+
 Figure benchmarks run a registered :class:`repro.harness.FigureSpec`
 through the :func:`run_figure` fixture, which records the spec's tables
 and its paper-fidelity scorecards (:func:`record_scorecard`); those land
@@ -31,17 +36,21 @@ and compare past sessions.  Set ``REPRO_RUNSTORE=0`` (or ``false``,
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Set, Tuple
 
 import pytest
 
 from repro.config import env_flag
 from repro.harness import FIGURES, bench_scale, format_table
 from repro.obs.audit import AUDIT_ENV
+from repro.obs.export import write_atomic
 from repro.obs.runstore import RunStore
 
-_TABLES: Dict[str, str] = {}
+#: Recorded tables by title line: (text, node id of the recording test).
+_TABLES: Dict[str, Tuple[str, str]] = {}
 _SCORECARDS: List[object] = []
+#: Node ids of tests that failed or recorded a failing scorecard.
+_FAILED: Set[str] = set()
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "results.txt")
 SCORECARD_DIR = os.environ.get(
@@ -49,10 +58,15 @@ SCORECARD_DIR = os.environ.get(
     os.path.join(os.path.dirname(__file__), "scorecards"))
 
 
+def _current_test() -> str:
+    """Node id of the running test (pytest sets the variable per phase)."""
+    return os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" ", 1)[0]
+
+
 def record_table(title: str, columns: Sequence[str], rows) -> str:
     """Register a reproduced paper table for the terminal summary."""
     text = format_table(title, columns, rows)
-    _TABLES[text.splitlines()[0]] = text
+    _TABLES[text.splitlines()[0]] = (text, _current_test())
     return text
 
 
@@ -60,6 +74,31 @@ def record_scorecard(scorecard) -> None:
     """Register a figure's ``BENCH_*.json`` scorecard for writing."""
     scorecard.meta.setdefault("bench_scale", bench_scale())
     _SCORECARDS.append(scorecard)
+    if not scorecard.passed:
+        _FAILED.add(_current_test())
+
+
+def pytest_runtest_logreport(report):
+    if report.failed:
+        _FAILED.add(report.nodeid)
+
+
+def vouched_tables(tables: Dict[str, Tuple[str, str]], failed: Set[str],
+                   scale: float) -> Tuple[Dict[str, str], Dict[str, str]]:
+    """Split recorded ``tables`` into those ``results.txt`` may take and
+    the rest.
+
+    ``results.txt`` holds full-scale numbers and carries no scale, so a
+    run at any other ``scale`` vouches for none of its tables.  At full
+    scale a table is vouched for unless the test that recorded it is in
+    ``failed``.
+    """
+    vouched: Dict[str, str] = {}
+    other: Dict[str, str] = {}
+    for title, (text, test) in tables.items():
+        keep = scale == 1.0 and test not in failed
+        (vouched if keep else other)[title] = text
+    return vouched, other
 
 
 @pytest.fixture
@@ -168,15 +207,22 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line("=" * 70)
     terminalreporter.write_line("Reproduced paper tables/figures")
     terminalreporter.write_line("=" * 70)
-    for text in _TABLES.values():
+    for text, _test in _TABLES.values():
         terminalreporter.write_line("")
         for line in text.splitlines():
             terminalreporter.write_line(line)
-    try:
-        with open(RESULTS_PATH) as fh:
-            existing = fh.read()
-    except OSError:
-        existing = ""
-    merged = _merge_results(existing, _TABLES)
-    with open(RESULTS_PATH, "w") as fh:
-        fh.write(merged)
+    vouched, other = vouched_tables(_TABLES, _FAILED, bench_scale())
+    terminalreporter.write_line("")
+    for path, tables in ((RESULTS_PATH, vouched),
+                         (os.path.join(SCORECARD_DIR, "results.txt"), other)):
+        if not tables:
+            continue
+        try:
+            with open(path) as fh:
+                existing = fh.read()
+        except OSError:
+            existing = ""
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write_atomic(path, _merge_results(existing, tables))
+        terminalreporter.write_line(
+            "results: %d table(s) merged into %s" % (len(tables), path))

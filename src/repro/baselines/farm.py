@@ -20,7 +20,7 @@ import itertools
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..net.fabric import Fabric, Node
-from ..sim import Event, Simulator, SpinLock, Store
+from ..sim import Event, Resource, Simulator, Store
 from ..verbs import QueuePair, Transport, Verb, WorkRequest
 from ..flock.message import CoalescedMessage, RpcRequest, RpcResponse
 from ..flock.ringbuf import RingBuffer
@@ -34,14 +34,19 @@ RING_SLOTS = 256
 
 
 class _RcChannel:
-    """One client QP with its rings and (optional) spinlock."""
+    """One client QP with its rings and (optional) spinlock.
+
+    The spinlock is a one-unit :class:`Resource`.  The simulation does not
+    model the core a spinning thread burns, so spinning shows up as
+    serialization, which is the effect that matters.
+    """
 
     __slots__ = ("index", "client_qp", "server_qp", "req_region", "resp_region",
                  "resp_ring", "lock", "pending", "posted")
 
     def __init__(self, index: int, client_qp: QueuePair, server_qp: QueuePair,
                  req_region, resp_region, resp_ring: RingBuffer,
-                 lock: Optional[SpinLock]):
+                 lock: Optional[Resource]):
         self.index = index
         self.client_qp = client_qp
         self.server_qp = server_qp
@@ -154,7 +159,7 @@ class RcRpcClient:
             client_qp.connect(server_qp)
             resp_region = self.node.memory.register(RING_SLOTS * 4096)
             resp_ring = RingBuffer(self.sim, resp_region, RING_SLOTS)
-            lock = SpinLock(self.sim) if threads_per_qp > 1 else None
+            lock = Resource(self.sim) if threads_per_qp > 1 else None
             channel = _RcChannel(index, client_qp, server_qp, req_region,
                                  resp_region, resp_ring, lock)
             channels.append(channel)

@@ -106,6 +106,7 @@ from ..obs import (
     write_chrome_trace,
 )
 from ..obs.audit import AUDIT_ENV
+from ..obs.export import write_atomic
 from ..search import (
     SearchConfig,
     explain_entry,
@@ -225,9 +226,8 @@ def cmd_search(args) -> int:
 
     if args.json:
         payload = {"search": result.to_dict(), "explanations": details}
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_atomic(args.json,
+                     json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print()
         print("wrote search result: %s" % args.json)
 
@@ -270,11 +270,8 @@ def _emit_attribution(args, telemetry) -> None:
         if args.attribution_json:
             report[label] = attribution_report(paths)
     if args.attribution_json:
-        import json
-
-        with open(args.attribution_json, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_atomic(args.attribution_json,
+                     json.dumps(report, indent=2, sort_keys=True) + "\n")
         print("wrote attribution report: %s (%d runs)"
               % (args.attribution_json, len(report)))
 
@@ -331,9 +328,8 @@ def _emit_explanations(args, per_figure) -> int:
         report[figure] = {"anomalies": block,
                           "explanations": [e.to_dict() for e in exps]}
     if getattr(args, "explain_json", None):
-        with open(args.explain_json, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_atomic(args.explain_json,
+                     json.dumps(report, indent=2, sort_keys=True) + "\n")
         print()
         print("wrote explanation report: %s (%d anomalies)"
               % (args.explain_json, total))
@@ -655,9 +651,9 @@ def main(argv: List[str] = None) -> int:
             faults.clear(name)
         disable()
     if args.slo_timeline:
-        with open(args.slo_timeline, "w") as fh:
-            json.dump(args.slo_blocks, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_atomic(args.slo_timeline,
+                     json.dumps(args.slo_blocks, indent=2, sort_keys=True)
+                     + "\n")
         print("wrote SLO timelines: %s (%d runs)"
               % (args.slo_timeline, len(args.slo_blocks)))
     if telemetry is not None:
@@ -672,8 +668,7 @@ def main(argv: List[str] = None) -> int:
             if args.critical_path == "-":
                 sys.stdout.write(folded)
             else:
-                with open(args.critical_path, "w") as fh:
-                    fh.write(folded)
+                write_atomic(args.critical_path, folded)
                 print("wrote folded stacks: %s (%d frames)"
                       % (args.critical_path, len(folded.splitlines())))
         if args.trace:
@@ -684,8 +679,7 @@ def main(argv: List[str] = None) -> int:
             folded = args.metrics_folded
             text = (folded.to_csv() if args.metrics.endswith(".csv")
                     else folded.to_json())
-            with open(args.metrics, "w") as fh:
-                fh.write(text)
+            write_atomic(args.metrics, text)
             print("wrote metrics snapshot: %s" % args.metrics)
     return rc
 

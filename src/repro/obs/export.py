@@ -1,4 +1,5 @@
-"""Telemetry exporters: Chrome trace-event JSON and breakdown tables.
+"""Telemetry exporters: Chrome trace-event JSON, breakdown tables, and
+the one atomic file writer every artifact goes through.
 
 The Chrome trace-event format (the JSON array flavour) is understood by
 ``chrome://tracing`` and Perfetto, which makes a simulated run visually
@@ -12,11 +13,16 @@ are microseconds in the trace file — virtual nanoseconds divided by
 dict as the harness's paper-style text table, rows in the canonical
 :data:`~repro.obs.span.PHASES` order, laid out by ``format_table``,
 which the attribution table shares.
+
+``write_atomic`` writes every artifact file (scorecards, traces, the
+CLI's JSON and CSV outputs, ``benchmarks/results.txt``): a reader sees
+the old file or the new one, never a torn one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from typing import Any, Dict, List, Optional
 
 from .span import SpanLog, phase_rank
@@ -26,7 +32,27 @@ __all__ = [
     "write_chrome_trace",
     "format_breakdown",
     "format_table",
+    "write_atomic",
 ]
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Replace the file ``path`` with ``text`` in one step.
+
+    The text goes to a temporary file in the same directory, which then
+    takes ``path``'s place with ``os.replace``.  If the write fails
+    partway (a full disk, an interrupted run), the temporary file is
+    removed and ``path`` keeps its old bytes.
+    """
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def chrome_trace(log: SpanLog) -> Dict[str, Any]:
@@ -77,8 +103,7 @@ def chrome_trace(log: SpanLog) -> Dict[str, Any]:
 
 def write_chrome_trace(log: SpanLog, path: str) -> None:
     """Serialize :func:`chrome_trace` to ``path``."""
-    with open(path, "w") as fh:
-        json.dump(chrome_trace(log), fh)
+    write_atomic(path, json.dumps(chrome_trace(log)))
 
 
 def format_breakdown(table: Dict[str, Dict[str, float]],

@@ -19,6 +19,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from .export import write_atomic
+
 __all__ = [
     "Metric",
     "Check",
@@ -130,9 +132,8 @@ class Scorecard:
         path."""
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, scorecard_filename(self.figure))
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_atomic(path, json.dumps(self.to_dict(), indent=2,
+                                      sort_keys=True) + "\n")
         return path
 
     def format(self) -> str:

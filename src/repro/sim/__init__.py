@@ -4,7 +4,6 @@ from .core import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -19,20 +18,18 @@ from .rand import (
     percentile,
     summarize_latencies,
 )
-from .resources import Resource, SpinLock, Store, TokenBucket, TrackedStore
+from .resources import Resource, Store, TokenBucket, TrackedStore
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
     "HotColdGenerator",
-    "Interrupt",
     "Process",
     "RandomSource",
     "Resource",
     "SimulationError",
     "Simulator",
-    "SpinLock",
     "Store",
     "Streams",
     "Timeout",

@@ -56,7 +56,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "AnyOf",
     "AllOf",
     "SimulationError",
@@ -67,37 +66,21 @@ class SimulationError(Exception):
     """Raised for kernel-level misuse (double trigger, bad yields, ...)."""
 
 
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The interrupting party passes ``cause`` to describe why.  No model
-    component interrupts a process: when the sender-side thread scheduler
-    deactivates a QP, it re-homes the QP's threads and queued sends
-    (``_migrate_stranded``, ``_apply_active_set`` in
-    :mod:`repro.flock.rpc`) instead of interrupting their waits.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence in virtual time.
 
     An event starts *pending*; it becomes *triggered* when :meth:`succeed`
-    or :meth:`fail` is called, at which point it is placed on the simulator
-    schedule and its callbacks run when the loop reaches it.  Processes
-    wait on events by yielding them.
+    is called, at which point it is placed on the simulator schedule and
+    its callbacks run when the loop reaches it.  An event only ever
+    succeeds.  Processes wait on events by yielding them.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_exc", "_triggered", "_processed")
+    __slots__ = ("sim", "callbacks", "_value", "_triggered", "_processed")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = None
-        self._exc: Optional[BaseException] = None
         self._triggered = False
         self._processed = False
 
@@ -112,39 +95,18 @@ class Event:
         return self._processed
 
     @property
-    def ok(self) -> bool:
-        """True if the event succeeded (only meaningful once triggered)."""
-        return self._triggered and self._exc is None
-
-    @property
     def value(self) -> Any:
         if not self._triggered:
             raise SimulationError("value of untriggered event")
-        if self._exc is not None:
-            raise self._exc
         return self._value
 
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Trigger the event successfully, firing after ``delay`` ns."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger the event, firing at the current instant."""
         if self._triggered:
             raise SimulationError("event already triggered")
         self._triggered = True
         self._value = value
-        if delay == 0.0:
-            self.sim._ready_append(self)
-        else:
-            self.sim._schedule(self, delay)
-        return self
-
-    def fail(self, exc: BaseException) -> "Event":
-        """Trigger the event with an exception delivered to waiters."""
-        if self._triggered:
-            raise SimulationError("event already triggered")
-        if not isinstance(exc, BaseException):
-            raise TypeError("fail() requires an exception instance")
-        self._triggered = True
-        self._exc = exc
-        self.sim._schedule(self, 0.0)
+        self.sim._ready_append(self)
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -176,18 +138,18 @@ class Process(Event):
     """A generator-based coroutine running in virtual time.
 
     The wrapped generator yields :class:`Event` objects; the process sleeps
-    until each yielded event fires, then resumes with the event's value (or
-    with its exception raised inside the generator).  The process itself is
-    an event that fires when the generator returns, carrying the return
-    value — so processes can wait on each other.
+    until each yielded event fires, then resumes with the event's value.
+    The process itself is an event that fires when the generator returns,
+    carrying the return value — so processes can wait on each other.  An
+    exception the generator raises propagates out of :meth:`Simulator.run`.
 
-    The resume path dispatches through bound callables precomputed at
-    construction (``gen.send`` / ``gen.throw``) and attaches itself to the
-    yielded target via its ``add_callback`` — duck typing instead of a
-    per-yield ``isinstance`` check.
+    The resume path dispatches through ``gen.send``, bound once at
+    construction, and attaches itself straight to the yielded target's
+    callback list — duck typing instead of a per-yield ``isinstance``
+    check.
     """
 
-    __slots__ = ("gen", "name", "_waiting_on", "_send", "_throw", "_cb")
+    __slots__ = ("gen", "name", "_send", "_cb")
 
     def __init__(self, sim: "Simulator", gen: ProcessGen, name: str = ""):
         super().__init__(sim)
@@ -195,14 +157,12 @@ class Process(Event):
             raise TypeError("Process requires a generator, got %r" % (gen,))
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
         self._send = gen.send
-        self._throw = gen.throw
         #: The resume callback, bound once — attaching ``self._resume``
         #: directly would allocate a fresh bound method on every yield.
-        #: It references ``self``, so ``_resume`` clears it on every
-        #: terminal path: a finished process is then acyclic and freed by
-        #: refcount instead of waiting for the cyclic garbage collector.
+        #: It references ``self``, so ``_resume`` clears it when the
+        #: generator returns: a finished process is then acyclic and freed
+        #: by refcount instead of waiting for the cyclic garbage collector.
         self._cb = self._resume
         # Kick-start at the current time.
         init = Event(sim)
@@ -213,54 +173,18 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        A no-op if the process has already finished.
-        """
-        if self._triggered:
-            return
-        waited = self._waiting_on
-        if waited is not None and not waited._processed:
-            # Detach from the event we were waiting on; it may still fire
-            # later but must not resume us twice.
-            if waited.callbacks is not None and self._cb in waited.callbacks:
-                waited.callbacks.remove(self._cb)
-        self._waiting_on = None
-        interrupt_ev = Event(self.sim)
-        interrupt_ev.callbacks.append(self._cb)
-        interrupt_ev.fail(Interrupt(cause))
-
     def _resume(self, event: Event) -> None:
-        if self._triggered:
-            # A stale wake-up (e.g. a second interrupt scheduled in the
-            # same instant the process finished) must not resume a
-            # completed generator.
-            return
-        # A loop, not recursion: a run of yields whose targets have
+        # The resume callback sits on one pending event at a time and
+        # nothing else can wake the process, so a finished process is
+        # never resumed again.  A loop, not recursion: a run of yields whose targets have
         # already fired (see Simulator.satisfied) resumes in place
         # without growing the stack.
         while True:
             try:
-                if event._exc is None:
-                    target = self._send(event._value)
-                else:
-                    target = self._throw(event._exc)
+                target = self._send(event._value)
             except StopIteration as stop:
                 self._cb = None
                 self.succeed(stop.value)
-                return
-            except Interrupt:
-                # Interrupt escaped the generator: unhandled interruption
-                # is a cancellation, not a crash.
-                self._cb = None
-                self.succeed(None)
-                return
-            except BaseException as exc:
-                if self.sim.strict:
-                    raise
-                self._cb = None
-                self.fail(exc)
                 return
             # Fast-path dispatch: every legitimate yield target is an
             # Event; reaching straight for its callback list replaces
@@ -272,7 +196,6 @@ class Process(Event):
                     "process %r yielded %r (must yield Event)"
                     % (self.name, target)
                 )
-            self._waiting_on = target
             if cbs is not None:
                 cbs.append(self._cb)
                 return
@@ -287,13 +210,13 @@ class _DetachedProcess(Process):
     Returning from the generator fires no event: the process is marked
     processed with its value on the spot and schedules nothing, so a
     fire-and-forget operation costs one dispatch fewer than a plain
-    :class:`Process`.  ``fail`` is inherited and still schedules, so an
-    error under ``strict=False`` surfaces like any other process's.
+    :class:`Process`.  An exception it raises propagates out of
+    :meth:`Simulator.run` like any other process's.
     """
 
     __slots__ = ()
 
-    def succeed(self, value: Any = None, delay: float = 0.0) -> Event:
+    def succeed(self, value: Any = None) -> Event:
         if self._triggered:
             raise SimulationError("event already triggered")
         if self.callbacks:
@@ -327,19 +250,16 @@ class _Condition(Event):
             ev.add_callback(self._check)
 
     def _results(self) -> dict:
-        return {
-            ev: ev._value for ev in self.events if ev._processed and ev._exc is None
-        }
+        return {ev: ev._value for ev in self.events if ev._processed}
 
     def _detach(self) -> None:
         """Remove this condition's callback from still-pending events.
 
-        Called as soon as the condition's outcome is decided: the losers
-        of an :class:`AnyOf` (or the not-yet-fired events of a failed
-        :class:`AllOf`) may stay pending for a long time — or forever —
-        and without the detach every decided condition would leave a dead
-        callback behind, growing those events' callback lists without
-        bound over a long sweep.
+        Called as soon as an :class:`AnyOf` is decided: its losers may
+        stay pending for a long time — or forever — and without the
+        detach every decided condition would leave a dead callback
+        behind, growing those events' callback lists without bound over
+        a long sweep.
         """
         check = self._check
         for ev in self.events:
@@ -362,10 +282,7 @@ class AnyOf(_Condition):
     def _check(self, event: Event) -> None:
         if self._triggered:
             return
-        if event._exc is not None:
-            self.fail(event._exc)
-        else:
-            self.succeed(self._results())
+        self.succeed(self._results())
         self._detach()
 
 
@@ -375,12 +292,6 @@ class AllOf(_Condition):
     __slots__ = ()
 
     def _check(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event._exc is not None:
-            self.fail(event._exc)
-            self._detach()
-            return
         self._n_fired += 1
         if self._n_fired == len(self.events):
             self.succeed(self._results())
@@ -402,9 +313,8 @@ class Simulator:
         assert sim.now == 100 and proc.value == "done"
     """
 
-    def __init__(self, strict: bool = True):
+    def __init__(self):
         self.now: float = 0.0
-        self.strict = strict
         #: Delayed events: (fire time, seq, event) tuples.  ``seq`` is
         #: unique, so comparisons never reach the Event in slot 2.
         self._heap: List[tuple] = []
@@ -447,18 +357,6 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float) -> None:
-        if delay == 0.0:
-            self._ready_append(event)
-        elif delay > 0:
-            when = self.now + delay
-            if when > self.now:
-                heapq.heappush(self._heap, (when, self._next_seq(), event))
-            else:
-                self._ready_append(event)
-        else:
-            raise SimulationError("cannot schedule into the past")
-
     def event(self) -> Event:
         """A fresh pending event to be triggered manually."""
         # Flattened Event.__init__ — sim.event() is a per-RPC allocation.
@@ -466,7 +364,6 @@ class Simulator:
         ev.sim = self
         ev.callbacks = []
         ev._value = None
-        ev._exc = None
         ev._triggered = False
         ev._processed = False
         return ev
@@ -496,7 +393,6 @@ class Simulator:
                 ev.sim = self
                 ev.callbacks = None
                 ev._value = value
-                ev._exc = None
                 ev._triggered = True
                 ev._processed = True
                 return ev
@@ -515,7 +411,6 @@ class Simulator:
         ev.sim = self
         ev.callbacks = []
         ev._value = value
-        ev._exc = None
         ev._triggered = True
         ev._processed = False
         if delay == 0.0:

@@ -2,8 +2,8 @@
 
 These model contention: a CPU core, an RNIC processing unit, or a lock is a
 :class:`Resource`; a completion queue or a ring of incoming messages is a
-:class:`Store`.  All wait queues are strictly FIFO so simulations stay
-deterministic.
+:class:`Store`.  Every wait queue is first in, first out, so simulations
+stay deterministic.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Any, Deque, Optional
 
 from .core import Event, SimulationError, Simulator
 
-__all__ = ["Resource", "Store", "SpinLock", "TokenBucket", "TrackedStore"]
+__all__ = ["Resource", "Store", "TokenBucket", "TrackedStore"]
 
 
 class Resource:
@@ -29,7 +29,7 @@ class Resource:
     """
 
     __slots__ = ("sim", "capacity", "name", "_in_use", "_waiters",
-                 "contended", "wait_ns")
+                 "contended")
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -42,9 +42,6 @@ class Resource:
         self._waiters: Deque[Event] = deque()
         #: Acquires that found the resource full (always counted).
         self.contended = 0
-        #: Cumulative contended-wait ns (only accumulated for traced
-        #: acquires, i.e. when a span was passed in).
-        self.wait_ns = 0.0
 
     @property
     def in_use(self) -> int:
@@ -74,25 +71,14 @@ class Resource:
         self._waiters.append(ev)
         self.contended += 1
         if span is not None:
-            t0 = self.sim.now
             resource = self.name or "resource"
-            span.open(resource, t0)
+            span.open(resource, self.sim.now)
 
             def _note(_ev: Event) -> None:
-                waited = self.sim.now - t0
-                if waited > 0:
-                    self.wait_ns += waited
                 span.close(resource, self.sim.now)
 
             ev.add_callback(_note)
         return ev
-
-    def try_acquire(self) -> bool:
-        """Non-blocking acquire; True on success."""
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return True
-        return False
 
     def release(self) -> None:
         if self._in_use <= 0:
@@ -104,39 +90,22 @@ class Resource:
             self._in_use -= 1
 
 
-class SpinLock(Resource):
-    """A mutex that also charges CPU time while waiting.
-
-    Models FaRM-style spinlock QP sharing: a thread spin-waiting on a lock
-    burns its core.  In the DES we do not model core stealing, so the
-    "burn" shows up as serialization, which is the effect that matters.
-    """
-
-    __slots__ = ("contended_acquires", "total_acquires")
-
-    def __init__(self, sim: Simulator):
-        super().__init__(sim, capacity=1)
-        self.contended_acquires = 0
-        self.total_acquires = 0
-
-    def acquire(self, span: Any = None) -> Event:
-        self.total_acquires += 1
-        if self._in_use >= self.capacity:
-            self.contended_acquires += 1
-        return super().acquire(span)
-
-
 class Store:
     """An unbounded (or bounded) FIFO channel of items between processes.
 
-    ``items``, ``_getters`` and ``_putters`` start as ``None`` and become
-    deques on their first append: most stores in a run (a QP's receive
-    buffers, its CQs) never hold anything, and an empty deque costs about
-    760 bytes.  Every emptiness test is a truthiness test, so ``None``
-    reads as empty.
+    Producers never block: :meth:`try_put` hands an item to the
+    longest-waiting getter or queues it, and refuses it (returns False)
+    when ``capacity`` items are already queued.  Consumers wait with
+    :meth:`get` or poll with :meth:`try_get`.
+
+    ``items`` and ``_getters`` start as ``None`` and become deques on
+    their first append: most stores in a run (a QP's receive buffers,
+    its CQs) never hold anything, and an empty deque costs about 760
+    bytes.  Every emptiness test is a truthiness test, so ``None`` reads
+    as empty.
     """
 
-    __slots__ = ("sim", "capacity", "items", "_getters", "_putters")
+    __slots__ = ("sim", "capacity", "items", "_getters")
 
     def __init__(self, sim: Simulator, capacity: Optional[int] = None):
         if capacity is not None and capacity < 1:
@@ -145,31 +114,10 @@ class Store:
         self.capacity = capacity
         self.items: Optional[Deque[Any]] = None
         self._getters: Optional[Deque[Event]] = None
-        self._putters: Optional[Deque[tuple]] = None
 
     def __len__(self) -> int:
         items = self.items
         return 0 if items is None else len(items)
-
-    def put(self, item: Any) -> Event:
-        """Event that fires once the item is in the store."""
-        ev = self.sim.event()
-        if self._getters:
-            # Direct hand-off to the longest-waiting getter.
-            self._getters.popleft().succeed(item)
-            ev.succeed()
-            return ev
-        items = self.items
-        if items is None:
-            items = self.items = deque()
-        if self.capacity is None or len(items) < self.capacity:
-            items.append(item)
-            ev.succeed()
-        else:
-            if self._putters is None:
-                self._putters = deque()
-            self._putters.append((ev, item))
-        return ev
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put; False if the store is full."""
@@ -192,12 +140,7 @@ class Store:
         """
         items = self.items
         if items:
-            item = items.popleft()
-            if self._putters:
-                put_ev, put_item = self._putters.popleft()
-                items.append(put_item)
-                put_ev.succeed()
-            return self.sim.satisfied(item)
+            return self.sim.satisfied(items.popleft())
         ev = self.sim.event()
         if self._getters is None:
             self._getters = deque()
@@ -209,12 +152,7 @@ class Store:
         items = self.items
         if not items:
             return False, None
-        item = items.popleft()
-        if self._putters:
-            put_ev, put_item = self._putters.popleft()
-            items.append(put_item)
-            put_ev.succeed()
-        return True, item
+        return True, items.popleft()
 
 
 class TrackedStore(Store):
@@ -268,12 +206,6 @@ class TrackedStore(Store):
             self.area += len(self) * (now - self._area_t)
             self._area_t = now
 
-    def _sync_arrivals(self) -> None:
-        """Stamp arrivals for items a queued putter just slid in."""
-        while len(self.arrivals) < len(self):
-            self.arrivals.append(self.sim.now)
-            self.accepted += 1
-
     def _note_pop(self) -> None:
         self.wait_ns += self.sim.now - self.arrivals.popleft()
         self.reaped += 1
@@ -284,21 +216,6 @@ class TrackedStore(Store):
         return sum(now - t for t in self.arrivals)
 
     # -- tracked mutators ------------------------------------------------
-
-    def put(self, item: Any) -> Event:
-        if not self.track:
-            return super().put(item)
-        self._tick()
-        handed = bool(self._getters)
-        depth_before = len(self)
-        ev = super().put(item)
-        if handed:
-            self.accepted += 1
-            self.reaped += 1
-        elif len(self) > depth_before:
-            self.accepted += 1
-            self.arrivals.append(self.sim.now)
-        return ev
 
     def try_put(self, item: Any) -> bool:
         if not self.track:
@@ -322,7 +239,6 @@ class TrackedStore(Store):
         ev = super().get()
         if had_item:
             self._note_pop()
-            self._sync_arrivals()
         return ev
 
     def try_get(self) -> tuple:
@@ -332,7 +248,6 @@ class TrackedStore(Store):
         ok, item = super().try_get()
         if ok:
             self._note_pop()
-            self._sync_arrivals()
         return ok, item
 
 

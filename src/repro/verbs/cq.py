@@ -73,7 +73,7 @@ class CompletionQueue:
             wc.span.add_phase("cq_poll", t0, self.sim.now)
 
     def _reap_cb(self, ev: Event) -> None:
-        if ev.ok and isinstance(ev.value, Completion):
+        if isinstance(ev.value, Completion):
             self._note_reap(ev.value)
 
     def poll(self, max_entries: int = 16) -> List[Completion]:

@@ -90,7 +90,7 @@ class TestSimProfile:
         sim.timeout(5.0).add_callback(_noop)      # -> app;timer
         ev = sim.event()
         ev.add_callback(_noop)                    # -> app;callback
-        ev.succeed(delay=7.0)
+        sim.timeout(7.0).add_callback(lambda _t: ev.succeed())
         prof = SimProfile(100.0, 200.0)
         sim.run_profiled(prof, until=until)
         return sim, prof

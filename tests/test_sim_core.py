@@ -10,7 +10,6 @@ from repro.sim import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Resource,
     SimulationError,
     Simulator,
@@ -42,11 +41,6 @@ class TestEvent:
         with pytest.raises(SimulationError):
             ev.succeed(2)
 
-    def test_fail_requires_exception(self, sim):
-        ev = sim.event()
-        with pytest.raises(TypeError):
-            ev.fail("not an exception")
-
     def test_value_before_trigger_raises(self, sim):
         ev = sim.event()
         with pytest.raises(SimulationError):
@@ -59,19 +53,6 @@ class TestEvent:
         seen = []
         ev.add_callback(lambda e: seen.append(e.value))
         assert seen == ["x"]
-
-    def test_fail_propagates_to_waiter(self, sim):
-        ev = sim.event()
-
-        def proc():
-            with pytest.raises(ValueError):
-                yield ev
-            return "handled"
-
-        p = sim.spawn(proc())
-        ev.fail(ValueError("boom"))
-        sim.run()
-        assert p.value == "handled"
 
 
 class TestTimeout:
@@ -155,17 +136,6 @@ class TestProcess:
         with pytest.raises(RuntimeError):
             sim.run()
 
-    def test_exception_captured_when_not_strict(self):
-        sim = Simulator(strict=False)
-
-        def proc():
-            yield sim.timeout(1)
-            raise RuntimeError("kaboom")
-
-        p = sim.spawn(proc())
-        sim.run()
-        assert p.triggered and not p.ok
-
 
 class TestDetachedProcess:
     @staticmethod
@@ -185,7 +155,7 @@ class TestDetachedProcess:
         sim, p = self._run(detached=True)
         assert sim.now == 15
         assert not p.is_alive
-        assert p.processed and p.ok and p.value == "done"
+        assert p.processed and p.value == "done"
 
     def test_completion_fires_no_event(self):
         plain, _ = self._run(detached=False)
@@ -203,59 +173,14 @@ class TestDetachedProcess:
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_failure_still_fires_when_not_strict(self):
-        sim = Simulator(strict=False)
-
+    def test_exception_propagates(self, sim):
         def proc():
             yield sim.timeout(1)
             raise RuntimeError("kaboom")
 
-        p = sim.spawn(proc(), detached=True)
-        sim.run()
-        assert p.processed and not p.ok
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_sleeper(self, sim):
-        def sleeper():
-            try:
-                yield sim.timeout(1000)
-                return "slept"
-            except Interrupt as intr:
-                return ("interrupted", intr.cause, sim.now)
-
-        p = sim.spawn(sleeper())
-
-        def interrupter():
-            yield sim.timeout(10)
-            p.interrupt(cause="wake up")
-
-        sim.spawn(interrupter())
-        sim.run()
-        assert p.value == ("interrupted", "wake up", 10)
-
-    def test_interrupt_finished_process_is_noop(self, sim):
-        def proc():
-            yield sim.timeout(1)
-
-        p = sim.spawn(proc())
-        sim.run()
-        p.interrupt()  # must not raise
-
-    def test_unhandled_interrupt_cancels(self, sim):
-        def sleeper():
-            yield sim.timeout(1000)
-            return "never"
-
-        p = sim.spawn(sleeper())
-
-        def interrupter():
-            yield sim.timeout(5)
-            p.interrupt()
-
-        sim.spawn(interrupter())
-        sim.run()
-        assert p.processed and p.value is None
+        sim.spawn(proc(), detached=True)
+        with pytest.raises(RuntimeError, match="kaboom"):
+            sim.run()
 
 
 class TestConditions:
@@ -373,34 +298,16 @@ class TestFastPathRegressions:
 
         assert run_gen(sim, proc()) <= 1
 
-    def test_allof_detaches_on_failure(self, sim):
-        """When one constituent fails, AllOf stops watching the rest."""
-        pending = sim.event()
-
-        def proc():
-            doomed = sim.event()
-            cond = sim.all_of([doomed, pending])
-            doomed.fail(RuntimeError("boom"))
-            try:
-                yield cond
-            except RuntimeError:
-                pass
-            return len(pending.callbacks)
-
-        assert run_gen(sim, proc()) == 0
-
     def test_condition_decided_while_built_attaches_no_more(self, sim):
         """A constituent that has already fired can decide the condition
         while it is being built; the events after it must not get a dead
         callback."""
-        fired, doomed = sim.event(), sim.event()
+        fired = sim.event()
         fired.succeed("done")
-        doomed.fail(RuntimeError("boom"))
         sim.run()
         pending = sim.event()
         won = sim.any_of([fired, pending])
-        lost = sim.all_of([doomed, pending])
-        assert won.triggered and lost.triggered
+        assert won.triggered
         assert pending.callbacks == []
 
     def test_heap_ties_never_compare_events(self, sim):
@@ -647,26 +554,20 @@ class TestGarbageDiscipline:
             if was_enabled:
                 gc.enable()
 
-    @pytest.mark.parametrize("ending", ["return", "interrupt", "fail"])
+    @pytest.mark.parametrize("ending", ["return"])
     def test_terminal_paths_drop_the_resume_callback(self, ending):
-        sim = Simulator(strict=False)
+        """A process ends only by returning (an exception aborts the
+        run), and returning drops the resume callback."""
+        sim = Simulator()
 
         def proc():
             yield sim.timeout(10)
-            if ending == "fail":
-                raise RuntimeError("kaboom")
+            return "done"
 
         p = sim.spawn(proc())
-        if ending == "interrupt":
-            sim.run(until=5)
-            p.interrupt()
         sim.run()
-        assert p.triggered and p._cb is None
-        value_ok = p.ok
-        p.interrupt()  # still a no-op: schedules nothing, raises nothing
+        assert p.processed and p.value == "done" and p._cb is None
         assert not sim._ready and not sim._heap
-        sim.run()
-        assert p.ok == value_ok and p._cb is None
 
     @pytest.mark.parametrize("name", sorted(RUNNERS) + [TRACED_FLOCK])
     def test_run_loop_leaves_no_cyclic_garbage(self, name, monkeypatch,

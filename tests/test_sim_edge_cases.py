@@ -2,46 +2,12 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Resource,
-    SimulationError,
-    Simulator,
-    Store,
-)
+from repro.sim import SimulationError, Store
 
 from conftest import run_gen
 
 
 class TestConditionFailures:
-    def test_any_of_propagates_failure(self, sim):
-        def proc():
-            good = sim.timeout(100)
-            bad = sim.event()
-            bad.fail(RuntimeError("boom"))
-            try:
-                yield sim.any_of([good, bad])
-            except RuntimeError as exc:
-                return str(exc)
-            return "no error"
-
-        assert run_gen(sim, proc()) == "boom"
-
-    def test_all_of_fails_fast(self, sim):
-        def proc():
-            slow = sim.timeout(1_000_000)
-            bad = sim.event()
-            bad.fail(ValueError("nope"))
-            try:
-                yield sim.all_of([slow, bad])
-            except ValueError:
-                return sim.now
-
-        assert run_gen(sim, proc(), until=2_000_000) == 0
-
     def test_any_of_with_already_processed_event(self, sim):
         done = sim.event()
         done.succeed("early")
@@ -52,49 +18,6 @@ class TestConditionFailures:
             return result[done]
 
         assert run_gen(sim, proc()) == "early"
-
-
-class TestInterruptEdges:
-    def test_interrupt_during_resource_wait_releases_nothing(self, sim):
-        res = Resource(sim, 1)
-        res.try_acquire()
-        outcomes = []
-
-        def waiter():
-            try:
-                yield res.acquire()
-                outcomes.append("acquired")
-            except Interrupt:
-                outcomes.append("interrupted")
-
-        proc = sim.spawn(waiter())
-
-        def interrupter():
-            yield sim.timeout(10)
-            proc.interrupt()
-
-        sim.spawn(interrupter())
-        sim.run()
-        assert outcomes == ["interrupted"]
-        assert res.in_use == 1  # holder unaffected
-
-    def test_double_interrupt_is_safe(self, sim):
-        def sleeper():
-            try:
-                yield sim.timeout(100)
-            except Interrupt:
-                return "once"
-
-        proc = sim.spawn(sleeper())
-
-        def interrupter():
-            yield sim.timeout(5)
-            proc.interrupt()
-            proc.interrupt()  # second is a no-op once finished
-
-        sim.spawn(interrupter())
-        sim.run()
-        assert proc.value == "once"
 
 
 class TestStoreEdges:
@@ -114,44 +37,22 @@ class TestStoreEdges:
         sim.run()
         assert order == [("a", 1), ("b", 2), ("c", 3)]
 
-    def test_blocked_putters_fifo(self, sim):
-        store = Store(sim, capacity=1)
-        store.try_put("x")
-        done = []
-
-        def putter(tag):
-            yield store.put(tag)
-            done.append(tag)
-
-        sim.spawn(putter("p1"))
-        sim.spawn(putter("p2"))
-        sim.run()
-        assert done == []
-        ok, item = store.try_get()
-        assert ok and item == "x"
-        sim.run()
-        assert done == ["p1"]
-        ok, item = store.try_get()
-        assert item == "p1"
-        sim.run()
-        assert done == ["p1", "p2"]
-
 
 class TestClockEdges:
     def test_events_at_identical_times_fire_in_creation_order(self, sim):
         order = []
         for tag in range(5):
-            ev = sim.event()
+            ev = sim.timeout(100)
             ev.add_callback(lambda e, tag=tag: order.append(tag))
-            ev.succeed(delay=100)
         sim.run()
         assert order == [0, 1, 2, 3, 4]
 
     def test_schedule_into_past_rejected(self, sim):
         sim.run(until=100)
-        ev = Event(sim)
+        with pytest.raises(ValueError):
+            sim.timeout(-10)
         with pytest.raises(SimulationError):
-            ev.succeed(delay=-10)
+            sim.run(until=50)
 
     def test_zero_duration_run(self, sim):
         sim.run(until=0)

@@ -1,9 +1,9 @@
-"""Resources, stores, spinlocks, token buckets."""
+"""Resources, stores, token buckets."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import (Resource, SimulationError, Simulator, SpinLock, Store,
+from repro.sim import (Resource, SimulationError, Simulator, Store,
                        TokenBucket, TrackedStore)
 
 from conftest import run_gen
@@ -37,13 +37,6 @@ class TestResource:
         with pytest.raises(SimulationError):
             res.release()
 
-    def test_try_acquire(self, sim):
-        res = Resource(sim, capacity=1)
-        assert res.try_acquire()
-        assert not res.try_acquire()
-        res.release()
-        assert res.try_acquire()
-
     def test_bad_capacity(self, sim):
         with pytest.raises(ValueError):
             Resource(sim, capacity=0)
@@ -70,29 +63,14 @@ class TestResource:
         assert res.in_use == 0
 
 
-class TestSpinLock:
-    def test_counts_contended_acquires(self, sim):
-        lock = SpinLock(sim)
-
-        def proc():
-            yield lock.acquire()
-            yield sim.timeout(10)
-            lock.release()
-
-        for _ in range(4):
-            sim.spawn(proc())
-        sim.run()
-        assert lock.total_acquires == 4
-        assert lock.contended_acquires == 3
-
-
 class TestStore:
     def test_put_get_fifo(self, sim):
         store = Store(sim)
 
         def producer():
             for i in range(5):
-                yield store.put(i)
+                assert store.try_put(i)
+                yield sim.timeout(1)
 
         def consumer():
             out = []
@@ -117,27 +95,6 @@ class TestStore:
 
         sim.spawn(producer())
         assert run_gen(sim, consumer()) == ("late", 42)
-
-    def test_capacity_blocks_putter(self, sim):
-        store = Store(sim, capacity=1)
-        times = []
-
-        def producer():
-            yield store.put("a")
-            times.append(sim.now)
-            yield store.put("b")
-            times.append(sim.now)
-
-        def consumer():
-            yield sim.timeout(30)
-            ok, item = store.try_get()
-            assert ok and item == "a"
-
-        sim.spawn(producer())
-        sim.spawn(consumer())
-        sim.run()
-        assert times[0] == 0
-        assert times[1] == 30  # blocked until the consumer drained
 
     def test_try_put_respects_capacity(self, sim):
         store = Store(sim, capacity=2)
@@ -171,7 +128,7 @@ class TestStore:
     def test_fresh_store_holds_no_deque(self, sim):
         store = Store(sim)
         assert store.items is None
-        assert store._getters is None and store._putters is None
+        assert store._getters is None
         assert len(store) == 0
         assert store.try_get() == (False, None)
         assert store.items is None  # a failed get queues nothing
@@ -183,9 +140,8 @@ class TestStore:
         store.try_put("handed")  # straight to the parked getter
         assert store.items is None
         store.try_put("queued")
-        store.put("blocked")
+        assert not store.try_put("refused")
         assert list(store.items) == ["queued"]
-        assert len(store._putters) == 1
 
     def test_untracked_store_keeps_no_arrivals(self, sim):
         assert TrackedStore(sim).arrivals is None

@@ -413,7 +413,7 @@ class TestQueuePairFootprint:
             cq_stores = (qp.send_cq._store, qp.recv_cq._store)
             for store in cq_stores + (qp.recv_buffers,):
                 assert store.items is None
-                assert store._getters is None and store._putters is None
+                assert store._getters is None
             assert all(store.arrivals is None for store in cq_stores)
             assert len(qp.send_cq) == 0 and qp.recv_posted == 0
 
