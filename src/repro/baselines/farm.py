@@ -194,10 +194,10 @@ class RcRpcClient:
         if channel.lock is not None:
             yield channel.lock.acquire()
         try:
-            yield self.sim.timeout(self.cpu.marshal_ns
-                                   + self.cpu.copy_ns_per_byte * size
-                                   + self.cpu.header_build_ns
-                                   + self.cpu.mmio_ns)
+            yield self.sim.sleep(self.cpu.marshal_ns
+                                 + self.cpu.copy_ns_per_byte * size
+                                 + self.cpu.header_build_ns
+                                 + self.cpu.mmio_ns)
             msg = CoalescedMessage(entries=[request])
             channel.posted += 1
             channel.client_qp.post_send(WorkRequest(

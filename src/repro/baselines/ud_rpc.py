@@ -187,13 +187,13 @@ class UdEndpoint:
         self.pending[req_id] = ev
         # Marshalling + doorbell are on the critical path; the software
         # transport bookkeeping overlaps the request's flight time.
-        yield self.sim.timeout(self.cpu.marshal_ns + self.cpu.mmio_ns)
+        yield self.sim.sleep(self.cpu.marshal_ns + self.cpu.mmio_ns)
         self.qp.post_send(
             WorkRequest(verb=Verb.SEND, length=size, signaled=False,
                         payload=request),
             remote=server_qp, wait=False,
         )
-        yield self.sim.timeout(self.cpu.ud_sw_transport_ns + self.extra_sw_ns)
+        yield self.sim.sleep(self.cpu.ud_sw_transport_ns + self.extra_sw_ns)
         if self.timeout_ns is not None:
             timeout = self.sim.timeout(self.timeout_ns)
             result = yield self.sim.any_of([ev, timeout])
@@ -220,7 +220,7 @@ class UdEndpoint:
         msg_id = next(_req_ids)
         chunks = segment(nbytes, 4096)
         for idx, chunk_len in enumerate(chunks):
-            yield self.sim.timeout(self.cpu.marshal_ns + self.cpu.mmio_ns)
+            yield self.sim.sleep(self.cpu.marshal_ns + self.cpu.mmio_ns)
             self.qp.post_send(
                 WorkRequest(verb=Verb.SEND, length=chunk_len, signaled=False,
                             payload=UdChunk(msg_id, idx, len(chunks),
@@ -240,10 +240,10 @@ class UdEndpoint:
         while True:
             wc = yield self.qp.recv_cq.wait_pop()
             response: UdResponse = wc.payload
-            yield self.sim.timeout(self.cpu.cq_poll_ns)
+            yield self.sim.sleep(self.cpu.cq_poll_ns)
             ev = self.pending.pop(response.req_id, None)
             if ev is not None and not ev.triggered:
                 ev.succeed(response)
             # Recycling the receive ring happens after delivery.
             self.qp.post_recv(4096)
-            yield self.sim.timeout(self.cpu.ud_recv_recycle_ns)
+            yield self.sim.sleep(self.cpu.ud_recv_recycle_ns)

@@ -145,13 +145,23 @@ class CpuConfig:
     marshal_ns: float = 45.0
     #: Building a coalesced message header + canary.
     header_build_ns: float = 50.0
+    #: The leader polling one follower's copy-completion flag before it
+    #: posts a coalesced message (FLock, §4.2).
+    follower_flag_poll_ns: float = 20.0
+    #: The client's response dispatcher handing one entry of a coalesced
+    #: response to its waiting thread (FLock).
+    response_entry_ns: float = 25.0
+    #: The QP scheduler computing one credit grant, beyond the CQ poll
+    #: that found the renewal request (FLock, §5.1).
+    renewal_grant_ns: float = 60.0
 
     def __post_init__(self):
         _require(self.cores >= 1, "cores must be >= 1")
         for name in ("mmio_ns", "cq_poll_ns", "ud_recv_recycle_ns",
                      "ud_sw_transport_ns", "ring_poll_ns",
                      "ring_scan_per_qp_ns", "decode_ns", "copy_ns_per_byte",
-                     "marshal_ns", "header_build_ns"):
+                     "marshal_ns", "header_build_ns", "follower_flag_poll_ns",
+                     "response_entry_ns", "renewal_grant_ns"):
             _require(getattr(self, name) >= 0, "%s must be >= 0" % name)
 
 

@@ -84,7 +84,7 @@ class MemoryOps:
             state.stats.record(op.size)
             # Preparing the work request on the application thread (§6:
             # "each application thread prepares its work individually").
-            yield client.sim.timeout(client.cpu.marshal_ns)
+            yield client.sim.sleep(client.cpu.marshal_ns)
             slot = PendingSend(op, client.sim.now)
             slot.response_event = Event(client.sim)
             if channel.tcq.enqueue(slot):

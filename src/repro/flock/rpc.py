@@ -349,7 +349,8 @@ class FlockServer:
             request = wc.payload
             if not isinstance(request, RenewRequest):
                 continue
-            yield core.charge(self.cpu.cq_poll_ns + 60.0, "net-sched")
+            yield core.charge(self.cpu.cq_poll_ns + self.cpu.renewal_grant_ns,
+                              "net-sched")
             self.renewals_handled += 1
             shandle = self.clients.get(request.client_id)
             if shandle is None:
@@ -407,7 +408,7 @@ class FlockServer:
 
     def _redistribution_loop(self) -> Generator[Event, None, None]:
         while True:
-            yield self.sim.timeout(self.cfg.sched_interval_ns)
+            yield self.sim.sleep(self.cfg.sched_interval_ns)
             self._redistribute()
 
     def _redistribute(self) -> None:
@@ -651,8 +652,8 @@ class FlockClient:
             # Marshalling + copying into the combining buffer happens on
             # the application thread, in parallel with other followers
             # (§4.2).
-            yield self.sim.timeout(self.cpu.marshal_ns
-                                   + self.cpu.copy_ns_per_byte * size)
+            yield self.sim.sleep(self.cpu.marshal_ns
+                                 + self.cpu.copy_ns_per_byte * size)
             slot = PendingSend(request, self.sim.now)
             if channel.tcq.enqueue(slot):
                 # This thread is the leader: it is busy combining until
@@ -760,7 +761,7 @@ class FlockClient:
                 delay = state.clearance(self.sim.now)
                 if delay > 0:
                     wait_t0 = self.sim.now
-                    yield self.sim.timeout(delay)
+                    yield self.sim.sleep(delay)
                     self._note_blocked(tcq, "ecn_throttle", wait_t0)
                     continue
             # The leader's combining window: while it sets up the header
@@ -768,8 +769,8 @@ class FlockClient:
             # the message (§4.2) — so the batch is taken AFTER the window,
             # including any arrivals during it.
             window_t0 = self.sim.now
-            yield self.sim.timeout(self.cpu.header_build_ns
-                                   + self.cpu.mmio_ns)
+            yield self.sim.sleep(self.cpu.header_build_ns
+                                 + self.cpu.mmio_ns)
             limit = tcq.max_combine if self.coalescing_enabled else 1
             if rpc_pending:
                 limit = min(limit, max(1, channel.credits.credits))
@@ -807,7 +808,8 @@ class FlockClient:
         # The header/doorbell window was charged before collection; what
         # remains is polling each follower's copy-completion flag.
         if len(batch) > 1:
-            yield self.sim.timeout(20.0 * (len(batch) - 1))
+            yield self.sim.sleep(
+                self.cpu.follower_flag_poll_ns * (len(batch) - 1))
         if rpc_slots:
             consumed = channel.credits.try_consume(len(rpc_slots))
             assert consumed, "leader batched more RPCs than credits"
@@ -924,7 +926,7 @@ class FlockClient:
             else:
                 channel.response_ring.consume(ACTIVE_SET_BYTES)
             if isinstance(msg, CreditGrant):
-                yield self.sim.timeout(self.cpu.ring_poll_ns)
+                yield self.sim.sleep(self.cpu.ring_poll_ns)
                 channel.credits.on_grant(msg)
                 if msg.credits <= 0:
                     channel.active = False
@@ -932,11 +934,12 @@ class FlockClient:
                     self._migrate_stranded(handle, channel)
                 continue
             if isinstance(msg, ActiveSetUpdate):
-                yield self.sim.timeout(self.cpu.ring_poll_ns)
+                yield self.sim.sleep(self.cpu.ring_poll_ns)
                 self._apply_active_set(handle, msg)
                 continue
-            yield self.sim.timeout(self.cpu.ring_poll_ns
-                                   + 25.0 * len(msg.entries))
+            yield self.sim.sleep(self.cpu.ring_poll_ns
+                                 + self.cpu.response_entry_ns
+                                 * len(msg.entries))
             channel.sender_view.observe_head(msg.piggyback_head)
             if msg.piggyback_credits:
                 channel.credits.on_grant(CreditGrant(
@@ -972,7 +975,7 @@ class FlockClient:
 
     def _thread_scheduler_loop(self) -> Generator[Event, None, None]:
         while True:
-            yield self.sim.timeout(self.cfg.thread_sched_interval_ns)
+            yield self.sim.sleep(self.cfg.thread_sched_interval_ns)
             if not self.thread_scheduling_enabled:
                 continue
             for handle in self.handles:

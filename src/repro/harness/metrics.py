@@ -238,7 +238,7 @@ def closed_loop(sim: Simulator, recorder: Recorder, call, args: tuple,
     """
     while True:
         if think_ns > 0:
-            yield sim.timeout(rng.random() * think_ns)
+            yield sim.sleep(rng.random() * think_ns)
         started = sim.now
         if (yield from call(*args)) is not None:
             recorder.record(started)

@@ -27,11 +27,12 @@ class CoreMeter:
         self._started_at = sim.now
 
     def charge(self, ns: float, category: str = "app") -> Event:
-        """Consume ``ns`` of this core; returns the timeout to yield on."""
+        """Consume ``ns`` of this core; returns the sleep to yield on at
+        once (see :meth:`Simulator.sleep`)."""
         if ns < 0:
             raise ValueError("negative CPU charge")
         self.busy_ns[category] = self.busy_ns.get(category, 0.0) + ns
-        return self.sim.timeout(ns)
+        return self.sim.sleep(ns)
 
     @property
     def total_busy_ns(self) -> float:

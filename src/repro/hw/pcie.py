@@ -66,7 +66,7 @@ class PcieLink:
         try:
             self.queue_ns += self.sim.now - queued_at
             self.busy_ns += self.read_latency_ns
-            yield self.sim.timeout(self.read_latency_ns)
+            yield self.sim.sleep(self.read_latency_ns)
         finally:
             self._slots.release()
         if span is not None:

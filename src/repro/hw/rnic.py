@@ -123,13 +123,13 @@ class Rnic:
             if span is not None:
                 span.add_phase("nic_throttle", self.sim.now,
                                self.sim.now + delay)
-            yield self.sim.timeout(delay)
+            yield self.sim.sleep(delay)
         wire = self.wire_time_ns(nbytes)
         yield self._tx_port.acquire(span)
         try:
             if span is not None:
                 span.add_phase("wire", self.sim.now, self.sim.now + wire)
-            yield self.sim.timeout(wire)
+            yield self.sim.sleep(wire)
         finally:
             self._tx_port.release()
         self.messages_tx += 1
@@ -149,7 +149,7 @@ class Rnic:
             if span is not None:
                 span.add_phase("nic_throttle", self.sim.now,
                                self.sim.now + delay)
-            yield self.sim.timeout(delay)
+            yield self.sim.sleep(delay)
         yield from self._lookup(qpn, rkeys, span)
         self.messages_rx += 1
         if span is not None:
@@ -160,7 +160,7 @@ class Rnic:
         request is unsignaled; §7 selective signaling)."""
         self.cqes_generated += 1
         self.cqes_dma_pending += 1
-        yield self.sim.timeout(self.cfg.cqe_dma_ns)
+        yield self.sim.sleep(self.cfg.cqe_dma_ns)
         self.cqes_dma_pending -= 1
 
     # -- reporting ---------------------------------------------------------

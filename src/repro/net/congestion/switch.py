@@ -191,7 +191,7 @@ class Switch:
             target = port.busy_until - self.cfg.pfc_xon_bytes / self.rate
             if target <= self.sim.now:
                 break
-            yield self.sim.timeout(target - self.sim.now)
+            yield self.sim.sleep(target - self.sim.now)
         port.paused = False
         port.resume_events += 1
         ev, port.resume_ev = port.resume_ev, None
@@ -278,5 +278,5 @@ class Switch:
             port.queue_wait_ns += wait
             if span is not None:
                 span.add_phase("switch_queue", now, now + wait)
-            yield self.sim.timeout(wait)
+            yield self.sim.sleep(wait)
         return True, marked

@@ -107,7 +107,7 @@ class Fabric:
     def _deliver_cnp(self, src_name: str, src_qpn: int
                      ) -> Generator[Event, None, None]:
         """Carry one congestion notification back to the sender's QP."""
-        yield self.sim.timeout(self.cfg.propagation_ns)
+        yield self.sim.sleep(self.cfg.propagation_ns)
         self.dcqcn_for(src_name, src_qpn).on_cnp(self.sim.now)
         self.cnps_delivered += 1
 
@@ -169,10 +169,10 @@ class Fabric:
                 # Tail drop on RC: hardware go-back-N resubmits the
                 # message after the retransmission timeout.
                 self.retransmits += 1
-                yield self.sim.timeout(self.retransmit_ns)
+                yield self.sim.sleep(self.retransmit_ns)
         if span is not None:
             span.add_phase("propagation", self.sim.now, self.sim.now + delay)
-        yield self.sim.timeout(delay)
+        yield self.sim.sleep(delay)
         yield from dst.rnic.rx_process(nbytes, dst_qpn, rkeys, span=span)
         self.messages_delivered += 1
         if marked and reliable and self.dcqcn_active:

@@ -29,6 +29,9 @@ gated the RPC?*
   "removing ``pcie_stall`` waits bounds Fig. 2a post-cliff recovery at
   2.9x".
 
+Every sum over paths or segments is a ``math.fsum``: it is exactly
+rounded, so no output depends on the order in which spans finished.
+
 Like :mod:`repro.obs.span`, this module imports nothing from the
 simulator at import time (``sim/core.py`` imports ``repro.obs`` at class
 definition time); :func:`attribute` imports its percentile when called.
@@ -101,8 +104,8 @@ class CriticalPath:
 
     def resource_ns(self, resource: str) -> float:
         """Total path time attributed to ``resource``."""
-        return sum(s.duration for s in self.segments
-                   if s.resource == resource)
+        return math.fsum(s.duration for s in self.segments
+                         if s.resource == resource)
 
     def __repr__(self) -> str:
         return "CriticalPath(%s, dur=%.0f, segments=%d)" % (
@@ -191,13 +194,13 @@ def attribute(paths: Iterable[CriticalPath]) -> Dict[str, Dict[str, float]]:
     for path in paths:
         for seg in path.segments:
             durs.setdefault(seg.resource, []).append(seg.duration)
-    grand = sum(sum(v) for v in durs.values())
+    totals = {resource: math.fsum(values) for resource, values in durs.items()}
+    grand = math.fsum(totals.values())
     out: Dict[str, Dict[str, float]] = {}
-    order = sorted(durs,
-                   key=lambda r: (-sum(durs[r]), phase_rank(r)))
+    order = sorted(durs, key=lambda r: (-totals[r], phase_rank(r)))
     for resource in order:
         values = sorted(durs[resource])
-        total = sum(values)
+        total = totals[resource]
         out[resource] = {
             "count": len(values),
             "total_ns": total,
@@ -215,13 +218,13 @@ def folded_stacks(paths: Iterable[CriticalPath]) -> str:
     nanoseconds of critical-path time.  Lines are sorted, so identical
     runs produce byte-identical output.
     """
-    weights: Dict[str, float] = {}
+    weights: Dict[str, List[float]] = {}
     for path in paths:
         prefix = path.span.name
         for seg in path.segments:
             key = "%s;%s" % (prefix, seg.resource)
-            weights[key] = weights.get(key, 0.0) + seg.duration
-    lines = ["%s %d" % (key, int(round(weights[key])))
+            weights.setdefault(key, []).append(seg.duration)
+    lines = ["%s %d" % (key, int(round(math.fsum(weights[key]))))
              for key in sorted(weights)]
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -236,8 +239,8 @@ def what_if(paths: Sequence[CriticalPath], resource: str) -> Dict[str, float]:
     ``T / (T - R)``.  An *upper* bound because the freed time may expose
     the next bottleneck rather than convert fully into progress.
     """
-    total = sum(p.duration for p in paths)
-    removed = sum(p.resource_ns(resource) for p in paths)
+    total = math.fsum(p.duration for p in paths)
+    removed = math.fsum(p.resource_ns(resource) for p in paths)
     remaining = total - removed
     if total <= 0.0:
         bound = 1.0
@@ -262,7 +265,7 @@ def attribution_report(paths: Sequence[CriticalPath]) -> Dict[str, object]:
     table = attribute(paths)
     return {
         "paths": len(paths),
-        "critical_path_ns": sum(p.duration for p in paths),
+        "critical_path_ns": math.fsum(p.duration for p in paths),
         "attribution": table,
         "what_if": what_if_all(paths),
     }

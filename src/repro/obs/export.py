@@ -59,41 +59,40 @@ def chrome_trace(log: SpanLog) -> Dict[str, Any]:
     """Convert a span log to a Chrome trace-event JSON object.
 
     Emits one ``X`` (complete) event per span and per interval, plus ``M``
-    metadata events naming processes (runs) and threads (tracks).  Events
-    are sorted by timestamp so consumers see a monotonic stream.
+    metadata events naming processes (runs) and threads (tracks).  Tracks
+    are numbered in sorted ``(run, track)`` order and events are sorted
+    on a total key, timestamp first within a track, so consumers see a
+    monotonic stream and the file does not depend on the order in which
+    spans finished.
     """
-    events: List[Dict[str, Any]] = []
-    tids: Dict[tuple, int] = {}
+    tids = {key: i for i, key in enumerate(
+        sorted({(span.pid, span.track) for span in log.spans}), 1)}
+    meta: List[Dict[str, Any]] = [
+        {"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+         "args": {"name": track}}
+        for (pid, track), tid in tids.items()]
+    meta.extend(
+        {"name": "process_name", "ph": "M", "pid": run_id, "tid": 0,
+         "args": {"name": label}}
+        for run_id, label in log.run_labels.items())
+    data: List[Dict[str, Any]] = []
     for span in log.spans:
-        key = (span.pid, span.track)
-        tid = tids.get(key)
-        if tid is None:
-            tid = len(tids) + 1
-            tids[key] = tid
-            events.append({
-                "name": "thread_name", "ph": "M", "pid": span.pid,
-                "tid": tid, "args": {"name": span.track},
-            })
+        tid = tids[(span.pid, span.track)]
         end = span.t1 if span.t1 is not None else span.t0
-        events.append({
+        data.append({
             "name": span.name, "cat": "span", "ph": "X",
             "ts": span.t0 / 1e3, "dur": (end - span.t0) / 1e3,
             "pid": span.pid, "tid": tid, "args": dict(span.args),
         })
         for phase, t0, t1 in span.phases:
-            events.append({
+            data.append({
                 "name": phase, "cat": "phase", "ph": "X",
                 "ts": t0 / 1e3, "dur": (t1 - t0) / 1e3,
                 "pid": span.pid, "tid": tid, "args": {"span": span.name},
             })
-    for run_id, label in log.run_labels.items():
-        events.append({
-            "name": "process_name", "ph": "M", "pid": run_id, "tid": 0,
-            "args": {"name": label},
-        })
-    meta = [ev for ev in events if ev["ph"] == "M"]
-    data = sorted((ev for ev in events if ev["ph"] != "M"),
-                  key=lambda ev: (ev["pid"], ev["tid"], ev["ts"]))
+    data.sort(key=lambda ev: (ev["pid"], ev["tid"], ev["ts"], ev["dur"],
+                              ev["cat"], ev["name"],
+                              json.dumps(ev["args"], sort_keys=True)))
     return {
         "traceEvents": meta + data,
         "displayTimeUnit": "ns",

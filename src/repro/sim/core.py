@@ -29,15 +29,22 @@ The hot path is deliberately split in two (see ``docs/performance.md``):
   A delay so small that ``now + delay`` rounds to ``now`` is routed to the
   ready deque, keeping the invariant above airtight even under float
   rounding.
-* **Satisfied waits** (a free resource unit, a waiting store item) go
-  through :meth:`Simulator.satisfied`.  When their wake-up would be the
-  loop's very next dispatch and would resume only the waiter, the waiter
-  carries on in place and the dispatch is left out.
+* **In-place wake-ups.**  While :meth:`Simulator.run` fires an event's
+  *last* callback, nothing else runs before the loop selects its next
+  event.  So when a wake-up the callback causes would be that very next
+  dispatch and would resume only what is already running, it happens in
+  place and the dispatch is left out; every event that is still
+  dispatched keeps its exact place in the order.  Three wake-ups take
+  this path: a satisfied wait (a free resource unit, a waiting store
+  item; :meth:`Simulator.satisfied`), a sleep whose end nothing else
+  precedes (:meth:`Simulator.sleep`, which advances the clock in place)
+  and a process's completion (handed to the loop, which fires its
+  callbacks before it selects the next event).
 
 :meth:`Simulator.run` inlines the event dispatch loop — no per-event
 method calls beyond the callbacks themselves.  :meth:`Simulator.step`
 remains the observable single-step API: it fires events in the same
-order, but dispatches every satisfied wait, so it counts more events.
+order, but takes no in-place path, so it counts more events.
 """
 
 from __future__ import annotations
@@ -126,7 +133,7 @@ class Event:
 
 class Timeout(Event):
     """An event that fires ``delay`` nanoseconds after creation; only
-    :meth:`Simulator.timeout` builds one."""
+    :meth:`Simulator.timeout` and :meth:`Simulator.sleep` build one."""
 
     __slots__ = ()
 
@@ -142,6 +149,8 @@ class Process(Event):
     The process itself is an event that fires when the generator returns,
     carrying the return value — so processes can wait on each other.  An
     exception the generator raises propagates out of :meth:`Simulator.run`.
+    A completion that would be the loop's very next dispatch is handed
+    to the loop instead of queued (:meth:`_finish`).
 
     The resume path dispatches through ``gen.send``, bound once at
     construction, and attaches itself straight to the yielded target's
@@ -184,7 +193,7 @@ class Process(Event):
                 target = self._send(event._value)
             except StopIteration as stop:
                 self._cb = None
-                self.succeed(stop.value)
+                self._finish(stop.value)
                 return
             # Fast-path dispatch: every legitimate yield target is an
             # Event; reaching straight for its callback list replaces
@@ -203,6 +212,30 @@ class Process(Event):
             # resume with it at once, as add_callback would.
             event = target
 
+    def _finish(self, value: Any) -> None:
+        """Fire the completion carrying ``value``.
+
+        It is queued like any zero-delay event, except when the loop is
+        firing the last callback of an event (this process's resume),
+        the ready deque is empty and no heap entry is due at ``now``:
+        then the completion would be the loop's very next dispatch.  It
+        goes to the loop's hand-off slot instead, and the loop fires its
+        callbacks before it selects its next event, without counting a
+        dispatch.  The slot is a trampoline: a chain of processes each
+        waiting on the next unwinds in the loop, not on the stack.  It
+        is always empty here, because a process returns only at the end
+        of the callback that resumed it.
+        """
+        self._triggered = True
+        self._value = value
+        sim = self.sim
+        if sim._last and not sim._ready:
+            heap = sim._heap
+            if not heap or heap[0][0] > sim.now:
+                sim._handoff = self
+                return
+        sim._ready_append(self)
+
 
 class _DetachedProcess(Process):
     """A process whose completion nobody waits on.
@@ -216,9 +249,7 @@ class _DetachedProcess(Process):
 
     __slots__ = ()
 
-    def succeed(self, value: Any = None) -> Event:
-        if self._triggered:
-            raise SimulationError("event already triggered")
+    def _finish(self, value: Any) -> None:
         if self.callbacks:
             raise SimulationError(
                 "detached process %r has a waiter" % self.name)
@@ -226,7 +257,6 @@ class _DetachedProcess(Process):
         self._processed = True
         self._value = value
         self.callbacks = None
-        return self
 
 
 class _Condition(Event):
@@ -305,7 +335,7 @@ class Simulator:
         sim = Simulator()
 
         def worker(sim):
-            yield sim.timeout(100)
+            yield sim.sleep(100)
             return "done"
 
         proc = sim.spawn(worker(sim))
@@ -332,9 +362,19 @@ class Simulator:
         self._next_seq = count(1).__next__
         self._n_events = 0
         #: True only while :meth:`run` or :meth:`run_profiled` fires an
-        #: event's one callback, i.e. while the code running is the whole
-        #: of the dispatch (see :meth:`satisfied`).
-        self._lone = False
+        #: event's last callback: nothing else runs between the end of
+        #: that callback and the loop's next selection (see
+        #: :meth:`satisfied`, :meth:`sleep` and :meth:`Process._finish`).
+        self._last = False
+        #: The latest time an in-place sleep may reach, or an ACK nobody
+        #: waits on may land unwaited (``verbs/qp.py``): ``until`` while
+        #: :meth:`run` or :meth:`run_profiled` has one, +inf while it
+        #: drains the schedule, -inf outside a run (so :meth:`step` never
+        #: takes either path).
+        self.horizon = -math.inf
+        #: A process completion the loop fires before it selects its
+        #: next event (see :meth:`Process._finish`).
+        self._handoff: Optional[Process] = None
         #: Whether components keep the accounting that telemetry and the
         #: auditors read: queue accounting, wait times and value-count
         #: ledgers.  Components read it **once, at construction time**
@@ -373,7 +413,7 @@ class Simulator:
 
         ``Resource.acquire`` on a free unit and ``Store.get`` on a waiting
         item are the callers.  Usually this is a zero-delay event, queued
-        FIFO like any other.  But when the loop is firing the lone
+        FIFO like any other.  But when the loop is firing the last
         callback of an event (the caller's resume), the ready deque is
         empty and no heap entry is due at ``now``, that event would be
         the very next dispatch and would wake only the caller.  Then the
@@ -386,7 +426,7 @@ class Simulator:
         attach time, so whatever the caller did between this call and its
         yield would run after that callback instead of before it.
         """
-        if self._lone and not self._ready:
+        if self._last and not self._ready:
             heap = self._heap
             if not heap or heap[0][0] > self.now:
                 ev = Event.__new__(Event)
@@ -403,8 +443,52 @@ class Simulator:
         self._ready_append(ev)
         return ev
 
+    def sleep(self, delay: float) -> Timeout:
+        """An event firing ``delay`` ns from now, for a process to yield.
+
+        Queued exactly as :meth:`timeout` queues it, except when the loop
+        is firing the last callback of an event (the caller's resume),
+        the ready deque is empty, no heap entry is due at or before
+        ``when = now + delay`` (an entry at exactly ``when`` was pushed
+        first, so it fires first) and ``when`` is inside the run's
+        :attr:`horizon`.  Then the timeout would be the loop's very next
+        dispatch and would wake only the caller: it is born fired, the
+        clock moves to ``when`` at once and the caller carries on in
+        place.
+
+        Precondition, as for :meth:`satisfied`: the caller is a process
+        that yields the returned event at once.
+        """
+        # Written flat, like timeout(): this is the most common wait.
+        if delay < 0:
+            raise ValueError("negative sleep delay: %r" % delay)
+        now = self.now
+        when = now + delay
+        ev = Timeout.__new__(Timeout)
+        ev.sim = self
+        ev._value = None
+        ev._triggered = True
+        if self._last and when <= self.horizon and not self._ready:
+            heap = self._heap
+            if not heap or heap[0][0] > when:
+                self.now = when
+                ev.callbacks = None
+                ev._processed = True
+                return ev
+        ev.callbacks = []
+        ev._processed = False
+        if when > now:
+            heapq.heappush(self._heap, (when, self._next_seq(), ev))
+        else:
+            self._ready_append(ev)
+        return ev
+
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event firing ``delay`` ns from now."""
+        """An event firing ``delay`` ns from now.
+
+        Always queued: this is the form for a timeout that is not
+        yielded at once (a race in :meth:`any_of`, a timed callback).
+        """
         # Flattened Event.__init__ + succeed: a Timeout is born triggered,
         # and creating one is the single most common allocation in a run.
         ev = Timeout.__new__(Timeout)
@@ -491,9 +575,10 @@ class Simulator:
         firing (the body of :meth:`step` and :meth:`Event._fire`) so the
         per-event cost is the callbacks themselves plus a few local-variable
         operations.  It fires events in the order ``while self.step(): ...``
-        would, but while it fires an event's lone callback it sets the flag
-        that lets :meth:`satisfied` leave out the next dispatch, so it
-        dispatches fewer events than stepping does.
+        would, but while it fires an event's last callback it sets the flag
+        that lets the in-place wake-ups leave out the next dispatch, and
+        it fires a handed-off completion before it selects the next
+        event, so it dispatches fewer events than stepping does.
         """
         if until is not None and until < self.now:
             raise SimulationError("until=%r is in the past (now=%r)" % (until, self.now))
@@ -504,9 +589,11 @@ class Simulator:
         popleft = ready.popleft
         pop = heapq.heappop
         n = self._n_events
+        self.horizon = stop
         try:
-            now = self.now  # mirror of self.now, for branch-free reads
             while True:
+                # Re-read: an in-place sleep moves the clock.
+                now = self.now
                 if ready and (not heap or heap[0][0] > now):
                     event = popleft()
                 elif heap:
@@ -516,24 +603,35 @@ class Simulator:
                     event = pop(heap)[2]
                     if when < now:
                         self.time_regressions += 1
-                    self.now = now = when
+                    self.now = when
                 else:
                     break
                 n += 1
-                # Inlined Event._fire(); one callback is the norm.
-                callbacks = event.callbacks
-                event.callbacks = None
-                event._processed = True
-                if callbacks:
-                    if len(callbacks) == 1:
-                        self._lone = True
-                        callbacks[0](event)
-                    else:
-                        self._lone = False
-                        for fn in callbacks:
-                            fn(event)
+                while True:
+                    # Inlined Event._fire(); one callback is the norm.
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    event._processed = True
+                    if callbacks:
+                        if len(callbacks) == 1:
+                            self._last = True
+                            callbacks[0](event)
+                        else:
+                            self._last = False
+                            last = callbacks.pop()
+                            for fn in callbacks:
+                                fn(event)
+                            self._last = True
+                            last(event)
+                    # A completion handed off by the callbacks fires
+                    # next, as its queued twin would have.
+                    event = self._handoff
+                    if event is None:
+                        break
+                    self._handoff = None
         finally:
-            self._lone = False
+            self._last = False
+            self.horizon = -math.inf
             self._n_events = n
         if until is not None:
             self.now = until
@@ -543,11 +641,12 @@ class Simulator:
         """Instrumented twin of :meth:`run` for the host-time census.
 
         Identical event-selection semantics (same order, same clock
-        behaviour, same ``until`` handling, the same lone-callback flag —
-        a profiled run produces byte-identical simulation results and
-        dispatches the same events), but every callback batch is
-        bracketed with ``perf_counter_ns`` and charged to ``profile``
-        via ``profile.account(event, callbacks, dt_ns)``.
+        behaviour, same ``until`` handling, the same last-callback flag
+        and hand-off — a profiled run produces byte-identical simulation
+        results and dispatches the same events), but every callback
+        batch, with the completions it hands off, is bracketed with
+        ``perf_counter_ns`` and charged to ``profile`` via
+        ``profile.account(event, callbacks, dt_ns)``.
 
         Kept as a **separate** loop so :meth:`run` — the PR 5 fast path —
         stays untouched and pays nothing when profiling is off.
@@ -562,6 +661,7 @@ class Simulator:
         clock = perf_counter_ns
         stop = math.inf if until is None else until
         n = self._n_events
+        self.horizon = stop
         try:
             while True:
                 if ready and (not heap or heap[0][0] > self.now):
@@ -577,17 +677,27 @@ class Simulator:
                 else:
                     break
                 n += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                event._processed = True
+                dispatched = event
+                callbacks = first = event.callbacks
                 t_fire = clock()
-                if callbacks:
-                    self._lone = len(callbacks) == 1
-                    for fn in callbacks:
-                        fn(event)
-                account(event, callbacks, clock() - t_fire)
+                while True:
+                    event.callbacks = None
+                    event._processed = True
+                    if callbacks:
+                        self._last = False
+                        for fn in callbacks[:-1]:
+                            fn(event)
+                        self._last = True
+                        callbacks[-1](event)
+                    event = self._handoff
+                    if event is None:
+                        break
+                    self._handoff = None
+                    callbacks = event.callbacks
+                account(dispatched, first, clock() - t_fire)
         finally:
-            self._lone = False
+            self._last = False
+            self.horizon = -math.inf
             self._n_events = n
         if until is not None:
             self.now = until

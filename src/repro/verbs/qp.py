@@ -141,8 +141,10 @@ class QueuePair:
 
         ``wait=False`` is for callers that drop the handle: the verb runs
         as a detached process whose completion fires no event.  The
-        verb itself is unchanged — the ACK leg, the CQE of a signaled WR
-        and the WR span's end all happen as with ``wait=True``.
+        verb itself is unchanged — the CQE of a signaled WR and the WR
+        span's end happen as with ``wait=True``.  Only an unsignaled
+        RC SEND or WRITE whose ACK lands inside the run skips waiting
+        for it (see :meth:`_do_write`).
 
         ``remote`` addresses the target for UD sends; RC/UC use the
         connected peer.
@@ -176,13 +178,20 @@ class QueuePair:
             wr.span = self.sim.spans.begin(
                 "wr.%s" % wr.verb.value, track="hw:%s" % self.node.name,
                 t=self.sim.now, bytes=wr.length, qpn=self.qpn)
-        proc = self.sim.spawn(self._execute(wr, target), name="verb",
-                              detached=not wait)
+        proc = self.sim.spawn(self._execute(wr, target, not wait),
+                              name="verb", detached=not wait)
         return proc if wait else None
 
     # -- verb execution -------------------------------------------------------
 
-    def _push_send_cqe(self, wr: WorkRequest, wc: Completion) -> None:
+    def _complete(self, wr: WorkRequest, wc: Completion,
+                  t: float) -> Completion:
+        """The WR completes at the initiator at ``t``: a signaled WR's
+        CQE, the completed count and the end of the WR's span.
+
+        ``t`` is later than ``now`` only for an ACK left unwaited (see
+        :meth:`_do_write`), which has no CQE.
+        """
         if wr.signaled:
             if wc.span is None:
                 # Let the CQ blame reap delay on the traced work
@@ -191,9 +200,15 @@ class QueuePair:
             if not (faults.ACTIVE and "verbs.leak_cqe" in faults.ACTIVE):
                 self.send_cq.push(wc)
             self.node.rnic.cqes_generated += 1
+        self.sends_completed += 1
+        if wr.span is not None:
+            # Covers auto-created WR spans and FLock message spans alike.
+            wr.span.finish(t)
+        return wc
 
     def _congestion_gate(self, wr: WorkRequest) -> Generator[Event, None, None]:
-        """DCQCN pacing for RC flows under the switched-fabric model.
+        """DCQCN pacing for RC flows under the switched-fabric model;
+        :meth:`_execute` enters it only for those.
 
         After the flow's rate was cut by a CNP, outgoing work requests
         are spaced to the current rate before the NIC pipeline sees
@@ -201,44 +216,37 @@ class QueuePair:
         A flow at line rate pays nothing here (the TX port already
         serializes at link speed).
         """
-        fabric = self.fabric
-        if not (self.transport.reliable and fabric.dcqcn_active):
-            return
-        state = fabric.dcqcn_for(self.node.name, self.qpn)
+        state = self.fabric.dcqcn_for(self.node.name, self.qpn)
         delay = state.send_delay(
             self.node.rnic.wire_bytes(wr.length), self.sim.now)
         if delay > 0:
             if wr.span is not None:
                 wr.span.add_phase(
                     "ecn_throttle", self.sim.now, self.sim.now + delay)
-            yield self.sim.timeout(delay)
+            yield self.sim.sleep(delay)
 
     def _execute(
-        self, wr: WorkRequest, target: "QueuePair"
+        self, wr: WorkRequest, target: "QueuePair", detached: bool
     ) -> Generator[Event, None, Completion]:
-        yield from self._congestion_gate(wr)
+        # Tested here, not in the gate: a generator per WR costs host
+        # time even when it yields nothing.
+        if self.transport.reliable and self.fabric.dcqcn_active:
+            yield from self._congestion_gate(wr)
+        # The process itself is the initiator completion: returning
+        # fires it with the verb's ``wc`` at the instant it completes.
         verb = wr.verb
         if verb is Verb.SEND:
-            wc = yield from self._do_send(wr, target)
-        elif verb in (Verb.WRITE, Verb.WRITE_IMM):
-            wc = yield from self._do_write(wr, target)
-        elif verb is Verb.READ:
-            wc = yield from self._do_read(wr, target)
-        elif verb in (Verb.FETCH_ADD, Verb.CMP_SWAP):
-            wc = yield from self._do_atomic(wr, target)
-        else:
-            raise VerbError("cannot post %s" % verb)
-        self.sends_completed += 1
-        if wr.span is not None:
-            # Covers auto-created WR spans and FLock message spans alike:
-            # the span ends when the verb completes at the initiator.
-            wr.span.finish(self.sim.now)
-        # The process itself is the initiator completion: returning
-        # fires it with ``wc`` at the instant the verb completes.
-        return wc
+            return (yield from self._do_send(wr, target, detached))
+        if verb in (Verb.WRITE, Verb.WRITE_IMM):
+            return (yield from self._do_write(wr, target, detached))
+        if verb is Verb.READ:
+            return (yield from self._do_read(wr, target))
+        if verb in (Verb.FETCH_ADD, Verb.CMP_SWAP):
+            return (yield from self._do_atomic(wr, target))
+        raise VerbError("cannot post %s" % verb)
 
     def _do_send(
-        self, wr: WorkRequest, target: "QueuePair"
+        self, wr: WorkRequest, target: "QueuePair", detached: bool
     ) -> Generator[Event, None, Completion]:
         jitter = self.fabric.cfg.ud_jitter_ns if self.transport is Transport.UD else 0.0
         delivered = yield from self.fabric.transfer(
@@ -264,10 +272,14 @@ class QueuePair:
                 target.recv_drops += 1
         wc = Completion(wr_id=wr.wr_id, verb=Verb.SEND, byte_len=wr.length,
                         qpn=self.qpn)
+        t = self.sim.now
         if self.transport.reliable:
-            yield self.sim.timeout(self.fabric.cfg.propagation_ns)
-        self._push_send_cqe(wr, wc)
-        return wc
+            # The ACK leg, left unwaited as in _do_write.
+            delay = self.fabric.cfg.propagation_ns
+            t += delay
+            if not detached or wr.signaled or t > self.sim.horizon:
+                yield self.sim.sleep(delay)
+        return self._complete(wr, wc, t)
 
     def _locate(self, target: "QueuePair", wr: WorkRequest, op: str) -> MemoryRegion:
         region = target.node.memory.lookup(wr.rkey)
@@ -275,15 +287,14 @@ class QueuePair:
         return region
 
     def _do_write(
-        self, wr: WorkRequest, target: "QueuePair"
+        self, wr: WorkRequest, target: "QueuePair", detached: bool
     ) -> Generator[Event, None, Completion]:
         try:
             region = self._locate(target, wr, "write")
         except AccessError as exc:
             wc = Completion(wr_id=wr.wr_id, verb=wr.verb,
                             status=WcStatus.REM_ACCESS_ERR, payload=exc)
-            self._push_send_cqe(wr, wc)
-            return wc
+            return self._complete(wr, wc, self.sim.now)
         delivered = yield from self.fabric.transfer(
             self.node, target.node, wr.length, self.qpn, target.qpn,
             rkeys=(wr.rkey,), reliable=self.transport.reliable,
@@ -306,10 +317,20 @@ class QueuePair:
                 ))
         wc = Completion(wr_id=wr.wr_id, verb=wr.verb, byte_len=wr.length,
                         qpn=self.qpn)
+        t = self.sim.now
         if self.transport.reliable:
-            yield self.sim.timeout(self.fabric.cfg.propagation_ns)
-        self._push_send_cqe(wr, wc)
-        return wc
+            # The ACK leg: one propagation back to the initiator.
+            # Nothing observes the ACK of an unsignaled WR on a detached
+            # process but the completed count and the span's end, which
+            # _complete stamps with the time the ACK lands.  So an ACK
+            # landing inside the run's horizon is not waited for; one
+            # past it is, so that run-end flushes and the counts at the
+            # end of each run stay as they were.
+            delay = self.fabric.cfg.propagation_ns
+            t += delay
+            if not detached or wr.signaled or t > self.sim.horizon:
+                yield self.sim.sleep(delay)
+        return self._complete(wr, wc, t)
 
     def _do_read(
         self, wr: WorkRequest, target: "QueuePair"
@@ -319,8 +340,7 @@ class QueuePair:
         except AccessError as exc:
             wc = Completion(wr_id=wr.wr_id, verb=wr.verb,
                             status=WcStatus.REM_ACCESS_ERR, payload=exc)
-            self._push_send_cqe(wr, wc)
-            return wc
+            return self._complete(wr, wc, self.sim.now)
         # Request: header-only frame to the responder.
         yield from self.fabric.transfer(
             self.node, target.node, _REQUEST_HEADER_BYTES, self.qpn, target.qpn,
@@ -335,8 +355,7 @@ class QueuePair:
         value = region.words.get(wr.remote_addr) if wr.length <= 8 else None
         wc = Completion(wr_id=wr.wr_id, verb=Verb.READ, byte_len=wr.length,
                         payload=value, qpn=self.qpn)
-        self._push_send_cqe(wr, wc)
-        return wc
+        return self._complete(wr, wc, self.sim.now)
 
     def _do_atomic(
         self, wr: WorkRequest, target: "QueuePair"
@@ -346,8 +365,7 @@ class QueuePair:
         except AccessError as exc:
             wc = Completion(wr_id=wr.wr_id, verb=wr.verb,
                             status=WcStatus.REM_ACCESS_ERR, payload=exc)
-            self._push_send_cqe(wr, wc)
-            return wc
+            return self._complete(wr, wc, self.sim.now)
         yield from self.fabric.transfer(
             self.node, target.node, _REQUEST_HEADER_BYTES, self.qpn, target.qpn,
             rkeys=(wr.rkey,), reliable=True, span=wr.span,
@@ -369,5 +387,4 @@ class QueuePair:
         )
         wc = Completion(wr_id=wr.wr_id, verb=wr.verb, byte_len=8,
                         payload=old, qpn=self.qpn)
-        self._push_send_cqe(wr, wc)
-        return wc
+        return self._complete(wr, wc, self.sim.now)

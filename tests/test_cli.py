@@ -89,7 +89,7 @@ class TestSmallRuns:
         # Pinned: switch_queue, ecn_throttle, cq_poll, server_queue and
         # tx_port all reach this report.
         assert _sha256(attr) == (
-            "841ab1dd9b932fe8b5dcd02d566fdfcfaf4e7a0d49ec3864c9a100b196dd1a60")
+            "8729bb46ffd108ee485b485ca8402e0396ed6b41cb7a6bb065312144d65a58be")
         card = json.loads((cards / "BENCH_ext_incast.json").read_text())
         assert card["checks"]
         assert all(c["passed"] for c in card["checks"]), card["checks"]
@@ -129,7 +129,7 @@ class TestSmallRuns:
         # Pinned: past the QP cache (704 QPs) pcie_stall and nic_throttle
         # take most of the critical path.
         assert _sha256(attr) == (
-            "d52a8ab0d506a0282dbb1ccb7681dbfc671e83c10a85376bf59d1958aa6138ba")
+            "ebe9aa18a0c0585ba471af1b5951ffad22ed803fddc2c43f006030ab75b5fbc5")
         assert _sha256(folded) == (
             "9b860a7a2df60bc03022350533fb9582187172fe9177ab77658d73e5e7440d16")
 

@@ -39,6 +39,7 @@ from repro.harness.scorecards import scorecard_fig2a
 from repro.obs import Telemetry
 from repro.obs.audit import AUDIT_ENV
 from repro.search.runner import ScenarioConfig, run_scenario_leg
+from repro.sim import Simulator
 
 pytestmark = pytest.mark.usefixtures("half_windows")
 
@@ -176,64 +177,65 @@ def dispatched(result):
 #: Update the hashes only with an intended model change.
 #:
 #: The event count is host bookkeeping.  A cut that drops dispatches
-#: which model nothing (an event that wakes no one, a satisfied wait
-#: whose waiter runs next) lowers it and moves no hash.  Update the
+#: which model nothing (an event that wakes no one, a wake-up that would
+#: be the loop's next dispatch, an ACK nobody waits on) lowers it and
+#: moves no hash.  Update the
 #: counts on purpose, with such a cut, and list old and new in
 #: CHANGES.md.
 ORDER_WITNESS = {
     "flock": (
         "43cca68f0fde702d0d68fe1c08fe35209cb0db1b0fe267d92bd4e4d0b4b141ad",
-        50_865, lambda: run_flock(SMALL)),
+        45_091, lambda: run_flock(SMALL)),
     "raw_reads": (
         "833bf636818184572edcf23d0d1e475c330030e111b64cfc47c613daeb5baa37",
-        168_189, lambda: run_raw_reads(24, n_clients=3)),
+        147_158, lambda: run_raw_reads(24, n_clients=3)),
     "flocktx": (
         "6b85f84f826513551789bd580ba62f41f51d3a84585d01431d77e647176ef69b",
-        36_830, lambda: run_flocktx(SMALL_TXN)),
+        30_728, lambda: run_flocktx(SMALL_TXN)),
     "fasst_txn": (
         "fd20fcea0e5c02b8a4405e1bfaf01c0001e108198c824ad396066736198b67cf",
-        28_111, lambda: run_fasst_txn(SMALL_TXN)),
+        25_163, lambda: run_fasst_txn(SMALL_TXN)),
     # SmallBank's hot 4 % of accounts drives the store's lock and
     # overwrite paths hardest.
     "flocktx_smallbank": (
         "cec9c0443dc0e16208d59c94a9cf96c41ebd1e0afffc15f68ec8cd542d48b188",
-        34_959, lambda: run_flocktx(replace(SMALL_TXN, workload="smallbank"))),
+        29_212, lambda: run_flocktx(replace(SMALL_TXN, workload="smallbank"))),
     "fasst_txn_smallbank": (
         "e0b827d1213743a9afd30ce89a2c45d0de6ff4f943d4fad7c2af208a75bcbd0f",
-        28_327,
+        25_400,
         lambda: run_fasst_txn(replace(SMALL_TXN, workload="smallbank"))),
     "flock_index": (
         "2b8b90e185319ab5990aa345648f8ca4a25e2a7ad225e56695e3fcd19977b61d",
-        17_717, lambda: run_flock_index(SMALL_INDEX)),
+        14_522, lambda: run_flock_index(SMALL_INDEX)),
     "erpc_index": (
         "bcdee4232539c4f64832de0e3781a6b74e131c0b7d28079eb7bbd1b5d1178871",
-        14_511, lambda: run_erpc_index(SMALL_INDEX)),
+        12_589, lambda: run_erpc_index(SMALL_INDEX)),
     "incast_congested": (
         "f3e67b145cf6a9772c30a2965ac376c5b13f317e487a262e84b462f095f7bba9",
-        34_882, lambda: run_incast_flock(SMALL_INCAST, congested=True)),
+        31_344, lambda: run_incast_flock(SMALL_INCAST, congested=True)),
     "erpc": (
         "0711a0d36c9fcb1da101895a29017d9e2c3012db39286b110af81f470f67e773",
-        47_756, lambda: run_erpc(SMALL)),
+        46_050, lambda: run_erpc(SMALL)),
     "rc_shared": (
         "1332853f4807c219cf2a0372a3642338981943db0f9ad0ecb34938bf792f63fa",
-        45_011, lambda: run_rc(SMALL, threads_per_qp=2)),
+        37_223, lambda: run_rc(SMALL, threads_per_qp=2)),
     "thread_sched": (
         "9384e82cfbba275018c73826850598081fad1c74dd9ffc2f8a5633bd02838269",
-        41_200, lambda: run_thread_sched(SMALL_SCHED, 512, scheduling=True)),
+        37_471, lambda: run_thread_sched(SMALL_SCHED, 512, scheduling=True)),
     "incast_ud_congested": (
         "f24be07270a407aca24cbb656d466a65b26a1cfb6042d3c003482541ee49be5e",
-        44_711, lambda: run_incast_ud(SMALL_INCAST, congested=True)),
+        43_794, lambda: run_incast_ud(SMALL_INCAST, congested=True)),
     "scenario_leg_congested": (
         "eafd20de148296bec4b2364c2d49db033675a16316d0e0d5e07e6f38f8391b02",
-        30_008, lambda: run_scenario_leg(SMALL_SCENARIO, congested=True)),
+        26_809, lambda: run_scenario_leg(SMALL_SCENARIO, congested=True)),
     "ud_rpc": (
         "810987a4415e291fc4ff6374cadd524b8cc7dc8ed97dfe83dcd40fe084718810",
-        42_239, lambda: run_ud_rpc(12, n_clients=3, warmup_ns=100_000.0,
+        40_814, lambda: run_ud_rpc(12, n_clients=3, warmup_ns=100_000.0,
                                    measure_ns=150_000.0)),
     # 48 QPs of demand against MAX_AQP=32, split 3:1.
     "multitenancy": (
         "459975f03fa9c3b59988beba48238bd14f5e7413be9fe735c431dfc497606f49",
-        121_652, lambda: run_multitenancy({"gold": 3.0, "bronze": 1.0},
+        109_520, lambda: run_multitenancy({"gold": 3.0, "bronze": 1.0},
                                           clients_per_tenant=1, threads=24,
                                           duration_ns=450_000.0)),
 }
@@ -249,3 +251,28 @@ def test_results_match_pinned_hash(name, monkeypatch):
     digest = hashlib.sha256(witness(result).encode()).hexdigest()
     assert digest == expected
     assert n == events
+
+
+def _stepped_run(sim, until=None):
+    """``Simulator.run`` as a loop over :meth:`Simulator.step`: the same
+    order, but no in-place path and no horizon (so no ACK is left
+    unwaited), hence a dispatch for every wake-up."""
+    while sim._ready or sim._heap:
+        if not sim._ready and until is not None and sim._heap[0][0] > until:
+            break
+        sim.step()
+    if until is not None:
+        sim.now = until
+
+
+@pytest.mark.parametrize("name", ["flock", "raw_reads", "flocktx",
+                                  "incast_congested"])
+def test_stepping_matches_pinned_hash(name, monkeypatch):
+    """The in-place wake-ups and the unwaited ACKs are exact: a run that
+    takes none of them gives the pinned results with more dispatches."""
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "1")
+    monkeypatch.setattr(Simulator, "run", _stepped_run)
+    expected, events, run = ORDER_WITNESS[name]
+    result = run()
+    assert hashlib.sha256(witness(result).encode()).hexdigest() == expected
+    assert dispatched(result) > events

@@ -17,6 +17,8 @@ from repro.harness.microbench import (
     run_flock,
     run_raw_reads,
 )
+from repro.harness.incastbench import IncastConfig, run_incast_flock
+from repro.harness.txnbench import TxnBenchConfig, run_flocktx
 from repro.net import build_cluster
 from repro.obs import (
     PHASES,
@@ -435,6 +437,21 @@ class TestTelemetry:
         assert current_telemetry() is None
 
 
+#: Runners whose traced runs put an observer callback in front of a
+#: waiter's resume: a traced CQ's ``_reap_cb`` (the congested incast
+#: leg) and a traced ``acquire``'s ``_note`` (FLockTX, raw reads).
+UNTELEMETERED = {
+    "run_flock": lambda: run_flock(
+        MicrobenchConfig(n_clients=2, threads_per_client=4)),
+    "run_incast_flock": lambda: run_incast_flock(
+        IncastConfig(n_senders=4, threads_per_client=3), congested=True),
+    "run_flocktx": lambda: run_flocktx(
+        TxnBenchConfig(n_clients=2, threads_per_client=2,
+                       coroutines_per_thread=3, subscribers_per_server=600)),
+    "run_raw_reads": lambda: run_raw_reads(24, n_clients=3),
+}
+
+
 class TestTracedRuns:
     """End-to-end: the harness produces spans and metrics."""
 
@@ -463,16 +480,21 @@ class TestTracedRuns:
         assert snap["counters"]["net.messages"] > 0
         assert snap["histograms"]["flock.coalescing_degree"]["count"] > 0
 
-    def test_untelemetered_run_matches_default(self):
-        cfg = MicrobenchConfig(n_clients=2, threads_per_client=4)
-        base = run_flock(cfg)
-        traced = run_flock(cfg, telemetry=Telemetry())
-        # Observability must not perturb virtual time: identical results.
+    @pytest.mark.parametrize("runner", sorted(UNTELEMETERED))
+    def test_untelemetered_run_matches_default(self, runner):
+        run = UNTELEMETERED[runner]
+        base = run()
+        enable(Telemetry())
+        try:
+            traced = run()
+        finally:
+            disable()
+        # Observability must not perturb virtual time: identical results
+        # from the same dispatches.
         assert traced.ops == base.ops
         assert traced.latency == base.latency
         assert traced.host["events"] == base.host["events"]
-        assert traced.extras["mean_coalescing_degree"] == \
-            base.extras["mean_coalescing_degree"]
+        assert traced.extras == base.extras
 
     def test_fig2a_breakdown_shows_qp_cache_cliff(self):
         """Acceptance: the traced Fig. 2a sweep attributes the throughput

@@ -148,7 +148,10 @@ class TestDetachedProcess:
             return "done"
 
         p = sim.spawn(proc(), detached=detached)
-        sim.run()
+        # step() queues every completion (run() may fire a plain one in
+        # place), so the dispatch a detached process saves shows.
+        while sim.step():
+            pass
         return sim, p
 
     def test_runs_to_completion_and_keeps_value(self):
@@ -393,8 +396,8 @@ class TestSatisfiedWaits:
             return got
 
         assert run_gen(sim, proc()) == "item"
-        # The kick-start and the completion; the two waits cost nothing.
-        assert sim.events_processed == 2
+        # The kick-start; the two waits and the completion cost nothing.
+        assert sim.events_processed == 1
 
     def test_acquire_behind_a_queued_ready_event_waits_its_turn(self, sim):
         res, order = Resource(sim), []
@@ -497,7 +500,8 @@ class TestSatisfiedWaits:
             return "done"
 
         assert run_gen(sim, proc()) == "done"
-        assert sim.events_processed == 3
+        # ``fired`` and the kick-start; the completion runs in place.
+        assert sim.events_processed == 2
 
     def test_step_queues_every_wait_after_a_run_raised(self, sim):
         def boom():
@@ -525,6 +529,195 @@ class TestSatisfiedWaits:
         assert profiled.profile is not None
         assert profiled.host["events"] == plain.host["events"]
         assert profiled.ops == plain.ops
+
+
+class TestInPlaceWakeups:
+    """``Simulator.sleep`` and a process's completion: a wake-up that
+    would be the loop's very next dispatch, and would resume only what
+    is already running, happens in place; every other one is queued."""
+
+    def test_lone_sleeps_run_in_place(self, sim):
+        seen = []
+
+        def proc():
+            for delay in (5.0, 2.5, 0.0):
+                yield sim.sleep(delay)
+                seen.append(sim.now)
+            return "done"
+
+        assert run_gen(sim, proc()) == "done"
+        # The clock is right the moment each sleep returns.
+        assert seen == [5.0, 7.5, 7.5]
+        # The kick-start alone: three sleeps and the completion cost
+        # nothing.
+        assert sim.events_processed == 1
+
+    def test_sleep_behind_a_queued_ready_event_waits_its_turn(self, sim):
+        order = []
+        wake = sim.event()
+
+        def sleeper():
+            wake.succeed()
+            yield sim.sleep(4.0)
+            order.append(("sleeper", sim.now))
+
+        def woken():
+            yield wake
+            order.append(("woken", sim.now))
+
+        sim.spawn(woken())
+        sim.run()
+        sim.spawn(sleeper())
+        sim.run()
+        assert order == [("woken", 0.0), ("sleeper", 4.0)]
+
+    def test_sleep_ending_on_a_heap_tie_waits_its_turn(self, sim):
+        order = []
+
+        def peer():
+            yield sim.timeout(5.0)  # pushed first: fires first at t=5
+            order.append("peer")
+
+        def sleeper():
+            yield sim.sleep(5.0)
+            order.append("sleeper")
+
+        sim.spawn(peer())
+        sim.spawn(sleeper())
+        sim.run()
+        assert order == ["peer", "sleeper"]
+
+    def test_sleep_past_until_is_queued(self, sim):
+        seen = []
+
+        def proc():
+            yield sim.sleep(4.0)
+            seen.append(sim.now)
+            yield sim.sleep(10.0)  # ends past until=8
+            seen.append(sim.now)
+
+        sim.spawn(proc())
+        sim.run(until=8.0)
+        assert seen == [4.0] and sim.now == 8.0
+        sim.run()
+        assert seen == [4.0, 14.0]
+
+    def test_step_queues_every_sleep_and_completion(self, sim):
+        def proc():
+            yield sim.sleep(3.0)
+            yield sim.sleep(4.0)
+
+        p = sim.spawn(proc())
+        sim.run_until_event(p)
+        assert sim.now == 7.0
+        # The kick-start, two sleeps and the completion.
+        assert sim.events_processed == 4
+
+    @staticmethod
+    def _fan_in(s, waiters, order):
+        """A child sleeping 5 ns, and ``waiters`` processes waiting on it."""
+        def child():
+            yield s.sleep(5.0)
+            order.append("child")
+            return "v"
+
+        def waiter(tag, proc):
+            got = yield proc
+            order.append((tag, got, s.now))
+
+        proc = s.spawn(child())
+        for tag in range(waiters):
+            s.spawn(waiter(tag, proc))
+
+    @pytest.mark.parametrize("waiters", [0, 1, 2])
+    def test_completion_runs_in_place(self, sim, waiters):
+        by_run, by_step = [], []
+        self._fan_in(sim, waiters, by_run)
+        sim.run()
+        stepped = Simulator()
+        self._fan_in(stepped, waiters, by_step)
+        while stepped.step():
+            pass
+        assert by_run == by_step == ["child"] + [
+            (tag, "v", 5.0) for tag in range(waiters)]
+        # step(): the kick-starts, the sleep and every completion.
+        assert stepped.events_processed == 3 + 2 * waiters
+        # run(): the child's completion runs in place, and so does its
+        # sleep when no waiter's kick-start is queued behind it.  Of two
+        # waiters, the first resumes with the flag clear, so its
+        # completion is queued, and the second's is queued behind it.
+        assert sim.events_processed == {0: 1, 1: 3, 2: 6}[waiters]
+
+    def test_flag_marks_the_last_callback_only(self, sim):
+        flags = []
+        ev = sim.event()
+        for _ in range(3):
+            ev.callbacks.append(lambda _ev: flags.append(sim._last))
+        ev.succeed()
+        sim.run()
+        assert flags == [False, False, True]
+
+    def test_observer_in_front_of_the_waiter_keeps_the_cut(self, sim):
+        """A traced acquire puts ``_note`` in front of the waiter's
+        resume; the waiter's sleep after the hand-over still runs in
+        place, as it does untraced."""
+        def count(traced):
+            s = Simulator()
+            res = Resource(s)
+
+            def holder():
+                yield res.acquire()
+                yield s.sleep(2.0)
+                res.release()  # hands the unit to the waiter
+                yield s.sleep(10.0)
+
+            def waiter():
+                yield s.sleep(1.0)
+                span = s.spans.begin("w", "t", s.now) if traced else None
+                yield res.acquire(span=span)
+                yield s.sleep(3.0)
+                res.release()
+
+            s.spawn(holder())
+            s.spawn(waiter())
+            if traced:
+                from repro.obs.span import SpanLog
+                s.spans = SpanLog()
+            s.run()
+            assert s.now == 12.0
+            return s.events_processed
+
+        assert count(traced=True) == count(traced=False)
+
+    def test_long_completion_chain_does_not_recurse(self, sim):
+        def link(depth):
+            if depth:
+                return (yield sim.spawn(link(depth - 1)))
+            yield sim.sleep(1.0)
+            return "bottom"
+
+        assert run_gen(sim, link(10_000)) == "bottom"
+        assert sim.now == 1.0
+
+    def test_timeout_is_always_queued(self, sim):
+        """``timeout()`` keeps its behaviour for callers that do not
+        yield it at once: a timed callback and an ``any_of`` race."""
+        order = []
+
+        def proc():
+            timed = sim.timeout(2.0)
+            assert not timed.processed
+            timed.callbacks.append(lambda _ev: order.append(("cb", sim.now)))
+            never = sim.event()
+            race = sim.timeout(5.0, value="late")
+            got = yield sim.any_of([never, race])
+            order.append(("race", list(got.values()), sim.now))
+
+        run_gen(sim, proc())
+        assert order == [("cb", 2.0), ("race", ["late"], 5.0)]
+        # The kick-start, both timeouts and the condition; the
+        # completion runs in place.
+        assert sim.events_processed == 4
 
 
 class TestGarbageDiscipline:
