@@ -29,17 +29,20 @@ The hot path is deliberately split in two (see ``docs/performance.md``):
   A delay so small that ``now + delay`` rounds to ``now`` is routed to the
   ready deque, keeping the invariant above airtight even under float
   rounding.
-* **In-place wake-ups.**  While :meth:`Simulator.run` fires an event's
-  *last* callback, nothing else runs before the loop selects its next
-  event.  So when a wake-up the callback causes would be that very next
-  dispatch and would resume only what is already running, it happens in
-  place and the dispatch is left out; every event that is still
-  dispatched keeps its exact place in the order.  Three wake-ups take
-  this path: a satisfied wait (a free resource unit, a waiting store
-  item; :meth:`Simulator.satisfied`), a sleep whose end nothing else
-  precedes (:meth:`Simulator.sleep`, which advances the clock in place)
-  and a process's completion (handed to the loop, which fires its
-  callbacks before it selects the next event).
+* **In-place wake-ups and the hand-off.**  While :meth:`Simulator.run`
+  fires an event's *last* callback, nothing else runs before the loop
+  selects its next event.  So when something the callback causes would
+  be that very next dispatch, the dispatch is left out; every event that
+  is still dispatched keeps its exact place in the order.  Two wake-ups
+  that resume only the running process happen in place: a satisfied
+  wait (a free resource unit, a waiting store item;
+  :meth:`Simulator.satisfied`) and a sleep whose end nothing else
+  precedes (:meth:`Simulator.sleep`, which advances the clock in
+  place).  And one rule covers every other zero-delay trigger — a
+  spawn's kick-start, a ``succeed`` that wakes a waiter, a process's
+  completion: the first one the callback makes is handed to the loop,
+  which fires its callbacks before it selects the next event
+  (:meth:`Event.succeed`).
 
 :meth:`Simulator.run` inlines the event dispatch loop — no per-event
 method calls beyond the callbacks themselves.  :meth:`Simulator.step`
@@ -108,12 +111,32 @@ class Event:
         return self._value
 
     def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event, firing at the current instant."""
+        """Trigger the event, firing at the current instant.
+
+        It is queued like any zero-delay event, except when the loop is
+        firing the last callback of an event, the ready deque is empty
+        and no heap entry is due at ``now``: then this event would be
+        the loop's very next dispatch.  It goes to the loop's hand-off
+        slot instead, and the loop fires its callbacks before it selects
+        its next event, without counting a dispatch.  The flag is then
+        cleared for the rest of the callback, so whatever else it
+        triggers, sleeps on or finishes queues behind this event, as it
+        would behind a queued one.  The slot is a trampoline: a chain of
+        kick-starts or completions unwinds in the loop, not on the
+        stack.
+        """
         if self._triggered:
             raise SimulationError("event already triggered")
         self._triggered = True
         self._value = value
-        self.sim._ready_append(self)
+        sim = self.sim
+        if sim._last and not sim._ready:
+            heap = sim._heap
+            if not heap or heap[0][0] > sim.now:
+                sim._last = False
+                sim._handoff = self
+                return self
+        sim._ready_append(self)
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -149,8 +172,9 @@ class Process(Event):
     The process itself is an event that fires when the generator returns,
     carrying the return value — so processes can wait on each other.  An
     exception the generator raises propagates out of :meth:`Simulator.run`.
-    A completion that would be the loop's very next dispatch is handed
-    to the loop instead of queued (:meth:`_finish`).
+    A kick-start or a completion that would be the loop's very next
+    dispatch is handed to the loop instead of queued
+    (:meth:`Event.succeed`).
 
     The resume path dispatches through ``gen.send``, bound once at
     construction, and attaches itself straight to the yielded target's
@@ -177,10 +201,6 @@ class Process(Event):
         init = Event(sim)
         init.callbacks.append(self._cb)
         init.succeed()
-
-    @property
-    def is_alive(self) -> bool:
-        return not self._triggered
 
     def _resume(self, event: Event) -> None:
         # The resume callback sits on one pending event at a time and
@@ -212,29 +232,9 @@ class Process(Event):
             # resume with it at once, as add_callback would.
             event = target
 
-    def _finish(self, value: Any) -> None:
-        """Fire the completion carrying ``value``.
-
-        It is queued like any zero-delay event, except when the loop is
-        firing the last callback of an event (this process's resume),
-        the ready deque is empty and no heap entry is due at ``now``:
-        then the completion would be the loop's very next dispatch.  It
-        goes to the loop's hand-off slot instead, and the loop fires its
-        callbacks before it selects its next event, without counting a
-        dispatch.  The slot is a trampoline: a chain of processes each
-        waiting on the next unwinds in the loop, not on the stack.  It
-        is always empty here, because a process returns only at the end
-        of the callback that resumed it.
-        """
-        self._triggered = True
-        self._value = value
-        sim = self.sim
-        if sim._last and not sim._ready:
-            heap = sim._heap
-            if not heap or heap[0][0] > sim.now:
-                sim._handoff = self
-                return
-        sim._ready_append(self)
+    #: The completion carrying the return value fires like any
+    #: triggered event, hand-off included (see :meth:`Event.succeed`).
+    _finish = Event.succeed
 
 
 class _DetachedProcess(Process):
@@ -364,7 +364,7 @@ class Simulator:
         #: True only while :meth:`run` or :meth:`run_profiled` fires an
         #: event's last callback: nothing else runs between the end of
         #: that callback and the loop's next selection (see
-        #: :meth:`satisfied`, :meth:`sleep` and :meth:`Process._finish`).
+        #: :meth:`satisfied`, :meth:`sleep` and :meth:`Event.succeed`).
         self._last = False
         #: The latest time an in-place sleep may reach, or an ACK nobody
         #: waits on may land unwaited (``verbs/qp.py``): ``until`` while
@@ -372,9 +372,9 @@ class Simulator:
         #: drains the schedule, -inf outside a run (so :meth:`step` never
         #: takes either path).
         self.horizon = -math.inf
-        #: A process completion the loop fires before it selects its
-        #: next event (see :meth:`Process._finish`).
-        self._handoff: Optional[Process] = None
+        #: A triggered event the loop fires before it selects its next
+        #: event (see :meth:`Event.succeed`).
+        self._handoff: Optional[Event] = None
         #: Whether components keep the accounting that telemetry and the
         #: auditors read: queue accounting, wait times and value-count
         #: ledgers.  Components read it **once, at construction time**
@@ -577,8 +577,8 @@ class Simulator:
         operations.  It fires events in the order ``while self.step(): ...``
         would, but while it fires an event's last callback it sets the flag
         that lets the in-place wake-ups leave out the next dispatch, and
-        it fires a handed-off completion before it selects the next
-        event, so it dispatches fewer events than stepping does.
+        it fires a handed-off event before it selects the next one, so
+        it dispatches fewer events than stepping does.
         """
         if until is not None and until < self.now:
             raise SimulationError("until=%r is in the past (now=%r)" % (until, self.now))
@@ -623,13 +623,14 @@ class Simulator:
                                 fn(event)
                             self._last = True
                             last(event)
-                    # A completion handed off by the callbacks fires
-                    # next, as its queued twin would have.
+                    # An event handed off by the callbacks fires next,
+                    # as its queued twin would have.
                     event = self._handoff
                     if event is None:
                         break
                     self._handoff = None
         finally:
+            self._requeue_handoff()
             self._last = False
             self.horizon = -math.inf
             self._n_events = n
@@ -644,7 +645,7 @@ class Simulator:
         behaviour, same ``until`` handling, the same last-callback flag
         and hand-off — a profiled run produces byte-identical simulation
         results and dispatches the same events), but every callback
-        batch, with the completions it hands off, is bracketed with
+        batch, with the events it hands off, is bracketed with
         ``perf_counter_ns`` and charged to ``profile`` via
         ``profile.account(event, callbacks, dt_ns)``.
 
@@ -696,11 +697,23 @@ class Simulator:
                     callbacks = event.callbacks
                 account(dispatched, first, clock() - t_fire)
         finally:
+            self._requeue_handoff()
             self._last = False
             self.horizon = -math.inf
             self._n_events = n
         if until is not None:
             self.now = until
+
+    def _requeue_handoff(self) -> None:
+        """Queue a hand-off that a raising callback left in the slot.
+
+        It was taken with the ready deque empty, so it goes to the head:
+        whatever the callback queued before it raised stays behind it.
+        """
+        event = self._handoff
+        if event is not None:
+            self._handoff = None
+            self._ready.appendleft(event)
 
     def run_until_event(self, event: Event) -> Any:
         """Run until ``event`` fires; returns its value."""

@@ -177,67 +177,66 @@ def dispatched(result):
 #: Update the hashes only with an intended model change.
 #:
 #: The event count is host bookkeeping.  A cut that drops dispatches
-#: which model nothing (an event that wakes no one, a wake-up that would
-#: be the loop's next dispatch, an ACK nobody waits on) lowers it and
-#: moves no hash.  Update the
-#: counts on purpose, with such a cut, and list old and new in
-#: CHANGES.md.
+#: which model nothing (an event that wakes no one, a wake-up or a
+#: trigger that would be the loop's next dispatch, an ACK nobody waits
+#: on) lowers it and moves no hash.  Update the counts on purpose, with
+#: such a cut, and list old and new in CHANGES.md.
 ORDER_WITNESS = {
     "flock": (
         "43cca68f0fde702d0d68fe1c08fe35209cb0db1b0fe267d92bd4e4d0b4b141ad",
-        45_091, lambda: run_flock(SMALL)),
+        31_848, lambda: run_flock(SMALL)),
     "raw_reads": (
         "833bf636818184572edcf23d0d1e475c330030e111b64cfc47c613daeb5baa37",
-        147_158, lambda: run_raw_reads(24, n_clients=3)),
+        126_136, lambda: run_raw_reads(24, n_clients=3)),
     "flocktx": (
         "6b85f84f826513551789bd580ba62f41f51d3a84585d01431d77e647176ef69b",
-        30_728, lambda: run_flocktx(SMALL_TXN)),
+        21_106, lambda: run_flocktx(SMALL_TXN)),
     "fasst_txn": (
         "fd20fcea0e5c02b8a4405e1bfaf01c0001e108198c824ad396066736198b67cf",
-        25_163, lambda: run_fasst_txn(SMALL_TXN)),
+        17_430, lambda: run_fasst_txn(SMALL_TXN)),
     # SmallBank's hot 4 % of accounts drives the store's lock and
     # overwrite paths hardest.
     "flocktx_smallbank": (
         "cec9c0443dc0e16208d59c94a9cf96c41ebd1e0afffc15f68ec8cd542d48b188",
-        29_212, lambda: run_flocktx(replace(SMALL_TXN, workload="smallbank"))),
+        19_994, lambda: run_flocktx(replace(SMALL_TXN, workload="smallbank"))),
     "fasst_txn_smallbank": (
         "e0b827d1213743a9afd30ce89a2c45d0de6ff4f943d4fad7c2af208a75bcbd0f",
-        25_400,
+        17_568,
         lambda: run_fasst_txn(replace(SMALL_TXN, workload="smallbank"))),
     "flock_index": (
         "2b8b90e185319ab5990aa345648f8ca4a25e2a7ad225e56695e3fcd19977b61d",
-        14_522, lambda: run_flock_index(SMALL_INDEX)),
+        9_510, lambda: run_flock_index(SMALL_INDEX)),
     "erpc_index": (
         "bcdee4232539c4f64832de0e3781a6b74e131c0b7d28079eb7bbd1b5d1178871",
-        12_589, lambda: run_erpc_index(SMALL_INDEX)),
+        8_790, lambda: run_erpc_index(SMALL_INDEX)),
     "incast_congested": (
         "f3e67b145cf6a9772c30a2965ac376c5b13f317e487a262e84b462f095f7bba9",
-        31_344, lambda: run_incast_flock(SMALL_INCAST, congested=True)),
+        22_800, lambda: run_incast_flock(SMALL_INCAST, congested=True)),
     "erpc": (
         "0711a0d36c9fcb1da101895a29017d9e2c3012db39286b110af81f470f67e773",
-        46_050, lambda: run_erpc(SMALL)),
+        34_314, lambda: run_erpc(SMALL)),
     "rc_shared": (
         "1332853f4807c219cf2a0372a3642338981943db0f9ad0ecb34938bf792f63fa",
-        37_223, lambda: run_rc(SMALL, threads_per_qp=2)),
+        25_952, lambda: run_rc(SMALL, threads_per_qp=2)),
     "thread_sched": (
         "9384e82cfbba275018c73826850598081fad1c74dd9ffc2f8a5633bd02838269",
-        37_471, lambda: run_thread_sched(SMALL_SCHED, 512, scheduling=True)),
+        29_068, lambda: run_thread_sched(SMALL_SCHED, 512, scheduling=True)),
     "incast_ud_congested": (
         "f24be07270a407aca24cbb656d466a65b26a1cfb6042d3c003482541ee49be5e",
-        43_794, lambda: run_incast_ud(SMALL_INCAST, congested=True)),
+        31_243, lambda: run_incast_ud(SMALL_INCAST, congested=True)),
     "scenario_leg_congested": (
         "eafd20de148296bec4b2364c2d49db033675a16316d0e0d5e07e6f38f8391b02",
-        26_809, lambda: run_scenario_leg(SMALL_SCENARIO, congested=True)),
+        19_280, lambda: run_scenario_leg(SMALL_SCENARIO, congested=True)),
     "ud_rpc": (
         "810987a4415e291fc4ff6374cadd524b8cc7dc8ed97dfe83dcd40fe084718810",
-        40_814, lambda: run_ud_rpc(12, n_clients=3, warmup_ns=100_000.0,
+        29_625, lambda: run_ud_rpc(12, n_clients=3, warmup_ns=100_000.0,
                                    measure_ns=150_000.0)),
     # 48 QPs of demand against MAX_AQP=32, split 3:1.
     "multitenancy": (
         "459975f03fa9c3b59988beba48238bd14f5e7413be9fe735c431dfc497606f49",
-        109_520, lambda: run_multitenancy({"gold": 3.0, "bronze": 1.0},
-                                          clients_per_tenant=1, threads=24,
-                                          duration_ns=450_000.0)),
+        83_846, lambda: run_multitenancy({"gold": 3.0, "bronze": 1.0},
+                                         clients_per_tenant=1, threads=24,
+                                         duration_ns=450_000.0)),
 }
 
 
@@ -266,10 +265,12 @@ def _stepped_run(sim, until=None):
 
 
 @pytest.mark.parametrize("name", ["flock", "raw_reads", "flocktx",
-                                  "incast_congested"])
+                                  "incast_congested", "erpc", "ud_rpc"])
 def test_stepping_matches_pinned_hash(name, monkeypatch):
-    """The in-place wake-ups and the unwaited ACKs are exact: a run that
-    takes none of them gives the pinned results with more dispatches."""
+    """The in-place wake-ups, the hand-offs and the unwaited ACKs are
+    exact: a run that takes none of them gives the pinned results with
+    more dispatches.  ``erpc`` and ``ud_rpc`` hand off the ``succeed``
+    of their own response paths."""
     monkeypatch.setenv("REPRO_BENCH_SCALE", "1")
     monkeypatch.setattr(Simulator, "run", _stepped_run)
     expected, events, run = ORDER_WITNESS[name]

@@ -91,6 +91,9 @@ class TestSimProfile:
         ev = sim.event()
         ev.add_callback(_noop)                    # -> app;callback
         sim.timeout(7.0).add_callback(lambda _t: ev.succeed())
+        # A second timer due at the same instant queues ``ev`` behind
+        # it, so ``ev`` is a dispatch of its own, not a hand-off.
+        sim.timeout(7.0).add_callback(_noop)
         prof = SimProfile(100.0, 200.0)
         sim.run_profiled(prof, until=until)
         return sim, prof

@@ -118,14 +118,14 @@ class TestProcess:
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_is_alive(self, sim):
+    def test_triggered_once_finished(self, sim):
         def proc():
             yield sim.timeout(10)
 
         p = sim.spawn(proc())
-        assert p.is_alive
+        assert not p.triggered
         sim.run()
-        assert not p.is_alive
+        assert p.triggered
 
     def test_exception_propagates_in_strict_mode(self, sim):
         def proc():
@@ -157,7 +157,7 @@ class TestDetachedProcess:
     def test_runs_to_completion_and_keeps_value(self):
         sim, p = self._run(detached=True)
         assert sim.now == 15
-        assert not p.is_alive
+        assert p.triggered
         assert p.processed and p.value == "done"
 
     def test_completion_fires_no_event(self):
@@ -532,9 +532,11 @@ class TestSatisfiedWaits:
 
 
 class TestInPlaceWakeups:
-    """``Simulator.sleep`` and a process's completion: a wake-up that
-    would be the loop's very next dispatch, and would resume only what
-    is already running, happens in place; every other one is queued."""
+    """``Simulator.sleep`` and the hand-off: a sleep that would be the
+    loop's very next dispatch, and would resume only what is already
+    running, happens in place; the first zero-delay trigger of a last
+    callback that would be that dispatch (a kick-start, a ``succeed``,
+    a completion) is handed to the loop; every other one is queued."""
 
     def test_lone_sleeps_run_in_place(self, sim):
         seen = []
@@ -715,9 +717,207 @@ class TestInPlaceWakeups:
 
         run_gen(sim, proc())
         assert order == [("cb", 2.0), ("race", ["late"], 5.0)]
-        # The kick-start, both timeouts and the condition; the
-        # completion runs in place.
-        assert sim.events_processed == 4
+        # The kick-start and both timeouts; the condition is handed
+        # off by the race's timeout, and the completion by the
+        # condition.
+        assert sim.events_processed == 3
+
+    def test_kick_start_costs_no_dispatch(self, sim):
+        def child():
+            yield sim.sleep(1.0)
+            return "child"
+
+        def parent():
+            yield sim.sleep(2.0)
+            return (yield sim.spawn(child()))
+
+        assert run_gen(sim, parent()) == "child"
+        assert sim.now == 3.0
+        # The parent's kick-start alone: the child's kick-start and both
+        # completions are handed off, and both sleeps run in place.
+        assert sim.events_processed == 1
+
+    @pytest.mark.parametrize("wake, dispatches", [("store", 3),
+                                                  ("resource", 4)])
+    def test_waking_a_waiter_costs_no_dispatch(self, sim, wake, dispatches):
+        store, res, order = Store(sim), Resource(sim), []
+        if wake == "resource":
+            res.acquire()  # held from the start: one dispatch, no waiter
+
+        def waiter():
+            if wake == "store":
+                got = yield store.get()
+            else:
+                yield res.acquire()
+                got = "unit"
+            order.append((got, sim.now))
+
+        def waker():
+            yield sim.timeout(1.0)
+            if wake == "store":
+                store.try_put("item")
+            else:
+                res.release()
+            order.append(("woke", sim.now))
+
+        sim.spawn(waiter())
+        sim.spawn(waker(), detached=True)
+        sim.run()
+        got = "item" if wake == "store" else "unit"
+        assert order == [("woke", 1.0), (got, 1.0)]
+        # The kick-starts and the timeout (and the held unit's acquire):
+        # the wake-up is handed off, and so is the waiter's completion.
+        assert sim.events_processed == dispatches
+
+    @staticmethod
+    def _three_triggers(s, order, flags):
+        """A process that triggers three events in one callback, then
+        sleeps 0 ns."""
+        evs = [s.event() for _ in range(3)]
+        for i, ev in enumerate(evs):
+            ev.callbacks.append(lambda _ev, i=i: order.append(i))
+
+        def proc():
+            yield s.timeout(1.0)
+            for ev in evs:
+                ev.succeed()
+                flags.append(s._last)
+            yield s.sleep(0.0)  # queued behind all three
+            order.append("sleeper")
+
+        s.spawn(proc())
+
+    def test_only_the_first_trigger_is_handed_off(self, sim):
+        by_run, by_step, flags = [], [], []
+        self._three_triggers(sim, by_run, flags)
+        sim.run()
+        stepped = Simulator()
+        self._three_triggers(stepped, by_step, [])
+        while stepped.step():
+            pass
+        assert by_run == by_step == [0, 1, 2, "sleeper"]
+        # The flag is cleared by the first trigger, so the later ones
+        # and the sleep are queued behind it.
+        assert flags == [False, False, False]
+        # The kick-start, the timeout, the two later triggers and the
+        # sleep; the first trigger and the completion are handed off.
+        assert sim.events_processed == 5
+        assert stepped.events_processed == 7
+
+    def test_trigger_behind_a_heap_entry_due_now_is_queued(self, sim):
+        order = []
+        ev = sim.event()
+        ev.callbacks.append(lambda _ev: order.append("woken"))
+
+        def trigger():
+            yield sim.timeout(5.0)
+            ev.succeed()
+
+        def peer():
+            yield sim.timeout(5.0)  # same instant, pushed second
+            order.append("peer")
+
+        sim.spawn(trigger())
+        sim.spawn(peer())
+        sim.run()
+        assert order == ["peer", "woken"]
+
+    def test_step_and_outside_a_run_queue_every_trigger(self, sim):
+        def child():
+            return "c"
+            yield
+
+        def parent():
+            yield sim.timeout(1.0)
+            return (yield sim.spawn(child()))
+
+        p = sim.spawn(parent())
+        # Outside a run: the kick-start is queued, not handed off.
+        assert list(sim._ready) and sim._handoff is None
+        assert sim.run_until_event(p) == "c"
+        # Both kick-starts, the timeout and both completions.
+        assert sim.events_processed == 5
+
+    def test_long_spawn_chain_does_not_recurse(self, sim):
+        spawned = []
+
+        def link(depth):
+            spawned.append(depth)
+            if depth:
+                sim.spawn(link(depth - 1), detached=True)
+            return
+            yield
+
+        sim.spawn(link(10_000), detached=True)
+        sim.run()
+        assert len(spawned) == 10_001 and spawned[-1] == 0
+        # The first kick-start; every later one is handed off.
+        assert sim.events_processed == 1
+
+    @staticmethod
+    def _mixed(s, order):
+        """Kick-starts, store and resource wake-ups and completions."""
+        store, lock = Store(s), Resource(s)
+
+        def consumer(tag):
+            for _ in range(3):
+                item = yield store.get()
+                yield lock.acquire()
+                order.append((s.now, tag, item))
+                yield s.sleep(1.0)
+                lock.release()
+
+        def producer():
+            for tag in ("a", "b"):
+                s.spawn(consumer(tag))
+            for i in range(6):
+                yield s.timeout(0.5)
+                store.try_put(i)
+
+        s.spawn(producer())
+
+    def test_profiled_run_dispatches_the_same_count(self):
+        class Tally:
+            dispatches = 0
+
+            def account(self, event, callbacks, dt_ns):
+                self.dispatches += 1
+
+        by_run, by_profiled = [], []
+        plain, profiled = Simulator(), Simulator()
+        self._mixed(plain, by_run)
+        self._mixed(profiled, by_profiled)
+        plain.run()
+        tally = Tally()
+        profiled.run_profiled(tally)
+        assert by_profiled == by_run and len(by_run) == 6
+        assert profiled.events_processed == plain.events_processed
+        assert tally.dispatches == plain.events_processed
+
+    @pytest.mark.parametrize("profiled", [False, True])
+    def test_hand_off_survives_a_raising_callback(self, sim, profiled):
+        order = []
+        handed, queued = sim.event(), sim.event()
+        handed.callbacks.append(lambda _ev: order.append("handed off"))
+        queued.callbacks.append(lambda _ev: order.append("queued"))
+
+        def proc():
+            yield sim.timeout(1.0)
+            handed.succeed()
+            queued.succeed()
+            raise RuntimeError("boom")
+
+        class Tally:
+            def account(self, event, callbacks, dt_ns):
+                pass
+
+        run = (lambda: sim.run_profiled(Tally())) if profiled else sim.run
+        sim.spawn(proc())
+        with pytest.raises(RuntimeError, match="boom"):
+            run()
+        assert order == [] and sim._handoff is None
+        run()
+        assert order == ["handed off", "queued"]
 
 
 class TestGarbageDiscipline:
