@@ -82,15 +82,6 @@ class KvEntry:
         return "KvEntry(value=%r, version=%r, lock_owner=%r)" % (
             self.value, self.version, self.lock_owner)
 
-    @property
-    def locked(self) -> bool:
-        return self.lock_owner is not None
-
-    @property
-    def version_word(self) -> int:
-        """The packed word published for one-sided validation."""
-        return (self.version << 1) | (1 if self.locked else 0)
-
 
 class KvPartition:
     """One server's partition, optionally exposing version words in a

@@ -229,13 +229,6 @@ class UdEndpoint:
             )
         return len(chunks)
 
-    @staticmethod
-    def receive_large(reassembler: Reassembler, chunk: "UdChunk"):
-        """Feed one received chunk; returns the chunk list when the
-        message completes, None otherwise."""
-        return reassembler.add(chunk.msg_id, chunk.chunk_idx,
-                               chunk.n_chunks, chunk.payload)
-
     def _dispatcher(self) -> Generator[Event, None, None]:
         while True:
             wc = yield self.qp.recv_cq.wait_pop()

@@ -13,7 +13,6 @@ coalescing: fewer headers, fewer canaries, fewer packets) are faithful.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Any
 
@@ -36,8 +35,6 @@ HEADER_BYTES = 24
 META_BYTES = 16
 #: 64-bit trailing canary.
 CANARY_BYTES = 8
-
-_canary_rng = random.Random(0xF10C)
 
 
 @dataclass
@@ -86,7 +83,6 @@ class CoalescedMessage:
     """Header + N entries + canary, as one RDMA write."""
 
     entries: List[Any] = field(default_factory=list)
-    canary: int = field(default_factory=lambda: _canary_rng.getrandbits(64))
     #: Receiver ring Head piggybacked by the server on responses (§4.1),
     #: letting the sender refresh its cached copy without an RDMA read.
     piggyback_head: Optional[int] = None
@@ -114,10 +110,6 @@ class CoalescedMessage:
     def coalescing_degree(self) -> int:
         """Paper's QP-contention metric: requests per message (>= 1)."""
         return max(1, len(self.entries))
-
-    def is_intact(self, observed_trailer: int) -> bool:
-        """Canary check the dispatcher performs before decoding."""
-        return observed_trailer == self.canary
 
 
 def coalesced_size(entry_sizes) -> int:

@@ -85,10 +85,6 @@ class HoldLedger:
         self.total_hold_ns += held
         return held
 
-    @property
-    def active_holds(self) -> int:
-        return len(self._since)
-
 
 def compute_allocation(
     per_client_u: Mapping[int, float],

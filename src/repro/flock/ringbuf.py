@@ -89,11 +89,6 @@ class RingBuffer:
             raise RingOverflow("%s: consumed more bytes than written"
                                % self.name)
 
-    @property
-    def backlog(self) -> int:
-        """Messages written but not yet consumed."""
-        return self.tail - self.head
-
 
 class SenderView:
     """The sender's bookkeeping for a remote ring (§4.1).

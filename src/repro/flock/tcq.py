@@ -104,9 +104,3 @@ class CombiningQueue:
         value = percentile(sorted(self.degrees_since_report), 50.0)
         self.degrees_since_report = []
         return max(1, int(round(value)))
-
-    @property
-    def mean_degree(self) -> float:
-        if self.messages_sent == 0:
-            return 1.0
-        return self.requests_sent / self.messages_sent

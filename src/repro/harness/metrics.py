@@ -33,7 +33,7 @@ from ..obs import (
 from ..obs.anomaly import detect_run_anomalies
 from ..obs.simprof import SimProfile, profile_enabled
 from ..obs.windows import SloTimeline, attach_switch_sources
-from ..sim import Simulator, percentile, summarize_latencies
+from ..sim import Simulator, summarize_latencies
 
 __all__ = ["Recorder", "Run", "RunResult", "bench_scale", "closed_loop"]
 
@@ -214,16 +214,6 @@ class Recorder:
                          extras=dict(extras), slo=slo,
                          anomalies=detect_run_anomalies(
                              slo, label=str(extras.get("system", ""))))
-
-    def cdf_us(self, points: int = 20):
-        """Latency CDF as (percentile, µs) pairs — Figs. 7/8-style curves."""
-        if points < 2:
-            raise ValueError("need at least two CDF points")
-        if not self.latencies_ns:
-            return []
-        ordered = sorted(self.latencies_ns)
-        return [(p, percentile(ordered, p) / 1e3)
-                for p in (i * 100.0 / (points - 1) for i in range(points))]
 
 
 def closed_loop(sim: Simulator, recorder: Recorder, call, args: tuple,

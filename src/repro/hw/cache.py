@@ -83,12 +83,5 @@ class LruCache:
         entries[key] = None
         return False
 
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop ``key`` if present (e.g. QP destroyed); True if it was."""
-        if key in self._entries:
-            del self._entries[key]
-            return True
-        return False
-
     def clear(self) -> None:
         self._entries.clear()

@@ -44,12 +44,6 @@ class CoreMeter:
             return 0.0
         return min(1.0, self.total_busy_ns / elapsed)
 
-    def fraction(self, category: str) -> float:
-        total = self.total_busy_ns
-        if total <= 0:
-            return 0.0
-        return self.busy_ns.get(category, 0.0) / total
-
 
 class CpuMeter:
     """Aggregates the cores of one node."""

@@ -14,7 +14,7 @@ Payloads themselves are not byte-accurate; a region stores an optional
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 __all__ = ["MemoryRegion", "HostMemory", "AccessError"]
 
@@ -71,10 +71,6 @@ class MemoryRegion:
         self.check(addr, 8, "read")
         return self.words.get(addr, 0)
 
-    def write_word(self, addr: int, value: int) -> None:
-        self.check(addr, 8, "write")
-        self.words[addr] = value
-
 
 class HostMemory:
     """All registered regions of one node, with a simple bump allocator."""
@@ -91,21 +87,11 @@ class HostMemory:
         self._regions[region.rkey] = region
         return region
 
-    def deregister(self, rkey: int) -> None:
-        self._regions.pop(rkey, None)
-
     def lookup(self, rkey: int) -> MemoryRegion:
         try:
             return self._regions[rkey]
         except KeyError:
             raise AccessError("unknown rkey %d" % rkey) from None
-
-    def region_for(self, addr: int, length: int) -> Optional[MemoryRegion]:
-        """Find the region covering [addr, addr+length), if any."""
-        for region in self._regions.values():
-            if region.contains(addr, length):
-                return region
-        return None
 
     def __len__(self) -> int:
         return len(self._regions)

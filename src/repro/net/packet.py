@@ -7,7 +7,7 @@ payloads into chunks that may arrive out of order and need reassembly.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 __all__ = ["segment", "Reassembler"]
 
@@ -33,30 +33,23 @@ class Reassembler:
     Each message carries ``(msg_id, chunk_idx, n_chunks)``; the
     reassembler buffers chunks until a message is complete, then releases
     it.  This is exactly the application-side burden the paper notes UD
-    imposes (Table 1 caption).
-
-    Under loss a message may never complete, so partial state must not
-    accumulate forever: callers pass the arrival time (``now``) with each
-    chunk and periodically :meth:`expire` stragglers, or :meth:`drop` a
-    message they have given up on (e.g. after an RPC timeout).
+    imposes (Table 1 caption).  Under loss a message may never complete;
+    :attr:`pending` and :attr:`pending_bytes` show what stays buffered.
     """
 
     def __init__(self):
         #: msg_id -> {chunk_idx: payload}.
         self._partial = {}
-        #: msg_id -> (payload bytes buffered, last-arrival time).
-        self._meta = {}
+        #: msg_id -> payload bytes buffered.
+        self._buffered = {}
         self.completed = 0
-        #: Messages abandoned via :meth:`expire` / :meth:`drop`.
-        self.expired = 0
 
     def add(self, msg_id: int, chunk_idx: int, n_chunks: int, payload=None,
-            nbytes: int = 0, now: float = 0.0):
+            nbytes: int = 0):
         """Feed one chunk; returns the full chunk list if complete.
 
-        ``nbytes``/``now`` feed the leak accounting (buffered payload
-        bytes and the staleness clock for :meth:`expire`); legacy callers
-        that track neither can omit them.
+        ``nbytes`` feeds the leak accounting (buffered payload bytes);
+        callers that do not track it can omit it.
         """
         if n_chunks <= 0 or not 0 <= chunk_idx < n_chunks:
             raise ValueError("bad chunk coordinates")
@@ -67,35 +60,13 @@ class Reassembler:
         if chunk_idx in chunks:
             raise ValueError("duplicate chunk %d of message %d" % (chunk_idx, msg_id))
         chunks[chunk_idx] = payload
-        buffered, _ = self._meta.get(msg_id, (0, 0.0))
-        self._meta[msg_id] = (buffered + max(nbytes, 0), now)
+        self._buffered[msg_id] = self._buffered.get(msg_id, 0) + max(nbytes, 0)
         if len(chunks) == n_chunks:
             del self._partial[msg_id]
-            del self._meta[msg_id]
+            del self._buffered[msg_id]
             self.completed += 1
             return [chunks[i] for i in range(n_chunks)]
         return None
-
-    def drop(self, msg_id: int) -> bool:
-        """Discard one incomplete message; True if it was pending."""
-        if self._partial.pop(msg_id, None) is None:
-            return False
-        self._meta.pop(msg_id, None)
-        self.expired += 1
-        return True
-
-    def expire(self, now: float, timeout_ns: float) -> int:
-        """Discard every partial message idle longer than ``timeout_ns``.
-
-        Returns the number of messages expired.  Idle means no chunk
-        arrived since ``now - timeout_ns``; a message still receiving
-        chunks is never expired regardless of age.
-        """
-        stale = [msg_id for msg_id, (_, last) in self._meta.items()
-                 if now - last > timeout_ns]
-        for msg_id in stale:
-            self.drop(msg_id)
-        return len(stale)
 
     @property
     def pending(self) -> int:
@@ -104,4 +75,4 @@ class Reassembler:
     @property
     def pending_bytes(self) -> int:
         """Payload bytes buffered across all incomplete messages."""
-        return sum(buffered for buffered, _ in self._meta.values())
+        return sum(self._buffered.values())

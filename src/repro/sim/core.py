@@ -33,13 +33,12 @@ The hot path is deliberately split in two (see ``docs/performance.md``):
   fires an event's *last* callback, nothing else runs before the loop
   selects its next event.  So when something the callback causes would
   be that very next dispatch, the dispatch is left out; every event that
-  is still dispatched keeps its exact place in the order.  Two wake-ups
-  that resume only the running process happen in place: a satisfied
-  wait (a free resource unit, a waiting store item;
-  :meth:`Simulator.satisfied`) and a sleep whose end nothing else
-  precedes (:meth:`Simulator.sleep`, which advances the clock in
-  place).  And one rule covers every other zero-delay trigger — a
-  spawn's kick-start, a ``succeed`` that wakes a waiter, a process's
+  is still dispatched keeps its exact place in the order.  A sleep
+  runs in place: when nothing else precedes its end,
+  :meth:`Simulator.sleep` advances the clock and the running process
+  carries on.  Every other zero-delay trigger is handed off — a
+  spawn's kick-start, a satisfied wait (a free resource unit, a
+  waiting store item), a ``succeed`` that wakes a waiter, a process's
   completion: the first one the callback makes is handed to the loop,
   which fires its callbacks before it selects the next event
   (:meth:`Event.succeed`).
@@ -72,6 +71,11 @@ __all__ = [
 ]
 
 
+#: The error :meth:`Simulator.sleep` and :meth:`Simulator.timeout` raise
+#: for a delay that is not ``>= 0`` (a negative one, or NaN).
+_BAD_DELAY = "delay must be >= 0, got %r"
+
+
 class SimulationError(Exception):
     """Raised for kernel-level misuse (double trigger, bad yields, ...)."""
 
@@ -98,11 +102,6 @@ class Event:
     def triggered(self) -> bool:
         """True once the event has been scheduled to fire."""
         return self._triggered
-
-    @property
-    def processed(self) -> bool:
-        """True once callbacks have run."""
-        return self._processed
 
     @property
     def value(self) -> Any:
@@ -205,9 +204,9 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         # The resume callback sits on one pending event at a time and
         # nothing else can wake the process, so a finished process is
-        # never resumed again.  A loop, not recursion: a run of yields whose targets have
-        # already fired (see Simulator.satisfied) resumes in place
-        # without growing the stack.
+        # never resumed again.  A loop, not recursion: a run of yields
+        # whose targets have already fired (in-place sleeps, events
+        # processed earlier) resumes in place without growing the stack.
         while True:
             try:
                 target = self._send(event._value)
@@ -364,7 +363,7 @@ class Simulator:
         #: True only while :meth:`run` or :meth:`run_profiled` fires an
         #: event's last callback: nothing else runs between the end of
         #: that callback and the loop's next selection (see
-        #: :meth:`satisfied`, :meth:`sleep` and :meth:`Event.succeed`).
+        #: :meth:`sleep` and :meth:`Event.succeed`).
         self._last = False
         #: The latest time an in-place sleep may reach, or an ACK nobody
         #: waits on may land unwaited (``verbs/qp.py``): ``until`` while
@@ -408,41 +407,6 @@ class Simulator:
         ev._processed = False
         return ev
 
-    def satisfied(self, value: Any = None) -> Event:
-        """An event for a wait that is already satisfied, carrying ``value``.
-
-        ``Resource.acquire`` on a free unit and ``Store.get`` on a waiting
-        item are the callers.  Usually this is a zero-delay event, queued
-        FIFO like any other.  But when the loop is firing the last
-        callback of an event (the caller's resume), the ready deque is
-        empty and no heap entry is due at ``now``, that event would be
-        the very next dispatch and would wake only the caller.  Then the
-        event is born fired, and :meth:`Process._resume` carries on in
-        place: the dispatch goes, and every event that is still
-        dispatched keeps its exact place in the order.
-
-        Precondition: the caller is a process that yields the returned
-        event at once.  A callback attached to a born-fired event runs at
-        attach time, so whatever the caller did between this call and its
-        yield would run after that callback instead of before it.
-        """
-        if self._last and not self._ready:
-            heap = self._heap
-            if not heap or heap[0][0] > self.now:
-                ev = Event.__new__(Event)
-                ev.sim = self
-                ev.callbacks = None
-                ev._value = value
-                ev._triggered = True
-                ev._processed = True
-                return ev
-        ev = self.event()
-        # Flattened succeed(value): queued at the tail of the ready deque.
-        ev._triggered = True
-        ev._value = value
-        self._ready_append(ev)
-        return ev
-
     def sleep(self, delay: float) -> Timeout:
         """An event firing ``delay`` ns from now, for a process to yield.
 
@@ -456,12 +420,15 @@ class Simulator:
         clock moves to ``when`` at once and the caller carries on in
         place.
 
-        Precondition, as for :meth:`satisfied`: the caller is a process
-        that yields the returned event at once.
+        Precondition: the caller is a process that yields the returned
+        event at once.  A callback attached to a born-fired event runs at
+        attach time, so whatever the caller did between this call and its
+        yield would run after that callback instead of before it.
         """
         # Written flat, like timeout(): this is the most common wait.
-        if delay < 0:
-            raise ValueError("negative sleep delay: %r" % delay)
+        # One comparison also rejects NaN, for which ``delay < 0`` is false.
+        if not delay >= 0:
+            raise ValueError(_BAD_DELAY % (delay,))
         now = self.now
         when = now + delay
         ev = Timeout.__new__(Timeout)
@@ -506,7 +473,7 @@ class Simulator:
             else:
                 self._ready_append(ev)
         else:
-            raise ValueError("negative timeout delay: %r" % delay)
+            raise ValueError(_BAD_DELAY % (delay,))
         return ev
 
     def spawn(self, gen: ProcessGen, name: str = "",
@@ -714,12 +681,3 @@ class Simulator:
         if event is not None:
             self._handoff = None
             self._ready.appendleft(event)
-
-    def run_until_event(self, event: Event) -> Any:
-        """Run until ``event`` fires; returns its value."""
-        while not event._processed:
-            if not self.step():
-                raise SimulationError(
-                    "simulation drained before event fired (deadlock?)"
-                )
-        return event.value

@@ -60,13 +60,13 @@ class Resource:
         acquisition succeeds — so an acquirer still queued when the span
         is flushed at end of run keeps its in-flight wait.
 
-        Yield the event at once: a free unit comes from
-        :meth:`Simulator.satisfied`, which may hand back an event that
-        has already fired.
+        A free unit is held at once and the event is already triggered;
+        when it would be the loop's next dispatch it is handed off
+        (:meth:`Event.succeed`).
         """
         if self._in_use < self.capacity:
             self._in_use += 1
-            return self.sim.satisfied()
+            return self.sim.event().succeed()
         ev = self.sim.event()
         self._waiters.append(ev)
         self.contended += 1
@@ -135,12 +135,12 @@ class Store:
     def get(self) -> Event:
         """Event that fires with the next item.
 
-        Yield the event at once: a waiting item comes from
-        :meth:`Simulator.satisfied`, as in :meth:`Resource.acquire`.
+        A waiting item is taken at once and the event is already
+        triggered, as in :meth:`Resource.acquire`.
         """
         items = self.items
         if items:
-            return self.sim.satisfied(items.popleft())
+            return self.sim.event().succeed(items.popleft())
         ev = self.sim.event()
         if self._getters is None:
             self._getters = deque()

@@ -81,7 +81,6 @@ class QueuePair:
         self.sends_posted = 0
         self.sends_signaled = 0
         self.sends_completed = 0
-        self.destroyed = False
         self._trace = sim.spans.enabled
         sim.register_component(self)
 
@@ -105,14 +104,6 @@ class QueuePair:
         self.remote = peer
         peer.remote = self
 
-    def destroy(self) -> None:
-        """Tear down; also invalidates the cached context in both NICs."""
-        self.destroyed = True
-        self.node.rnic.qp_cache.invalidate(("qp", self.qpn))
-        if self.remote is not None:
-            self.remote.remote = None
-            self.remote = None
-
     # -- receive path -----------------------------------------------------
 
     def post_recv(self, length: int = 4096, n: int = 1) -> None:
@@ -121,10 +112,6 @@ class QueuePair:
             raise ValueError("n must be >= 1")
         for _ in range(n):
             self.recv_buffers.try_put(length)
-
-    @property
-    def recv_posted(self) -> int:
-        return len(self.recv_buffers)
 
     # -- send path ----------------------------------------------------------
 
@@ -149,8 +136,6 @@ class QueuePair:
         ``remote`` addresses the target for UD sends; RC/UC use the
         connected peer.
         """
-        if self.destroyed:
-            raise VerbError("QP destroyed")
         if not supports(self.transport, wr.verb):
             raise VerbError("%s does not support %s (Table 1)"
                             % (self.transport.value, wr.verb.value))

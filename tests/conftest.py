@@ -55,7 +55,7 @@ def run_gen(sim: Simulator, gen, until=None):
         sim.run()
     else:
         sim.run(until=until)
-    if not proc.processed:
+    if not proc.triggered:
         raise AssertionError("process did not finish by t=%r" % sim.now)
     return proc.value
 

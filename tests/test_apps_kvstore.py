@@ -19,22 +19,28 @@ def make_partition():
 
 
 class TestKvEntry:
-    def test_version_word_packing(self):
-        entry = KvEntry(value="v", version=5)
-        assert entry.version_word == 10  # 5 << 1, unlocked
-        entry.lock_owner = 7
-        assert entry.version_word == 11  # lock bit set
-        assert entry.locked
+    """The published version word packs the entry's version and lock."""
 
-    @given(st.integers(min_value=0, max_value=2 ** 40),
+    def test_version_word_packing(self):
+        part, _region = make_partition()
+        part.apply_replica_update(1, "v", 5)
+        assert part.version_of(1) == 10  # 5 << 1, unlocked
+        assert part.try_lock(1, owner=7)
+        assert part.version_of(1) == 11  # lock bit set
+        assert part.get(1).lock_owner == 7
+
+    @given(st.integers(min_value=1, max_value=2 ** 40),
            st.booleans())
     @settings(max_examples=50, deadline=None)
     def test_word_roundtrips(self, version, locked):
-        entry = KvEntry(version=version,
-                        lock_owner=1 if locked else None)
-        word = entry.version_word
-        assert word >> 1 == version
-        assert bool(word & 1) == locked
+        part, _region = make_partition()
+        part.apply_replica_update(1, "v", version)
+        if locked:
+            part.try_lock(1, owner=1)
+        entry = part.get(1)
+        word = part.version_of(1)
+        assert word >> 1 == entry.version == version
+        assert bool(word & 1) == locked == (entry.lock_owner is not None)
 
 
 class TestPartition:
@@ -59,7 +65,7 @@ class TestPartition:
         part.try_lock(1, owner=100)
         assert not part.unlock(1, owner=200)
         assert part.unlock(1, owner=100)
-        assert not part.get(1).locked
+        assert part.get(1).lock_owner is None
 
     def test_commit_bumps_version_and_unlocks(self):
         part, region = make_partition()
@@ -68,7 +74,7 @@ class TestPartition:
         version = part.commit_update(1, "b", owner=5)
         assert version == 2
         entry = part.get(1)
-        assert entry.value == "b" and not entry.locked
+        assert entry.value == "b" and entry.lock_owner is None
 
     def test_commit_without_lock_rejected(self):
         part, _region = make_partition()

@@ -73,7 +73,7 @@ class TestCommitPath:
         # Primary applied it.
         assert servers[0].primary.get(key).value == "val-9"
         assert servers[0].primary.get(key).version == 2
-        assert not servers[0].primary.get(key).locked
+        assert servers[0].primary.get(key).lock_owner is None
         # Both backups applied it during logging.
         for replica_id in replicas_of(0, 3)[1:]:
             copy = servers[replica_id].replicas[0]
@@ -119,7 +119,7 @@ class TestAbortPath:
             writes=[(k0, "a"), (k1, "b")]))
         assert outcome == TxnOutcome.ABORTED
         # The lock taken on server 0 during execution was released.
-        assert not servers[0].primary.get(k0).locked
+        assert servers[0].primary.get(k0).lock_owner is None
         assert servers[0].primary.get(k0).value == 0  # unchanged
 
     def test_validation_failure_aborts(self):
@@ -144,7 +144,7 @@ class TestAbortPath:
             reads=[k_read], writes=[(k_write, "w")]))
         assert outcome == TxnOutcome.ABORTED
         # The write lock taken on server 1 was released by the abort.
-        assert not servers[1].primary.get(k_write).locked
+        assert servers[1].primary.get(k_write).lock_owner is None
 
 
 class TestConcurrency:
@@ -169,7 +169,7 @@ class TestConcurrency:
         committed = outcomes.count(TxnOutcome.COMMITTED)
         assert len(outcomes) == 20
         assert servers[0].primary.get(key).version == 1 + committed
-        assert not servers[0].primary.get(key).locked
+        assert servers[0].primary.get(key).lock_owner is None
 
 
 class TestFasstTransport:

@@ -4,7 +4,8 @@ Deliverable (e) requires doc comments on every public item; this test
 makes that a regression-checked property rather than a promise.  The
 same holds for run knobs: every ``REPRO_*`` environment variable the
 library reads is listed in the "Run knobs" table of
-``docs/observability.md``.
+``docs/observability.md``, every defaulted parameter has a caller that
+sets it, and every definition under ``src/repro`` has a reader.
 """
 
 import ast
@@ -221,3 +222,60 @@ def test_every_defaulted_parameter_has_a_caller():
                 continue
             unset.add(label)
     assert unset == set(PARAMETER_ALLOWLIST)
+
+
+#: Where a definition's reader may be: code that runs, the CI workflow,
+#: and DESIGN.md's paper-API tables.  Tests are not readers.
+READER_DIRS = ("src", "perf", "benchmarks", "examples")
+
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def _code_names(tree):
+    """Every name the code in ``tree`` uses: identifiers, attributes,
+    imports, keywords and the words of string literals (a name passed to
+    ``getattr``).  Docstrings and comments are prose, not readers."""
+    prose = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Expr)
+             and isinstance(node.value, ast.Constant)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from _WORD.findall(node.name)
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in prose):
+            yield from _WORD.findall(node.value)
+
+
+def test_every_definition_has_a_reader():
+    """ROADMAP item 6's rule over every ``def`` and ``class`` under
+    ``src/repro``, dunders aside: its name is used by code in
+    ``src/``, ``perf/``, ``benchmarks/`` or ``examples/``, by a command
+    in the CI workflow, or in DESIGN.md.  There is no allow-list: a
+    paper API no code calls stays only if DESIGN.md names it.  Names
+    match by spelling, so a method that shares its name with a used
+    variable or string passes unread."""
+    named, defined = set(), {}
+    for d in READER_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            named.update(_code_names(tree))
+            if d != "src":
+                continue
+            for node in ast.walk(tree):
+                if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and not (node.name.startswith("__")
+                                 and node.name.endswith("__"))):
+                    defined.setdefault(node.name, "%s:%d" % (
+                        path.relative_to(ROOT), node.lineno))
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    named.update(_WORD.findall(re.sub(r"(?m)^\s*#.*$", "", ci)))
+    named.update(_WORD.findall((ROOT / "DESIGN.md").read_text()))
+    unread = sorted(where for name, where in defined.items()
+                    if name not in named)
+    assert unread == []

@@ -125,7 +125,8 @@ class TestUdChunking:
         for wc in dst.recv_cq.poll(max_entries=16):
             chunk = wc.payload
             assert isinstance(chunk, UdChunk)
-            result = UdEndpoint.receive_large(reassembler, chunk)
+            result = reassembler.add(chunk.msg_id, chunk.chunk_idx,
+                                     chunk.n_chunks, chunk.payload)
             if result is not None:
                 completed = result
         assert completed is not None and len(completed) == 3
@@ -145,7 +146,9 @@ class TestUdChunking:
         reassembler = Reassembler()
         complete = 0
         for wc in dst.recv_cq.poll(max_entries=64):
-            if UdEndpoint.receive_large(reassembler, wc.payload) is not None:
+            chunk = wc.payload
+            if reassembler.add(chunk.msg_id, chunk.chunk_idx,
+                               chunk.n_chunks, chunk.payload) is not None:
                 complete += 1
         # With 50% chunk loss, most 3-chunk messages never complete.
         assert complete < 10

@@ -62,59 +62,6 @@ class TestRecorder:
         with pytest.raises(RuntimeError):
             recorder.result()
 
-    def test_cdf(self):
-        sim = Simulator()
-        recorder = Recorder(sim)
-        recorder.open_window(0, 1000)
-        sim.now = 500
-        for lat in (1000.0, 2000.0, 3000.0, 4000.0):
-            recorder.record(started_ns=sim.now - lat)
-        cdf = recorder.cdf_us(points=5)
-        assert cdf[0] == (0.0, 1.0)
-        assert cdf[-1] == (100.0, 4.0)
-        # Monotone nondecreasing.
-        values = [v for _p, v in cdf]
-        assert values == sorted(values)
-
-    def test_cdf_empty_and_invalid(self):
-        recorder = Recorder(Simulator())
-        assert recorder.cdf_us() == []
-        with pytest.raises(ValueError):
-            recorder.cdf_us(points=1)
-        with pytest.raises(ValueError):
-            recorder.cdf_us(points=0)
-
-    def test_cdf_single_sample_is_flat(self):
-        sim = Simulator()
-        recorder = Recorder(sim)
-        recorder.open_window(0, 1000)
-        sim.now = 500
-        recorder.record(started_ns=sim.now - 3000.0)
-        cdf = recorder.cdf_us(points=4)
-        assert [v for _p, v in cdf] == [3.0, 3.0, 3.0, 3.0]
-        assert [p for p, _v in cdf] == pytest.approx(
-            [0.0, 100.0 / 3, 200.0 / 3, 100.0])
-
-    def test_cdf_two_points_are_min_and_max(self):
-        sim = Simulator()
-        recorder = Recorder(sim)
-        recorder.open_window(0, 1000)
-        sim.now = 500
-        for lat in (1000.0, 2000.0, 9000.0):
-            recorder.record(started_ns=sim.now - lat)
-        assert recorder.cdf_us(points=2) == [(0.0, 1.0), (100.0, 9.0)]
-
-    def test_cdf_uses_module_level_percentile(self):
-        # The hot path must not re-import per call (hoisted import).
-        import repro.harness.metrics as metrics_mod
-        from repro.sim import percentile
-
-        assert metrics_mod.percentile is percentile
-        import inspect
-
-        assert "from ..sim import" not in inspect.getsource(
-            metrics_mod.Recorder.cdf_us)
-
 
 class TestClosedLoop:
     @staticmethod

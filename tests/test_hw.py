@@ -44,13 +44,6 @@ class TestLruCache:
         assert cache.stats.evictions == 1
         assert cache.stats.miss_ratio == pytest.approx(2 / 3)
 
-    def test_invalidate(self):
-        cache = LruCache(4)
-        cache.access("a")
-        assert cache.invalidate("a")
-        assert not cache.invalidate("a")
-        assert "a" not in cache
-
     def test_capacity_bound(self):
         cache = LruCache(3)
         for i in range(100):
@@ -133,13 +126,6 @@ class TestMemory:
         with pytest.raises(AccessError):
             mem.lookup(999999)
 
-    def test_deregister(self):
-        mem = HostMemory()
-        region = mem.register(64)
-        mem.deregister(region.rkey)
-        with pytest.raises(AccessError):
-            mem.lookup(region.rkey)
-
     def test_bounds_check(self):
         region = MemoryRegion(0x1000, 64)
         region.check(0x1000, 64, "read")
@@ -156,15 +142,9 @@ class TestMemory:
 
     def test_word_backing(self):
         region = MemoryRegion(0, 64)
-        region.write_word(8, 12345)
+        region.words[8] = 12345
         assert region.read_word(8) == 12345
         assert region.read_word(16) == 0
-
-    def test_region_for(self):
-        mem = HostMemory()
-        region = mem.register(4096)
-        assert mem.region_for(region.addr + 10, 8) is region
-        assert mem.region_for(region.end + 10, 8) is None
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
@@ -181,7 +161,7 @@ class TestCpuMeters:
 
         run_gen(sim, proc())
         assert core.total_busy_ns == 150
-        assert core.fraction("net") == pytest.approx(100 / 150)
+        assert core.busy_ns == {"net": 100, "app": 50}
 
     def test_utilization(self, sim):
         core = CoreMeter(sim)

@@ -241,28 +241,10 @@ class TestPerPacketLoss:
 class TestReassemblerLifecycle:
     def test_pending_bytes_tracks_partials(self):
         r = Reassembler()
-        r.add(1, 0, 3, nbytes=100, now=0.0)
-        r.add(1, 1, 3, nbytes=100, now=10.0)
+        r.add(1, 0, 3, nbytes=100)
+        r.add(1, 1, 3, nbytes=100)
         assert r.pending == 1
         assert r.pending_bytes == 200
-        assert r.add(1, 2, 3, nbytes=100, now=20.0)
+        assert r.add(1, 2, 3, nbytes=100)
         assert r.pending == 0 and r.pending_bytes == 0
         assert r.completed == 1
-
-    def test_drop_discards_partial(self):
-        r = Reassembler()
-        r.add(7, 0, 2, nbytes=50)
-        assert r.drop(7)
-        assert not r.drop(7)  # already gone
-        assert r.pending == 0 and r.pending_bytes == 0
-
-    def test_expire_reaps_only_idle_messages(self):
-        r = Reassembler()
-        r.add(1, 0, 2, nbytes=10, now=0.0)      # idle since t=0
-        r.add(2, 0, 3, nbytes=10, now=900.0)    # fresh
-        assert r.expire(now=1000.0, timeout_ns=500.0) == 1
-        assert r.expired == 1
-        assert r.pending == 1  # msg 2 survived
-        # The expired message can start over without a duplicate error.
-        r.add(1, 0, 2, nbytes=10, now=1100.0)
-        assert r.add(1, 1, 2, nbytes=10, now=1200.0)

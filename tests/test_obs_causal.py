@@ -122,11 +122,10 @@ class TestEdgeProducers:
         ledger.hold("qp3", 100.0)
         ledger.hold("qp3", 200.0)  # keeps the original timestamp
         assert ledger.held_since("qp3") == 100.0
-        assert ledger.active_holds == 1
         assert ledger.release("qp3", 400.0) == 300.0
         assert ledger.holds == 1
         assert ledger.total_hold_ns == 300.0
-        assert ledger.active_holds == 0
+        assert ledger.held_since("qp3") is None
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,14 @@ from repro.harness import MicrobenchConfig, run_flock
 from repro.obs import Telemetry
 from test_run_lifecycle import RUNNERS
 
+
+def step_all(sim):
+    """Drain the schedule one ``step()`` at a time, which takes no
+    in-place path."""
+    while sim.step():
+        pass
+
+
 #: The garbage check's extra case: ``run_flock`` with its own telemetry,
 #: under the auditors.
 TRACED_FLOCK = "run_flock traced+audited"
@@ -66,6 +74,16 @@ class TestTimeout:
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(ValueError):
             sim.timeout(-1)
+
+    @pytest.mark.parametrize("form", ["sleep", "timeout"])
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")])
+    def test_delay_not_at_least_zero_rejected(self, sim, form, delay):
+        # ``delay < 0`` is false for NaN, so a check written that way lets
+        # a NaN sleep onto the ready deque: it sleeps 0 ns.
+        with pytest.raises(ValueError, match=r"delay must be >= 0, got %r"
+                           % delay):
+            getattr(sim, form)(delay)
+        assert not sim._ready and not sim._heap
 
     def test_timeout_value(self, sim):
         def proc():
@@ -150,15 +168,14 @@ class TestDetachedProcess:
         p = sim.spawn(proc(), detached=detached)
         # step() queues every completion (run() may fire a plain one in
         # place), so the dispatch a detached process saves shows.
-        while sim.step():
-            pass
+        step_all(sim)
         return sim, p
 
     def test_runs_to_completion_and_keeps_value(self):
         sim, p = self._run(detached=True)
         assert sim.now == 15
         assert p.triggered
-        assert p.processed and p.value == "done"
+        assert p.callbacks is None and p.value == "done"
 
     def test_completion_fires_no_event(self):
         plain, _ = self._run(detached=False)
@@ -227,11 +244,6 @@ class TestRun:
         sim.run(until=100)
         with pytest.raises(SimulationError):
             sim.run(until=50)
-
-    def test_run_until_event_detects_deadlock(self, sim):
-        ev = sim.event()
-        with pytest.raises(SimulationError):
-            sim.run_until_event(ev)
 
     def test_events_processed_counter(self, sim):
         def proc():
@@ -380,10 +392,11 @@ class TestFastPathRegressions:
         assert order == ["peer", "rounded"]
 
 
-class TestSatisfiedWaits:
-    """``Simulator.satisfied``: an already-satisfied wait skips its
-    dispatch only when that dispatch would be the very next one and
-    would wake only the caller.  Every other event keeps its place."""
+class TestSatisfiedWaitsRideTheHandoff:
+    """An already-satisfied wait (a free ``Resource`` unit, a waiting
+    ``Store`` item) is an event that ``succeed`` hands off: it skips its
+    dispatch only when that dispatch would be the very next one.  Every
+    other event keeps its place."""
 
     def test_lone_uncontended_acquire_and_get_skip_their_dispatch(self, sim):
         res, store = Resource(sim), Store(sim)
@@ -454,6 +467,48 @@ class TestSatisfiedWaits:
         assert order == ["second woke", "first acquired"]
 
     @staticmethod
+    def _not_yielded_at_once(sim, order):
+        """Satisfied waits with work between the call and the yield: a
+        ``Store.get`` inside ``any_of`` with a ``succeed`` after it, and
+        an acquire with a callback and a ``succeed`` after it."""
+        store, res = Store(sim), Resource(sim)
+        store.try_put("item")
+        other, wake = sim.event(), sim.event()
+
+        def getter():
+            yield sim.timeout(1.0)
+            cond = sim.any_of([store.get(), sim.timeout(10.0)])
+            other.succeed()
+            got = yield cond
+            order.append(("getter", sim.now, *got.values()))
+            ev = res.acquire()
+            ev.add_callback(lambda _ev: order.append(("callback", sim.now)))
+            wake.succeed()
+            order.append(("between", sim.now))
+            yield ev
+            order.append(("acquirer", sim.now))
+
+        def waiter(ev, tag):
+            yield ev
+            order.append((tag, sim.now))
+
+        sim.spawn(getter())
+        sim.spawn(waiter(other, "other"))
+        sim.spawn(waiter(wake, "woken"))
+
+    def test_a_satisfied_wait_need_not_be_yielded_at_once(self):
+        by_run, by_step = [], []
+        plain = Simulator()
+        self._not_yielded_at_once(plain, by_run)
+        plain.run()
+        stepped = Simulator()
+        self._not_yielded_at_once(stepped, by_step)
+        step_all(stepped)
+        assert by_run == by_step == [
+            ("other", 1.0), ("getter", 1.0, "item"), ("between", 1.0),
+            ("callback", 1.0), ("acquirer", 1.0), ("woken", 1.0)]
+
+    @staticmethod
     def _mixed(sim, order):
         """Satisfied and contended waits around a shared lock; returns
         the last process to finish."""
@@ -474,14 +529,15 @@ class TestSatisfiedWaits:
                  (("a", 1.0), ("b", 1.0), ("c", 4.0))]
         return procs[-1]
 
-    def test_run_until_event_keeps_the_order_of_run(self):
+    def test_stepping_keeps_the_order_of_run(self):
         by_run, by_step = [], []
         plain = Simulator()
         self._mixed(plain, by_run)
         plain.run()
         stepped = Simulator()
         last = self._mixed(stepped, by_step)
-        stepped.run_until_event(last)
+        step_all(stepped)
+        assert last.triggered
         assert by_step == by_run and len(by_run) == 18
         # step() never skips a dispatch; run() does.
         assert stepped.events_processed > plain.events_processed
@@ -500,7 +556,8 @@ class TestSatisfiedWaits:
             return "done"
 
         assert run_gen(sim, proc()) == "done"
-        # ``fired`` and the kick-start; the completion runs in place.
+        # ``fired`` and the kick-start; the acquires and the completion
+        # are handed off.
         assert sim.events_processed == 2
 
     def test_step_queues_every_wait_after_a_run_raised(self, sim):
@@ -517,7 +574,9 @@ class TestSatisfiedWaits:
         def proc():
             yield res.acquire()
 
-        sim.run_until_event(sim.spawn(proc()))
+        p = sim.spawn(proc())
+        step_all(sim)
+        assert p.triggered
         # The kick-start, the acquire and the completion.
         assert sim.events_processed - before == 3
 
@@ -610,8 +669,8 @@ class TestInPlaceWakeups:
             yield sim.sleep(4.0)
 
         p = sim.spawn(proc())
-        sim.run_until_event(p)
-        assert sim.now == 7.0
+        step_all(sim)
+        assert p.triggered and sim.now == 7.0
         # The kick-start, two sleeps and the completion.
         assert sim.events_processed == 4
 
@@ -638,8 +697,7 @@ class TestInPlaceWakeups:
         sim.run()
         stepped = Simulator()
         self._fan_in(stepped, waiters, by_step)
-        while stepped.step():
-            pass
+        step_all(stepped)
         assert by_run == by_step == ["child"] + [
             (tag, "v", 5.0) for tag in range(waiters)]
         # step(): the kick-starts, the sleep and every completion.
@@ -708,7 +766,7 @@ class TestInPlaceWakeups:
 
         def proc():
             timed = sim.timeout(2.0)
-            assert not timed.processed
+            assert timed.callbacks == []  # queued, not born fired
             timed.callbacks.append(lambda _ev: order.append(("cb", sim.now)))
             never = sim.event()
             race = sim.timeout(5.0, value="late")
@@ -793,8 +851,7 @@ class TestInPlaceWakeups:
         sim.run()
         stepped = Simulator()
         self._three_triggers(stepped, by_step, [])
-        while stepped.step():
-            pass
+        step_all(stepped)
         assert by_run == by_step == [0, 1, 2, "sleeper"]
         # The flag is cleared by the first trigger, so the later ones
         # and the sleep are queued behind it.
@@ -834,7 +891,8 @@ class TestInPlaceWakeups:
         p = sim.spawn(parent())
         # Outside a run: the kick-start is queued, not handed off.
         assert list(sim._ready) and sim._handoff is None
-        assert sim.run_until_event(p) == "c"
+        step_all(sim)
+        assert p.value == "c"
         # Both kick-starts, the timeout and both completions.
         assert sim.events_processed == 5
 
@@ -959,7 +1017,7 @@ class TestGarbageDiscipline:
 
         p = sim.spawn(proc())
         sim.run()
-        assert p.processed and p.value == "done" and p._cb is None
+        assert p.triggered and p.value == "done" and p._cb is None
         assert not sim._ready and not sim._heap
 
     @pytest.mark.parametrize("name", sorted(RUNNERS) + [TRACED_FLOCK])

@@ -28,6 +28,13 @@ from repro.net import build_cluster
 from repro.sim import Simulator, Streams
 
 
+def step_until(sim, event):
+    """Step until ``event`` is triggered: the scheduler's periodic processes
+    never terminate, so the schedule never drains."""
+    while not event.triggered:
+        assert sim.step(), "the schedule drained before the event fired"
+
+
 def build(seed, n_clients=3):
     sim = Simulator()
     cluster = ClusterConfig(n_clients=n_clients, n_servers=3, seed=seed)
@@ -78,9 +85,8 @@ def test_concurrent_storm_preserves_invariants(seed):
         for k in range(4):  # 4 concurrent coroutines per coordinator
             rng = streams.stream("storm-%d-%d" % (c_idx, k))
             procs.append(sim.spawn(storm(coordinator, rng, tag=(c_idx, k))))
-    # Run until every coroutine finishes (the scheduler's periodic
-    # processes never terminate, so a full drain would spin forever).
-    sim.run_until_event(sim.all_of(procs))
+    # Run until every coroutine finishes.
+    step_until(sim, sim.all_of(procs))
     sim.run(until=sim.now + 1_000_000)  # let in-flight control traffic land
 
     total = sum(c.committed + c.aborted + c.lost for c in coordinators)
@@ -115,7 +121,7 @@ def test_concurrent_storm_preserves_invariants(seed):
     # No stuck locks anywhere.
     for server in servers:
         for key in server.primary.keys():
-            assert not server.primary.get(key).locked, key
+            assert server.primary.get(key).lock_owner is None, key
 
     # Replication: every backup equals its primary.
     for p in range(3):
@@ -144,7 +150,7 @@ def test_aborted_transactions_leave_no_trace():
         outcome_box.append(outcome)
 
     proc = sim.spawn(run())
-    sim.run_until_event(proc)
+    step_until(sim, proc)
     assert outcome_box == [TxnOutcome.ABORTED]
     entry = servers[0].primary.get(key)
     assert entry.value == 0 and entry.version == 1

@@ -103,13 +103,6 @@ class TestConnection:
         with pytest.raises(VerbError):
             qp.post_send(WorkRequest(verb=Verb.SEND, length=8))
 
-    def test_destroy_invalidates_cache_and_peer(self, rc_pair):
-        sim, server, client, fabric, cqp, sqp = rc_pair
-        cqp.destroy()
-        assert sqp.remote is None
-        with pytest.raises(VerbError):
-            cqp.post_send(WorkRequest(verb=Verb.SEND, length=8))
-
 
 class TestSendRecv:
     def test_send_delivers_payload(self, rc_pair):
@@ -415,7 +408,7 @@ class TestQueuePairFootprint:
                 assert store.items is None
                 assert store._getters is None
             assert all(store.arrivals is None for store in cq_stores)
-            assert len(qp.send_cq) == 0 and qp.recv_posted == 0
+            assert len(qp.send_cq) == 0 and len(qp.recv_buffers) == 0
 
     def test_connected_rc_pair_costs_under_4_kib(self, small_cluster):
         sim, server, clients, fabric = small_cluster
