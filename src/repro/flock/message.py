@@ -103,10 +103,6 @@ class CoalescedMessage:
         self.total_bytes = coalesced_size(entry.size for entry in self.entries)
 
     @property
-    def n_entries(self) -> int:
-        return len(self.entries)
-
-    @property
     def coalescing_degree(self) -> int:
         """Paper's QP-contention metric: requests per message (>= 1)."""
         return max(1, len(self.entries))

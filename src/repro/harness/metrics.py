@@ -294,15 +294,6 @@ class RunResult:
         # .get: legacy latency dicts predate the p999 summary key.
         return self.latency.get("p999", 0.0) / 1e3
 
-    def row(self) -> Dict[str, float]:
-        return {
-            "mops": round(self.mops, 3),
-            "median_us": round(self.median_us, 2),
-            "p99_us": round(self.p99_us, 2),
-            "p999_us": round(self.p999_us, 2),
-            "ops": self.ops,
-        }
-
     def __repr__(self) -> str:
         return ("RunResult(mops=%.3f, median=%.2fus, p99=%.2fus, ops=%d)"
                 % (self.mops, self.median_us, self.p99_us, self.ops))

@@ -100,13 +100,23 @@ class CompletionQueue:
             ev.add_callback(self._reap_cb)
         return ev
 
+    @staticmethod
+    def report_unused(metrics) -> None:
+        """Report what a CQ that took no CQE reports: zero counters and
+        empty histograms.  A QP reports this for a CQ it never built, so
+        a run's metrics do not depend on which CQs were built."""
+        metrics.add("verbs.cq.pushed", 0)
+        metrics.add("verbs.cq.overflowed", 0)
+        metrics.observe("verbs.cq.depth", 0, 0)
+        metrics.observe("verbs.cq.poll_batch", 0, 0)
+
     def report_metrics(self, metrics) -> None:
         """Report this CQ's ledgers to a metrics registry at run end."""
+        self.report_unused(metrics)  # every series, even when empty
         metrics.add("verbs.cq.pushed", self.pushed)
         metrics.add("verbs.cq.overflowed", self.overflowed)
         for name, ledger in (("verbs.cq.depth", self.depths),
                              ("verbs.cq.poll_batch", self.poll_batches)):
-            metrics.observe(name, 0, 0)  # reported even when empty
             for value, n in ledger.items():
                 metrics.observe(name, value, n)
 

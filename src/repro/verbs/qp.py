@@ -71,9 +71,11 @@ class QueuePair:
         self.fabric = fabric
         self.transport = transport
         self.qpn = node.alloc_qpn()
-        # Note: CQs define __len__, so test identity rather than truth.
-        self.send_cq = CompletionQueue(sim, name="scq")
-        self.recv_cq = recv_cq if recv_cq is not None else CompletionQueue(sim, name="rcq")
+        # Built on first use (see send_cq): the unsignaled work of most
+        # QPs never needs a CQ.  CQs define __len__, so test identity
+        # rather than truth.
+        self._send_cq: Optional[CompletionQueue] = None
+        self._recv_cq = recv_cq
         self.remote: Optional["QueuePair"] = None
         #: Posted receive buffers (their byte capacities).
         self.recv_buffers = Store(sim)
@@ -89,6 +91,25 @@ class QueuePair:
         metrics.add("verbs.wrs_posted", self.sends_posted)
         metrics.add("verbs.wrs_signaled", self.sends_signaled)
         metrics.add("verbs.recv_drops", self.recv_drops)
+        if self._send_cq is None or self._recv_cq is None:
+            CompletionQueue.report_unused(metrics)
+
+    @property
+    def send_cq(self) -> CompletionQueue:
+        """The send CQ, built and registered the first time it is read."""
+        cq = self._send_cq
+        if cq is None:
+            cq = self._send_cq = CompletionQueue(self.sim, name="scq")
+        return cq
+
+    @property
+    def recv_cq(self) -> CompletionQueue:
+        """The receive CQ: the one passed to the constructor, else one
+        built and registered the first time it is read."""
+        cq = self._recv_cq
+        if cq is None:
+            cq = self._recv_cq = CompletionQueue(self.sim, name="rcq")
+        return cq
 
     # -- connection management ------------------------------------------
 
@@ -154,6 +175,21 @@ class QueuePair:
             target = remote
             if target is None:
                 raise VerbError("UD send requires a remote QP")
+        # The process runs the verb's own generator: it is the initiator
+        # completion, fired with the verb's ``wc`` when it returns.
+        verb = wr.verb
+        if verb is Verb.SEND:
+            gen = self._do_send(wr, target, not wait)
+        elif verb is Verb.WRITE or verb is Verb.WRITE_IMM:
+            gen = self._do_write(wr, target, not wait)
+        elif verb is Verb.READ:
+            gen = self._do_read(wr, target)
+        elif verb is Verb.FETCH_ADD or verb is Verb.CMP_SWAP:
+            gen = self._do_atomic(wr, target)
+        else:
+            raise VerbError("cannot post %s" % verb.value)
+        if self.transport.reliable and self.fabric.dcqcn_active:
+            gen = self._congestion_gate(wr, gen)
         self.sends_posted += 1
         if wr.signaled:
             self.sends_signaled += 1
@@ -163,8 +199,7 @@ class QueuePair:
             wr.span = self.sim.spans.begin(
                 "wr.%s" % wr.verb.value, track="hw:%s" % self.node.name,
                 t=self.sim.now, bytes=wr.length, qpn=self.qpn)
-        proc = self.sim.spawn(self._execute(wr, target, not wait),
-                              name="verb", detached=not wait)
+        proc = self.sim.spawn(gen, name="verb", detached=not wait)
         return proc if wait else None
 
     # -- verb execution -------------------------------------------------------
@@ -191,9 +226,12 @@ class QueuePair:
             wr.span.finish(t)
         return wc
 
-    def _congestion_gate(self, wr: WorkRequest) -> Generator[Event, None, None]:
-        """DCQCN pacing for RC flows under the switched-fabric model;
-        :meth:`_execute` enters it only for those.
+    def _congestion_gate(
+        self, wr: WorkRequest, verb: Generator[Event, None, Completion]
+    ) -> Generator[Event, None, Completion]:
+        """DCQCN pacing for RC flows under the switched-fabric model,
+        then the verb itself; :meth:`post_send` wraps only those verbs
+        in it.
 
         After the flow's rate was cut by a CNP, outgoing work requests
         are spaced to the current rate before the NIC pipeline sees
@@ -209,26 +247,7 @@ class QueuePair:
                 wr.span.add_phase(
                     "ecn_throttle", self.sim.now, self.sim.now + delay)
             yield self.sim.sleep(delay)
-
-    def _execute(
-        self, wr: WorkRequest, target: "QueuePair", detached: bool
-    ) -> Generator[Event, None, Completion]:
-        # Tested here, not in the gate: a generator per WR costs host
-        # time even when it yields nothing.
-        if self.transport.reliable and self.fabric.dcqcn_active:
-            yield from self._congestion_gate(wr)
-        # The process itself is the initiator completion: returning
-        # fires it with the verb's ``wc`` at the instant it completes.
-        verb = wr.verb
-        if verb is Verb.SEND:
-            return (yield from self._do_send(wr, target, detached))
-        if verb in (Verb.WRITE, Verb.WRITE_IMM):
-            return (yield from self._do_write(wr, target, detached))
-        if verb is Verb.READ:
-            return (yield from self._do_read(wr, target))
-        if verb in (Verb.FETCH_ADD, Verb.CMP_SWAP):
-            return (yield from self._do_atomic(wr, target))
-        raise VerbError("cannot post %s" % verb)
+        return (yield from verb)
 
     def _do_send(
         self, wr: WorkRequest, target: "QueuePair", detached: bool

@@ -49,7 +49,12 @@ SMALL = MicrobenchConfig(n_clients=3, threads_per_client=4, outstanding=2,
 
 def serialized(result):
     """Canonical byte representation of everything a RunResult reports."""
-    return json.dumps({"row": result.row(), "latency": result.latency,
+    row = {"mops": round(result.mops, 3),
+           "median_us": round(result.median_us, 2),
+           "p99_us": round(result.p99_us, 2),
+           "p999_us": round(result.p999_us, 2),
+           "ops": result.ops}
+    return json.dumps({"row": row, "latency": result.latency,
                        "extras": {k: v for k, v in result.extras.items()}},
                       sort_keys=True)
 

@@ -232,50 +232,61 @@ _WORD = re.compile(r"[A-Za-z_]\w*")
 
 
 def _code_names(tree):
-    """Every name the code in ``tree`` uses: identifiers, attributes,
-    imports, keywords and the words of string literals (a name passed to
-    ``getattr``).  Docstrings and comments are prose, not readers."""
+    """Every name the code in ``tree`` uses, as ``(bare, name)``: bare
+    identifiers and imports are bare, attributes, keywords and the words
+    of string literals (a name passed to ``getattr``) are not.
+    Docstrings and comments are prose, not readers."""
     prose = {id(node.value) for node in ast.walk(tree)
              if isinstance(node, ast.Expr)
              and isinstance(node.value, ast.Constant)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            yield True, node.id
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield False, node.attr
         elif isinstance(node, ast.alias):
-            yield from _WORD.findall(node.name)
+            for word in _WORD.findall(node.name):
+                yield True, word
         elif isinstance(node, ast.keyword) and node.arg:
-            yield node.arg
+            yield False, node.arg
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in prose):
-            yield from _WORD.findall(node.value)
+            for word in _WORD.findall(node.value):
+                yield False, word
 
 
 def test_every_definition_has_a_reader():
     """ROADMAP item 6's rule over every ``def`` and ``class`` under
     ``src/repro``, dunders aside: its name is used by code in
     ``src/``, ``perf/``, ``benchmarks/`` or ``examples/``, by a command
-    in the CI workflow, or in DESIGN.md.  There is no allow-list: a
-    paper API no code calls stays only if DESIGN.md names it.  Names
-    match by spelling, so a method that shares its name with a used
-    variable or string passes unread."""
-    named, defined = set(), {}
+    in the CI workflow, or in DESIGN.md.  A method is read only through
+    an attribute, a keyword or a word, never a bare name: a local
+    variable that shares its name reads nothing.  There is no
+    allow-list: a paper API no code calls stays only if DESIGN.md names
+    it.  Names match by spelling, so a method that shares its name with
+    a used attribute or string passes unread."""
+    bare, read, defined = set(), set(), []
     for d in READER_DIRS:
         for path in sorted((ROOT / d).rglob("*.py")):
             tree = ast.parse(path.read_text())
-            named.update(_code_names(tree))
+            for is_bare, name in _code_names(tree):
+                (bare if is_bare else read).add(name)
             if d != "src":
                 continue
+            methods = {id(node) for cls in ast.walk(tree)
+                       if isinstance(cls, ast.ClassDef)
+                       for node in cls.body
+                       if isinstance(node, ast.FunctionDef)}
             for node in ast.walk(tree):
                 if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                         and not (node.name.startswith("__")
                                  and node.name.endswith("__"))):
-                    defined.setdefault(node.name, "%s:%d" % (
-                        path.relative_to(ROOT), node.lineno))
+                    defined.append((node.name, id(node) in methods,
+                                    "%s:%d" % (path.relative_to(ROOT),
+                                               node.lineno)))
     ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
-    named.update(_WORD.findall(re.sub(r"(?m)^\s*#.*$", "", ci)))
-    named.update(_WORD.findall((ROOT / "DESIGN.md").read_text()))
-    unread = sorted(where for name, where in defined.items()
-                    if name not in named)
+    read.update(_WORD.findall(re.sub(r"(?m)^\s*#.*$", "", ci)))
+    read.update(_WORD.findall((ROOT / "DESIGN.md").read_text()))
+    unread = sorted(where for name, method, where in defined
+                    if name not in read and (method or name not in bare))
     assert unread == []

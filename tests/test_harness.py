@@ -128,18 +128,16 @@ class TestRunResult:
         result = RunResult(ops=100, duration_ns=1e6, latency={
             "count": 100, "median": 2000.0, "p99": 9000.0, "mean": 2500.0,
             "min": 1000.0, "max": 9500.0})
-        row = result.row()
-        assert row["mops"] == pytest.approx(0.1)
-        assert row["median_us"] == 2.0
-        assert row["p99_us"] == 9.0
-        assert row["p999_us"] == 0.0  # legacy latency dict without p999
+        assert result.mops == pytest.approx(0.1)
+        assert result.median_us == 2.0
+        assert result.p99_us == 9.0
+        assert result.p999_us == 0.0  # legacy latency dict without p999
 
     def test_row_carries_p999(self):
         result = RunResult(ops=100, duration_ns=1e6, latency={
             "count": 100, "median": 2000.0, "p99": 9000.0,
             "p999": 9400.0, "mean": 2500.0, "min": 1000.0, "max": 9500.0})
         assert result.p999_us == pytest.approx(9.4)
-        assert result.row()["p999_us"] == pytest.approx(9.4)
 
 
 class TestTables:

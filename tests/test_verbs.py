@@ -174,6 +174,13 @@ class TestSendRecv:
         with pytest.raises(VerbError):
             src.post_send(WorkRequest(verb=Verb.READ, length=8), remote=dst)
 
+    def test_post_send_of_recv_fails_at_the_call(self, rc_pair):
+        sim, server, client, fabric, cqp, sqp = rc_pair
+        with pytest.raises(VerbError, match="cannot post recv"):
+            cqp.post_send(WorkRequest(verb=Verb.RECV, length=8))
+        assert cqp.sends_posted == 0
+        sim.run()  # nothing was spawned to fail later
+
 
 class TestOneSided:
     def test_write_hits_sink(self, rc_pair):
@@ -397,8 +404,9 @@ class TestSignaling:
 
 class TestQueuePairFootprint:
     """A QP that has done no work holds no queue: its CQs and receive
-    buffers create their deques on first use (Fig. 2a builds thousands
-    of QPs, most of which never queue anything)."""
+    buffers create their deques on first use, and its CQs are built on
+    first use (Fig. 2a builds thousands of QPs, most of which never
+    queue anything and never signal)."""
 
     def test_idle_qp_holds_no_deque(self, rc_pair):
         sim, server, client, fabric, cqp, sqp = rc_pair
@@ -410,7 +418,7 @@ class TestQueuePairFootprint:
             assert all(store.arrivals is None for store in cq_stores)
             assert len(qp.send_cq) == 0 and len(qp.recv_buffers) == 0
 
-    def test_connected_rc_pair_costs_under_4_kib(self, small_cluster):
+    def test_connected_rc_pair_costs_under_1_kib(self, small_cluster):
         sim, server, clients, fabric = small_cluster
         n = 1000
         gc.collect()
@@ -426,7 +434,69 @@ class TestQueuePairFootprint:
             per_pair = (tracemalloc.get_traced_memory()[0] - before) / n
         finally:
             tracemalloc.stop()
-        assert per_pair <= 4096, per_pair
+        assert per_pair <= 1024, per_pair
+
+    @staticmethod
+    def _cqs(sim):
+        return [c for c in sim.components if isinstance(c, CompletionQueue)]
+
+    def test_unsignaled_one_sided_work_builds_no_cq(self, rc_pair):
+        sim, server, client, fabric, cqp, sqp = rc_pair
+        region = server.memory.register(4096)
+
+        def proc():
+            for verb in (Verb.READ, Verb.WRITE):
+                wc = yield cqp.post_send(WorkRequest(
+                    verb=verb, length=8, remote_addr=region.addr,
+                    rkey=region.rkey, signaled=False))
+                assert wc.ok
+
+        run_gen(sim, proc())
+        assert cqp.sends_completed == 2
+        assert self._cqs(sim) == []
+
+    def test_signaled_wr_builds_its_send_cq_once(self, rc_pair):
+        sim, server, client, fabric, cqp, sqp = rc_pair
+        region = server.memory.register(4096)
+
+        def proc():
+            for _ in range(2):
+                yield cqp.post_send(WorkRequest(
+                    verb=Verb.WRITE, length=8, remote_addr=region.addr,
+                    rkey=region.rkey, signaled=True))
+
+        run_gen(sim, proc())
+        [cq] = self._cqs(sim)
+        assert cqp.send_cq is cq and cq.pushed == 2
+
+    def test_a_recv_cq_passed_in_is_the_one_that_receives(
+            self, small_cluster):
+        sim, server, clients, fabric = small_cluster
+        shared = CompletionQueue(sim, name="shared")
+        sqp = QueuePair(sim, server, fabric, Transport.RC, recv_cq=shared)
+        cqp = QueuePair(sim, clients[0], fabric, Transport.RC)
+        cqp.connect(sqp)
+        region = server.memory.register(4096)
+
+        def proc():
+            yield cqp.post_send(WorkRequest(
+                verb=Verb.WRITE_IMM, length=8, remote_addr=region.addr,
+                rkey=region.rkey, imm=7, signaled=False))
+
+        run_gen(sim, proc())
+        assert sqp.recv_cq is shared
+        assert [wc.imm for wc in shared.poll()] == [7]
+        assert self._cqs(sim) == [shared]
+
+    def test_posted_read_runs_in_its_verbs_own_frame(self, rc_pair):
+        sim, server, client, fabric, cqp, sqp = rc_pair
+        region = server.memory.register(4096)
+        proc = cqp.post_send(WorkRequest(
+            verb=Verb.READ, length=8, remote_addr=region.addr,
+            rkey=region.rkey, signaled=False))
+        assert proc.gen.gi_code is QueuePair._do_read.__code__
+        sim.run()
+        assert proc.value.ok
 
 
 class TestCompletionQueue:
