@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..net.fabric import Fabric, Node
-from ..net.packet import Reassembler, segment
+from ..net.packet import segment
 from ..sim import Event, Simulator, Store
 from ..verbs import QueuePair, Transport, Verb, WorkRequest
 
@@ -162,8 +162,6 @@ class UdEndpoint:
         self.pending: Dict[int, Event] = {}
         self.lost_requests = 0
         self.completed = 0
-        #: Reassembly state for inbound multi-chunk messages.
-        self.reassembler = Reassembler()
         self._credits = Store(sim)
         if session_credits:
             for _ in range(session_credits):

@@ -137,8 +137,10 @@ class FlockServer:
         self.util = UtilizationTable()
         # One worker per core, one core reserved for the QP scheduler.
         self.n_workers = max(1, len(node.cpu) - 1)
-        self._inboxes: List[TrackedStore] = self._make_inboxes(self.n_workers)
-        self._rings_per_worker = [0] * self.n_workers
+        #: One inbox and ring count per worker, built by :meth:`start`
+        #: once the pool's size is final.
+        self._inboxes: List[Store] = []
+        self._rings_per_worker: List[int] = []
         self._next_channel_rr = 0
         self.requests_handled = 0
         self.messages_handled = 0
@@ -167,20 +169,11 @@ class FlockServer:
 
     # -- bootstrap -----------------------------------------------------------
 
-    def _make_inboxes(self, n: int) -> List[TrackedStore]:
-        """Worker inboxes with queue accounting when telemetry is live
-        (the Little's-law auditor treats them as the server queue)."""
-        return [TrackedStore(self.sim, track=self.sim.instrumented,
-                             name="%s.inbox%d" % (self.node.name, i))
-                for i in range(n)]
-
     def set_n_workers(self, n: int) -> None:
         """Resize the worker pool (before :meth:`start`)."""
         if self._started:
             raise RuntimeError("cannot resize a started server")
         self.n_workers = max(1, n)
-        self._inboxes = self._make_inboxes(self.n_workers)
-        self._rings_per_worker = [0] * self.n_workers
 
     def register_handler(self, rpc_id: int, handler: RpcHandler) -> None:
         """``fl_reg_handler``: install the function run for ``rpc_id``."""
@@ -191,6 +184,13 @@ class FlockServer:
         if self._started:
             return
         self._started = True
+        # Worker inboxes keep queue accounting when telemetry is live
+        # (the Little's-law auditor treats them as the server queue).
+        self._inboxes = [
+            TrackedStore(self.sim, name="%s.inbox%d" % (self.node.name, idx))
+            if self._obs else Store(self.sim)
+            for idx in range(self.n_workers)]
+        self._rings_per_worker = [0] * self.n_workers
         for idx in range(self.n_workers):
             self.sim.spawn(self._worker_loop(idx), name="flock-worker%d" % idx)
         self.sim.spawn(self._renewal_loop(), name="flock-qpsched")

@@ -142,8 +142,6 @@ def run_incast_ud(cfg: IncastConfig, *, congested: bool) -> RunResult:
     return run.finish(recorder.result(
         system="ud-rpc",
         lost_requests=sum(e.lost_requests for e in endpoints),
-        pending_reassembly_bytes=sum(e.reassembler.pending_bytes
-                                     for e in endpoints),
         server_cpu=round(run.servers[0].cpu.utilization(), 3),
         **extras,
     ))

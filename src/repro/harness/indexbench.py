@@ -76,6 +76,23 @@ def _handlers(index: HydraList):
     return get_handler, scan_handler
 
 
+def _worker(sim, recorders: Dict[str, Recorder], call, args: tuple,
+            n_keys: int, rng):
+    """One closed loop of the op mix: ``call(*args, rpc_id, req_bytes,
+    key)`` is the system's RPC, and a call that returned a response is
+    recorded under its op."""
+    while True:
+        key = rng.randrange(n_keys)
+        started = sim.now
+        if rng.random() < GET_FRACTION:
+            op, rpc_id, req_bytes = "get", RPC_GET, GET_REQ_BYTES
+        else:
+            op, rpc_id, req_bytes = "scan", RPC_SCAN, SCAN_REQ_BYTES
+        response = yield from call(*args, rpc_id, req_bytes, key)
+        if response is not None:
+            recorders[op].record(started)
+
+
 def _results(run: Run, recorders: Dict[str, Recorder], system: str,
              **extras) -> Dict[str, RunResult]:
     """Per-recorder results plus combined throughput; the run's event
@@ -109,19 +126,6 @@ def run_flock_index(cfg: IndexBenchConfig) -> Dict[str, RunResult]:
     streams = Streams(cfg.seed)
     recorders = {"get": Recorder(sim), "scan": Recorder(sim)}
 
-    def worker(fnode, handle, thread_id, rng):
-        while True:
-            key = rng.randrange(cfg.n_keys)
-            started = sim.now
-            if rng.random() < GET_FRACTION:
-                yield from fnode.fl_call(handle, thread_id, RPC_GET,
-                                         GET_REQ_BYTES, key)
-                recorders["get"].record(started)
-            else:
-                yield from fnode.fl_call(handle, thread_id, RPC_SCAN,
-                                         SCAN_REQ_BYTES, key)
-                recorders["scan"].record(started)
-
     for c_idx, node in enumerate(run.clients):
         fnode = FlockNode(sim, node, fabric, flock_cfg, seed=cfg.seed + c_idx)
         handle = fnode.fl_connect(server, n_qps=cfg.threads_per_client)
@@ -129,7 +133,8 @@ def run_flock_index(cfg: IndexBenchConfig) -> Dict[str, RunResult]:
             for k in range(cfg.outstanding):
                 rng = streams.word_stream("hydra-%d-%d-%d"
                                           % (c_idx, t_idx, k))
-                sim.spawn(worker(fnode, handle, t_idx, rng),
+                sim.spawn(_worker(sim, recorders, fnode.fl_call,
+                                  (handle, t_idx), cfg.n_keys, rng),
                           name="hydra-worker")
 
     run.window(recorders.values())
@@ -152,23 +157,6 @@ def run_erpc_index(cfg: IndexBenchConfig) -> Dict[str, RunResult]:
     recorders = {"get": Recorder(sim), "scan": Recorder(sim)}
     endpoint_counter = [0]
 
-    def worker(endpoint, server_qp, rng):
-        while True:
-            key = rng.randrange(cfg.n_keys)
-            started = sim.now
-            if rng.random() < GET_FRACTION:
-                response = yield from endpoint.call(server, server_qp,
-                                                    RPC_GET, GET_REQ_BYTES,
-                                                    key)
-                if response is not None:
-                    recorders["get"].record(started)
-            else:
-                response = yield from endpoint.call(server, server_qp,
-                                                    RPC_SCAN, SCAN_REQ_BYTES,
-                                                    key)
-                if response is not None:
-                    recorders["scan"].record(started)
-
     for c_idx, node in enumerate(run.clients):
         for t_idx in range(cfg.threads_per_client):
             endpoint = ErpcEndpoint(sim, node, fabric)
@@ -177,7 +165,8 @@ def run_erpc_index(cfg: IndexBenchConfig) -> Dict[str, RunResult]:
             for k in range(cfg.outstanding):
                 rng = streams.word_stream("hydra-%d-%d-%d"
                                           % (c_idx, t_idx, k))
-                sim.spawn(worker(endpoint, server_qp, rng),
+                sim.spawn(_worker(sim, recorders, endpoint.call,
+                                  (server, server_qp), cfg.n_keys, rng),
                           name="hydra-worker")
 
     run.window(recorders.values())

@@ -121,8 +121,9 @@ class Run:
                                   None if jitter is None else next(jitter)))
 
     def run(self, until: float) -> None:
-        """Advance the simulation to ``until``: the profiled loop when
-        profiling, the fast path otherwise (same results either way).
+        """Advance the simulation to ``until``, charging each dispatch to
+        the host-time census when profiling (one loop, the same results
+        either way).
 
         The cyclic garbage collector is paused for the loop and put back
         as the caller had it, even when the loop raises.  The loop makes

@@ -48,7 +48,7 @@ from .audit import (
     audit_enabled,
     run_audit,
 )
-from .benchstore import CompareReport, MetricDelta, compare_dirs, compare_scorecards
+from .benchstore import CompareReport, MetricDelta, compare_dirs
 from .causal import (
     GAP_RESOURCE,
     CriticalPath,
@@ -102,7 +102,6 @@ __all__ = [
     "attribution_report",
     "audit_enabled",
     "compare_dirs",
-    "compare_scorecards",
     "critical_path",
     "critical_paths",
     "default_store_dir",

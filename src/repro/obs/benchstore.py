@@ -33,7 +33,6 @@ from .scorecard import Scorecard, load_scorecard
 __all__ = [
     "MetricDelta",
     "CompareReport",
-    "compare_scorecards",
     "compare_runs",
     "compare_dirs",
 ]
@@ -107,15 +106,6 @@ def _is_regression(better: str, base: float, cur: float,
     if better == "equal":
         return abs(cur - base) > tol
     return False  # "info" never gates
-
-
-def compare_scorecards(baseline: Scorecard,
-                       current: Scorecard) -> CompareReport:
-    """Compare one figure's scorecards; tolerance and direction come
-    from the *baseline* (the committed contract)."""
-    report = CompareReport()
-    _compare_into(report, baseline, current)
-    return report
 
 
 def _compare_into(report: CompareReport, baseline: Scorecard,

@@ -19,11 +19,10 @@ known-bad figure run
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Iterator, List, Set
+from typing import List, Set
 
 __all__ = ["ACTIVE", "FAULT_NAMES", "FAULTS_ENV", "clear", "inject",
-           "inject_from_env", "injected", "is_active"]
+           "inject_from_env", "is_active"]
 
 #: Environment variable naming faults to activate (comma-separated).
 FAULTS_ENV = "REPRO_FAULTS"
@@ -80,15 +79,3 @@ def inject_from_env() -> List[str]:
 def is_active(name: str) -> bool:
     """True when the fault ``name`` is currently injected."""
     return name in ACTIVE
-
-
-@contextmanager
-def injected(*names: str) -> Iterator[None]:
-    """Context manager activating ``names`` for the enclosed block."""
-    for name in names:
-        inject(name)
-    try:
-        yield
-    finally:
-        for name in names:
-            ACTIVE.discard(name)

@@ -203,11 +203,6 @@ class SpanLog:
             return
         self.spans.append(span)
 
-    @property
-    def live(self) -> int:
-        """Number of begun-but-unfinished spans."""
-        return len(self._live)
-
     def flush(self, t: float) -> int:
         """Finish every live span at ``t`` (the end of a run).
 

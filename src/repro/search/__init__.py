@@ -24,7 +24,7 @@ from .space import (
     default_space,
 )
 from .runner import ScenarioConfig, evaluate_point, run_scenario_leg
-from .objectives import Objective, get_objective, list_objectives
+from .objectives import Objective, get_objective
 from .mutate import mutate_point
 from .driver import SearchConfig, SearchResult, run_search
 from .report import explain_entry, format_entry, leaderboard_rows
@@ -41,7 +41,6 @@ __all__ = [
     "run_scenario_leg",
     "Objective",
     "get_objective",
-    "list_objectives",
     "mutate_point",
     "SearchConfig",
     "SearchResult",

@@ -90,10 +90,6 @@ class SearchResult:
     #: ran under a telemetry.  Not part of :meth:`to_dict`.
     metrics: Optional[dict] = None
 
-    @property
-    def best(self) -> Optional[dict]:
-        return self.leaderboard[0] if self.leaderboard else None
-
     def to_dict(self) -> dict:
         return {
             "search_id": self.search_id,

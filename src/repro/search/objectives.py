@@ -10,9 +10,9 @@ mode for them so every scored candidate carries its own explanation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
-__all__ = ["Objective", "get_objective", "list_objectives", "OBJECTIVES"]
+__all__ = ["Objective", "get_objective", "OBJECTIVES"]
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,3 @@ def get_objective(spec: str) -> Objective:
     if arg is not None and not OBJECTIVES[name]:
         raise ValueError("objective %r takes no argument" % name)
     return _make(name, arg)
-
-
-def list_objectives() -> List[Objective]:
-    """One instance of every registered objective (default args)."""
-    return [_make(name, None) for name in sorted(OBJECTIVES)]

@@ -43,10 +43,11 @@ The hot path is deliberately split in two (see ``docs/performance.md``):
   which fires its callbacks before it selects the next event
   (:meth:`Event.succeed`).
 
-:meth:`Simulator.run` inlines the event dispatch loop — no per-event
-method calls beyond the callbacks themselves.  :meth:`Simulator.step`
-remains the observable single-step API: it fires events in the same
-order, but takes no in-place path, so it counts more events.
+:meth:`Simulator.run` and :meth:`Simulator.run_profiled` share one
+inlined event dispatch loop — no per-event method calls beyond the
+callbacks themselves.  :meth:`Simulator.step` remains the observable
+single-step API: it fires events in the same order, but takes no
+in-place path, so it counts more events.
 """
 
 from __future__ import annotations
@@ -538,14 +539,38 @@ class Simulator:
         When ``until`` is given, the clock is advanced exactly to it even
         if the last event fires earlier.
 
-        This is the kernel's hottest loop; it inlines event selection and
-        firing (the body of :meth:`step` and :meth:`Event._fire`) so the
-        per-event cost is the callbacks themselves plus a few local-variable
-        operations.  It fires events in the order ``while self.step(): ...``
-        would, but while it fires an event's last callback it sets the flag
+        It fires events in the order ``while self.step(): ...`` would,
+        but while it fires an event's last callback it sets the flag
         that lets the in-place wake-ups leave out the next dispatch, and
         it fires a handed-off event before it selects the next one, so
         it dispatches fewer events than stepping does.
+        """
+        self._dispatch(until, None)
+
+    def run_profiled(self, profile: Any,
+                     until: Optional[float] = None) -> None:
+        """:meth:`run` for the host-time census.
+
+        The same loop, so a profiled run dispatches the same events and
+        produces byte-identical simulation results; in addition every
+        dispatched event, with the events it hands off, is bracketed
+        with ``perf_counter_ns`` and charged to ``profile`` via
+        ``profile.account(event, callbacks, dt_ns)``.
+        """
+        self._dispatch(until, profile.account)
+
+    def _dispatch(self, until: Optional[float],
+                  account: Optional[Callable[[Event, Any, int], None]]
+                  ) -> None:
+        """The event loop behind :meth:`run` and :meth:`run_profiled`.
+
+        This is the kernel's hottest loop; it inlines event selection and
+        firing (the body of :meth:`step` and :meth:`Event._fire`) so the
+        per-event cost is the callbacks themselves plus a few
+        local-variable operations.  With ``account`` set, it records the
+        dispatched event, its callback list and the host clock before
+        firing it, and charges the elapsed host time once the event and
+        its hand-offs have fired.
         """
         if until is not None and until < self.now:
             raise SimulationError("until=%r is in the past (now=%r)" % (until, self.now))
@@ -555,6 +580,7 @@ class Simulator:
         ready = self._ready
         popleft = ready.popleft
         pop = heapq.heappop
+        clock = perf_counter_ns
         n = self._n_events
         self.horizon = stop
         try:
@@ -574,6 +600,8 @@ class Simulator:
                 else:
                     break
                 n += 1
+                if account is not None:
+                    mark = (event, event.callbacks, clock())
                 while True:
                     # Inlined Event._fire(); one callback is the norm.
                     callbacks = event.callbacks
@@ -596,73 +624,8 @@ class Simulator:
                     if event is None:
                         break
                     self._handoff = None
-        finally:
-            self._requeue_handoff()
-            self._last = False
-            self.horizon = -math.inf
-            self._n_events = n
-        if until is not None:
-            self.now = until
-
-    def run_profiled(self, profile: Any,
-                     until: Optional[float] = None) -> None:
-        """Instrumented twin of :meth:`run` for the host-time census.
-
-        Identical event-selection semantics (same order, same clock
-        behaviour, same ``until`` handling, the same last-callback flag
-        and hand-off — a profiled run produces byte-identical simulation
-        results and dispatches the same events), but every callback
-        batch, with the events it hands off, is bracketed with
-        ``perf_counter_ns`` and charged to ``profile`` via
-        ``profile.account(event, callbacks, dt_ns)``.
-
-        Kept as a **separate** loop so :meth:`run` — the PR 5 fast path —
-        stays untouched and pays nothing when profiling is off.
-        """
-        if until is not None and until < self.now:
-            raise SimulationError("until=%r is in the past (now=%r)" % (until, self.now))
-        heap = self._heap
-        ready = self._ready
-        popleft = ready.popleft
-        pop = heapq.heappop
-        account = profile.account
-        clock = perf_counter_ns
-        stop = math.inf if until is None else until
-        n = self._n_events
-        self.horizon = stop
-        try:
-            while True:
-                if ready and (not heap or heap[0][0] > self.now):
-                    event = popleft()
-                elif heap:
-                    when = heap[0][0]
-                    if when > stop:
-                        break
-                    event = pop(heap)[2]
-                    if when < self.now:
-                        self.time_regressions += 1
-                    self.now = when
-                else:
-                    break
-                n += 1
-                dispatched = event
-                callbacks = first = event.callbacks
-                t_fire = clock()
-                while True:
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        self._last = False
-                        for fn in callbacks[:-1]:
-                            fn(event)
-                        self._last = True
-                        callbacks[-1](event)
-                    event = self._handoff
-                    if event is None:
-                        break
-                    self._handoff = None
-                    callbacks = event.callbacks
-                account(dispatched, first, clock() - t_fire)
+                if account is not None:
+                    account(mark[0], mark[1], clock() - mark[2])
         finally:
             self._requeue_handoff()
             self._last = False

@@ -156,16 +156,14 @@ class Store:
 
 
 class TrackedStore(Store):
-    """A :class:`Store` that optionally keeps queueing-theory accounting.
+    """A :class:`Store` that keeps queueing-theory accounting.
 
-    When ``track`` is True the store maintains, in addition to the FIFO
-    itself:
+    In addition to the FIFO itself, the store maintains:
 
     * ``accepted`` / ``reaped`` — items that entered / left the queue,
     * ``wait_ns`` — total time completed items spent queued,
     * ``area`` — the time integral of queue depth (``∫ L(t) dt``),
-    * ``arrivals`` — entry timestamps of the items currently queued
-      (``None`` when untracked).
+    * ``arrivals`` — entry timestamps of the items currently queued.
 
     These give two *independent* accountings of the same queue: the area
     integral accumulates depth × elapsed-time at every mutation, while
@@ -174,28 +172,26 @@ class TrackedStore(Store):
     end-of-run auditors verify per queue (CQs, server worker inboxes).
 
     Items handed directly to a blocked getter never occupy the queue:
-    they count as accepted and reaped with zero wait.  Tracking is off by
-    default and the untracked paths delegate straight to :class:`Store`,
-    so telemetry-off runs pay nothing for it.
+    they count as accepted and reaped with zero wait.  Only instrumented
+    components build one; an uninstrumented queue is a plain
+    :class:`Store` and pays nothing for the accounting.
     """
 
-    __slots__ = ("track", "name", "accepted", "reaped", "wait_ns", "area",
+    __slots__ = ("name", "accepted", "reaped", "wait_ns", "area",
                  "arrivals", "_area_t")
 
     def __init__(self, sim: Simulator, capacity: Optional[int] = None,
-                 track: bool = False, name: str = ""):
+                 name: str = ""):
         super().__init__(sim, capacity)
-        self.track = track
         self.name = name
         self.accepted = 0
         self.reaped = 0
         self.wait_ns = 0.0
         self.area = 0.0
-        self.arrivals: Optional[Deque[float]] = deque() if track else None
+        self.arrivals: Deque[float] = deque()
         self._area_t = sim.now
-        if track:
-            # Surface the queue to the end-of-run auditors.
-            sim.register_component(self)
+        # Surface the queue to the end-of-run auditors.
+        sim.register_component(self)
 
     # -- accounting helpers ---------------------------------------------
 
@@ -218,8 +214,6 @@ class TrackedStore(Store):
     # -- tracked mutators ------------------------------------------------
 
     def try_put(self, item: Any) -> bool:
-        if not self.track:
-            return super().try_put(item)
         self._tick()
         handed = bool(self._getters)
         ok = super().try_put(item)
@@ -232,8 +226,6 @@ class TrackedStore(Store):
         return ok
 
     def get(self) -> Event:
-        if not self.track:
-            return super().get()
         self._tick()
         had_item = bool(self.items)
         ev = super().get()
@@ -242,8 +234,6 @@ class TrackedStore(Store):
         return ev
 
     def try_get(self) -> tuple:
-        if not self.track:
-            return super().try_get()
         self._tick()
         ok, item = super().try_get()
         if ok:

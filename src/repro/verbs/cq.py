@@ -14,7 +14,7 @@ from collections import Counter
 from types import MappingProxyType
 from typing import List, Mapping, Optional
 
-from ..sim import Event, Simulator, TrackedStore
+from ..sim import Event, Simulator, Store, TrackedStore
 from .wr import Completion
 
 __all__ = ["CompletionQueue"]
@@ -37,9 +37,9 @@ class CompletionQueue:
         self._trace = sim.spans.enabled
         # Queueing-theory accounting (arrival times, depth-time integral)
         # only when instrumented: the Little's-law auditor consumes it,
-        # the uninstrumented path stays a plain Store.
-        self._store = TrackedStore(sim, capacity, track=self._obs,
-                                   name=name)
+        # the uninstrumented path is a plain Store.
+        self._store = (TrackedStore(sim, capacity, name=name) if self._obs
+                       else Store(sim, capacity))
         self.pushed = 0
         self.overflowed = 0
         if self._obs:
@@ -120,9 +120,3 @@ class CompletionQueue:
             for value, n in ledger.items():
                 metrics.observe(name, value, n)
 
-    # -- audit accounting (populated when telemetry is live) -------------
-
-    @property
-    def reaped(self) -> int:
-        """Completions that have left the queue (polled or handed off)."""
-        return self._store.reaped

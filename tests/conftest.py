@@ -8,6 +8,7 @@ import pytest
 
 from repro.config import ClusterConfig
 from repro.net import build_cluster
+from repro.obs import faults
 from repro.obs.audit import AUDIT_ENV
 from repro.obs.simprof import PROFILE_ENV
 from repro.sim import Simulator
@@ -46,6 +47,14 @@ def audited(monkeypatch):
 def profiled(monkeypatch):
     """Take every run's host-time census (``REPRO_PROFILE=1``)."""
     monkeypatch.setenv(PROFILE_ENV, "1")
+
+
+@pytest.fixture
+def inject_fault():
+    """``faults.inject`` for one test: every fault it injects is cleared
+    when the test ends, whether it passed or failed."""
+    yield faults.inject
+    faults.clear()
 
 
 def run_gen(sim: Simulator, gen, until=None):

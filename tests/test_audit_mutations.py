@@ -18,20 +18,14 @@ CFG = MicrobenchConfig(n_clients=3, threads_per_client=4, outstanding=4,
                        warmup_ns=150_000, measure_ns=150_000)
 
 
-def violating_auditors(fault_name):
+def violating_auditors(inject, fault_name):
     """Run the microbenchmark with ``fault_name`` injected; return the
     set of auditor names that reported violations."""
-    with faults.injected(fault_name):
-        with pytest.raises(AuditError) as excinfo:
-            run_flock(CFG)
+    inject(fault_name)
+    with pytest.raises(AuditError) as excinfo:
+        run_flock(CFG)
     report = excinfo.value.report
     return {v.auditor for v in report.violations}, report
-
-
-@pytest.fixture(autouse=True)
-def _no_leftover_faults():
-    yield
-    faults.clear()
 
 
 def test_baseline_is_clean():
@@ -40,23 +34,23 @@ def test_baseline_is_clean():
     assert result.audit_report.ok, result.audit_report.format()
 
 
-def test_dropped_credit_refill_trips_only_credit_auditor():
-    auditors, report = violating_auditors("credits.drop_refill")
+def test_dropped_credit_refill_trips_only_credit_auditor(inject_fault):
+    auditors, report = violating_auditors(inject_fault, "credits.drop_refill")
     assert auditors == {"credits"}, report.format()
     assert any(v.invariant.startswith("flock.credits.conservation")
                for v in report.violations)
 
 
-def test_leaked_cqe_trips_only_cqe_auditor():
-    auditors, report = violating_auditors("verbs.leak_cqe")
+def test_leaked_cqe_trips_only_cqe_auditor(inject_fault):
+    auditors, report = violating_auditors(inject_fault, "verbs.leak_cqe")
     assert auditors == {"cqe-conservation"}, report.format()
     v = report.violations[0]
     # The NIC generated CQEs that never reached a completion queue.
     assert v.observed > v.expected
 
 
-def test_double_counted_cache_miss_trips_only_qp_cache_auditor():
-    auditors, report = violating_auditors("rnic.double_count_miss")
+def test_double_counted_cache_miss_trips_only_qp_cache_auditor(inject_fault):
+    auditors, report = violating_auditors(inject_fault, "rnic.double_count_miss")
     assert auditors == {"qp-cache"}, report.format()
     assert report.violations
     for v in report.violations:
@@ -66,26 +60,29 @@ def test_double_counted_cache_miss_trips_only_qp_cache_auditor():
 
 
 class TestFaultHook:
-    def test_unknown_fault_rejected(self):
+    def test_unknown_fault_rejected(self, inject_fault):
         with pytest.raises(ValueError):
-            faults.inject("no.such.fault")
+            inject_fault("no.such.fault")
         assert not faults.ACTIVE
 
-    def test_injected_context_restores(self):
+    def test_clear_one_restores(self, inject_fault):
         assert not faults.is_active("verbs.leak_cqe")
-        with faults.injected("verbs.leak_cqe"):
-            assert faults.is_active("verbs.leak_cqe")
+        inject_fault("verbs.leak_cqe")
+        assert faults.is_active("verbs.leak_cqe")
+        faults.clear("verbs.leak_cqe")
         assert not faults.is_active("verbs.leak_cqe")
 
-    def test_injected_clears_on_error(self):
-        with pytest.raises(RuntimeError):
-            with faults.injected("verbs.leak_cqe"):
-                raise RuntimeError("boom")
+    def test_clear_one_keeps_the_others(self, inject_fault):
+        inject_fault("verbs.leak_cqe")
+        inject_fault("credits.drop_refill")
+        faults.clear("verbs.leak_cqe")
+        assert faults.ACTIVE == {"credits.drop_refill"}
+        faults.clear("credits.drop_refill")
         assert not faults.ACTIVE
 
-    def test_clear_all(self):
-        faults.inject("verbs.leak_cqe")
-        faults.inject("credits.drop_refill")
+    def test_clear_all(self, inject_fault):
+        inject_fault("verbs.leak_cqe")
+        inject_fault("credits.drop_refill")
         faults.clear()
         assert not faults.ACTIVE
 

@@ -227,7 +227,7 @@ ORDER_WITNESS = {
         "9384e82cfbba275018c73826850598081fad1c74dd9ffc2f8a5633bd02838269",
         29_068, lambda: run_thread_sched(SMALL_SCHED, 512, scheduling=True)),
     "incast_ud_congested": (
-        "f24be07270a407aca24cbb656d466a65b26a1cfb6042d3c003482541ee49be5e",
+        "29055b69b1e514c17eea3a26849128d514e3c6230ef8b8aa4cd66c95a4be063d",
         31_243, lambda: run_incast_ud(SMALL_INCAST, congested=True)),
     "scenario_leg_congested": (
         "eafd20de148296bec4b2364c2d49db033675a16316d0e0d5e07e6f38f8391b02",

@@ -230,27 +230,33 @@ READER_DIRS = ("src", "perf", "benchmarks", "examples")
 
 _WORD = re.compile(r"[A-Za-z_]\w*")
 
+#: A string literal that can name a definition: one token, as in a
+#: ``getattr`` name or a metric or fault name.  Prose has spaces.
+_TOKEN = re.compile(r"[\w.:%-]+")
+
 
 def _code_names(tree):
     """Every name the code in ``tree`` uses, as ``(bare, name)``: bare
-    identifiers and imports are bare, attributes, keywords and the words
-    of string literals (a name passed to ``getattr``) are not.
-    Docstrings and comments are prose, not readers."""
-    prose = {id(node.value) for node in ast.walk(tree)
-             if isinstance(node, ast.Expr)
-             and isinstance(node.value, ast.Constant)}
+    identifiers are bare; attributes, keywords and the words of a
+    one-token string literal (a name passed to ``getattr``) are not.
+    Docstrings, comments, prose strings, imports and ``__all__`` lists
+    are not readers: a re-export uses nothing."""
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            skip.add(id(node.value))
+        elif isinstance(node, ast.Assign) and any(
+                _name(t) == "__all__" for t in node.targets):
+            skip.update(id(n) for n in ast.walk(node.value))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield True, node.id
         elif isinstance(node, ast.Attribute):
             yield False, node.attr
-        elif isinstance(node, ast.alias):
-            for word in _WORD.findall(node.name):
-                yield True, word
         elif isinstance(node, ast.keyword) and node.arg:
             yield False, node.arg
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in prose):
+              and id(node) not in skip and _TOKEN.fullmatch(node.value)):
             for word in _WORD.findall(node.value):
                 yield False, word
 
@@ -260,8 +266,10 @@ def test_every_definition_has_a_reader():
     ``src/repro``, dunders aside: its name is used by code in
     ``src/``, ``perf/``, ``benchmarks/`` or ``examples/``, by a command
     in the CI workflow, or in DESIGN.md.  A method is read only through
-    an attribute, a keyword or a word, never a bare name: a local
-    variable that shares its name reads nothing.  There is no
+    an attribute, a keyword or a word of a one-token string, never a
+    bare name: a local variable that shares its name reads nothing, and
+    neither does a re-export (an import or an ``__all__`` entry) or a
+    prose string.  There is no
     allow-list: a paper API no code calls stays only if DESIGN.md names
     it.  Names match by spelling, so a method that shares its name with
     a used attribute or string passes unread."""

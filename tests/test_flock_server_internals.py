@@ -5,7 +5,7 @@ import pytest
 from repro.config import ClusterConfig, FlockConfig
 from repro.flock import FlockNode
 from repro.net import build_cluster
-from repro.sim import Simulator
+from repro.sim import Simulator, TrackedStore
 
 
 def make(n_qps=4, n_clients=2, **flock_kwargs):
@@ -40,6 +40,25 @@ class TestWorkerRouting:
         sim.run(until=5_000_000)
         assert server.server.requests_handled == 10
         assert server.server.messages_handled == 10
+
+
+class TestWorkerPool:
+    def test_resized_server_registers_only_its_inboxes(self):
+        """A server resized before it starts (FLockTX matches its pool
+        to the client threads) audits exactly its workers' inboxes."""
+        sim = Simulator()
+        sim.instrumented = True
+        servers, clients, fabric = build_cluster(
+            sim, ClusterConfig(n_clients=1))
+        cfg = FlockConfig(qps_per_handle=4)
+        server = FlockNode(sim, servers[0], fabric, cfg)
+        server.server.set_n_workers(4)
+        FlockNode(sim, clients[0], fabric, cfg).fl_connect(server)
+        prefix = servers[0].name + ".inbox"
+        inboxes = [c for c in sim.components if isinstance(c, TrackedStore)
+                   and c.name.startswith(prefix)]
+        assert inboxes == server.server._inboxes
+        assert len({inbox.name for inbox in inboxes}) == 4
 
 
 class TestServerSideResponseCoalescing:

@@ -15,7 +15,6 @@ import pytest
 
 from repro.harness.incastbench import IncastConfig, run_incast_flock
 from repro.harness.microbench import MicrobenchConfig, run_flock
-from repro.obs import faults
 from repro.obs.anomaly import (
     Anomaly,
     detect_changepoints,
@@ -339,13 +338,13 @@ class TestEndToEnd:
     def _smoke_scale(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "0.1")
 
-    def test_step_fault_manufactures_changepoints(self):
+    def test_step_fault_manufactures_changepoints(self, inject_fault):
         cfg = MicrobenchConfig(n_clients=4, threads_per_client=2,
                                outstanding=2)
         clean = run_flock(cfg)
         assert clean.anomalies == []
-        with faults.injected("bench.step_handler_cost"):
-            faulty = run_flock(cfg)
+        inject_fault("bench.step_handler_cost")
+        faulty = run_flock(cfg)
         kinds = {(a["kind"], a["metric"], a["direction"])
                  for a in faulty.anomalies}
         assert ("changepoint", "p99_us", "rise") in kinds

@@ -1,10 +1,8 @@
 """Host-time census: callback classification and per-bucket accounting
 in :class:`SimProfile`, virtual-time identity of ``run_profiled`` versus
-``run``, and that the fast path (``Simulator.run``) carries no profiler
-code.
+``run``, and that ``Simulator.run`` never reads the host clock.
 """
 
-import inspect
 import json
 import pathlib
 
@@ -19,6 +17,7 @@ from repro.obs.simprof import (
     profile_enabled,
 )
 from repro.obs.windows import SloTimeline
+from repro.sim import Store
 from repro.sim.core import Simulator
 from repro.verbs import QueuePair
 
@@ -204,14 +203,71 @@ class TestSloTimelineEdges:
 
 
 class TestGatingAudit:
-    """The fast path carries zero profiler code."""
+    """``run`` and ``run_profiled`` share one loop: only a profiled run
+    reads the host clock, and it charges every dispatch once."""
 
-    def test_fast_path_source_has_no_observatory_code(self):
-        src = inspect.getsource(Simulator.run)
-        for token in ("profile", "perf_counter"):
-            assert token not in src, (
-                "Simulator.run grew %r — the PR-5 fast path must stay "
-                "byte-identical with profiling off" % token)
+    @staticmethod
+    def _workload(sim):
+        """Sleeps that run in place, store wake-ups that are handed off,
+        and an event with three callbacks."""
+        store = Store(sim)
+        done = sim.event()
+
+        def producer():
+            for i in range(20):
+                yield sim.sleep(10.0)
+                store.try_put(i)
+
+        def consumer():
+            for _ in range(20):
+                yield store.get()
+            done.succeed()
+
+        def waiter():
+            yield done
+
+        sim.spawn(producer())
+        sim.spawn(consumer())
+        for _ in range(3):
+            sim.spawn(waiter())
+        return done
+
+    def _stepped_events(self):
+        sim = Simulator()
+        self._workload(sim)
+        while sim.step():
+            pass
+        return sim.events_processed
+
+    def test_run_never_reads_the_clock(self, monkeypatch):
+        def no_clock():
+            raise AssertionError("Simulator.run read the host clock")
+
+        monkeypatch.setattr("repro.sim.core.perf_counter_ns", no_clock)
+        sim = Simulator()
+        done = self._workload(sim)
+        sim.run()
+        assert done.triggered and sim.now == 200.0
+        # The in-place paths were taken: stepping dispatches more.
+        assert 0 < sim.events_processed < self._stepped_events()
+
+    def test_run_profiled_accounts_every_dispatch(self):
+        charged = []
+
+        class Recording:
+            def account(self, event, callbacks, dt_ns):
+                charged.append((event, dt_ns))
+
+        sim = Simulator()
+        done = self._workload(sim)
+        sim.run_profiled(Recording())
+        ref = Simulator()
+        self._workload(ref)
+        ref.run()
+        assert done.triggered and sim.now == ref.now == 200.0
+        assert len(charged) == sim.events_processed == ref.events_processed
+        assert all(dt >= 0 for _event, dt in charged)
+        assert done in {event for event, _dt in charged}
 
 
 class TestHarnessIntegration:

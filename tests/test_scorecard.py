@@ -9,10 +9,17 @@ from repro.harness.cli import main as cli_main
 from repro.obs import (
     Scorecard,
     compare_dirs,
-    compare_scorecards,
     load_scorecard,
 )
+from repro.obs.benchstore import compare_runs
 from repro.obs.scorecard import Metric, scorecard_filename
+
+
+def compare_pair(baseline, current):
+    """Compare one figure's two scorecards through the one comparison
+    loop; tolerance and direction come from the baseline."""
+    figure = baseline.figure
+    return compare_runs({figure: baseline}, {figure: current}, "")
 
 
 def make_result(mops, median_us=2.0, p99_us=8.0, **extras):
@@ -91,31 +98,31 @@ class TestCompare:
 
     def test_identical_is_ok(self):
         base, cur = self._pair()
-        report = compare_scorecards(base, cur)
+        report = compare_pair(base, cur)
         assert report.ok
         assert len(report.deltas) == 3
 
     def test_higher_metric_drop_gates(self):
         base, cur = self._pair()
         cur.metric("tput").value = 90.0  # -10% > 5% tolerance
-        report = compare_scorecards(base, cur)
+        report = compare_pair(base, cur)
         assert not report.ok
         assert [d.name for d in report.regressions] == ["tput"]
 
     def test_higher_metric_improvement_never_gates(self):
         base, cur = self._pair()
         cur.metric("tput").value = 500.0
-        assert compare_scorecards(base, cur).ok
+        assert compare_pair(base, cur).ok
 
     def test_lower_metric_rise_gates(self):
         base, cur = self._pair()
         cur.metric("lat").value = 12.0
-        report = compare_scorecards(base, cur)
+        report = compare_pair(base, cur)
         assert [d.name for d in report.regressions] == ["lat"]
 
     def test_info_metric_never_gates(self):
         base, cur = self._pair()
-        report = compare_scorecards(base, cur)  # note drifted 1 -> 999
+        report = compare_pair(base, cur)  # note drifted 1 -> 999
         assert report.ok
 
     def test_equal_metric_gates_both_directions(self):
@@ -124,21 +131,21 @@ class TestCompare:
         for drifted in (1.5, 2.5):
             cur = Scorecard("figx")
             cur.add_metric("degree", drifted)
-            assert not compare_scorecards(base, cur).ok, drifted
+            assert not compare_pair(base, cur).ok, drifted
         cur = Scorecard("figx")
         cur.add_metric("degree", 2.1)
-        assert compare_scorecards(base, cur).ok
+        assert compare_pair(base, cur).ok
 
     def test_tolerance_comes_from_baseline(self):
         base, cur = self._pair()
         cur.metric("tput").value = 90.0
         cur.metric("tput").rtol = 0.5  # current's generous rtol is ignored
-        assert not compare_scorecards(base, cur).ok
+        assert not compare_pair(base, cur).ok
 
     def test_newly_failing_check_gates(self):
         base, cur = self._pair()
         cur.checks[0].passed = False
-        report = compare_scorecards(base, cur)
+        report = compare_pair(base, cur)
         assert not report.ok
         assert report.failed_checks
 
@@ -146,20 +153,20 @@ class TestCompare:
         base, cur = self._pair()
         base.checks[0].passed = False
         cur.checks[0].passed = False
-        assert compare_scorecards(base, cur).ok
+        assert compare_pair(base, cur).ok
 
     def test_scale_mismatch_skips_figure(self):
         base, cur = self._pair()
         cur.meta["bench_scale"] = 0.5
         cur.metric("tput").value = 1.0  # would regress hard
-        report = compare_scorecards(base, cur)
+        report = compare_pair(base, cur)
         assert report.ok and not report.deltas
         assert any("bench_scale" in s for s in report.skipped)
 
     def test_missing_metric_is_skip_not_pass(self):
         base, cur = self._pair()
         cur.metrics = [m for m in cur.metrics if m.name != "tput"]
-        report = compare_scorecards(base, cur)
+        report = compare_pair(base, cur)
         assert any("tput" in s for s in report.skipped)
 
 

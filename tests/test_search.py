@@ -26,11 +26,11 @@ from repro.search import (
     SearchSpace,
     default_space,
     get_objective,
-    list_objectives,
     mutate_point,
     run_search,
 )
 from repro.search.mutate import mutate_value
+from repro.search.objectives import OBJECTIVES
 from repro.search.scenarios import CURATED_SCENARIOS
 from repro.sim.rand import Streams
 
@@ -187,7 +187,7 @@ class TestObjectives:
             {"goodput_retained": 1.3}) == 0.0
 
     def test_registry_is_complete(self):
-        assert {obj.name for obj in list_objectives()} == {
+        assert {get_objective(name).name for name in OBJECTIVES} == {
             "tail_ratio", "goodput_collapse", "anomaly_severity",
             "attribution_shift"}
 
@@ -223,7 +223,7 @@ class TestSearchDriver:
         assert scores == sorted(scores, reverse=True)
         fps = [e["fingerprint"] for e in result.leaderboard]
         assert len(set(fps)) == 5
-        assert result.best["fingerprint"] == fps[0]
+        assert result.leaderboard[0]["fingerprint"] == fps[0]
         assert result.history  # at least one climb generation ran
 
     def test_search_is_jobs_invariant(self):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sim import (Resource, SimulationError, Simulator, Store,
                        TokenBucket, TrackedStore)
+from repro.verbs import CompletionQueue
 
 from conftest import run_gen
 
@@ -143,12 +144,15 @@ class TestStore:
         assert not store.try_put("refused")
         assert list(store.items) == ["queued"]
 
-    def test_untracked_store_keeps_no_arrivals(self, sim):
-        assert TrackedStore(sim).arrivals is None
-        tracked = TrackedStore(sim, track=True)
+    def test_uninstrumented_cq_is_a_plain_store(self, sim):
+        assert type(CompletionQueue(sim)._store) is Store
+        tracked = TrackedStore(sim)
         assert tracked.arrivals is not None and len(tracked.arrivals) == 0
+        assert tracked in sim.components
         tracked.try_put("x")
         assert len(tracked.arrivals) == 1 and tracked.accepted == 1
+        sim.instrumented = True
+        assert type(CompletionQueue(sim)._store) is TrackedStore
 
     @given(st.lists(st.integers(), min_size=1, max_size=50))
     @settings(max_examples=30, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.config import ClusterConfig
 from repro.net import build_cluster
-from repro.sim import Simulator
+from repro.sim import Simulator, TrackedStore
 from repro.verbs import (
     Completion,
     CompletionQueue,
@@ -415,7 +415,8 @@ class TestQueuePairFootprint:
             for store in cq_stores + (qp.recv_buffers,):
                 assert store.items is None
                 assert store._getters is None
-            assert all(store.arrivals is None for store in cq_stores)
+            assert not any(isinstance(store, TrackedStore)
+                           for store in cq_stores)
             assert len(qp.send_cq) == 0 and len(qp.recv_buffers) == 0
 
     def test_connected_rc_pair_costs_under_1_kib(self, small_cluster):
