@@ -6,31 +6,27 @@ they survive pytest's output capture and land in ``bench_output.txt``)
 and merged into ``benchmarks/results.txt`` for EXPERIMENTS.md.  Sections
 are keyed by table title, so re-running a single figure refreshes its
 section without discarding the others.  No run ever drops a section:
-deleting a bench module means deleting its sections by hand.
+retiring a figure means deleting its sections by hand.
 
 ``results.txt`` takes only tables a run can vouch for
 (:func:`vouched_tables`): a full-scale run's tables from tests that
 passed with every scorecard passing.  Every other table is merged into
 a ``results.txt`` beside the scorecards instead.
 
-Figure benchmarks run a registered :class:`repro.harness.FigureSpec`
-through the :func:`run_figure` fixture, which records the spec's tables
-and its paper-fidelity scorecards (:func:`record_scorecard`); those land
-as ``BENCH_<figure>.json`` files in ``benchmarks/scorecards`` (override
-with ``REPRO_SCORECARD_DIR``) and can be diffed against the committed
-``benchmarks/baselines`` with ``python -m repro.harness.cli
-bench-compare``.  ``REPRO_JOBS`` fans a figure's sweep points across
-worker processes with byte-identical results.
-
-The invariant auditors run on every figure benchmark (the fixture forces
-``REPRO_AUDIT`` on), so a figure whose bookkeeping drifts fails even
-when its headline numbers still look plausible.
+``test_paper_figures.py`` runs every registered
+:class:`repro.harness.FigureSpec` once, with the invariant auditors on,
+and records the spec's tables and its paper-fidelity scorecards
+(:func:`record_scorecard`); those land as ``BENCH_<figure>.json`` files
+in ``benchmarks/scorecards`` (override with ``REPRO_SCORECARD_DIR``) and
+can be diffed against the committed ``benchmarks/baselines`` with
+``python -m repro.harness.cli bench-compare``.  ``REPRO_JOBS`` fans a
+figure's sweep points across worker processes with byte-identical
+results.
 
 Every bench session that produced scorecards is also appended to the
 run-history store (``repro.obs.runstore``) with its git context, so
 ``python -m repro.harness.cli runs list`` / ``runs diff`` can navigate
-and compare past sessions.  Set ``REPRO_RUNSTORE=0`` (or ``false``,
-``no``, ``off``) to opt out; ``REPRO_RUNSTORE_DIR`` relocates the store.
+and compare past sessions; ``REPRO_RUNSTORE_DIR`` relocates the store.
 """
 
 from __future__ import annotations
@@ -38,11 +34,7 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Sequence, Set, Tuple
 
-import pytest
-
-from repro.config import env_flag
-from repro.harness import FIGURES, bench_scale, format_table
-from repro.obs.audit import AUDIT_ENV
+from repro.harness import bench_scale, format_table
 from repro.obs.export import write_atomic
 from repro.obs.runstore import RunStore
 
@@ -101,26 +93,6 @@ def vouched_tables(tables: Dict[str, Tuple[str, str]], failed: Set[str],
     return vouched, other
 
 
-@pytest.fixture
-def run_figure(monkeypatch):
-    """Run a registered figure's full sweep with the auditors on, record
-    its tables and scorecards, and assert every scorecard passed."""
-    monkeypatch.setenv(AUDIT_ENV, "1")
-
-    def run(name: str) -> None:
-        spec = FIGURES[name]
-        results = spec.run(**spec.defaults)
-        for table in spec.tables(results, **spec.defaults):
-            record_table(*table)
-        scorecards = spec.scorecards(results, **spec.defaults)
-        for scorecard in scorecards:
-            record_scorecard(scorecard)
-        failed = [sc.format() for sc in scorecards if not sc.passed]
-        assert not failed, "\n\n".join(failed)
-
-    return run
-
-
 def _is_rule(line: str) -> bool:
     return bool(line) and not line.strip("-")
 
@@ -177,8 +149,6 @@ def _record_run(terminalreporter) -> None:
     filesystem or exotic CI sandbox must never fail the benchmarks
     themselves.
     """
-    if not env_flag("REPRO_RUNSTORE", True):
-        return
     try:
         rec = RunStore().record(
             _SCORECARDS, label="bench@%s" % bench_scale(),

@@ -77,11 +77,11 @@ def main():
     print("lock acquisitions: %d, final lock word: %d (0 = free)"
           % (len(acquired_log), region.words.get(lock_addr, 0)))
 
-    # 3. Throughput effect of batch posting: leader cycles vs ops.
-    total_cycles = sum(ch.tcq.leader_cycles for ch in handle.channels)
+    # 3. Throughput effect of batch posting: doorbell batches vs ops.
+    total_batches = sum(ch.tcq.messages_sent for ch in handle.channels)
     total_msgs = sum(ch.tcq.requests_sent for ch in handle.channels)
     print("ops posted: %d via %d leader doorbell batches"
-          % (total_msgs, total_cycles))
+          % (total_msgs, total_batches))
 
 
 if __name__ == "__main__":

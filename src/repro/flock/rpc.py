@@ -36,7 +36,6 @@ from ..verbs import (
 from .credits import CreditGrant, CreditState, RenewRequest
 from .handle import ConnectionHandle, MemOp, QpChannel, ThreadState
 from .message import (
-    META_BYTES,
     CoalescedMessage,
     RpcRequest,
     RpcResponse,
@@ -776,26 +775,11 @@ class FlockClient:
                 limit = min(limit, max(1, channel.credits.credits))
             byte_budget = min(self.cfg.max_combine_bytes,
                               channel.sender_view.available_bytes())
-            batch = []
-            n_rpc = 0
-            wire = coalesced_size([])
-            while tcq.pending and len(batch) < limit:
-                nxt = tcq.pending[0]
-                if isinstance(nxt.request, RpcRequest):
-                    if n_rpc >= channel.credits.credits:
-                        break
-                    entry_bytes = META_BYTES + nxt.request.size
-                    if n_rpc > 0 and wire + entry_bytes > byte_budget:
-                        break  # coalesced message would outgrow the ring
-                    wire += entry_bytes
-                    n_rpc += 1
-                batch.append(tcq.pending.popleft())
+            batch = tcq.collect(limit, channel.credits.credits, byte_budget)
             if not batch:
                 if not tcq.handoff():
                     return
                 continue
-            for slot in batch:
-                slot.copied = True
             yield from self._post_batch(handle, channel, batch, window_t0)
             if not tcq.handoff():
                 return

@@ -20,6 +20,7 @@ from collections import deque
 from typing import Deque, List
 
 from ..sim import percentile
+from .message import META_BYTES, RpcRequest, coalesced_size
 
 __all__ = ["CombiningQueue", "PendingSend"]
 
@@ -56,7 +57,6 @@ class CombiningQueue:
         self.degrees_since_report: List[int] = []
         self.messages_sent = 0
         self.requests_sent = 0
-        self.leader_cycles = 0
 
     # -- enqueue protocol ---------------------------------------------------
 
@@ -71,10 +71,27 @@ class CombiningQueue:
 
     # -- leader protocol -------------------------------------------------------
 
-    def collect(self) -> List[PendingSend]:
-        """Leader: take up to ``max_combine`` queued requests."""
+    def collect(self, limit: int, credits: int,
+                byte_budget: int) -> List[PendingSend]:
+        """Leader: take the longest queue prefix that fits one message.
+
+        At most ``limit`` slots; RPC requests (memory operations carry no
+        ring entry) stop the batch at ``credits`` of them, or when the
+        coalesced message would outgrow ``byte_budget`` — though a lone
+        request always goes.  Every taken slot is marked copied."""
         batch: List[PendingSend] = []
-        while self.pending and len(batch) < self.max_combine:
+        n_rpc = 0
+        wire = coalesced_size([])
+        while self.pending and len(batch) < limit:
+            nxt = self.pending[0]
+            if isinstance(nxt.request, RpcRequest):
+                if n_rpc >= credits:
+                    break
+                entry_bytes = META_BYTES + nxt.request.size
+                if n_rpc > 0 and wire + entry_bytes > byte_budget:
+                    break  # coalesced message would outgrow the ring
+                wire += entry_bytes
+                n_rpc += 1
             batch.append(self.pending.popleft())
         for slot in batch:
             slot.copied = True
@@ -84,7 +101,6 @@ class CombiningQueue:
         self.degrees_since_report.append(degree)
         self.messages_sent += 1
         self.requests_sent += degree
-        self.leader_cycles += 1
 
     def handoff(self) -> bool:
         """Leader finished a cycle.  True if leadership passes to the next

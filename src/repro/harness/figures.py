@@ -2,7 +2,7 @@
 
 A spec is the one definition of a figure's experiment.  The CLI builds a
 subcommand from each spec (its options are the spec's ``defaults``) and
-each figure module under ``benchmarks/`` runs its spec at those defaults,
+``benchmarks/test_paper_figures.py`` runs every spec at those defaults,
 so both run the same sweep, print the same tables and check the same
 scorecards.
 

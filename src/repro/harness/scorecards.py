@@ -177,7 +177,8 @@ def _fig2a_attribution_check(sc: Scorecard, qps_points: List[int],
 def scorecard_fig2a(results: Dict[int, object]) -> Scorecard:
     """Fig. 2(a): RC read throughput rises, plateaus around the QP-cache
     size (the modelled RNIC's ``NicConfig.qp_cache_entries``), then
-    collapses as the connection cache thrashes."""
+    collapses as the connection cache thrashes.  The sweep issues
+    16-byte reads from 22 clients as the QP count grows."""
     qp_cache_entries = NicConfig().qp_cache_entries
     sc = Scorecard("fig2a", "RC read throughput vs #QPs")
     mops = {qps: r.mops for qps, r in results.items()}
@@ -253,6 +254,8 @@ def scorecard_fig2b(results: Dict[object, object]) -> Scorecard:
 def scorecards_fig6_7_8(results: Dict[tuple, object]) -> List[Scorecard]:
     """Figs. 6/7/8: FLock vs eRPC throughput / median / tail latency.
 
+    64-byte requests and responses from 23 clients to one server (all
+    its cores), threads swept at 1/4/8 outstanding requests per thread.
     ``results`` is keyed ``(system, outstanding, threads)`` like the
     benchmark sweep.
     """
@@ -330,7 +333,10 @@ def scorecards_fig6_7_8(results: Dict[tuple, object]) -> List[Scorecard]:
 
 
 def scorecard_fig9(results: Dict[tuple, object]) -> Scorecard:
-    """Fig. 9: QP-sharing approaches, keyed ``(system, threads)``."""
+    """Fig. 9: QP-sharing approaches, keyed ``(system, threads)``: FLock
+    (combining plus receiver-side QP scheduling), no sharing (a
+    dedicated QP per thread) and FaRM-like spinlock sharing with 2 or 4
+    threads per QP, all at 8 outstanding requests per thread."""
     sc = Scorecard("fig9", "QP sharing approaches")
     threads = sorted({k[1] for k in results})
     t_hi = threads[-1]
@@ -426,7 +432,13 @@ def scorecard_fig10(results: Dict[tuple, object]) -> Scorecard:
 def scorecard_fig11(results: Dict[tuple, object],
                     n_clients: int) -> Scorecard:
     """Fig. 11: thread scheduling, keyed ``(large_size, scheduling)``
-    with :func:`repro.harness.microbench.run_thread_sched` results."""
+    with :func:`repro.harness.microbench.run_thread_sched` results.
+
+    90% of threads send 64 B requests and 10% send ``large_size`` ones.
+    Algorithm 1 sorts threads by median request size and packs them
+    into byte-quota groups, so large-payload threads land on their own
+    QPs; the checks score that separation and the large class's
+    latency at throughput parity."""
     sc = Scorecard("fig11", "Sender-side thread scheduling")
     sizes = sorted({k[0] for k in results})
     s_hi = sizes[-1]
@@ -464,8 +476,11 @@ def scorecard_fig11(results: Dict[tuple, object],
 
 
 def scorecard_fig12(results: Dict[tuple, object]) -> Scorecard:
-    """Fig. 12: node scalability, keyed ``(config, total_clients)`` with
-    configs ``1t1q`` / ``2t1q`` / ``2t2q``."""
+    """Fig. 12: node scalability, keyed ``(config, total_clients)``: one
+    server and 23 client nodes running 1..16 processes each.  Configs:
+    ``1t1q`` one thread per process (FLock's worst case, no coalescing
+    possible), ``2t1q`` two threads sharing one QP through FLock, and
+    ``2t2q`` native RC with a dedicated QP per thread."""
     sc = Scorecard("fig12", "Node scalability")
     totals = sorted({k[1] for k in results})
     c_hi = totals[-1]
@@ -545,7 +560,13 @@ def scorecard_incast(results: Dict[str, object]) -> Scorecard:
     """Extension figure: N→1 incast degradation, FLock vs UD RPC.
 
     ``results`` holds the four legs keyed ``{flock,ud}_{base,cong}``;
-    the headline is each system's :func:`retention`.
+    the headline is each system's :func:`retention`.  Every request
+    stream converges on one server egress port with a shallow buffer.
+    FLock rides RC: ECN marks pace its shared QPs through DCQCN and a
+    tail drop is a hardware retransmit.  UD has no transport recovery,
+    so a dropped request waits out the RTO and the synchronized opening
+    burst silences most workers.  So FLock must retain a strictly larger
+    share of its uncongested throughput than UD.
     """
     sc = Scorecard("ext_incast", "N→1 incast under fabric congestion")
     flock_ret = retention(results, "flock")
@@ -600,7 +621,11 @@ def scorecard_incast(results: Dict[str, object]) -> Scorecard:
 
 
 def scorecard_fig14(results: Dict[tuple, object]) -> Scorecard:
-    """Fig. 14: TATP — FLockTX vs FaSST, keyed ``(system, threads)``."""
+    """Fig. 14: TATP — FLockTX vs FaSST, keyed ``(system, threads)``.
+
+    Read-intensive TATP mix, 20 clients, 3 servers (3-way replication),
+    19 submit coroutines per thread.  FaSST loses packets at high thread
+    counts, which is why the paper omits its 32-thread numbers."""
     sc = _txn_scorecard("fig14", "TATP transactions", results,
                         win_threads=(8, 16), win_ratio=1.4,
                         tail_thread=16)
@@ -619,7 +644,11 @@ def scorecard_fig14(results: Dict[tuple, object]) -> Scorecard:
 
 
 def scorecard_fig15(results: Dict[tuple, object]) -> Scorecard:
-    """Fig. 15: Smallbank — FLockTX vs FaSST, keyed ``(system, threads)``."""
+    """Fig. 15: Smallbank — FLockTX vs FaSST, keyed ``(system, threads)``.
+
+    Write-intensive (85% of transactions update keys) with 3-way
+    replication, so every committed writer crosses the network for
+    logging and commit."""
     sc = _txn_scorecard("fig15", "Smallbank transactions", results,
                         win_threads=(4, 8), win_ratio=1.15,
                         tail_thread=1)
@@ -633,7 +662,8 @@ def scorecard_fig15(results: Dict[tuple, object]) -> Scorecard:
 def scorecard_fig16(results: Dict[tuple, Dict[str, object]]) -> Scorecard:
     """Figs. 16-18: HydraList over FLock vs eRPC, keyed ``(system,
     outstanding, threads)`` with :func:`repro.harness.indexbench`
-    per-class result dicts."""
+    per-class result dicts: one index server, 22 clients issuing 90%
+    gets and 10% 64-key scans."""
     sc = Scorecard("fig16", "HydraList: FLock vs eRPC")
     outs = sorted({k[1] for k in results})
     threads = sorted({k[2] for k in results})
@@ -755,7 +785,9 @@ def scorecard_ablations(rows: Dict[tuple, object]) -> Scorecard:
 def scorecard_multitenancy(result, tenants: List[str]) -> Scorecard:
     """Extension (§9): weighted tenants share one server's MAX_AQP
     budget.  ``result`` is a :func:`repro.harness.microbench.
-    run_multitenancy` run; ``tenants`` lists its tenants heaviest first."""
+    run_multitenancy` run; ``tenants`` lists its tenants heaviest first.
+    Equally aggressive tenants' active QPs must follow their weights
+    within the budget, and the lightest is never starved."""
     sc = Scorecard("multitenancy", "Multi-tenant QP allocation")
     extras = result.extras
     qps = {t: extras["active_qps_" + t] for t in tenants}

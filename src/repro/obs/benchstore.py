@@ -7,7 +7,10 @@ scorecards, :func:`compare_dirs` matches them up by figure and flags:
 * a gated metric drifting beyond its baseline tolerance in the *worse*
   direction ("higher"-is-better metrics may only fall so far, "lower"
   only rise, "equal" may not move at all);
-* a shape check that held in the baseline but fails now.
+* a shape check that held in the baseline but fails now;
+* a baseline figure the run did not produce, or a gated metric missing
+  from the run's scorecard (the gate fails closed on what it cannot
+  see).
 
 Improvements are reported but never gate.  Comparisons are skipped (not
 failed) when run conditions differ — most importantly ``bench_scale``,
@@ -66,10 +69,12 @@ class CompareReport:
     """Outcome of comparing a run against the committed baselines."""
 
     deltas: List[MetricDelta] = field(default_factory=list)
-    #: Figure-level skips with reasons (scale mismatch, missing files).
+    #: Skips with reasons (scale mismatch, no baselines at all).
     skipped: List[str] = field(default_factory=list)
     #: Baseline-passing shape checks that fail in the current run.
     failed_checks: List[str] = field(default_factory=list)
+    #: Baseline figures and gated metrics the current run lacks.
+    missing: List[str] = field(default_factory=list)
 
     @property
     def regressions(self) -> List[MetricDelta]:
@@ -77,18 +82,21 @@ class CompareReport:
 
     @property
     def ok(self) -> bool:
-        return not self.regressions and not self.failed_checks
+        return not (self.regressions or self.failed_checks or self.missing)
 
     def format(self) -> str:
         lines = ["bench-compare: %d metrics, %d regressions, "
-                 "%d failed checks, %d skipped"
+                 "%d failed checks, %d missing, %d skipped"
                  % (len(self.deltas), len(self.regressions),
-                    len(self.failed_checks), len(self.skipped))]
+                    len(self.failed_checks), len(self.missing),
+                    len(self.skipped))]
         for d in self.deltas:
             if d.regression:
                 lines.append("  " + str(d))
         for name in self.failed_checks:
             lines.append("  REGRESSION check %s now fails" % name)
+        for name in self.missing:
+            lines.append("  MISSING %s" % name)
         for s in self.skipped:
             lines.append("  skip %s" % s)
         if self.ok:
@@ -120,7 +128,7 @@ def _compare_into(report: CompareReport, baseline: Scorecard,
     for bm in baseline.metrics:
         cm = current.metric(bm.name)
         if cm is None:
-            report.skipped.append("%s/%s: metric missing from current run"
+            report.missing.append("%s/%s: metric missing from current run"
                                   % (baseline.figure, bm.name))
             continue
         regressed = _is_regression(bm.better, bm.value, cm.value,
@@ -144,16 +152,16 @@ def compare_runs(baseline: Dict[str, Scorecard],
                  absent: str) -> CompareReport:
     """Compare two ``{figure: Scorecard}`` maps, figure by figure.
 
-    A baseline figure with no current counterpart is a skip (reason
-    ``absent``), not a failure; a current figure with no baseline is
-    ignored (a new figure cannot regress).
+    A baseline figure with no current counterpart fails (reason
+    ``absent``); a current figure with no baseline is ignored (a new
+    figure cannot regress).
     """
     report = CompareReport()
     for figure in sorted(baseline):
         if figure in current:
             _compare_into(report, baseline[figure], current[figure])
         else:
-            report.skipped.append("%s: %s" % (figure, absent))
+            report.missing.append("%s: %s" % (figure, absent))
     return report
 
 
@@ -161,7 +169,8 @@ def compare_dirs(baseline_dir: str, current_dir: str,
                  figures: Optional[List[str]] = None) -> CompareReport:
     """Compare every ``BENCH_*.json`` in ``current_dir`` against its
     committed twin in ``baseline_dir`` (see :func:`compare_runs`).
-    ``figures`` restricts the comparison to the named figures.
+    ``figures`` restricts the comparison to the named figures; no other
+    baseline may be missing from ``current_dir``.
     """
     report = CompareReport()
     paths = sorted(glob.glob(os.path.join(baseline_dir, "BENCH_*.json")))

@@ -263,9 +263,8 @@ class RunStore:
 
         Run *A* is the baseline contract: its metric tolerances and its
         passing shape checks gate, exactly as the bench store gates a
-        fresh run against committed baselines.  Figures of A absent
-        from B are recorded as skips.  ``report.ok`` is False iff B
-        regresses.
+        fresh run against committed baselines.  ``report.ok`` is False
+        iff B regresses or lacks a figure or gated metric of A.
         """
         base, cur = self.get(a), self.get(b)
         return compare_runs(

@@ -75,7 +75,6 @@ RUN_KNOBS = {
     "REPRO_FAULTS",
     "REPRO_RUNSTORE_DIR",
     "REPRO_SCORECARD_DIR",
-    "REPRO_RUNSTORE",
 }
 
 
@@ -240,19 +239,28 @@ def _code_names(tree):
     identifiers are bare; attributes, keywords and the words of a
     one-token string literal (a name passed to ``getattr``) are not.
     Docstrings, comments, prose strings, imports and ``__all__`` lists
-    are not readers: a re-export uses nothing."""
-    skip = set()
+    are not readers: a re-export uses nothing.  Neither is an attribute
+    of a module imported from outside ``repro`` and ``perf``: ``gc.collect``
+    reads no method named ``collect``."""
+    skip, foreign = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
             skip.add(id(node.value))
         elif isinstance(node, ast.Assign) and any(
                 _name(t) == "__all__" for t in node.targets):
             skip.update(id(n) for n in ast.walk(node.value))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                if top not in ("repro", "perf"):
+                    foreign.add(alias.asname or top)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield True, node.id
         elif isinstance(node, ast.Attribute):
-            yield False, node.attr
+            if not (isinstance(node.value, ast.Name)
+                    and node.value.id in foreign):
+                yield False, node.attr
         elif isinstance(node, ast.keyword) and node.arg:
             yield False, node.arg
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)

@@ -1,15 +1,14 @@
-"""The figure registry's wiring: every CLI figure subcommand and every
-figure benchmark reaches its :class:`repro.harness.FigureSpec`.
+"""The figure registry's wiring: every CLI figure subcommand reaches its
+:class:`repro.harness.FigureSpec`, and every committed baseline matches
+what its spec emits.
 
 ``run_sweep`` is patched with a recorder that returns canned results, so
 these tests pin which points each entry point evaluates and which tables
 and scorecards it emits without simulating anything.
 """
 
-import ast
 import collections
 import pathlib
-import re
 from unittest.mock import patch
 
 import pytest
@@ -23,8 +22,10 @@ from repro.harness import (
     run_thread_sched,
 )
 from repro.harness.cli import main
+from repro.obs import load_scorecard
 
-BENCHMARKS = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+BASELINES = (pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+             / "baselines")
 
 
 def _canned(point, i):
@@ -116,36 +117,20 @@ class TestCliFigures:
             list(spec.points(**spec.defaults).values())]
 
 
-def _bench_modules():
-    """``{module file name: [figures it runs]}`` for every bench module."""
-    return {path.name: re.findall(r'run_figure\("(\w+)"\)', path.read_text())
-            for path in sorted(BENCHMARKS.glob("test_*.py"))}
 
-
-class TestBenchFigures:
-    def test_every_spec_runs_in_one_bench_module(self):
-        ran = sorted(name for names in _bench_modules().values()
-                     for name in names)
-        assert ran == sorted(FIGURES)
-
-    def test_every_figure_bench_module_runs_a_spec(self):
-        """Every bench module runs a spec, except the search scenarios
-        (:mod:`repro.search` replays) and Table 1 (no simulation)."""
-        modules = _bench_modules()
-        assert modules
-        for module, figures in modules.items():
-            if module in ("test_ext_search.py", "test_table1_transports.py"):
-                continue
-            assert figures, "%s runs no FigureSpec" % module
-
-    def test_spec_modules_hold_no_thresholds(self):
-        """Claims live in the scorecard builders: a module that runs a
-        spec contains no numeric literal."""
-        for module, figures in _bench_modules().items():
-            if not figures:
-                continue
-            tree = ast.parse((BENCHMARKS / module).read_text())
-            numbers = [node.value for node in ast.walk(tree)
-                       if isinstance(node, ast.Constant)
-                       and isinstance(node.value, (int, float))]
-            assert not numbers, (module, numbers)
+def test_every_baseline_metric_is_emitted():
+    """``bench-compare`` fails on a baseline figure or gated metric the
+    run lacks.  So every scorecard a spec emits at its defaults has a
+    committed baseline, and every metric that baseline records is one
+    the spec still emits (checked on canned results)."""
+    emitted = {}
+    for spec in FIGURES.values():
+        results = _canned_results(spec.points(**spec.defaults))
+        for scorecard in spec.scorecards(results, **spec.defaults):
+            emitted[scorecard.figure] = {m.name for m in scorecard.metrics}
+    baselines = {card.figure: card for card in
+                 map(load_scorecard, BASELINES.glob("BENCH_*.json"))}
+    assert set(emitted) <= set(baselines)
+    for figure, names in emitted.items():
+        recorded = {m.name for m in baselines[figure].metrics}
+        assert recorded <= names, (figure, sorted(recorded - names))

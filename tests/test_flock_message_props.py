@@ -31,7 +31,7 @@ class TestTcqProperties:
             tcq.enqueue(slot(i))
         seen = []
         while True:
-            batch = tcq.collect()
+            batch = tcq.collect(max_combine, max_combine, 1 << 20)
             if not batch:
                 assert not tcq.handoff()
                 break
@@ -55,7 +55,7 @@ class TestTcqProperties:
                 i += 1
                 assert leaders <= 1
             elif leaders:
-                tcq.collect()
+                tcq.collect(4, 4, 1 << 20)
                 if not tcq.handoff():
                     leaders -= 1
         assert leaders in (0, 1)

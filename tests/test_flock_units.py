@@ -183,20 +183,38 @@ class TestCombiningQueue:
         assert tcq.enqueue(self.slot(0)) is True
         assert tcq.enqueue(self.slot(1)) is False  # follower
 
-    def test_collect_bounded(self):
-        tcq = CombiningQueue(max_combine=2)
-        for i in range(5):
+    def queue(self, n):
+        tcq = CombiningQueue(max_combine=8)
+        for i in range(n):
             tcq.enqueue(self.slot(i))
-        batch = tcq.collect()
+        return tcq
+
+    def test_collect_bounded(self):
+        tcq = self.queue(5)
+        batch = tcq.collect(2, credits=8, byte_budget=4096)
         assert len(batch) == 2
         assert all(s.copied for s in batch)
         assert len(tcq.pending) == 3
+
+    def test_collect_stops_at_credits(self):
+        tcq = self.queue(5)
+        batch = tcq.collect(8, credits=3, byte_budget=4096)
+        assert [s.request.thread_id for s in batch] == [0, 1, 2]
+        assert not any(s.copied for s in tcq.pending)
+
+    def test_collect_stops_at_byte_budget(self):
+        tcq = self.queue(5)
+        two = coalesced_size([64, 64])
+        assert len(tcq.collect(8, credits=8, byte_budget=two)) == 2
+        # A lone request goes even when it alone outgrows the budget.
+        assert len(tcq.collect(8, credits=8, byte_budget=0)) == 1
+        assert len(tcq.pending) == 2
 
     def test_handoff_continues_while_pending(self):
         tcq = CombiningQueue(max_combine=8)
         tcq.enqueue(self.slot(0))
         tcq.enqueue(self.slot(1))
-        tcq.collect()
+        tcq.collect(8, credits=8, byte_budget=4096)
         assert tcq.handoff() is False  # queue drained
         assert not tcq.leader_active
 
@@ -204,7 +222,7 @@ class TestCombiningQueue:
         tcq = CombiningQueue(max_combine=1)
         tcq.enqueue(self.slot(0))
         tcq.enqueue(self.slot(1))
-        tcq.collect()
+        tcq.collect(1, credits=8, byte_budget=4096)
         assert tcq.handoff() is True
         assert tcq.leader_active
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.harness import format_table
 from repro.obs import Scorecard
+from repro.obs.runstore import RUNSTORE_DIR_ENV
 
 _CONFTEST = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
                          "conftest.py")
@@ -66,7 +67,7 @@ def bench(tmp_path, monkeypatch):
     results.write_text(_table("Fig 10", 4.0) + "\n")
     monkeypatch.setattr(module, "RESULTS_PATH", str(results))
     monkeypatch.setattr(module, "SCORECARD_DIR", str(tmp_path / "sc"))
-    monkeypatch.setenv("REPRO_RUNSTORE", "0")
+    monkeypatch.setenv(RUNSTORE_DIR_ENV, str(tmp_path))
     return module, results
 
 

@@ -10,11 +10,8 @@ gate, only run A's tolerances do) through the same comparison loop as
 traceback.
 """
 
-import importlib.util
 import json
 import os
-import pathlib
-from types import SimpleNamespace
 
 import pytest
 
@@ -182,12 +179,12 @@ class TestDiff:
         assert not report.ok
         assert report.failed_checks
 
-    def test_figure_missing_from_b_is_a_skip(self, store):
+    def test_figure_missing_from_b_fails(self, store):
         store.record([make_scorecard("fig2a"), make_scorecard("fig6")])
         store.record([make_scorecard("fig2a")])
         report = store.diff(1, 2)
-        assert report.ok
-        assert any("fig6" in s for s in report.skipped)
+        assert not report.ok
+        assert report.missing == ["fig6: absent from run 2"]
 
     def test_scale_mismatch_skips_not_gates(self, store):
         store.record([make_scorecard(scale=1.0)])
@@ -199,7 +196,7 @@ class TestDiff:
     def test_matches_bench_compare_over_directories(self, store, tmp_path):
         """``runs diff`` and ``bench-compare`` share one comparison loop:
         the same two scorecard sets, recorded as runs and written as
-        directories, give the same deltas, failed checks and skipped
+        directories, give the same deltas, failed checks and missing
         figures."""
         base = [make_scorecard("fig2a", mops=10.0),
                 make_scorecard("fig6", check_ok=True),
@@ -219,9 +216,9 @@ class TestDiff:
                    for d in from_runs.deltas)
         assert from_runs.failed_checks == from_dirs.failed_checks
         assert from_runs.failed_checks == ["fig6/shape_holds"]
-        skipped = [[s.split(":")[0] for s in report.skipped]
+        missing = [[s.split(":")[0] for s in report.missing]
                    for report in (from_runs, from_dirs)]
-        assert skipped[0] == skipped[1] == ["fig9"]
+        assert missing[0] == missing[1] == ["fig9"]
 
 
 class TestDefaultDir:
@@ -305,28 +302,3 @@ class TestRunsCli:
         assert main(["runs", "--store", str(other), "record", d]) == 0
         assert (other / "runs.jsonl").exists()
 
-
-def _bench_conftest():
-    """``benchmarks/conftest.py``, loaded as a plain module."""
-    path = (pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
-            / "conftest.py")
-    spec = importlib.util.spec_from_file_location("bench_conftest", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.mark.parametrize("raw,recorded", [
-    ("0", False), ("false", False), ("off", False), ("no", False),
-    ("1", True), ("on", True),
-])
-def test_bench_session_runstore_knob_is_boolean(raw, recorded, monkeypatch,
-                                               tmp_path):
-    """``REPRO_RUNSTORE`` parses like every boolean run knob: any off
-    spelling keeps a bench session out of the run store."""
-    monkeypatch.setenv("REPRO_RUNSTORE", raw)
-    monkeypatch.setenv(RUNSTORE_DIR_ENV, str(tmp_path / "rs"))
-    lines = []
-    _bench_conftest()._record_run(SimpleNamespace(write_line=lines.append))
-    assert len(RunStore().list()) == int(recorded)
-    assert bool(lines) is recorded

@@ -1,6 +1,8 @@
 """Scorecards and the bench store: round-trips, gating, CLI exit codes."""
 
 import json
+import pathlib
+import shutil
 
 import pytest
 
@@ -13,6 +15,9 @@ from repro.obs import (
 )
 from repro.obs.benchstore import compare_runs
 from repro.obs.scorecard import Metric, scorecard_filename
+
+BASELINES = (pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+             / "baselines")
 
 
 def compare_pair(baseline, current):
@@ -163,11 +168,12 @@ class TestCompare:
         assert report.ok and not report.deltas
         assert any("bench_scale" in s for s in report.skipped)
 
-    def test_missing_metric_is_skip_not_pass(self):
+    def test_missing_metric_fails(self):
         base, cur = self._pair()
         cur.metrics = [m for m in cur.metrics if m.name != "tput"]
         report = compare_pair(base, cur)
-        assert any("tput" in s for s in report.skipped)
+        assert not report.ok
+        assert [s.split(":")[0] for s in report.missing] == ["figx/tput"]
 
 
 class TestCompareDirs:
@@ -188,13 +194,15 @@ class TestCompareDirs:
         only2 = compare_dirs(str(base), str(cur), figures=["fig2"])
         assert only2.ok and len(only2.deltas) == 1
 
-    def test_missing_current_is_skip(self, tmp_path):
+    def test_missing_current_fails_unless_filtered_out(self, tmp_path):
         base, cur = tmp_path / "base", tmp_path / "cur"
         self._write(base, "fig1", 10.0)
-        cur.mkdir()
+        self._write(base, "fig2", 10.0)
+        self._write(cur, "fig2", 10.0)
         report = compare_dirs(str(base), str(cur))
-        assert report.ok
-        assert any("fig1" in s for s in report.skipped)
+        assert not report.ok
+        assert [s.split(":")[0] for s in report.missing] == ["fig1"]
+        assert compare_dirs(str(base), str(cur), figures=["fig2"]).ok
 
     def test_no_baselines_is_skip(self, tmp_path):
         report = compare_dirs(str(tmp_path), str(tmp_path))
@@ -224,6 +232,41 @@ class TestCliBenchCompare:
                        str(tmp_path / "cur")])
         assert rc == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+
+class TestBenchCompareFailsClosed:
+    """Mutations of a copy of the committed baselines that
+    ``bench-compare`` must reject, each exiting 1."""
+
+    @pytest.fixture
+    def current(self, tmp_path):
+        cur = tmp_path / "cur"
+        shutil.copytree(BASELINES, cur)
+        return cur
+
+    def _compare(self, current, *extra):
+        return cli_main(["bench-compare", "--baseline", str(BASELINES),
+                         "--current", str(current), *extra])
+
+    def test_unmutated_copy_passes(self, current, capsys):
+        assert self._compare(current) == 0
+        assert "0 missing" in capsys.readouterr().out
+
+    def test_dropped_figure_fails(self, current, capsys):
+        (current / "BENCH_fig9.json").unlink()
+        assert self._compare(current) == 1
+        assert "MISSING fig9: not produced" in capsys.readouterr().out
+        # A figure excluded by --figures may be absent.
+        assert self._compare(current, "--figures", "fig10") == 0
+
+    def test_dropped_metric_fails(self, current, capsys):
+        path = current / "BENCH_fig10.json"
+        card = json.loads(path.read_text())
+        dropped = card["metrics"].pop(0)["name"]
+        path.write_text(json.dumps(card))
+        assert self._compare(current) == 1
+        assert ("MISSING fig10/%s: metric missing" % dropped
+                in capsys.readouterr().out)
 
 
 class TestBuilders:
