@@ -1,19 +1,19 @@
 """Extension benchmark: search-discovered anomaly scenarios as gates.
 
-The adversarial scenario search (``docs/search.md``) hunts the
-workload/config space for points that maximize an anomaly objective;
-the best finds are frozen in ``repro.search.scenarios`` and re-run here
-exactly as the search evaluated them (same seed derivation, both legs,
-traced).  Committing their scorecards as baselines turns every found
-cliff into a permanent regression gate: a change that silently heals or
-deepens the pathology — or moves its critical-path explanation to a
-different resource — trips bench-compare.
+An adversarial search once hunted the workload/config space for
+anomalies (``docs/search.md``); its two finds are frozen in
+``repro.search.scenarios`` and replayed here exactly as the search
+evaluated them (same seed derivation, both legs, traced).  Their
+committed scorecards are baselines, so every found cliff is a permanent
+regression gate: a change that silently heals or deepens the pathology
+— or moves its critical-path explanation to a different resource —
+trips bench-compare.
 """
 
 import pytest
 
 from repro.harness.scorecards import scorecard_search
-from repro.search.report import explain_entry
+from repro.search.runner import evaluate_point
 from repro.search.scenarios import CURATED_SCENARIOS
 
 from conftest import record_scorecard, record_table
@@ -22,8 +22,10 @@ from conftest import record_scorecard, record_table
 @pytest.mark.parametrize("name", sorted(CURATED_SCENARIOS))
 def test_ext_search_scenario(name):
     scenario = CURATED_SCENARIOS[name]
-    detail = explain_entry({"point": scenario.point, "score": 0.0},
-                           seed=scenario.seed)
+    detail = evaluate_point(scenario.point, seed=scenario.seed)
+    # The baselines record the info-only score slot the search filled;
+    # a replay scores nothing.
+    detail["score"] = 0.0
 
     base, cong = detail["baseline"], detail["scenario"]
     record_table(

@@ -56,10 +56,11 @@ def env_flag(name: str, default: bool = False) -> bool:
 def _require(cond: bool, msg: str) -> None:
     """Config-construction invariant; raises ValueError on violation.
 
-    The scenario search mutates these knobs programmatically, so every
-    constructor-reachable field that can brick a run (zero-sized cache,
-    inverted PFC thresholds, negative costs) is validated here rather
-    than failing deep inside the simulator.
+    Scenario configs (:mod:`repro.search`) derive these knobs
+    programmatically, so every constructor-reachable field that can
+    brick a run (zero-sized cache, inverted PFC thresholds, negative
+    costs) is validated here rather than failing deep inside the
+    simulator.
     """
     if not cond:
         raise ValueError(msg)

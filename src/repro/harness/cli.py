@@ -107,18 +107,9 @@ from ..obs import (
 )
 from ..obs.audit import AUDIT_ENV
 from ..obs.export import write_atomic
-from ..search import (
-    SearchConfig,
-    explain_entry,
-    format_entry,
-    leaderboard_rows,
-    run_search,
-)
-from ..search.objectives import OBJECTIVES
 from .figures import FIGURES
 from .metrics import bench_scale
-from .parallel import default_jobs
-from .scorecards import scorecard_search, sweep_runs
+from .scorecards import sweep_runs
 from .tables import print_table
 
 #: Default committed-baseline directory for ``bench-compare``.
@@ -185,69 +176,6 @@ def cmd_figure(args) -> None:
     _collect(args, results)
     for sc in spec.scorecards(results, **opts):
         _emit_scorecard(args, sc)
-
-
-def _scenario_spec(spec: str):
-    """``NAME[:RANK]`` -> ``(name, rank)``; rejects an empty name or a
-    rank that is not an integer before the search runs."""
-    name, _, rank_text = spec.partition(":")
-    try:
-        rank = int(rank_text) if rank_text else 1
-    except ValueError:
-        rank = None
-    if not name or rank is None:
-        raise argparse.ArgumentTypeError(
-            "bad scenario spec %r: want NAME[:RANK] with a non-empty NAME "
-            "and an integer RANK" % spec)
-    return name, rank
-
-
-def cmd_search(args) -> int:
-    """Adversarial scenario search (see docs/search.md)."""
-    cfg = SearchConfig(objective=args.objective, budget=args.budget,
-                       seed=args.seed, jobs=default_jobs(args.jobs),
-                       warmup=args.warmup, elites=args.elites)
-    result = run_search(cfg, progress=print)
-    if result.metrics is not None:
-        args.metrics_folded.merge_state(result.metrics)
-    columns, rows = leaderboard_rows(result, args.top)
-    print_table("leaderboard: %s (%d evals, %d dedup)"
-                % (result.search_id, result.n_evals, result.n_dedup),
-                columns, rows)
-
-    n_explain = (args.explain_top if args.explain_top is not None
-                 else min(3, len(result.leaderboard)))
-    details = []
-    for rank, entry in enumerate(result.leaderboard[:n_explain], start=1):
-        detail = explain_entry(entry, seed=cfg.seed)
-        details.append(detail)
-        print()
-        print(format_entry(detail, rank))
-
-    if args.json:
-        payload = {"search": result.to_dict(), "explanations": details}
-        write_atomic(args.json,
-                     json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print()
-        print("wrote search result: %s" % args.json)
-
-    if args.export_scenario:
-        name, rank = args.export_scenario
-        if not 1 <= rank <= len(result.leaderboard):
-            print("--export-scenario: rank %d out of range (1..%d)"
-                  % (rank, len(result.leaderboard)))
-            return 1
-        if rank <= len(details):
-            detail = details[rank - 1]
-        else:
-            detail = explain_entry(result.leaderboard[rank - 1],
-                                   seed=cfg.seed)
-        sc = scorecard_search(name, detail, objective=result.objective)
-        _stamp_meta(sc)
-        path = sc.write(args.scorecard or ".")
-        print("wrote scenario scorecard: %s (%s)"
-              % (path, "PASS" if sc.passed else "FAIL"))
-    return 0
 
 
 def _emit_attribution(args, telemetry) -> None:
@@ -553,39 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figures", nargs="+", default=None,
                    help="restrict the comparison to these figures")
     p.set_defaults(fn=cmd_bench_compare)
-
-    p = sub.add_parser(
-        "search",
-        help="adversarial scenario search: hunt workload/config points "
-             "that maximize an anomaly objective (docs/search.md)")
-    p.add_argument("--budget", type=int, default=24, metavar="N",
-                   help="unique candidate evaluations (default 24)")
-    p.add_argument("--seed", type=int, default=7,
-                   help="root seed; the leaderboard is byte-identical "
-                        "for a fixed (seed, budget, objective) at any "
-                        "--jobs (default 7)")
-    p.add_argument("--objective", default="tail_ratio",
-                   help="objective spec: %s; attribution_shift takes an "
-                        "optional :resource arg (default tail_ratio)"
-                        % ", ".join(sorted(OBJECTIVES)))
-    p.add_argument("--warmup", type=int, default=0, metavar="N",
-                   help="random candidates before the climb "
-                        "(default: a third of the budget)")
-    p.add_argument("--elites", type=int, default=4, metavar="N",
-                   help="frontier slots mutated per generation")
-    p.add_argument("--top", type=int, default=10, metavar="K",
-                   help="leaderboard rows to print (default 10)")
-    p.add_argument("--explain-top", type=int, default=None, metavar="K",
-                   help="entries to re-run traced and explain "
-                        "(default: top 3)")
-    p.add_argument("--json", metavar="FILE", default=None,
-                   help="write the full result + explanations as JSON")
-    p.add_argument("--export-scenario", metavar="NAME[:RANK]", default=None,
-                   type=_scenario_spec,
-                   help="freeze the RANK-th candidate (default 1) as a "
-                        "BENCH_search_<NAME>.json scorecard in the "
-                        "--scorecard dir (default .)")
-    p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("runs", help="run history: list / show / diff "
                                     "/ record")

@@ -820,7 +820,7 @@ def scorecard_search(name: str, evaluation: Dict, *, objective: str = "",
     """A search-discovered anomaly scenario as a permanent gate.
 
     ``evaluation`` is the traced+explained form of one search candidate
-    (:func:`repro.search.report.explain_entry`): both legs' headline
+    (:func:`repro.search.runner.evaluate_point`): both legs' headline
     numbers, the detector's anomaly records, and the baseline->scenario
     attribution shift.  The gate pins the *pathology*: the two legs'
     throughputs, the goodput collapse and tail inflation that made the

@@ -8,16 +8,17 @@ scorecards, :func:`compare_dirs` matches them up by figure and flags:
   direction ("higher"-is-better metrics may only fall so far, "lower"
   only rise, "equal" may not move at all);
 * a shape check that held in the baseline but fails now;
-* a baseline figure the run did not produce, or a gated metric missing
-  from the run's scorecard (the gate fails closed on what it cannot
-  see).
+* a baseline figure the run did not produce, a gated metric missing
+  from the run's scorecard, a check the run emits that the baseline
+  does not record, or an empty baseline directory (the gate fails
+  closed on what it cannot see);
+* a figure whose run conditions differ from its baseline's —
+  ``bench_scale``: a scaled-down smoke run's numbers are not comparable
+  to full-scale baselines, so it cannot pass against them.
 
-Improvements are reported but never gate.  Comparisons are skipped (not
-failed) when run conditions differ — most importantly ``bench_scale``,
-since scaled-down smoke runs produce numbers that are not comparable to
-full-scale baselines.  The CLI front-end (``python -m
-repro.harness.cli bench-compare``) exits nonzero iff regressions were
-found, which is the CI gate.
+Improvements are reported but never gate.  The CLI front-end
+(``python -m repro.harness.cli bench-compare``) exits nonzero iff any
+of these was found, which is the CI gate.
 
 :func:`compare_runs` is the one comparison loop: it takes two
 ``{figure: Scorecard}`` maps, so ``bench-compare`` (two directories)
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 #: Meta keys that must match between baseline and current run for the
-#: comparison to be meaningful.
+#: comparison to be meaningful; a mismatch fails the figure.
 _GATING_META = ("bench_scale",)
 
 
@@ -69,11 +70,12 @@ class CompareReport:
     """Outcome of comparing a run against the committed baselines."""
 
     deltas: List[MetricDelta] = field(default_factory=list)
-    #: Skips with reasons (scale mismatch, no baselines at all).
-    skipped: List[str] = field(default_factory=list)
+    #: Figures whose run conditions (``bench_scale``) differ.
+    mismatched: List[str] = field(default_factory=list)
     #: Baseline-passing shape checks that fail in the current run.
     failed_checks: List[str] = field(default_factory=list)
-    #: Baseline figures and gated metrics the current run lacks.
+    #: Baseline figures and gated metrics the current run lacks, checks
+    #: the baseline lacks, and an empty baseline directory.
     missing: List[str] = field(default_factory=list)
 
     @property
@@ -82,14 +84,15 @@ class CompareReport:
 
     @property
     def ok(self) -> bool:
-        return not (self.regressions or self.failed_checks or self.missing)
+        return not (self.regressions or self.failed_checks or self.missing
+                    or self.mismatched)
 
     def format(self) -> str:
         lines = ["bench-compare: %d metrics, %d regressions, "
-                 "%d failed checks, %d missing, %d skipped"
+                 "%d failed checks, %d missing, %d mismatched"
                  % (len(self.deltas), len(self.regressions),
                     len(self.failed_checks), len(self.missing),
-                    len(self.skipped))]
+                    len(self.mismatched))]
         for d in self.deltas:
             if d.regression:
                 lines.append("  " + str(d))
@@ -97,8 +100,8 @@ class CompareReport:
             lines.append("  REGRESSION check %s now fails" % name)
         for name in self.missing:
             lines.append("  MISSING %s" % name)
-        for s in self.skipped:
-            lines.append("  skip %s" % s)
+        for name in self.mismatched:
+            lines.append("  MISMATCH %s" % name)
         if self.ok:
             lines.append("  all gated metrics within tolerance")
         return "\n".join(lines)
@@ -121,7 +124,7 @@ def _compare_into(report: CompareReport, baseline: Scorecard,
     for key in _GATING_META:
         b, c = baseline.meta.get(key), current.meta.get(key)
         if b is not None and c is not None and b != c:
-            report.skipped.append(
+            report.mismatched.append(
                 "%s: %s mismatch (baseline=%s current=%s)"
                 % (baseline.figure, key, b, c))
             return
@@ -139,9 +142,12 @@ def _compare_into(report: CompareReport, baseline: Scorecard,
             regression=regressed,
             detail="tolerance rtol=%g atol=%g" % (bm.rtol, bm.atol)
             if regressed else ""))
-    held = {c.name for c in baseline.checks if c.passed}
+    recorded = {c.name: c.passed for c in baseline.checks}
     for check in current.checks:
-        if not check.passed and check.name in held:
+        if check.name not in recorded:
+            report.missing.append("%s/%s: check not recorded by the baseline"
+                                  % (current.figure, check.name))
+        elif recorded[check.name] and not check.passed:
             report.failed_checks.append(
                 "%s/%s%s" % (current.figure, check.name,
                              (": " + check.detail) if check.detail else ""))
@@ -175,7 +181,7 @@ def compare_dirs(baseline_dir: str, current_dir: str,
     report = CompareReport()
     paths = sorted(glob.glob(os.path.join(baseline_dir, "BENCH_*.json")))
     if not paths:
-        report.skipped.append("no baselines in %s" % baseline_dir)
+        report.missing.append("no baselines in %s" % baseline_dir)
         return report
     baseline, current = {}, {}
     for bpath in paths:

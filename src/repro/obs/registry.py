@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import io
 import json
-from typing import Any, Dict, Iterable, Tuple
+from typing import Any, Dict, Tuple
 
 from .sketch import QuantileSketch
 
@@ -169,15 +169,6 @@ class Registry:
                            for (name, lbl), sketch
                            in self._histograms.items()],
         }
-
-    @classmethod
-    def merged(cls, states: Iterable[dict]) -> "Registry":
-        """A fresh registry holding the fold of ``states``
-        (:meth:`export_state` states) in order."""
-        out = cls()
-        for state in states:
-            out.merge_state(state)
-        return out
 
     def merge_state(self, state: dict) -> None:
         """Fold an :meth:`export_state` snapshot into this registry.

@@ -39,7 +39,7 @@ silently corrupted on a zero would be a trap.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional
+from typing import Dict
 
 __all__ = ["QuantileSketch", "DEFAULT_RELATIVE_ACCURACY"]
 
@@ -174,17 +174,6 @@ class QuantileSketch:
         for idx, n in other.neg_buckets.items():
             self.neg_buckets[idx] = self.neg_buckets.get(idx, 0) + n
         return self
-
-    @classmethod
-    def merged(cls, sketches: Iterable["QuantileSketch"]) -> "QuantileSketch":
-        """A fresh sketch holding the fold of ``sketches`` in order (the
-        first one's accuracy; the default when there are none)."""
-        out: Optional[QuantileSketch] = None
-        for sk in sketches:
-            if out is None:
-                out = cls(sk.relative_accuracy)
-            out.merge(sk)
-        return out if out is not None else cls()
 
     # -- serialization --------------------------------------------------
 

@@ -1,23 +1,21 @@
-"""Candidate evaluation: one search point -> one explained measurement.
+"""Scenario replay: one point -> one explained measurement.
 
-A candidate runs the same two-leg protocol as the incast benchmark: the
+A point runs the same two-leg protocol as the incast benchmark: the
 FLock echo workload once on the contention-free fabric (its own
 uncongested baseline) and once with the switched-fabric model and the
-candidate's fabric knobs.  The pair yields the anomaly measures every
-objective consumes — tail inflation, goodput retention, anomaly records
-from both legs, and (when traced) the critical-path attribution shift
-between the legs.
+point's fabric knobs.  The pair yields tail inflation, goodput
+retention, anomaly records from both legs and the critical-path
+attribution shift between the legs.
 
-:func:`evaluate_point` is a module-level function of plain JSON-safe
-arguments returning a plain JSON-safe dict, so the driver can fan it
-across the multiprocessing sweep executor; all candidate randomness
-derives from ``Streams(seed).child("search/<fingerprint>")``, making the
-result a pure function of (root seed, point) — independent of worker
-assignment and evaluation order.
+All of a point's randomness derives from
+``Streams(seed).child("search/<fingerprint>")``, so the result is a pure
+function of (root seed, point).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, replace
 from typing import List
 
@@ -29,17 +27,21 @@ from ..config import (
     NetConfig,
     NicConfig,
 )
-from ..obs import Registry, Telemetry
-from ..obs.explain import attribution_blocks, shift_table, top_shift
+from ..obs import Telemetry
+from ..obs.explain import (
+    attribution_blocks,
+    explain_between,
+    shift_table,
+    top_shift,
+)
 from ..sim import Streams
 from ..workloads import BimodalSize
 from ..harness.incastbench import INCAST_THINK_JITTER_NS, switch_extras
 from ..harness.metrics import Run, RunResult
 from ..harness.microbench import bench_flock_config, flock_echo
-from .space import default_space
 
-__all__ = ["ScenarioConfig", "run_scenario_leg", "evaluate_point",
-           "BASE_LABEL", "CONG_LABEL"]
+__all__ = ["ScenarioConfig", "run_scenario_leg", "fingerprint",
+           "evaluate_point", "BASE_LABEL", "CONG_LABEL"]
 
 BASE_LABEL = "search base"
 CONG_LABEL = "search cong"
@@ -47,7 +49,7 @@ CONG_LABEL = "search cong"
 
 @dataclass
 class ScenarioConfig:
-    """A fully-resolved search candidate (one point bound to a seed)."""
+    """A fully-resolved scenario (one point bound to a seed)."""
 
     n_senders: int = 12
     threads_per_client: int = 6
@@ -122,7 +124,7 @@ class ScenarioConfig:
 
 def run_scenario_leg(cfg: ScenarioConfig, *, congested: bool,
                      telemetry=None) -> RunResult:
-    """One leg of a candidate: all senders -> one FLock server."""
+    """One leg of a scenario: all senders -> one FLock server."""
     run = Run(CONG_LABEL if congested else BASE_LABEL, cfg.warmup_ns,
               cfg.measure_ns, cfg.cluster(congested), telemetry=telemetry)
     recorder, extras, _handles, _server = flock_echo(
@@ -152,38 +154,39 @@ def _leg_summary(res: RunResult) -> dict:
     return out
 
 
-def evaluate_point(point: dict, seed: int = 7, trace: bool = False) -> dict:
-    """Evaluate one candidate: baseline + congested leg, JSON-safe dict.
+def fingerprint(point: dict) -> str:
+    """Stable 16-hex-digit identity of a point: the hash of its
+    canonical JSON.  The replay's seed derives from it."""
+    canon = json.dumps(point, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
-    With ``trace=True`` each leg runs under a private span-collecting
-    telemetry and the result carries per-leg attribution shares plus the
-    baseline->scenario shift table.  The telemetry never leaves this
-    process — only plain data crosses the executor's pickle boundary,
-    which preserves jobs-1-vs-N byte-identity.  When the legs ran under
-    a telemetry, ``"metrics"`` holds their two metrics states folded
-    into one (the driver takes it out again).
+
+def evaluate_point(point: dict, seed: int) -> dict:
+    """Replay one point: baseline + congested leg, traced and explained.
+
+    Each leg runs under a private span-collecting telemetry.  The
+    JSON-safe result carries both legs' headline numbers and anomaly
+    records, per-leg attribution shares, the baseline->scenario shift
+    table with its top resource, and ``explanations``, which joins each
+    anomaly to that shift (:func:`repro.obs.explain.explain_between`).
     """
-    space = default_space()
-    point = space.clamp(point)
-    fingerprint = space.fingerprint(point)
-    streams = Streams(seed).child(space.point_id(point))
+    fp = fingerprint(point)
+    streams = Streams(seed).child("search/%s" % fp)
     cfg = ScenarioConfig.from_point(point, seed=streams.seed)
 
     legs = {}
     blocks = {}
     for congested, leg in ((False, "base"), (True, "cong")):
-        tel = Telemetry(wants_spans=True) if trace else None
-        res = run_scenario_leg(cfg, congested=congested, telemetry=tel)
-        legs[leg] = res
-        if trace:
-            blocks.update(attribution_blocks(tel))
+        tel = Telemetry(wants_spans=True)
+        legs[leg] = run_scenario_leg(cfg, congested=congested, telemetry=tel)
+        blocks.update(attribution_blocks(tel))
 
     base, cong = legs["base"], legs["cong"]
     anomalies = {"base": list(base.anomalies), "cong": list(cong.anomalies)}
-    severities = [a.get("severity", 0.0)
-                  for side in anomalies.values() for a in side]
-    evaluation = {
-        "fingerprint": fingerprint,
+    shifts = shift_table(blocks.get(BASE_LABEL, {}).get("shares", {}),
+                         blocks.get(CONG_LABEL, {}).get("shares", {}))
+    return {
+        "fingerprint": fp,
         "point": point,
         "seed": streams.seed,
         "baseline": _leg_summary(base),
@@ -191,17 +194,10 @@ def evaluate_point(point: dict, seed: int = 7, trace: bool = False) -> dict:
         "tail_ratio": round(cong.p99_us / max(cong.median_us, 1e-9), 4),
         "goodput_retained": round(cong.mops / max(base.mops, 1e-9), 4),
         "anomalies": anomalies,
-        "max_anomaly_severity": round(max(severities), 6) if severities
-        else 0.0,
+        "attribution": blocks,
+        "shift": shifts,
+        "top_resource": top_shift(shifts),
+        "explanations": [
+            explain_between(anomaly, BASE_LABEL, CONG_LABEL, blocks).to_dict()
+            for side in ("cong", "base") for anomaly in anomalies[side]],
     }
-    states = [res.metrics for res in legs.values() if res.metrics is not None]
-    if states:
-        evaluation["metrics"] = Registry.merged(states).export_state()
-    if trace:
-        base_shares = blocks.get(BASE_LABEL, {}).get("shares", {})
-        cong_shares = blocks.get(CONG_LABEL, {}).get("shares", {})
-        shifts = shift_table(base_shares, cong_shares)
-        evaluation["attribution"] = blocks
-        evaluation["shift"] = shifts
-        evaluation["top_shift"] = top_shift(shifts)
-    return evaluation

@@ -1,12 +1,13 @@
 """Curated search-discovered anomaly scenarios, frozen as regression gates.
 
-Each entry is a point the hunter actually found (see ``docs/search.md``
-for the provenance runs), kept verbatim so the committed baseline in
+Each entry is a point the adversarial search once found (see
+``docs/search.md`` for the commands that found them), kept verbatim so
+the committed baseline in
 ``benchmarks/baselines/BENCH_search_<name>.json`` pins the *exact*
-pathological configuration.  Promoting a new find: take the point from
-``repro search --json``, add it here with the objective that surfaced
-it, run ``benchmarks/test_ext_search.py`` at full scale, and commit the
-emitted scorecard as its baseline.
+pathological configuration.  Adding a point by hand: give a value for
+every scenario field of :class:`repro.search.runner.ScenarioConfig`,
+register it here, run ``benchmarks/test_ext_search.py`` at full scale,
+and commit the emitted scorecard as its baseline.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class CuratedScenario:
 
     name: str
     description: str
-    #: The frozen search point (a complete default_space() vector).
+    #: The frozen point: one value per ScenarioConfig scenario field.
     point: Dict
     #: Objective that surfaced it and the root seed of that search.
     objective: str
@@ -39,7 +40,7 @@ class CuratedScenario:
     max_goodput_retained: Optional[float] = None
 
 
-#: Filled by the discovery runs documented in docs/search.md.
+#: The finds of the search runs documented in docs/search.md.
 CURATED_SCENARIOS: Dict[str, CuratedScenario] = {}
 
 

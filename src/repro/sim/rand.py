@@ -50,10 +50,10 @@ class Streams:
         ``--jobs N`` output byte-identical to ``--jobs 1``.
 
         The id is hashed in full (BLAKE2b over ``"seed:point_id"``) rather
-        than through a 32-bit checksum: the scenario search derives one
-        child per candidate fingerprint, and at 10k+ structured ids a
-        truncated hash has a non-negligible birthday-collision risk that
-        would silently correlate two candidates' randomness.
+        than through a 32-bit checksum: at 10k+ structured ids (one per
+        sweep point or scenario fingerprint) a truncated hash has a
+        non-negligible birthday-collision risk that would silently
+        correlate two points' randomness.
         """
         material = ("%d:%s" % (self.seed, point_id)).encode()
         digest = hashlib.blake2b(material, digest_size=8).digest()

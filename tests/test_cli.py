@@ -39,6 +39,7 @@ class TestParser:
         ["incast", "--pfc-incast"],
         ["fig10", "--outstanding-list", "1"],
         ["fig12", "--clients-list", "46"],
+        ["search"],
     ])
     def test_deleted_flags_are_rejected(self, argv):
         with pytest.raises(SystemExit):

@@ -6,6 +6,8 @@ same holds for run knobs: every ``REPRO_*`` environment variable the
 library reads is listed in the "Run knobs" table of
 ``docs/observability.md``, every defaulted parameter has a caller that
 sets it, and every definition under ``src/repro`` has a reader.
+EXPERIMENTS.md's tables are ``benchmarks/results.txt`` sections,
+verbatim.
 """
 
 import ast
@@ -197,8 +199,8 @@ def _calls(tree):
 
 def test_every_defaulted_parameter_has_a_caller():
     """ROADMAP's knob census rule, over every public signature in
-    ``src/repro`` outside ``config.py`` (whose model fields the search
-    mutates by name and the time-scale oracle rescales): a defaulted
+    ``src/repro`` outside ``config.py`` (whose model fields scenario
+    configs set by name and the time-scale oracle rescales): a defaulted
     parameter no call in the repo sets is a constant, not a knob.
     Calls match by callee name; a class name calls its ``__init__``."""
     trees = {path: ast.parse(path.read_text())
@@ -306,3 +308,18 @@ def test_every_definition_has_a_reader():
     unread = sorted(where for name, method, where in defined
                     if name not in read and (method or name not in bare))
     assert unread == []
+
+
+def test_experiments_tables_are_results_sections():
+    """Every fenced block in EXPERIMENTS.md sits under a
+    ``<!-- results.txt -->`` marker and equals the ``results.txt``
+    section with the same title line, byte for byte."""
+    results = (ROOT / "benchmarks" / "results.txt").read_text()
+    sections = {text.splitlines()[0]: text
+                for text in results.strip("\n").split("\n\n")}
+    doc = (ROOT / "EXPERIMENTS.md").read_text()
+    blocks = re.findall(r"```\n(.*?)\n```", doc, re.S)
+    marked = re.findall(r"<!-- results\.txt -->\n```\n(.*?)\n```", doc, re.S)
+    assert blocks and marked == blocks
+    for block in blocks:
+        assert block == sections.get(block.splitlines()[0]), block

@@ -120,17 +120,24 @@ class TestCliFigures:
 
 def test_every_baseline_metric_is_emitted():
     """``bench-compare`` fails on a baseline figure or gated metric the
-    run lacks.  So every scorecard a spec emits at its defaults has a
-    committed baseline, and every metric that baseline records is one
-    the spec still emits (checked on canned results)."""
+    run lacks, and on a check the baseline does not record.  So every
+    scorecard a spec emits at its defaults has a committed baseline,
+    every metric that baseline records is one the spec still emits, and
+    every check the spec emits is one the baseline records (checked on
+    canned results)."""
     emitted = {}
     for spec in FIGURES.values():
         results = _canned_results(spec.points(**spec.defaults))
         for scorecard in spec.scorecards(results, **spec.defaults):
-            emitted[scorecard.figure] = {m.name for m in scorecard.metrics}
+            emitted[scorecard.figure] = scorecard
     baselines = {card.figure: card for card in
                  map(load_scorecard, BASELINES.glob("BENCH_*.json"))}
     assert set(emitted) <= set(baselines)
-    for figure, names in emitted.items():
-        recorded = {m.name for m in baselines[figure].metrics}
+    for figure, scorecard in emitted.items():
+        baseline = baselines[figure]
+        recorded = {m.name for m in baseline.metrics}
+        names = {m.name for m in scorecard.metrics}
         assert recorded <= names, (figure, sorted(recorded - names))
+        checks = {c.name for c in scorecard.checks}
+        unrecorded = checks - {c.name for c in baseline.checks}
+        assert not unrecorded, (figure, sorted(unrecorded))

@@ -38,6 +38,14 @@ from repro.obs import (
 )
 
 
+def _folded(states):
+    """A registry holding the fold of metrics ``states`` in order."""
+    registry = Registry()
+    for state in states:
+        registry.merge_state(state)
+    return registry
+
+
 def _total(span, name):
     """Summed duration of ``span``'s intervals named ``name``."""
     return sum(t1 - t0 for phase, t0, t1 in span.phases if phase == name)
@@ -399,11 +407,11 @@ class TestTelemetry:
             return ledger_state(sim)
 
         states = [run("a", 100)]
-        first = Registry.merged(states).snapshot()
+        first = _folded(states).snapshot()
         assert first["counters"]["net.payload_bytes"] == 100
-        assert Registry.merged(states).snapshot() == first
+        assert _folded(states).snapshot() == first
         states.append(run("b", 20))
-        snap = Registry.merged(states).snapshot()
+        snap = _folded(states).snapshot()
         assert snap["counters"]["net.payload_bytes"] == 120
         assert snap["counters"]["net.messages"] == 2
         # Gauges are the last run's.
@@ -417,7 +425,7 @@ class TestTelemetry:
         result = run_flock(MicrobenchConfig(n_clients=4), telemetry=tel)
         assert len(tel.spans) == 0
         assert attribution_blocks(tel) == {}
-        snap = Registry.merged([result.metrics]).snapshot()
+        snap = _folded([result.metrics]).snapshot()
         assert snap["histograms"]["flock.coalescing_degree"]["count"] > 0
 
     def test_untraced_run_carries_no_metrics(self, monkeypatch):
@@ -474,7 +482,7 @@ class TestTracedRuns:
         # Span count matches traced RPCs (all finished inside the run).
         rpc_spans = [s for s in tel.spans.spans if s.name == "rpc"]
         assert len(rpc_spans) > 0
-        snap = Registry.merged([result.metrics]).snapshot()
+        snap = _folded([result.metrics]).snapshot()
         assert snap["counters"]["flock.client.rpcs"] >= len(rpc_spans)
         assert snap["counters"]["flock.server.requests"] > 0
         assert snap["counters"]["net.messages"] > 0

@@ -106,8 +106,9 @@ class TestRunSweep:
             try:
                 points = [SweepPoint("r%d" % i, _tiny_flock)
                           for i in range(3)]
-                folded = Registry.merged(
-                    result.metrics for _key, result in run_sweep(points, jobs))
+                folded = Registry()
+                for _key, result in run_sweep(points, jobs):
+                    folded.merge_state(result.metrics)
                 snapshots.append(json.dumps(folded.snapshot(),
                                             sort_keys=True))
             finally:

@@ -186,12 +186,12 @@ class TestDiff:
         assert not report.ok
         assert report.missing == ["fig6: absent from run 2"]
 
-    def test_scale_mismatch_skips_not_gates(self, store):
+    def test_scale_mismatch_gates(self, store):
         store.record([make_scorecard(scale=1.0)])
-        store.record([make_scorecard(mops=1.0, scale=0.05)])
+        store.record([make_scorecard(scale=0.05)])
         report = store.diff(1, 2)
-        assert report.ok
-        assert report.skipped
+        assert not report.ok
+        assert report.mismatched
 
     def test_matches_bench_compare_over_directories(self, store, tmp_path):
         """``runs diff`` and ``bench-compare`` share one comparison loop:

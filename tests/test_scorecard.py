@@ -160,13 +160,12 @@ class TestCompare:
         cur.checks[0].passed = False
         assert compare_pair(base, cur).ok
 
-    def test_scale_mismatch_skips_figure(self):
+    def test_scale_mismatch_fails_figure(self):
         base, cur = self._pair()
         cur.meta["bench_scale"] = 0.5
-        cur.metric("tput").value = 1.0  # would regress hard
         report = compare_pair(base, cur)
-        assert report.ok and not report.deltas
-        assert any("bench_scale" in s for s in report.skipped)
+        assert not report.ok and not report.deltas
+        assert [s.split(":")[0] for s in report.mismatched] == ["figx"]
 
     def test_missing_metric_fails(self):
         base, cur = self._pair()
@@ -204,9 +203,10 @@ class TestCompareDirs:
         assert [s.split(":")[0] for s in report.missing] == ["fig1"]
         assert compare_dirs(str(base), str(cur), figures=["fig2"]).ok
 
-    def test_no_baselines_is_skip(self, tmp_path):
+    def test_no_baselines_fails(self, tmp_path):
         report = compare_dirs(str(tmp_path), str(tmp_path))
-        assert report.ok and report.skipped
+        assert not report.ok
+        assert report.missing == ["no baselines in %s" % tmp_path]
 
 
 class TestCliBenchCompare:
@@ -266,6 +266,34 @@ class TestBenchCompareFailsClosed:
         path.write_text(json.dumps(card))
         assert self._compare(current) == 1
         assert ("MISSING fig10/%s: metric missing" % dropped
+                in capsys.readouterr().out)
+
+    def test_empty_baseline_dir_fails(self, current, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert cli_main(["bench-compare", "--baseline", str(empty),
+                         "--current", str(current)]) == 1
+        assert "MISSING no baselines in" in capsys.readouterr().out
+
+    def test_scale_mismatch_fails(self, current, capsys):
+        path = current / "BENCH_fig10.json"
+        card = json.loads(path.read_text())
+        card["meta"]["bench_scale"] = 0.1
+        path.write_text(json.dumps(card))
+        assert self._compare(current) == 1
+        assert "MISMATCH fig10: bench_scale mismatch" in \
+            capsys.readouterr().out
+        # A figure excluded by --figures is not compared.
+        assert self._compare(current, "--figures", "fig9") == 0
+
+    def test_unrecorded_check_fails(self, current, capsys):
+        path = current / "BENCH_fig10.json"
+        card = json.loads(path.read_text())
+        card["checks"].append({"name": "new_claim", "passed": True,
+                               "detail": ""})
+        path.write_text(json.dumps(card))
+        assert self._compare(current) == 1
+        assert ("MISSING fig10/new_claim: check not recorded"
                 in capsys.readouterr().out)
 
 
