@@ -16,7 +16,7 @@ from repro.harness.scorecards import scorecard_search
 from repro.search.runner import evaluate_point
 from repro.search.scenarios import CURATED_SCENARIOS
 
-from conftest import record_scorecard, record_table
+from bench_record import record_scorecard, record_table
 
 
 @pytest.mark.parametrize("name", sorted(CURATED_SCENARIOS))

@@ -15,7 +15,7 @@ import pytest
 from repro.harness import FIGURES
 from repro.obs.audit import AUDIT_ENV
 
-from conftest import record_scorecard, record_table
+from bench_record import record_scorecard, record_table
 
 
 @pytest.mark.parametrize("name", sorted(FIGURES))

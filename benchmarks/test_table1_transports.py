@@ -6,7 +6,7 @@ against the paper's table verbatim.
 
 from repro.verbs import capability_table
 
-from conftest import record_table
+from bench_record import record_table
 
 
 def test_table1():

@@ -78,31 +78,34 @@ class Rnic:
 
     # -- state-cache lookups ---------------------------------------------
 
-    def _lookup(
-        self, qpn: int, rkeys: Iterable[int],
-        span: Optional[Span] = None,
-    ) -> Generator[Event, None, None]:
-        """Touch the QP context and any memory-translation entries.
+    def _qp_hit(self, qpn: int, span: Optional[Span]) -> bool:
+        """Touch the QP context; False on a miss.
 
-        Misses stall on PCIe; concurrent misses contend for the bounded
-        PCIe read slots, which is what converts thrashing into collapse.
-        A carried ``span`` gets hit/miss annotations here and one
-        ``pcie_stall`` wait per miss from :meth:`PcieLink.read`.
+        The caller stalls a miss on PCIe in its own frame, before the
+        next lookup, so a hit builds no generator.  Concurrent misses
+        contend for the bounded PCIe read slots, which is what converts
+        thrashing into collapse.  A carried ``span`` gets hit/miss
+        annotations here and one ``pcie_stall`` wait per miss from
+        :meth:`PcieLink.read`.
         """
         if self.qp_cache.access(("qp", qpn)):
             if span is not None:
                 span.bump("qp_hits")
-        else:
-            if faults.ACTIVE and "rnic.double_count_miss" in faults.ACTIVE:
-                self.qp_cache.stats.misses += 1
-            if span is not None:
-                span.bump("qp_misses")
-            yield from self.pcie.read(span)
-        for rkey in rkeys:
-            if not self.mtt_cache.access(("mr", rkey)):
-                if span is not None:
-                    span.bump("mtt_misses")
-                yield from self.pcie.read(span)
+            return True
+        if faults.ACTIVE and "rnic.double_count_miss" in faults.ACTIVE:
+            self.qp_cache.stats.misses += 1
+        if span is not None:
+            span.bump("qp_misses")
+        return False
+
+    def _mtt_hit(self, rkey: int, span: Optional[Span]) -> bool:
+        """Touch one memory-translation entry; False on a miss, paid
+        for like a QP-context miss."""
+        if self.mtt_cache.access(("mr", rkey)):
+            return True
+        if span is not None:
+            span.bump("mtt_misses")
+        return False
 
     # -- directional processing -------------------------------------------
 
@@ -117,7 +120,11 @@ class Rnic:
         t0 = self.sim.now
         if self.tx_gate is not None:
             yield from self.tx_gate(span)
-        yield from self._lookup(qpn, rkeys, span)
+        if not self._qp_hit(qpn, span):
+            yield from self.pcie.read(span)
+        for rkey in rkeys:
+            if not self._mtt_hit(rkey, span):
+                yield from self.pcie.read(span)
         delay = self._tx_bucket.delay_for()
         if delay > 0:
             if span is not None:
@@ -150,7 +157,11 @@ class Rnic:
                 span.add_phase("nic_throttle", self.sim.now,
                                self.sim.now + delay)
             yield self.sim.sleep(delay)
-        yield from self._lookup(qpn, rkeys, span)
+        if not self._qp_hit(qpn, span):
+            yield from self.pcie.read(span)
+        for rkey in rkeys:
+            if not self._mtt_hit(rkey, span):
+                yield from self.pcie.read(span)
         self.messages_rx += 1
         if span is not None:
             span.add_phase("nic_rx", t0, self.sim.now)

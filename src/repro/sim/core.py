@@ -176,13 +176,14 @@ class Process(Event):
     dispatch is handed to the loop instead of queued
     (:meth:`Event.succeed`).
 
-    The resume path dispatches through ``gen.send``, bound once at
-    construction, and attaches itself straight to the yielded target's
-    callback list — duck typing instead of a per-yield ``isinstance``
-    check.
+    The resume path calls ``gen.send`` directly — on CPython 3.11 that
+    is faster than calling a cached bound builtin, and a process holds
+    one slot fewer — and attaches itself straight to the yielded
+    target's callback list: duck typing instead of a per-yield
+    ``isinstance`` check.
     """
 
-    __slots__ = ("gen", "name", "_send", "_cb")
+    __slots__ = ("gen", "name", "_cb")
 
     def __init__(self, sim: "Simulator", gen: ProcessGen, name: str = ""):
         super().__init__(sim)
@@ -190,7 +191,6 @@ class Process(Event):
             raise TypeError("Process requires a generator, got %r" % (gen,))
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
-        self._send = gen.send
         #: The resume callback, bound once — attaching ``self._resume``
         #: directly would allocate a fresh bound method on every yield.
         #: It references ``self``, so ``_resume`` clears it when the
@@ -210,7 +210,7 @@ class Process(Event):
         # processed earlier) resumes in place without growing the stack.
         while True:
             try:
-                target = self._send(event._value)
+                target = self.gen.send(event._value)
             except StopIteration as stop:
                 self._cb = None
                 self._finish(stop.value)

@@ -58,6 +58,11 @@ def _atomic_lock(node: Node, sim: Simulator, rkey: int, addr: int) -> Resource:
 class QueuePair:
     """One send/recv queue pair on a node."""
 
+    __slots__ = ("sim", "node", "fabric", "transport", "qpn", "_send_cq",
+                 "_recv_cq", "remote", "recv_buffers", "recv_drops",
+                 "sends_posted", "sends_signaled", "sends_completed",
+                 "_trace")
+
     def __init__(
         self,
         sim: Simulator,

@@ -1,4 +1,4 @@
-"""Shared test helpers."""
+"""Shared test fixtures; importable helpers are in ``sim_helpers``."""
 
 from __future__ import annotations
 
@@ -55,18 +55,6 @@ def inject_fault():
     when the test ends, whether it passed or failed."""
     yield faults.inject
     faults.clear()
-
-
-def run_gen(sim: Simulator, gen, until=None):
-    """Spawn a generator process, run the sim, return its value."""
-    proc = sim.spawn(gen)
-    if until is None:
-        sim.run()
-    else:
-        sim.run(until=until)
-    if not proc.triggered:
-        raise AssertionError("process did not finish by t=%r" % sim.now)
-    return proc.value
 
 
 @pytest.fixture

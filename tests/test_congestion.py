@@ -10,7 +10,7 @@ from repro.net import DcqcnState, build_cluster
 from repro.obs.audit import run_audit
 from repro.sim import Simulator
 
-from conftest import run_gen
+from sim_helpers import run_gen
 
 LINE_RATE = 100 * GBPS  # 12.5 bytes/ns
 

@@ -16,7 +16,7 @@ from repro.hw import (
 )
 from repro.sim import Simulator
 
-from conftest import run_gen
+from sim_helpers import run_gen
 
 
 class TestLruCache:

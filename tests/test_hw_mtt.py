@@ -7,7 +7,7 @@ from repro.net import build_cluster
 from repro.sim import Simulator
 from repro.verbs import QueuePair, Transport, Verb, WorkRequest
 
-from conftest import run_gen
+from sim_helpers import run_gen
 
 
 class TestMttCache:

@@ -7,7 +7,7 @@ from repro.config import ClusterConfig, NetConfig
 from repro.net import Fabric, Node, Reassembler, build_cluster, segment
 from repro.sim import Simulator
 
-from conftest import run_gen
+from sim_helpers import run_gen
 
 
 class TestSegment:

@@ -10,12 +10,13 @@ from repro.harness import format_table
 from repro.obs import Scorecard
 from repro.obs.runstore import RUNSTORE_DIR_ENV
 
-_CONFTEST = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks",
-                         "conftest.py")
+_BENCH_RECORD = os.path.join(os.path.dirname(__file__), os.pardir,
+                             "benchmarks", "bench_record.py")
 
 
-def _bench_conftest():
-    spec = importlib.util.spec_from_file_location("bench_conftest", _CONFTEST)
+def _bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record",
+                                                  _BENCH_RECORD)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -26,7 +27,7 @@ def _table(title, value):
 
 
 def test_fused_duplicated_chunk_is_split_and_refreshed():
-    merge = _bench_conftest()._merge_results
+    merge = _bench_record()._merge_results
     ycsb_old, aqp, fig10 = (_table("YCSB", 1.0), _table("MAX_AQP", 3.0),
                             _table("Fig 10", 4.0))
     # A stale chunk with two tables and no blank line between them, then
@@ -42,7 +43,7 @@ def test_fused_duplicated_chunk_is_split_and_refreshed():
 
 
 def test_new_tables_append_and_prose_chunks_survive():
-    merge = _bench_conftest()._merge_results
+    merge = _bench_record()._merge_results
     fig10 = _table("Fig 10", 4.0)
     existing = "a note\nwithout rules\n\n" + fig10 + "\n"
     merged = merge(existing, {"Fig 14": _table("Fig 14", 5.0)})
@@ -60,9 +61,9 @@ class _Reporter:
 
 @pytest.fixture
 def bench(tmp_path, monkeypatch):
-    """The bench conftest writing into ``tmp_path``, with one committed
+    """The bench plumbing writing into ``tmp_path``, with one committed
     table in its ``results.txt``."""
-    module = _bench_conftest()
+    module = _bench_record()
     results = tmp_path / "results.txt"
     results.write_text(_table("Fig 10", 4.0) + "\n")
     monkeypatch.setattr(module, "RESULTS_PATH", str(results))
@@ -96,7 +97,7 @@ def test_failed_scorecard_keeps_its_tables_out(bench, monkeypatch):
 
 
 def test_full_scale_vouches_for_passing_tests_only():
-    vouched = _bench_conftest().vouched_tables
+    vouched = _bench_record().vouched_tables
     tables = {"A": ("a", "t1"), "B": ("b", "t2")}
     assert vouched(tables, {"t2"}, 1.0) == ({"A": "a"}, {"B": "b"})
     assert vouched(tables, set(), 1.0) == ({"A": "a", "B": "b"}, {})

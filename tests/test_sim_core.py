@@ -16,7 +16,7 @@ from repro.sim import (
     Store,
 )
 
-from conftest import run_gen
+from sim_helpers import run_gen
 from repro.harness import MicrobenchConfig, run_flock
 from repro.obs import Telemetry
 from test_run_lifecycle import RUNNERS

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim import SimulationError, Store
 
-from conftest import run_gen
+from sim_helpers import run_gen
 
 
 class TestConditionFailures:

@@ -7,7 +7,7 @@ from repro.sim import (Resource, SimulationError, Simulator, Store,
                        TokenBucket, TrackedStore)
 from repro.verbs import CompletionQueue
 
-from conftest import run_gen
+from sim_helpers import run_gen
 
 
 class TestResource:

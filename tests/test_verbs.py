@@ -1,11 +1,13 @@
 """Verbs layer: Table 1 semantics, QP behaviour, CQs, completions."""
 
 import gc
+import sys
 import tracemalloc
 
 import pytest
 
-from repro.config import ClusterConfig
+from repro.config import ClusterConfig, NicConfig
+from repro.hw import PcieLink
 from repro.net import build_cluster
 from repro.sim import Simulator, TrackedStore
 from repro.verbs import (
@@ -22,7 +24,7 @@ from repro.verbs import (
     supports,
 )
 
-from conftest import run_gen
+from sim_helpers import run_gen
 
 
 class TestTransportMatrix:
@@ -498,6 +500,63 @@ class TestQueuePairFootprint:
         assert proc.gen.gi_code is QueuePair._do_read.__code__
         sim.run()
         assert proc.value.ok
+
+    def test_qp_has_no_instance_dict(self, rc_pair):
+        sim, server, client, fabric, cqp, sqp = rc_pair
+        assert not hasattr(cqp, "__dict__")
+
+    @staticmethod
+    def _thrashing_reads():
+        """Post two unsignaled READs on each of 32 RC QPs whose NICs
+        cache 4 QP contexts, and run to t=1 µs: every read is
+        still outstanding, most stalled on a PCIe context fetch.
+        Returns the verb processes and the bytes the posts and the run
+        left allocated, per read."""
+        sim = Simulator()
+        servers, clients, fabric = build_cluster(sim, ClusterConfig(
+            n_clients=2, nic=NicConfig(qp_cache_entries=4)))
+        region = servers[0].memory.register(4096)
+        qps = []
+        for _ in range(32):
+            qp = QueuePair(sim, clients[0], fabric, Transport.RC)
+            qp.connect(QueuePair(sim, servers[0], fabric, Transport.RC))
+            qps.append(qp)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            procs = [qp.post_send(WorkRequest(
+                verb=Verb.READ, length=16, remote_addr=region.addr,
+                rkey=region.rkey, signaled=False))
+                for qp in qps for _ in range(2)]
+            sim.run(until=1000.0)
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert not any(proc.triggered for proc in procs)
+        return procs, used / len(procs)
+
+    def test_stalled_verb_chain_is_four_generators_deep(self):
+        """verb -> ``transfer`` -> ``tx_process`` -> ``PcieLink.read``:
+        the context lookup runs in ``tx_process``'s own frame."""
+        procs, _ = self._thrashing_reads()
+        stalled = 0
+        for proc in procs:
+            chain = [proc.gen]
+            while chain[-1].gi_yieldfrom is not None:
+                chain.append(chain[-1].gi_yieldfrom)
+            assert len(chain) <= 4
+            stalled += chain[-1].gi_code is PcieLink.read.__code__
+        assert stalled > len(procs) // 2
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="byte bound measured on CPython 3.11")
+    def test_outstanding_read_bytes(self):
+        """An outstanding RC READ costs its work request, its process
+        and a four-deep generator chain (2,052 B with the lookup's own
+        generator and a cached ``gen.send``; 1,800 B without)."""
+        _, per_read = self._thrashing_reads()
+        assert per_read <= 1900, per_read
 
 
 class TestCompletionQueue:
