@@ -17,7 +17,7 @@ passed with every scorecard passing.  Every other table is merged into
 a ``results.txt`` beside the scorecards instead.
 
 ``test_paper_figures.py`` runs every registered
-:class:`repro.harness.FigureSpec` once, with the invariant auditors on,
+:class:`repro.harness.figures.FigureSpec` once, with the invariant auditors on,
 and records the spec's tables and its paper-fidelity scorecards
 (:func:`record_scorecard`); those land as ``BENCH_<figure>.json`` files
 in ``benchmarks/scorecards`` (override with ``REPRO_SCORECARD_DIR``) and
@@ -37,7 +37,8 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.harness import bench_scale, format_table
+from repro.harness.metrics import bench_scale
+from repro.harness.tables import format_table
 from repro.obs.export import write_atomic
 from repro.obs.runstore import RunStore
 

@@ -1,7 +1,7 @@
 """Every registered figure, at its full default sweep.
 
-One test per :class:`repro.harness.FigureSpec` in
-:data:`repro.harness.FIGURES`: the paper's Figs. 2, 6-12 and 14-18 plus
+One test per :class:`repro.harness.figures.FigureSpec` in
+:data:`repro.harness.figures.FIGURES`: the paper's Figs. 2, 6-12 and 14-18 plus
 the incast, multi-tenancy and ablation extensions.  A figure's setup
 and claims live on its spec and in its scorecard builder
 (:mod:`repro.harness.scorecards`); EXPERIMENTS.md scores them against
@@ -12,7 +12,7 @@ look plausible.
 
 import pytest
 
-from repro.harness import FIGURES
+from repro.harness.figures import FIGURES
 from repro.obs.audit import AUDIT_ENV
 
 from bench_record import record_scorecard, record_table

@@ -49,7 +49,7 @@ class RpcRequest:
     #: Virtual timestamp the requesting thread created the request
     #: (latency measurement anchor).
     created_ns: float = 0.0
-    #: Optional :class:`repro.obs.Span` following this RPC through every
+    #: Optional :class:`repro.obs.span.Span` following this RPC through every
     #: layer (client queue → NIC → wire → server → response).
     span: Any = None
 
@@ -90,8 +90,8 @@ class CoalescedMessage:
     piggyback_credits: int = 0
     #: Monotone message id per QP direction, for ring accounting.
     msg_id: int = 0
-    #: Optional message-level :class:`repro.obs.Span` (doorbell → wire →
-    #: remote ring); member RPC spans adopt its hardware phases.
+    #: Optional message-level :class:`repro.obs.span.Span` (doorbell →
+    #: wire → remote ring); member RPC spans adopt its hardware phases.
     span: Any = None
     #: Virtual time the message landed in the receiver's ring.
     arrived_ns: float = 0.0

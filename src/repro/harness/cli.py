@@ -83,30 +83,27 @@ import os
 import sys
 from typing import List
 
-from ..obs import (
-    Explanation,
-    Registry,
-    RunStore,
-    Telemetry,
+from ..obs import faults
+from ..obs.audit import AUDIT_ENV
+from ..obs.benchstore import compare_dirs
+from ..obs.causal import (
     attribute,
     attribution_report,
-    compare_dirs,
-    current_telemetry,
-    disable,
-    enable,
-    explain_changepoint,
-    explain_sweep_anomalies,
-    faults,
     folded_stacks,
     format_attribution,
-    format_breakdown,
-    format_explanation,
-    load_scorecard,
     what_if_all,
-    write_chrome_trace,
 )
-from ..obs.audit import AUDIT_ENV
-from ..obs.export import write_atomic
+from ..obs.explain import (
+    Explanation,
+    explain_changepoint,
+    explain_sweep_anomalies,
+    format_explanation,
+)
+from ..obs.export import format_breakdown, write_atomic, write_chrome_trace
+from ..obs.registry import Registry
+from ..obs.runstore import RunStore
+from ..obs.scorecard import load_scorecard
+from ..obs.telemetry import Telemetry, current_telemetry, disable, enable
 from .figures import FIGURES
 from .metrics import bench_scale
 from .scorecards import sweep_runs

@@ -24,7 +24,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import FlockConfig
-from ..obs import Scorecard
+from ..obs.scorecard import Scorecard
 from .incastbench import IncastConfig, run_incast_flock, run_incast_ud
 from .indexbench import IndexBenchConfig, run_erpc_index, run_flock_index
 from .microbench import (

@@ -23,15 +23,11 @@ from typing import Dict, Iterable, List, Optional
 
 from ..config import ClusterConfig
 from ..net import build_cluster
-from ..obs import (
-    AuditError,
-    audit_enabled,
-    current_telemetry,
-    ledger_state,
-    run_audit,
-)
 from ..obs.anomaly import detect_run_anomalies
+from ..obs.audit import AuditError, audit_enabled, run_audit
+from ..obs.registry import ledger_state
 from ..obs.simprof import SimProfile, profile_enabled
+from ..obs.telemetry import current_telemetry
 from ..obs.windows import SloTimeline, attach_switch_sources
 from ..sim import Simulator, summarize_latencies
 
@@ -66,9 +62,10 @@ class Run:
     Auditing and profiling are the process's switches
     (``REPRO_AUDIT``/``--audit``, ``REPRO_PROFILE``); ``profile``
     overrides the latter for the host-cost benchmark.  ``telemetry``
-    overrides the process-wide one (:func:`repro.obs.enable`), to give
-    one run its own span log; of the runners, only ``run_flock``,
-    ``run_raw_reads`` and the search's ``run_scenario_leg`` pass one on.
+    overrides the process-wide one
+    (:func:`repro.obs.telemetry.enable`), to give one run its own span
+    log; of the runners, only ``run_flock``, ``run_raw_reads`` and the
+    search's ``run_scenario_leg`` pass one on.
     A run under a telemetry hands its metrics back on its result (see
     :meth:`finish`).  None of the instruments schedules events or draws
     randomness, so they never change simulation results.
@@ -153,7 +150,7 @@ class Run:
     def finish(self, result: "RunResult") -> "RunResult":
         """Stamp the run's event count, profile report and (under a
         telemetry) metrics on ``result`` and run the auditors; raises
-        :class:`repro.obs.AuditError` on any violation."""
+        :class:`repro.obs.audit.AuditError` on any violation."""
         result.host = {"events": self.sim.events_processed}
         if self.profile is not None:
             result.profile = self.profile.report()
@@ -241,14 +238,14 @@ class RunResult:
 
     Plain data only: a result pickles as-is across the parallel
     executor's process boundary, metrics included.  The spans of a
-    traced run stay in the :class:`repro.obs.Telemetry` it ran under.
+    traced run stay in the :class:`repro.obs.telemetry.Telemetry` it ran under.
     """
 
     ops: int
     duration_ns: float
     latency: Dict[str, float]
     extras: Dict[str, object] = field(default_factory=dict)
-    #: End-of-run :class:`repro.obs.AuditReport` (None unless the run
+    #: End-of-run :class:`repro.obs.audit.AuditReport` (None unless the run
     #: was audited via ``--audit`` / ``REPRO_AUDIT``).
     audit_report: Optional[object] = field(default=None, repr=False)
     #: Windowed SLO timeline report (plain JSON-safe dict from
@@ -270,7 +267,7 @@ class RunResult:
     #: was profiled via ``REPRO_PROFILE`` or ``Run(profile=True)``.
     profile: Optional[Dict[str, object]] = field(default=None, repr=False)
     #: The run's counters, gauges and histograms as a
-    #: :meth:`repro.obs.Registry.export_state` state, stamped by
+    #: :meth:`repro.obs.registry.Registry.export_state` state, stamped by
     #: :meth:`Run.finish` when the run had a telemetry; None otherwise.
     #: The CLI folds a sweep's states with ``Registry.merge_state``.
     metrics: Optional[dict] = field(default=None, repr=False)

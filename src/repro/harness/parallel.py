@@ -25,7 +25,7 @@ of :class:`SweepPoint`\\ s and returns their results *in input order*:
 One deliberate guard rail:
 
 * **Span observability forces serial.**  Spans accumulate in the
-  process-wide :func:`repro.obs.current_telemetry` and only exist in
+  process-wide :func:`repro.obs.telemetry.current_telemetry` and only exist in
   the process that recorded them; results computed in a worker would
   leave their traces behind.  Rather than silently dropping spans,
   ``run_sweep`` detects a spans-wanting telemetry and runs the sweep
@@ -42,12 +42,11 @@ states included), so they cross the process boundary as they are.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
-from ..obs import Telemetry, current_telemetry, enable
+from ..obs.telemetry import Telemetry, current_telemetry, enable
 
 __all__ = ["SweepPoint", "run_sweep", "default_jobs"]
 
@@ -125,8 +124,10 @@ def _pool(jobs: int, n_points: int, instrumented: bool):
 
     fork shares the warmed-up interpreter and environment on the
     platforms CI runs on; spawn is the portable fallback and works
-    because every SweepPoint is pickled either way.
+    because every SweepPoint is pickled either way.  ``multiprocessing``
+    is imported here: a serial sweep never loads it.
     """
+    import multiprocessing
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms

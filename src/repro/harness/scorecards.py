@@ -2,7 +2,7 @@
 
 Each builder condenses a figure's sweep (the results of its
 :class:`repro.harness.figures.FigureSpec`) into a
-:class:`repro.obs.Scorecard` — headline metrics with regression
+:class:`repro.obs.scorecard.Scorecard` — headline metrics with regression
 tolerances plus the figure's qualitative *shape checks* (Fig. 2a's cliff
 past the QP-cache size, Fig. 10's coalescing speedup growing with
 outstanding requests, ...).  The checks are the figure's only claim
@@ -19,7 +19,8 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..config import NicConfig
-from ..obs import Scorecard, current_telemetry
+from ..obs.scorecard import Scorecard
+from ..obs.telemetry import current_telemetry
 from ..obs.anomaly import detect_sweep_anomalies
 from ..obs.explain import attribution_blocks
 from .metrics import RunResult, bench_scale

@@ -88,7 +88,7 @@ class Rnic:
         annotations here and one ``pcie_stall`` wait per miss from
         :meth:`PcieLink.read`.
         """
-        if self.qp_cache.access(("qp", qpn)):
+        if self.qp_cache.access(qpn):
             if span is not None:
                 span.bump("qp_hits")
             return True
@@ -101,7 +101,7 @@ class Rnic:
     def _mtt_hit(self, rkey: int, span: Optional[Span]) -> bool:
         """Touch one memory-translation entry; False on a miss, paid
         for like a QP-context miss."""
-        if self.mtt_cache.access(("mr", rkey)):
+        if self.mtt_cache.access(rkey):
             return True
         if span is not None:
             span.bump("mtt_misses")

@@ -26,125 +26,6 @@ against each other — and the **scorecards / bench store**
 to gate CI on regressions.
 
 See ``docs/observability.md`` for the span model, metric names by layer,
-and CLI usage.
+and CLI usage.  The package re-exports nothing: import each name from
+the module that defines it, so a run loads only the modules it uses.
 """
-
-from . import faults
-from .anomaly import (
-    Anomaly,
-    detect_changepoints,
-    detect_cliffs,
-    detect_counter_bursts,
-    detect_knees,
-    detect_run_anomalies,
-    detect_sweep_anomalies,
-    severity_label,
-)
-from .audit import (
-    AuditContext,
-    AuditError,
-    AuditReport,
-    Violation,
-    audit_enabled,
-    run_audit,
-)
-from .benchstore import CompareReport, MetricDelta, compare_dirs
-from .causal import (
-    GAP_RESOURCE,
-    CriticalPath,
-    Segment,
-    attribute,
-    attribution_report,
-    critical_path,
-    critical_paths,
-    folded_stacks,
-    format_attribution,
-    what_if,
-    what_if_all,
-)
-from .explain import (
-    Explanation,
-    attribution_blocks,
-    explain_between,
-    explain_changepoint,
-    explain_sweep_anomalies,
-    format_explanation,
-    shift_table,
-    top_shift,
-)
-from .export import chrome_trace, format_breakdown, write_chrome_trace
-from .registry import Registry, ledger_state
-from .runstore import RunRecord, RunStore, default_store_dir
-from .scorecard import Check, Metric, Scorecard, load_scorecard
-from .simprof import SimProfile, component_bucket, profile_enabled
-from .sketch import QuantileSketch
-from .span import PHASES, SPENT, NullSpanLog, Span, SpanLog, null_span_log
-from .telemetry import Telemetry, current_telemetry, disable, enable
-from .windows import SloTimeline
-
-__all__ = [
-    "Anomaly",
-    "AuditContext",
-    "AuditError",
-    "AuditReport",
-    "Check",
-    "Explanation",
-    "CompareReport",
-    "CriticalPath",
-    "GAP_RESOURCE",
-    "Metric",
-    "MetricDelta",
-    "Scorecard",
-    "Segment",
-    "Violation",
-    "attribute",
-    "attribution_blocks",
-    "attribution_report",
-    "audit_enabled",
-    "compare_dirs",
-    "critical_path",
-    "critical_paths",
-    "default_store_dir",
-    "detect_changepoints",
-    "detect_cliffs",
-    "detect_counter_bursts",
-    "detect_knees",
-    "detect_run_anomalies",
-    "detect_sweep_anomalies",
-    "explain_between",
-    "explain_changepoint",
-    "explain_sweep_anomalies",
-    "faults",
-    "format_explanation",
-    "severity_label",
-    "shift_table",
-    "top_shift",
-    "folded_stacks",
-    "format_attribution",
-    "load_scorecard",
-    "component_bucket",
-    "profile_enabled",
-    "run_audit",
-    "what_if",
-    "what_if_all",
-    "NullSpanLog",
-    "PHASES",
-    "SPENT",
-    "QuantileSketch",
-    "Registry",
-    "RunRecord",
-    "RunStore",
-    "SimProfile",
-    "SloTimeline",
-    "Span",
-    "SpanLog",
-    "Telemetry",
-    "chrome_trace",
-    "current_telemetry",
-    "disable",
-    "enable",
-    "format_breakdown",
-    "ledger_state",
-    "null_span_log",
-    "write_chrome_trace",
-]

@@ -16,16 +16,12 @@ every figure runner without threading a parameter through each command:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from .causal import (
-    CriticalPath,
-    attribute,
-    critical_paths,
-    folded_stacks,
-    what_if_all,
-)
 from .span import SpanLog, null_span_log
+
+if TYPE_CHECKING:
+    from .causal import CriticalPath
 
 __all__ = [
     "Telemetry",
@@ -90,6 +86,8 @@ class Telemetry:
         return self.spans.breakdown(name)
 
     # -- causal analysis (repro.obs.causal) -----------------------------
+    # Imported per call: a run never reads its critical paths, so the
+    # analysis module loads only in the processes that do.
 
     def critical_paths(self, name: Optional[str] = None,
                        run: Optional[int] = None) -> List[CriticalPath]:
@@ -99,21 +97,25 @@ class Telemetry:
         are the ones most damaged by the bottleneck, and dropping them
         would bias attribution *away* from the collapsed resource.
         """
+        from .causal import critical_paths
         self.flush()
         return critical_paths(self.spans, name=name, run=run)
 
     def attribution(self, name: Optional[str] = None
                     ) -> Dict[str, Dict[str, float]]:
         """Blocked-time attribution table over critical paths."""
+        from .causal import attribute
         return attribute(self.critical_paths(name=name))
 
     def what_if(self, name: Optional[str] = None,
                 run: Optional[int] = None) -> Dict[str, float]:
         """Upper-bound speedup per resource if its waits were removed."""
+        from .causal import what_if_all
         return what_if_all(self.critical_paths(name=name, run=run))
 
     def folded(self) -> str:
         """Folded-stack (flamegraph.pl / speedscope) text export."""
+        from .causal import folded_stacks
         return folded_stacks(self.critical_paths())
 
 

@@ -27,7 +27,7 @@ from ..config import (
     NetConfig,
     NicConfig,
 )
-from ..obs import Telemetry
+from ..obs.telemetry import Telemetry
 from ..obs.explain import (
     attribution_blocks,
     explain_between,

@@ -379,7 +379,7 @@ class Simulator:
         #: auditors read: queue accounting, wait times and value-count
         #: ledgers.  Components read it **once, at construction time**
         #: and cache it, so the uninstrumented hot path pays one cached
-        #: bool branch.  :meth:`repro.obs.Telemetry.install` and an
+        #: bool branch.  :meth:`repro.obs.telemetry.Telemetry.install` and an
         #: audited :class:`repro.harness.Run` set it *before* the
         #: cluster is built.
         self.instrumented = False

@@ -42,7 +42,7 @@ class WorkRequest:
     #: Atomics: operand values.
     compare: int = 0
     swap_or_add: int = 0
-    #: Optional :class:`repro.obs.Span` carried through the NIC/fabric so
+    #: Optional :class:`repro.obs.span.Span` carried through the NIC/fabric so
     #: hardware layers attribute their time to this request's trace.  Set
     #: by upper layers (FLock message posting) or auto-created by
     #: :meth:`QueuePair.post_send` when span tracing is enabled.

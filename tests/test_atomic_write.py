@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.obs import Scorecard
+from repro.obs.scorecard import Scorecard
 from repro.obs import export
 from repro.obs.export import write_atomic
 

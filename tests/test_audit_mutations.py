@@ -10,7 +10,8 @@ unmutated run stays clean.
 import pytest
 
 from repro.harness import MicrobenchConfig, run_flock
-from repro.obs import AuditError, faults
+from repro.obs import faults
+from repro.obs.audit import AuditError
 
 pytestmark = pytest.mark.usefixtures("audited")
 

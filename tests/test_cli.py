@@ -5,10 +5,11 @@ import json
 
 import pytest
 
-from repro.harness import FIGURES
 from repro.harness import cli
 from repro.harness.cli import build_parser, main
-from repro.obs import PHASES, enable
+from repro.harness.figures import FIGURES
+from repro.obs.span import PHASES
+from repro.obs.telemetry import enable
 
 
 class TestParser:
@@ -257,7 +258,8 @@ class TestFaultStamp:
 
     def test_injected_faults_are_stamped(self, tmp_path, monkeypatch,
                                          capsys):
-        from repro.obs import faults, load_scorecard
+        from repro.obs import faults
+        from repro.obs.scorecard import load_scorecard
         from repro.obs.runstore import config_fingerprint
         faulty = self._scorecard(tmp_path, monkeypatch,
                                  "rnic.double_count_miss,"

@@ -36,7 +36,7 @@ from repro.harness.incastbench import (
     run_incast_ud,
 )
 from repro.harness.scorecards import scorecard_fig2a
-from repro.obs import Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.obs.audit import AUDIT_ENV
 from repro.search.runner import ScenarioConfig, run_scenario_leg
 from repro.sim import Simulator

@@ -5,7 +5,8 @@ makes that a regression-checked property rather than a promise.  The
 same holds for run knobs: every ``REPRO_*`` environment variable the
 library reads is listed in the "Run knobs" table of
 ``docs/observability.md``, every defaulted parameter has a caller that
-sets it, and every definition under ``src/repro`` has a reader.
+sets it, and every definition under ``src/repro`` has a reader.  The
+"Programmatic use" snippet of ``docs/observability.md`` runs as written.
 EXPERIMENTS.md's tables are ``benchmarks/results.txt`` sections,
 verbatim.
 """
@@ -308,6 +309,20 @@ def test_every_definition_has_a_reader():
     unread = sorted(where for name, method, where in defined
                     if name not in read and (method or name not in bare))
     assert unread == []
+
+
+def test_programmatic_use_snippet_runs(monkeypatch, tmp_path):
+    """The fenced block under "Programmatic use" in
+    docs/observability.md runs as written, so its import paths cannot
+    rot."""
+    doc = (ROOT / "docs" / "observability.md").read_text()
+    section = doc.split("## Programmatic use", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)\n```", section, re.S)
+    assert len(blocks) == 1
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "0.1")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], "docs/observability.md", "exec"), {})
+    assert (tmp_path / "run.trace.json").stat().st_size > 0
 
 
 def test_experiments_tables_are_results_sections():

@@ -1,5 +1,5 @@
 """The figure registry's wiring: every CLI figure subcommand reaches its
-:class:`repro.harness.FigureSpec`, and every committed baseline matches
+:class:`repro.harness.figures.FigureSpec`, and every committed baseline matches
 what its spec emits.
 
 ``run_sweep`` is patched with a recorder that returns canned results, so
@@ -14,15 +14,15 @@ from unittest.mock import patch
 import pytest
 
 from repro.harness import (
-    FIGURES,
     RunResult,
-    format_table,
     run_erpc_index,
     run_flock_index,
     run_thread_sched,
 )
 from repro.harness.cli import main
-from repro.obs import load_scorecard
+from repro.harness.figures import FIGURES
+from repro.harness.tables import format_table
+from repro.obs.scorecard import load_scorecard
 
 BASELINES = (pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
              / "baselines")

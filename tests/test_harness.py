@@ -8,7 +8,6 @@ from repro.harness import (
     Recorder,
     RunResult,
     TxnBenchConfig,
-    format_table,
     run_erpc,
     run_erpc_index,
     run_fasst_txn,
@@ -20,6 +19,7 @@ from repro.harness import (
     run_ud_rpc,
 )
 from repro.harness.metrics import closed_loop
+from repro.harness.tables import format_table
 from repro.sim import Simulator
 
 pytestmark = pytest.mark.usefixtures("half_windows")

@@ -53,6 +53,30 @@ class TestMttCache:
         run_gen(sim, proc())
         assert server.rnic.mtt_cache.stats.misses == 1  # cold miss only
 
+    def test_caches_key_bare_qpn_and_rkey(self):
+        """Each cache holds one kind of key, so a READ leaves the QP
+        number and the rkey themselves in the caches, not tagged
+        tuples."""
+        sim = Simulator()
+        servers, clients, fabric = build_cluster(sim,
+                                                 ClusterConfig(n_clients=1))
+        server, client = servers[0], clients[0]
+        sqp = QueuePair(sim, server, fabric, Transport.RC)
+        cqp = QueuePair(sim, client, fabric, Transport.RC)
+        cqp.connect(sqp)
+        region = server.memory.register(4096)
+
+        def proc():
+            yield cqp.post_send(WorkRequest(
+                verb=Verb.READ, length=16, remote_addr=region.addr,
+                rkey=region.rkey, signaled=False))
+
+        run_gen(sim, proc())
+        assert cqp.qpn in client.rnic.qp_cache
+        assert sqp.qpn in server.rnic.qp_cache
+        assert region.rkey in server.rnic.mtt_cache
+        assert server.rnic.mtt_cache.stats.accesses == 1
+
 
 class TestFabricHelpers:
     def test_qpn_allocation_monotonic(self, small_cluster):

@@ -20,22 +20,10 @@ from repro.harness.microbench import (
 from repro.harness.incastbench import IncastConfig, run_incast_flock
 from repro.harness.txnbench import TxnBenchConfig, run_flocktx
 from repro.net import build_cluster
-from repro.obs import (
-    PHASES,
-    NullSpanLog,
-    Registry,
-    Span,
-    SpanLog,
-    Telemetry,
-    chrome_trace,
-    current_telemetry,
-    disable,
-    enable,
-    format_breakdown,
-    ledger_state,
-    null_span_log,
-    write_chrome_trace,
-)
+from repro.obs.export import chrome_trace, format_breakdown, write_chrome_trace
+from repro.obs.registry import Registry, ledger_state
+from repro.obs.span import PHASES, NullSpanLog, Span, SpanLog, null_span_log
+from repro.obs.telemetry import Telemetry, current_telemetry, disable, enable
 
 
 def _folded(states):
@@ -418,7 +406,7 @@ class TestTelemetry:
         assert snap["gauges"]["rnic.tx_port.occupancy{nic=client0.rnic}"] == 0
 
     def test_metrics_only_telemetry_records_no_spans(self, monkeypatch):
-        from repro.obs import attribution_blocks
+        from repro.obs.explain import attribution_blocks
 
         monkeypatch.setenv("REPRO_BENCH_SCALE", "0.1")
         tel = Telemetry(wants_spans=False)

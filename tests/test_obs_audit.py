@@ -14,18 +14,17 @@ from repro.harness import (
     run_incast_flock,
     run_raw_reads,
 )
-from repro.obs import (
+from repro.obs.audit import (
+    AUDIT_ENV,
     AuditContext,
     AuditError,
     AuditReport,
-    SpanLog,
-    Telemetry,
     Violation,
-    disable,
-    enable,
+    audit_enabled,
     run_audit,
 )
-from repro.obs.audit import AUDIT_ENV, audit_enabled
+from repro.obs.span import SpanLog
+from repro.obs.telemetry import Telemetry, disable, enable
 from repro.sim import Simulator
 
 pytestmark = pytest.mark.usefixtures("half_windows")

@@ -17,12 +17,8 @@ from repro.config import ClusterConfig, NicConfig
 from repro.flock.qp_scheduler import HoldLedger
 from repro.harness.microbench import run_raw_reads
 from repro.hw.pcie import PcieLink
-from repro.obs import (
+from repro.obs.causal import (
     GAP_RESOURCE,
-    PHASES,
-    NullSpanLog,
-    SpanLog,
-    Telemetry,
     attribute,
     attribution_report,
     critical_path,
@@ -32,6 +28,8 @@ from repro.obs import (
     what_if,
     what_if_all,
 )
+from repro.obs.span import PHASES, NullSpanLog, SpanLog
+from repro.obs.telemetry import Telemetry
 from repro.sim import Resource, Simulator
 
 

@@ -12,7 +12,7 @@ The sketch's contract has two halves and this file pins both:
   ``--jobs N`` percentile-reporting path stands on.
 
 A final class pins the summary schema a registry histogram reports,
-through :meth:`repro.obs.Registry.observe` and the snapshot.
+through :meth:`repro.obs.registry.Registry.observe` and the snapshot.
 """
 
 import json

@@ -16,8 +16,9 @@ import os
 
 import pytest
 
-from repro.harness import FIGURES, MicrobenchConfig, run_flock
+from repro.harness import MicrobenchConfig, run_flock
 from repro.harness.cli import main
+from repro.harness.figures import FIGURES
 from repro.harness.parallel import (
     JOBS_ENV,
     SweepPoint,
@@ -25,7 +26,8 @@ from repro.harness.parallel import (
     run_sweep,
 )
 from repro.harness.scorecards import retention, scorecard_fig2a
-from repro.obs import Registry, Telemetry, current_telemetry, disable, enable
+from repro.obs.registry import Registry
+from repro.obs.telemetry import Telemetry, current_telemetry, disable, enable
 from repro.sim.rand import Streams
 
 SMOKE = "0.05"

@@ -6,9 +6,9 @@ import os
 
 import pytest
 
-from repro.harness import format_table
-from repro.obs import Scorecard
+from repro.harness.tables import format_table
 from repro.obs.runstore import RUNSTORE_DIR_ENV
+from repro.obs.scorecard import Scorecard
 
 _BENCH_RECORD = os.path.join(os.path.dirname(__file__), os.pardir,
                              "benchmarks", "bench_record.py")

@@ -6,15 +6,16 @@ import shutil
 
 import pytest
 
-from repro.harness import RunResult, scorecard_fig2a, scorecard_fig10
+from repro.harness import RunResult
 from repro.harness.cli import main as cli_main
-from repro.obs import (
+from repro.harness.scorecards import scorecard_fig2a, scorecard_fig10
+from repro.obs.benchstore import compare_dirs, compare_runs
+from repro.obs.scorecard import (
+    Metric,
     Scorecard,
-    compare_dirs,
     load_scorecard,
+    scorecard_filename,
 )
-from repro.obs.benchstore import compare_runs
-from repro.obs.scorecard import Metric, scorecard_filename
 
 BASELINES = (pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
              / "baselines")

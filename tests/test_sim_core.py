@@ -18,7 +18,7 @@ from repro.sim import (
 
 from sim_helpers import run_gen
 from repro.harness import MicrobenchConfig, run_flock
-from repro.obs import Telemetry
+from repro.obs.telemetry import Telemetry
 from test_run_lifecycle import RUNNERS
 
 
