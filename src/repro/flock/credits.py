@@ -11,8 +11,7 @@ sender's active set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Deque
-from collections import deque
+from typing import List
 
 from ..obs import faults
 from ..sim import Event, Simulator
@@ -52,7 +51,8 @@ class CreditState:
         self.credits = batch
         self.renew_outstanding = False
         self.active = True
-        self._waiters: Deque[Event] = deque()
+        #: Dry waiters; a plain list, since every wake drains it whole.
+        self._waiters: List[Event] = []
         self.renewals_requested = 0
         self.grants_received = 0
         self.declines_received = 0
@@ -136,5 +136,10 @@ class CreditState:
         self._wake()
 
     def _wake(self) -> None:
-        while self._waiters:
-            self._waiters.popleft().succeed()
+        # succeed() runs no callback, so nothing joins the list while it
+        # drains.
+        waiters = self._waiters
+        if waiters:
+            for ev in waiters:
+                ev.succeed()
+            waiters.clear()

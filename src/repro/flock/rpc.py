@@ -984,13 +984,13 @@ def _soon(sim: Simulator, fn: Callable, *args) -> None:
     kick-start.  Unlike the process, it fires no completion event, which
     nothing would wait on."""
     ev = Event(sim)
-    ev.callbacks.append(lambda _ev: fn(*args))
+    ev.add_callback(lambda _ev: fn(*args))
     ev.succeed()
 
 
 def _later(sim: Simulator, delay: float, fn: Callable, *args) -> None:
     """Call ``fn(*args)`` when a ``delay`` ns timeout, pushed now, fires."""
-    sim.timeout(delay).callbacks.append(lambda _ev: fn(*args))
+    sim.timeout(delay).add_callback(lambda _ev: fn(*args))
 
 
 def slot_completion(slot: PendingSend):

@@ -16,8 +16,7 @@ batch.  Leadership is transient exactly as in the paper.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List
+from typing import List
 
 from ..sim import percentile
 from .message import META_BYTES, RpcRequest, coalesced_size
@@ -50,7 +49,9 @@ class CombiningQueue:
         if max_combine < 1:
             raise ValueError("max_combine must be >= 1")
         self.max_combine = max_combine
-        self.pending: Deque[PendingSend] = deque()
+        #: Queued slots, oldest first.  A plain list: the leader takes
+        #: a prefix at a time (see :meth:`collect`).
+        self.pending: List[PendingSend] = []
         self.leader_active = False
         #: Coalescing degrees of messages sent since the last credit
         #: renewal (the leader reports the median; §5.1).
@@ -79,11 +80,13 @@ class CombiningQueue:
         ring entry) stop the batch at ``credits`` of them, or when the
         coalesced message would outgrow ``byte_budget`` — though a lone
         request always goes.  Every taken slot is marked copied."""
-        batch: List[PendingSend] = []
+        pending = self.pending
         n_rpc = 0
         wire = coalesced_size([])
-        while self.pending and len(batch) < limit:
-            nxt = self.pending[0]
+        k = 0
+        end = min(limit, len(pending))
+        while k < end:
+            nxt = pending[k]
             if isinstance(nxt.request, RpcRequest):
                 if n_rpc >= credits:
                     break
@@ -92,7 +95,9 @@ class CombiningQueue:
                     break  # coalesced message would outgrow the ring
                 wire += entry_bytes
                 n_rpc += 1
-            batch.append(self.pending.popleft())
+            k += 1
+        batch = pending[:k]
+        del pending[:k]
         for slot in batch:
             slot.copied = True
         return batch

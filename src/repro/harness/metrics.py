@@ -202,6 +202,7 @@ class Recorder:
             self.slo_timeline.observe(now, latency)
 
     def result(self, **extras) -> "RunResult":
+        """The run's result; sorts :attr:`latencies_ns` in place."""
         if self.window_start is None:
             raise RuntimeError("measurement window was never opened")
         duration = self.window_end - self.window_start

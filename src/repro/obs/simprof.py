@@ -29,7 +29,7 @@ on the host.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 from ..config import env_flag
 
@@ -112,11 +112,13 @@ class SimProfile:
             self._code_bucket[code] = bucket
         return bucket
 
-    def classify(self, event: Any, callbacks: Optional[List[Any]]) -> str:
+    def classify(self, event: Any, callbacks: Any) -> str:
         """``component;kind`` bucket for one fired event.
 
-        Attribution follows the first callback — overwhelmingly the only
-        one — because that is who the event wakes: a process resume is
+        ``callbacks`` is the event's callbacks slot as the loop took it:
+        ``None``, one callable, or a list of two or more.  Attribution
+        follows the first callback — overwhelmingly the only one —
+        because that is who the event wakes: a process resume is
         charged to the resumed generator's module, a plain callback to
         the function's module.  Class names are duck-typed to keep this
         module import-independent of the kernel.
@@ -130,7 +132,7 @@ class SimProfile:
             if type(event).__name__ == "Timeout":
                 return "timers;timer"
             return "kernel;idle"
-        cb = callbacks[0]
+        cb = callbacks[0] if type(callbacks) is list else callbacks
         owner = getattr(cb, "__self__", None)
         gen = getattr(owner, "gen", None)
         if gen is not None:
@@ -150,8 +152,7 @@ class SimProfile:
 
     # -- accounting (called from the instrumented loop) -----------------
 
-    def account(self, event: Any, callbacks: Optional[List[Any]],
-                dt_ns: int) -> None:
+    def account(self, event: Any, callbacks: Any, dt_ns: int) -> None:
         """Charge one dispatched event: ``dt_ns`` host nanoseconds spent
         firing it."""
         key = self.classify(event, callbacks)

@@ -42,6 +42,12 @@ The hot path is deliberately split in two (see ``docs/performance.md``):
   completion: the first one the callback makes is handed to the loop,
   which fires its callbacks before it selects the next event
   (:meth:`Event.succeed`).
+* **One callbacks slot per event.**  An event keeps its waiters in its
+  ``callbacks`` slot: ``None`` while nobody waits, the callable itself
+  while one waits (the norm: a process's resume), and a list only once
+  two or more wait.  ``_processed`` alone marks a fired event.
+  Whatever the slot holds, callbacks fire in the order they were
+  attached, so a pending event costs no list of its own.
 
 :meth:`Simulator.run` and :meth:`Simulator.run_profiled` share one
 inlined event dispatch loop — no per-event method calls beyond the
@@ -94,7 +100,11 @@ class Event:
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
-        self.callbacks: Optional[List[Callable[["Event"], None]]] = []
+        #: The waiters, in one slot: ``None`` when nobody waits, the
+        #: callable itself when one does, a list only when two or more
+        #: do.  Most pending events have at most one waiter, and a list
+        #: per event would cost 56 bytes or more for nothing.
+        self.callbacks: Any = None
         self._value: Any = None
         self._triggered = False
         self._processed = False
@@ -140,18 +150,28 @@ class Event:
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
-        """Run ``fn(event)`` when the event fires (immediately if it has)."""
+        """Run ``fn(event)`` when the event fires (immediately if it has).
+
+        Callbacks fire in the order they were added."""
         if self._processed:
             fn(self)
+            return
+        cbs = self.callbacks
+        if cbs is None:
+            self.callbacks = fn
+        elif type(cbs) is list:
+            cbs.append(fn)
         else:
-            self.callbacks.append(fn)
+            self.callbacks = [cbs, fn]
 
     def _fire(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
         self._processed = True
-        if callbacks:
+        if type(callbacks) is list:
             for fn in callbacks:
                 fn(self)
+        elif callbacks is not None:
+            callbacks(self)
 
 
 class Timeout(Event):
@@ -179,7 +199,7 @@ class Process(Event):
     The resume path calls ``gen.send`` directly — on CPython 3.11 that
     is faster than calling a cached bound builtin, and a process holds
     one slot fewer — and attaches itself straight to the yielded
-    target's callback list: duck typing instead of a per-yield
+    target's callbacks slot: duck typing instead of a per-yield
     ``isinstance`` check.
     """
 
@@ -199,7 +219,7 @@ class Process(Event):
         self._cb = self._resume
         # Kick-start at the current time.
         init = Event(sim)
-        init.callbacks.append(self._cb)
+        init.callbacks = self._cb
         init.succeed()
 
     def _resume(self, event: Event) -> None:
@@ -216,17 +236,24 @@ class Process(Event):
                 self._finish(stop.value)
                 return
             # Fast-path dispatch: every legitimate yield target is an
-            # Event; reaching straight for its callback list replaces
-            # both the isinstance check and the bound add_callback call.
+            # Event; reaching straight for its slots replaces both the
+            # isinstance check and the bound add_callback call.
             try:
-                cbs = target.callbacks
+                processed = target._processed
             except AttributeError:
                 raise SimulationError(
                     "process %r yielded %r (must yield Event)"
                     % (self.name, target)
                 )
-            if cbs is not None:
-                cbs.append(self._cb)
+            if not processed:
+                # Inlined add_callback.
+                cbs = target.callbacks
+                if cbs is None:
+                    target.callbacks = self._cb
+                elif type(cbs) is list:
+                    cbs.append(self._cb)
+                else:
+                    target.callbacks = [cbs, self._cb]
                 return
             # Already processed (yielded an event that has fired):
             # resume with it at once, as add_callback would.
@@ -250,13 +277,12 @@ class _DetachedProcess(Process):
     __slots__ = ()
 
     def _finish(self, value: Any) -> None:
-        if self.callbacks:
+        if self.callbacks is not None:
             raise SimulationError(
                 "detached process %r has a waiter" % self.name)
         self._triggered = True
         self._processed = True
         self._value = value
-        self.callbacks = None
 
 
 class _Condition(Event):
@@ -288,17 +314,24 @@ class _Condition(Event):
         Called as soon as an :class:`AnyOf` is decided: its losers may
         stay pending for a long time — or forever — and without the
         detach every decided condition would leave a dead callback
-        behind, growing those events' callback lists without bound over
-        a long sweep.
+        behind, growing those events' waiters without bound over a long
+        sweep.  A slot left with one waiter holds it bare again, and one
+        left with none holds ``None``.
         """
+        # A fresh bound method: it compares equal to the attached one,
+        # but is not the same object.
         check = self._check
         for ev in self.events:
             cbs = ev.callbacks
-            if cbs is not None:
+            if type(cbs) is list:
                 try:
                     cbs.remove(check)
                 except ValueError:
-                    pass
+                    continue
+                if len(cbs) == 1:
+                    ev.callbacks = cbs[0]
+            elif cbs == check:
+                ev.callbacks = None
 
     def _check(self, event: Event) -> None:
         raise NotImplementedError
@@ -402,7 +435,7 @@ class Simulator:
         # Flattened Event.__init__ — sim.event() is a per-RPC allocation.
         ev = Event.__new__(Event)
         ev.sim = self
-        ev.callbacks = []
+        ev.callbacks = None
         ev._value = None
         ev._triggered = False
         ev._processed = False
@@ -434,16 +467,15 @@ class Simulator:
         when = now + delay
         ev = Timeout.__new__(Timeout)
         ev.sim = self
+        ev.callbacks = None
         ev._value = None
         ev._triggered = True
         if self._last and when <= self.horizon and not self._ready:
             heap = self._heap
             if not heap or heap[0][0] > when:
                 self.now = when
-                ev.callbacks = None
                 ev._processed = True
                 return ev
-        ev.callbacks = []
         ev._processed = False
         if when > now:
             heapq.heappush(self._heap, (when, self._next_seq(), ev))
@@ -461,7 +493,7 @@ class Simulator:
         # and creating one is the single most common allocation in a run.
         ev = Timeout.__new__(Timeout)
         ev.sim = self
-        ev.callbacks = []
+        ev.callbacks = None
         ev._value = value
         ev._triggered = True
         ev._processed = False
@@ -568,7 +600,7 @@ class Simulator:
         firing (the body of :meth:`step` and :meth:`Event._fire`) so the
         per-event cost is the callbacks themselves plus a few
         local-variable operations.  With ``account`` set, it records the
-        dispatched event, its callback list and the host clock before
+        dispatched event, its callbacks slot and the host clock before
         firing it, and charges the elapsed host time once the event and
         its hand-offs have fired.
         """
@@ -607,10 +639,10 @@ class Simulator:
                     callbacks = event.callbacks
                     event.callbacks = None
                     event._processed = True
-                    if callbacks:
-                        if len(callbacks) == 1:
+                    if callbacks is not None:
+                        if type(callbacks) is not list:
                             self._last = True
-                            callbacks[0](event)
+                            callbacks(event)
                         else:
                             self._last = False
                             last = callbacks.pop()

@@ -26,6 +26,10 @@ class Resource:
             ...critical section...
         finally:
             resource.release()
+
+    ``_waiters`` is ``None`` while nobody waits: it becomes a deque on
+    the first contended acquire and goes back to ``None`` when the last
+    waiter is served, as most resources in a run are idle at any instant.
     """
 
     __slots__ = ("sim", "capacity", "name", "_in_use", "_waiters",
@@ -39,7 +43,7 @@ class Resource:
         #: Wait-edge resource label for causal attribution.
         self.name = name
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Optional[Deque[Event]] = None
         #: Acquires that found the resource full (always counted).
         self.contended = 0
 
@@ -49,7 +53,8 @@ class Resource:
 
     @property
     def queue_len(self) -> int:
-        return len(self._waiters)
+        waiters = self._waiters
+        return 0 if waiters is None else len(waiters)
 
     def acquire(self, span: Any = None) -> Event:
         """Event that fires once a unit of the resource is held.
@@ -68,7 +73,10 @@ class Resource:
             self._in_use += 1
             return self.sim.event().succeed()
         ev = self.sim.event()
-        self._waiters.append(ev)
+        waiters = self._waiters
+        if waiters is None:
+            waiters = self._waiters = deque()
+        waiters.append(ev)
         self.contended += 1
         if span is not None:
             resource = self.name or "resource"
@@ -83,11 +91,15 @@ class Resource:
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimulationError("release of idle resource")
-        if self._waiters:
-            # Hand the unit directly to the next waiter.
-            self._waiters.popleft().succeed()
-        else:
+        waiters = self._waiters
+        if waiters is None:
             self._in_use -= 1
+            return
+        # Hand the unit directly to the next waiter.
+        ev = waiters.popleft()
+        if not waiters:
+            self._waiters = None
+        ev.succeed()
 
 
 class Store:

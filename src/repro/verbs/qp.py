@@ -58,10 +58,10 @@ def _atomic_lock(node: Node, sim: Simulator, rkey: int, addr: int) -> Resource:
 class QueuePair:
     """One send/recv queue pair on a node."""
 
-    __slots__ = ("sim", "node", "fabric", "transport", "qpn", "_send_cq",
-                 "_recv_cq", "remote", "recv_buffers", "recv_drops",
-                 "sends_posted", "sends_signaled", "sends_completed",
-                 "_trace")
+    __slots__ = ("sim", "node", "fabric", "transport", "_reliable",
+                 "_connected", "qpn", "_send_cq", "_recv_cq", "remote",
+                 "recv_buffers", "recv_drops", "sends_posted",
+                 "sends_signaled", "sends_completed", "_trace")
 
     def __init__(
         self,
@@ -75,6 +75,10 @@ class QueuePair:
         self.node = node
         self.fabric = fabric
         self.transport = transport
+        # Read on every WR: cached, since the enum properties are
+        # Python-level calls.
+        self._reliable = transport.reliable
+        self._connected = transport.connected
         self.qpn = node.alloc_qpn()
         # Built on first use (see send_cq): the unsignaled work of most
         # QPs never needs a CQ.  CQs define __len__, so test identity
@@ -120,7 +124,7 @@ class QueuePair:
 
     def connect(self, peer: "QueuePair") -> None:
         """Connect both directions (RC/UC only; UD is connectionless)."""
-        if not self.transport.connected:
+        if not self._connected:
             raise VerbError("UD QPs are connectionless")
         if peer.transport is not self.transport:
             raise VerbError("transport mismatch: %s vs %s"
@@ -170,7 +174,7 @@ class QueuePair:
                 "message of %d bytes exceeds %s limit %d"
                 % (wr.length, self.transport.value, max_message_size(self.transport))
             )
-        if self.transport.connected:
+        if self._connected:
             if remote is not None and remote is not self.remote:
                 raise VerbError("connected QP cannot address arbitrary peers")
             target = self.remote
@@ -193,7 +197,7 @@ class QueuePair:
             gen = self._do_atomic(wr, target)
         else:
             raise VerbError("cannot post %s" % verb.value)
-        if self.transport.reliable and self.fabric.dcqcn_active:
+        if self._reliable and self.fabric.dcqcn_active:
             gen = self._congestion_gate(wr, gen)
         self.sends_posted += 1
         if wr.signaled:
@@ -260,7 +264,7 @@ class QueuePair:
         jitter = self.fabric.cfg.ud_jitter_ns if self.transport is Transport.UD else 0.0
         delivered = yield from self.fabric.transfer(
             self.node, target.node, wr.length, self.qpn, target.qpn,
-            reliable=self.transport.reliable, jitter_ns=jitter,
+            reliable=self._reliable, jitter_ns=jitter,
             span=wr.span,
         )
         if delivered:
@@ -282,7 +286,7 @@ class QueuePair:
         wc = Completion(wr_id=wr.wr_id, verb=Verb.SEND, byte_len=wr.length,
                         qpn=self.qpn)
         t = self.sim.now
-        if self.transport.reliable:
+        if self._reliable:
             # The ACK leg, left unwaited as in _do_write.
             delay = self.fabric.cfg.propagation_ns
             t += delay
@@ -306,7 +310,7 @@ class QueuePair:
             return self._complete(wr, wc, self.sim.now)
         delivered = yield from self.fabric.transfer(
             self.node, target.node, wr.length, self.qpn, target.qpn,
-            rkeys=(wr.rkey,), reliable=self.transport.reliable,
+            rkeys=(wr.rkey,), reliable=self._reliable,
             span=wr.span,
         )
         if delivered:
@@ -327,7 +331,7 @@ class QueuePair:
         wc = Completion(wr_id=wr.wr_id, verb=wr.verb, byte_len=wr.length,
                         qpn=self.qpn)
         t = self.sim.now
-        if self.transport.reliable:
+        if self._reliable:
             # The ACK leg: one propagation back to the initiator.
             # Nothing observes the ACK of an unsignaled WR on a detached
             # process but the completed count and the span's end, which

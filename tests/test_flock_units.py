@@ -210,6 +210,38 @@ class TestCombiningQueue:
         assert len(tcq.collect(8, credits=8, byte_budget=0)) == 1
         assert len(tcq.pending) == 2
 
+    @given(st.lists(st.one_of(st.none(), st.integers(1, 512)),
+                    max_size=12),
+           st.integers(1, 10), st.integers(0, 10), st.integers(0, 2048))
+    @settings(max_examples=60, deadline=None)
+    def test_collect_takes_the_longest_fitting_prefix(
+            self, sizes, limit, credits, budget):
+        """``None`` is a memory operation, which carries no ring entry;
+        an int is an RPC request of that many bytes."""
+        tcq = CombiningQueue(max_combine=8)
+        slots = [PendingSend(
+            "read" if size is None else RpcRequest(
+                thread_id=i, seq_id=0, rpc_id=0, size=size), 0.0)
+            for i, size in enumerate(sizes)]
+        for slot in slots:
+            tcq.enqueue(slot)
+        taken, n_rpc, wire = 0, 0, coalesced_size([])
+        for size in sizes:
+            if taken == limit:
+                break
+            if size is not None:
+                entry = META_BYTES + size
+                if n_rpc >= credits or (n_rpc and wire + entry > budget):
+                    break
+                wire += entry
+                n_rpc += 1
+            taken += 1
+        batch = tcq.collect(limit, credits=credits, byte_budget=budget)
+        assert batch == slots[:taken]
+        assert tcq.pending == slots[taken:]
+        assert all(s.copied for s in batch)
+        assert not any(s.copied for s in tcq.pending)
+
     def test_handoff_continues_while_pending(self):
         tcq = CombiningQueue(max_combine=8)
         tcq.enqueue(self.slot(0))

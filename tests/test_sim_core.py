@@ -309,9 +309,9 @@ class TestFastPathRegressions:
         def proc():
             for _ in range(50):
                 yield sim.any_of([sim.timeout(1), never])
-            return len(never.callbacks)
+            return never.callbacks
 
-        assert run_gen(sim, proc()) <= 1
+        assert run_gen(sim, proc()) is None
 
     def test_condition_decided_while_built_attaches_no_more(self, sim):
         """A constituent that has already fired can decide the condition
@@ -323,7 +323,7 @@ class TestFastPathRegressions:
         pending = sim.event()
         won = sim.any_of([fired, pending])
         assert won.triggered
-        assert pending.callbacks == []
+        assert pending.callbacks is None
 
     def test_heap_ties_never_compare_events(self, sim):
         """Same-time heap entries are ordered by sequence number alone;
@@ -712,7 +712,7 @@ class TestInPlaceWakeups:
         flags = []
         ev = sim.event()
         for _ in range(3):
-            ev.callbacks.append(lambda _ev: flags.append(sim._last))
+            ev.add_callback(lambda _ev: flags.append(sim._last))
         ev.succeed()
         sim.run()
         assert flags == [False, False, True]
@@ -766,8 +766,8 @@ class TestInPlaceWakeups:
 
         def proc():
             timed = sim.timeout(2.0)
-            assert timed.callbacks == []  # queued, not born fired
-            timed.callbacks.append(lambda _ev: order.append(("cb", sim.now)))
+            assert not timed._processed  # queued, not born fired
+            timed.add_callback(lambda _ev: order.append(("cb", sim.now)))
             never = sim.event()
             race = sim.timeout(5.0, value="late")
             got = yield sim.any_of([never, race])
@@ -833,7 +833,7 @@ class TestInPlaceWakeups:
         sleeps 0 ns."""
         evs = [s.event() for _ in range(3)]
         for i, ev in enumerate(evs):
-            ev.callbacks.append(lambda _ev, i=i: order.append(i))
+            ev.add_callback(lambda _ev, i=i: order.append(i))
 
         def proc():
             yield s.timeout(1.0)
@@ -864,7 +864,7 @@ class TestInPlaceWakeups:
     def test_trigger_behind_a_heap_entry_due_now_is_queued(self, sim):
         order = []
         ev = sim.event()
-        ev.callbacks.append(lambda _ev: order.append("woken"))
+        ev.add_callback(lambda _ev: order.append("woken"))
 
         def trigger():
             yield sim.timeout(5.0)
@@ -956,8 +956,8 @@ class TestInPlaceWakeups:
     def test_hand_off_survives_a_raising_callback(self, sim, profiled):
         order = []
         handed, queued = sim.event(), sim.event()
-        handed.callbacks.append(lambda _ev: order.append("handed off"))
-        queued.callbacks.append(lambda _ev: order.append("queued"))
+        handed.add_callback(lambda _ev: order.append("handed off"))
+        queued.add_callback(lambda _ev: order.append("queued"))
 
         def proc():
             yield sim.timeout(1.0)
@@ -976,6 +976,81 @@ class TestInPlaceWakeups:
         assert order == [] and sim._handoff is None
         run()
         assert order == ["handed off", "queued"]
+
+
+class TestCallbacksSlot:
+    """An event keeps its waiters in one slot: ``None``, the callable
+    itself, or a list once two or more wait.  Whatever it holds, the
+    waiters fire in attach order."""
+
+    @staticmethod
+    def _attach(sim, n, order):
+        """``n`` waiters on one event, alternating plain callbacks and
+        waiting processes."""
+        ev = sim.event()
+        for i in range(n):
+            if i % 2:
+                def waiter(i=i):
+                    yield ev
+                    order.append(i)
+
+                sim.spawn(waiter(), detached=True)
+                step_all(sim)  # the kick-start: it attaches now
+            else:
+                ev.add_callback(lambda _ev, i=i: order.append(i))
+        return ev
+
+    @staticmethod
+    def _assert_holds(slot, n):
+        """The slot's shape for ``n`` waiters."""
+        if n == 0:
+            assert slot is None
+        elif n == 1:
+            assert callable(slot) and not isinstance(slot, list)
+        else:
+            assert isinstance(slot, list) and len(slot) == n
+
+    @pytest.mark.parametrize("stepped", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_waiters_fire_in_attach_order(self, sim, n, stepped):
+        order = []
+        ev = self._attach(sim, n, order)
+        self._assert_holds(ev.callbacks, n)
+        ev.succeed("v")
+        if stepped:
+            step_all(sim)
+        else:
+            sim.run()
+        assert order == list(range(n))
+        assert ev.callbacks is None and ev._processed
+
+    @pytest.mark.parametrize("others", [0, 1, 2])
+    def test_anyof_detaches_cleanly(self, sim, others):
+        """From a single-callable slot (no other waiter) and from a
+        list; one waiter left is held bare again."""
+        never, order = sim.event(), []
+        for i in range(others):
+            never.add_callback(lambda _ev, i=i: order.append(i))
+
+        def proc():
+            yield sim.any_of([never, sim.timeout(1)])
+
+        run_gen(sim, proc())
+        self._assert_holds(never.callbacks, others)
+        never.succeed()
+        sim.run()
+        assert order == list(range(others))
+
+    @pytest.mark.parametrize("waiters", [1, 2])
+    def test_waiter_on_a_detached_process_raises(self, sim, waiters):
+        def child():
+            yield sim.timeout(1)
+
+        proc = sim.spawn(child(), detached=True)
+        for _ in range(waiters):
+            proc.add_callback(lambda _ev: None)
+        with pytest.raises(SimulationError, match="has a waiter"):
+            sim.run()
 
 
 class TestGarbageDiscipline:

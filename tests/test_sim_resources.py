@@ -33,6 +33,24 @@ class TestResource:
         sim.run()
         assert order == ["a", "b", "c"]
 
+    def test_waiter_queue_exists_only_while_contended(self, sim):
+        res = Resource(sim, capacity=1)
+        assert res._waiters is None and res.queue_len == 0
+        seen = []
+
+        def proc():
+            yield res.acquire()
+            seen.append(res.queue_len)
+            yield sim.timeout(5)
+            res.release()
+
+        for _ in range(3):
+            sim.spawn(proc())
+        sim.run()
+        assert seen == [2, 1, 0]
+        assert res._waiters is None and res.queue_len == 0
+        assert res.in_use == 0 and res.contended == 2
+
     def test_release_idle_rejected(self, sim):
         res = Resource(sim, capacity=1)
         with pytest.raises(SimulationError):

@@ -9,7 +9,8 @@ import pytest
 from repro.config import ClusterConfig, NicConfig
 from repro.hw import PcieLink
 from repro.net import build_cluster
-from repro.sim import Simulator, TrackedStore
+from repro.flock import CombiningQueue, CreditState
+from repro.sim import Resource, Simulator, TrackedStore
 from repro.verbs import (
     Completion,
     CompletionQueue,
@@ -557,6 +558,30 @@ class TestQueuePairFootprint:
         generator and a cached ``gen.send``; 1,800 B without)."""
         _, per_read = self._thrashing_reads()
         assert per_read <= 1900, per_read
+
+
+class TestWaiterFootprint:
+    """A waiting process costs no list, and an idle wait queue no deque
+    (``flock_coalesce`` holds thousands of each at once)."""
+
+    def test_pending_event_with_one_waiter_holds_no_list(self, sim):
+        ev = sim.event()
+        assert ev.callbacks is None
+
+        def waiter():
+            yield ev
+
+        proc = sim.spawn(waiter())
+        sim.run()
+        assert ev.callbacks is proc._cb
+
+    def test_idle_wait_queues_hold_no_deque(self, sim):
+        resource = Resource(sim)
+        credits = CreditState(sim, batch=4, renew_threshold=2)
+        tcq = CombiningQueue(max_combine=4)
+        assert resource._waiters is None
+        assert type(credits._waiters) is list and not credits._waiters
+        assert type(tcq.pending) is list and not tcq.pending
 
 
 class TestCompletionQueue:
